@@ -3,7 +3,7 @@
 a nonlocal fractional variant, and theorem-verification sweeps.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .errors import (BracketRangeError, ConfigError, ConformanceError,
                      GeometryError, OrliczError, ZeroDenominatorError)

@@ -1,8 +1,10 @@
 """Monotone scalar root finding by bracketed bisection.
 
-All solves in this package reduce to roots of nondecreasing scalar maps
-(normalization radii, Luxemburg scalings, generalized inverses of densities),
-so a single bracket-grow + bisect helper covers them.
+Luxemburg scalings and generalized inverses of densities are roots of
+nondecreasing scalar maps with no usable derivative, so a single
+bracket-grow + bisect helper covers them.  The normalization radius, whose
+map has a closed-form derivative, is found by safeguarded Newton iteration
+in :mod:`orlicz_eigen.solver` instead.
 """
 
 import math

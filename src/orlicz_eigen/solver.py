@@ -17,9 +17,9 @@ from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import BracketRangeError, ZeroDenominatorError
+from .errors import (BracketRangeError, ConfigError, OrliczError,
+                     ZeroDenominatorError)
 from .mesh import Mesh, ScalarField, cell_gradients, bump_field
-from .roots import bisect_monotone
 from .young import SATURATION
 
 __all__ = [
@@ -45,7 +45,7 @@ class SolveOptions:
 class NormalizationResult:
     r_alpha: float
     phi_value: float
-    bisection_iterations: int
+    iterations: int
 
 
 @dataclass
@@ -158,27 +158,85 @@ def _residual_norm(g, mg, lam, weights):
 
 # -- normalization ---------------------------------------------------------
 
-def phi_root(F, u, m, alpha, r0=1.0):
-    """Radius r with modular(F, r u, m) = alpha, by bracketed bisection."""
-    values = np.asarray(getattr(u, "values", u), dtype=float)
-    if not np.any(values):
-        raise ZeroDenominatorError("phi is identically zero for u = 0")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+_MIN_RADIUS = 1e-280
+_MAX_RADIUS = 1e280
+_RTOL = 1e-13   # relative accuracy of the radius
+_FTOL = 1e-12   # relative accuracy of the achieved modular
+_MAX_STEPS = 200
+
+
+def _check_alpha(alpha):
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
     if alpha > SATURATION / 1e6:
         raise BracketRangeError(
             f"alpha = {alpha} beyond representable modular range",
             bracket=None)
-    absu = np.abs(values)
-    w = m.node_weights
 
-    def phi(r):
-        return float(np.dot(w, F.A(r * absu)))
 
-    r, iters = bisect_monotone(phi, alpha, x0=r0, rtol=1e-12,
-                               ftol_rel=1e-11)
-    return NormalizationResult(r_alpha=r, phi_value=phi(r),
-                               bisection_iterations=iters)
+def _normalize(F, absu, w, alpha, r0=1.0):
+    """Radius r with phi(r) = sum w A(r absu) = alpha.
+
+    Newton's method on log phi as a function of log r, whose slope is
+    s = r phi'(r) / phi(r) with phi'(r) = sum w a(r absu) absu.  A bracket
+    [lo, hi] of the root is kept; a step that leaves it, or an iterate where
+    phi underflows to 0 or saturates, falls back to bisection in log r, or
+    to doubling/halving (the factor squared on each repeat) while one side
+    of the bracket is still open.
+    """
+    _check_alpha(alpha)
+    if not np.any(absu):
+        raise ZeroDenominatorError("phi is identically zero for u = 0")
+    lo, hi = 0.0, math.inf
+    up = down = 2.0
+    r_next = min(max(float(r0), _MIN_RADIUS), _MAX_RADIUS)
+    for it in range(1, _MAX_STEPS + 1):
+        r = r_next
+        t = r * absu
+        A = F.A(t)
+        phi = float(np.dot(w, A))
+        if phi < alpha:
+            lo = r
+        else:
+            hi = r
+        close = abs(phi - alpha) <= _FTOL * alpha
+        # hi stays infinite until phi first reaches alpha
+        if hi < math.inf and (hi - lo <= 4.0 * math.ulp(hi)
+                              or (close and hi - lo <= _RTOL * hi)):
+            break
+        if phi > 0.0 and A.max() < SATURATION:
+            with np.errstate(over="ignore"):
+                s = float(np.dot(w, F.a(t) * t)) / phi  # = r phi'(r) / phi
+            if s > 0.0 and math.isfinite(s):
+                step = (math.log(alpha) - math.log(phi)) / s
+                if close and abs(step) <= _RTOL:
+                    break
+                r_next = r * math.exp(max(min(step, 700.0), -700.0))
+                if lo < r_next < hi and _MIN_RADIUS <= r_next <= _MAX_RADIUS:
+                    up = down = 2.0
+                    continue
+        if lo > 0.0 and hi < math.inf:
+            r_next = math.sqrt(lo) * math.sqrt(hi)
+        elif hi < math.inf:
+            if hi <= _MIN_RADIUS:
+                raise BracketRangeError(
+                    "normalization radius fell below the representable range",
+                    bracket=(lo, hi))
+            r_next, down = max(hi / down, _MIN_RADIUS), down * down
+        else:
+            if lo >= _MAX_RADIUS:
+                raise BracketRangeError(
+                    "normalization radius exceeded the representable range",
+                    bracket=(lo, hi))
+            r_next, up = min(lo * up, _MAX_RADIUS), up * up
+    return NormalizationResult(r_alpha=r, phi_value=phi, iterations=it)
+
+
+def phi_root(F, u, m, alpha, r0=1.0):
+    """Radius r with modular(F, r u, m) = alpha, by safeguarded Newton
+    iteration on the monotone normalization map (see ``_normalize``)."""
+    values = np.asarray(getattr(u, "values", u), dtype=float)
+    return _normalize(F, np.abs(values), m.node_weights, alpha, r0)
 
 
 # -- preconditioners -------------------------------------------------------
@@ -278,10 +336,9 @@ class Problem:
                             self.F.A(r * np.abs(values))))
 
     def project(self, values, alpha, r0=1.0):
-        def phi(r):
-            return self.modular_scaled(values, r)
-        r, _ = bisect_monotone(phi, alpha, x0=r0, rtol=1e-13, ftol_rel=1e-12)
-        return values * r
+        norm = _normalize(self.F, np.abs(values), self.m.node_weights,
+                          alpha, r0)
+        return values * norm.r_alpha
 
     def preconditioner(self, values):
         return self._precond.build(self.F, values)
@@ -470,7 +527,9 @@ def solve_E(F, m, alpha, opts=None, initial=None):
 
     Runs opts.restarts projected-descent starts and returns the
     lowest-energy converged run (all runs, flagged unconverged, if none
-    converges).  ``initial`` warm-starts the first run.
+    converges).  ``initial`` warm-starts the first run.  A non-finite or
+    non-positive alpha raises ConfigError; a minimizer whose modular misses
+    alpha by more than 1e-10 relative raises OrliczError.
     """
     opts = opts or SolveOptions()
     problem = Problem(
@@ -482,11 +541,16 @@ def solve_E(F, m, alpha, opts=None, initial=None):
 
 
 def minimize_with_restarts(problem, alpha, opts, initial=None):
+    _check_alpha(alpha)
     starts = default_starts(problem, opts, initial)
     runs = [_descend(problem, alpha, s, opts) for s in starts]
     best = _pick_best(runs)
     u = ScalarField(best.values, problem.m)
     achieved = problem.modular_scaled(best.values, 1.0)
+    if not abs(achieved - alpha) <= 1e-10 * alpha:
+        raise OrliczError(
+            f"minimizer misses the constraint: modular {achieved!r} "
+            f"for alpha = {alpha!r}")
     return MinimizerResult(
         u=u, alpha=achieved, energy=best.energy, lam=best.lam,
         residual=best.residual, iterations=best.iterations,

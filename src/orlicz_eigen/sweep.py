@@ -69,8 +69,9 @@ class LimitEstimate:
 
 def geometric_grid(alpha_min, alpha_max, per_decade):
     """Geometric alpha grid with per_decade points per decade, inclusive."""
-    if alpha_min <= 0 or alpha_max <= alpha_min:
-        raise ConfigError("need 0 < alpha_min < alpha_max")
+    if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)
+            and 0 < alpha_min < alpha_max):
+        raise ConfigError("need finite 0 < alpha_min < alpha_max")
     if per_decade < 3:
         raise ConfigError(
             "need at least 3 points per decade for central differences")

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, outputs, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import orlicz_eigen
 from orlicz_eigen.cli import main
 
 POWER2 = '{"family": "power", "params": {"p": 2}}'
@@ -20,6 +23,15 @@ def run(capsys, *argv):
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
+
+
+def test_version_matches_pyproject(capsys):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(r'^version\s*=\s*"([^"]+)"', pyproject.read_text(),
+                      re.MULTILINE)
+    assert match and orlicz_eigen.__version__ == match.group(1)
+    _, out, _ = run(capsys, "--version")
+    assert out.split() == ["orlicz-eigen", match.group(1)]
 
 
 def test_inspect_sum_of_powers(capsys):
@@ -52,6 +64,27 @@ def test_solve_bad_config_exit_2(capsys):
                        "--mesh", "interval:1.0,100", "--alpha", "1.0")
     assert code == 2
     assert "zzz" in err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+def test_bad_alpha_exit_2(capsys, alpha):
+    code, out, err = run(capsys, "solve", "--young", POWER2,
+                         "--mesh", "interval:1.0,100", "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert "alpha" in err
+    code, out, err = run(capsys, "nonlocal", "--young", POWER2,
+                         "--interval", "1.0", "--nodes", "16",
+                         "--s", "0.5", "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert "alpha" in err
+
+
+def test_sweep_nan_alpha_exit_2(capsys):
+    code, out, err = run(capsys, "sweep", "--young", POWER2,
+                         "--mesh", "interval:1.0,100",
+                         "--alpha-min", "nan", "--alpha-max", "10")
+    assert code == 2 and out == ""
+    assert "alpha" in err
 
 
 def test_sweep_derivative_check_passes(capsys, tmp_path):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from orlicz_eigen.errors import ZeroDenominatorError
+from orlicz_eigen.errors import (BracketRangeError, ConfigError,
+                                 OrliczError, ZeroDenominatorError)
 from orlicz_eigen.mesh import Mesh, bump_field
-from orlicz_eigen.solver import (SolveOptions, descent_direction, energy,
-                                 energy_gradient, lagrange_quotient,
+from orlicz_eigen.solver import (Problem, SolveOptions, descent_direction,
+                                 energy, energy_gradient, lagrange_quotient,
                                  mass_gradient, phi_root, solve_E,
                                  weak_residual)
-from orlicz_eigen.young import YoungFunction, modular
+from orlicz_eigen.young import SATURATION, YoungFunction, modular
 
 import oracles
 
@@ -48,6 +49,67 @@ def test_phi_root_rejects_zero_field(m200):
     F = YoungFunction.power(2)
     with pytest.raises(ZeroDenominatorError):
         phi_root(F, m200.zeros(), m200, 1.0)
+
+
+CLOSED_FORM_FAMILIES = {
+    "power": lambda: YoungFunction.power(3),
+    "sum_of_powers": lambda: YoungFunction.sum_of_powers(2, 4),
+    "power_log": lambda: YoungFunction.power_log(2, 1, 1),
+    "exp_minus_poly": lambda: YoungFunction.exp_minus_poly(2),
+    "exp_neg_inv_power": lambda: YoungFunction.exp_neg_inv_power(1),
+    "double_exp": YoungFunction.double_exp,
+}
+
+
+@pytest.mark.parametrize("r0", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("alpha", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_FAMILIES))
+def test_normalization_newton(m200, family, alpha, r0):
+    F = CLOSED_FORM_FAMILIES[family]()
+    u = m200.field(np.sin(math.pi * m200.interior_coords[:, 0]))
+    evaluate_A = F.A
+    calls = []
+
+    def counted_A(t):
+        calls.append(1)
+        return evaluate_A(t)
+    F.A = counted_A
+    res = phi_root(F, u, m200, alpha, r0)
+    # a fallback to plain bisection needs ~45 evaluations
+    assert len(calls) == res.iterations <= 15
+    achieved = modular(F, u * res.r_alpha, m200)
+    assert abs(achieved - alpha) <= 1e-12 * alpha
+    assert res.phi_value == achieved
+    problem = Problem(F, m200, None, None, None)
+    projected = problem.project(u.values, alpha, r0)
+    assert np.array_equal(projected, u.values * res.r_alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_normalization_rejects_bad_alpha(m200, alpha):
+    F = YoungFunction.power(2)
+    u = m200.field(np.ones(m200.interior_count))
+    with pytest.raises(ConfigError):
+        phi_root(F, u, m200, alpha)
+    with pytest.raises(ConfigError):
+        solve_E(F, m200, alpha)
+
+
+def test_normalization_range_errors(m200):
+    F = YoungFunction.power(2)
+    problem = Problem(F, m200, None, None, None)
+    ones = np.ones(m200.interior_count)
+    with pytest.raises(ZeroDenominatorError):
+        problem.project(np.zeros(m200.interior_count), 1.0)
+    with pytest.raises(BracketRangeError):
+        phi_root(F, m200.field(ones), m200, SATURATION)
+    with pytest.raises(BracketRangeError):
+        problem.project(ones, SATURATION)
+    # roots beyond the representable radii [1e-280, 1e280]
+    with pytest.raises(BracketRangeError):
+        phi_root(F, m200.field(1e-290 * ones), m200, 1.0)
+    with pytest.raises(BracketRangeError):
+        phi_root(F, m200.field(1e290 * ones), m200, 1.0)
 
 
 # -- gradients and residuals ------------------------------------------------
@@ -190,6 +252,17 @@ def test_solve_2d_quadratic():
     res = solve_E(F, m, 1.0, SolveOptions(tol=1e-6, restarts=2))
     assert res.converged
     assert res.lam == pytest.approx(2.0 * math.pi ** 2, rel=1e-2)
+
+
+def test_constraint_postcondition_raises(m200, monkeypatch):
+    project = Problem.project
+
+    def off_constraint(self, values, alpha, r0=1.0):
+        return project(self, values, alpha, r0) * (1.0 + 1e-6)
+    monkeypatch.setattr(Problem, "project", off_constraint)
+    F = YoungFunction.power(2)
+    with pytest.raises(OrliczError, match="misses the constraint"):
+        solve_E(F, m200, 1.0, SolveOptions(max_iter=3, restarts=1))
 
 
 def test_unconverged_run_is_flagged(m200):

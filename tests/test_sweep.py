@@ -29,6 +29,10 @@ def test_grid_validation():
         geometric_grid(1.0, 0.1, 5)
     with pytest.raises(ConfigError):
         geometric_grid(0.1, 1.0, 2)
+    for lo, hi in ((math.nan, 1.0), (0.1, math.nan), (0.1, math.inf),
+                   (-math.inf, 1.0)):
+        with pytest.raises(ConfigError):
+            geometric_grid(lo, hi, 5)
     g = geometric_grid(1e-2, 1e2, 5)
     assert len(g) == 21
     assert g[0] == pytest.approx(1e-2) and g[-1] == pytest.approx(1e2)
