@@ -52,20 +52,27 @@ def _young_from_arg(text):
     return YoungFunction.from_config(_load_spec(text))
 
 
+def _shorthand(text, kinds, usage):
+    """Comma-separated numbers converted by ``kinds``, one per field."""
+    parts = text.split(",")
+    if len(parts) != len(kinds):
+        raise ConfigError(usage)
+    try:
+        return [kind(part) for kind, part in zip(kinds, parts)]
+    except ValueError as exc:
+        raise ConfigError(f"{usage}: {exc}") from exc
+
+
 def _mesh_from_arg(text):
     text = text.strip()
     if text.startswith("interval:"):
-        parts = text[len("interval:"):].split(",")
-        if len(parts) != 2:
-            raise ConfigError("interval shorthand is interval:LENGTH,CELLS")
-        return Mesh.interval(float(parts[0]), int(parts[1]))
+        return Mesh.interval(*_shorthand(
+            text[len("interval:"):], (float, int),
+            "interval shorthand is interval:LENGTH,CELLS"))
     if text.startswith("rectangle:"):
-        parts = text[len("rectangle:"):].split(",")
-        if len(parts) != 4:
-            raise ConfigError(
-                "rectangle shorthand is rectangle:LX,LY,NX,NY")
-        return Mesh.rectangle(float(parts[0]), float(parts[1]),
-                              int(parts[2]), int(parts[3]))
+        return Mesh.rectangle(*_shorthand(
+            text[len("rectangle:"):], (float, float, int, int),
+            "rectangle shorthand is rectangle:LX,LY,NX,NY"))
     return Mesh.from_config(_load_spec(text))
 
 
@@ -135,15 +142,11 @@ def _cmd_inspect(args):
     return 0
 
 
-def _result_payload(result):
-    return result.as_dict()
-
-
 def _cmd_solve(args):
     F = _young_from_arg(args.young)
     m = _mesh_from_arg(args.mesh)
     result = solve_E(F, m, args.alpha, _solve_options(args))
-    _emit_json(_result_payload(result), args.out)
+    _emit_json(result.as_dict(), args.out)
     if args.csv:
         result.u.to_csv(args.csv)
     return 0 if result.converged else 1
@@ -153,7 +156,7 @@ def _cmd_nonlocal(args):
     F = _young_from_arg(args.young)
     nm = NonlocalMesh(args.interval, args.nodes, args.s, args.rcut)
     result = solve_Es(F, nm, args.alpha, _solve_options(args))
-    _emit_json(_result_payload(result), args.out)
+    _emit_json(result.as_dict(), args.out)
     if args.csv:
         result.u.to_csv(args.csv)
     return 0 if result.converged else 1

@@ -6,6 +6,13 @@ the neglected tail beyond the halo is bounded in closed form (monotonicity of
 A(t)/t) and reported, never silently dropped.  Minimization reuses the
 projected-descent engine of :mod:`orlicz_eigen.solver` with a dense lagged
 preconditioner — pair sums are O(N^2), sized for verification, not production.
+
+Cost model: each iterate takes one assembly of the coefficients a(t)/t over
+the N x N interior pairs plus the N x (2 ceil(r_cut/h) + 2) halo pairs,
+shared by the gradient and the preconditioner built at that iterate; at the
+default r_cut = 4L the halo block is about 8x the interior block.  Energies
+and assemblies run in blocks of ``ROW_BLOCK`` rows, so every temporary stays
+cache-sized instead of spanning the whole pair set.
 """
 
 import math
@@ -23,6 +30,8 @@ __all__ = [
     "NonlocalMesh", "energy_s", "energy_s_gradient", "lagrange_quotient_s",
     "weak_residual_s", "tail_bound", "solve_Es",
 ]
+
+ROW_BLOCK = 16  # rows per assembly block: keeps every temporary cache-sized
 
 
 @dataclass
@@ -44,12 +53,14 @@ class NonlocalMesh:
             raise ConfigError(f"s must lie strictly in (0, 1), got {self.s}")
         if self.nodes < 2:
             raise ConfigError("need at least 2 interior nodes")
-        if self.length <= 0:
-            raise ConfigError("length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ConfigError(
+                f"length must be finite and positive, got {self.length}")
         if self.r_cut is None:
             self.r_cut = 4.0 * self.length
-        if self.r_cut <= 0:
-            raise ConfigError("r_cut must be positive")
+        if not (math.isfinite(self.r_cut) and self.r_cut > 0):
+            raise ConfigError(
+                f"r_cut must be finite and positive, got {self.r_cut}")
         self.mesh = Mesh.interval(self.length, self.nodes + 1)
         h = self.mesh.spacing[0]
         self.h = h
@@ -105,39 +116,117 @@ def _values(u, nm):
     return v
 
 
-def _pair_quotients(values, nm):
-    """Hölder quotients for interior-interior and interior-zero pairs."""
-    t = np.abs(values[:, None] - values[None, :]) * nm._q
-    tz = np.abs(values)[:, None] * nm._qz
-    return t, tz
+def _row_blocks(n):
+    for i0 in range(0, n, ROW_BLOCK):
+        yield slice(i0, min(i0 + ROW_BLOCK, n))
+
+
+def _block_quotients(values, nm, rows):
+    """Differences u_i - u_j and Hölder quotients |D^s u| for the pairs of
+    the nodes in ``rows``: interior partners in the first N columns of the
+    quotients, zero-valued partners after them."""
+    n = values.size
+    vb = values[rows]
+    diff = vb[:, None] - values[None, :]
+    t = np.empty((vb.size, n + nm.zero_x.size))
+    np.multiply(np.abs(diff), nm._q[rows], out=t[:, :n])
+    np.multiply(np.abs(vb)[:, None], nm._qz[rows], out=t[:, n:])
+    return diff, t
 
 
 def energy_s(F, u, nm):
     """Ordered-pair sum of w_ij A(|D^s u|); zero-zero pairs vanish."""
     values = _values(u, nm)
-    t, tz = _pair_quotients(values, nm)
-    return float(np.sum(nm._w * F.A(t)) + 2.0 * np.sum(nm._wz * F.A(tz)))
+    n = values.size
+    interior = halo = 0.0
+    for rows in _row_blocks(n):
+        A = F.A(_block_quotients(values, nm, rows)[1])
+        interior += float(np.sum(nm._w[rows] * A[:, :n]))
+        halo += float(np.sum(nm._wz[rows] * A[:, n:]))
+    return interior + 2.0 * halo
 
 
-def energy_s_gradient(F, u, nm):
+class _PairSums:
+    """Pair-coefficient assembly for one solve.
+
+    At a field u it forms the interior coefficients
+    C_ij = w_ij q_ij^2 a(t_ij)/t_ij (t regularized below by EPS_GRAD), the
+    halo row sums dz_i of the same coefficient over the zero partners, and
+    r_i = sum_j C_ij (u_i - u_j); the gradient is 2 (r + dz u) and the
+    lagged stiffness is K = 2 (diag(C 1 + dz) - C).  A one-entry memo,
+    keyed on the Young function and the field's contents, lets the
+    preconditioner built at an iterate reuse the gradient's assembly.
+    It lives per solve (not on the mesh, which concurrent solves share).
+    """
+
+    def __init__(self, nm):
+        self.nm = nm
+        n = nm.interior_count
+        # the constant products w q^2 and w_z q_z^2, side by side
+        self._wq2 = np.empty((n, n + nm.zero_x.size))
+        np.multiply(nm._w, nm._q ** 2, out=self._wq2[:, :n])
+        np.multiply(nm._wz, nm._qz ** 2, out=self._wq2[:, n:])
+        self._memo = None
+
+    def assemble(self, F, values):
+        """(C, dz, r) at ``values``."""
+        memo = self._memo
+        if memo is not None and memo[0] is F and np.array_equal(memo[1],
+                                                                values):
+            return memo[2]
+        n = values.size
+        C = np.empty((n, n))
+        dz = np.empty(n)
+        r = np.empty(n)
+        for rows in _row_blocks(n):
+            diff, t = _block_quotients(values, self.nm, rows)
+            np.maximum(t, EPS_GRAD, out=t)
+            c = F.a(t)
+            c /= t
+            c *= self._wq2[rows]
+            C[rows] = c[:, :n]
+            r[rows] = np.sum(c[:, :n] * diff, axis=1)
+            dz[rows] = np.sum(c[:, n:], axis=1)
+        self._memo = (F, values.copy(), (C, dz, r))
+        return C, dz, r
+
+    def gradient(self, F, values):
+        _, dz, r = self.assemble(F, values)
+        return 2.0 * (r + dz * values)
+
+    def stiffness(self, F, values):
+        """Lagged dense stiffness, its diagonal floored at 1e-10 of the
+        largest entry."""
+        C, dz, _ = self.assemble(F, values)
+        K = -2.0 * C
+        diag = 2.0 * (np.sum(C, axis=1) + dz)
+        floor = 1e-10 * max(float(diag.max()), 1e-280)
+        K[np.diag_indices_from(K)] = np.maximum(diag, floor)
+        return K
+
+    def build(self, F, values):
+        """Cholesky solve with the lagged stiffness at ``values``."""
+        cho = sla.cho_factor(self.stiffness(F, values), overwrite_a=True)
+
+        def solve(rhs):
+            return sla.cho_solve(cho, rhs)
+        return solve
+
+
+def energy_s_gradient(F, u, nm, *, pairs=None):
     """Nodal gradient of the pair-sum energy with the a(t)/t factor
-    regularized exactly as in the local assembly."""
+    regularized exactly as in the local assembly.  ``pairs`` is the
+    assembly of the running solve, whose memo the preconditioner reuses."""
     values = _values(u, nm)
-    t, tz = _pair_quotients(values, nm)
-    tr = np.maximum(t, EPS_GRAD)
-    coef = nm._w * nm._q ** 2 * (F.a(tr) / tr)
-    diff = values[:, None] - values[None, :]
-    trz = np.maximum(tz, EPS_GRAD)
-    coefz = nm._wz * nm._qz ** 2 * (F.a(trz) / trz)
-    return 2.0 * (np.sum(coef * diff, axis=1) + np.sum(coefz, axis=1) * values)
+    return (pairs if pairs is not None else _PairSums(nm)).gradient(F, values)
 
 
 def lagrange_quotient_s(F, u, nm):
     """lambda^s = pair sum of a(|D^s u|)|D^s u| w_ij over the zero-order
-    modular pairing on the interval."""
+    modular pairing on the interval; the numerator is the gradient paired
+    with u, as in the local quotient."""
     values = _values(u, nm)
-    t, tz = _pair_quotients(values, nm)
-    num = float(np.sum(nm._w * F.a(t) * t) + 2.0 * np.sum(nm._wz * F.a(tz) * tz))
+    num = float(np.dot(energy_s_gradient(F, values, nm), values))
     den = float(np.dot(mass_gradient(F, values, nm.mesh), values))
     if den <= 0.0 or not math.isfinite(den):
         raise ZeroDenominatorError(
@@ -166,30 +255,6 @@ def tail_bound(F, u, nm):
     return float(2.0 * nm.h / nm.s * np.sum(F.A(tau)))
 
 
-class _DenseNonlocal:
-    """Lagged-coefficient dense stiffness solve for the pair-sum energy."""
-
-    def __init__(self, nm):
-        self.nm = nm
-
-    def build(self, F, values):
-        nm = self.nm
-        t, tz = _pair_quotients(values, nm)
-        tr = np.maximum(t, EPS_GRAD)
-        C = nm._w * nm._q ** 2 * (F.a(tr) / tr)
-        trz = np.maximum(tz, EPS_GRAD)
-        dz = np.sum(nm._wz * nm._qz ** 2 * (F.a(trz) / trz), axis=1)
-        K = -2.0 * C
-        diag = 2.0 * (np.sum(C, axis=1) + dz)
-        floor = 1e-10 * max(float(diag.max()), 1e-280)
-        K[np.diag_indices_from(K)] = np.maximum(diag, floor)
-        cho = sla.cho_factor(K)
-
-        def solve(rhs):
-            return sla.cho_solve(cho, rhs)
-        return solve
-
-
 def solve_Es(F, nm, alpha, opts=None, initial=None):
     """Minimize the pair-sum energy at zero-order modular alpha.
 
@@ -198,11 +263,12 @@ def solve_Es(F, nm, alpha, opts=None, initial=None):
     as ``tail_bound``.
     """
     opts = opts or SolveOptions()
+    pairs = _PairSums(nm)
     problem = Problem(
         F, nm.mesh,
         energy_fn=lambda v: energy_s(F, v, nm),
-        gradient_fn=lambda v: energy_s_gradient(F, v, nm),
-        precond_factory=_DenseNonlocal(nm))
+        gradient_fn=lambda v: energy_s_gradient(F, v, nm, pairs=pairs),
+        precond_factory=pairs)
     result = minimize_with_restarts(problem, alpha, opts, initial)
     result.u = ScalarField(result.u.values, nm.mesh)
     tail = tail_bound(F, result.u.values, nm)

@@ -492,7 +492,7 @@ def default_starts(problem, opts, initial=None):
         if m.dim == 1:
             raw = _smooth(raw)
         starts.append(raw + 1e-3)
-    return starts[:max(opts.restarts, 1)]
+    return starts[:opts.restarts]
 
 
 def quadratic_eigenvector(problem, iterations=100):
@@ -542,6 +542,8 @@ def solve_E(F, m, alpha, opts=None, initial=None):
 
 def minimize_with_restarts(problem, alpha, opts, initial=None):
     _check_alpha(alpha)
+    if not opts.restarts >= 1:
+        raise ConfigError(f"restarts must be at least 1, got {opts.restarts}")
     starts = default_starts(problem, opts, initial)
     runs = [_descend(problem, alpha, s, opts) for s in starts]
     best = _pick_best(runs)

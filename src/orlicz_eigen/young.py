@@ -28,7 +28,7 @@ __all__ = [
     "SATURATION", "DIVERGENCE_THRESHOLD", "VANISHING_THRESHOLD",
     "Family", "Endpoint", "Regime", "YoungFunction",
     "Delta2Report", "MatuszewskaValue", "MatuszewskaEstimate",
-    "eval_A", "eval_A_checked", "complementary_eval",
+    "eval_A", "complementary_eval",
     "complementary_eval_checked", "complementary_function",
     "modular", "luxemburg_norm", "delta2_report",
     "matuszewska", "matuszewska_exponent",
@@ -202,6 +202,9 @@ class YoungFunction:
         except KeyError as exc:
             raise ConfigError(f"missing parameter {exc} for family "
                               f"{fam.value!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"non-numeric parameter for family "
+                              f"{fam.value!r}: {exc}") from exc
         if params:
             raise ConfigError(
                 f"unknown parameter {sorted(params)[0]!r} for family "
@@ -533,12 +536,6 @@ def eval_A(F, t):
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     return F.A(t)
-
-
-def eval_A_checked(F, t):
-    """(A(t), overflowed) pair for callers that must see saturation."""
-    v = eval_A(F, t)
-    return v, v >= SATURATION
 
 
 def complementary_eval(F, t):

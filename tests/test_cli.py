@@ -79,6 +79,40 @@ def test_bad_alpha_exit_2(capsys, alpha):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--interval", "nan"), ("--interval", "inf"), ("--rcut", "nan"),
+    ("--rcut", "inf")])
+def test_bad_nonlocal_geometry_exit_2(capsys, flag, value):
+    argv = {"--interval": "1.0", "--rcut": "4.0", flag: value}
+    code, out, err = run(capsys, "nonlocal", "--young", POWER2,
+                         "--nodes", "16", "--s", "0.5", "--alpha", "1.0",
+                         *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    assert "finite and positive" in err
+
+
+@pytest.mark.parametrize("young,mesh,word", [
+    (POWER2, "interval:1.0,abc", "interval"),
+    (POWER2, "rectangle:1.0,1.0,x,8", "rectangle"),
+    ('{"family": "power", "params": {"p": "x"}}', "interval:1.0,100",
+     "non-numeric"),
+], ids=["interval", "rectangle", "young-param"])
+def test_non_numeric_spec_exit_2(capsys, young, mesh, word):
+    code, out, err = run(capsys, "solve", "--young", young, "--mesh", mesh,
+                         "--alpha", "1.0")
+    assert code == 2 and out == ""
+    assert word in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+def test_restarts_below_one_exit_2(capsys, restarts):
+    code, out, err = run(capsys, "solve", "--young", POWER2,
+                         "--mesh", "interval:1.0,100", "--alpha", "1.0",
+                         "--restarts", restarts)
+    assert code == 2 and out == ""
+    assert "restarts" in err
+
+
 def test_sweep_nan_alpha_exit_2(capsys):
     code, out, err = run(capsys, "sweep", "--young", POWER2,
                          "--mesh", "interval:1.0,100",

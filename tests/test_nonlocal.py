@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from orlicz_eigen.errors import ConfigError
-from orlicz_eigen.fractional import (NonlocalMesh, energy_s,
+from orlicz_eigen.fractional import (ROW_BLOCK, NonlocalMesh, _PairSums,
+                                     energy_s,
                                      energy_s_gradient, lagrange_quotient_s,
                                      solve_Es, tail_bound, weak_residual_s)
-from orlicz_eigen.solver import SolveOptions
+from orlicz_eigen.solver import EPS_GRAD, SolveOptions
 from orlicz_eigen.young import YoungFunction, modular
 
 import oracles
@@ -29,7 +30,7 @@ def test_config_validation():
 
 
 def test_pair_weights_symmetric_positive(nm):
-    assert np.allclose(nm._w, nm._w.T)
+    assert _close(nm._w, nm._w.T)
     off_diag = nm._w[~np.eye(nm.interior_count, dtype=bool)]
     assert np.all(off_diag > 0.0)
 
@@ -114,3 +115,72 @@ def test_tail_bound_reported(nm):
     res = solve_Es(F, nm, 1.0, SolveOptions(restarts=1))
     assert res.tail_bound > 0.0
     assert "tail_bound" in res.as_dict()
+
+
+def _dense_reference(F, u, nm):
+    """Energy, gradient and lagged stiffness over the full pair arrays."""
+    t = np.abs(u[:, None] - u[None, :]) * nm._q
+    tz = np.abs(u)[:, None] * nm._qz
+    E = np.sum(nm._w * F.A(t)) + 2.0 * np.sum(nm._wz * F.A(tz))
+    tr = np.maximum(t, EPS_GRAD)
+    C = nm._w * nm._q ** 2 * F.a(tr) / tr
+    trz = np.maximum(tz, EPS_GRAD)
+    dz = np.sum(nm._wz * nm._qz ** 2 * F.a(trz) / trz, axis=1)
+    g = 2.0 * (np.sum(C * (u[:, None] - u[None, :]), axis=1) + dz * u)
+    K = -2.0 * C
+    K[np.diag_indices_from(K)] = 2.0 * (np.sum(C, axis=1) + dz)
+    return E, g, K
+
+
+def _close(x, ref):
+    return np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("F", [YoungFunction.sum_of_powers(2, 4),
+                               YoungFunction.power(1.5),
+                               YoungFunction.exp_minus_poly(2)],
+                         ids=lambda F: F.family.value)
+def test_block_assembly_matches_dense_reference(F):
+    nm = NonlocalMesh(1.0, 37, 0.4)
+    assert nm.interior_count % ROW_BLOCK != 0
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(nm.interior_count)
+    u[5] = u[6]  # a vanishing pair quotient exercises the regularization
+    E, g, K = _dense_reference(F, u, nm)
+    assert energy_s(F, u, nm) == pytest.approx(E, rel=1e-13)
+    assert _close(energy_s_gradient(F, u, nm), g)
+    assert _close(_PairSums(nm).stiffness(F, u), K)
+
+
+def test_pair_memo_never_stale():
+    nm = NonlocalMesh(1.0, 21, 0.5)
+    F2, F4 = YoungFunction.power(2), YoungFunction.power(4)
+    pairs = _PairSums(nm)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(nm.interior_count)
+    for F in (F2, F4, F2):
+        # same field, another Young function on the same mesh
+        _, g, K = _dense_reference(F, u, nm)
+        assert _close(pairs.gradient(F, u), g)
+        assert _close(pairs.stiffness(F, u), K)
+    # the field changed in place under the memo
+    u[3] += 0.5
+    _, g, K = _dense_reference(F2, u, nm)
+    assert _close(pairs.stiffness(F2, u), K)
+    assert _close(pairs.gradient(F2, u), g)
+    # a gradient through the module call shares the solve's assembly
+    u *= 2.0
+    _, g, K = _dense_reference(F4, u, nm)
+    assert _close(energy_s_gradient(F4, u, nm, pairs=pairs), g)
+    assert _close(pairs.stiffness(F4, u), K)
+
+
+def test_solves_on_shared_mesh_match_fresh_mesh():
+    # the sweep's Power(2) and Power(4) reference solves share one mesh
+    nm = NonlocalMesh(1.0, 24, 0.5)
+    opts = SolveOptions(restarts=1)
+    shared = [solve_Es(F, nm, 1.0, opts) for F in
+              (YoungFunction.power(2), YoungFunction.power(4))]
+    fresh = solve_Es(YoungFunction.power(4), NonlocalMesh(1.0, 24, 0.5),
+                     1.0, opts)
+    assert shared[1].energy == fresh.energy and shared[1].lam == fresh.lam
