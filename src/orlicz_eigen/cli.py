@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent import futures
 
 import numpy as np
 
@@ -225,18 +224,7 @@ def _cmd_sweep(args):
     else:
         solve, check_mesh = solve_E, m
 
-    if not args.warm:
-        with futures.ThreadPoolExecutor(max_workers=max(args.jobs, 1)) \
-                as pool:
-            records = list(pool.map(
-                lambda a: run_sweep(F, check_mesh, [a], opts, solve)[0],
-                grid))
-        for k in range(1, len(records) - 1):
-            lo, hi = records[k - 1], records[k + 1]
-            records[k].dE_dalpha = ((hi.energy - lo.energy)
-                                    / (hi.alpha - lo.alpha))
-    else:
-        records = run_sweep(F, check_mesh, grid, opts, solve)
+    records = run_sweep(F, check_mesh, grid, opts, solve, warm=args.warm)
 
     report = {
         "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
@@ -286,7 +274,9 @@ def _cmd_sweep(args):
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=50_000)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="force exactly N starts (default: up to 5, stopping "
+                        "once two converged starts agree)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON summary here (default stdout)")
 
@@ -328,12 +318,10 @@ def build_parser():
     p.add_argument("--csv", help="write SweepRecord rows here")
     p.add_argument("--plot-script",
                    help="write a matplotlib script reading the CSV")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("ORLICZ_EIGEN_JOBS", "1")))
     p.add_argument("--warm", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="warm-start along the grid (sequential); "
-                        "--no-warm enables --jobs parallelism")
+                   help="warm-start along the grid; --no-warm solves every "
+                        "alpha cold")
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_sweep)
 

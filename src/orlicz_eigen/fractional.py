@@ -156,7 +156,7 @@ class _PairSums:
     lagged stiffness is K = 2 (diag(C 1 + dz) - C).  A one-entry memo,
     keyed on the Young function and the field's contents, lets the
     preconditioner built at an iterate reuse the gradient's assembly.
-    It lives per solve (not on the mesh, which concurrent solves share).
+    It lives per solve (not on the mesh, which several solves share).
     """
 
     def __init__(self, nm):

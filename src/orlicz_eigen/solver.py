@@ -24,18 +24,18 @@ from .young import SATURATION
 
 __all__ = [
     "SolveOptions", "NormalizationResult", "MinimizerResult",
-    "phi_root", "energy", "descent_direction", "lagrange_quotient",
-    "weak_residual", "solve_E",
+    "phi_root", "energy", "lagrange_quotient", "weak_residual", "solve_E",
 ]
 
 EPS_GRAD = 1e-12  # regularization of a(g)/g at vanishing gradient
+MAX_STARTS = 5    # start pool when restarts is None (stop at first agreement)
 
 
 @dataclass
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 50_000
-    restarts: int = 5
+    restarts: int = None  # None: up to MAX_STARTS; an integer forces that many
     seed: int = 0
     armijo: float = 1e-4
     shrink: float = 0.5
@@ -59,6 +59,16 @@ class MinimizerResult:
     converged: bool
     restarts_used: int
     tail_bound: float = None
+    restart_energies: list = field(default_factory=list)  # converged runs
+
+    @property
+    def restart_spread(self):
+        """(max - min)/|min| over the converged runs' energies, or None
+        when fewer than two runs converged."""
+        if len(self.restart_energies) < 2:
+            return None
+        lo = min(self.restart_energies)
+        return (max(self.restart_energies) - lo) / abs(lo)
 
     def as_dict(self):
         out = {
@@ -69,6 +79,7 @@ class MinimizerResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "restarts_used": self.restarts_used,
+            "restart_spread": self.restart_spread,
         }
         if self.tail_bound is not None:
             out["tail_bound"] = self.tail_bound
@@ -115,11 +126,6 @@ def energy_gradient(F, u, m):
     G[:-1, :-1] -= fy
     G[1:, :-1] -= fy
     return G.ravel()[m._interior_index]
-
-
-def descent_direction(F, u, m):
-    """Negative nodal gradient of the energy functional."""
-    return ScalarField(-energy_gradient(F, u, m), m)
 
 
 def mass_gradient(F, u, m):
@@ -472,8 +478,10 @@ def _smooth(values, passes=10):
 def default_starts(problem, opts, initial=None):
     """Multistart pool: warm start if given, else the quadratic-case first
     eigenvector, a plateau profile where the geometry admits one, and
-    smoothed positive random fields."""
+    smoothed positive random fields; opts.restarts of them, or MAX_STARTS
+    when it is None."""
     m = problem.m
+    n = MAX_STARTS if opts.restarts is None else opts.restarts
     starts = []
     if initial is not None:
         starts.append(np.asarray(getattr(initial, "values", initial),
@@ -487,12 +495,12 @@ def default_starts(problem, opts, initial=None):
             except Exception:
                 pass
     rng = np.random.default_rng(opts.seed)
-    while len(starts) < opts.restarts:
+    while len(starts) < n:
         raw = np.abs(rng.standard_normal(m.interior_count))
         if m.dim == 1:
             raw = _smooth(raw)
         starts.append(raw + 1e-3)
-    return starts[:opts.restarts]
+    return starts[:n]
 
 
 def quadratic_eigenvector(problem, iterations=100):
@@ -525,11 +533,15 @@ def _pick_best(runs):
 def solve_E(F, m, alpha, opts=None, initial=None):
     """Minimize the gradient modular at zero-order modular alpha.
 
-    Runs opts.restarts projected-descent starts and returns the
+    Runs projected-descent starts one at a time (see
+    :func:`minimize_with_restarts`): by default up to MAX_STARTS, stopping
+    as soon as two converged runs agree in energy to opts.tol relative;
+    ``SolveOptions(restarts=N)`` forces exactly N.  Returns the
     lowest-energy converged run (all runs, flagged unconverged, if none
-    converges).  ``initial`` warm-starts the first run.  A non-finite or
-    non-positive alpha raises ConfigError; a minimizer whose modular misses
-    alpha by more than 1e-10 relative raises OrliczError.
+    converges), with the converged runs' relative energy spread as
+    ``restart_spread``.  ``initial`` warm-starts the first run.  A
+    non-finite or non-positive alpha raises ConfigError; a minimizer whose
+    modular misses alpha by more than 1e-10 relative raises OrliczError.
     """
     opts = opts or SolveOptions()
     problem = Problem(
@@ -541,11 +553,32 @@ def solve_E(F, m, alpha, opts=None, initial=None):
 
 
 def minimize_with_restarts(problem, alpha, opts, initial=None):
+    """Descend from the starts of :func:`default_starts`, one at a time.
+
+    With ``opts.restarts`` None the pool holds MAX_STARTS starts, and the
+    solve stops after the first converged run whose energy agrees with an
+    earlier converged run's within opts.tol relative,
+    |E_i - E_j| <= tol max(|E_i|, |E_j|); unconverged runs never count as
+    agreement.  An integer ``opts.restarts`` runs exactly that many starts
+    (below 1 raises ConfigError).  The lowest-energy run among those made
+    is returned (see ``_pick_best``), with ``restarts_used`` runs and the
+    converged runs' energies in ``restart_energies``.
+    """
     _check_alpha(alpha)
-    if not opts.restarts >= 1:
+    if opts.restarts is not None and not opts.restarts >= 1:
         raise ConfigError(f"restarts must be at least 1, got {opts.restarts}")
-    starts = default_starts(problem, opts, initial)
-    runs = [_descend(problem, alpha, s, opts) for s in starts]
+    runs, energies = [], []
+    for start in default_starts(problem, opts, initial):
+        run = _descend(problem, alpha, start, opts)
+        runs.append(run)
+        if not run.converged:
+            continue
+        E = run.energy
+        agreed = any(abs(E - Ej) <= opts.tol * max(abs(E), abs(Ej))
+                     for Ej in energies)
+        energies.append(E)
+        if agreed and opts.restarts is None:
+            break
     best = _pick_best(runs)
     u = ScalarField(best.values, problem.m)
     achieved = problem.modular_scaled(best.values, 1.0)
@@ -556,4 +589,5 @@ def minimize_with_restarts(problem, alpha, opts, initial=None):
     return MinimizerResult(
         u=u, alpha=achieved, energy=best.energy, lam=best.lam,
         residual=best.residual, iterations=best.iterations,
-        converged=best.converged, restarts_used=len(runs))
+        converged=best.converged, restarts_used=len(runs),
+        restart_energies=energies)

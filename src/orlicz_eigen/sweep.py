@@ -80,12 +80,13 @@ def geometric_grid(alpha_min, alpha_max, per_decade):
     return np.geomspace(alpha_min, alpha_max, n)
 
 
-def run_sweep(F, m, alpha_grid, opts=None, solve=None):
+def run_sweep(F, m, alpha_grid, opts=None, solve=None, warm=True):
     """One constrained solve per alpha, warm-started along the grid.
 
     The first alpha runs the full multistart; subsequent alphas restart once
     from the previous minimizer (rescaled onto the new constraint by the
-    solver's own normalization projection).  dE/dalpha is the central
+    solver's own normalization projection).  With ``warm=False`` every
+    alpha runs the full multistart instead.  dE/dalpha is the central
     difference over neighboring samples; endpoints keep NaN.
     Unconverged alphas are flagged and the sweep continues.
     """
@@ -93,15 +94,15 @@ def run_sweep(F, m, alpha_grid, opts=None, solve=None):
     opts = opts or SolveOptions()
     grid = np.sort(np.asarray(alpha_grid, dtype=float))
     records = []
-    warm = None
+    prev = None
     warm_opts = SolveOptions(
         tol=opts.tol, max_iter=opts.max_iter, restarts=1, seed=opts.seed,
         armijo=opts.armijo, shrink=opts.shrink)
     for k, alpha in enumerate(grid):
         result = solve(F, m, float(alpha),
-                       opts if warm is None else warm_opts, initial=warm)
-        if result.converged:
-            warm = result.u
+                       opts if prev is None else warm_opts, initial=prev)
+        if result.converged and warm:
+            prev = result.u
         records.append(SweepRecord(
             alpha=float(alpha), energy=result.energy,
             quotient=result.energy / float(alpha), lam=result.lam,

@@ -14,7 +14,6 @@ corrupted by overflow or underflow.
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -123,7 +122,6 @@ class YoungFunction:
     def __post_init__(self):
         self.family = Family(self.family)
         self._validate()
-        self._cache_lock = threading.Lock()
         # anchor cache for Custom primitives: sorted t -> A(t)
         self._anchors = {0.0: 0.0}
         if not self.label:
@@ -310,7 +308,8 @@ class YoungFunction:
                 y = np.expm1(np.minimum(t, 700.0))
                 out = math.e * (np.expm1(np.minimum(y, 700.0)) - t)
             else:
-                out = np.array([self._custom_A_scalar(x) for x in t])
+                out = np.array([self._custom_A_scalar(x)
+                                for x in t.ravel()]).reshape(t.shape)
         out = np.where(np.isfinite(out), out, SATURATION)
         return np.minimum(np.maximum(out, 0.0), SATURATION)
 
@@ -330,7 +329,8 @@ class YoungFunction:
             elif fam is Family.DOUBLE_EXP:
                 out = math.e * np.expm1(np.minimum(t + np.expm1(t), 700.0))
             else:
-                out = np.array([float(self.custom_density(x)) for x in t])
+                out = np.array([float(self.custom_density(x))
+                                for x in t.ravel()]).reshape(t.shape)
         out = np.where(np.isfinite(out), out, SATURATION)
         return np.minimum(np.maximum(out, 0.0), SATURATION)
 
@@ -452,17 +452,15 @@ class YoungFunction:
         """Quadrature of the density from the nearest cached anchor."""
         if t <= 0.0:
             return 0.0
-        with self._cache_lock:
-            lower = max(x for x in self._anchors if x <= t)
-            base = self._anchors[lower]
+        lower = max(x for x in self._anchors if x <= t)
+        base = self._anchors[lower]
         if lower == t:
             return base
         inc, _ = integrate.quad(self.custom_density, lower, t,
                                 epsabs=1e-14, epsrel=1e-10, limit=200)
         val = base + inc
-        with self._cache_lock:
-            if len(self._anchors) < 4096:
-                self._anchors[t] = val
+        if len(self._anchors) < 4096:
+            self._anchors[t] = val
         return val
 
     # -- generalized inverse ----------------------------------------------

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orlicz_eigen
@@ -176,14 +177,44 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_parallel_no_warm_sweep_matches_sequential(capsys, tmp_path):
-    texts = []
-    for flags in (["--no-warm", "--jobs", "1"], ["--no-warm", "--jobs", "4"]):
-        csv = tmp_path / f"p{len(flags)}.csv"
+def test_no_warm_sweep_matches_warm(capsys, tmp_path):
+    tables = []
+    for flag in ("--warm", "--no-warm"):
+        csv = tmp_path / f"s{flag}.csv"
         code, _, _ = run(capsys, "sweep", "--young", POWER2,
                          "--mesh", "interval:1.0,50",
                          "--alpha-min", "0.1", "--alpha-max", "10",
-                         "--csv", str(csv), *flags)
+                         "--csv", str(csv), flag)
         assert code == 0
-        texts.append(csv.read_bytes())
-    assert texts[0] == texts[1]
+        lines = csv.read_text().splitlines()
+        tables.append([dict(zip(lines[0].split(","), row.split(",")))
+                       for row in lines[1:]])
+    warm, cold = tables
+    assert len(warm) == len(cold) == 11
+    for w, c in zip(warm, cold):
+        assert w["alpha"] == c["alpha"]
+        assert w["converged"] == c["converged"] == "True"
+        assert float(w["residual"]) < 1e-8 and float(c["residual"]) < 1e-8
+        for key in ("energy", "quotient", "lambda"):
+            assert float(c[key]) == pytest.approx(float(w[key]), rel=1e-10)
+    dE = [(float(w["dE_dalpha"]), float(c["dE_dalpha"]))
+          for w, c in zip(warm, cold)]
+    assert np.isnan(dE[0]).all() and np.isnan(dE[-1]).all()
+    for w, c in dE[1:-1]:
+        assert c == pytest.approx(w, rel=1e-8)
+
+
+@pytest.mark.parametrize("flags,used", [((), 2), (("--restarts", "5"), 5),
+                                        (("--restarts", "1"), 1)],
+                         ids=["default", "five", "one"])
+def test_restarts_flag(capsys, flags, used):
+    code, out, _ = run(capsys, "solve", "--young", SUM24,
+                       "--mesh", "interval:1.0,100", "--alpha", "1.0",
+                       *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["restarts_used"] == used
+    if used == 1:
+        assert payload["restart_spread"] is None
+    else:
+        assert 0.0 <= payload["restart_spread"] <= 1e-8

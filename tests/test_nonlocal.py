@@ -184,3 +184,28 @@ def test_solves_on_shared_mesh_match_fresh_mesh():
     fresh = solve_Es(YoungFunction.power(4), NonlocalMesh(1.0, 24, 0.5),
                      1.0, opts)
     assert shared[1].energy == fresh.energy and shared[1].lam == fresh.lam
+
+
+def test_default_restarts_stop_at_first_agreeing_pair():
+    nm = NonlocalMesh(1.0, 37, 0.5)
+    F = YoungFunction.sum_of_powers(2, 4)
+    early = solve_Es(F, nm, 1.0)
+    full = solve_Es(F, nm, 1.0, SolveOptions(restarts=5))
+    assert early.converged and early.restarts_used == 2
+    assert full.restarts_used == 5
+    assert abs(early.energy - full.energy) <= 1e-8 * full.energy
+    assert 0.0 <= early.as_dict()["restart_spread"] <= 1e-8
+
+
+def test_custom_young_matches_power_on_pair_arrays():
+    # pair quotients are 2D arrays; the custom family must keep their shape
+    nm = NonlocalMesh(1.0, 8, 0.5)
+    custom, power = YoungFunction.custom(lambda t: 2.0 * t), \
+        YoungFunction.power(2)
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal(nm.interior_count)
+    # A is integrated by quad at epsrel 1e-10; a is the density itself
+    assert energy_s(custom, u, nm) == pytest.approx(energy_s(power, u, nm),
+                                                    rel=1e-9)
+    assert _close(energy_s_gradient(custom, u, nm),
+                  energy_s_gradient(power, u, nm))

@@ -7,9 +7,10 @@ import pytest
 
 from orlicz_eigen.errors import (BracketRangeError, ConfigError,
                                  OrliczError, ZeroDenominatorError)
+from orlicz_eigen import solver
 from orlicz_eigen.mesh import Mesh, bump_field
-from orlicz_eigen.solver import (Problem, SolveOptions, descent_direction,
-                                 energy, energy_gradient, lagrange_quotient,
+from orlicz_eigen.solver import (Problem, SolveOptions, energy,
+                                 energy_gradient, lagrange_quotient,
                                  mass_gradient, phi_root, solve_E,
                                  weak_residual)
 from orlicz_eigen.young import SATURATION, YoungFunction, modular
@@ -137,10 +138,11 @@ def test_energy_gradient_2d_matches_finite_differences():
     assert float(g @ v) == pytest.approx(num, rel=1e-5)
 
 
-def test_descent_direction_zero_at_zero(m200):
+def test_energy_gradient_zero_at_zero(m200):
     F = YoungFunction.power(2)
-    d = descent_direction(F, m200.zeros(), m200)
-    assert np.all(d.values == 0.0)
+    g = energy_gradient(F, m200.zeros(), m200)
+    assert g.shape == (m200.interior_count,)
+    assert np.all(g == 0.0)
 
 
 def test_quadratic_gradient_matches_matrix_form(m200):
@@ -277,3 +279,55 @@ def test_deterministic_given_seed(m200):
     b = solve_E(F, m200, 1.0, SolveOptions(seed=7))
     assert a.energy == b.energy and a.lam == b.lam
     assert np.array_equal(a.u.values, b.u.values)
+
+
+# -- multistart early stop --------------------------------------------------
+
+def test_default_restarts_stop_at_first_agreeing_pair(m200):
+    F = YoungFunction.sum_of_powers(2, 4)
+    early = solve_E(F, m200, 1.0)
+    full = solve_E(F, m200, 1.0, SolveOptions(restarts=5))
+    assert early.converged and early.restarts_used == 2
+    assert full.restarts_used == 5
+    assert abs(early.energy - full.energy) <= 1e-8 * full.energy
+    assert len(early.restart_energies) == 2
+    assert 0.0 <= early.restart_spread <= 1e-8
+    assert 0.0 <= full.as_dict()["restart_spread"] <= 1e-8
+
+
+def _canned_descend(energies, converged):
+    """Stand-in for ``solver._descend`` returning preset runs in order; the
+    values are the projected start, so the constraint postcondition holds."""
+    calls = []
+
+    def descend(problem, alpha, start, opts):
+        k = len(calls)
+        calls.append(k)
+        return solver._RunResult(
+            values=problem.project(start, alpha), energy=energies[k],
+            lam=1.0, residual=0.0 if converged[k] else 1.0, iterations=1,
+            converged=converged[k])
+    return descend, calls
+
+
+@pytest.mark.parametrize("energies,converged,used", [
+    # the first two converged energies differ by 1e-6 relative
+    ([1.0, 1.0 + 1e-6, 1.0 + 1e-12, 2.0, 2.0], [True] * 5, 3),
+    ([1.0 + k * 1e-6 for k in range(5)], [True] * 5, 5),
+    # equal energies of unconverged runs are no agreement
+    ([1.0, 1.0, 1.0, 1.0, 1.0], [False, False, True, False, True], 5),
+    ([1.0, 1.0, 1.0, 1.0, 1.0], [False, True, True, True, True], 3),
+], ids=["third-agrees", "none-agree", "unconverged-only", "skip-unconverged"])
+def test_early_stop_needs_two_converged_agreeing_runs(
+        m200, monkeypatch, energies, converged, used):
+    descend, calls = _canned_descend(energies, converged)
+    monkeypatch.setattr(solver, "_descend", descend)
+    F = YoungFunction.power(2)
+    res = solve_E(F, m200, 1.0)
+    assert res.restarts_used == len(calls) == used
+    kept = [E for E, c in zip(energies[:used], converged) if c]
+    assert res.restart_energies == kept
+    assert res.energy == min(kept)
+    lo = min(kept)
+    assert res.restart_spread == pytest.approx((max(kept) - lo) / lo)
+
