@@ -8,11 +8,13 @@ projected-descent engine of :mod:`orlicz_eigen.solver` with a dense lagged
 preconditioner — pair sums are O(N^2), sized for verification, not production.
 
 Cost model: each iterate takes one assembly of the coefficients a(t)/t over
-the N x N interior pairs plus the N x (2 ceil(r_cut/h) + 2) halo pairs,
-shared by the gradient and the preconditioner built at that iterate; at the
-default r_cut = 4L the halo block is about 8x the interior block.  Energies
-and assemblies run in blocks of ``ROW_BLOCK`` rows, so every temporary stays
-cache-sized instead of spanning the whole pair set.
+the N x N interior pairs plus the zero partners, shared by the gradient and
+the preconditioner built at that iterate.  The 2(k+1) zero partners of a
+row (k = ceil(r_cut/h)) lie at only N + k distinct distances n h, so the
+halo is stored as one column per distance, and a row meets at most N + k of
+them; energies and assemblies run in blocks of ``ROW_BLOCK`` rows whose halo
+columns are trimmed to the distances those rows meet (about k + N/2 per row
+on average), so every temporary stays cache-sized.
 """
 
 import math
@@ -79,10 +81,17 @@ class NonlocalMesh:
         self._w = h * h / D            # measure weight h^2/|x-y|
         np.fill_diagonal(self._q, 0.0)
         np.fill_diagonal(self._w, 0.0)
-        # interior-zero pair geometry
-        Dz = np.abs(x[:, None] - self.zero_x[None, :])
-        self._qz = Dz ** (-self.s)
-        self._wz = h * h / Dz
+        # interior-zero pair geometry, one column per distance n h with
+        # n = 1..N+k: row i meets n in [i+1, i+1+k] on the left and in
+        # [N-i, N-i+k] on the right, so its weight is mult_in h/n with
+        # mult_in in {0, 1, 2}
+        n = np.arange(1, self.nodes + k + 1)
+        i = np.arange(self.nodes)[:, None]
+        mult = ((n >= i + 1) & (n <= i + 1 + k)).astype(float)
+        mult += (n >= self.nodes - i) & (n <= self.nodes - i + k)
+        self._qn = (n * h) ** (-self.s)
+        self._wn = mult * (h / n)
+        self._k = k
 
     @property
     def interior_count(self):
@@ -121,17 +130,29 @@ def _row_blocks(n):
         yield slice(i0, min(i0 + ROW_BLOCK, n))
 
 
+def _zero_columns(rows, nm):
+    """Distance columns of ``nm._qn``/``nm._wn`` met by the rows in
+    ``rows``: n from the smallest partner distance of those rows, min(i+1,
+    N-i), to the largest, max(i+1, N-i) + k."""
+    n = nm.nodes
+    lo = min(rows.start + 1, n - (rows.stop - 1))
+    hi = max(rows.stop, n - rows.start) + nm._k
+    return slice(lo - 1, hi)
+
+
 def _block_quotients(values, nm, rows):
     """Differences u_i - u_j and Hölder quotients |D^s u| for the pairs of
     the nodes in ``rows``: interior partners in the first N columns of the
-    quotients, zero-valued partners after them."""
+    quotients, then one column per zero-partner distance in ``cols``."""
     n = values.size
     vb = values[rows]
+    cols = _zero_columns(rows, nm)
+    qn = nm._qn[cols]
     diff = vb[:, None] - values[None, :]
-    t = np.empty((vb.size, n + nm.zero_x.size))
+    t = np.empty((vb.size, n + qn.size))
     np.multiply(np.abs(diff), nm._q[rows], out=t[:, :n])
-    np.multiply(np.abs(vb)[:, None], nm._qz[rows], out=t[:, n:])
-    return diff, t
+    np.multiply(np.abs(vb)[:, None], qn, out=t[:, n:])
+    return diff, t, cols
 
 
 def energy_s(F, u, nm):
@@ -140,9 +161,10 @@ def energy_s(F, u, nm):
     n = values.size
     interior = halo = 0.0
     for rows in _row_blocks(n):
-        A = F.A(_block_quotients(values, nm, rows)[1])
+        _, t, cols = _block_quotients(values, nm, rows)
+        A = F.A(t)
         interior += float(np.sum(nm._w[rows] * A[:, :n]))
-        halo += float(np.sum(nm._wz[rows] * A[:, n:]))
+        halo += float(np.sum(nm._wn[rows, cols] * A[:, n:]))
     return interior + 2.0 * halo
 
 
@@ -161,11 +183,9 @@ class _PairSums:
 
     def __init__(self, nm):
         self.nm = nm
-        n = nm.interior_count
-        # the constant products w q^2 and w_z q_z^2, side by side
-        self._wq2 = np.empty((n, n + nm.zero_x.size))
-        np.multiply(nm._w, nm._q ** 2, out=self._wq2[:, :n])
-        np.multiply(nm._wz, nm._qz ** 2, out=self._wq2[:, n:])
+        # the constant products w q^2, interior and per zero distance
+        self._wq2 = nm._w * nm._q ** 2
+        self._wq2n = nm._wn * nm._qn ** 2
         self._memo = None
 
     def assemble(self, F, values):
@@ -179,11 +199,12 @@ class _PairSums:
         dz = np.empty(n)
         r = np.empty(n)
         for rows in _row_blocks(n):
-            diff, t = _block_quotients(values, self.nm, rows)
+            diff, t, cols = _block_quotients(values, self.nm, rows)
             np.maximum(t, EPS_GRAD, out=t)
             c = F.a(t)
             c /= t
-            c *= self._wq2[rows]
+            c[:, :n] *= self._wq2[rows]
+            c[:, n:] *= self._wq2n[rows, cols]
             C[rows] = c[:, :n]
             r[rows] = np.sum(c[:, :n] * diff, axis=1)
             dz[rows] = np.sum(c[:, n:], axis=1)
@@ -245,14 +266,15 @@ def weak_residual_s(F, u, lam, nm):
 def tail_bound(F, u, nm):
     """Closed-form bound on the energy neglected beyond the halo.
 
-    For fixed x_i the tail integral over |x_i - y| > r_cut is
-    (2/s) * integral_0^{tau_R} A(tau)/tau dtau with tau_R = |u_i| r_cut^{-s};
-    monotonicity of A(t)/t bounds it by (2/s) A(tau_R).  Returned per run so
-    truncation error is always visible.
+    For fixed x_i each side beyond r_cut contributes
+    (1/s) * integral_0^{tau_R} A(tau)/tau dtau with tau_R = |u_i| r_cut^{-s},
+    which monotonicity of A(t)/t bounds by (1/s) A(tau_R).  The energy counts
+    those pairs in both orders, so the two sides give (4h/s) sum_i A(tau_R).
+    Returned per run so truncation error is always visible.
     """
     values = np.abs(_values(u, nm))
     tau = values * nm.r_cut ** (-nm.s)
-    return float(2.0 * nm.h / nm.s * np.sum(F.A(tau)))
+    return float(4.0 * nm.h / nm.s * np.sum(F.A(tau)))
 
 
 def solve_Es(F, nm, alpha, opts=None, initial=None):

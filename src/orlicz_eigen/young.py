@@ -63,26 +63,67 @@ class Regime(str, enum.Enum):
     OSCILLATING = "oscillating"
 
 
+def _ipow(t, e):
+    """t ** e, by multiplication when e is a whole number from 1 to 4 (within
+    2 ulp of ``pow`` and several times cheaper); may return ``t`` itself."""
+    if e == 1.0:
+        return t
+    if e == 2.0:
+        return t * t
+    if e == 3.0:
+        out = t * t
+        out *= t
+        return out
+    if e == 4.0:
+        out = t * t
+        out *= out
+        return out
+    return t ** e
+
+
+def _saturate(out):
+    """Map every non-finite value of ``out`` to SATURATION, then clip it to
+    [0, SATURATION], in place: ``out`` is a float array the caller owns."""
+    np.copyto(out, SATURATION, where=out == -np.inf)
+    np.fmin(out, SATURATION, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def _exp_tail(t, n):
-    """e^t minus its Taylor polynomial of degree n-1, accurate for small t."""
+    """e^t minus its Taylor polynomial of degree n-1, to a few ulp.
+
+    Below t = n, where that difference cancels, it is the series
+    sum_{k>=n} t^k/k! in Horner form, run on that subset only; from t = n
+    on, expm1(t) minus the terms of degree 1..n-1, capped at SATURATION.
+    """
     t = np.asarray(t, dtype=float)
-    small = t < 1.0
-    out = np.zeros_like(t)
-    # series branch: sum_{k>=n} t^k / k!, converges fast for t < 1
-    ts = np.where(small, t, 0.0)
-    term = ts ** n / math.factorial(n)
-    acc = term.copy()
-    for k in range(n + 1, n + 40):
-        term = term * ts / k
-        acc += term
-    out[small] = acc[small]
-    tl = t[~small]
+    out = np.empty_like(t)
+    small = t < n
+    ts = t[small]
+    # t^n/n! (1 + t/(n+1) (1 + t/(n+2) (...))), truncated after the first
+    # term below 2^-60 at the largest |t| of the subset
+    tmax = float(np.max(np.abs(ts), initial=0.0))
+    last, term = n, 1.0
+    while term > 2.0 ** -60 and last < 3 * n + 40:
+        last += 1
+        term *= tmax / last
+    acc = np.ones_like(ts)
+    for k in range(last, n, -1):
+        acc *= ts
+        acc /= k
+        acc += 1.0
+    acc *= ts ** n / math.factorial(n)
+    out[small] = acc
+    big = ~small
+    tl = t[big]
+    term = np.ones_like(tl)
     poly = np.zeros_like(tl)
-    for k in range(n):
-        poly += tl ** k / math.factorial(k)
-    with np.errstate(over="ignore"):
-        direct = np.exp(np.minimum(tl, LOG_SATURATION)) - poly
-    out[~small] = np.minimum(direct, SATURATION)
+    for k in range(1, n):
+        term = term * tl / k
+        poly += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[big] = np.minimum(np.expm1(tl) - poly, SATURATION)
     return out
 
 
@@ -295,9 +336,9 @@ class YoungFunction:
         fam, p = self.family, self.params
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if fam is Family.POWER:
-                out = t ** p["p"]
+                out = _ipow(t, p["p"])
             elif fam is Family.SUM_OF_POWERS:
-                out = t ** p["p"] / p["p"] + t ** p["q"] / p["q"]
+                out = _ipow(t, p["p"]) / p["p"] + _ipow(t, p["q"]) / p["q"]
             elif fam is Family.POWER_LOG:
                 out = self._power_log_A(t)
             elif fam is Family.EXP_MINUS_POLY:
@@ -310,16 +351,15 @@ class YoungFunction:
             else:
                 out = np.array([self._custom_A_scalar(x)
                                 for x in t.ravel()]).reshape(t.shape)
-        out = np.where(np.isfinite(out), out, SATURATION)
-        return np.minimum(np.maximum(out, 0.0), SATURATION)
+        return _saturate(out)
 
     def _a_impl(self, t):
         fam, p = self.family, self.params
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if fam is Family.POWER:
-                out = p["p"] * t ** (p["p"] - 1.0)
+                out = p["p"] * _ipow(t, p["p"] - 1.0)
             elif fam is Family.SUM_OF_POWERS:
-                out = t ** (p["p"] - 1.0) + t ** (p["q"] - 1.0)
+                out = _ipow(t, p["p"] - 1.0) + _ipow(t, p["q"] - 1.0)
             elif fam is Family.POWER_LOG:
                 out = self._power_log_a(t)
             elif fam is Family.EXP_MINUS_POLY:
@@ -331,8 +371,7 @@ class YoungFunction:
             else:
                 out = np.array([float(self.custom_density(x))
                                 for x in t.ravel()]).reshape(t.shape)
-        out = np.where(np.isfinite(out), out, SATURATION)
-        return np.minimum(np.maximum(out, 0.0), SATURATION)
+        return _saturate(out)
 
     def _log_A_impl(self, t):
         fam, p = self.family, self.params
@@ -404,21 +443,21 @@ class YoungFunction:
         p, al, r = self.params["p"], self.params["alpha"], self.params["r"]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             tr = np.where(r * np.log(np.maximum(t, 1e-300)) > 700.0, np.inf,
-                          t ** r)
+                          _ipow(t, r))
             big = np.where(np.isinf(tr), r * np.log(t), np.log1p(tr))
-            return t ** p / p * big ** al
+            return _ipow(t, p) / p * big ** al
 
     def _power_log_a(self, t):
         p, al, r = self.params["p"], self.params["alpha"], self.params["r"]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             tr = np.where(r * np.log(np.maximum(t, 1e-300)) > 700.0, np.inf,
-                          t ** r)
+                          _ipow(t, r))
             big = np.where(np.isinf(tr), r * np.log(t), np.log1p(tr))
             frac = np.where(np.isinf(tr), r / np.maximum(t, 1e-300),
-                            r * t ** (r - 1.0) / (1.0 + tr))
-            first = t ** (p - 1.0) * big ** al
+                            r * _ipow(t, r - 1.0) / (1.0 + tr))
+            first = _ipow(t, p - 1.0) * big ** al
             second = np.where(al > 0,
-                              t ** p / p * al
+                              _ipow(t, p) / p * al
                               * big ** max(al - 1.0, 0.0) * frac,
                               0.0)
             return np.where(t > 0, first + second, 0.0)

@@ -5,9 +5,9 @@ import pytest
 
 from orlicz_eigen.errors import ConfigError
 from orlicz_eigen.fractional import (ROW_BLOCK, NonlocalMesh, _PairSums,
-                                     energy_s,
-                                     energy_s_gradient, lagrange_quotient_s,
-                                     solve_Es, tail_bound, weak_residual_s)
+                                     energy_s, energy_s_gradient,
+                                     lagrange_quotient_s, solve_Es,
+                                     tail_bound, weak_residual_s)
 from orlicz_eigen.solver import EPS_GRAD, SolveOptions
 from orlicz_eigen.young import YoungFunction, modular
 
@@ -110,6 +110,21 @@ def test_halo_truncation_monotone_and_small(nm):
     assert e8 - e4 <= tail_bound(F, res.u.values, nm)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("F", [YoungFunction.power(1.2),
+                               YoungFunction.power(1.5),
+                               YoungFunction.sum_of_powers(1.5, 4)],
+                         ids=lambda F: F.label)
+def test_tail_bound_covers_far_halo(F, s):
+    # the halo pairs count in both orders, so the gain from widening r_cut
+    # a hundredfold exceeds (2h/s) sum A(tau_R) for p < 2; (4h/s) bounds it
+    nm4 = NonlocalMesh(1.0, 32, s)
+    nm400 = NonlocalMesh(1.0, 32, s, r_cut=400.0)
+    u = np.sin(np.pi * nm4.x)
+    gain = energy_s(F, u, nm400) - energy_s(F, u, nm4)
+    assert 0.0 < gain <= tail_bound(F, u, nm4)
+
+
 def test_tail_bound_reported(nm):
     F = YoungFunction.power(2)
     res = solve_Es(F, nm, 1.0, SolveOptions(restarts=1))
@@ -118,14 +133,17 @@ def test_tail_bound_reported(nm):
 
 
 def _dense_reference(F, u, nm):
-    """Energy, gradient and lagged stiffness over the full pair arrays."""
+    """Energy, gradient and lagged stiffness over the full pair arrays, the
+    halo built from the public geometry: one column per zero node."""
     t = np.abs(u[:, None] - u[None, :]) * nm._q
-    tz = np.abs(u)[:, None] * nm._qz
-    E = np.sum(nm._w * F.A(t)) + 2.0 * np.sum(nm._wz * F.A(tz))
+    Dz = np.abs(nm.x[:, None] - nm.zero_x[None, :])
+    qz, wz = Dz ** (-nm.s), nm.h ** 2 / Dz
+    tz = np.abs(u)[:, None] * qz
+    E = np.sum(nm._w * F.A(t)) + 2.0 * np.sum(wz * F.A(tz))
     tr = np.maximum(t, EPS_GRAD)
     C = nm._w * nm._q ** 2 * F.a(tr) / tr
     trz = np.maximum(tz, EPS_GRAD)
-    dz = np.sum(nm._wz * nm._qz ** 2 * F.a(trz) / trz, axis=1)
+    dz = np.sum(wz * qz ** 2 * F.a(trz) / trz, axis=1)
     g = 2.0 * (np.sum(C * (u[:, None] - u[None, :]), axis=1) + dz * u)
     K = -2.0 * C
     K[np.diag_indices_from(K)] = 2.0 * (np.sum(C, axis=1) + dz)
@@ -136,13 +154,11 @@ def _close(x, ref):
     return np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("F", [YoungFunction.sum_of_powers(2, 4),
-                               YoungFunction.power(1.5),
-                               YoungFunction.exp_minus_poly(2)],
-                         ids=lambda F: F.family.value)
-def test_block_assembly_matches_dense_reference(F):
-    nm = NonlocalMesh(1.0, 37, 0.4)
-    assert nm.interior_count % ROW_BLOCK != 0
+FAMILIES = [YoungFunction.sum_of_powers(2, 4), YoungFunction.power(1.5),
+            YoungFunction.exp_minus_poly(2)]
+
+
+def _assert_matches_dense_reference(F, nm):
     rng = np.random.default_rng(4)
     u = rng.standard_normal(nm.interior_count)
     u[5] = u[6]  # a vanishing pair quotient exercises the regularization
@@ -150,6 +166,26 @@ def test_block_assembly_matches_dense_reference(F):
     assert energy_s(F, u, nm) == pytest.approx(E, rel=1e-13)
     assert _close(energy_s_gradient(F, u, nm), g)
     assert _close(_PairSums(nm).stiffness(F, u), K)
+
+
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
+def test_block_assembly_matches_dense_reference(F):
+    nm = NonlocalMesh(1.0, 37, 0.4)
+    assert nm.interior_count % ROW_BLOCK != 0
+    _assert_matches_dense_reference(F, nm)
+
+
+@pytest.mark.parametrize("geometry", [
+    (48, 0.4, None),    # even N, a multiple of ROW_BLOCK
+    (37, 0.4, 0.3),     # r_cut = 11.4 h: halo sides shorter than N apart
+    (40, 0.5, 2.345),   # r_cut = 96.1 h
+], ids=["even", "short-rcut", "fractional-rcut"])
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
+def test_halo_columns_match_dense_reference(F, geometry):
+    # the halo is one column per zero-partner distance, trimmed per block;
+    # the reference keeps one column per zero node
+    nodes, s, r_cut = geometry
+    _assert_matches_dense_reference(F, NonlocalMesh(1.0, nodes, s, r_cut))
 
 
 def test_pair_memo_never_stale():

@@ -1,6 +1,7 @@
 """Young-function calculus: families, conjugates, modulars, doubling
 diagnostics, and Matuszewska-Orlicz limits."""
 
+import decimal
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from orlicz_eigen.errors import ConfigError
 from orlicz_eigen.mesh import Mesh
-from orlicz_eigen.young import (Endpoint, Regime, YoungFunction,
+from orlicz_eigen.young import (SATURATION, Endpoint, Regime, YoungFunction,
+                                _exp_tail,
                                 complementary_eval, complementary_function,
                                 delta2_report, luxemburg_norm, matuszewska,
                                 matuszewska_exponent, modular)
@@ -61,6 +63,91 @@ def test_exp_neg_inv_power_continuation_is_c1():
     left = (F.A(t0) - F.A(t0 - eps)) / eps
     right = (F.A(t0 + eps) - F.A(t0)) / eps
     assert left == pytest.approx(right, rel=1e-5)
+
+
+SAT = SATURATION
+SPECIAL_POINTS = [0.0, 1.0, math.inf, -math.inf, math.nan, 1e200, -1.0]
+E2 = math.exp(-2.0)
+# (F, A, a) on SPECIAL_POINTS: every non-finite value reads SATURATION, and
+# the result is then clipped to [0, SATURATION]
+PINNED = {
+    "power(2)": (YoungFunction.power(2),
+                 [0.0, 1.0, SAT, SAT, SAT, SAT, 1.0],
+                 [0.0, 2.0, SAT, SAT, SAT, 2e200, 0.0]),
+    "power(1.5)": (YoungFunction.power(1.5),
+                   [0.0, 1.0, SAT, SAT, SAT, 1e300, SAT],
+                   [0.0, 1.5, SAT, SAT, SAT, 1.5e100, SAT]),
+    "power(3)": (YoungFunction.power(3),
+                 [0.0, 1.0, SAT, SAT, SAT, SAT, 0.0],
+                 [0.0, 3.0, SAT, SAT, SAT, SAT, 3.0]),
+    "power(4)": (YoungFunction.power(4),
+                 [0.0, 1.0, SAT, SAT, SAT, SAT, 1.0],
+                 [0.0, 4.0, SAT, SAT, SAT, SAT, 0.0]),
+    "sum_of_powers(2,4)": (YoungFunction.sum_of_powers(2, 4),
+                           [0.0, 0.75, SAT, SAT, SAT, SAT, 0.75],
+                           [0.0, 2.0, SAT, SAT, SAT, SAT, 0.0]),
+    "sum_of_powers(1.5,4)": (YoungFunction.sum_of_powers(1.5, 4),
+                             [0.0, 11.0 / 12.0, SAT, SAT, SAT, SAT, SAT],
+                             [0.0, 2.0, SAT, SAT, SAT, SAT, SAT]),
+    "power_log(2,1,1)": (YoungFunction.power_log(2, 1, 1),
+                         [0.0, 0.5 * math.log(2.0), SAT, SAT, SAT, SAT, SAT],
+                         [0.0, math.log(2.0) + 0.25, SAT, 0.0, 0.0, SAT,
+                          0.0]),
+    "exp_minus_poly(2)": (YoungFunction.exp_minus_poly(2),
+                          [0.0, math.e - 2.0, SAT, SAT, SAT, SAT,
+                           math.exp(-1.0)],
+                          [0.0, math.e - 1.0, SAT, SAT, SAT, SAT, 0.0]),
+    "exp_minus_poly(3)": (YoungFunction.exp_minus_poly(3),
+                          [0.0, math.e - 2.5, SAT, SAT, SAT, SAT, 0.0],
+                          [0.0, math.e - 2.0, SAT, SAT, SAT, SAT,
+                           math.exp(-1.0)]),
+    # quadratic continuation past t0 = 1/2; a(0) is left out: the closed
+    # form gives inf * 0 there and reads SATURATION instead of the limit 0
+    "exp_neg_inv_power(1)": (YoungFunction.exp_neg_inv_power(1),
+                             [0.0, 3.5 * E2, SAT, 0.0, SAT, SAT, 0.0],
+                             [None, 6.0 * E2, SAT, SAT, SAT,
+                              4.0 * E2 * (1e200 - 0.5), SAT]),
+    "double_exp()": (YoungFunction.double_exp(),
+                     [0.0, math.exp(math.e) - 2.0 * math.e, SAT, SAT, SAT,
+                      SAT, math.e * (math.expm1(math.expm1(-1.0)) + 1.0)],
+                     [0.0, math.e * math.expm1(math.e), SAT, 0.0, SAT, SAT,
+                      0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_closed_forms_pinned_on_special_points(name):
+    F, *pins = PINNED[name]
+    t = np.array(SPECIAL_POINTS)
+    for got, want in zip((F.A(t), F.a(t)), pins):
+        keep = [k for k, w in enumerate(want) if w is not None]
+        np.testing.assert_allclose(got[keep], [want[k] for k in keep],
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("e", [1.0, 2.0, 3.0, 4.0])
+def test_whole_power_by_multiplication_matches_pow(e):
+    from orlicz_eigen.young import _ipow
+    t = np.geomspace(1e-100, 1e75, 4001)
+    ref = t ** e
+    got = _ipow(t, e)
+    assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+
+
+def _exp_tail_reference(t, n):
+    """e^t minus its Taylor polynomial, in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(float(t))
+        tail = d.exp() - sum(d ** k / math.factorial(k) for k in range(n))
+        return min(float(tail), SATURATION)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_exp_tail_matches_decimal_reference(n):
+    t = np.geomspace(1e-8, 700.0, 601)
+    ref = np.array([_exp_tail_reference(x, n) for x in t])
+    assert np.all(np.abs(_exp_tail(t, n) - ref) <= 1e-15 * ref)
 
 
 def test_density_monotone_and_A_convex():
