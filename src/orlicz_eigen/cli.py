@@ -153,7 +153,7 @@ def _cmd_solve(args):
 
 def _cmd_nonlocal(args):
     F = _young_from_arg(args.young)
-    nm = NonlocalMesh(args.interval, args.nodes, args.s, args.rcut)
+    nm = NonlocalMesh(args.interval, args.nodes, args.s)
     result = solve_Es(F, nm, args.alpha, _solve_options(args))
     _emit_json(result.as_dict(), args.out)
     if args.csv:
@@ -216,7 +216,7 @@ def _cmd_sweep(args):
     if args.nonlocal_:
         if m.dim != 1:
             raise ConfigError("nonlocal sweeps are one-dimensional")
-        nm = NonlocalMesh(m.extents[0], m.interior_count, args.s, args.rcut)
+        nm = NonlocalMesh(m.extents[0], m.interior_count, args.s)
 
         def solve(Fy, _m, alpha, o, initial=None):
             return solve_Es(Fy, nm, alpha, o, initial)
@@ -312,7 +312,6 @@ def build_parser():
     p.add_argument("--nonlocal", dest="nonlocal_", action="store_true")
     p.add_argument("--s", type=float, default=0.5,
                    help="fractional order for --nonlocal")
-    p.add_argument("--rcut", type=float, default=None)
     p.add_argument("--check", default="",
                    help="comma list from: " + ", ".join(_CHECKS))
     p.add_argument("--csv", help="write SweepRecord rows here")
@@ -331,7 +330,6 @@ def build_parser():
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--rcut", type=float, default=None)
     p.add_argument("--csv", help="write the minimizer's nodal values here")
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_nonlocal)

@@ -1,54 +1,98 @@
 """Nonlocal (fractional) energy in 1D: pair sums of the Hölder quotient
 D^s u(x, y) = (u(x) - u(y)) / |x - y|^s against the measure |x - y|^{-1} dxdy.
 
-The interval is extended by a zero-valued halo out to ``r_cut`` on each side;
-the neglected tail beyond the halo is bounded in closed form (monotonicity of
-A(t)/t) and reported, never silently dropped.  Minimization reuses the
-projected-descent engine of :mod:`orlicz_eigen.solver` with a dense lagged
-preconditioner — pair sums are O(N^2), sized for verification, not production.
+The field vanishes outside (0, L), so each node's pairs with the exterior
+integrate in closed form: E_ext = (2h/s) sum_i [G(|u_i| d_L^{-s}) +
+G(|u_i| d_R^{-s})] (pairs in both orders), G(tau) = int_0^tau A(t)/t dt.
+The distances d_L = x_i - h/2, d_R = L - x_i - h/2 start where the midpoint
+rule of the interior pairs ends, so E_ext is the limit of a discrete zero
+halo of growing width up to O(h).  Minimization reuses the engine of
+:mod:`orlicz_eigen.solver` with a dense lagged preconditioner — pair sums
+are O(N^2), sized for verification, not production.
 
-Cost model: each iterate takes one assembly of the coefficients a(t)/t over
-the N x N interior pairs plus the zero partners, shared by the gradient and
-the preconditioner built at that iterate.  The 2(k+1) zero partners of a
-row (k = ceil(r_cut/h)) lie at only N + k distinct distances n h, so the
-halo is stored as one column per distance, and a row meets at most N + k of
-them; energies and assemblies run in blocks of ``ROW_BLOCK`` rows whose halo
-columns are trimmed to the distances those rows meet (about k + N/2 per row
-on average), so every temporary stays cache-sized.
+Cost model: each iterate takes one assembly of a(t)/t over the N x N
+interior pairs, in blocks of ``ROW_BLOCK`` rows (cache-sized temporaries),
+shared by the gradient and the preconditioner.  The exterior costs 2N values
+of A per assembly and 2N of G per energy; G is closed-form for Power and
+SumOfPowers, otherwise a fixed 113-node rule (113 values of A each).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
 from .errors import ConfigError, ZeroDenominatorError
 from .mesh import Mesh, ScalarField
-from .solver import (EPS_GRAD, MinimizerResult, Problem, SolveOptions,
-                     _residual_norm, mass_gradient, minimize_with_restarts)
+from .solver import (EPS_GRAD, Problem, SolveOptions, _residual_norm,
+                     mass_gradient, minimize_with_restarts)
+from .young import SATURATION, Family, _ipow
 
 __all__ = [
     "NonlocalMesh", "energy_s", "energy_s_gradient", "lagrange_quotient_s",
-    "weak_residual_s", "tail_bound", "solve_Es",
+    "weak_residual_s", "solve_Es",
 ]
 
 ROW_BLOCK = 16  # rows per assembly block: keeps every temporary cache-sized
 
 
+def _tanh_sinh_rule():
+    """Tanh-sinh nodes and weights on (0, 1), step 1/16 for |t| <= 3.5.
+    They crowd both ends, which resolves the x^{p-1} endpoint at 0 and the
+    boundary layer of exponential families at 1: within 1e-13 of quad for
+    tau in [2e-3, 40], where a 64-node Gauss rule in x = y^m (m = 2..4)
+    missed exp_neg_inv_power(1) by 3e-7 to 2e-3."""
+    t = np.arange(-56, 57) / 16.0
+    v = 0.5 * math.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-2.0 * v))
+    w = math.pi / 64.0 * np.cosh(t) / np.cosh(v) ** 2
+    return x, w
+
+
+_RULE_X, _RULE_W = _tanh_sinh_rule()
+
+
+def _primitive_by_rule(F, tau):
+    """G(tau) = int_0^1 A(tau x)/x dx by the fixed rule, elementwise.
+    Past its knot t0, where A'' jumps, exp_neg_inv_power is integrated
+    apart, in log t."""
+    tau = np.asarray(tau, dtype=float)
+    knot = (F._enip_t0() if F.family is Family.EXP_NEG_INV_POWER
+            else math.inf)
+    G = F.A(np.minimum(tau, knot)[..., None] * _RULE_X) @ (_RULE_W / _RULE_X)
+    hi = tau > knot
+    if np.any(hi):
+        span = np.log(tau[hi] / knot)
+        G[hi] += span * (F.A(knot * np.exp(span[:, None] * _RULE_X))
+                         @ _RULE_W)
+    return G
+
+
+def _primitive(F, tau):
+    """G(tau) = int_0^tau A(sigma)/sigma dsigma, saturating like A."""
+    p = F.params
+    with np.errstate(over="ignore"):
+        if F.family is Family.POWER:
+            G = _ipow(tau, p["p"]) / p["p"]
+        elif F.family is Family.SUM_OF_POWERS:
+            G = (_ipow(tau, p["p"]) / p["p"] ** 2
+                 + _ipow(tau, p["q"]) / p["q"] ** 2)
+        else:
+            G = _primitive_by_rule(F, tau)
+    return np.minimum(G, SATURATION)
+
+
 @dataclass
 class NonlocalMesh:
-    """Interval (0, L) with ``nodes`` interior nodes plus a zero halo.
-
-    Pair weights w_ij = h^2 / |x_i - x_j| discretize the measure
-    |x - y|^{-1} dxdy by the midpoint rule; the field vanishes on the
-    boundary and on every halo node out to ``r_cut`` past each endpoint.
-    """
+    """Interval (0, L) with ``nodes`` interior nodes; the field vanishes
+    outside.  Pair weights w_ij = h^2 / |x_i - x_j| discretize the measure
+    |x - y|^{-1} dxdy by the midpoint rule; the exterior is integrated
+    exactly from d_L = x_i - h/2 and d_R = L - x_i - h/2."""
 
     length: float
     nodes: int
     s: float
-    r_cut: float = None
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -58,22 +102,11 @@ class NonlocalMesh:
         if not (math.isfinite(self.length) and self.length > 0):
             raise ConfigError(
                 f"length must be finite and positive, got {self.length}")
-        if self.r_cut is None:
-            self.r_cut = 4.0 * self.length
-        if not (math.isfinite(self.r_cut) and self.r_cut > 0):
-            raise ConfigError(
-                f"r_cut must be finite and positive, got {self.r_cut}")
         self.mesh = Mesh.interval(self.length, self.nodes + 1)
         h = self.mesh.spacing[0]
         self.h = h
         x = self.mesh.interior_coords[:, 0]
         self.x = x
-        # zero-valued partners: the two boundary nodes plus halo nodes out
-        # to r_cut on each side
-        k = int(math.ceil(self.r_cut / h))
-        left = -np.arange(0, k + 1) * h
-        right = self.length + np.arange(0, k + 1) * h
-        self.zero_x = np.concatenate([left, right])
         # interior-interior pair geometry (diagonal masked out)
         D = np.abs(x[:, None] - x[None, :])
         np.fill_diagonal(D, 1.0)
@@ -81,17 +114,9 @@ class NonlocalMesh:
         self._w = h * h / D            # measure weight h^2/|x-y|
         np.fill_diagonal(self._q, 0.0)
         np.fill_diagonal(self._w, 0.0)
-        # interior-zero pair geometry, one column per distance n h with
-        # n = 1..N+k: row i meets n in [i+1, i+1+k] on the left and in
-        # [N-i, N-i+k] on the right, so its weight is mult_in h/n with
-        # mult_in in {0, 1, 2}
-        n = np.arange(1, self.nodes + k + 1)
-        i = np.arange(self.nodes)[:, None]
-        mult = ((n >= i + 1) & (n <= i + 1 + k)).astype(float)
-        mult += (n >= self.nodes - i) & (n <= self.nodes - i + k)
-        self._qn = (n * h) ** (-self.s)
-        self._wn = mult * (h / n)
-        self._k = k
+        # Hölder scaling d^{-s} of the distances to the exterior, per side
+        d = np.stack([x - h / 2, self.length - x - h / 2], axis=1)
+        self._qx = d ** (-self.s)
 
     @property
     def interior_count(self):
@@ -101,19 +126,19 @@ class NonlocalMesh:
     def from_config(cls, cfg):
         if not isinstance(cfg, dict):
             raise ConfigError("nonlocal mesh config must be a mapping")
-        extra = set(cfg) - {"length", "nodes", "s", "r_cut"}
+        extra = set(cfg) - {"length", "nodes", "s"}
         if extra:
             raise ConfigError(
                 f"unknown key in nonlocal mesh config: {sorted(extra)[0]!r}")
         try:
             return cls(float(cfg["length"]), int(cfg["nodes"]),
-                       float(cfg["s"]), cfg.get("r_cut"))
+                       float(cfg["s"]))
         except KeyError as exc:
             raise ConfigError(f"missing nonlocal config key {exc}") from exc
 
     def __repr__(self):
         return (f"NonlocalMesh(length={self.length}, nodes={self.nodes}, "
-                f"s={self.s}, r_cut={self.r_cut})")
+                f"s={self.s})")
 
 
 def _values(u, nm):
@@ -130,42 +155,24 @@ def _row_blocks(n):
         yield slice(i0, min(i0 + ROW_BLOCK, n))
 
 
-def _zero_columns(rows, nm):
-    """Distance columns of ``nm._qn``/``nm._wn`` met by the rows in
-    ``rows``: n from the smallest partner distance of those rows, min(i+1,
-    N-i), to the largest, max(i+1, N-i) + k."""
-    n = nm.nodes
-    lo = min(rows.start + 1, n - (rows.stop - 1))
-    hi = max(rows.stop, n - rows.start) + nm._k
-    return slice(lo - 1, hi)
-
-
 def _block_quotients(values, nm, rows):
-    """Differences u_i - u_j and Hölder quotients |D^s u| for the pairs of
-    the nodes in ``rows``: interior partners in the first N columns of the
-    quotients, then one column per zero-partner distance in ``cols``."""
-    n = values.size
-    vb = values[rows]
-    cols = _zero_columns(rows, nm)
-    qn = nm._qn[cols]
-    diff = vb[:, None] - values[None, :]
-    t = np.empty((vb.size, n + qn.size))
-    np.multiply(np.abs(diff), nm._q[rows], out=t[:, :n])
-    np.multiply(np.abs(vb)[:, None], qn, out=t[:, n:])
-    return diff, t, cols
+    """Differences u_i - u_j and Hölder quotients |D^s u| of the interior
+    pairs of the nodes in ``rows``."""
+    diff = values[rows, None] - values[None, :]
+    t = np.abs(diff)
+    t *= nm._q[rows]
+    return diff, t
 
 
 def energy_s(F, u, nm):
-    """Ordered-pair sum of w_ij A(|D^s u|); zero-zero pairs vanish."""
+    """Ordered-pair sum of w_ij A(|D^s u|) plus the exterior term."""
     values = _values(u, nm)
-    n = values.size
-    interior = halo = 0.0
-    for rows in _row_blocks(n):
-        _, t, cols = _block_quotients(values, nm, rows)
-        A = F.A(t)
-        interior += float(np.sum(nm._w[rows] * A[:, :n]))
-        halo += float(np.sum(nm._wn[rows, cols] * A[:, n:]))
-    return interior + 2.0 * halo
+    interior = 0.0
+    for rows in _row_blocks(values.size):
+        _, t = _block_quotients(values, nm, rows)
+        interior += float(np.sum(nm._w[rows] * F.A(t)))
+    tau = np.abs(values)[:, None] * nm._qx
+    return interior + 2.0 * nm.h / nm.s * float(np.sum(_primitive(F, tau)))
 
 
 class _PairSums:
@@ -173,9 +180,10 @@ class _PairSums:
 
     At a field u it forms the interior coefficients
     C_ij = w_ij q_ij^2 a(t_ij)/t_ij (t regularized below by EPS_GRAD), the
-    halo row sums dz_i of the same coefficient over the zero partners, and
-    r_i = sum_j C_ij (u_i - u_j); the gradient is 2 (r + dz u) and the
-    lagged stiffness is K = 2 (diag(C 1 + dz) - C).  A one-entry memo,
+    exterior coefficients dz_i = (h/s) sum_sides d^{-2s} A(tau)/tau^2 (tau
+    floored alike) and r_i = sum_j C_ij (u_i - u_j).  Since G'(tau) =
+    A(tau)/tau, the gradient is exactly 2 (r + dz u), and the lagged
+    stiffness is K = 2 (diag(C 1 + dz) - C).  A one-entry memo,
     keyed on the Young function and the field's contents, lets the
     preconditioner built at an iterate reuse the gradient's assembly.
     It lives per solve (not on the mesh, which several solves share).
@@ -183,9 +191,7 @@ class _PairSums:
 
     def __init__(self, nm):
         self.nm = nm
-        # the constant products w q^2, interior and per zero distance
-        self._wq2 = nm._w * nm._q ** 2
-        self._wq2n = nm._wn * nm._qn ** 2
+        self._wq2 = nm._w * nm._q ** 2   # the constant interior w q^2
         self._memo = None
 
     def assemble(self, F, values):
@@ -194,20 +200,20 @@ class _PairSums:
         if memo is not None and memo[0] is F and np.array_equal(memo[1],
                                                                 values):
             return memo[2]
+        nm = self.nm
         n = values.size
         C = np.empty((n, n))
-        dz = np.empty(n)
         r = np.empty(n)
         for rows in _row_blocks(n):
-            diff, t, cols = _block_quotients(values, self.nm, rows)
+            diff, t = _block_quotients(values, nm, rows)
             np.maximum(t, EPS_GRAD, out=t)
             c = F.a(t)
             c /= t
-            c[:, :n] *= self._wq2[rows]
-            c[:, n:] *= self._wq2n[rows, cols]
-            C[rows] = c[:, :n]
-            r[rows] = np.sum(c[:, :n] * diff, axis=1)
-            dz[rows] = np.sum(c[:, n:], axis=1)
+            c *= self._wq2[rows]
+            C[rows] = c
+            r[rows] = np.sum(c * diff, axis=1)
+        tau = np.maximum(np.abs(values)[:, None] * nm._qx, EPS_GRAD)
+        dz = nm.h / nm.s * np.sum(nm._qx ** 2 * F.A(tau) / tau ** 2, axis=1)
         self._memo = (F, values.copy(), (C, dz, r))
         return C, dz, r
 
@@ -216,13 +222,14 @@ class _PairSums:
         return 2.0 * (r + dz * values)
 
     def stiffness(self, F, values):
-        """Lagged dense stiffness, its diagonal floored at 1e-10 of the
-        largest entry."""
+        """Lagged dense stiffness; only a zero or non-finite diagonal
+        entry is replaced, by 1e-10 of the largest positive finite one."""
         C, dz, _ = self.assemble(F, values)
         K = -2.0 * C
         diag = 2.0 * (np.sum(C, axis=1) + dz)
-        floor = 1e-10 * max(float(diag.max()), 1e-280)
-        K[np.diag_indices_from(K)] = np.maximum(diag, floor)
+        ok = np.isfinite(diag) & (diag > 0.0)
+        floor = 1e-10 * max(float(np.max(diag[ok], initial=0.0)), 1e-280)
+        K[np.diag_indices_from(K)] = np.where(ok, diag, floor)
         return K
 
     def build(self, F, values):
@@ -263,26 +270,9 @@ def weak_residual_s(F, u, lam, nm):
     return _residual_norm(g, mg, lam, nm.mesh.node_weights)
 
 
-def tail_bound(F, u, nm):
-    """Closed-form bound on the energy neglected beyond the halo.
-
-    For fixed x_i each side beyond r_cut contributes
-    (1/s) * integral_0^{tau_R} A(tau)/tau dtau with tau_R = |u_i| r_cut^{-s},
-    which monotonicity of A(t)/t bounds by (1/s) A(tau_R).  The energy counts
-    those pairs in both orders, so the two sides give (4h/s) sum_i A(tau_R).
-    Returned per run so truncation error is always visible.
-    """
-    values = np.abs(_values(u, nm))
-    tau = values * nm.r_cut ** (-nm.s)
-    return float(4.0 * nm.h / nm.s * np.sum(F.A(tau)))
-
-
 def solve_Es(F, nm, alpha, opts=None, initial=None):
-    """Minimize the pair-sum energy at zero-order modular alpha.
-
-    Identical contract to :func:`orlicz_eigen.solver.solve_E`, with the
-    truncation tail bound of the returned minimizer attached to the result
-    as ``tail_bound``.
+    """Minimize the pair-sum energy, exterior term included, at zero-order
+    modular alpha.  Identical contract to :func:`orlicz_eigen.solver.solve_E`.
     """
     opts = opts or SolveOptions()
     pairs = _PairSums(nm)
@@ -293,6 +283,4 @@ def solve_Es(F, nm, alpha, opts=None, initial=None):
         precond_factory=pairs)
     result = minimize_with_restarts(problem, alpha, opts, initial)
     result.u = ScalarField(result.u.values, nm.mesh)
-    tail = tail_bound(F, result.u.values, nm)
-    result.tail_bound = tail
     return result

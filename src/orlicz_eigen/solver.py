@@ -58,7 +58,6 @@ class MinimizerResult:
     iterations: int
     converged: bool
     restarts_used: int
-    tail_bound: float = None
     restart_energies: list = field(default_factory=list)  # converged runs
 
     @property
@@ -81,8 +80,6 @@ class MinimizerResult:
             "restarts_used": self.restarts_used,
             "restart_spread": self.restart_spread,
         }
-        if self.tail_bound is not None:
-            out["tail_bound"] = self.tail_bound
         return out
 
 

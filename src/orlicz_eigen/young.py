@@ -481,9 +481,12 @@ class YoungFunction:
         al = self.params["alpha"]
         t0 = self._enip_t0()
         a0 = al * t0 ** (-al - 1.0) * math.exp(-t0 ** (-al))
-        with np.errstate(over="ignore", divide="ignore"):
-            lowv = al * np.power(np.maximum(t, 1e-300), -al - 1.0) \
-                * np.exp(-np.power(np.maximum(t, 1e-300), -al))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # in log space: t^(-al-1) * exp(-t^-al) is inf * 0 near t = 0
+            logt = np.log(t)
+            lowv = np.exp(math.log(al) - (al + 1.0) * logt
+                          - np.exp(-al * logt))
+            lowv[t == 0.0] = 0.0
             hiv = a0 * (1.0 + (t - t0))
         return np.where(t <= t0, lowv, hiv)
 

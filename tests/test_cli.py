@@ -80,16 +80,32 @@ def test_bad_alpha_exit_2(capsys, alpha):
     assert "alpha" in err
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--interval", "nan"), ("--interval", "inf"), ("--rcut", "nan"),
-    ("--rcut", "inf")])
-def test_bad_nonlocal_geometry_exit_2(capsys, flag, value):
-    argv = {"--interval": "1.0", "--rcut": "4.0", flag: value}
+@pytest.mark.parametrize("flag,value,message", [
+    ("--interval", "nan", "finite and positive"),
+    ("--interval", "inf", "finite and positive"),
+    # the halo cutoff is gone: the exterior is integrated exactly
+    ("--rcut", "nan", "unrecognized arguments: --rcut nan"),
+    ("--rcut", "inf", "unrecognized arguments: --rcut inf")],
+    ids=["--interval-nan", "--interval-inf", "--rcut-nan", "--rcut-inf"])
+def test_bad_nonlocal_geometry_exit_2(capsys, flag, value, message):
+    argv = {"--interval": "1.0", flag: value}
     code, out, err = run(capsys, "nonlocal", "--young", POWER2,
                          "--nodes", "16", "--s", "0.5", "--alpha", "1.0",
                          *[x for kv in argv.items() for x in kv])
     assert code == 2 and out == ""
-    assert "finite and positive" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("command", [
+    ("nonlocal", "--interval", "1.0", "--nodes", "16", "--s", "0.5",
+     "--alpha", "1.0"),
+    ("sweep", "--nonlocal", "--mesh", "interval:1.0,16", "--alpha-min",
+     "0.1", "--alpha-max", "1")], ids=["nonlocal", "sweep"])
+def test_removed_rcut_flag_exit_2(capsys, command):
+    code, out, err = run(capsys, *command, "--young", POWER2,
+                         "--rcut", "4.0")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --rcut 4.0" in err
 
 
 @pytest.mark.parametrize("young,mesh,word", [
@@ -161,7 +177,9 @@ def test_nonlocal_solve(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["converged"]
-    assert payload["tail_bound"] > 0.0
+    assert set(payload) == {"alpha", "energy", "lambda", "residual",
+                            "iterations", "converged", "restarts_used",
+                            "restart_spread"}
 
 
 def test_sweep_csv_deterministic(capsys, tmp_path):

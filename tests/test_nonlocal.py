@@ -1,13 +1,17 @@
 """Fractional pair-sum energy: weights, gradients, quotients, solves."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad, quad_vec
 
 from orlicz_eigen.errors import ConfigError
 from orlicz_eigen.fractional import (ROW_BLOCK, NonlocalMesh, _PairSums,
+                                     _primitive, _primitive_by_rule,
                                      energy_s, energy_s_gradient,
                                      lagrange_quotient_s, solve_Es,
-                                     tail_bound, weak_residual_s)
+                                     weak_residual_s)
 from orlicz_eigen.solver import EPS_GRAD, SolveOptions
 from orlicz_eigen.young import YoungFunction, modular
 
@@ -19,6 +23,14 @@ def nm():
     return NonlocalMesh(1.0, 64, 0.5)
 
 
+def _close(x, ref):
+    return np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+FAMILIES = [YoungFunction.sum_of_powers(2, 4), YoungFunction.power(1.5),
+            YoungFunction.exp_minus_poly(2)]
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         NonlocalMesh(1.0, 64, 1.0)  # s must be < 1
@@ -27,6 +39,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         NonlocalMesh.from_config({"length": 1.0, "nodes": 64, "s": 0.5,
                                   "bogus": 1})
+
+
+def test_from_config_rejects_r_cut():
+    # the halo cutoff is gone: the exterior is integrated exactly
+    with pytest.raises(ConfigError, match="r_cut"):
+        NonlocalMesh.from_config({"length": 1.0, "nodes": 64, "s": 0.5,
+                                  "r_cut": 4.0})
 
 
 def test_pair_weights_symmetric_positive(nm):
@@ -98,64 +117,45 @@ def test_solve_minimizer_symmetric(nm):
     assert np.max(np.abs(u - u[::-1])) <= 5e-2 * np.max(np.abs(u))
 
 
-def test_halo_truncation_monotone_and_small(nm):
-    # widening the halo may only add energy, and the 4L -> 8L increment
-    # stays below the closed-form tail bound reported for the 4L mesh
-    F = YoungFunction.power(2)
-    res = solve_Es(F, nm, 1.0, SolveOptions(restarts=2))
-    nm8 = NonlocalMesh(1.0, 64, 0.5, r_cut=8.0)
-    e4 = energy_s(F, res.u.values, nm)
-    e8 = energy_s(F, res.u.values, nm8)
-    assert e8 >= e4
-    assert e8 - e4 <= tail_bound(F, res.u.values, nm)
+def _exterior_quad(F, u, L, s):
+    """Per node: the exterior energy 2h sum_sides int_d^inf A(|u_i|
+    rho^{-s}) drho/rho, d = x_i - h/2 and L - x_i - h/2, and its derivative
+    in u_i, by adaptive quadrature in v = log(rho/d); each component is
+    scaled by its integrand at v = 0, so the tolerance holds per node."""
+    h, x = _grid(L, u.size)
+    d = np.concatenate([x - h / 2, L - x - h / 2])
+    tau = np.tile(np.abs(u), 2) * d ** -s
+    A0, a0 = F.A(tau), F.a(tau)
+    opts = dict(epsabs=0.0, epsrel=1e-13, norm="max")
+    iA, _ = quad_vec(lambda v: F.A(tau * np.exp(-s * v)) / A0,
+                     0.0, np.inf, **opts)
+    ia, _ = quad_vec(lambda v: F.a(tau * np.exp(-s * v))
+                     * np.exp(-s * v) / a0, 0.0, np.inf, **opts)
 
-
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
-@pytest.mark.parametrize("F", [YoungFunction.power(1.2),
-                               YoungFunction.power(1.5),
-                               YoungFunction.sum_of_powers(1.5, 4)],
-                         ids=lambda F: F.label)
-def test_tail_bound_covers_far_halo(F, s):
-    # the halo pairs count in both orders, so the gain from widening r_cut
-    # a hundredfold exceeds (2h/s) sum A(tau_R) for p < 2; (4h/s) bounds it
-    nm4 = NonlocalMesh(1.0, 32, s)
-    nm400 = NonlocalMesh(1.0, 32, s, r_cut=400.0)
-    u = np.sin(np.pi * nm4.x)
-    gain = energy_s(F, u, nm400) - energy_s(F, u, nm4)
-    assert 0.0 < gain <= tail_bound(F, u, nm4)
-
-
-def test_tail_bound_reported(nm):
-    F = YoungFunction.power(2)
-    res = solve_Es(F, nm, 1.0, SolveOptions(restarts=1))
-    assert res.tail_bound > 0.0
-    assert "tail_bound" in res.as_dict()
+    def sides(w):
+        return 2.0 * h * w.reshape(2, -1).sum(axis=0)
+    return sides(iA * A0), sides(ia * a0 * d ** -s) * np.sign(u)
 
 
 def _dense_reference(F, u, nm):
-    """Energy, gradient and lagged stiffness over the full pair arrays, the
-    halo built from the public geometry: one column per zero node."""
-    t = np.abs(u[:, None] - u[None, :]) * nm._q
-    Dz = np.abs(nm.x[:, None] - nm.zero_x[None, :])
-    qz, wz = Dz ** (-nm.s), nm.h ** 2 / Dz
-    tz = np.abs(u)[:, None] * qz
-    E = np.sum(nm._w * F.A(t)) + 2.0 * np.sum(wz * F.A(tz))
+    """Energy, gradient and lagged stiffness over the full interior pair
+    arrays, built from the length and s alone, plus the exterior by
+    quadrature; the lagged exterior coefficient is its gradient over u."""
+    L, s = nm.length, nm.s
+    h, x = _grid(L, u.size)
+    D = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(D, np.inf)
+    q, w = D ** -s, h * h / D
+    diff = u[:, None] - u[None, :]
+    t = np.abs(diff) * q
+    E_ext, g_ext = _exterior_quad(F, u, L, s)
+    E = float(np.sum(w * F.A(t)) + np.sum(E_ext))
     tr = np.maximum(t, EPS_GRAD)
-    C = nm._w * nm._q ** 2 * F.a(tr) / tr
-    trz = np.maximum(tz, EPS_GRAD)
-    dz = np.sum(wz * qz ** 2 * F.a(trz) / trz, axis=1)
-    g = 2.0 * (np.sum(C * (u[:, None] - u[None, :]), axis=1) + dz * u)
+    C = w * q ** 2 * F.a(tr) / tr
+    g = 2.0 * np.sum(C * diff, axis=1) + g_ext
     K = -2.0 * C
-    K[np.diag_indices_from(K)] = 2.0 * (np.sum(C, axis=1) + dz)
+    K[np.diag_indices_from(K)] = 2.0 * np.sum(C, axis=1) + g_ext / u
     return E, g, K
-
-
-def _close(x, ref):
-    return np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-FAMILIES = [YoungFunction.sum_of_powers(2, 4), YoungFunction.power(1.5),
-            YoungFunction.exp_minus_poly(2)]
 
 
 def _assert_matches_dense_reference(F, nm):
@@ -175,17 +175,137 @@ def test_block_assembly_matches_dense_reference(F):
     _assert_matches_dense_reference(F, nm)
 
 
-@pytest.mark.parametrize("geometry", [
-    (48, 0.4, None),    # even N, a multiple of ROW_BLOCK
-    (37, 0.4, 0.3),     # r_cut = 11.4 h: halo sides shorter than N apart
-    (40, 0.5, 2.345),   # r_cut = 96.1 h
-], ids=["even", "short-rcut", "fractional-rcut"])
+@pytest.mark.parametrize("geometry", [(48, 0.4), (40, 0.7), (29, 0.3)],
+                         ids=["even", "s0.7", "s0.3"])
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
-def test_halo_columns_match_dense_reference(F, geometry):
-    # the halo is one column per zero-partner distance, trimmed per block;
-    # the reference keeps one column per zero node
-    nodes, s, r_cut = geometry
-    _assert_matches_dense_reference(F, NonlocalMesh(1.0, nodes, s, r_cut))
+def test_exterior_matches_quad_reference(F, geometry):
+    # even N is a multiple of ROW_BLOCK; s spans the range of the halo tests
+    _assert_matches_dense_reference(F, NonlocalMesh(1.0, *geometry))
+
+
+def test_stiffness_diagonal_not_lifted():
+    # exp_minus_poly(2) at s = 0.7: the lagged diagonals span many orders,
+    # and a floor at 1e-10 of the largest once lifted most rows; a positive
+    # finite diagonal is now kept as assembled, row by row
+    F = YoungFunction.exp_minus_poly(2)
+    nm = NonlocalMesh(1.0, 40, 0.7)
+    u = np.random.default_rng(4).standard_normal(nm.interior_count)
+    ref = np.diag(_dense_reference(F, u, nm)[2])
+    assert ref.max() > 1e12 * ref.min()
+    np.testing.assert_allclose(np.diag(_PairSums(nm).stiffness(F, u)), ref,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_stiffness_guards_vanishing_rows():
+    # at a field of 1e-5 every exp_neg_inv_power(1) coefficient underflows
+    # to 0: the floored diagonal keeps the factorization defined
+    F = YoungFunction.exp_neg_inv_power(1)
+    nm = NonlocalMesh(1.0, 12, 0.5)
+    u = np.full(nm.interior_count, 1e-5)
+    pairs = _PairSums(nm)
+    K = pairs.stiffness(F, u)
+    d = np.diag(K)
+    assert np.all(K == np.diag(d)) and np.all(d > 0.0)
+    assert np.all(np.isfinite(pairs.build(F, u)(np.ones(nm.interior_count))))
+
+
+def _grid(L, N):
+    """Spacing and interior nodes of the uniform grid on (0, L), built
+    without the mesh."""
+    h = L / (N + 1)
+    return h, h * np.arange(1, N + 1)
+
+
+def _interior_energy(F, u, L, s):
+    """Ordered interior pair sum of h^2/|x_i - x_j| A(|D^s u|)."""
+    h, x = _grid(L, u.size)
+    D = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(D, np.inf)
+    t = np.abs(u[:, None] - u[None, :]) * D ** -s
+    return float(np.sum(h * h / D * F.A(t)))
+
+
+def _discrete_halo(F, u, L, s, r_cut):
+    """A zero halo out to ``r_cut``: the pairs, in both orders, of each node
+    with the zero nodes -n h and L + n h, n = 0..ceil(r_cut/h); and the
+    exterior beyond it, the midpoint cells past the last zero node, by
+    adaptive quadrature in log rho."""
+    h, x = _grid(L, u.size)
+    n = np.arange(math.ceil(r_cut / h) + 1)
+    near = 0.0
+    for d0 in (x, L - x):
+        D = d0[:, None] + n * h
+        near += 2.0 * float(np.sum(h * h / D * F.A(np.abs(u)[:, None]
+                                                   * D ** -s)))
+    tau = np.tile(np.abs(u), 2) * (np.concatenate([x, L - x])
+                                   + (n[-1] + 0.5) * h) ** -s
+    far, _ = quad_vec(lambda v: F.A(tau * np.exp(-s * v)), 0.0, np.inf,
+                      epsabs=0.0, epsrel=1e-10)
+    return near, 2.0 * h * float(np.sum(far))
+
+
+def test_halo_truncation_monotone_and_small(nm):
+    # a zero halo around the Power(2) minimizer only gains energy as it
+    # widens and stays below the exterior term; with the quadrature beyond
+    # it added it no longer depends on its width, and the exterior term is
+    # above that limit by less than h (O(h) midpoint error at the boundary)
+    F = YoungFunction.power(2)
+    res = solve_Es(F, nm, 1.0, SolveOptions(restarts=2))
+    u = res.u.values
+    ext = energy_s(F, u, nm) - _interior_energy(F, u, nm.length, nm.s)
+    halos = [_discrete_halo(F, u, nm.length, nm.s, r) for r in (4, 8, 40)]
+    near = [a for a, _ in halos]
+    assert near[0] < near[1] < near[2] < ext
+    limit = sum(halos[-1])
+    for a, b in halos:
+        assert a + b == pytest.approx(limit, rel=1e-6)
+    assert 0.0 < ext - limit <= nm.h * ext
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("F", [YoungFunction.power(1.2),
+                               YoungFunction.power(1.5),
+                               YoungFunction.sum_of_powers(1.5, 4)],
+                         ids=lambda F: F.label)
+def test_tail_bound_covers_far_halo(F, s):
+    # widening a zero halo from 4L to 400L adds a Riemann sum of the
+    # decreasing rho -> A(|u_i| rho^{-s})/rho, so the closed-form exterior
+    # tail (2h/s) sum_i G(|u_i| d_i^{-s}) bounds the gain from above with d
+    # the widest distance of the narrow halo, and from below by the same
+    # tails one cell further out
+    L = 1.0
+    h, x = _grid(L, 32)
+    u = np.sin(np.pi * x)
+    gain = (_discrete_halo(F, u, L, s, 400.0)[0]
+            - _discrete_halo(F, u, L, s, 4.0)[0])
+
+    def tail(k):
+        d = np.concatenate([x, L - x]) + k * h
+        return 2.0 * h / s * float(np.sum(_primitive(
+            F, np.tile(np.abs(u), 2) * d ** -s)))
+    k4, k400 = math.ceil(4.0 / h), math.ceil(400.0 / h)
+    assert 0.0 < tail(k4 + 1) - tail(k400 + 1) <= gain <= tail(k4)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
+def test_discrete_halo_converges_to_exterior_term(F, s):
+    # a zero halo widened from L to 4L gains energy, the quadrature beyond
+    # it accounts for the gain, and the exterior term of energy_s exceeds
+    # that limit by O(h) or less: measured ratios 0.24-0.44 per halving
+    gaps = []
+    for N in (32, 64, 128):
+        h, x = _grid(1.0, N)
+        u = np.sin(np.pi * x)
+        ext = (energy_s(F, u, NonlocalMesh(1.0, N, s))
+               - _interior_energy(F, u, 1.0, s))
+        (n1, f1), (n4, f4) = (_discrete_halo(F, u, 1.0, s, r)
+                              for r in (1.0, 4.0))
+        assert n1 < n4
+        assert n1 + f1 == pytest.approx(n4 + f4, rel=1e-4)
+        gaps.append((ext - n4 - f4) / ext)
+    assert 0.0 < gaps[0] <= 3.0 / 33
+    assert gaps[1] <= 0.55 * gaps[0] and gaps[2] <= 0.55 * gaps[1]
 
 
 def test_pair_memo_never_stale():
@@ -245,3 +365,31 @@ def test_custom_young_matches_power_on_pair_arrays():
                                                     rel=1e-9)
     assert _close(energy_s_gradient(custom, u, nm),
                   energy_s_gradient(power, u, nm))
+
+
+@pytest.mark.parametrize("F", [YoungFunction.power(1.2),
+                               YoungFunction.power(2.5),
+                               YoungFunction.sum_of_powers(2, 4),
+                               YoungFunction.sum_of_powers(1.5, 4)],
+                         ids=lambda F: F.label)
+def test_primitive_rule_matches_closed_form(F):
+    tau = np.geomspace(1e-3, 40.0, 41)
+    np.testing.assert_allclose(_primitive_by_rule(F, tau),
+                               _primitive(F, tau), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("F", [YoungFunction.power_log(2, 1, 1),
+                               YoungFunction.exp_minus_poly(2),
+                               YoungFunction.exp_neg_inv_power(1)],
+                         ids=lambda F: F.label)
+def test_primitive_rule_matches_quad(F):
+    # G(tau) = int_0^tau A(s)/s ds; exp_neg_inv_power(1) is E1(1/tau) up to
+    # its knot t0 = 1/2, where the closed form hands over to a quadratic
+    tau = np.geomspace(2e-3, 40.0, 25)
+    t0 = F._enip_t0() if F.family.value == "exp_neg_inv_power" else None
+
+    def G(t):
+        return quad(lambda x: F.A(x) / x, 0.0, t, epsabs=0.0, epsrel=1e-13,
+                    limit=400, points=[t0] if t0 and t > t0 else None)[0]
+    np.testing.assert_allclose(_primitive(F, tau), [G(t) for t in tau],
+                               rtol=1e-12, atol=0.0)

@@ -101,11 +101,10 @@ PINNED = {
                           [0.0, math.e - 2.5, SAT, SAT, SAT, SAT, 0.0],
                           [0.0, math.e - 2.0, SAT, SAT, SAT, SAT,
                            math.exp(-1.0)]),
-    # quadratic continuation past t0 = 1/2; a(0) is left out: the closed
-    # form gives inf * 0 there and reads SATURATION instead of the limit 0
+    # quadratic continuation past t0 = 1/2
     "exp_neg_inv_power(1)": (YoungFunction.exp_neg_inv_power(1),
                              [0.0, 3.5 * E2, SAT, 0.0, SAT, SAT, 0.0],
-                             [None, 6.0 * E2, SAT, SAT, SAT,
+                             [0.0, 6.0 * E2, SAT, SAT, SAT,
                               4.0 * E2 * (1e200 - 0.5), SAT]),
     "double_exp()": (YoungFunction.double_exp(),
                      [0.0, math.exp(math.e) - 2.0 * math.e, SAT, SAT, SAT,
@@ -120,9 +119,17 @@ def test_closed_forms_pinned_on_special_points(name):
     F, *pins = PINNED[name]
     t = np.array(SPECIAL_POINTS)
     for got, want in zip((F.A(t), F.a(t)), pins):
-        keep = [k for k, w in enumerate(want) if w is not None]
-        np.testing.assert_allclose(got[keep], [want[k] for k in keep],
-                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_exp_neg_inv_power_density_vanishes_near_zero():
+    # a(t) = t^-2 exp(-1/t) underflows to 0 long before t^-2 overflows near
+    # 1e-154; below the closed form it matches the direct product
+    F = YoungFunction.exp_neg_inv_power(1)
+    assert np.all(F.a(np.geomspace(1e-300, 1e-150, 61)) == 0.0)
+    t = np.geomspace(2e-3, 0.5, 41)
+    np.testing.assert_allclose(F.a(t), t ** -2.0 * np.exp(-1.0 / t),
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("e", [1.0, 2.0, 3.0, 4.0])
