@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import ConfigError, ZeroDenominatorError
+from .errors import ConfigError
 from .mesh import Mesh, ScalarField
-from .solver import (EPS_GRAD, Problem, SolveOptions, _residual_norm,
+from .solver import (EPS_GRAD, Problem, SolveOptions, _stationarity,
                      mass_gradient, minimize_with_restarts)
 from .young import SATURATION, Family, _ipow
 
@@ -254,20 +254,17 @@ def lagrange_quotient_s(F, u, nm):
     modular pairing on the interval; the numerator is the gradient paired
     with u, as in the local quotient."""
     values = _values(u, nm)
-    num = float(np.dot(energy_s_gradient(F, values, nm), values))
-    den = float(np.dot(mass_gradient(F, values, nm.mesh), values))
-    if den <= 0.0 or not math.isfinite(den):
-        raise ZeroDenominatorError(
-            "zero-order pairing underflowed; cannot form the quotient")
-    return num / den
+    return _stationarity(energy_s_gradient(F, values, nm),
+                         mass_gradient(F, values, nm.mesh), values,
+                         nm.mesh.node_weights)[0]
 
 
 def weak_residual_s(F, u, lam, nm):
     """Normalized weighted defect of the nonlocal weak form at (u, lam)."""
     values = _values(u, nm)
-    g = energy_s_gradient(F, u, nm)
-    mg = mass_gradient(F, values, nm.mesh)
-    return _residual_norm(g, mg, lam, nm.mesh.node_weights)
+    return _stationarity(energy_s_gradient(F, u, nm),
+                         mass_gradient(F, values, nm.mesh), values,
+                         nm.mesh.node_weights, lam)[1]
 
 
 def solve_Es(F, nm, alpha, opts=None, initial=None):

@@ -2,9 +2,10 @@
 modular, with the eigenvalue extracted as the Lagrange quotient.
 
 The descent engine keeps every iterate exactly feasible: each trial step is
-rescaled back onto the constraint through the monotone normalization map
-phi(r) = modular(r u), and search directions are preconditioned with a
-lagged-coefficient stiffness solve and projected onto the constraint tangent.
+rescaled back onto the constraint by the root of the monotone normalization
+map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
+and search directions are preconditioned with a lagged-coefficient
+stiffness solve and projected onto the constraint tangent.
 The same engine drives the local problem here and the fractional pair-sum
 problem in :mod:`orlicz_eigen.fractional`.
 """
@@ -17,10 +18,9 @@ from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import (BracketRangeError, ConfigError, OrliczError,
-                     ZeroDenominatorError)
+from .errors import ConfigError, OrliczError, ZeroDenominatorError
 from .mesh import Mesh, ScalarField, cell_gradients, bump_field
-from .young import SATURATION
+from .young import NormalizationResult, _check_alpha, _normalize
 
 __all__ = [
     "SolveOptions", "NormalizationResult", "MinimizerResult",
@@ -39,13 +39,6 @@ class SolveOptions:
     seed: int = 0
     armijo: float = 1e-4
     shrink: float = 0.5
-
-
-@dataclass
-class NormalizationResult:
-    r_alpha: float
-    phi_value: float
-    iterations: int
 
 
 @dataclass
@@ -135,109 +128,43 @@ def mass_gradient(F, u, m):
 def lagrange_quotient(F, u, m):
     """lambda = int a(|grad u|)|grad u| / int a(|u|)|u| by quadrature."""
     values = np.asarray(getattr(u, "values", u), dtype=float)
-    num = float(np.dot(energy_gradient(F, u, m), values))
-    den = float(np.dot(mass_gradient(F, u, m), values))
-    if den <= 0.0 or not math.isfinite(den):
-        raise ZeroDenominatorError(
-            "zero-order pairing underflowed; cannot form the quotient")
-    return num / den
+    return _stationarity(energy_gradient(F, u, m), mass_gradient(F, u, m),
+                         values, m.node_weights)[0]
 
 
 def weak_residual(F, u, lam, m):
     """Normalized quadrature-weighted norm of the nodal weak-form defect."""
-    g = energy_gradient(F, u, m)
-    mg = mass_gradient(F, u, m)
-    return _residual_norm(g, mg, lam, m.node_weights)
+    values = np.asarray(getattr(u, "values", u), dtype=float)
+    return _stationarity(energy_gradient(F, u, m), mass_gradient(F, u, m),
+                         values, m.node_weights, lam)[1]
 
 
-def _residual_norm(g, mg, lam, weights):
+def _stationarity(g, mg, values, weights, lam=None):
+    """(lam, residual) at the nodal values u, from the energy gradient g and
+    the mass gradient mg: the Lagrange quotient lam = <g, u>/<mg, u> (or the
+    given ``lam``) and the norm of the weak-form defect g - lam mg relative
+    to that of g, both weighted by 1/weights.  A pairing <mg, u> that is not
+    positive and finite raises ZeroDenominatorError."""
+    if lam is None:
+        den = float(np.dot(mg, values))
+        if den <= 0.0 or not math.isfinite(den):
+            raise ZeroDenominatorError(
+                "zero-order pairing underflowed; cannot form the quotient")
+        lam = float(np.dot(g, values)) / den
     inv_w = 1.0 / weights
     defect = g - lam * mg
     denom = math.sqrt(float(np.dot(g * g, inv_w)))
     if denom == 0.0:
-        return math.inf
-    return math.sqrt(float(np.dot(defect * defect, inv_w))) / denom
+        return lam, math.inf
+    return lam, math.sqrt(float(np.dot(defect * defect, inv_w))) / denom
 
 
 # -- normalization ---------------------------------------------------------
 
-_MIN_RADIUS = 1e-280
-_MAX_RADIUS = 1e280
-_RTOL = 1e-13   # relative accuracy of the radius
-_FTOL = 1e-12   # relative accuracy of the achieved modular
-_MAX_STEPS = 200
-
-
-def _check_alpha(alpha):
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
-    if alpha > SATURATION / 1e6:
-        raise BracketRangeError(
-            f"alpha = {alpha} beyond representable modular range",
-            bracket=None)
-
-
-def _normalize(F, absu, w, alpha, r0=1.0):
-    """Radius r with phi(r) = sum w A(r absu) = alpha.
-
-    Newton's method on log phi as a function of log r, whose slope is
-    s = r phi'(r) / phi(r) with phi'(r) = sum w a(r absu) absu.  A bracket
-    [lo, hi] of the root is kept; a step that leaves it, or an iterate where
-    phi underflows to 0 or saturates, falls back to bisection in log r, or
-    to doubling/halving (the factor squared on each repeat) while one side
-    of the bracket is still open.
-    """
-    _check_alpha(alpha)
-    if not np.any(absu):
-        raise ZeroDenominatorError("phi is identically zero for u = 0")
-    lo, hi = 0.0, math.inf
-    up = down = 2.0
-    r_next = min(max(float(r0), _MIN_RADIUS), _MAX_RADIUS)
-    for it in range(1, _MAX_STEPS + 1):
-        r = r_next
-        t = r * absu
-        A = F.A(t)
-        phi = float(np.dot(w, A))
-        if phi < alpha:
-            lo = r
-        else:
-            hi = r
-        close = abs(phi - alpha) <= _FTOL * alpha
-        # hi stays infinite until phi first reaches alpha
-        if hi < math.inf and (hi - lo <= 4.0 * math.ulp(hi)
-                              or (close and hi - lo <= _RTOL * hi)):
-            break
-        if phi > 0.0 and A.max() < SATURATION:
-            with np.errstate(over="ignore"):
-                s = float(np.dot(w, F.a(t) * t)) / phi  # = r phi'(r) / phi
-            if s > 0.0 and math.isfinite(s):
-                step = (math.log(alpha) - math.log(phi)) / s
-                if close and abs(step) <= _RTOL:
-                    break
-                r_next = r * math.exp(max(min(step, 700.0), -700.0))
-                if lo < r_next < hi and _MIN_RADIUS <= r_next <= _MAX_RADIUS:
-                    up = down = 2.0
-                    continue
-        if lo > 0.0 and hi < math.inf:
-            r_next = math.sqrt(lo) * math.sqrt(hi)
-        elif hi < math.inf:
-            if hi <= _MIN_RADIUS:
-                raise BracketRangeError(
-                    "normalization radius fell below the representable range",
-                    bracket=(lo, hi))
-            r_next, down = max(hi / down, _MIN_RADIUS), down * down
-        else:
-            if lo >= _MAX_RADIUS:
-                raise BracketRangeError(
-                    "normalization radius exceeded the representable range",
-                    bracket=(lo, hi))
-            r_next, up = min(lo * up, _MAX_RADIUS), up * up
-    return NormalizationResult(r_alpha=r, phi_value=phi, iterations=it)
-
-
 def phi_root(F, u, m, alpha, r0=1.0):
     """Radius r with modular(F, r u, m) = alpha, by safeguarded Newton
-    iteration on the monotone normalization map (see ``_normalize``)."""
+    iteration on the monotone normalization map (see
+    :func:`orlicz_eigen.young._normalize`)."""
     values = np.asarray(getattr(u, "values", u), dtype=float)
     return _normalize(F, np.abs(values), m.node_weights, alpha, r0)
 
@@ -367,9 +294,8 @@ def _polish(problem, alpha, u, opts, budget):
     def stationarity(values):
         g = problem.gradient(values)
         mg = problem.mass_gradient(values)
-        den = float(np.dot(mg, values))
-        lam = float(np.dot(g, values)) / den if den > 0 else math.inf
-        return lam, _residual_norm(g, mg, lam, problem.m.node_weights), mg
+        lam, res = _stationarity(g, mg, values, problem.m.node_weights)
+        return lam, res, mg
 
     lam, res, mg = stationarity(u)
     it = 0
@@ -412,10 +338,7 @@ def _descend(problem, alpha, start_values, opts):
     for it in range(1, opts.max_iter + 1):
         g = problem.gradient(u)
         mg = problem.mass_gradient(u)
-        num = float(np.dot(g, u))
-        den = float(np.dot(mg, u))
-        lam = num / den if den > 0 else math.inf
-        res = _residual_norm(g, mg, lam, problem.m.node_weights)
+        lam, res = _stationarity(g, mg, u, problem.m.node_weights)
         if res < opts.tol:
             converged = True
             break

@@ -1,11 +1,12 @@
 """Young functions and the scalar calculus built on them.
 
 A Young function A is the primitive of a nondecreasing density a with
-a(0) = 0 and a(t) -> infinity.  This module evaluates A, its density, the
-complementary (convex conjugate) function, modular integrals and the
-Luxemburg norm over discrete fields, doubling (Delta_2) diagnostics at both
-endpoints, and the endpoint power functions M_0 / M_infty with their
-exponents.
+a(0) = 0 and a(t) -> infinity.  This module evaluates A, its density and
+the density's generalized inverse, the complementary (convex conjugate)
+function by Young's equality, modular integrals, the root of the modular
+along a ray (the normalization radius, which also gives the Luxemburg
+norm), doubling (Delta_2) diagnostics at both endpoints, and the endpoint
+power functions M_0 / M_infty with their exponents.
 
 Exponential families saturate at ``SATURATION`` instead of overflowing, and
 all endpoint ratios are formed in log space so that regime detection is not
@@ -20,15 +21,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import BracketRangeError, ConfigError, ConformanceError
-from .roots import bisect_monotone
+from .errors import (BracketRangeError, ConfigError, ConformanceError,
+                     ZeroDenominatorError)
 
 __all__ = [
     "SATURATION", "DIVERGENCE_THRESHOLD", "VANISHING_THRESHOLD",
     "Family", "Endpoint", "Regime", "YoungFunction",
     "Delta2Report", "MatuszewskaValue", "MatuszewskaEstimate",
-    "eval_A", "complementary_eval",
-    "complementary_eval_checked", "complementary_function",
+    "complementary_eval", "complementary_function",
     "modular", "luxemburg_norm", "delta2_report",
     "matuszewska", "matuszewska_exponent",
 ]
@@ -149,10 +149,9 @@ def _log_exp_tail(t, n):
 class YoungFunction:
     """A Young function with its density, evaluated in closed form per family.
 
-    ``a`` and ``A`` accept scalars or numpy arrays; ``log_A``/``log_a`` are
-    used internally whenever endpoint ratios could overflow or underflow.
-    ``t_range_hint`` bounds the region where direct double-precision
-    evaluation is meaningful (used for default diagnostic grids).
+    ``a``, ``A`` and ``a_inv`` accept scalars or numpy arrays;
+    ``log_A``/``log_a`` are used internally whenever endpoint ratios could
+    overflow or underflow.
     """
 
     family: Family
@@ -285,21 +284,6 @@ class YoungFunction:
         }[self.family]()
 
     # -- evaluation --------------------------------------------------------
-
-    @property
-    def t_range_hint(self):
-        """(lo, hi) range where direct evaluation stays representable."""
-        if self.family is Family.EXP_MINUS_POLY:
-            return (1e-9, 500.0)
-        if self.family is Family.EXP_NEG_INV_POWER:
-            al = self.params["alpha"]
-            # exp(-t^-alpha) underflows below roughly (745)^(-1/alpha)
-            return (1.2 * 700.0 ** (-1.0 / al), 1e8)
-        if self.family is Family.DOUBLE_EXP:
-            return (1e-9, 6.0)
-        if self.family is Family.CUSTOM:
-            return (1e-6, 1e6)
-        return (1e-9, 1e9)
 
     def a(self, t):
         """Density value(s) a(t)."""
@@ -508,15 +492,43 @@ class YoungFunction:
     # -- generalized inverse ----------------------------------------------
 
     def a_inv(self, s):
-        """Right-continuous generalized inverse of the density.
+        """Right-continuous generalized inverse of the density,
+        inf{x : a(x) >= s}, and 0 where s <= 0.
 
         At a jump of ``a`` the bisection collapses onto the left endpoint of
-        the jump interval.
+        the jump interval.  One bisection in log x runs on all elements at
+        once: a bracket grows from x = 1 by the factors 2, 4, 16, ... until
+        it holds the root, then shrinks to its geometric mean until its ends
+        are adjacent floats; the upper end is returned.  A root outside
+        [_MIN_RADIUS, _MAX_RADIUS] raises BracketRangeError.
         """
-        if s <= 0.0:
-            return 0.0
-        x, _ = bisect_monotone(lambda x: self.a(x), s, x0=1.0, rtol=1e-13)
-        return x
+        s = np.asarray(s, dtype=float)
+        target = s.ravel()
+        lo = np.zeros_like(target)                   # a(lo) < s, or lo = 0
+        hi = np.where(target > 0.0, math.inf, 0.0)  # a(hi) >= s, or hi = inf
+        x = np.ones_like(target)
+        grow = 2.0
+        todo = np.flatnonzero(target > 0.0)
+        for _ in range(_MAX_STEPS):
+            if todo.size == 0:
+                break
+            xt = x[todo]
+            below = self.a(xt) < target[todo]
+            lo[todo] = lt = np.where(below, xt, lo[todo])
+            hi[todo] = ht = np.where(below, hi[todo], xt)
+            if np.any(lt >= _MAX_RADIUS) or np.any(ht <= _MIN_RADIUS):
+                raise BracketRangeError(
+                    "inverse density beyond the representable range")
+            with np.errstate(over="ignore"):
+                xt = np.where(ht == math.inf,
+                              np.minimum(lt * grow, _MAX_RADIUS),
+                              np.where(lt == 0.0,
+                                       np.maximum(ht / grow, _MIN_RADIUS),
+                                       np.sqrt(lt) * np.sqrt(ht)))
+            grow *= grow
+            x[todo] = xt
+            todo = todo[(lt < xt) & (xt < ht)]
+        return float(hi[0]) if s.ndim == 0 else hi.reshape(s.shape)
 
     def __repr__(self):
         return f"YoungFunction({self.family.value}, {self.params})"
@@ -571,35 +583,15 @@ class MatuszewskaEstimate:
 
 # -- operations ------------------------------------------------------------
 
-def eval_A(F, t):
-    """A(t); saturates (never silently produces inf) on overflow."""
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    return F.A(t)
-
-
 def complementary_eval(F, t):
-    """Complementary (conjugate) value, integrating the generalized inverse
-    of the density from 0 to t."""
-    v, overflowed = complementary_eval_checked(F, t)
-    if overflowed:
-        raise BracketRangeError(
-            f"complementary argument {t} beyond representable range of the "
-            "inverse density")
-    return v
-
-
-def complementary_eval_checked(F, t):
+    """Complementary (conjugate) value A*(t) = sup_s (s t - A(s)), by
+    Young's equality A*(t) = t s - A(s) at s = a_inv(t), which is exact at
+    jumps and flats of the density too.  Raises BracketRangeError when t is
+    beyond the representable range of the inverse density."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    if t == 0.0:
-        return 0.0, False
-    try:
-        val, _ = integrate.quad(F.a_inv, 0.0, t, epsabs=1e-14, epsrel=1e-10,
-                                limit=200)
-    except BracketRangeError:
-        return SATURATION, True
-    return val, False
+    s = F.a_inv(t)
+    return t * s - F.A(s)
 
 
 def complementary_function(F, label=None):
@@ -615,18 +607,96 @@ def modular(F, u, m):
     return float(np.dot(m.node_weights, F.A(np.abs(values))))
 
 
-def luxemburg_norm(F, u, m, rtol=1e-8):
-    """Infimal k > 0 with modular(F, u/k, m) <= 1, by bracketed bisection."""
+def luxemburg_norm(F, u, m):
+    """Infimal k > 0 with modular(F, u/k, m) <= 1: k = 1/r for the radius r
+    with modular(F, r u, m) = 1 (see ``_normalize``)."""
     values = _conforming_values(u, m)
     if not np.any(values):
         return 0.0
+    return 1.0 / _normalize(F, np.abs(values), m.node_weights, 1.0).r_alpha
 
-    def grow(x):
-        # modular of x*u is nondecreasing in x; the norm is 1/root
-        return float(np.dot(m.node_weights, F.A(np.abs(values) * x)))
 
-    x, _ = bisect_monotone(grow, 1.0, x0=1.0, rtol=rtol)
-    return 1.0 / x
+# -- normalization ---------------------------------------------------------
+
+_MIN_RADIUS = 1e-280  # representable range of the radius and of a_inv
+_MAX_RADIUS = 1e280
+_RTOL = 1e-13   # relative accuracy of the radius
+_FTOL = 1e-12   # relative accuracy of the achieved modular
+_MAX_STEPS = 200  # iteration cap of _normalize and of a_inv
+
+
+@dataclass
+class NormalizationResult:
+    r_alpha: float
+    phi_value: float
+    iterations: int
+
+
+def _check_alpha(alpha):
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
+    if alpha > SATURATION / 1e6:
+        raise BracketRangeError(
+            f"alpha = {alpha} beyond representable modular range",
+            bracket=None)
+
+
+def _normalize(F, absu, w, alpha, r0=1.0):
+    """Radius r with phi(r) = sum w A(r absu) = alpha.
+
+    Newton's method on log phi as a function of log r, whose slope is
+    s = r phi'(r) / phi(r) with phi'(r) = sum w a(r absu) absu.  A bracket
+    [lo, hi] of the root is kept; a step that leaves it, or an iterate where
+    phi underflows to 0 or saturates, falls back to bisection in log r, or
+    to doubling/halving (the factor squared on each repeat) while one side
+    of the bracket is still open.
+    """
+    _check_alpha(alpha)
+    if not np.any(absu):
+        raise ZeroDenominatorError("phi is identically zero for u = 0")
+    lo, hi = 0.0, math.inf
+    up = down = 2.0
+    r_next = min(max(float(r0), _MIN_RADIUS), _MAX_RADIUS)
+    for it in range(1, _MAX_STEPS + 1):
+        r = r_next
+        t = r * absu
+        A = F.A(t)
+        phi = float(np.dot(w, A))
+        if phi < alpha:
+            lo = r
+        else:
+            hi = r
+        close = abs(phi - alpha) <= _FTOL * alpha
+        # hi stays infinite until phi first reaches alpha
+        if hi < math.inf and (hi - lo <= 4.0 * math.ulp(hi)
+                              or (close and hi - lo <= _RTOL * hi)):
+            break
+        if phi > 0.0 and A.max() < SATURATION:
+            with np.errstate(over="ignore"):
+                s = float(np.dot(w, F.a(t) * t)) / phi  # = r phi'(r) / phi
+            if s > 0.0 and math.isfinite(s):
+                step = (math.log(alpha) - math.log(phi)) / s
+                if close and abs(step) <= _RTOL:
+                    break
+                r_next = r * math.exp(max(min(step, 700.0), -700.0))
+                if lo < r_next < hi and _MIN_RADIUS <= r_next <= _MAX_RADIUS:
+                    up = down = 2.0
+                    continue
+        if lo > 0.0 and hi < math.inf:
+            r_next = math.sqrt(lo) * math.sqrt(hi)
+        elif hi < math.inf:
+            if hi <= _MIN_RADIUS:
+                raise BracketRangeError(
+                    "normalization radius fell below the representable range",
+                    bracket=(lo, hi))
+            r_next, down = max(hi / down, _MIN_RADIUS), down * down
+        else:
+            if lo >= _MAX_RADIUS:
+                raise BracketRangeError(
+                    "normalization radius exceeded the representable range",
+                    bracket=(lo, hi))
+            r_next, up = min(lo * up, _MAX_RADIUS), up * up
+    return NormalizationResult(r_alpha=r, phi_value=phi, iterations=it)
 
 
 def _conforming_values(u, m):

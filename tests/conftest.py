@@ -1,5 +1,16 @@
 """Shared fixtures: meshes and the expensive sweeps reused across the
-acceptance criteria."""
+acceptance criteria.
+
+BLAS runs on one thread, as in the benchmark: the factorizations here are
+small, and a second BLAS thread competing with another process for a core
+makes them orders of magnitude slower.  The variables are set before
+anything imports numpy; values already in the environment win.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import pytest
 

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from orlicz_eigen.errors import ConfigError
+from orlicz_eigen.errors import BracketRangeError, ConfigError
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.young import (SATURATION, Endpoint, Regime, YoungFunction,
                                 _exp_tail,
@@ -217,6 +218,91 @@ def test_young_inequality_randomized():
         assert s * t <= F.A(s) + complementary_eval(F, t) + 1e-9
 
 
+CLOSED_FORMS = {
+    "power(3.5)": lambda: YoungFunction.power(3.5),
+    "sum_of_powers(2,4)": lambda: YoungFunction.sum_of_powers(2, 4),
+    "power_log(2,1,1)": lambda: YoungFunction.power_log(2, 1, 1),
+    "exp_minus_poly(2)": lambda: YoungFunction.exp_minus_poly(2),
+    "exp_neg_inv_power(1)": lambda: YoungFunction.exp_neg_inv_power(1),
+    "double_exp()": YoungFunction.double_exp,
+}
+
+
+def _conjugate_by_maximization(F, t):
+    """sup_tau (tau t - A(tau)) by bounded scalar maximization, bracketed
+    by the neighbours of the best point of a log grid (the objective is
+    concave, so the bracket holds the maximizer)."""
+    tau = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 1801)])
+    k = int(np.argmax(tau * t - F.A(tau)))
+    lo, hi = tau[max(k - 1, 0)], tau[min(k + 1, tau.size - 1)]
+    res = optimize.minimize_scalar(lambda x: F.A(x) - x * t,
+                                   bounds=(lo, hi), method="bounded",
+                                   options={"xatol": 1e-15 * hi})
+    return -res.fun
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 3.0, 20.0])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_complementary_matches_bounded_maximization(name, t):
+    F = CLOSED_FORMS[name]()
+    want = _conjugate_by_maximization(F, t)
+    assert complementary_eval(F, t) == pytest.approx(want, rel=1e-13,
+                                                     abs=0.0)
+
+
+def _jump_flat_density(x):
+    # a(x) = x below 1, jumps to 2 at x = 1, stays at 2 up to x = 2 and
+    # equals x beyond
+    return x if x < 1.0 else max(x, 2.0)
+
+
+def _jump_flat_conjugate(t):
+    # inverse density t, then 1 on the jump (1, 2], then t
+    if t <= 1.0:
+        return 0.5 * t * t
+    return t - 0.5 if t <= 2.0 else 0.5 * t * t - 0.5
+
+
+def test_complementary_of_density_with_jump_and_flat():
+    F = YoungFunction.custom(_jump_flat_density)
+    # Young's equality s t = A(s) + A*(t) wherever t is in [a(s-), a(s)]:
+    # on either side of the jump, along it (s = 1) and on the flat (t = 2)
+    s = np.concatenate([np.linspace(0.05, 3.0, 40), np.ones(9),
+                        np.linspace(1.0, 2.0, 9)])
+    t = np.concatenate([[_jump_flat_density(x) for x in s[:40]],
+                        np.linspace(1.0, 2.0, 9), np.full(9, 2.0)])
+    conj = np.array([complementary_eval(F, x) for x in t])
+    np.testing.assert_allclose(conj, [_jump_flat_conjugate(x) for x in t],
+                               rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(F.A(s) + conj, s * t, rtol=1e-13, atol=1e-15)
+    # Young's inequality on a random grid
+    rng = np.random.default_rng(11)
+    s, t = rng.uniform(0.0, 4.0, (2, 60))
+    conj = np.array([complementary_eval(F, x) for x in t])
+    gap = F.A(s)[:, None] + conj[None, :] - s[:, None] * t[None, :]
+    assert gap.min() >= -1e-13
+
+
+def test_complementary_beyond_range_raises():
+    F = YoungFunction.power(2)  # a(x) = 2x, so a_inv(t) = t/2
+    with pytest.raises(BracketRangeError):
+        complementary_eval(F, 1e300)
+    with pytest.raises(BracketRangeError):
+        F.a_inv(np.array([1.0, 1e-300]))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_inverse_density_on_arrays(name):
+    F = CLOSED_FORMS[name]()
+    x = np.geomspace(0.05, 5.0, 41)
+    s = F.a(x)
+    inv = F.a_inv(s)
+    assert np.array_equal(inv, [F.a_inv(v) for v in s])
+    np.testing.assert_allclose(inv, x, rtol=1e-13, atol=0.0)
+    assert np.array_equal(F.a_inv(s.reshape(41, 1)), inv.reshape(41, 1))
+    assert F.a_inv(0.0) == 0.0 and F.a_inv(-1.0) == 0.0
+
+
 # -- modular and Luxemburg norm ---------------------------------------------
 
 def test_modular_constant_field():
@@ -241,6 +327,17 @@ def test_luxemburg_unit_ball():
     F = YoungFunction.sum_of_powers(2, 4)
     k = luxemburg_norm(F, u, m)
     assert modular(F, u * (1.0 / k), m) == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_luxemburg_norm_puts_modular_on_one(name):
+    F = CLOSED_FORMS[name]()
+    m = Mesh.interval(1.0, 100)
+    rng = np.random.default_rng(5)
+    for scale in (0.01, 1.0, 30.0):
+        u = m.field(scale * rng.standard_normal(m.interior_count))
+        k = luxemburg_norm(F, u, m)
+        assert abs(modular(F, u * (1.0 / k), m) - 1.0) <= 1e-12
 
 
 # -- doubling diagnostics ---------------------------------------------------
