@@ -285,44 +285,61 @@ class _RunResult:
 
 
 _POLISH_THRESHOLD = 1e-4
+_THETA_MIN = 1e-3       # damping floor of the polish
+_THETA_MAX = 0.9        # a model damping at or above this is not trusted
+_THETA_FALLBACK = 0.5   # damping used when the model's is not
 
 
 def _polish(problem, alpha, u, opts, budget):
     """Residual-driven tail phase: lagged inverse iteration on the
     stationarity system, immune to the energy-difference noise floor that
-    limits Armijo comparisons near the minimizer."""
+    limits Armijo comparisons near the minimizer.
+
+    Each step tries the undamped update, the projected inverse iterate
+    u + w, then one damped update u + theta w.  The lagged stiffness
+    a(g)/g is a secant, not the tangent, so the undamped step overshoots
+    (by about q - 1 for A ~ t^q); theta minimizes the linearized weak-form
+    defect d(theta) = d0 + theta (d1 - d0) between the defects at u and at
+    u + w, in the 1/weights norm of the residual, and is replaced by 0.5
+    outside (1e-3, 0.9).  The trial with the lower residual is kept.  Only
+    if neither beats the residual at u is theta halved, down to 1e-3, until
+    one does; if none does, the polish stops."""
+    inv_w = 1.0 / problem.m.node_weights
+
     def stationarity(values):
         g = problem.gradient(values)
         mg = problem.mass_gradient(values)
         lam, res = _stationarity(g, mg, values, problem.m.node_weights)
-        return lam, res, mg
+        return lam, res, mg, g - lam * mg, values
 
-    lam, res, mg = stationarity(u)
+    state = stationarity(u)
     it = 0
     for it in range(1, budget + 1):
+        lam, res, mg, defect, u = state
         if res < opts.tol:
             return u, lam, res, it, True
         solve = problem.preconditioner(u)
         v = solve(mg)
         if not np.all(np.isfinite(v)) or not np.any(v):
             break
-        w = problem.project(v, alpha) - u
-        # damped update: the undamped map can diverge or contract poorly
-        # for strongly nonlinear densities, so scan halved damping factors
-        # and keep the one with the smallest residual
-        theta = 1.0
-        best = None
-        while theta > 1e-3:
-            trial = problem.project(u + theta * w, alpha)
-            lam_t, res_t, mg_t = stationarity(trial)
-            if best is None or res_t < best[1]:
-                best = (lam_t, res_t, mg_t, trial)
-            elif best[1] < res:
-                break
+        undamped = stationarity(problem.project(v, alpha))
+        w = undamped[4] - u
+        dd = undamped[3] - defect
+        dd2 = float(np.dot(dd * dd, inv_w))
+        theta = -float(np.dot(defect * dd, inv_w)) / dd2 if dd2 > 0 else 0.0
+        if not _THETA_MIN < theta < _THETA_MAX:
+            theta = _THETA_FALLBACK
+        damped = stationarity(problem.project(u + theta * w, alpha))
+        best = min(undamped, damped, key=lambda s: s[1])
+        while best[1] >= res:
             theta *= 0.5
-        if best is None or best[1] >= res:
+            if theta <= _THETA_MIN:
+                break
+            best = stationarity(problem.project(u + theta * w, alpha))
+        if best[1] >= res:
             break
-        lam, res, mg, u = best
+        state = best
+    lam, res, _, _, u = state
     return u, lam, res, it, res < opts.tol
 
 

@@ -330,8 +330,12 @@ class YoungFunction:
             elif fam is Family.EXP_NEG_INV_POWER:
                 out = self._enip_A(t)
             elif fam is Family.DOUBLE_EXP:
-                y = np.expm1(np.minimum(t, 700.0))
-                out = math.e * (np.expm1(np.minimum(y, 700.0)) - t)
+                # e (expm1(y) - t) with y = expm1(t), as two exp tails
+                # e^x - 1 - x, so nothing cancels at small t
+                t = np.minimum(t, 700.0)
+                y = np.expm1(t)
+                out = math.e * (_exp_tail(t, 2)
+                                + _exp_tail(np.minimum(y, 700.0), 2))
             else:
                 out = np.array([self._custom_A_scalar(x)
                                 for x in t.ravel()]).reshape(t.shape)

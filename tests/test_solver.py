@@ -1,6 +1,7 @@
 """Constrained minimization: normalization, gradients, residuals, solves."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,6 +280,89 @@ def test_deterministic_given_seed(m200):
     b = solve_E(F, m200, 1.0, SolveOptions(seed=7))
     assert a.energy == b.energy and a.lam == b.lam
     assert np.array_equal(a.u.values, b.u.values)
+
+
+# -- polish ------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [1.0, 1e2, 1e4])
+def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
+                                                     alpha):
+    # the undamped trial is the projected inverse iterate itself and the
+    # defect model picks one damped trial, so a step projects twice unless
+    # the halving fallback runs
+    counts = {"polish": False, "projections": 0, "iterations": 0}
+    project, polish = Problem.project, solver._polish
+
+    def counting_project(self, values, alpha, r0=1.0):
+        counts["projections"] += counts["polish"]
+        return project(self, values, alpha, r0)
+
+    def counting_polish(*args):
+        counts["polish"] = True
+        try:
+            out = polish(*args)
+        finally:
+            counts["polish"] = False
+        counts["iterations"] += out[3]
+        return out
+    monkeypatch.setattr(Problem, "project", counting_project)
+    monkeypatch.setattr(solver, "_polish", counting_polish)
+    F = YoungFunction.sum_of_powers(2, 4)
+    res = solve_E(F, m200, alpha, SolveOptions(restarts=1))
+    assert res.converged
+    assert counts["iterations"] > 0
+    assert counts["projections"] <= 2 * counts["iterations"]
+
+
+class _TurnedGradient:
+    """Two-node stand-in for a Problem.  The constraint is u[0] = 1, the
+    mass gradient is u, and the energy gradient is u turned by the angle
+    phi(y) = 0.1 - 0.2 y + 1.6 y^3 at y = u[1], so the residual is
+    |sin phi(y)|.  The canned solve steps y by +1.  From y = 0 the residual
+    falls for steps below 0.25 (phi is least at y = 0.204) but rises at
+    0.5 and 1, and the defect model's damping is negative."""
+
+    m = SimpleNamespace(node_weights=np.ones(2))
+
+    def __init__(self):
+        self.trials = []
+
+    def gradient(self, values):
+        phi = 0.1 - 0.2 * values[1] + 1.6 * values[1] ** 3
+        c, s = math.cos(phi), math.sin(phi)
+        return np.array([c * values[0] - s * values[1],
+                         s * values[0] + c * values[1]])
+
+    def mass_gradient(self, values):
+        return values.copy()
+
+    def project(self, values, alpha, r0=1.0):
+        self.trials.append(values[1] / values[0])
+        return values / values[0]
+
+    def preconditioner(self, values):
+        return lambda rhs: values + np.array([0.0, 1.0])
+
+
+def test_polish_halves_when_the_model_trial_fails():
+    opts = SolveOptions(tol=1e-12)
+    u0 = np.array([1.0, 0.0])
+    residuals = [math.sin(0.1)]
+    for budget in (1, 2, 3):
+        problem = _TurnedGradient()
+        u, lam, res, it, converged = solver._polish(problem, 1.0, u0, opts,
+                                                    budget)
+        assert res <= residuals[-1]
+        residuals.append(res)
+        if budget == 1:
+            # undamped y = 1, model fallback 0.5, then the halving's 0.25
+            assert problem.trials == [1.0, 0.5, 0.25]
+            assert it == 1 and np.array_equal(u, [1.0, 0.25])
+        else:
+            # from y = 0.25 no step along +y helps: the polish stops
+            assert it == 2 and np.array_equal(u, [1.0, 0.25])
+        assert not converged
+    assert residuals[1] == pytest.approx(math.sin(0.075), rel=1e-12)
 
 
 # -- multistart early stop --------------------------------------------------

@@ -158,6 +158,17 @@ def test_exp_tail_matches_decimal_reference(n):
     assert np.all(np.abs(_exp_tail(t, n) - ref) <= 1e-15 * ref)
 
 
+@pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-3, 0.1, 1.0])
+def test_double_exp_matches_decimal_reference(t):
+    """A(t) = e (e^(e^t - 1) - 1 - t) has no cancellation at small t."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(t)
+        ref = float(decimal.Decimal(1).exp()
+                    * ((d.exp() - 1).exp() - 1 - d))
+    assert abs(YoungFunction.double_exp().A(t) - ref) <= 1e-14 * ref
+
+
 def test_density_monotone_and_A_convex():
     for F in [YoungFunction.power(3), YoungFunction.sum_of_powers(2, 4),
               YoungFunction.power_log(2, 1, 1),
