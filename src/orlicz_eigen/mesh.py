@@ -22,6 +22,7 @@ class Mesh:
 
     counts are cells per axis; interior nodes exclude the boundary layer and
     any nodes removed by ``mask`` (a boolean node array, True = in domain).
+    ``interior_count``, their number, is fixed when the mesh is built.
     """
 
     dim: int
@@ -45,7 +46,7 @@ class Mesh:
         if self.dim == 1:
             n = self.counts[0]
             h = self.spacing[0]
-            self._interior_shape = (n - 1,)
+            self.interior_count = n - 1
             self.interior_coords = (np.arange(1, n) * h).reshape(-1, 1)
             w = np.full(n - 1, h)
             w[0] += 0.5 * h
@@ -68,7 +69,7 @@ class Mesh:
                 inside &= self.mask
             self._domain_nodes = inside
             self._interior_index = np.flatnonzero(inside.ravel())
-            self._interior_shape = (self._interior_index.size,)
+            self.interior_count = int(self._interior_index.size)
             xs = np.arange(nx + 1) * hx
             ys = np.arange(ny + 1) * hy
             X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -89,10 +90,6 @@ class Mesh:
             corners = (inside[:-1, :-1] | inside[1:, :-1]
                        | inside[:-1, 1:] | inside[1:, 1:])
             self.cell_weights = np.where(corners, hx * hy, 0.0)
-
-    @property
-    def interior_count(self):
-        return int(np.prod(self._interior_shape))
 
     @property
     def measure(self):

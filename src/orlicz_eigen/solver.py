@@ -93,16 +93,26 @@ def energy(F, u, m):
     return float(np.sum(m.cell_weights * F.A(g)))
 
 
-def energy_gradient(F, u, m):
-    """Nodal gradient of the discrete energy (assembled weak form)."""
+def _cell_coefficient(F, values, m):
+    """Signed cell slopes (1D array, 2D (gx, gy) pair) and the regularized
+    a(g)/g at their magnitudes g."""
+    slopes = cell_gradients(values, m)
+    g = np.abs(slopes) if m.dim == 1 else np.hypot(*slopes)
+    return slopes, _regularized_coef(F, g)
+
+
+def energy_gradient(F, u, m, *, cells=None):
+    """Nodal gradient of the discrete energy (assembled weak form).
+    ``cells`` is the lagged stiffness of the running solve, whose memo of
+    a(g)/g the preconditioner built at the same iterate reuses."""
+    values = np.asarray(getattr(u, "values", u), dtype=float)
+    slopes, coef = (cells.coefficient(F, values) if cells is not None
+                    else _cell_coefficient(F, values, m))
     if m.dim == 1:
-        s = cell_gradients(u, m)
-        coef = _regularized_coef(F, np.abs(s))
-        t = m.cell_weights * coef * s / m.spacing[0]
+        t = m.cell_weights * coef * slopes / m.spacing[0]
         return t[:-1] - t[1:]
-    gx, gy = cell_gradients(u, m)
-    g = np.hypot(gx, gy)
-    coef = m.cell_weights * _regularized_coef(F, g)
+    gx, gy = slopes
+    coef = m.cell_weights * coef
     hx, hy = m.spacing
     fx = coef * gx / (2.0 * hx)
     fy = coef * gy / (2.0 * hy)
@@ -171,17 +181,39 @@ def phi_root(F, u, m, alpha, r0=1.0):
 
 # -- preconditioners -------------------------------------------------------
 
-class _Banded1D:
-    """Lagged-coefficient tridiagonal stiffness solve for 1D meshes."""
+class _LaggedStiffness:
+    """Lagged-coefficient stiffness solves of one local solve.
+
+    A one-entry memo, keyed on the Young function and the field's contents,
+    keeps the cell slopes and a(g)/g of the last iterate, so the
+    preconditioner built at an iterate reuses the gradient's coefficient
+    (as :class:`orlicz_eigen.fractional._PairSums` does).
+    """
 
     def __init__(self, m):
         self.m = m
+        self._memo = None
+
+    def coefficient(self, F, values):
+        """(cell slopes, a(g)/g) at ``values``."""
+        memo = self._memo
+        if memo is not None and memo[0] is F and np.array_equal(memo[1],
+                                                                values):
+            return memo[2]
+        out = _cell_coefficient(F, values, self.m)
+        self._memo = (F, values.copy(), out)
+        return out
+
+
+class _Banded1D(_LaggedStiffness):
+    """Lagged-coefficient tridiagonal stiffness solve for 1D meshes."""
+
+    def __init__(self, m):
+        super().__init__(m)
         self.h = m.spacing[0]
 
     def build(self, F, values):
-        u = ScalarField(values, self.m)
-        s = cell_gradients(u, self.m)
-        coef = _regularized_coef(F, np.abs(s))
+        _, coef = self.coefficient(F, values)
         floor = 1e-10 * max(float(coef.max()), 1e-280)
         coef = np.maximum(coef, floor)
         c = self.m.cell_weights * coef / self.h ** 2
@@ -196,11 +228,11 @@ class _Banded1D:
         return solve
 
 
-class _Sparse2D:
+class _Sparse2D(_LaggedStiffness):
     """Lagged-coefficient bilinear-cell stiffness solve for 2D meshes."""
 
     def __init__(self, m):
-        self.m = m
+        super().__init__(m)
         nx, ny = m.counts
         hx, hy = m.spacing
         n_nodes = (nx + 1) * (ny + 1)
@@ -224,11 +256,8 @@ class _Sparse2D:
         self.By = By[:, idx]
 
     def build(self, F, values):
-        m = self.m
-        u = ScalarField(values, m)
-        gx, gy = cell_gradients(u, m)
-        g = np.hypot(gx, gy).ravel()
-        coef = m.cell_weights.ravel() * _regularized_coef(F, g)
+        _, coef = self.coefficient(F, values)
+        coef = self.m.cell_weights.ravel() * coef.ravel()
         floor = 1e-10 * max(float(coef.max()), 1e-280)
         W = sparse.diags(np.maximum(coef, floor))
         K = (self.Bx.T @ W @ self.Bx + self.By.T @ W @ self.By).tocsc()
@@ -285,6 +314,7 @@ class _RunResult:
 
 
 _POLISH_THRESHOLD = 1e-4
+_STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
 _THETA_MIN = 1e-3       # damping floor of the polish
 _THETA_MAX = 0.9        # a model damping at or above this is not trusted
 _THETA_FALLBACK = 0.5   # damping used when the model's is not
@@ -343,9 +373,22 @@ def _polish(problem, alpha, u, opts, budget):
     return u, lam, res, it, res < opts.tol
 
 
+def _backtrack(E0, gd, s, Es, shrink):
+    """Next trial step after the Armijo test failed at step s: the minimizer
+    of the quadratic through E(0) = E0 with slope -gd and E(s) = Es,
+    clamped to [_STEP_MIN s, shrink s]; shrink s when Es is not finite or
+    the quadratic is not convex."""
+    curv = Es - E0 + gd * s  # s^2 times the quadratic's curvature
+    if not (math.isfinite(curv) and curv > 0.0):
+        return shrink * s
+    return min(max(0.5 * gd * s * s / curv, _STEP_MIN * s), shrink * s)
+
+
 def _descend(problem, alpha, start_values, opts):
     """Normalization-projected preconditioned descent from one start,
-    finished by an inverse-iteration polish once the residual is small."""
+    finished by an inverse-iteration polish once the residual is small.
+    Each line search tries the unit step first and backtracks by
+    :func:`_backtrack` until the Armijo test holds."""
     u = problem.project(start_values, alpha)
     E = problem.energy(u)
     lam = math.nan
@@ -383,13 +426,14 @@ def _descend(problem, alpha, start_values, opts):
         accepted = False
         while s > 1e-18:
             trial_raw = u - s * d
+            Et = math.nan
             if np.any(trial_raw):
                 trial = problem.project(trial_raw, alpha)
                 Et = problem.energy(trial)
                 if Et <= E - opts.armijo * s * gd:
                     accepted = True
                     break
-            s *= opts.shrink
+            s = _backtrack(E, gd, s, Et, opts.shrink)
         if not accepted:
             # the energy landscape is flat at this resolution; hand the
             # iterate to the residual-driven polish before giving up
@@ -481,11 +525,13 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     modular misses alpha by more than 1e-10 relative raises OrliczError.
     """
     opts = opts or SolveOptions()
+    cells = _make_preconditioner(m)
     problem = Problem(
         F, m,
         energy_fn=lambda v: energy(F, ScalarField(v, m), m),
-        gradient_fn=lambda v: energy_gradient(F, ScalarField(v, m), m),
-        precond_factory=_make_preconditioner(m))
+        gradient_fn=lambda v: energy_gradient(F, ScalarField(v, m), m,
+                                              cells=cells),
+        precond_factory=cells)
     return minimize_with_restarts(problem, alpha, opts, initial)
 
 

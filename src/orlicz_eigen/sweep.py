@@ -4,7 +4,7 @@ the derivative identity dE/dalpha = lambda(alpha), the power-like endpoint
 limits of E(alpha)/alpha, and the decay to zero in the non-doubling case.
 
 Each sweep solves the constrained problem once per alpha, warm-starting from
-the neighboring minimizer; verification is pure post-processing on the
+the neighboring minimizers; verification is pure post-processing on the
 resulting records.
 """
 
@@ -83,34 +83,66 @@ def geometric_grid(alpha_min, alpha_max, per_decade):
 def run_sweep(F, m, alpha_grid, opts=None, solve=None, warm=True):
     """One constrained solve per alpha, warm-started along the grid.
 
-    The first alpha runs the full multistart; subsequent alphas restart once
-    from the previous minimizer (rescaled onto the new constraint by the
-    solver's own normalization projection).  With ``warm=False`` every
-    alpha runs the full multistart instead.  dE/dalpha is the central
-    difference over neighboring samples; endpoints keep NaN.
-    Unconverged alphas are flagged and the sweep continues.
+    The first alpha runs the full multistart; each later alpha restarts
+    once.  Once two consecutive alphas have converged, the start is a
+    secant prediction: the two minimizers' shapes, normalized in the
+    ``node_weights`` L2 norm, extrapolated linearly in log alpha (the
+    minimizers form a smooth branch, since dE/dalpha = lambda).  Otherwise
+    (fewer than two consecutive converged alphas, or a non-finite or
+    all-zero prediction) it is the last converged minimizer.  The solver's
+    own normalization projection rescales either onto the new constraint.
+    With ``warm=False`` every alpha runs the full multistart instead.
+    dE/dalpha is the central difference over the neighboring samples when
+    both converged, else NaN (endpoints included).  Unconverged alphas are
+    flagged and the sweep continues.
     """
     solve = solve or solve_E
     opts = opts or SolveOptions()
     grid = np.sort(np.asarray(alpha_grid, dtype=float))
     records = []
     prev = None
+    branch = []  # (log alpha, values): last consecutive converged
     warm_opts = SolveOptions(
         tol=opts.tol, max_iter=opts.max_iter, restarts=1, seed=opts.seed,
         armijo=opts.armijo, shrink=opts.shrink)
-    for k, alpha in enumerate(grid):
+    for alpha in grid:
+        x = math.log(alpha)
+        start = _secant_start(branch, x, m) if len(branch) == 2 else None
         result = solve(F, m, float(alpha),
-                       opts if prev is None else warm_opts, initial=prev)
+                       opts if prev is None else warm_opts,
+                       initial=prev if start is None else start)
         if result.converged and warm:
             prev = result.u
+            values = np.asarray(getattr(prev, "values", prev), dtype=float)
+            branch = branch[-1:] + [(x, values)]
+        else:
+            branch = []
         records.append(SweepRecord(
             alpha=float(alpha), energy=result.energy,
             quotient=result.energy / float(alpha), lam=result.lam,
             converged=result.converged, residual=result.residual))
     for k in range(1, len(records) - 1):
         lo, hi = records[k - 1], records[k + 1]
-        records[k].dE_dalpha = (hi.energy - lo.energy) / (hi.alpha - lo.alpha)
+        if lo.converged and hi.converged:
+            records[k].dE_dalpha = ((hi.energy - lo.energy)
+                                    / (hi.alpha - lo.alpha))
     return records
+
+
+def _secant_start(branch, x, m):
+    """Linear extrapolation to log alpha = x of the shapes (unit
+    ``node_weights`` L2 norm) of the two minimizers in ``branch``, as a
+    field on m; None when it is not finite or all zero."""
+    (x0, u0), (x1, u1) = branch
+    if x1 == x0:
+        return None
+    with np.errstate(all="ignore"):
+        y0, y1 = (u / np.sqrt(np.dot(m.node_weights, u * u))
+                  for u in (u0, u1))
+        pred = y1 + (x - x1) / (x1 - x0) * (y1 - y0)
+    if not (np.all(np.isfinite(pred)) and np.any(pred)):
+        return None
+    return m.field(pred)
 
 
 def _energy_at_one(records):

@@ -365,6 +365,101 @@ def test_polish_halves_when_the_model_trial_fails():
     assert residuals[1] == pytest.approx(math.sin(0.075), rel=1e-12)
 
 
+# -- line search -------------------------------------------------------------
+
+class _ScaledQuartic:
+    """Two-node stand-in for a Problem.  The energy is y^4/4 at y = u[1]
+    (inf beyond |y| > ``wall``), the mass gradient is (1, 0) and the solve
+    multiplies by ``scale``, so the descent direction is (0, scale y^3) and
+    from y = 1 the trial at step s is y = 1 - scale s.  The projection is
+    the identity and records the trial steps."""
+
+    m = SimpleNamespace(node_weights=np.ones(2))
+
+    def __init__(self, scale, wall=math.inf):
+        self.scale, self.wall = scale, wall
+        self.steps = []
+
+    def energy(self, values):
+        y = values[1]
+        return y ** 4 / 4.0 if abs(y) <= self.wall else math.inf
+
+    def gradient(self, values):
+        return np.array([0.0, values[1] ** 3])
+
+    def mass_gradient(self, values):
+        return np.array([1.0, 0.0])
+
+    def project(self, values, alpha, r0=1.0):
+        self.steps.append((1.0 - values[1]) / self.scale)
+        return values
+
+    def preconditioner(self, values):
+        return lambda rhs: self.scale * rhs
+
+
+def _quadratic_step(scale, s):
+    # minimizer of E0 - gd x + c x^2 through E(s), with E0 = 1/4, gd = scale
+    Es = (1.0 - scale * s) ** 4 / 4.0
+    return 0.5 * scale * s * s / (Es - 0.25 + scale * s)
+
+
+@pytest.mark.parametrize("scale,wall,steps", [
+    # the quadratic minimizer 2/9 lies inside [0.1, 0.5]
+    (3.0, math.inf, [1.0, _quadratic_step(3.0, 1.0)]),
+    # far below 0.1: clamped, then the minimizer from s = 0.1 is kept
+    (30.0, math.inf, [1.0, 0.1, _quadratic_step(30.0, 0.1)]),
+    # non-finite trial energies halve; the first finite one interpolates,
+    # clamped to 0.1 of its step
+    (30.0, 10.0, [1.0, 0.5, 0.25, 0.025]),
+])
+def test_backtracking_takes_the_clamped_quadratic_step(scale, wall, steps):
+    problem = _ScaledQuartic(scale, wall)
+    run = solver._descend(problem, 1.0, np.array([1.0, 1.0]),
+                          SolveOptions(max_iter=1))
+    assert problem.steps[0] == 0.0  # the start's own projection
+    assert problem.steps[1:] == pytest.approx(steps, rel=1e-12)
+    assert run.energy == pytest.approx((1.0 - scale * steps[-1]) ** 4 / 4.0,
+                                       rel=1e-12)
+    assert run.energy <= 0.25 - 1e-4 * steps[-1] * scale
+
+
+# -- coefficient memo -----------------------------------------------------------
+
+@pytest.mark.parametrize("m", [Mesh.interval(1.0, 50),
+                               Mesh.rectangle(1.0, 1.0, 6, 5)],
+                         ids=["1d", "2d"])
+def test_preconditioner_reuses_the_gradients_coefficient(m, monkeypatch):
+    F = YoungFunction.sum_of_powers(2, 4)
+    calls = []
+    a = F.a
+    monkeypatch.setattr(F, "a", lambda t: calls.append(1) or a(t))
+    rng = np.random.default_rng(3)
+    u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
+    rhs = rng.standard_normal(m.interior_count)
+    cells = solver._make_preconditioner(m)
+    g = energy_gradient(F, u, m, cells=cells)
+    assert np.array_equal(g, energy_gradient(F, u, m))
+    calls.clear()
+    hit = cells.build(F, u)(rhs)
+    assert calls == []  # same iterate: the gradient's a(g)/g is reused
+    assert np.array_equal(hit, solver._make_preconditioner(m).build(F, u)(rhs))
+    assert len(calls) == 1  # a fresh build evaluates a once
+    # an iterate changed in place after the gradient misses the memo
+    u[3] *= 1.5
+    calls.clear()
+    moved = cells.build(F, u)(rhs)
+    assert len(calls) == 1
+    assert np.array_equal(moved,
+                          solver._make_preconditioner(m).build(F, u)(rhs))
+    # so does another Young function at the same iterate
+    calls.clear()
+    G = YoungFunction.power(3)
+    assert np.array_equal(cells.build(G, u)(rhs),
+                          solver._make_preconditioner(m).build(G, u)(rhs))
+    assert calls == []
+
+
 # -- multistart early stop --------------------------------------------------
 
 def test_default_restarts_stop_at_first_agreeing_pair(m200):

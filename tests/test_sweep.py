@@ -1,13 +1,15 @@
 """Alpha sweeps and the theorem-verification checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from orlicz_eigen.cli import _check_derivative
 from orlicz_eigen.errors import ConfigError, GeometryError
 from orlicz_eigen.mesh import Mesh
-from orlicz_eigen.solver import SolveOptions
+from orlicz_eigen.solver import SolveOptions, solve_E
 from orlicz_eigen.sweep import (check_bounds, check_decay, estimate_limits,
                                 geometric_grid, run_sweep)
 from orlicz_eigen.young import Endpoint, YoungFunction, delta2_report
@@ -139,3 +141,90 @@ def test_unconverged_records_flagged_not_fatal(m200):
                      SolveOptions(max_iter=2, restarts=1))
     assert len(recs) == 11
     assert not any(r.converged for r in recs)
+
+
+def test_secant_start_matches_previous_minimizer_start(m200):
+    F = YoungFunction.sum_of_powers(2, 4)
+    grid = geometric_grid(0.1, 10.0, 5)
+    runs = {"secant": [], "previous": []}
+
+    def secant(F_, m, alpha, opts, initial=None):
+        res = solve_E(F_, m, alpha, opts, initial)
+        runs["secant"].append((initial, res))
+        return res
+
+    def previous(F_, m, alpha, opts, initial=None):
+        # the start before the secant predictor: the last minimizer itself
+        done = runs["previous"]
+        res = solve_E(F_, m, alpha, opts, done[-1][1].u if done else None)
+        done.append((initial, res))
+        return res
+    predicted = run_sweep(F, m200, grid, solve=secant)
+    plain = run_sweep(F, m200, grid, solve=previous)
+    # from the third alpha on, the start is a prediction, not a minimizer
+    starts = [init for init, _ in runs["secant"]]
+    minimizers = [res.u for _, res in runs["secant"]]
+    assert starts[0] is None and starts[1] is minimizers[0]
+    assert all(not any(s is u for u in minimizers) for s in starts[2:])
+    for a, b in zip(predicted, plain):
+        assert a.converged and b.converged
+        assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0)
+        assert a.lam == pytest.approx(b.lam, rel=1e-9, abs=0)
+    iterations = {k: sum(res.iterations for _, res in v)
+                  for k, v in runs.items()}
+    assert iterations["secant"] < iterations["previous"]
+
+
+def _stub_solve(unconverged, calls, shape=None):
+    """Stand-in for solve_E on the power-2 branch E = 2 alpha, flagged
+    unconverged at the alphas in ``unconverged``; records each call's
+    (start, result).  The minimizer is sqrt(alpha) times ``shape`` (by
+    default a sine, which the secant extrapolates to itself)."""
+    def solve(F, m, alpha, opts, initial=None):
+        base = (np.sin(np.pi * m.interior_coords[:, 0]) if shape is None
+                else shape)
+        res = SimpleNamespace(
+            u=m.field(base * alpha ** 0.5), energy=2.0 * alpha, lam=2.0,
+            converged=alpha not in unconverged, residual=0.0)
+        calls.append((initial, res))
+        return res
+    return solve
+
+
+def test_derivative_needs_both_neighbours_converged(m200):
+    grid = geometric_grid(0.1, 10.0, 5)
+    calls = []
+    recs = run_sweep(YoungFunction.power(2), m200, grid,
+                     solve=_stub_solve({float(grid[4])}, calls))
+    for k, r in enumerate(recs):
+        if k in (0, 3, 5, len(recs) - 1):
+            assert math.isnan(r.dE_dalpha)
+        else:
+            assert r.dE_dalpha == pytest.approx(2.0, rel=1e-12)
+    # the derivative check uses the converged records with both neighbours
+    # converged: 1, 2, 6, 7, 8 and 9
+    report = _check_derivative(recs)
+    assert report["records_used"] == 6
+    assert report["overall_pass"]
+    # starts: cold, the last minimizer, then predictions; the unconverged
+    # alpha resets the branch, so the two alphas after it start from the
+    # last converged minimizer
+    starts = [init for init, _ in calls]
+    u = [res.u for _, res in calls]
+    assert starts[0] is None and starts[1] is u[0]
+    assert starts[5] is u[3] and starts[6] is u[5]
+    for k in (2, 3, 4, 7, 8, 9, 10):
+        assert not any(starts[k] is v for v in u)
+        # the sine shape is on every minimizer, so the secant keeps it
+        assert np.allclose(starts[k].values / u[k].values,
+                           starts[k].values[0] / u[k].values[0], rtol=1e-12)
+
+
+def test_secant_start_falls_back_on_a_degenerate_prediction(m200):
+    # zero minimizers have no shape: the prediction is not finite and each
+    # alpha starts from the previous minimizer
+    grid = geometric_grid(0.1, 1.0, 3)
+    calls = []
+    run_sweep(YoungFunction.power(2), m200, grid,
+              solve=_stub_solve(set(), calls, np.zeros(m200.interior_count)))
+    assert all(calls[k][0] is calls[k - 1][1].u for k in range(1, 4))
