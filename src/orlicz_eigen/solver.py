@@ -208,15 +208,11 @@ class _LaggedStiffness:
 class _Banded1D(_LaggedStiffness):
     """Lagged-coefficient tridiagonal stiffness solve for 1D meshes."""
 
-    def __init__(self, m):
-        super().__init__(m)
-        self.h = m.spacing[0]
-
     def build(self, F, values):
         _, coef = self.coefficient(F, values)
         floor = 1e-10 * max(float(coef.max()), 1e-280)
         coef = np.maximum(coef, floor)
-        c = self.m.cell_weights * coef / self.h ** 2
+        c = self.m.cell_weights * coef / self.m.spacing[0] ** 2
         n = values.size
         ab = np.zeros((2, n))
         ab[1] = c[:-1] + c[1:]
