@@ -1,13 +1,19 @@
-"""Discretized Dirichlet domains: intervals, rectangles, rectangles with
-masked holes.
+"""Discretized Dirichlet domains: intervals and rectangles.
 
-Zero-order terms use nodal quadrature whose interior weights sum exactly to
-the domain measure; gradient terms use one-point quadrature at cell centers
-on piecewise-linear (1D) / bilinear (2D) elements.  Fields carry values at
-interior nodes only and are extended by zero on and outside the boundary.
+A field is its values at the interior nodes; it is zero on the boundary.
+Every element gradient is a set of differences of two nodal values over a
+spacing, (u[plus] - u[minus]) / h, one per axis: a 1D cell has one such
+row, and each rectangle cell is split along its (0,0)-(1,1) diagonal into
+two right P1 triangles, whose x and y slopes are differences along their
+legs.  The gradient is constant on every element, so element weights
+times A(|B_e u|) integrate A(|grad u|) exactly.  Boundary nodes point to a
+zero appended after the interior values.  Zero-order terms use nodal
+quadrature whose weights sum exactly to the domain measure.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -20,15 +26,22 @@ __all__ = ["Mesh", "ScalarField", "cell_gradient_magnitudes", "bump_field"]
 class Mesh:
     """Tensor-product mesh over (0, extents[0]) x ... with Dirichlet boundary.
 
-    counts are cells per axis; interior nodes exclude the boundary layer and
-    any nodes removed by ``mask`` (a boolean node array, True = in domain).
-    ``interior_count``, their number, is fixed when the mesh is built.
+    counts are cells per axis.  Built once per mesh:
+
+    - ``interior_count`` interior nodes, numbered with the last axis
+      fastest, at ``interior_coords`` with quadrature ``node_weights``;
+    - ``plus`` and ``minus``, shape (dim, elements): the node numbers of
+      the two ends of each element's difference along each axis, where
+      ``interior_count`` stands for any boundary node, and
+      ``row_spacing``, the spacing of each axis as a (dim, 1) column;
+    - ``cell_weights``, the measure of each element (cell or triangle);
+    - ``bandwidth`` and ``band_slots``, where each difference's entries of
+      the stiffness B^T diag(c) B land in its upper banded storage.
     """
 
     dim: int
     extents: tuple
     counts: tuple
-    mask: np.ndarray = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -43,72 +56,59 @@ class Mesh:
         self._build()
 
     def _build(self):
-        if self.dim == 1:
-            n = self.counts[0]
-            h = self.spacing[0]
-            self.interior_count = n - 1
-            self.interior_coords = (np.arange(1, n) * h).reshape(-1, 1)
-            w = np.full(n - 1, h)
+        inner = tuple(c - 1 for c in self.counts)
+        n = self.interior_count = math.prod(inner)
+        axes = [np.arange(1, c) * h for c, h in zip(self.counts, self.spacing)]
+        self.interior_coords = np.stack(
+            [X.ravel() for X in np.meshgrid(*axes, indexing="ij")], axis=1)
+        weights = []
+        for c, h in zip(inner, self.spacing):
+            w = np.full(c, h)
             w[0] += 0.5 * h
             w[-1] += 0.5 * h
-            self.node_weights = w
-            self.cell_weights = np.full(n, h)
-            self._domain_nodes = None
+            weights.append(w)
+        self.node_weights = reduce(np.multiply.outer, weights).ravel()
+
+        node = np.full(tuple(c + 1 for c in self.counts), n)
+        node[(slice(1, -1),) * self.dim] = np.arange(n).reshape(inner)
+        if self.dim == 1:
+            plus, minus = [[node[1:]]], [[node[:-1]]]
         else:
-            nx, ny = self.counts
-            hx, hy = self.spacing
-            if self.mask is not None:
-                self.mask = np.asarray(self.mask, dtype=bool)
-                if self.mask.shape != (nx + 1, ny + 1):
-                    raise ConfigError(
-                        f"mask must have node shape {(nx + 1, ny + 1)}")
-            inside = np.ones((nx + 1, ny + 1), dtype=bool)
-            inside[0, :] = inside[-1, :] = False
-            inside[:, 0] = inside[:, -1] = False
-            if self.mask is not None:
-                inside &= self.mask
-            self._domain_nodes = inside
-            self._interior_index = np.flatnonzero(inside.ravel())
-            self.interior_count = int(self._interior_index.size)
-            xs = np.arange(nx + 1) * hx
-            ys = np.arange(ny + 1) * hy
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            self.interior_coords = np.stack(
-                [X.ravel()[self._interior_index],
-                 Y.ravel()[self._interior_index]], axis=1)
-            wx = np.full(nx + 1, hx)
-            wx[1] += 0.5 * hx
-            wx[-2] += 0.5 * hx
-            wx[0] = wx[-1] = 0.0
-            wy = np.full(ny + 1, hy)
-            wy[1] += 0.5 * hy
-            wy[-2] += 0.5 * hy
-            wy[0] = wy[-1] = 0.0
-            W = np.outer(wx, wy)
-            self.node_weights = W.ravel()[self._interior_index]
-            # cells with every corner outside the domain carry no weight
-            corners = (inside[:-1, :-1] | inside[1:, :-1]
-                       | inside[:-1, 1:] | inside[1:, 1:])
-            self.cell_weights = np.where(corners, hx * hy, 0.0)
+            # triangles (00, 10, 11) then (00, 01, 11) of each cell
+            c00, c10 = node[:-1, :-1], node[1:, :-1]
+            c01, c11 = node[:-1, 1:], node[1:, 1:]
+            plus = [[c10, c11], [c11, c01]]
+            minus = [[c00, c01], [c10, c00]]
+        self.plus, self.minus = (
+            np.array([np.concatenate([b.ravel() for b in axis])
+                      for axis in side]) for side in (plus, minus))
+        self.cell_weights = np.full(self.plus.shape[1],
+                                    math.prod(self.spacing)
+                                    / math.factorial(self.dim))
+        self.row_spacing = np.array(self.spacing).reshape(-1, 1)
+
+        # row r of B adds c_r at (plus, plus) and (minus, minus) and -c_r at
+        # (lo, hi) = the pair in order; entries on the appended zero go to
+        # one discarded slot after the (bandwidth + 1) x n band
+        p, q = self.plus.ravel(), self.minus.ravel()
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        both = hi < n
+        u = self.bandwidth = int(np.max(hi - lo, where=both, initial=0))
+        drop = (u + 1) * n
+        self.band_slots = np.concatenate([
+            np.where(p < n, u * n + p, drop),
+            np.where(q < n, u * n + q, drop),
+            np.where(both, (u + lo - hi) * n + hi, drop)])
 
     @property
     def measure(self):
-        if self.mask is None:
-            return float(np.prod(self.extents))
-        return float(np.sum(self.cell_weights))
+        return math.prod(self.extents)
 
     @property
     def inner_radius(self):
-        """Largest inscribed-ball radius; exact for intervals and
-        rectangles, grid-based estimate for masked domains."""
-        if self.dim == 1:
-            return 0.5 * self.extents[0]
-        if self.mask is None:
-            return 0.5 * min(self.extents)
-        from scipy import ndimage
-        dist = ndimage.distance_transform_edt(
-            self._domain_nodes, sampling=self.spacing)
-        return float(dist.max())
+        """Largest inscribed-ball radius (exact for intervals and
+        rectangles)."""
+        return 0.5 * min(self.extents)
 
     def zeros(self):
         return ScalarField(np.zeros(self.interior_count), self)
@@ -123,24 +123,13 @@ class Mesh:
             return self.field(np.asarray([fn(x) for x in pts[:, 0]]))
         return self.field(np.asarray([fn(x, y) for x, y in pts]))
 
-    def full_values(self, u):
-        """Nodal array over all nodes, boundary and masked nodes at zero."""
-        values = _conform(u, self)
-        if self.dim == 1:
-            full = np.zeros(self.counts[0] + 1)
-            full[1:-1] = values
-            return full
-        full = np.zeros((self.counts[0] + 1) * (self.counts[1] + 1))
-        full[self._interior_index] = values
-        return full.reshape(self.counts[0] + 1, self.counts[1] + 1)
-
     @classmethod
     def interval(cls, length, cells):
         return cls(1, (length,), (cells,))
 
     @classmethod
-    def rectangle(cls, lx, ly, nx, ny, mask=None):
-        return cls(2, (lx, ly), (nx, ny), mask=mask)
+    def rectangle(cls, lx, ly, nx, ny):
+        return cls(2, (lx, ly), (nx, ny))
 
     @classmethod
     def from_config(cls, cfg):
@@ -206,36 +195,23 @@ def _conform(u, m):
     return values
 
 
-def cell_gradient_magnitudes(u, m):
-    """Per-cell gradient magnitude of the piecewise-(bi)linear interpolant.
-
-    1D: forward difference per cell.  2D: cell magnitude from the
-    bilinear-element average of the axis differences.
-    """
-    if m.dim == 1:
-        full = m.full_values(u)
-        return np.abs(np.diff(full)) / m.spacing[0]
-    full = m.full_values(u)
-    hx, hy = m.spacing
-    gx = (full[1:, :-1] - full[:-1, :-1] + full[1:, 1:] - full[:-1, 1:]) \
-        / (2.0 * hx)
-    gy = (full[:-1, 1:] - full[:-1, :-1] + full[1:, 1:] - full[1:, :-1]) \
-        / (2.0 * hy)
-    return np.hypot(gx, gy)
-
-
 def cell_gradients(u, m):
-    """Signed cell slope(s): 1D signed slope array, 2D (gx, gy) pair."""
-    if m.dim == 1:
-        full = m.full_values(u)
-        return np.diff(full) / m.spacing[0]
-    full = m.full_values(u)
-    hx, hy = m.spacing
-    gx = (full[1:, :-1] - full[:-1, :-1] + full[1:, 1:] - full[:-1, 1:]) \
-        / (2.0 * hx)
-    gy = (full[:-1, 1:] - full[:-1, :-1] + full[1:, 1:] - full[1:, :-1]) \
-        / (2.0 * hy)
-    return gx, gy
+    """Element gradients B u, shape (dim, elements): row k holds each
+    element's slope along axis k."""
+    ext = np.concatenate((_conform(u, m), [0.0]))
+    return (ext[m.plus] - ext[m.minus]) / m.row_spacing
+
+
+def gradient_magnitudes(slopes):
+    """|B_e u| per element from the rows of :func:`cell_gradients`."""
+    # a one-row norm is |x|, which is exact and cheaper than a reduction
+    return np.abs(slopes[0]) if len(slopes) == 1 else np.hypot(*slopes)
+
+
+def cell_gradient_magnitudes(u, m):
+    """Gradient magnitude on each element of the piecewise-linear
+    interpolant."""
+    return gradient_magnitudes(cell_gradients(u, m))
 
 
 def bump_field(m, r, center=None):

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .errors import ConfigError, OrliczError, ZeroDenominatorError
-from .mesh import Mesh, ScalarField, cell_gradients, bump_field
+from .mesh import ScalarField, bump_field, cell_gradients, gradient_magnitudes
 from .young import NormalizationResult, _check_alpha, _normalize
 
 __all__ = [
@@ -84,48 +82,29 @@ def _regularized_coef(F, g):
 
 
 def energy(F, u, m):
-    """Quadrature of A over the cell gradient magnitudes."""
-    if m.dim == 1:
-        g = np.abs(cell_gradients(u, m))
-        return float(np.dot(m.cell_weights, F.A(g)))
-    gx, gy = cell_gradients(u, m)
-    g = np.hypot(gx, gy)
-    return float(np.sum(m.cell_weights * F.A(g)))
+    """Quadrature of A over the element gradient magnitudes."""
+    g = gradient_magnitudes(cell_gradients(u, m))
+    return float(np.dot(m.cell_weights, F.A(g)))
 
 
 def _cell_coefficient(F, values, m):
-    """Signed cell slopes (1D array, 2D (gx, gy) pair) and the regularized
-    a(g)/g at their magnitudes g."""
+    """Element gradients B u and the regularized a(g)/g at their
+    magnitudes g."""
     slopes = cell_gradients(values, m)
-    g = np.abs(slopes) if m.dim == 1 else np.hypot(*slopes)
-    return slopes, _regularized_coef(F, g)
+    return slopes, _regularized_coef(F, gradient_magnitudes(slopes))
 
 
 def energy_gradient(F, u, m, *, cells=None):
-    """Nodal gradient of the discrete energy (assembled weak form).
+    """Nodal gradient B^T (w a(g)/g B u) of the discrete energy.
     ``cells`` is the lagged stiffness of the running solve, whose memo of
     a(g)/g the preconditioner built at the same iterate reuses."""
     values = np.asarray(getattr(u, "values", u), dtype=float)
     slopes, coef = (cells.coefficient(F, values) if cells is not None
                     else _cell_coefficient(F, values, m))
-    if m.dim == 1:
-        t = m.cell_weights * coef * slopes / m.spacing[0]
-        return t[:-1] - t[1:]
-    gx, gy = slopes
-    coef = m.cell_weights * coef
-    hx, hy = m.spacing
-    fx = coef * gx / (2.0 * hx)
-    fy = coef * gy / (2.0 * hy)
-    G = np.zeros((m.counts[0] + 1, m.counts[1] + 1))
-    G[1:, :-1] += fx
-    G[1:, 1:] += fx
-    G[:-1, :-1] -= fx
-    G[:-1, 1:] -= fx
-    G[:-1, 1:] += fy
-    G[1:, 1:] += fy
-    G[:-1, :-1] -= fy
-    G[1:, :-1] -= fy
-    return G.ravel()[m._interior_index]
+    flux = (m.cell_weights * coef * slopes / m.row_spacing).ravel()
+    n = m.interior_count
+    return (np.bincount(m.plus.ravel(), flux, minlength=n + 1)
+            - np.bincount(m.minus.ravel(), flux, minlength=n + 1))[:n]
 
 
 def mass_gradient(F, u, m):
@@ -182,12 +161,14 @@ def phi_root(F, u, m, alpha, r0=1.0):
 # -- preconditioners -------------------------------------------------------
 
 class _LaggedStiffness:
-    """Lagged-coefficient stiffness solves of one local solve.
+    """Lagged-coefficient stiffness solves of one local solve: the
+    Cholesky factor of B^T diag(w a(g)/g) B, assembled straight into the
+    mesh's upper banded storage.
 
     A one-entry memo, keyed on the Young function and the field's contents,
-    keeps the cell slopes and a(g)/g of the last iterate, so the
-    preconditioner built at an iterate reuses the gradient's coefficient
-    (as :class:`orlicz_eigen.fractional._PairSums` does).
+    keeps B u and a(g)/g of the last iterate, so the preconditioner built
+    at an iterate reuses the gradient's coefficient (as
+    :class:`orlicz_eigen.fractional._PairSums` does).
     """
 
     def __init__(self, m):
@@ -195,7 +176,7 @@ class _LaggedStiffness:
         self._memo = None
 
     def coefficient(self, F, values):
-        """(cell slopes, a(g)/g) at ``values``."""
+        """(B u, a(g)/g) at ``values``."""
         memo = self._memo
         if memo is not None and memo[0] is F and np.array_equal(memo[1],
                                                                 values):
@@ -204,66 +185,20 @@ class _LaggedStiffness:
         self._memo = (F, values.copy(), out)
         return out
 
-
-class _Banded1D(_LaggedStiffness):
-    """Lagged-coefficient tridiagonal stiffness solve for 1D meshes."""
-
     def build(self, F, values):
+        m = self.m
         _, coef = self.coefficient(F, values)
         floor = 1e-10 * max(float(coef.max()), 1e-280)
         coef = np.maximum(coef, floor)
-        c = self.m.cell_weights * coef / self.m.spacing[0] ** 2
-        n = values.size
-        ab = np.zeros((2, n))
-        ab[1] = c[:-1] + c[1:]
-        ab[0, 1:] = -c[1:-1]
-        cho = sla.cholesky_banded(ab, lower=False)
+        c = (m.cell_weights * coef / m.row_spacing ** 2).ravel()
+        n = m.interior_count
+        ab = np.bincount(m.band_slots, np.concatenate((c, c, -c)),
+                         minlength=(m.bandwidth + 1) * n + 1)
+        cho = sla.cholesky_banded(ab[:-1].reshape(-1, n), lower=False)
 
         def solve(rhs):
             return sla.cho_solve_banded((cho, False), rhs)
         return solve
-
-
-class _Sparse2D(_LaggedStiffness):
-    """Lagged-coefficient bilinear-cell stiffness solve for 2D meshes."""
-
-    def __init__(self, m):
-        super().__init__(m)
-        nx, ny = m.counts
-        hx, hy = m.spacing
-        n_nodes = (nx + 1) * (ny + 1)
-        node = np.arange(n_nodes).reshape(nx + 1, ny + 1)
-        c00 = node[:-1, :-1].ravel()
-        c10 = node[1:, :-1].ravel()
-        c01 = node[:-1, 1:].ravel()
-        c11 = node[1:, 1:].ravel()
-        ncell = c00.size
-        rows = np.repeat(np.arange(ncell), 4)
-        cols_x = np.stack([c10, c11, c00, c01], axis=1).ravel()
-        vals_x = np.tile([1, 1, -1, -1], ncell) / (2.0 * hx)
-        cols_y = np.stack([c01, c11, c00, c10], axis=1).ravel()
-        vals_y = np.tile([1, 1, -1, -1], ncell) / (2.0 * hy)
-        Bx = sparse.csr_matrix((vals_x, (rows, cols_x)),
-                               shape=(ncell, n_nodes))
-        By = sparse.csr_matrix((vals_y, (rows, cols_y)),
-                               shape=(ncell, n_nodes))
-        idx = m._interior_index
-        self.Bx = Bx[:, idx]
-        self.By = By[:, idx]
-
-    def build(self, F, values):
-        _, coef = self.coefficient(F, values)
-        coef = self.m.cell_weights.ravel() * coef.ravel()
-        floor = 1e-10 * max(float(coef.max()), 1e-280)
-        W = sparse.diags(np.maximum(coef, floor))
-        K = (self.Bx.T @ W @ self.Bx + self.By.T @ W @ self.By).tocsc()
-        K = K + sparse.eye(K.shape[0]) * (1e-12 * K.diagonal().mean())
-        lu = spla.splu(K)
-        return lu.solve
-
-
-def _make_preconditioner(m):
-    return _Banded1D(m) if m.dim == 1 else _Sparse2D(m)
 
 
 # -- descent engine --------------------------------------------------------
@@ -521,7 +456,7 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     modular misses alpha by more than 1e-10 relative raises OrliczError.
     """
     opts = opts or SolveOptions()
-    cells = _make_preconditioner(m)
+    cells = _LaggedStiffness(m)
     problem = Problem(
         F, m,
         energy_fn=lambda v: energy(F, ScalarField(v, m), m),

@@ -3,15 +3,17 @@
 These are deliberately written against the mathematical problem, not against
 the package's internals: a tridiagonal generalized eigensolver assembled from
 the same quadrature rules (piecewise-linear stiffness with one-point cell
-quadrature, trapezoidal mass), and a shooting-method eigenvalue for the 1D
-p-Laplacian ODE with a closed-form cross-check.
+quadrature, trapezoidal mass), its 2D counterpart on the 5-point stencil,
+and a shooting-method eigenvalue for the 1D p-Laplacian ODE with a
+closed-form cross-check.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 from scipy import linalg as sla
+from scipy.sparse import linalg as spla
 
 
 def tridiagonal_forms(length, cells):
@@ -68,6 +70,34 @@ def closed_form_discrete_eigenvalue(length, cells):
     """2(1 - cos(pi h / L)) / h^2 for the uniform-mass tridiagonal problem."""
     h = length / cells
     return 2.0 * (1.0 - math.cos(math.pi * h / length)) / h ** 2
+
+
+def five_point_ground_eigenvalue(lx, ly, nx, ny):
+    """Smallest generalized eigenvalue of K v = lambda M v on the
+    (0, lx) x (0, ly) rectangle with nx x ny cells and zero boundary values.
+
+    K = (hy/hx) kron(T_x, I) + (hx/hy) kron(I, T_y) is the 5-point stencil
+    with T = tridiag(-1, 2, -1) per axis and the last axis fastest; M is
+    the product of the two axes' trapezoidal weights.
+    """
+    hx, hy = lx / nx, ly / ny
+
+    def axis(cells, h):
+        n = cells - 1
+        T = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                         [-1, 0, 1])
+        w = np.full(n, h)
+        w[0] += 0.5 * h
+        w[-1] += 0.5 * h
+        return T, sparse.identity(n), w
+
+    Tx, Ix, wx = axis(nx, hx)
+    Ty, Iy, wy = axis(ny, hy)
+    K = (hy / hx) * sparse.kron(Tx, Iy) + (hx / hy) * sparse.kron(Ix, Ty)
+    M = sparse.diags(np.outer(wx, wy).ravel())
+    vals = spla.eigsh(K.tocsc(), k=1, M=M.tocsc(), sigma=0.0,
+                      which="LM", return_eigenvectors=False)
+    return float(vals[0])
 
 
 def pi_p(p):

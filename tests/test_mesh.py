@@ -26,16 +26,6 @@ def test_rectangle_weights_sum_to_measure():
     assert m.measure == pytest.approx(6.0, rel=1e-14)
 
 
-def test_masked_rectangle_drops_nodes():
-    nx = ny = 10
-    mask = np.ones((nx + 1, ny + 1), dtype=bool)
-    mask[4:7, 4:7] = False
-    m = Mesh.rectangle(1.0, 1.0, nx, ny, mask=mask)
-    full = Mesh.rectangle(1.0, 1.0, nx, ny)
-    assert m.interior_count == full.interior_count - 9
-    assert m.inner_radius < full.inner_radius
-
-
 def test_inner_radius():
     assert Mesh.interval(4.0, 10).inner_radius == pytest.approx(2.0)
     assert Mesh.rectangle(1.0, 2.0, 10, 10).inner_radius == pytest.approx(0.5)
@@ -88,10 +78,14 @@ def test_gradient_consistency_sine_converges():
 
 def test_2d_gradient_magnitudes_plane():
     m = Mesh.rectangle(1.0, 1.0, 20, 20)
-    # u = x away from the boundary: central interior cells see unit slope
+    # u = x away from the boundary: every triangle with no boundary vertex
+    # sees unit slope
     u = m.field(m.interior_coords[:, 0])
     g = cell_gradient_magnitudes(u, m)
-    assert g[10, 10] == pytest.approx(1.0, rel=1e-12)
+    n = m.interior_count
+    inner = np.all((m.plus < n) & (m.minus < n), axis=0)
+    assert inner.sum() == 2 * 18 * 18
+    assert np.allclose(g[inner], 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_bump_field_plateau_and_gradient_bound():

@@ -203,11 +203,13 @@ def test_lagrange_quotient_rejects_zero(m200):
 # -- solve_E ----------------------------------------------------------------
 
 def test_solve_quadratic_matches_oracle(m200):
+    # at alpha = 1 the minimal energy of A = t^2 is the eigenvalue itself
     F = YoungFunction.power(2)
     res = solve_E(F, m200, 1.0)
     lam, _ = oracles.tridiagonal_ground_pair(1.0, 200)
     assert res.converged
-    assert res.lam == pytest.approx(lam, rel=1e-6)
+    assert res.lam == pytest.approx(lam, rel=1e-12)
+    assert res.energy == pytest.approx(lam, rel=1e-12)
     assert abs(res.alpha - 1.0) <= 1e-10
 
 
@@ -248,13 +250,43 @@ def test_returned_minimizer_nonnegative_up_to_sign(m200):
 
 
 def test_solve_2d_quadratic():
-    # one-point bilinear quadrature has a nearly degenerate ground pair in
-    # 2D, so the residual floors near 1e-7; the eigenvalue is still sharp
     m = Mesh.rectangle(1.0, 1.0, 30, 30)
     F = YoungFunction.power(2)
-    res = solve_E(F, m, 1.0, SolveOptions(tol=1e-6, restarts=2))
+    res = solve_E(F, m, 1.0, SolveOptions(restarts=2))
     assert res.converged
-    assert res.lam == pytest.approx(2.0 * math.pi ** 2, rel=1e-2)
+    assert res.lam == pytest.approx(2.0 * math.pi ** 2, rel=5e-3)
+
+
+@pytest.mark.parametrize("lx,ly,nx,ny", [(1.0, 1.0, 16, 16),
+                                         (2.0, 1.0, 20, 8),
+                                         (1.0, 3.0, 6, 15)])
+def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
+    # on right P1 triangles the stiffness is the 5-point stencil
+    F = YoungFunction.power(2)
+    res = solve_E(F, Mesh.rectangle(lx, ly, nx, ny), 1.0)
+    assert res.converged
+    assert res.lam == pytest.approx(
+        oracles.five_point_ground_eigenvalue(lx, ly, nx, ny), rel=1e-12)
+
+
+def test_solve_2d_quadratic_converges_to_two_pi_squared():
+    F = YoungFunction.power(2)
+    errs = []
+    for n in (8, 16, 32, 64):
+        res = solve_E(F, Mesh.rectangle(1.0, 1.0, n, n), 1.0)
+        assert res.converged and res.iterations < 50
+        errs.append(abs(res.lam - 2.0 * math.pi ** 2))
+    # at least h^2: each halving of h cuts the error by 4 or more
+    assert errs[1] >= 4.0 * errs[2] and errs[2] >= 4.0 * errs[3]
+
+
+@pytest.mark.parametrize("F", [YoungFunction.sum_of_powers(2, 4),
+                               YoungFunction.exp_minus_poly(2)],
+                         ids=["sop24", "exp2"])
+def test_solve_2d_nonquadratic_converges_at_default_tol(F):
+    res = solve_E(F, Mesh.rectangle(1.0, 1.0, 16, 16), 1.0)
+    assert res.converged and res.residual < 1e-8
+    assert res.iterations < 50
 
 
 def test_constraint_postcondition_raises(m200, monkeypatch):
@@ -437,13 +469,13 @@ def test_preconditioner_reuses_the_gradients_coefficient(m, monkeypatch):
     rng = np.random.default_rng(3)
     u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
     rhs = rng.standard_normal(m.interior_count)
-    cells = solver._make_preconditioner(m)
+    cells = solver._LaggedStiffness(m)
     g = energy_gradient(F, u, m, cells=cells)
     assert np.array_equal(g, energy_gradient(F, u, m))
     calls.clear()
     hit = cells.build(F, u)(rhs)
     assert calls == []  # same iterate: the gradient's a(g)/g is reused
-    assert np.array_equal(hit, solver._make_preconditioner(m).build(F, u)(rhs))
+    assert np.array_equal(hit, solver._LaggedStiffness(m).build(F, u)(rhs))
     assert len(calls) == 1  # a fresh build evaluates a once
     # an iterate changed in place after the gradient misses the memo
     u[3] *= 1.5
@@ -451,12 +483,12 @@ def test_preconditioner_reuses_the_gradients_coefficient(m, monkeypatch):
     moved = cells.build(F, u)(rhs)
     assert len(calls) == 1
     assert np.array_equal(moved,
-                          solver._make_preconditioner(m).build(F, u)(rhs))
+                          solver._LaggedStiffness(m).build(F, u)(rhs))
     # so does another Young function at the same iterate
     calls.clear()
     G = YoungFunction.power(3)
     assert np.array_equal(cells.build(G, u)(rhs),
-                          solver._make_preconditioner(m).build(G, u)(rhs))
+                          solver._LaggedStiffness(m).build(G, u)(rhs))
     assert calls == []
 
 
