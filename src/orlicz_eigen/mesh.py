@@ -9,6 +9,8 @@ legs.  The gradient is constant on every element, so element weights
 times A(|B_e u|) integrate A(|grad u|) exactly.  Boundary nodes point to a
 zero appended after the interior values.  Zero-order terms use nodal
 quadrature whose weights sum exactly to the domain measure.
+:class:`orlicz_eigen.fractional.NonlocalMesh` builds its pair rows in the
+same layout.
 """
 
 import math
@@ -87,18 +89,7 @@ class Mesh:
                                     / math.factorial(self.dim))
         self.row_spacing = np.array(self.spacing).reshape(-1, 1)
 
-        # row r of B adds c_r at (plus, plus) and (minus, minus) and -c_r at
-        # (lo, hi) = the pair in order; entries on the appended zero go to
-        # one discarded slot after the (bandwidth + 1) x n band
-        p, q = self.plus.ravel(), self.minus.ravel()
-        lo, hi = np.minimum(p, q), np.maximum(p, q)
-        both = hi < n
-        u = self.bandwidth = int(np.max(hi - lo, where=both, initial=0))
-        drop = (u + 1) * n
-        self.band_slots = np.concatenate([
-            np.where(p < n, u * n + p, drop),
-            np.where(q < n, u * n + q, drop),
-            np.where(both, (u + lo - hi) * n + hi, drop)])
+        self.bandwidth, self.band_slots = band_slots(self.plus, self.minus, n)
 
     @property
     def measure(self):
@@ -147,6 +138,23 @@ class Mesh:
 
     def __repr__(self):
         return f"Mesh(dim={self.dim}, extents={self.extents}, counts={self.counts})"
+
+
+def band_slots(plus, minus, n):
+    """Bandwidth u and the slots where each difference row's entries of the
+    stiffness B^T diag(c) B land in (u + 1) x n upper banded storage: row r
+    adds c_r at (plus, plus) and (minus, minus) and -c_r at (lo, hi), the
+    pair in order; entries on the appended zero (node n) go to one
+    discarded slot after the band."""
+    p, q = plus.ravel(), minus.ravel()
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    both = hi < n
+    u = int(np.max(hi - lo, where=both, initial=0))
+    drop = (u + 1) * n
+    return u, np.concatenate([
+        np.where(p < n, u * n + p, drop),
+        np.where(q < n, u * n + q, drop),
+        np.where(both, (u + lo - hi) * n + hi, drop)])
 
 
 @dataclass

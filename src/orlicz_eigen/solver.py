@@ -6,8 +6,9 @@ rescaled back onto the constraint by the root of the monotone normalization
 map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
 stiffness solve and projected onto the constraint tangent.
-The same engine drives the local problem here and the fractional pair-sum
-problem in :mod:`orlicz_eigen.fractional`.
+The same engine, energy, gradient and stiffness drive the local problem
+here and the fractional pair-sum problem in :mod:`orlicz_eigen.fractional`,
+whose interior pairs are difference rows like the local cells.
 """
 
 import math
@@ -141,11 +142,18 @@ def _stationarity(g, mg, values, weights, lam=None):
                 "zero-order pairing underflowed; cannot form the quotient")
         lam = float(np.dot(g, values)) / den
     inv_w = 1.0 / weights
-    defect = g - lam * mg
-    denom = math.sqrt(float(np.dot(g * g, inv_w)))
+    # g and the defect are scaled by a power of two just above max|g| (at
+    # most 2^1000, which a subnormal g would exceed) before squaring:
+    # exact, and g g cannot overflow
+    gmax = float(np.abs(g).max())
+    scale = math.ldexp(1.0, -max(math.frexp(gmax)[1], -1000))
+    gs = g * scale
+    denom = float(np.dot(gs * gs, inv_w))
     if denom == 0.0:
         return lam, math.inf
-    return lam, math.sqrt(float(np.dot(defect * defect, inv_w))) / denom
+    defect = gs - (lam * scale) * mg
+    res = math.sqrt(float(np.dot(defect * defect, inv_w))) / math.sqrt(denom)
+    return lam, res if math.isfinite(res) else math.inf
 
 
 # -- normalization ---------------------------------------------------------
@@ -160,19 +168,33 @@ def phi_root(F, u, m, alpha, r0=1.0):
 
 # -- preconditioners -------------------------------------------------------
 
+def _lifted(x, keep=0.0, least=0.0):
+    """x, or a copy in which each entry that is not finite or not above
+    ``keep`` times the largest positive finite entry M is lifted to
+    1e-10 max(M, least)."""
+    top = x.max()
+    if top < math.inf and x.min() > keep * top:  # NaN fails both tests
+        return x
+    ok = np.isfinite(x) & (x > 0.0)
+    top = max(float(np.max(x, where=ok, initial=0.0)), least)
+    return np.where(ok & (x > keep * top), x, 1e-10 * top)
+
+
 class _LaggedStiffness:
-    """Lagged-coefficient stiffness solves of one local solve: the
-    Cholesky factor of B^T diag(w a(g)/g) B, assembled straight into the
-    mesh's upper banded storage.
+    """Lagged-coefficient stiffness solves of one solve: the Cholesky
+    factor of B^T diag(w a(g)/g) B over the difference rows of any mesh
+    (cells, triangles or nonlocal pairs), assembled straight into its upper
+    banded storage.  ``diagonal(F, values)``, if given, is added to the
+    band's diagonal (the nonlocal exterior).
 
     A one-entry memo, keyed on the Young function and the field's contents,
     keeps B u and a(g)/g of the last iterate, so the preconditioner built
-    at an iterate reuses the gradient's coefficient (as
-    :class:`orlicz_eigen.fractional._PairSums` does).
+    at an iterate reuses the gradient's coefficient.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, diagonal=None):
         self.m = m
+        self.diagonal = diagonal
         self._memo = None
 
     def coefficient(self, F, values):
@@ -185,16 +207,32 @@ class _LaggedStiffness:
         self._memo = (F, values.copy(), out)
         return out
 
-    def build(self, F, values):
+    def band(self, F, values, keep=0.0):
+        """Upper banded storage, (bandwidth + 1) x n, of the stiffness at
+        ``values``.  Zero (underflowed) or non-finite coefficients a(g)/g,
+        and those not above ``keep`` times the largest, are lifted by
+        :func:`_lifted`; then so are zero or non-finite diagonal entries."""
         m = self.m
-        _, coef = self.coefficient(F, values)
-        floor = 1e-10 * max(float(coef.max()), 1e-280)
-        coef = np.maximum(coef, floor)
+        coef = _lifted(self.coefficient(F, values)[1], keep)
         c = (m.cell_weights * coef / m.row_spacing ** 2).ravel()
         n = m.interior_count
         ab = np.bincount(m.band_slots, np.concatenate((c, c, -c)),
-                         minlength=(m.bandwidth + 1) * n + 1)
-        cho = sla.cholesky_banded(ab[:-1].reshape(-1, n), lower=False)
+                         minlength=(m.bandwidth + 1) * n + 1)[:-1]
+        ab = ab.reshape(-1, n)
+        if self.diagonal is not None:
+            ab[-1] += self.diagonal(F, values)
+        ab[-1] = _lifted(ab[-1], least=1e-280)
+        return ab
+
+    def build(self, F, values):
+        try:
+            cho = sla.cholesky_banded(self.band(F, values), lower=False)
+        except sla.LinAlgError:
+            # coefficients spread past the working precision cancel a pivot
+            # of a weakly dominant band (1D cells, steep exp_minus_poly
+            # fields): factor again with them within 1e10 of the largest
+            cho = sla.cholesky_banded(self.band(F, values, keep=1e-10),
+                                      lower=False)
 
         def solve(rhs):
             return sla.cho_solve_banded((cho, False), rhs)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
 
-from orlicz_eigen.errors import ConfigError
-from orlicz_eigen.fractional import (ROW_BLOCK, NonlocalMesh, _PairSums,
-                                     _primitive, _primitive_by_rule,
+from orlicz_eigen.errors import ConfigError, ConformanceError
+from orlicz_eigen.fractional import (NonlocalMesh, _primitive,
+                                     _primitive_by_rule, _stiffness,
                                      energy_s, energy_s_gradient,
                                      lagrange_quotient_s, solve_Es,
                                      weak_residual_s)
@@ -48,10 +48,36 @@ def test_from_config_rejects_r_cut():
                                   "r_cut": 4.0})
 
 
+def _dense_stiffness(F, u, nm, cells=None):
+    """The lagged stiffness of a solve (``cells``, or a fresh one), read
+    out of its upper band."""
+    ab = (cells or _stiffness(nm)).band(F, u)
+    b = ab.shape[0] - 1
+    K = sum(np.diag(ab[b - k, k:], k) for k in range(1, b + 1))
+    return K + K.T + np.diag(ab[b])
+
+
 def test_pair_weights_symmetric_positive(nm):
-    assert _close(nm._w, nm._w.T)
-    off_diag = nm._w[~np.eye(nm.interior_count, dtype=bool)]
-    assert np.all(off_diag > 0.0)
+    # one row per unordered pair i < j covers each off-diagonal entry once,
+    # with the weight 2 h^2/|x_i - x_j| of both orders
+    n = nm.interior_count
+    W = np.zeros((n, n))
+    np.add.at(W, (nm.plus[0], nm.minus[0]), nm.cell_weights)
+    np.add.at(W, (nm.minus[0], nm.plus[0]), nm.cell_weights)
+    assert _close(W, W.T)
+    off_diag = ~np.eye(n, dtype=bool)
+    assert np.all(W[off_diag] > 0.0)
+    D = np.abs(nm.x[:, None] - nm.x[None, :])
+    assert _close(W[off_diag], 2.0 * nm.h * nm.h / D[off_diag])
+
+
+@pytest.mark.parametrize("fn", [energy_s, energy_s_gradient],
+                         ids=["energy", "gradient"])
+def test_wrong_shape_field_raises_conformance_error(nm, fn):
+    # the same fault as a wrong-shape field on a local mesh
+    F = YoungFunction.power(2)
+    with pytest.raises(ConformanceError):
+        fn(F, np.zeros(nm.interior_count + 1), nm)
 
 
 def test_energy_zero_field(nm):
@@ -165,13 +191,15 @@ def _assert_matches_dense_reference(F, nm):
     E, g, K = _dense_reference(F, u, nm)
     assert energy_s(F, u, nm) == pytest.approx(E, rel=1e-13)
     assert _close(energy_s_gradient(F, u, nm), g)
-    assert _close(_PairSums(nm).stiffness(F, u), K)
+    assert _close(_dense_stiffness(F, u, nm), K)
 
 
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
 def test_block_assembly_matches_dense_reference(F):
+    # an odd N: one row per unordered pair, every pair within the band
     nm = NonlocalMesh(1.0, 37, 0.4)
-    assert nm.interior_count % ROW_BLOCK != 0
+    assert nm.plus.shape == nm.minus.shape == (1, 37 * 36 // 2)
+    assert nm.bandwidth == 36
     _assert_matches_dense_reference(F, nm)
 
 
@@ -179,20 +207,20 @@ def test_block_assembly_matches_dense_reference(F):
                          ids=["even", "s0.7", "s0.3"])
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
 def test_exterior_matches_quad_reference(F, geometry):
-    # even N is a multiple of ROW_BLOCK; s spans the range of the halo tests
+    # an even N; s spans the range of the halo tests
     _assert_matches_dense_reference(F, NonlocalMesh(1.0, *geometry))
 
 
 def test_stiffness_diagonal_not_lifted():
     # exp_minus_poly(2) at s = 0.7: the lagged diagonals span many orders,
     # and a floor at 1e-10 of the largest once lifted most rows; a positive
-    # finite diagonal is now kept as assembled, row by row
+    # finite coefficient and diagonal are kept as assembled, row by row
     F = YoungFunction.exp_minus_poly(2)
     nm = NonlocalMesh(1.0, 40, 0.7)
     u = np.random.default_rng(4).standard_normal(nm.interior_count)
     ref = np.diag(_dense_reference(F, u, nm)[2])
     assert ref.max() > 1e12 * ref.min()
-    np.testing.assert_allclose(np.diag(_PairSums(nm).stiffness(F, u)), ref,
+    np.testing.assert_allclose(np.diag(_dense_stiffness(F, u, nm)), ref,
                                rtol=1e-13, atol=0.0)
 
 
@@ -202,11 +230,11 @@ def test_stiffness_guards_vanishing_rows():
     F = YoungFunction.exp_neg_inv_power(1)
     nm = NonlocalMesh(1.0, 12, 0.5)
     u = np.full(nm.interior_count, 1e-5)
-    pairs = _PairSums(nm)
-    K = pairs.stiffness(F, u)
+    K = _dense_stiffness(F, u, nm)
     d = np.diag(K)
     assert np.all(K == np.diag(d)) and np.all(d > 0.0)
-    assert np.all(np.isfinite(pairs.build(F, u)(np.ones(nm.interior_count))))
+    assert np.all(np.isfinite(
+        _stiffness(nm).build(F, u)(np.ones(nm.interior_count))))
 
 
 def _grid(L, N):
@@ -311,24 +339,39 @@ def test_discrete_halo_converges_to_exterior_term(F, s):
 def test_pair_memo_never_stale():
     nm = NonlocalMesh(1.0, 21, 0.5)
     F2, F4 = YoungFunction.power(2), YoungFunction.power(4)
-    pairs = _PairSums(nm)
+    cells = _stiffness(nm)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(nm.interior_count)
+
+    def stiffness(F, u):
+        return _dense_stiffness(F, u, nm, cells)
+
     for F in (F2, F4, F2):
         # same field, another Young function on the same mesh
         _, g, K = _dense_reference(F, u, nm)
-        assert _close(pairs.gradient(F, u), g)
-        assert _close(pairs.stiffness(F, u), K)
+        assert _close(energy_s_gradient(F, u, nm, cells=cells), g)
+        assert _close(stiffness(F, u), K)
     # the field changed in place under the memo
     u[3] += 0.5
     _, g, K = _dense_reference(F2, u, nm)
-    assert _close(pairs.stiffness(F2, u), K)
-    assert _close(pairs.gradient(F2, u), g)
+    assert _close(stiffness(F2, u), K)
+    assert _close(energy_s_gradient(F2, u, nm, cells=cells), g)
     # a gradient through the module call shares the solve's assembly
     u *= 2.0
     _, g, K = _dense_reference(F4, u, nm)
-    assert _close(energy_s_gradient(F4, u, nm, pairs=pairs), g)
-    assert _close(pairs.stiffness(F4, u), K)
+    assert _close(energy_s_gradient(F4, u, nm, cells=cells), g)
+    assert _close(stiffness(F4, u), K)
+
+
+def test_solve_pins_the_cli_answer():
+    # the CLI's `nonlocal --young sop24 --s 0.5 --alpha 1 --nodes 128
+    # --seed 1` answer (one BLAS thread), kept through refactors of the
+    # pair assembly
+    res = solve_Es(YoungFunction.sum_of_powers(2, 4),
+                   NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
+    assert res.converged
+    assert res.energy == pytest.approx(15.479058254662176, rel=1e-12)
+    assert res.lam == pytest.approx(15.696976705752444, rel=1e-12)
 
 
 def test_solves_on_shared_mesh_match_fresh_mesh():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from orlicz_eigen.errors import (BracketRangeError, ConfigError,
                                  OrliczError, ZeroDenominatorError)
@@ -490,6 +491,49 @@ def test_preconditioner_reuses_the_gradients_coefficient(m, monkeypatch):
     assert np.array_equal(cells.build(G, u)(rhs),
                           solver._LaggedStiffness(m).build(G, u)(rhs))
     assert calls == []
+
+
+def test_stiffness_lifts_a_block_cut_off_by_underflow():
+    # exp_neg_inv_power(1): a(g)/g underflows to 0 on the flat cells of
+    # nodes 0-14 and 24-39, cutting them off from the rest of the band; the
+    # lifted zero coefficients keep the solve bounded, where flooring only
+    # the diagonal left it nearly singular (max |K^-1 1| about 1.2e17)
+    m = Mesh.interval(1.0, 41)
+    F = YoungFunction.exp_neg_inv_power(1)
+    u = np.full(m.interior_count, 1e-3)
+    u[15:25:2] = 1.0
+    x = solver._LaggedStiffness(m).build(F, u)(np.ones(m.interior_count))
+    assert np.all(np.isfinite(x)) and np.max(np.abs(x)) < 1e12
+
+
+def test_stiffness_refactors_when_the_spread_cancels_a_pivot():
+    # exp_minus_poly(2) with one node at 8: the two cells at the peak carry
+    # a(g)/g about 1e140 times the rest, which cancels a pivot of the 1D
+    # band; the build factors again with the coefficients lifted to within
+    # 1e10 of the largest, as at alpha = 1e3 on interval:1.0,200
+    m = Mesh.interval(1.0, 41)
+    F = YoungFunction.exp_minus_poly(2)
+    u = np.full(m.interior_count, 1e-3)
+    u[20] = 8.0
+    cells = solver._LaggedStiffness(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cholesky_banded(cells.band(F, u), lower=False)
+    x = cells.build(F, u)(np.ones(m.interior_count))
+    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+
+
+def test_stationarity_of_a_huge_gradient_is_finite():
+    # a gradient entry of 4.1e169 (seen at alpha = 1e3 on exp_minus_poly(2))
+    # overflows g g unless g is scaled first, and a NaN residual would pass
+    # every "not yet converged" test
+    ones = np.ones(3)
+    lam, res = solver._stationarity(np.array([4.1e169, 1.0, 2.0]), ones,
+                                    ones, ones)
+    assert lam == pytest.approx(4.1e169 / 3, rel=1e-15)
+    assert res == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
+    # a gradient that is not finite has no residual to speak of
+    assert solver._stationarity(np.array([np.inf, 1.0, 2.0]), ones, ones,
+                                ones, lam=1.0)[1] == math.inf
 
 
 # -- multistart early stop --------------------------------------------------
