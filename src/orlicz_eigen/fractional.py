@@ -16,9 +16,10 @@ The distances d_L = x_i - h/2, d_R = L - x_i - h/2 start where the midpoint
 rule of the interior pairs ends, so E_ext is the limit of a discrete zero
 halo of growing width up to O(h).  Since G'(tau) = A(tau)/tau, its gradient
 is 2 dz u and its lagged stiffness the diagonal 2 dz, both added to the
-core's.  It costs 2N values of A per gradient or stiffness and 2N of G per
-energy; G is closed-form for Power and SumOfPowers, otherwise a fixed
-113-node rule (113 values of A each).
+core's.  It costs 2N values of A per iterate, which the gradient and the
+stiffness share through the core's row memo, and 2N of G per energy; G is
+closed-form for Power and SumOfPowers, otherwise a fixed 113-node rule
+(113 values of A each).
 """
 
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import Mesh, ScalarField, _conform, band_slots
+from .mesh import Mesh, ScalarField, _conform, band_slots, row_factors
 from .solver import (EPS_GRAD, Problem, SolveOptions, _LaggedStiffness,
                      _stationarity, energy, energy_gradient, mass_gradient,
                      minimize_with_restarts)
@@ -92,10 +93,12 @@ class NonlocalMesh:
     layout of :class:`orlicz_eigen.mesh.Mesh`: ``plus`` = i and ``minus`` =
     j as (1, pairs) arrays, ``row_spacing`` = |x_i - x_j|^s, and
     ``cell_weights`` = 2h^2/|x_i - x_j|, the midpoint rule of the measure
-    |x - y|^{-1} dxdy over both orders; ``bandwidth`` is N - 1.  ``mesh``
-    is the local interval, whose nodal quadrature the zero-order modular
-    uses.  The exterior is integrated exactly from d_L = x_i - h/2 and
-    d_R = L - x_i - h/2."""
+    |x - y|^{-1} dxdy over both orders; ``bandwidth`` is N - 1.  Their row
+    factors (:func:`orlicz_eigen.mesh.row_factors`) ``flux_weights`` =
+    w/|x_i - x_j|^s and ``band_weights`` = w/|x_i - x_j|^{2s} are
+    (1, pairs) arrays.  ``mesh`` is the local interval, whose nodal
+    quadrature the zero-order modular uses.  The exterior is integrated
+    exactly from d_L = x_i - h/2 and d_R = L - x_i - h/2."""
 
     length: float
     nodes: int
@@ -118,6 +121,8 @@ class NonlocalMesh:
         self.plus, self.minus = i.reshape(1, -1), j.reshape(1, -1)
         self.row_spacing = (d ** self.s).reshape(1, -1)
         self.cell_weights = 2.0 * h * h / d
+        self.flux_weights, self.band_weights = row_factors(
+            self.row_spacing, self.cell_weights)
         self.bandwidth, self.band_slots = band_slots(self.plus, self.minus, n)
         # Hölder scaling d^{-s} of the distances to the exterior, per side
         self._qx = np.stack([x - h / 2, self.length - x - h / 2],
@@ -150,25 +155,29 @@ def _exterior_coefficient(F, values, nm):
     return nm.h / nm.s * np.sum(nm._qx ** 2 * F.A(tau) / tau ** 2, axis=1)
 
 
-def energy_s(F, u, nm):
-    """Pair-row energy sum_e w_e A(|D^s u|) plus the exterior term."""
+def energy_s(F, u, nm, *, cells=None):
+    """Pair-row energy sum_e w_e A(|D^s u|) plus the exterior term.
+    ``cells`` is the lagged stiffness of the running solve, whose row memo
+    keeps D^s u for the gradient and the band at the same field."""
     values = _conform(u, nm)
     tau = np.abs(values)[:, None] * nm._qx
-    return (energy(F, values, nm)
+    return (energy(F, values, nm, cells=cells)
             + 2.0 * nm.h / nm.s * float(np.sum(_primitive(F, tau))))
 
 
 def energy_s_gradient(F, u, nm, *, cells=None):
     """Nodal gradient of :func:`energy_s`, with the a(t)/t factor
     regularized exactly as in the local assembly.  ``cells`` is the lagged
-    stiffness of the running solve, whose memo the preconditioner reuses."""
+    stiffness of the running solve, whose memo of the pair coefficient and
+    of the exterior diagonal the preconditioner reuses."""
     values = _conform(u, nm)
+    cells = cells or _stiffness(nm)
     return (energy_gradient(F, values, nm, cells=cells)
-            + 2.0 * _exterior_coefficient(F, values, nm) * values)
+            + cells.diagonal_term(F, values) * values)
 
 
 def _stiffness(nm):
-    """Lagged stiffness of the pair rows with the exterior diagonal."""
+    """Lagged stiffness of the pair rows with the exterior diagonal 2 dz."""
     return _LaggedStiffness(
         nm, diagonal=lambda F, v: 2.0 * _exterior_coefficient(F, v, nm))
 
@@ -199,7 +208,7 @@ def solve_Es(F, nm, alpha, opts=None, initial=None):
     cells = _stiffness(nm)
     problem = Problem(
         F, nm.mesh,
-        energy_fn=lambda v: energy_s(F, v, nm),
+        energy_fn=lambda v: energy_s(F, v, nm, cells=cells),
         gradient_fn=lambda v: energy_s_gradient(F, v, nm, cells=cells),
         precond_factory=cells)
     result = minimize_with_restarts(problem, alpha, opts, initial)

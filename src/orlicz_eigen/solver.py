@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConfigError, OrliczError, ZeroDenominatorError
-from .mesh import ScalarField, bump_field, cell_gradients, gradient_magnitudes
+from .mesh import (ScalarField, _conform, bump_field, cell_gradients,
+                   gradient_magnitudes)
 from .young import NormalizationResult, _check_alpha, _normalize
 
 __all__ = [
@@ -82,27 +83,24 @@ def _regularized_coef(F, g):
     return F.a(gr) / gr
 
 
-def energy(F, u, m):
-    """Quadrature of A over the element gradient magnitudes."""
-    g = gradient_magnitudes(cell_gradients(u, m))
+def energy(F, u, m, *, cells=None):
+    """Quadrature of A over the element gradient magnitudes.  ``cells`` is
+    the lagged stiffness of the running solve, whose row memo keeps B u
+    for the gradient and the band at the same field."""
+    values = _conform(u, m)
+    g = (cells or _LaggedStiffness(m)).rows(values)[1]
     return float(np.dot(m.cell_weights, F.A(g)))
-
-
-def _cell_coefficient(F, values, m):
-    """Element gradients B u and the regularized a(g)/g at their
-    magnitudes g."""
-    slopes = cell_gradients(values, m)
-    return slopes, _regularized_coef(F, gradient_magnitudes(slopes))
 
 
 def energy_gradient(F, u, m, *, cells=None):
     """Nodal gradient B^T (w a(g)/g B u) of the discrete energy.
     ``cells`` is the lagged stiffness of the running solve, whose memo of
-    a(g)/g the preconditioner built at the same iterate reuses."""
-    values = np.asarray(getattr(u, "values", u), dtype=float)
-    slopes, coef = (cells.coefficient(F, values) if cells is not None
-                    else _cell_coefficient(F, values, m))
-    flux = (m.cell_weights * coef * slopes / m.row_spacing).ravel()
+    B u and a(g)/g the energy and the preconditioner at the same field
+    share."""
+    values = _conform(u, m)
+    cells = cells or _LaggedStiffness(m)
+    slopes = cells.rows(values)[0]
+    flux = (cells.coefficient(F, values) * slopes * m.flux_weights).ravel()
     n = m.interior_count
     return (np.bincount(m.plus.ravel(), flux, minlength=n + 1)
             - np.bincount(m.minus.ravel(), flux, minlength=n + 1))[:n]
@@ -187,25 +185,48 @@ class _LaggedStiffness:
     banded storage.  ``diagonal(F, values)``, if given, is added to the
     band's diagonal (the nonlocal exterior).
 
-    A one-entry memo, keyed on the Young function and the field's contents,
-    keeps B u and a(g)/g of the last iterate, so the preconditioner built
-    at an iterate reuses the gradient's coefficient.
+    A one-entry row memo, keyed on the field's contents, keeps B u and
+    g = |B u| of the last field seen, and on top of it, per Young function,
+    a(g)/g and the diagonal term.  The line-search energy of a trial fills
+    it; once the trial is accepted, the gradient and the band built there
+    read it instead of touching the rows again.  Any other field (a
+    rejected trial's successor, or an array changed in place) misses the
+    key and replaces the entry.
     """
 
     def __init__(self, m, diagonal=None):
         self.m = m
         self.diagonal = diagonal
-        self._memo = None
+        self._memo = None  # (values, B u, |B u|, {name: (F, value)})
+
+    def rows(self, values):
+        """(B u, |B u|) at ``values``, a conforming float array."""
+        memo = self._memo
+        if memo is None or not np.array_equal(memo[0], values):
+            slopes = cell_gradients(values, self.m)
+            memo = self._memo = (values.copy(), slopes,
+                                 gradient_magnitudes(slopes), {})
+        return memo[1], memo[2]
+
+    def _per_young(self, F, values, name, compute):
+        self.rows(values)
+        per_young = self._memo[3]
+        hit = per_young.get(name)
+        if hit is None or hit[0] is not F:
+            hit = per_young[name] = (F, compute())
+        return hit[1]
 
     def coefficient(self, F, values):
-        """(B u, a(g)/g) at ``values``."""
-        memo = self._memo
-        if memo is not None and memo[0] is F and np.array_equal(memo[1],
-                                                                values):
-            return memo[2]
-        out = _cell_coefficient(F, values, self.m)
-        self._memo = (F, values.copy(), out)
-        return out
+        """a(g)/g at g = |B u|, regularized at vanishing g."""
+        return self._per_young(F, values, "coef", lambda: _regularized_coef(
+            F, self._memo[2]))
+
+    def diagonal_term(self, F, values):
+        """``diagonal(F, values)``, or None without the hook."""
+        if self.diagonal is None:
+            return None
+        return self._per_young(F, values, "diagonal",
+                               lambda: self.diagonal(F, values))
 
     def band(self, F, values, keep=0.0):
         """Upper banded storage, (bandwidth + 1) x n, of the stiffness at
@@ -213,30 +234,56 @@ class _LaggedStiffness:
         and those not above ``keep`` times the largest, are lifted by
         :func:`_lifted`; then so are zero or non-finite diagonal entries."""
         m = self.m
-        coef = _lifted(self.coefficient(F, values)[1], keep)
-        c = (m.cell_weights * coef / m.row_spacing ** 2).ravel()
+        c = (_lifted(self.coefficient(F, values), keep)
+             * m.band_weights).ravel()
         n = m.interior_count
         ab = np.bincount(m.band_slots, np.concatenate((c, c, -c)),
                          minlength=(m.bandwidth + 1) * n + 1)[:-1]
         ab = ab.reshape(-1, n)
-        if self.diagonal is not None:
-            ab[-1] += self.diagonal(F, values)
+        extra = self.diagonal_term(F, values)
+        if extra is not None:
+            ab[-1] += extra
         ab[-1] = _lifted(ab[-1], least=1e-280)
         return ab
 
     def build(self, F, values):
-        try:
-            cho = sla.cholesky_banded(self.band(F, values), lower=False)
-        except sla.LinAlgError:
+        """Solve with the stiffness at ``values``, factored by LAPACK's
+        banded Cholesky with the checks of ``scipy.linalg.cholesky_banded``
+        and ``cho_solve_banded``: a band or right-hand side that is not
+        finite raises ValueError, and a band that is not positive definite
+        raises LinAlgError after one retry."""
+        cho = _banded_cholesky(self.band(F, values))
+        if cho is None:
             # coefficients spread past the working precision cancel a pivot
             # of a weakly dominant band (1D cells, steep exp_minus_poly
             # fields): factor again with them within 1e10 of the largest
-            cho = sla.cholesky_banded(self.band(F, values, keep=1e-10),
-                                      lower=False)
+            cho = _banded_cholesky(self.band(F, values, keep=1e-10))
+            if cho is None:
+                raise np.linalg.LinAlgError(
+                    "lagged stiffness is not positive definite")
 
         def solve(rhs):
-            return sla.cho_solve_banded((cho, False), rhs)
+            rhs = np.asarray(rhs, dtype=float)
+            if not np.isfinite(rhs).all():
+                raise ValueError("right-hand side must not contain infs "
+                                 "or NaNs")
+            x, info = dpbtrs(cho, rhs)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of "
+                                 "dpbtrs")
+            return x
         return solve
+
+
+def _banded_cholesky(ab):
+    """Upper Cholesky factor of the banded ``ab``, or None when a leading
+    minor is not positive; a band that is not finite raises ValueError."""
+    if not np.isfinite(ab).all():
+        raise ValueError("stiffness band must not contain infs or NaNs")
+    cho, info = dpbtrf(ab)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return cho if info == 0 else None
 
 
 # -- descent engine --------------------------------------------------------
@@ -497,7 +544,7 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     cells = _LaggedStiffness(m)
     problem = Problem(
         F, m,
-        energy_fn=lambda v: energy(F, ScalarField(v, m), m),
+        energy_fn=lambda v: energy(F, ScalarField(v, m), m, cells=cells),
         gradient_fn=lambda v: energy_gradient(F, ScalarField(v, m), m,
                                               cells=cells),
         precond_factory=cells)

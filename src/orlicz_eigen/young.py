@@ -84,6 +84,8 @@ def _ipow(t, e):
 def _saturate(out):
     """Map every non-finite value of ``out`` to SATURATION, then clip it to
     [0, SATURATION], in place: ``out`` is a float array the caller owns."""
+    if out.size and out.min() > 0.0 and out.max() <= SATURATION:
+        return out  # nothing to map (NaN fails both tests, and -0.0 maps)
     np.copyto(out, SATURATION, where=out == -np.inf)
     np.fmin(out, SATURATION, out=out)
     np.maximum(out, 0.0, out=out)
@@ -287,6 +289,8 @@ class YoungFunction:
 
     def a(self, t):
         """Density value(s) a(t)."""
+        if type(t) is np.ndarray and t.dtype == np.float64 and t.ndim:
+            return self._a_impl(t)  # what the general path makes of t
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
@@ -295,6 +299,8 @@ class YoungFunction:
 
     def A(self, t):
         """Primitive value(s) A(t), saturating at SATURATION on overflow."""
+        if type(t) is np.ndarray and t.dtype == np.float64 and t.ndim:
+            return self._A_impl(t)
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)

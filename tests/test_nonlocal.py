@@ -346,21 +346,51 @@ def test_pair_memo_never_stale():
     def stiffness(F, u):
         return _dense_stiffness(F, u, nm, cells)
 
+    def energy(F, u):
+        # the line-search energy fills the memo the gradient then reads
+        E = energy_s(F, u, nm, cells=cells)
+        assert E == energy_s(F, u.copy(), nm)
+        return E
+
     for F in (F2, F4, F2):
         # same field, another Young function on the same mesh
-        _, g, K = _dense_reference(F, u, nm)
+        E, g, K = _dense_reference(F, u, nm)
+        assert energy(F, u) == pytest.approx(E, rel=1e-13)
         assert _close(energy_s_gradient(F, u, nm, cells=cells), g)
         assert _close(stiffness(F, u), K)
     # the field changed in place under the memo
     u[3] += 0.5
-    _, g, K = _dense_reference(F2, u, nm)
+    E, g, K = _dense_reference(F2, u, nm)
+    assert energy(F2, u) == pytest.approx(E, rel=1e-13)
     assert _close(stiffness(F2, u), K)
     assert _close(energy_s_gradient(F2, u, nm, cells=cells), g)
+    # a rejected trial between the gradient and the band at u
+    energy(F2, 3.0 * u)
+    assert _close(stiffness(F2, u), K)
     # a gradient through the module call shares the solve's assembly
     u *= 2.0
     _, g, K = _dense_reference(F4, u, nm)
     assert _close(energy_s_gradient(F4, u, nm, cells=cells), g)
     assert _close(stiffness(F4, u), K)
+
+
+def test_exterior_coefficient_once_per_gradient_and_build(monkeypatch):
+    # the gradient's 2 dz u and the band's diagonal 2 dz share one
+    # evaluation of A at the exterior arguments; the interior rows use a
+    nm = NonlocalMesh(1.0, 21, 0.5)
+    F = YoungFunction.sum_of_powers(2, 4)
+    calls = []
+    A = F.A
+    monkeypatch.setattr(F, "A", lambda t: calls.append(1) or A(t))
+    u = np.random.default_rng(8).standard_normal(nm.interior_count)
+    cells = _stiffness(nm)
+    g = energy_s_gradient(F, u, nm, cells=cells)
+    x = cells.build(F, u)(u)
+    assert len(calls) == 1
+    calls.clear()
+    assert _close(energy_s_gradient(F, u, nm), g)
+    assert np.array_equal(_stiffness(nm).build(F, u)(u), x)
+    assert len(calls) == 2  # without the memo: once each
 
 
 def test_solve_pins_the_cli_answer():

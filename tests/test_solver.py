@@ -493,6 +493,114 @@ def test_preconditioner_reuses_the_gradients_coefficient(m, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("m", [Mesh.interval(1.0, 50),
+                               Mesh.rectangle(1.0, 1.0, 6, 5)],
+                         ids=["1d", "2d"])
+def test_energy_shares_the_row_memo(m, monkeypatch):
+    # the line search's energy fills the memo with B u of its trial; the
+    # gradient and the band at an accepted trial read it, and a rejected
+    # trial never feeds the next gradient or band
+    F, G = YoungFunction.sum_of_powers(2, 4), YoungFunction.power(3)
+    passes = []
+    rows = solver.cell_gradients
+    monkeypatch.setattr(solver, "cell_gradients",
+                        lambda u, m: passes.append(1) or rows(u, m))
+    rng = np.random.default_rng(4)
+    u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
+    rhs = rng.standard_normal(m.interior_count)
+    cells = solver._LaggedStiffness(m)
+
+    def fresh(fn, F, v):
+        return fn(F, v.copy(), m)
+
+    def memo(fn, F, v):
+        """fn through the memo, and the passes over the rows it made."""
+        passes.clear()
+        return fn(F, v, m, cells=cells), len(passes)
+
+    # a trial, then the gradient and the band once it is accepted
+    trial = u - 0.1 * rng.standard_normal(m.interior_count)
+    assert memo(energy, F, trial) == (fresh(energy, F, trial), 1)
+    g, made = memo(energy_gradient, F, trial)
+    x = cells.build(F, trial)(rhs)
+    assert made == 0 and len(passes) == 0  # one pass per iterate
+    assert np.array_equal(g, fresh(energy_gradient, F, trial))
+    assert np.array_equal(x, solver._LaggedStiffness(m).build(F, trial)(rhs))
+    # the accepted iterate again, as after a polish
+    assert memo(energy, F, trial) == (fresh(energy, F, trial), 0)
+    # a rejected trial, then the gradient and band at the iterate it left
+    rejected = 3.0 * trial
+    assert memo(energy, F, rejected) == (fresh(energy, F, rejected), 1)
+    assert np.array_equal(memo(energy_gradient, F, trial)[0], g)
+    assert np.array_equal(cells.build(F, trial)(rhs), x)
+    # a field changed in place under the memo
+    trial[2] *= 1.5
+    assert memo(energy, F, trial) == (fresh(energy, F, trial), 1)
+    got, made = memo(energy_gradient, F, trial)
+    assert made == 0
+    assert np.array_equal(got, fresh(energy_gradient, F, trial))
+    # a second Young function at the same field reuses B u only
+    assert memo(energy, G, trial) == (fresh(energy, G, trial), 0)
+    got, made = memo(energy_gradient, G, trial)
+    assert made == 0
+    assert np.array_equal(got, fresh(energy_gradient, G, trial))
+
+
+def _with_band(m, ab):
+    cells = solver._LaggedStiffness(m)
+    cells.band = lambda F, values, keep=0.0: ab(keep).copy()
+    return cells
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_rejects_a_band_that_is_not_finite(bad):
+    # the contract of scipy.linalg.cholesky_banded, which checks first
+    m = Mesh.interval(1.0, 6)
+    F, u = YoungFunction.power(2), np.ones(m.interior_count)
+    ab = solver._LaggedStiffness(m).band(F, u)
+    ab[0, 2] = bad
+    with pytest.raises(ValueError):
+        scipy.linalg.cholesky_banded(ab, lower=False)
+    with pytest.raises(ValueError):
+        _with_band(m, lambda keep: ab).build(F, u)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_rejects_a_right_hand_side_that_is_not_finite(bad):
+    m = Mesh.interval(1.0, 6)
+    F, u = YoungFunction.power(2), np.ones(m.interior_count)
+    solve = solver._LaggedStiffness(m).build(F, u)
+    rhs = np.ones(m.interior_count)
+    # a finite one solves as the checked wrapper does
+    ab = solver._LaggedStiffness(m).band(F, u)
+    ref = scipy.linalg.cho_solve_banded(
+        (scipy.linalg.cholesky_banded(ab, lower=False), False), rhs)
+    np.testing.assert_allclose(solve(rhs), ref, rtol=1e-15, atol=0.0)
+    rhs[1] = bad
+    with pytest.raises(ValueError):
+        solve(rhs)
+
+
+def test_build_retries_once_then_raises_linalg_error():
+    m = Mesh.interval(1.0, 6)
+    F, u = YoungFunction.power(2), np.ones(m.interior_count)
+    good = solver._LaggedStiffness(m).band(F, u)
+    indefinite = good.copy()
+    indefinite[-1, 2] = -1.0
+    # the retry with lifted coefficients is factored when it is definite
+    keeps = []
+    cells = _with_band(m, lambda keep: keeps.append(keep) or (
+        indefinite if keep == 0.0 else good))
+    x = cells.build(F, u)(np.ones(m.interior_count))
+    assert keeps == [0.0, 1e-10] and np.all(np.isfinite(x))
+    # and a retry that still fails raises
+    keeps.clear()
+    cells = _with_band(m, lambda keep: keeps.append(keep) or indefinite)
+    with pytest.raises(np.linalg.LinAlgError):
+        cells.build(F, u)
+    assert keeps == [0.0, 1e-10]
+
+
 def test_stiffness_lifts_a_block_cut_off_by_underflow():
     # exp_neg_inv_power(1): a(g)/g underflows to 0 on the flat cells of
     # nodes 0-14 and 24-39, cutting them off from the rest of the band; the

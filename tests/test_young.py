@@ -11,7 +11,7 @@ from scipy import optimize
 from orlicz_eigen.errors import BracketRangeError, ConfigError
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.young import (SATURATION, Endpoint, Regime, YoungFunction,
-                                _exp_tail,
+                                _exp_tail, _saturate,
                                 complementary_eval, complementary_function,
                                 delta2_report, luxemburg_norm, matuszewska,
                                 matuszewska_exponent, modular)
@@ -121,6 +121,64 @@ def test_closed_forms_pinned_on_special_points(name):
     t = np.array(SPECIAL_POINTS)
     for got, want in zip((F.A(t), F.a(t)), pins):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _general(impl, t):
+    """What ``A``/``a`` make of ``t`` when it is not a float64 array of
+    rank 1 or more."""
+    t = np.asarray(t, dtype=float)
+    out = impl(np.atleast_1d(t.copy()))
+    return float(out[0]) if t.ndim == 0 else out
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)  # NaN equals NaN
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+FAST_PATH_INPUTS = {
+    "nan": np.array([0.5, math.nan, 2.0]),
+    "inf": np.array([math.inf, 1.0, -math.inf]),
+    "negative": np.array([-2.0, -0.0, 0.0, 3.0]),
+    "empty": np.array([]),
+    "0-d": np.array(0.7),
+    "scalar": 0.7,
+    "integer": np.array([0, 1, 3]),
+    "non-contiguous": np.linspace(-1.0, 40.0, 30)[::3],
+    "rank 2": np.linspace(0.0, 3.0, 12).reshape(3, 4).T,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAST_PATH_INPUTS))
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_float_array_fast_path_matches_general_path(name, kind):
+    # float64 arrays skip asarray/atleast_1d; every input must read exactly
+    # as it does through the general path, signed zeros included
+    F = PINNED[name][0]
+    t = FAST_PATH_INPUTS[kind]
+    before = np.array(t, copy=True)
+    _same(F.A(t), _general(F._A_impl, t))
+    _same(F.a(t), _general(F._a_impl, t))
+    np.testing.assert_array_equal(t, before)  # the input is not written
+
+
+def _saturate_reference(out):
+    np.copyto(out, SATURATION, where=out == -np.inf)
+    np.fmin(out, SATURATION, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, 2.0, 1e300], [0.5, math.nan], [math.inf, 1.0], [-math.inf, 1.0],
+    [-1.0, 2.0], [-0.0, 1.0], [0.0, 1.0], [2e300, 1.0], [],
+], ids=lambda v: ",".join(map(str, v)) or "empty")
+def test_saturate_fast_path_matches_full_mapping(values):
+    got = _saturate(np.array(values, dtype=float))
+    _same(got, _saturate_reference(np.array(values, dtype=float)))
 
 
 def test_exp_neg_inv_power_density_vanishes_near_zero():
