@@ -173,7 +173,7 @@ def energy_s_gradient(F, u, nm, *, cells=None):
     values = _conform(u, nm)
     cells = cells or _stiffness(nm)
     return (energy_gradient(F, values, nm, cells=cells)
-            + cells.diagonal_term(F, values) * values)
+            + cells.diagonal_term(F) * values)
 
 
 def _stiffness(nm):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy import linalg as sla
 
 from .errors import ConfigError, OrliczError, ZeroDenominatorError
 from .mesh import (ScalarField, _conform, bump_field, cell_gradients,
@@ -88,7 +88,7 @@ def energy(F, u, m, *, cells=None):
     the lagged stiffness of the running solve, whose row memo keeps B u
     for the gradient and the band at the same field."""
     values = _conform(u, m)
-    g = (cells or _LaggedStiffness(m)).rows(values)[1]
+    g = (cells or _LaggedStiffness(m)).at(values).g
     return float(np.dot(m.cell_weights, F.A(g)))
 
 
@@ -98,9 +98,8 @@ def energy_gradient(F, u, m, *, cells=None):
     B u and a(g)/g the energy and the preconditioner at the same field
     share."""
     values = _conform(u, m)
-    cells = cells or _LaggedStiffness(m)
-    slopes = cells.rows(values)[0]
-    flux = (cells.coefficient(F, values) * slopes * m.flux_weights).ravel()
+    cells = (cells or _LaggedStiffness(m)).at(values)
+    flux = (cells.coefficient(F) * cells.slopes * m.flux_weights).ravel()
     n = m.interior_count
     return (np.bincount(m.plus.ravel(), flux, minlength=n + 1)
             - np.bincount(m.minus.ravel(), flux, minlength=n + 1))[:n]
@@ -185,105 +184,84 @@ class _LaggedStiffness:
     banded storage.  ``diagonal(F, values)``, if given, is added to the
     band's diagonal (the nonlocal exterior).
 
-    A one-entry row memo, keyed on the field's contents, keeps B u and
-    g = |B u| of the last field seen, and on top of it, per Young function,
-    a(g)/g and the diagonal term.  The line-search energy of a trial fills
-    it; once the trial is accepted, the gradient and the band built there
-    read it instead of touching the rows again.  Any other field (a
-    rejected trial's successor, or an array changed in place) misses the
-    key and replaces the entry.
+    A one-entry row memo, keyed on the field's contents, keeps B u
+    (``slopes``) and g = |B u| of the last field seen, and on top of it,
+    for the last Young function asked, a(g)/g and the diagonal term.  The
+    line-search energy of a trial fills it; once the trial is accepted, the
+    gradient and the band built there read it instead of touching the rows
+    again.  Any other field (a rejected trial's successor, or an array
+    changed in place) misses the key and resets the memo.
     """
 
     def __init__(self, m, diagonal=None):
         self.m = m
         self.diagonal = diagonal
-        self._memo = None  # (values, B u, |B u|, {name: (F, value)})
+        self._values = self.slopes = self.g = None
+        self._F = self._coef = self._diag = None
 
-    def rows(self, values):
-        """(B u, |B u|) at ``values``, a conforming float array."""
-        memo = self._memo
-        if memo is None or not np.array_equal(memo[0], values):
-            slopes = cell_gradients(values, self.m)
-            memo = self._memo = (values.copy(), slopes,
-                                 gradient_magnitudes(slopes), {})
-        return memo[1], memo[2]
+    def at(self, values):
+        """The memo at ``values``, a conforming float array: B u and |B u|
+        are recomputed only when its contents differ from the last field's.
+        """
+        if self._values is None or not np.array_equal(self._values, values):
+            self._values = values.copy()
+            self.slopes = cell_gradients(values, self.m)
+            self.g = gradient_magnitudes(self.slopes)
+            self._F = self._coef = self._diag = None
+        return self
 
-    def _per_young(self, F, values, name, compute):
-        self.rows(values)
-        per_young = self._memo[3]
-        hit = per_young.get(name)
-        if hit is None or hit[0] is not F:
-            hit = per_young[name] = (F, compute())
-        return hit[1]
+    def _young(self, F):
+        if self._F is not F:
+            self._F, self._coef, self._diag = F, None, None
 
-    def coefficient(self, F, values):
-        """a(g)/g at g = |B u|, regularized at vanishing g."""
-        return self._per_young(F, values, "coef", lambda: _regularized_coef(
-            F, self._memo[2]))
+    def coefficient(self, F):
+        """a(g)/g at the memo's field, regularized at vanishing g."""
+        self._young(F)
+        if self._coef is None:
+            self._coef = _regularized_coef(F, self.g)
+        return self._coef
 
-    def diagonal_term(self, F, values):
-        """``diagonal(F, values)``, or None without the hook."""
+    def diagonal_term(self, F):
+        """``diagonal(F, values)`` at the memo's field, or None without the
+        hook."""
         if self.diagonal is None:
             return None
-        return self._per_young(F, values, "diagonal",
-                               lambda: self.diagonal(F, values))
+        self._young(F)
+        if self._diag is None:
+            self._diag = self.diagonal(F, self._values)
+        return self._diag
 
     def band(self, F, values, keep=0.0):
         """Upper banded storage, (bandwidth + 1) x n, of the stiffness at
         ``values``.  Zero (underflowed) or non-finite coefficients a(g)/g,
         and those not above ``keep`` times the largest, are lifted by
         :func:`_lifted`; then so are zero or non-finite diagonal entries."""
+        self.at(values)
         m = self.m
-        c = (_lifted(self.coefficient(F, values), keep)
-             * m.band_weights).ravel()
+        c = (_lifted(self.coefficient(F), keep) * m.band_weights).ravel()
         n = m.interior_count
         ab = np.bincount(m.band_slots, np.concatenate((c, c, -c)),
                          minlength=(m.bandwidth + 1) * n + 1)[:-1]
         ab = ab.reshape(-1, n)
-        extra = self.diagonal_term(F, values)
+        extra = self.diagonal_term(F)
         if extra is not None:
             ab[-1] += extra
         ab[-1] = _lifted(ab[-1], least=1e-280)
         return ab
 
     def build(self, F, values):
-        """Solve with the stiffness at ``values``, factored by LAPACK's
-        banded Cholesky with the checks of ``scipy.linalg.cholesky_banded``
-        and ``cho_solve_banded``: a band or right-hand side that is not
-        finite raises ValueError, and a band that is not positive definite
-        raises LinAlgError after one retry."""
-        cho = _banded_cholesky(self.band(F, values))
-        if cho is None:
+        try:
+            cho = sla.cholesky_banded(self.band(F, values), lower=False)
+        except sla.LinAlgError:
             # coefficients spread past the working precision cancel a pivot
             # of a weakly dominant band (1D cells, steep exp_minus_poly
             # fields): factor again with them within 1e10 of the largest
-            cho = _banded_cholesky(self.band(F, values, keep=1e-10))
-            if cho is None:
-                raise np.linalg.LinAlgError(
-                    "lagged stiffness is not positive definite")
+            cho = sla.cholesky_banded(self.band(F, values, keep=1e-10),
+                                      lower=False)
 
         def solve(rhs):
-            rhs = np.asarray(rhs, dtype=float)
-            if not np.isfinite(rhs).all():
-                raise ValueError("right-hand side must not contain infs "
-                                 "or NaNs")
-            x, info = dpbtrs(cho, rhs)
-            if info:
-                raise ValueError(f"illegal value in argument {-info} of "
-                                 "dpbtrs")
-            return x
+            return sla.cho_solve_banded((cho, False), rhs)
         return solve
-
-
-def _banded_cholesky(ab):
-    """Upper Cholesky factor of the banded ``ab``, or None when a leading
-    minor is not positive; a band that is not finite raises ValueError."""
-    if not np.isfinite(ab).all():
-        raise ValueError("stiffness band must not contain infs or NaNs")
-    cho, info = dpbtrf(ab)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-    return cho if info == 0 else None
 
 
 # -- descent engine --------------------------------------------------------

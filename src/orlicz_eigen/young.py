@@ -289,23 +289,17 @@ class YoungFunction:
 
     def a(self, t):
         """Density value(s) a(t)."""
-        if type(t) is np.ndarray and t.dtype == np.float64 and t.ndim:
-            return self._a_impl(t)  # what the general path makes of t
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = self._a_impl(t)
-        return float(out[0]) if scalar else out
+        if t.ndim:
+            return self._a_impl(t)
+        return float(self._a_impl(t.reshape(1))[0])
 
     def A(self, t):
         """Primitive value(s) A(t), saturating at SATURATION on overflow."""
-        if type(t) is np.ndarray and t.dtype == np.float64 and t.ndim:
-            return self._A_impl(t)
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = self._A_impl(t)
-        return float(out[0]) if scalar else out
+        if t.ndim:
+            return self._A_impl(t)
+        return float(self._A_impl(t.reshape(1))[0])
 
     def log_A(self, t):
         """log A(t), computed without forming A where it would overflow."""

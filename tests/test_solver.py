@@ -552,35 +552,6 @@ def _with_band(m, ab):
     return cells
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_build_rejects_a_band_that_is_not_finite(bad):
-    # the contract of scipy.linalg.cholesky_banded, which checks first
-    m = Mesh.interval(1.0, 6)
-    F, u = YoungFunction.power(2), np.ones(m.interior_count)
-    ab = solver._LaggedStiffness(m).band(F, u)
-    ab[0, 2] = bad
-    with pytest.raises(ValueError):
-        scipy.linalg.cholesky_banded(ab, lower=False)
-    with pytest.raises(ValueError):
-        _with_band(m, lambda keep: ab).build(F, u)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_solve_rejects_a_right_hand_side_that_is_not_finite(bad):
-    m = Mesh.interval(1.0, 6)
-    F, u = YoungFunction.power(2), np.ones(m.interior_count)
-    solve = solver._LaggedStiffness(m).build(F, u)
-    rhs = np.ones(m.interior_count)
-    # a finite one solves as the checked wrapper does
-    ab = solver._LaggedStiffness(m).band(F, u)
-    ref = scipy.linalg.cho_solve_banded(
-        (scipy.linalg.cholesky_banded(ab, lower=False), False), rhs)
-    np.testing.assert_allclose(solve(rhs), ref, rtol=1e-15, atol=0.0)
-    rhs[1] = bad
-    with pytest.raises(ValueError):
-        solve(rhs)
-
-
 def test_build_retries_once_then_raises_linalg_error():
     m = Mesh.interval(1.0, 6)
     F, u = YoungFunction.power(2), np.ones(m.interior_count)

@@ -124,8 +124,8 @@ def test_closed_forms_pinned_on_special_points(name):
 
 
 def _general(impl, t):
-    """What ``A``/``a`` make of ``t`` when it is not a float64 array of
-    rank 1 or more."""
+    """``impl`` on ``t`` read as a float array of rank 1 or more, returned
+    as a float for a 0-d ``t``."""
     t = np.asarray(t, dtype=float)
     out = impl(np.atleast_1d(t.copy()))
     return float(out[0]) if t.ndim == 0 else out
@@ -139,7 +139,7 @@ def _same(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-FAST_PATH_INPUTS = {
+EVALUATION_INPUTS = {
     "nan": np.array([0.5, math.nan, 2.0]),
     "inf": np.array([math.inf, 1.0, -math.inf]),
     "negative": np.array([-2.0, -0.0, 0.0, 3.0]),
@@ -152,13 +152,13 @@ FAST_PATH_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(FAST_PATH_INPUTS))
+@pytest.mark.parametrize("kind", sorted(EVALUATION_INPUTS))
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_float_array_fast_path_matches_general_path(name, kind):
-    # float64 arrays skip asarray/atleast_1d; every input must read exactly
-    # as it does through the general path, signed zeros included
+def test_evaluation_matches_general_path(name, kind):
+    # every input reads exactly as it does through asarray/atleast_1d,
+    # signed zeros included
     F = PINNED[name][0]
-    t = FAST_PATH_INPUTS[kind]
+    t = EVALUATION_INPUTS[kind]
     before = np.array(t, copy=True)
     _same(F.A(t), _general(F._A_impl, t))
     _same(F.a(t), _general(F._a_impl, t))
