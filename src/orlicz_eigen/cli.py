@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import GeometryError, OrliczError, ConfigError
 from .fractional import NonlocalMesh, solve_Es
@@ -208,11 +206,30 @@ def _decay_endpoint(F):
         "condition holds at both")
 
 
+def _sweep_checks(args, F):
+    """The requested check names, after rejecting (ConfigError) what would
+    otherwise fail only once every alpha is solved: an unknown name,
+    --plot-script without --csv, bounds without a finite doubling index
+    and decay without a non-doubling endpoint.  Returns the names with the
+    doubling index and decay endpoint they need."""
+    checks = [c for c in (args.check or "").split(",") if c]
+    for name in checks:
+        if name not in _CHECKS:
+            raise ConfigError(f"unknown check {name!r}; "
+                              f"choose from {', '.join(_CHECKS)}")
+    if args.plot_script and not args.csv:
+        raise ConfigError("--plot-script requires --csv")
+    p = _global_p_index(F) if "bounds" in checks else None
+    endpoint = _decay_endpoint(F) if "decay" in checks else None
+    return checks, p, endpoint
+
+
 def _cmd_sweep(args):
     F = _young_from_arg(args.young)
     m = _mesh_from_arg(args.mesh)
     opts = _solve_options(args)
     grid = geometric_grid(args.alpha_min, args.alpha_max, args.per_decade)
+    checks, p_index, decay_endpoint = _sweep_checks(args, F)
     if args.nonlocal_:
         if m.dim != 1:
             raise ConfigError("nonlocal sweeps are one-dimensional")
@@ -225,22 +242,18 @@ def _cmd_sweep(args):
         solve, check_mesh = solve_E, m
 
     records = run_sweep(F, check_mesh, grid, opts, solve, warm=args.warm)
+    converged = [r for r in records if r.converged]
 
     report = {
         "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
         "records": len(records),
-        "converged": sum(r.converged for r in records),
-        "sup_quotient": max(r.quotient for r in records if r.converged),
+        "converged": len(converged),
+        "sup_quotient": max((r.quotient for r in converged), default=None),
         "checks": {},
     }
-    checks = [c for c in (args.check or "").split(",") if c]
-    for name in checks:
-        if name not in _CHECKS:
-            raise ConfigError(f"unknown check {name!r}; "
-                              f"choose from {', '.join(_CHECKS)}")
+    for name in checks if converged else ():
         if name == "bounds":
-            report["checks"]["bounds"] = check_bounds(records,
-                                                     _global_p_index(F))
+            report["checks"]["bounds"] = check_bounds(records, p_index)
         elif name == "derivative":
             report["checks"]["derivative"] = _check_derivative(records)
         elif name == "limits":
@@ -248,7 +261,7 @@ def _cmd_sweep(args):
                 F, check_mesh, records, opts, solve)
         elif name == "decay":
             report["checks"]["decay"] = check_decay(
-                F, check_mesh, records, _decay_endpoint(F))
+                F, check_mesh, records, decay_endpoint)
 
     if args.csv:
         header = ["alpha", "energy", "quotient", "lambda", "dE_dalpha",
@@ -257,13 +270,15 @@ def _cmd_sweep(args):
                  r.converged, r.residual] for r in records]
         _write_csv(args.csv, header, rows)
     if args.plot_script:
-        if not args.csv:
-            raise ConfigError("--plot-script requires --csv")
         with open(args.plot_script, "w") as fh:
             fh.write(_PLOT_TEMPLATE.format(
                 csv_path=args.csv,
                 out_path=os.path.splitext(args.csv)[0] + ".png"))
     _emit_json(report, args.out)
+    if not converged:
+        print(f"error: none of the {len(records)} alpha values converged; "
+              "no checks were run", file=sys.stderr)
+        return 1
     failed = [n for n, r in report["checks"].items()
               if not r.get("overall_pass", True)]
     return 1 if failed else 0

@@ -12,7 +12,7 @@ whose interior pairs are difference rows like the local cells.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -158,7 +158,11 @@ def _stationarity(g, mg, values, weights, lam=None):
 def phi_root(F, u, m, alpha, r0=1.0):
     """Radius r with modular(F, r u, m) = alpha, by safeguarded Newton
     iteration on the monotone normalization map (see
-    :func:`orlicz_eigen.young._normalize`)."""
+    :func:`orlicz_eigen.young._normalize`).  ``phi_value`` is the modular
+    at that radius, evaluated over the field; ``iterations`` counts the
+    evaluations of the map: array evaluations of A, or for the power
+    families the scalar steps on the field's moments plus one array
+    check."""
     values = np.asarray(getattr(u, "values", u), dtype=float)
     return _normalize(F, np.abs(values), m.node_weights, alpha, r0)
 

@@ -341,6 +341,17 @@ class YoungFunction:
                                 for x in t.ravel()]).reshape(t.shape)
         return _saturate(out)
 
+    def _power_terms(self):
+        """[(p_k, c_k)] with A(t) = sum_k c_k t^p_k for the power families,
+        whose modular along a ray is a polynomial in the radius (see
+        ``_normalize``); None for every other family."""
+        p = self.params
+        if self.family is Family.POWER:
+            return [(p["p"], 1.0)]
+        if self.family is Family.SUM_OF_POWERS:
+            return [(p["p"], 1.0 / p["p"]), (p["q"], 1.0 / p["q"])]
+        return None
+
     def _a_impl(self, t):
         fam, p = self.family, self.params
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -633,7 +644,7 @@ _MAX_STEPS = 200  # iteration cap of _normalize and of a_inv
 class NormalizationResult:
     r_alpha: float
     phi_value: float
-    iterations: int
+    iterations: int   # evaluations of phi, scalar or array (see _normalize)
 
 
 def _check_alpha(alpha):
@@ -645,27 +656,77 @@ def _check_alpha(alpha):
             bracket=None)
 
 
-def _normalize(F, absu, w, alpha, r0=1.0):
-    """Radius r with phi(r) = sum w A(r absu) = alpha.
+class _ArrayModular:
+    """phi(r) = sum w A(r absu) by one array evaluation of A per call, and
+    its log slope r phi'(r) / phi(r) = sum w a(t) t / phi at t = r absu."""
 
-    Newton's method on log phi as a function of log r, whose slope is
-    s = r phi'(r) / phi(r) with phi'(r) = sum w a(r absu) absu.  A bracket
-    [lo, hi] of the root is kept; a step that leaves it, or an iterate where
-    phi underflows to 0 or saturates, falls back to bisection in log r, or
-    to doubling/halving (the factor squared on each repeat) while one side
-    of the bracket is still open.
-    """
-    _check_alpha(alpha)
-    if not np.any(absu):
-        raise ZeroDenominatorError("phi is identically zero for u = 0")
+    def __init__(self, F, absu, w):
+        self.F, self.absu, self.w = F, absu, w
+
+    def __call__(self, r):
+        self.t = r * self.absu
+        A = self.F.A(self.t)
+        self.phi = float(np.dot(self.w, A))
+        self.saturated = A.max() >= SATURATION
+        return self.phi
+
+    def slope(self):
+        """The log slope at the last r, or 0 (no Newton step) where phi is
+        0 or A saturates."""
+        if not self.phi > 0.0 or self.saturated:
+            return 0.0
+        with np.errstate(over="ignore"):
+            return float(np.dot(self.w, self.F.a(self.t) * self.t)) / self.phi
+
+
+class _RadialMoments:
+    """phi(r) = sum_k c_k rho^p_k M_k with rho = r tmax, in closed form for
+    a Young function A(t) = sum_k c_k t^p_k (``terms``), from the moments
+    M_k = sum w (absu / tmax)^p_k of one pass over the field.  Scaling by
+    tmax = max absu keeps each moment between the weight at the maximum and
+    sum w.  ``array`` is the _ArrayModular of the same field, which takes
+    the calls where A(rho) could saturate."""
+
+    def __init__(self, terms, array):
+        self.tmax = float(array.absu.max())
+        x = array.absu / self.tmax
+        self.terms = [(p, c * float(np.dot(array.w, _ipow(x, p))))  # c_k M_k
+                      for p, c in terms]
+        # below rho_sat every rho^p_k stays under SATURATION and every
+        # c_k rho^p_k under SATURATION / len(terms), so A(rho) cannot
+        # saturate and nothing overflows
+        k = len(terms)
+        self.rho_sat = min(
+            math.exp((LOG_SATURATION - math.log(max(k * c, 1.0))) / p)
+            for p, c in terms)
+        self.array = array
+        self.on_array = False  # the last call evaluated the array
+
+    def __call__(self, r):
+        rho = r * self.tmax
+        self.on_array = rho >= self.rho_sat
+        if self.on_array:
+            return self.array(r)
+        parts = [cm * rho ** p for p, cm in self.terms]
+        self.phi = sum(parts)
+        self.dphi = sum(p * v for (p, _), v in zip(self.terms, parts))
+        return self.phi
+
+    def slope(self):
+        if self.on_array:
+            return self.array.slope()
+        return self.dphi / self.phi if self.phi > 0.0 else 0.0
+
+
+def _newton(phi_at, alpha, r0):
+    """(r, phi(r), evaluations) for phi(r) = alpha, with phi and its log
+    slope taken from the evaluator ``phi_at`` (see ``_normalize``)."""
     lo, hi = 0.0, math.inf
     up = down = 2.0
     r_next = min(max(float(r0), _MIN_RADIUS), _MAX_RADIUS)
     for it in range(1, _MAX_STEPS + 1):
         r = r_next
-        t = r * absu
-        A = F.A(t)
-        phi = float(np.dot(w, A))
+        phi = phi_at(r)
         if phi < alpha:
             lo = r
         else:
@@ -675,17 +736,15 @@ def _normalize(F, absu, w, alpha, r0=1.0):
         if hi < math.inf and (hi - lo <= 4.0 * math.ulp(hi)
                               or (close and hi - lo <= _RTOL * hi)):
             break
-        if phi > 0.0 and A.max() < SATURATION:
-            with np.errstate(over="ignore"):
-                s = float(np.dot(w, F.a(t) * t)) / phi  # = r phi'(r) / phi
-            if s > 0.0 and math.isfinite(s):
-                step = (math.log(alpha) - math.log(phi)) / s
-                if close and abs(step) <= _RTOL:
-                    break
-                r_next = r * math.exp(max(min(step, 700.0), -700.0))
-                if lo < r_next < hi and _MIN_RADIUS <= r_next <= _MAX_RADIUS:
-                    up = down = 2.0
-                    continue
+        s = phi_at.slope()  # = r phi'(r) / phi(r)
+        if s > 0.0 and math.isfinite(s):
+            step = (math.log(alpha) - math.log(phi)) / s
+            if close and abs(step) <= _RTOL:
+                break
+            r_next = r * math.exp(max(min(step, 700.0), -700.0))
+            if lo < r_next < hi and _MIN_RADIUS <= r_next <= _MAX_RADIUS:
+                up = down = 2.0
+                continue
         if lo > 0.0 and hi < math.inf:
             r_next = math.sqrt(lo) * math.sqrt(hi)
         elif hi < math.inf:
@@ -700,7 +759,50 @@ def _normalize(F, absu, w, alpha, r0=1.0):
                     "normalization radius exceeded the representable range",
                     bracket=(lo, hi))
             r_next, up = min(lo * up, _MAX_RADIUS), up * up
-    return NormalizationResult(r_alpha=r, phi_value=phi, iterations=it)
+    return r, phi, it
+
+
+def _normalize(F, absu, w, alpha, r0=1.0):
+    """Radius r with phi(r) = sum w A(r absu) = alpha.
+
+    Newton's method on log phi as a function of log r, whose slope is
+    s = r phi'(r) / phi(r) with phi'(r) = sum w a(r absu) absu.  A bracket
+    [lo, hi] of the root is kept; a step that leaves it, or an iterate where
+    phi underflows to 0 or saturates, falls back to bisection in log r, or
+    to doubling/halving (the factor squared on each repeat) while one side
+    of the bracket is still open.
+
+    phi and s come from one of two evaluators.  For the power families
+    (``F._power_terms()`` is not None) phi is a sum of powers of r whose
+    coefficients are moments of absu, taken in one pass, so each Newton
+    step is scalar work; the root found is then checked by one array
+    evaluation sum w A(r absu), which is the ``phi_value`` returned (equal
+    to ``modular`` of the projected field).  If that check misses _FTOL
+    relative, or for any other family, the array evaluator (one F.A per
+    step, plus one F.a where a Newton step is taken) runs from there.
+    ``iterations`` counts the evaluations of phi: on the array path the
+    F.A calls; on the moment path the scalar steps plus the array check
+    (and the array steps after a missed check).
+    """
+    _check_alpha(alpha)
+    if not np.any(absu):
+        raise ZeroDenominatorError("phi is identically zero for u = 0")
+    array = _ArrayModular(F, absu, w)
+    steps = 0
+    terms = F._power_terms()
+    if terms is not None:
+        moments = _RadialMoments(terms, array)
+        r, phi, steps = _newton(moments, alpha, r0)
+        if not moments.on_array:
+            phi = array(r)
+            steps += 1
+        if abs(phi - alpha) <= _FTOL * alpha:
+            return NormalizationResult(r_alpha=r, phi_value=phi,
+                                       iterations=steps)
+        r0 = r  # the check missed: the array Newton goes on from there
+    r, phi, more = _newton(array, alpha, r0)
+    return NormalizationResult(r_alpha=r, phi_value=phi,
+                               iterations=steps + more)
 
 
 def _conforming_values(u, m):

@@ -170,6 +170,43 @@ def test_sweep_unknown_check_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("young,flags,message", [
+    (POWER2, ("--check", "derivative,nonsense"), "unknown check 'nonsense'"),
+    (POWER2, ("--plot-script", "plot.py"), "--plot-script requires --csv"),
+    (EXP2, ("--check", "bounds"), "bounds check needs the doubling"),
+    (POWER2, ("--check", "decay"), "decay check needs a non-doubling"),
+], ids=["unknown-check", "plot-without-csv", "bounds-non-doubling",
+        "decay-doubling"])
+def test_sweep_rejects_bad_arguments_before_solving(capsys, monkeypatch,
+                                                    young, flags, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the arguments were "
+                             "checked")
+    monkeypatch.setattr("orlicz_eigen.cli.run_sweep", no_sweep)
+    code, out, err = run(capsys, "sweep", "--young", young,
+                         "--mesh", "interval:1.0,100",
+                         "--alpha-min", "0.1", "--alpha-max", "10", *flags)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_sweep_without_converged_alpha_exit_1(capsys, tmp_path):
+    csv = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--young", SUM24,
+                         "--mesh", "interval:1.0,50",
+                         "--alpha-min", "0.1", "--alpha-max", "10",
+                         "--per-decade", "3", "--max-iter", "1",
+                         "--check", "bounds,derivative,limits",
+                         "--csv", str(csv))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["records"] == 7 and payload["converged"] == 0
+    assert payload["sup_quotient"] is None and payload["checks"] == {}
+    assert "none of the 7 alpha values converged" in err
+    assert "Traceback" not in err
+    assert len(csv.read_text().splitlines()) == 8
+
+
 def test_nonlocal_solve(capsys):
     code, out, _ = run(capsys, "nonlocal", "--young", POWER2,
                        "--interval", "1.0", "--nodes", "32",

@@ -1,5 +1,6 @@
 """Constrained minimization: normalization, gradients, residuals, solves."""
 
+import decimal
 import math
 from types import SimpleNamespace
 
@@ -79,13 +80,118 @@ def test_normalization_newton(m200, family, alpha, r0):
     F.A = counted_A
     res = phi_root(F, u, m200, alpha, r0)
     # a fallback to plain bisection needs ~45 evaluations
-    assert len(calls) == res.iterations <= 15
+    if F._power_terms() is None:
+        assert len(calls) == res.iterations <= 15
+    else:
+        # scalar Newton steps on the moments, then one array check
+        assert len(calls) == 1 and res.iterations <= 15
     achieved = modular(F, u * res.r_alpha, m200)
     assert abs(achieved - alpha) <= 1e-12 * alpha
     assert res.phi_value == achieved
     problem = Problem(F, m200, None, None, None)
     projected = problem.project(u.values, alpha, r0)
     assert np.array_equal(projected, u.values * res.r_alpha)
+
+
+def _fields(n):
+    """A sine with zeros, and values spanning 1e-200 ... 1 in mixed order."""
+    x = np.linspace(0.0, 1.0, n)
+    sine = np.sin(3.0 * math.pi * x)
+    sine[::7] = 0.0
+    order = np.random.default_rng(4).permutation(n)
+    spread = np.geomspace(1e-200, 1.0, n)[order]
+    return {"zeros": sine, "spread": spread}
+
+
+MOMENT_FAMILIES = {
+    "power1.5": lambda: YoungFunction.power(1.5),
+    "power2": lambda: YoungFunction.power(2),
+    "power4": lambda: YoungFunction.power(4),
+    "sum_of_powers": lambda: YoungFunction.sum_of_powers(2, 4),
+}
+
+
+def _exact_radius(F, values, m, alpha):
+    """The root of sum w A(r |u|) = alpha for A = sum c t^p, by Newton's
+    method in 50-digit decimal arithmetic from the root of the top power
+    alone, which lies above it."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        moments = [(D(p), D(c) * sum(D(w) * D(x) ** D(p) for w, x
+                                     in zip(m.node_weights, np.abs(values))
+                                     if x > 0.0))
+                   for p, c in F._power_terms()]
+        a = D(alpha)
+        p, cm = moments[-1]
+        r = (a / cm) ** (1 / p)
+        for _ in range(100):
+            phi = sum(c * r ** q for q, c in moments)
+            dphi = sum(q * c * r ** q for q, c in moments)
+            r, dr = r * (1 - (phi - a) / dphi), r * (phi - a) / dphi
+            if abs(dr) <= r * D(10) ** -40:
+                return float(r)
+    raise AssertionError("decimal Newton did not converge")
+
+
+@pytest.mark.parametrize("field", ["zeros", "spread"])
+@pytest.mark.parametrize("family", sorted(MOMENT_FAMILIES))
+def test_moment_radius_matches_array_path(m200, family, field):
+    # both paths take the same Newton iterates and stop by the same rule,
+    # so each radius is the root to the radius tolerance 1e-13; they are
+    # not ulp-equal, since a long last step (from r0 = 1e-3, say) carries
+    # the rounding of log phi and of the slope, which the paths form
+    # differently (measured: up to 61 ulp apart, 434 ulp from the root)
+    F = MOMENT_FAMILIES[family]()
+    u = m200.field(_fields(m200.interior_count)[field])
+    plain = MOMENT_FAMILIES[family]()
+    plain._power_terms = lambda: None  # the array evaluator throughout
+    for alpha in (1e-4, 1.0, 1e4):
+        exact = _exact_radius(F, u.values, m200, alpha)
+        for r0 in (1e-3, 1.0, 1e3):
+            res = phi_root(F, u, m200, alpha, r0)
+            ref = phi_root(plain, u, m200, alpha, r0)
+            assert res.iterations == ref.iterations + 1  # the array check
+            assert abs(res.r_alpha - exact) <= 1e-13 * exact
+            assert abs(ref.r_alpha - exact) <= 1e-13 * exact
+            assert res.phi_value == modular(F, u * res.r_alpha, m200)
+            assert abs(res.phi_value - alpha) <= 1e-12 * alpha
+
+
+@pytest.mark.parametrize("family", sorted(MOMENT_FAMILIES))
+def test_moment_path_evaluates_arrays_where_A_saturates(m200, family):
+    # A(1e80) = 1e320 saturates for q = 4: those iterates read the
+    # saturated array and halve r, as on the array path, then Newton runs
+    # on the moments
+    F = MOMENT_FAMILIES[family]()
+    u = m200.field(1e80 * _fields(m200.interior_count)["zeros"])
+    evaluate_A = F.A
+    calls = []
+
+    def counted_A(t):
+        calls.append(1)
+        return evaluate_A(t)
+    F.A = counted_A
+    res = phi_root(F, u, m200, 1.0, 1.0)
+    saturating = evaluate_A(np.array([1e80]))[0] >= SATURATION
+    assert (len(calls) > 1) == saturating  # otherwise the check alone
+    exact = _exact_radius(F, u.values, m200, 1.0)
+    assert abs(res.r_alpha - exact) <= 1e-13 * exact
+    assert res.phi_value == modular(F, u * res.r_alpha, m200)
+
+
+@pytest.mark.parametrize("family", sorted(MOMENT_FAMILIES))
+def test_moment_path_range_errors(m200, family):
+    F = MOMENT_FAMILIES[family]()
+    ones = np.ones(m200.interior_count)
+    with pytest.raises(ZeroDenominatorError):
+        phi_root(F, m200.zeros(), m200, 1.0)
+    with pytest.raises(BracketRangeError):
+        phi_root(F, m200.field(ones), m200, SATURATION)
+    with pytest.raises(BracketRangeError):
+        phi_root(F, m200.field(1e-290 * ones), m200, 1.0)
+    with pytest.raises(BracketRangeError):
+        phi_root(F, m200.field(1e290 * ones), m200, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])

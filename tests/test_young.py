@@ -11,7 +11,8 @@ from scipy import optimize
 from orlicz_eigen.errors import BracketRangeError, ConfigError
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.young import (SATURATION, Endpoint, Regime, YoungFunction,
-                                _exp_tail, _saturate,
+                                _ArrayModular, _exp_tail, _normalize,
+                                _RadialMoments, _saturate,
                                 complementary_eval, complementary_function,
                                 delta2_report, luxemburg_norm, matuszewska,
                                 matuszewska_exponent, modular)
@@ -407,6 +408,56 @@ def test_luxemburg_norm_puts_modular_on_one(name):
         u = m.field(scale * rng.standard_normal(m.interior_count))
         k = luxemburg_norm(F, u, m)
         assert abs(modular(F, u * (1.0 / k), m) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_power_terms_reproduce_A(name):
+    F = PINNED[name][0]
+    terms = F._power_terms()
+    if F.family.value not in ("power", "sum_of_powers"):
+        assert terms is None  # exp_minus_poly(2) and the rest: array path
+        return
+    t = np.geomspace(1e-30, 1e30, 121)
+    np.testing.assert_allclose(sum(c * t ** p for p, c in terms), F.A(t),
+                               rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("F", [YoungFunction.power(1.5),
+                               YoungFunction.power(4),
+                               YoungFunction.sum_of_powers(2, 4),
+                               YoungFunction.sum_of_powers(1.01, 1e4)],
+                         ids=["power1.5", "power4", "sop24", "sop-wide"])
+def test_moments_stay_below_saturation(F):
+    # below rho_sat the scalar phi neither overflows nor reaches the
+    # saturated range, where the moment path evaluates the array instead
+    absu = np.array([0.0, 1e-300, 0.5, 1e-20, 3.0])
+    w = np.full(absu.size, 0.25)
+    moments = _RadialMoments(F._power_terms(), _ArrayModular(F, absu, w))
+    rho = moments.rho_sat * (1.0 - 1e-15)
+    assert F.A(rho) < SATURATION
+    phi = moments(rho / moments.tmax)
+    assert not moments.on_array and math.isfinite(phi)
+    assert phi == pytest.approx(float(np.dot(w, F.A(rho / 3.0 * absu))),
+                                rel=1e-12)
+    moments(moments.rho_sat / moments.tmax)
+    assert moments.on_array
+
+
+def test_missed_moment_check_continues_on_the_array():
+    # a density the moments do not describe: the check at the scalar root
+    # misses, and the array Newton finds the root of the evaluated A
+    F = YoungFunction.sum_of_powers(2, 4)
+    closed_A, closed_a = F.A, F.a
+    F.A = lambda t: 2.0 * closed_A(t)
+    F.a = lambda t: 2.0 * closed_a(t)
+    absu = np.abs(np.sin(np.linspace(0.0, 3.0, 50)))
+    w = np.full(absu.size, 0.02)
+    res = _normalize(F, absu, w, 1.0)
+    assert res.phi_value == float(np.dot(w, F.A(res.r_alpha * absu)))
+    assert abs(res.phi_value - 1.0) <= 1e-12
+    plain = _normalize(YoungFunction.sum_of_powers(2, 4), absu, w, 1.0)
+    assert res.r_alpha < plain.r_alpha
+    assert res.iterations > plain.iterations
 
 
 # -- doubling diagnostics ---------------------------------------------------
