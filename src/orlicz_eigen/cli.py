@@ -21,7 +21,8 @@ from .fractional import NonlocalMesh, solve_Es
 from .mesh import Mesh
 from .solver import SolveOptions, solve_E
 from .sweep import (check_bounds, check_decay, estimate_limits,
-                    geometric_grid, run_sweep)
+                    geometric_grid, require_alpha_one,
+                    require_decay_geometry, run_sweep)
 from .young import (Endpoint, Regime, YoungFunction, delta2_report,
                     matuszewska_exponent)
 
@@ -190,7 +191,7 @@ def _check_limits(F, m, records, opts, solve):
         if est.regime is not Regime.POWER_LIKE:
             out[ep.value] = {"regime": est.regime.value, "skipped": True}
             continue
-        le = estimate_limits(F, m, records, ep, opts, solve)
+        le = estimate_limits(F, m, records, ep, opts, solve, estimate=est)
         ok = le.relative_gap <= 5e-2
         out[ep.value] = dict(le.as_dict(), overall_pass=ok)
         out["overall_pass"] = out["overall_pass"] and ok
@@ -206,12 +207,14 @@ def _decay_endpoint(F):
         "condition holds at both")
 
 
-def _sweep_checks(args, F):
-    """The requested check names, after rejecting (ConfigError) what would
-    otherwise fail only once every alpha is solved: an unknown name,
-    --plot-script without --csv, bounds without a finite doubling index
-    and decay without a non-doubling endpoint.  Returns the names with the
-    doubling index and decay endpoint they need."""
+def _sweep_checks(args, F, grid, m):
+    """The requested check names, after rejecting (ConfigError or
+    GeometryError) what would otherwise fail only once every alpha is
+    solved: an unknown name, --plot-script without --csv, bounds without a
+    finite doubling index, bounds or decay on a grid without alpha = 1 on
+    it or inside it, decay without a non-doubling endpoint and decay on a
+    mesh m of inner radius <= 1.  Returns the names with the doubling
+    index and decay endpoint they need."""
     checks = [c for c in (args.check or "").split(",") if c]
     for name in checks:
         if name not in _CHECKS:
@@ -219,8 +222,14 @@ def _sweep_checks(args, F):
                               f"choose from {', '.join(_CHECKS)}")
     if args.plot_script and not args.csv:
         raise ConfigError("--plot-script requires --csv")
-    p = _global_p_index(F) if "bounds" in checks else None
-    endpoint = _decay_endpoint(F) if "decay" in checks else None
+    p = endpoint = None
+    if "bounds" in checks:
+        p = _global_p_index(F)
+        require_alpha_one(grid, "bounds")
+    if "decay" in checks:
+        endpoint = _decay_endpoint(F)
+        require_decay_geometry(m)
+        require_alpha_one(grid, "decay checks")
     return checks, p, endpoint
 
 
@@ -229,7 +238,6 @@ def _cmd_sweep(args):
     m = _mesh_from_arg(args.mesh)
     opts = _solve_options(args)
     grid = geometric_grid(args.alpha_min, args.alpha_max, args.per_decade)
-    checks, p_index, decay_endpoint = _sweep_checks(args, F)
     if args.nonlocal_:
         if m.dim != 1:
             raise ConfigError("nonlocal sweeps are one-dimensional")
@@ -240,6 +248,8 @@ def _cmd_sweep(args):
         check_mesh = nm.mesh
     else:
         solve, check_mesh = solve_E, m
+    checks, p_index, decay_endpoint = _sweep_checks(args, F, grid,
+                                                    check_mesh)
 
     records = run_sweep(F, check_mesh, grid, opts, solve, warm=args.warm)
     converged = [r for r in records if r.converged]

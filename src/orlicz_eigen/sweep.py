@@ -9,17 +9,19 @@ resulting records.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .solver import SolveOptions, solve_E
-from .young import Endpoint, Regime, delta2_report, matuszewska_exponent
+from .young import (Endpoint, Regime, YoungFunction, delta2_report,
+                    matuszewska_exponent)
 
 __all__ = [
     "SweepRecord", "LimitEstimate", "geometric_grid", "run_sweep",
     "check_bounds", "estimate_limits", "check_decay",
+    "require_alpha_one", "require_decay_geometry",
 ]
 
 
@@ -145,17 +147,29 @@ def _secant_start(branch, x, m):
     return m.field(pred)
 
 
-def _energy_at_one(records):
+def require_alpha_one(alphas, check):
+    """Raise ConfigError unless alpha = 1 is on the grid ``alphas`` (to
+    1e-12 in log alpha) or strictly inside it: the ``check`` compares
+    against E(1).  Returns the index of the sample at alpha = 1, or None
+    when E(1) must be interpolated."""
+    logs = np.log(np.asarray(alphas, dtype=float))
+    k = int(np.argmin(np.abs(logs)))
+    if abs(logs[k]) < 1e-12:
+        return k
+    if not logs.min() < 0.0 < logs.max():
+        raise ConfigError(
+            f"{check} need alpha = 1 inside the sweep grid (or on it)")
+    return None
+
+
+def _energy_at_one(records, check):
     """E(1) from the grid: exact sample if present, else log-log
     interpolation between the bracketing alphas."""
     alphas = np.array([r.alpha for r in records])
     energies = np.array([r.energy for r in records])
-    k = int(np.argmin(np.abs(np.log(alphas))))
-    if abs(math.log(alphas[k])) < 1e-12:
+    k = require_alpha_one(alphas, check)
+    if k is not None:
         return float(energies[k])
-    if not alphas.min() < 1.0 < alphas.max():
-        raise ConfigError(
-            "bounds need alpha = 1 inside the sweep grid (or on it)")
     return float(np.exp(np.interp(0.0, np.log(alphas), np.log(energies))))
 
 
@@ -170,7 +184,7 @@ def check_bounds(records, p, slack=1e-9):
     """
     if p <= 1.0 or not math.isfinite(p):
         raise ConfigError(f"doubling index p must be finite and > 1, got {p}")
-    E1 = _energy_at_one(records)
+    E1 = _energy_at_one(records, "bounds")
     for r in records:
         a = r.alpha
         lo_E = min(a ** p, a ** (1.0 / p)) * E1
@@ -210,13 +224,30 @@ def _extrapolate(xs, ys):
     return acc
 
 
-def estimate_limits(F, m, records, endpoint, opts=None, solve=None):
+def estimate_limits(F, m, records, endpoint, opts=None, solve=None,
+                    estimate=None):
     """Extrapolated endpoint limit of E(alpha)/alpha against the first
     eigenvalue of the pure power problem with the endpoint's
-    Matuszewska-Orlicz exponent, solved on the same mesh."""
+    Matuszewska-Orlicz exponent, solved on the same mesh.
+
+    ``estimate`` is ``matuszewska_exponent(F, endpoint)`` when the caller
+    has already fitted it.  With ``opts.restarts`` None (the default) the
+    reference is solved once, from the first default start, and kept when
+    that run converged to a minimizer of one sign: for t^p the first
+    eigenfunction is simple and is the only eigenfunction of one sign
+    (Lindqvist 1990; Franzina and Palatucci 2014 for the fractional case),
+    so such a critical point is the global minimizer and further starts
+    could only confirm it.  Otherwise the reference is solved again with
+    ``opts``, the full multistart; an explicit ``opts.restarts`` is used
+    as given.
+    """
     solve = solve or solve_E
+    opts = opts or SolveOptions()
     endpoint = Endpoint(endpoint)
-    est = matuszewska_exponent(F, endpoint)
+    est = estimate or matuszewska_exponent(F, endpoint)
+    if est.endpoint is not endpoint:
+        raise ConfigError(f"estimate is for endpoint {est.endpoint.value}, "
+                          f"not {endpoint.value}")
     if est.regime is not Regime.POWER_LIKE:
         raise ConfigError(
             f"endpoint {endpoint.value} is {est.regime.value}, not "
@@ -228,14 +259,37 @@ def estimate_limits(F, m, records, endpoint, opts=None, solve=None):
         raise ConfigError("need at least 3 converged records to extrapolate")
     quotients = [r.quotient for r in tail]
     extrapolated = _extrapolate([r.alpha for r in tail], quotients)
-    from .young import YoungFunction
-    ref = solve(YoungFunction.power(est.exponent), m, 1.0,
-                opts or SolveOptions())
-    reference = ref.energy  # quotient at alpha = 1; constant by homogeneity
+    # quotient at alpha = 1; constant by homogeneity
+    reference = _power_reference(est.exponent, m, opts, solve).energy
     gap = abs(extrapolated - reference) / reference
     return LimitEstimate(
         endpoint=endpoint.value, exponent=est.exponent,
         extrapolated=extrapolated, reference=reference, relative_gap=gap)
+
+
+def _power_reference(p, m, opts, solve):
+    """Solve Power(p) at alpha = 1: one run when ``opts.restarts`` is None,
+    kept if it converged to a minimizer of one sign, else ``opts``."""
+    F = YoungFunction.power(p)
+    if opts.restarts is None:
+        ref = solve(F, m, 1.0, replace(opts, restarts=1))
+        if ref.converged and _one_signed(ref.u):
+            return ref
+    return solve(F, m, 1.0, opts)
+
+
+def _one_signed(u):
+    """Whether the field's values are all >= 0 or all <= 0."""
+    return bool(np.all(u.values >= 0.0) or np.all(u.values <= 0.0))
+
+
+def require_decay_geometry(m):
+    """Raise GeometryError unless the mesh has inner radius > 1, the
+    geometric hypothesis of the decay theorem."""
+    if m.inner_radius <= 1.0:
+        raise GeometryError(
+            f"decay requires inner radius > 1 (got {m.inner_radius}); "
+            "the hypothesis of the decay theorem is unmet")
 
 
 def check_decay(F, m, records, endpoint, fraction=0.2):
@@ -247,10 +301,7 @@ def check_decay(F, m, records, endpoint, fraction=0.2):
     divergent doubling ratio at the endpoint.
     """
     endpoint = Endpoint(endpoint)
-    if m.inner_radius <= 1.0:
-        raise GeometryError(
-            f"decay requires inner radius > 1 (got {m.inner_radius}); "
-            "the hypothesis of the decay theorem is unmet")
+    require_decay_geometry(m)
     report = delta2_report(F, endpoint)
     if report.holds:
         raise ConfigError(
@@ -267,7 +318,7 @@ def check_decay(F, m, records, endpoint, fraction=0.2):
                    if min(extreme / r.alpha, r.alpha / extreme) >= 0.1]
     quotients = [r.quotient for r in last_decade]
     decreasing = all(b < a for a, b in zip(quotients, quotients[1:]))
-    q_one = _energy_at_one(records)
+    q_one = _energy_at_one(records, "decay checks")
     final = ordered[-1].quotient
     below = final <= fraction * q_one
     return {

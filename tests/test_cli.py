@@ -190,6 +190,28 @@ def test_sweep_rejects_bad_arguments_before_solving(capsys, monkeypatch,
     assert message in err
 
 
+@pytest.mark.parametrize("young,mesh,grid,check,message", [
+    (POWER2, "interval:1.0,100", ("2", "10"), "bounds",
+     "bounds need alpha = 1 inside the sweep grid"),
+    (EXP2, "interval:1.0,100", ("0.1", "10"), "decay",
+     "decay requires inner radius > 1"),
+    (EXP2, "interval:4.0,100", ("2", "10"), "decay",
+     "decay checks need alpha = 1 inside the sweep grid"),
+], ids=["bounds-grid-without-one", "decay-small-domain",
+        "decay-grid-without-one"])
+def test_sweep_rejects_grid_and_mesh_before_solving(
+        capsys, monkeypatch, young, mesh, grid, check, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the arguments were "
+                             "checked")
+    monkeypatch.setattr("orlicz_eigen.cli.run_sweep", no_sweep)
+    code, out, err = run(capsys, "sweep", "--young", young, "--mesh", mesh,
+                         "--alpha-min", grid[0], "--alpha-max", grid[1],
+                         "--check", check)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_sweep_without_converged_alpha_exit_1(capsys, tmp_path):
     csv = tmp_path / "sweep.csv"
     code, out, err = run(capsys, "sweep", "--young", SUM24,

@@ -6,13 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from orlicz_eigen.cli import _check_derivative
+from orlicz_eigen import cli, sweep
+from orlicz_eigen.cli import _check_derivative, _check_limits
 from orlicz_eigen.errors import ConfigError, GeometryError
+from orlicz_eigen.fractional import NonlocalMesh, solve_Es
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.solver import SolveOptions, solve_E
-from orlicz_eigen.sweep import (check_bounds, check_decay, estimate_limits,
-                                geometric_grid, run_sweep)
-from orlicz_eigen.young import Endpoint, YoungFunction, delta2_report
+from orlicz_eigen.sweep import (SweepRecord, check_bounds, check_decay,
+                                estimate_limits, geometric_grid, run_sweep)
+from orlicz_eigen.young import (Endpoint, YoungFunction, delta2_report,
+                                matuszewska_exponent)
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +231,133 @@ def test_secant_start_falls_back_on_a_degenerate_prediction(m200):
     run_sweep(YoungFunction.power(2), m200, grid,
               solve=_stub_solve(set(), calls, np.zeros(m200.interior_count)))
     assert all(calls[k][0] is calls[k - 1][1].u for k in range(1, 4))
+
+
+# -- the Power(p) reference of the endpoint limits ---------------------------
+
+def _flat_records(alphas, quotient=1.0):
+    """Converged records with a constant quotient, enough for the limits'
+    extrapolation to run without a sweep."""
+    return [SweepRecord(alpha=float(a), energy=quotient * a,
+                        quotient=quotient, lam=quotient, converged=True,
+                        residual=0.0) for a in alphas]
+
+
+def _counting(solve, calls):
+    """``solve`` that appends each call's options to ``calls``."""
+    def counted(F, m, alpha, opts, initial=None):
+        calls.append(opts)
+        return solve(F, m, alpha, opts, initial)
+    return counted
+
+
+def _stub_reference(values, converged=True):
+    """Stand-in for solve_E returning the field ``values`` on every call."""
+    def solve(F, m, alpha, opts, initial=None):
+        return SimpleNamespace(u=m.field(np.asarray(values, dtype=float)),
+                               energy=1.0, lam=1.0, residual=0.0,
+                               converged=converged)
+    return solve
+
+
+def test_limits_reference_is_one_run_per_endpoint(m200):
+    F = YoungFunction.sum_of_powers(2, 4)
+    recs = _flat_records(geometric_grid(1e-2, 1e2, 5))
+    calls = []
+    for ep in (Endpoint.ZERO, Endpoint.INFINITY):
+        estimate_limits(F, m200, recs, ep, solve=_counting(solve_E, calls))
+    assert [o.restarts for o in calls] == [1, 1]
+    # only the start count differs from the caller's (default) options
+    assert all(o.tol == SolveOptions().tol and o.seed == SolveOptions().seed
+               for o in calls)
+
+
+def _nonlocal_case(N=64):
+    nm = NonlocalMesh(1.0, N, 0.5)
+
+    def solve(F, _m, alpha, opts, initial=None):
+        return solve_Es(F, nm, alpha, opts, initial)
+    return nm.mesh, solve
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("case", ["interval", "rectangle", "nonlocal"])
+def test_limits_reference_matches_multistart(case, p):
+    if case == "interval":
+        m, solve = Mesh.interval(1.0, 200), solve_E
+    elif case == "rectangle":
+        m, solve = Mesh.rectangle(1.0, 1.0, 24, 24), solve_E
+    else:
+        m, solve = _nonlocal_case()
+    F = YoungFunction.power(p)
+    calls = []
+    le = estimate_limits(F, m, _flat_records(geometric_grid(1.0, 10.0, 3)),
+                         Endpoint.INFINITY, solve=_counting(solve, calls))
+    assert [o.restarts for o in calls] == [1]  # the single run was kept
+    multi = solve(YoungFunction.power(le.exponent), m, 1.0,
+                  SolveOptions(restarts=5))
+    assert multi.converged
+    assert le.reference == pytest.approx(multi.energy, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("values,converged", [
+    (np.ones(199), False),
+    (np.sin(2 * np.pi * np.linspace(0, 1, 201)[1:-1]), True),
+], ids=["unconverged", "sign-changing"])
+def test_limits_reference_falls_back_to_callers_options(m200, values,
+                                                        converged):
+    recs = _flat_records(geometric_grid(1.0, 10.0, 3))
+    opts = SolveOptions(tol=1e-9, seed=7)
+    calls = []
+    estimate_limits(YoungFunction.power(2), m200, recs, Endpoint.INFINITY,
+                    opts, _counting(_stub_reference(values, converged),
+                                    calls))
+    assert len(calls) == 2
+    assert calls[0].restarts == 1 and calls[0].tol == 1e-9
+    assert calls[1] is opts
+
+
+def test_limits_reference_keeps_a_one_signed_run(m200):
+    # a converged run of one sign, negative included, is kept as it is
+    recs = _flat_records(geometric_grid(1.0, 10.0, 3))
+    for values in (np.ones(199), -np.ones(199)):
+        calls = []
+        estimate_limits(YoungFunction.power(2), m200, recs,
+                        Endpoint.INFINITY,
+                        solve=_counting(_stub_reference(values), calls))
+        assert [o.restarts for o in calls] == [1]
+
+
+def test_limits_reference_keeps_explicit_restarts(m200):
+    recs = _flat_records(geometric_grid(1.0, 10.0, 3))
+    opts = SolveOptions(restarts=3)
+    calls = []
+    le = estimate_limits(YoungFunction.power(2), m200, recs,
+                         Endpoint.INFINITY, opts,
+                         _counting(solve_E, calls))
+    assert len(calls) == 1 and calls[0] is opts
+    assert le.reference == solve_E(YoungFunction.power(le.exponent), m200,
+                                   1.0, opts).energy
+
+
+def test_limits_fit_each_endpoint_exponent_once(m200, monkeypatch):
+    fitted = []
+
+    def counted(F, endpoint, *args, **kwargs):
+        fitted.append(Endpoint(endpoint))
+        return matuszewska_exponent(F, endpoint, *args, **kwargs)
+    monkeypatch.setattr(cli, "matuszewska_exponent", counted)
+    monkeypatch.setattr(sweep, "matuszewska_exponent", counted)
+    F = YoungFunction.sum_of_powers(2, 4)
+    recs = _flat_records(geometric_grid(1e-2, 1e2, 5))
+    report = _check_limits(F, m200, recs, SolveOptions(),
+                           _stub_reference(np.ones(199)))
+    assert set(report) == {"overall_pass", "zero", "infinity"}
+    assert sorted(e.value for e in fitted) == ["infinity", "zero"]
+
+
+def test_limits_estimate_for_another_endpoint_rejected(m200):
+    F = YoungFunction.sum_of_powers(2, 4)
+    est = matuszewska_exponent(F, Endpoint.ZERO)
+    with pytest.raises(ConfigError, match="endpoint"):
+        estimate_limits(F, m200, [], Endpoint.INFINITY, estimate=est)
