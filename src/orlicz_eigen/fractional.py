@@ -1,13 +1,18 @@
 """Nonlocal (fractional) energy in 1D: the Hölder quotient
 D^s u(x, y) = (u(x) - u(y)) / |x - y|^s against the measure |x - y|^{-1} dxdy.
 
-Each unordered interior pair i < j is one difference row of the local core
-(:mod:`orlicz_eigen.mesh`): plus = i, minus = j, spacing |x_i - x_j|^s and
-weight 2h^2/|x_i - x_j| (the midpoint rule, both orders), so the interior
-energy sum_e w_e A(|B_e u|), its gradient and the banded lagged stiffness
-are those of :mod:`orlicz_eigen.solver`, with bandwidth N - 1 over the
-N(N - 1)/2 pair rows.  Pair sums are O(N^2), sized for verification, not
-production.
+Each unordered interior pair is one difference row of the local core
+(:mod:`orlicz_eigen.mesh`), with spacing |x_i - x_j|^s and weight
+2h^2/|x_i - x_j| (the midpoint rule, both orders), so the interior energy
+sum_e w_e A(|B_e u|), its gradient and the banded lagged stiffness are
+those of :mod:`orlicz_eigen.solver`, with bandwidth N - 1.  The pairs sit
+in a wrap-around layout of N // 2 rows of N: row d, column i is the pair
+(i, (i + d) mod N).  That lists the N(N - 1)/2 pairs once for odd N; for
+even N row N/2 lists each of its pairs twice, and the second half has
+weight 0 (N/2 extra entries).  The mesh's ``differences``, ``transpose``
+and ``band`` are then slices, reshapes and windows of the rows, with no
+index arrays; local meshes keep their index rows.  Pair sums are O(N^2),
+sized for verification, not production.
 
 The field vanishes outside (0, L), so each node's pairs with the exterior
 integrate in closed form: E_ext = (2h/s) sum_i [G(|u_i| d_L^{-s}) +
@@ -26,9 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .mesh import Mesh, ScalarField, _conform, band_slots, row_factors
+from .mesh import Mesh, ScalarField, _conform, row_factors
 from .solver import (EPS_GRAD, Problem, SolveOptions, _LaggedStiffness,
                      _stationarity, energy, energy_gradient, mass_gradient,
                      minimize_with_restarts)
@@ -89,16 +95,24 @@ def _primitive(F, tau):
 @dataclass
 class NonlocalMesh:
     """Interval (0, L) with ``nodes`` interior nodes; the field vanishes
-    outside.  The unordered interior pairs i < j are difference rows in the
-    layout of :class:`orlicz_eigen.mesh.Mesh`: ``plus`` = i and ``minus`` =
-    j as (1, pairs) arrays, ``row_spacing`` = |x_i - x_j|^s, and
-    ``cell_weights`` = 2h^2/|x_i - x_j|, the midpoint rule of the measure
-    |x - y|^{-1} dxdy over both orders; ``bandwidth`` is N - 1.  Their row
-    factors (:func:`orlicz_eigen.mesh.row_factors`) ``flux_weights`` =
-    w/|x_i - x_j|^s and ``band_weights`` = w/|x_i - x_j|^{2s} are
-    (1, pairs) arrays.  ``mesh`` is the local interval, whose nodal
-    quadrature the zero-order modular uses.  The exterior is integrated
-    exactly from d_L = x_i - h/2 and d_R = L - x_i - h/2."""
+    outside.  The unordered interior pairs are difference rows in a
+    wrap-around layout of M = N // 2 rows of N: row d = 1..M, column i is
+    the pair (i, (i + d) mod N), at distance d h when i < N - d and
+    (N - d) h otherwise.  For odd N that lists every pair once; for even N
+    row N/2 lists each pair twice, and its second half has weight 0.  As
+    for :class:`orlicz_eigen.mesh.Mesh`, ``plus`` = i and ``minus`` =
+    (i + d) mod N are (1, M N) arrays, row-major over (d, i), that describe
+    the layout (the operators below do not read them), ``row_spacing`` =
+    |x_i - x_j|^s, ``cell_weights`` = 2h^2/|x_i - x_j|, the midpoint rule
+    of the measure |x - y|^{-1} dxdy over both orders, and the row factors
+    (:func:`orlicz_eigen.mesh.row_factors`) ``flux_weights`` =
+    w/|x_i - x_j|^s and ``band_weights`` = w/|x_i - x_j|^{2s}; the
+    ``bandwidth`` is N - 1.  ``differences``, ``transpose`` and ``band``
+    are the operator methods of ``Mesh``, computed from slices and
+    windows of the (M, N) rows instead of index scatters.  ``mesh`` is the
+    local interval, whose nodal quadrature the zero-order modular uses.
+    The exterior is integrated exactly from d_L = x_i - h/2 and
+    d_R = L - x_i - h/2."""
 
     length: float
     nodes: int
@@ -116,17 +130,76 @@ class NonlocalMesh:
         h = self.h = self.mesh.spacing[0]
         x = self.x = self.mesh.interior_coords[:, 0]
         n = self.interior_count = self.mesh.interior_count
-        i, j = np.triu_indices(n, 1)
-        d = x[j] - x[i]
-        self.plus, self.minus = i.reshape(1, -1), j.reshape(1, -1)
-        self.row_spacing = (d ** self.s).reshape(1, -1)
-        self.cell_weights = 2.0 * h * h / d
+        i = np.arange(n)
+        self.plus = np.tile(i, n // 2).reshape(1, -1)
+        self.minus = ((i + np.arange(1, n // 2 + 1)[:, None]) % n
+                      ).reshape(1, -1)
+        d = (x[np.maximum(self.plus, self.minus)]
+             - x[np.minimum(self.plus, self.minus)])
+        self.row_spacing = d ** self.s
+        self.cell_weights = 2.0 * h * h / d[0]
+        if n % 2 == 0:
+            self.cell_weights[-(n // 2):] = 0.0
         self.flux_weights, self.band_weights = row_factors(
             self.row_spacing, self.cell_weights)
-        self.bandwidth, self.band_slots = band_slots(self.plus, self.minus, n)
+        self.bandwidth = n - 1
         # Hölder scaling d^{-s} of the distances to the exterior, per side
         self._qx = np.stack([x - h / 2, self.length - x - h / 2],
                             axis=1) ** (-self.s)
+
+    def differences(self, values):
+        """B u, shape (1, M N): row d of u - u[(i + d) mod N], read as a
+        window of [u, u], over the pair spacings."""
+        n = self.interior_count
+        shifted = sliding_window_view(np.concatenate((values, values)),
+                                      n)[1:n // 2 + 1]
+        out = np.subtract(values, shifted).reshape(1, -1)
+        out /= self.row_spacing
+        return out
+
+    def _ends(self, x):
+        """Per node, the sums of x (one entry per pair, raveled) over the
+        pairs whose plus end it is and over those whose minus end it is.
+        The rows go into a buffer with a zero column in front and a zero
+        row below; read back with row stride N instead of N + 1, column k
+        of that view holds exactly the entries of the pairs whose minus end
+        is node k (row d at column (k - d) mod N), each once, and zeros."""
+        n, half = self.interior_count, self.interior_count // 2
+        pad = np.empty((half + 1, n + 1))
+        pad[:half, 1:] = x.reshape(half, n)
+        pad[:, 0] = 0.0
+        pad[half] = 0.0
+        return (pad[:half, 1:].sum(axis=0),
+                pad.ravel()[:(half + 1) * n].reshape(half + 1, n).sum(axis=0))
+
+    def transpose(self, flux):
+        """D^T flux at the nodes for the unscaled pair differences D:
+        plus-end sums minus minus-end sums."""
+        plus, minus = self._ends(flux)
+        return plus - minus
+
+    def band(self, c):
+        """Upper banded storage, N x N, of D^T diag(c) D for one coefficient
+        per pair, raveled, which vanishes on the zero-weight repeats of an
+        even N (as the band factors w/|x_i - x_j|^{2s} do).  Band row d - 1
+        holds the offset N - d, so the wrapped pairs of row d (columns
+        i >= N - d) land at column i of it: one slice assignment.  The
+        pairs (i, i + d) land at column i + d of band row N - 1 - d, which
+        steps by N - 1 in the flat band from one d to the next: one
+        reshaped view, filled from the rows in reverse.  Entries LAPACK
+        never reads (column below the offset) hold finite copies or
+        zeros."""
+        n, half = self.interior_count, self.interior_count // 2
+        rows = c.reshape(half, n)
+        ab = np.empty((n, n))
+        np.negative(rows, out=ab[:half])
+        start = (n - 1 - half) * n + half
+        np.negative(rows[::-1, :-1], out=ab.ravel()[
+            start:start + half * (n - 1)].reshape(half, n - 1))
+        ab[n - 1 - half, :half] = 0.0
+        plus, minus = self._ends(c)
+        ab[-1] = plus + minus
+        return ab
 
     @classmethod
     def from_config(cls, cfg):

@@ -9,8 +9,12 @@ legs.  The gradient is constant on every element, so element weights
 times A(|B_e u|) integrate A(|grad u|) exactly.  Boundary nodes point to a
 zero appended after the interior values.  Zero-order terms use nodal
 quadrature whose weights sum exactly to the domain measure.
-:class:`orlicz_eigen.fractional.NonlocalMesh` builds its pair rows in the
-same layout.
+Each mesh owns its difference operator: ``differences`` (B u),
+``transpose`` (the gradient's sums of row fluxes) and ``band`` (the
+banded stiffness), which the solver's core calls; local meshes scatter
+over their index rows ``plus`` and ``minus``.
+:class:`orlicz_eigen.fractional.NonlocalMesh` keeps the same row data
+and provides the same three methods over its wrap-around pair layout.
 """
 
 import math
@@ -41,7 +45,8 @@ class Mesh:
       ``flux_weights`` w/h and ``band_weights`` w/h^2, which scale the
       gradient's fluxes and the stiffness entries;
     - ``bandwidth`` and ``band_slots``, where each difference's entries of
-      the stiffness B^T diag(c) B land in its upper banded storage.
+      the stiffness B^T diag(c) B land in its upper banded storage, which
+      :meth:`band` scatters into.
     """
 
     dim: int
@@ -95,6 +100,29 @@ class Mesh:
             self.row_spacing, self.cell_weights)
 
         self.bandwidth, self.band_slots = band_slots(self.plus, self.minus, n)
+
+    def differences(self, values):
+        """B u, shape (dim, elements), at the interior values: row k holds
+        each element's slope along axis k."""
+        ext = np.concatenate((values, [0.0]))
+        return (ext[self.plus] - ext[self.minus]) / self.row_spacing
+
+    def transpose(self, flux):
+        """D^T flux at the interior nodes for the unscaled differences
+        D = h B and one flux per row entry, raveled: the sum over the rows'
+        plus ends minus the sum over their minus ends."""
+        n = self.interior_count
+        return (np.bincount(self.plus.ravel(), flux, minlength=n + 1)
+                - np.bincount(self.minus.ravel(), flux, minlength=n + 1))[:n]
+
+    def band(self, c):
+        """Upper banded storage, (bandwidth + 1) x n, of D^T diag(c) D for
+        one coefficient per row entry, raveled, scattered into
+        ``band_slots``."""
+        n = self.interior_count
+        ab = np.bincount(self.band_slots, np.concatenate((c, c, -c)),
+                         minlength=(self.bandwidth + 1) * n + 1)[:-1]
+        return ab.reshape(-1, n)
 
     @property
     def measure(self):
@@ -220,10 +248,9 @@ def _conform(u, m):
 
 
 def cell_gradients(u, m):
-    """Element gradients B u, shape (dim, elements): row k holds each
-    element's slope along axis k."""
-    ext = np.concatenate((_conform(u, m), [0.0]))
-    return (ext[m.plus] - ext[m.minus]) / m.row_spacing
+    """Element gradients B u of the mesh's difference rows, shape
+    (dim, elements): row k holds each element's slope along axis k."""
+    return m.differences(_conform(u, m))
 
 
 def gradient_magnitudes(slopes):

@@ -99,10 +99,8 @@ def energy_gradient(F, u, m, *, cells=None):
     share."""
     values = _conform(u, m)
     cells = (cells or _LaggedStiffness(m)).at(values)
-    flux = (cells.coefficient(F) * cells.slopes * m.flux_weights).ravel()
-    n = m.interior_count
-    return (np.bincount(m.plus.ravel(), flux, minlength=n + 1)
-            - np.bincount(m.minus.ravel(), flux, minlength=n + 1))[:n]
+    return m.transpose(
+        (cells.coefficient(F) * cells.slopes * m.flux_weights).ravel())
 
 
 def mass_gradient(F, u, m):
@@ -184,9 +182,9 @@ def _lifted(x, keep=0.0, least=0.0):
 class _LaggedStiffness:
     """Lagged-coefficient stiffness solves of one solve: the Cholesky
     factor of B^T diag(w a(g)/g) B over the difference rows of any mesh
-    (cells, triangles or nonlocal pairs), assembled straight into its upper
-    banded storage.  ``diagonal(F, values)``, if given, is added to the
-    band's diagonal (the nonlocal exterior).
+    (cells, triangles or nonlocal pairs), assembled by the mesh's ``band``
+    straight into its upper banded storage.  ``diagonal(F, values)``, if
+    given, is added to the band's diagonal (the nonlocal exterior).
 
     A one-entry row memo, keyed on the field's contents, keeps B u
     (``slopes``) and g = |B u| of the last field seen, and on top of it,
@@ -241,12 +239,8 @@ class _LaggedStiffness:
         and those not above ``keep`` times the largest, are lifted by
         :func:`_lifted`; then so are zero or non-finite diagonal entries."""
         self.at(values)
-        m = self.m
-        c = (_lifted(self.coefficient(F), keep) * m.band_weights).ravel()
-        n = m.interior_count
-        ab = np.bincount(m.band_slots, np.concatenate((c, c, -c)),
-                         minlength=(m.bandwidth + 1) * n + 1)[:-1]
-        ab = ab.reshape(-1, n)
+        ab = self.m.band(
+            (_lifted(self.coefficient(F), keep) * self.m.band_weights).ravel())
         extra = self.diagonal_term(F)
         if extra is not None:
             ab[-1] += extra

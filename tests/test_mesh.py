@@ -88,6 +88,37 @@ def test_2d_gradient_magnitudes_plane():
     assert np.allclose(g[inner], 1.0, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [Mesh.interval(1.0, 7),
+                               Mesh.rectangle(1.0, 1.0, 4, 3)],
+                         ids=["interval", "rectangle"])
+def test_difference_operator_matches_dense_rows(m):
+    # differences, transpose and band against dense matrices built from
+    # plus and minus, boundary ends dropped: B u = D u / h for the unscaled
+    # differences D, D^T f and the band of D^T diag(c) D
+    n = m.interior_count
+    plus, minus = m.plus.ravel(), m.minus.ravel()
+    rows = np.arange(plus.size)
+    D = np.zeros((plus.size, n + 1))
+    np.add.at(D, (rows, plus), 1.0)
+    np.add.at(D, (rows, minus), -1.0)
+    D = D[:, :n]
+    spacing = np.repeat(m.row_spacing[:, 0], m.plus.shape[1])
+    rng = np.random.default_rng(7)
+    u, f, c = (rng.standard_normal(size)
+               for size in (n, plus.size, plus.size))
+    np.testing.assert_allclose(m.differences(u).ravel(), D @ u / spacing,
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(m.transpose(f), D.T @ f, rtol=0.0,
+                               atol=1e-14 * np.abs(f).sum())
+    ab = m.band(c)
+    b = m.bandwidth
+    assert ab.shape == (b + 1, n)
+    K = sum(np.diag(ab[b - k, k:], k) for k in range(1, b + 1))
+    np.testing.assert_allclose(K + K.T + np.diag(ab[b]),
+                               D.T @ (c[:, None] * D), rtol=0.0,
+                               atol=1e-14 * np.abs(c).sum())
+
+
 def test_bump_field_plateau_and_gradient_bound():
     m = Mesh.interval(4.0, 200)
     u = bump_field(m, 0.5)

@@ -203,6 +203,84 @@ def test_block_assembly_matches_dense_reference(F):
     _assert_matches_dense_reference(F, nm)
 
 
+SMALL_N = [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("n", SMALL_N)
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
+def test_wrap_around_layout_matches_dense_reference(F, n):
+    # odd N lists each pair once; even N repeats row N/2 with a zero-weight
+    # second half, and N = 2 is that half row alone
+    nm = NonlocalMesh(1.0, n, 0.4)
+    assert nm.plus.shape == nm.minus.shape == (1, n // 2 * n)
+    assert nm.bandwidth == n - 1
+    u = np.random.default_rng(n).standard_normal(n)
+    E, g, K = _dense_reference(F, u, nm)
+    assert energy_s(F, u, nm) == pytest.approx(E, rel=1e-13)
+    assert _close(energy_s_gradient(F, u, nm), g)
+    assert _close(_dense_stiffness(F, u, nm), K)
+
+
+@pytest.mark.parametrize("n", SMALL_N + [7, 8, 64, 65])
+def test_each_pair_once_with_its_weight(n):
+    # every unordered pair i < j has exactly one row of positive weight
+    # 2h^2/|x_i - x_j|; the only other rows are the N/2 repeats of an even N,
+    # with weight 0
+    nm = NonlocalMesh(1.0, n, 0.5)
+    w = nm.cell_weights
+    lo = np.minimum(nm.plus[0], nm.minus[0])
+    hi = np.maximum(nm.plus[0], nm.minus[0])
+    live = w > 0.0
+    pairs = lo[live] * n + hi[live]
+    assert np.array_equal(np.sort(pairs), np.flatnonzero(
+        np.triu(np.ones((n, n), dtype=bool), 1)))
+    np.testing.assert_allclose(
+        w[live], 2.0 * nm.h * nm.h / (nm.x[hi] - nm.x[lo])[live],
+        rtol=1e-15, atol=0.0)
+    assert np.count_nonzero(~live) == (n // 2 if n % 2 == 0 else 0)
+    assert np.all(w[~live] == 0.0)
+    assert np.all(np.isin(lo[~live] * n + hi[~live], pairs))
+
+
+@pytest.mark.parametrize("n", SMALL_N + [7, 37, 48])
+def test_pair_operators_match_dense_rows(n):
+    # differences, transpose and band against the dense pair differences D
+    # built from plus and minus: B u = D u / spacing, D^T f, D^T diag(c) D
+    nm = NonlocalMesh(1.0, n, 0.3)
+    rng = np.random.default_rng(n)
+    rows = n // 2 * n
+    D = np.zeros((rows, n))
+    D[np.arange(rows), nm.plus[0]] += 1.0
+    D[np.arange(rows), nm.minus[0]] -= 1.0
+    u, f, c = (rng.standard_normal(size) for size in (n, rows, rows))
+    c[nm.cell_weights == 0.0] = 0.0  # as band_weights makes it
+    assert _close(nm.differences(u)[0], D @ u / nm.row_spacing[0])
+    assert _close(nm.transpose(f), D.T @ f)
+    ab = nm.band(c)
+    K = sum(np.diag(ab[n - 1 - k, k:], k) for k in range(1, n))
+    assert _close(K + K.T + np.diag(ab[-1]), D.T @ (c[:, None] * D))
+
+
+@pytest.mark.parametrize("n", SMALL_N + [7, 37, 48])
+def test_band_finite_and_build_solves_dense_stiffness(n, monkeypatch):
+    # every entry of the band is finite, the ones LAPACK never reads too,
+    # since cholesky_banded checks the whole array
+    F = YoungFunction.sum_of_powers(2, 4)
+    nm = NonlocalMesh(1.0, n, 0.5)
+    rng = np.random.default_rng(n)
+    u, rhs = rng.standard_normal(n), rng.standard_normal(n)
+    cells = _stiffness(nm)
+    K = _dense_stiffness(F, u, nm, cells)  # fills the memo
+    with monkeypatch.context() as mp:
+        # an entry the assembly leaves unwritten would keep its NaN
+        mp.setattr(np, "empty", lambda shape: np.full(shape, np.nan))
+        ab = cells.band(F, u)
+    assert np.all(np.isfinite(ab))
+    x = cells.build(F, u)(rhs)
+    ref = np.linalg.solve(K, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("geometry", [(48, 0.4), (40, 0.7), (29, 0.3)],
                          ids=["even", "s0.7", "s0.3"])
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
