@@ -19,12 +19,15 @@ integrate in closed form: E_ext = (2h/s) sum_i [G(|u_i| d_L^{-s}) +
 G(|u_i| d_R^{-s})] (pairs in both orders), G(tau) = int_0^tau A(t)/t dt.
 The distances d_L = x_i - h/2, d_R = L - x_i - h/2 start where the midpoint
 rule of the interior pairs ends, so E_ext is the limit of a discrete zero
-halo of growing width up to O(h).  Since G'(tau) = A(tau)/tau, its gradient
-is 2 dz u and its lagged stiffness the diagonal 2 dz, both added to the
-core's.  It costs 2N values of A per iterate, which the gradient and the
-stiffness share through the core's row memo, and 2N of G per energy; G is
-closed-form for Power and SumOfPowers, otherwise a fixed 113-node rule
-(113 values of A each).
+halo of growing width up to O(h).  E_ext is sum_e w_e G(|B_e u|) over a
+second row block of the mesh: two rows per node, B_e u = u_i d^{-s},
+weight 2h/s and the Young function G, whose density G'(tau) = A(tau)/tau
+is nondecreasing for a convex A with A(0) = 0.  The core sums it with the
+pair rows in the energy, the gradient and the stiffness, where it adds
+only to the diagonal.  It costs 2N values of A per iterate (its a(g)/g),
+which the gradient and the stiffness share through the core's row memo,
+and 2N of G per energy; G is closed-form for Power and SumOfPowers,
+otherwise a fixed 113-node rule (113 values of A each).
 """
 
 import math
@@ -34,10 +37,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .mesh import Mesh, ScalarField, _conform, row_factors
-from .solver import (EPS_GRAD, Problem, SolveOptions, _LaggedStiffness,
-                     _stationarity, energy, energy_gradient, mass_gradient,
-                     minimize_with_restarts)
+from .mesh import Mesh, row_factors
+from .solver import (_solve, energy, energy_gradient, lagrange_quotient,
+                     weak_residual)
 from .young import SATURATION, Family, _ipow
 
 __all__ = [
@@ -92,6 +94,54 @@ def _primitive(F, tau):
     return np.minimum(G, SATURATION)
 
 
+class _Primitive:
+    """The Young function G of the exterior rows, G(tau) =
+    int_0^tau A(sigma)/sigma dsigma with density a(tau) = A(tau)/tau: the
+    two methods the core reads.  It is not a YoungFunction, so evaluations
+    of G are not counted (by perfbench) as evaluations of A; its density
+    is, since it evaluates A."""
+
+    def __init__(self, F):
+        self.F = F
+
+    def A(self, tau):
+        return _primitive(self.F, tau)
+
+    def a(self, tau):
+        return self.F.A(tau) / tau
+
+
+class _Exterior:
+    """The pairs of each interior node with the exterior as a row block:
+    raveled side-major (left, then right), row (side, i) is u_i d^{-s} for
+    the distance d to that side's exterior, with weight 2h/s and the Young
+    function G of :class:`_Primitive`.  Its rows share no node, so
+    ``transpose`` adds the two sides and ``band`` is the diagonal alone."""
+
+    def __init__(self, nm):
+        n = self.interior_count = nm.interior_count
+        # Hölder scaling d^{-s} of the distances to the exterior, per side
+        self._q = np.stack([nm.x - nm.h / 2, nm.length - nm.x - nm.h / 2]
+                           ) ** (-nm.s)
+        self.cell_weights = np.full(2 * n, 2.0 * nm.h / nm.s)
+        self.flux_weights = self.cell_weights * self._q.ravel()
+        self.band_weights = self.flux_weights * self._q.ravel()
+
+    def young(self, F):
+        return _Primitive(F)
+
+    def differences(self, values):
+        return (values * self._q).reshape(1, -1)
+
+    def transpose(self, flux):
+        n = self.interior_count
+        return flux[:n] + flux[n:]
+
+    def band(self, c):
+        n = self.interior_count
+        return (c[:n] + c[n:]).reshape(1, n)
+
+
 @dataclass
 class NonlocalMesh:
     """Interval (0, L) with ``nodes`` interior nodes; the field vanishes
@@ -110,8 +160,9 @@ class NonlocalMesh:
     ``bandwidth`` is N - 1.  ``differences``, ``transpose`` and ``band``
     are the operator methods of ``Mesh``, computed from slices and
     windows of the (M, N) rows instead of index scatters.  ``mesh`` is the
-    local interval, whose nodal quadrature the zero-order modular uses.
-    The exterior is integrated exactly from d_L = x_i - h/2 and
+    local interval, whose nodal quadrature ``node_weights`` the zero-order
+    modular uses.  ``blocks`` are the pair rows and the exterior rows
+    (:class:`_Exterior`), integrated exactly from d_L = x_i - h/2 and
     d_R = L - x_i - h/2."""
 
     length: float
@@ -127,6 +178,7 @@ class NonlocalMesh:
             raise ConfigError(
                 f"length must be finite and positive, got {self.length}")
         self.mesh = Mesh.interval(self.length, self.nodes + 1)
+        self.node_weights = self.mesh.node_weights
         h = self.h = self.mesh.spacing[0]
         x = self.x = self.mesh.interior_coords[:, 0]
         n = self.interior_count = self.mesh.interior_count
@@ -143,9 +195,13 @@ class NonlocalMesh:
         self.flux_weights, self.band_weights = row_factors(
             self.row_spacing, self.cell_weights)
         self.bandwidth = n - 1
-        # Hölder scaling d^{-s} of the distances to the exterior, per side
-        self._qx = np.stack([x - h / 2, self.length - x - h / 2],
-                            axis=1) ** (-self.s)
+        self.exterior = _Exterior(self)
+
+    @property
+    def blocks(self):
+        return (self, self.exterior)
+
+    young = Mesh.young  # the pair rows' Young function is F itself
 
     def differences(self, values):
         """B u, shape (1, M N): row d of u - u[(i + d) mod N], read as a
@@ -220,70 +276,17 @@ class NonlocalMesh:
                 f"s={self.s})")
 
 
-def _exterior_coefficient(F, values, nm):
-    """dz_i = (h/s) sum_sides d^{-2s} A(tau)/tau^2 at tau = |u_i| d^{-s},
-    floored like the interior quotients: the exterior gradient is 2 dz u
-    and its lagged stiffness 2 dz."""
-    tau = np.maximum(np.abs(values)[:, None] * nm._qx, EPS_GRAD)
-    return nm.h / nm.s * np.sum(nm._qx ** 2 * F.A(tau) / tau ** 2, axis=1)
-
-
-def energy_s(F, u, nm, *, cells=None):
-    """Pair-row energy sum_e w_e A(|D^s u|) plus the exterior term.
-    ``cells`` is the lagged stiffness of the running solve, whose row memo
-    keeps D^s u for the gradient and the band at the same field."""
-    values = _conform(u, nm)
-    tau = np.abs(values)[:, None] * nm._qx
-    return (energy(F, values, nm, cells=cells)
-            + 2.0 * nm.h / nm.s * float(np.sum(_primitive(F, tau))))
-
-
-def energy_s_gradient(F, u, nm, *, cells=None):
-    """Nodal gradient of :func:`energy_s`, with the a(t)/t factor
-    regularized exactly as in the local assembly.  ``cells`` is the lagged
-    stiffness of the running solve, whose memo of the pair coefficient and
-    of the exterior diagonal the preconditioner reuses."""
-    values = _conform(u, nm)
-    cells = cells or _stiffness(nm)
-    return (energy_gradient(F, values, nm, cells=cells)
-            + cells.diagonal_term(F) * values)
-
-
-def _stiffness(nm):
-    """Lagged stiffness of the pair rows with the exterior diagonal 2 dz."""
-    return _LaggedStiffness(
-        nm, diagonal=lambda F, v: 2.0 * _exterior_coefficient(F, v, nm))
-
-
-def lagrange_quotient_s(F, u, nm):
-    """lambda^s = pair sum of a(|D^s u|)|D^s u| w_ij over the zero-order
-    modular pairing on the interval; the numerator is the gradient paired
-    with u, as in the local quotient."""
-    values = _conform(u, nm)
-    return _stationarity(energy_s_gradient(F, values, nm),
-                         mass_gradient(F, values, nm.mesh), values,
-                         nm.mesh.node_weights)[0]
-
-
-def weak_residual_s(F, u, lam, nm):
-    """Normalized weighted defect of the nonlocal weak form at (u, lam)."""
-    values = _conform(u, nm)
-    return _stationarity(energy_s_gradient(F, values, nm),
-                         mass_gradient(F, values, nm.mesh), values,
-                         nm.mesh.node_weights, lam)[1]
+# The nonlocal energy, gradient and quotients are the core's over the
+# mesh's pair and exterior blocks; the names stay as public API.
+energy_s = energy
+energy_s_gradient = energy_gradient
+lagrange_quotient_s = lagrange_quotient
+weak_residual_s = weak_residual
 
 
 def solve_Es(F, nm, alpha, opts=None, initial=None):
-    """Minimize the pair-row energy, exterior term included, at zero-order
-    modular alpha.  Identical contract to :func:`orlicz_eigen.solver.solve_E`.
+    """Minimize the pair-row energy, exterior rows included, at zero-order
+    modular alpha over the interval.  Identical contract to
+    :func:`orlicz_eigen.solver.solve_E`.
     """
-    opts = opts or SolveOptions()
-    cells = _stiffness(nm)
-    problem = Problem(
-        F, nm.mesh,
-        energy_fn=lambda v: energy_s(F, v, nm, cells=cells),
-        gradient_fn=lambda v: energy_s_gradient(F, v, nm, cells=cells),
-        precond_factory=cells)
-    result = minimize_with_restarts(problem, alpha, opts, initial)
-    result.u = ScalarField(result.u.values, nm.mesh)
-    return result
+    return _solve(F, nm, nm.mesh, alpha, opts, initial)

@@ -12,9 +12,12 @@ quadrature whose weights sum exactly to the domain measure.
 Each mesh owns its difference operator: ``differences`` (B u),
 ``transpose`` (the gradient's sums of row fluxes) and ``band`` (the
 banded stiffness), which the solver's core calls; local meshes scatter
-over their index rows ``plus`` and ``minus``.
+over their index rows ``plus`` and ``minus``.  The core sums over a
+mesh's ``blocks``, each a set of such rows whose ``young(F)`` is the Young
+function of its energy; a local mesh is one block with F itself.
 :class:`orlicz_eigen.fractional.NonlocalMesh` keeps the same row data
-and provides the same three methods over its wrap-around pair layout.
+and provides the same three methods over its wrap-around pair layout,
+with its exterior as a second block.
 """
 
 import math
@@ -125,6 +128,15 @@ class Mesh:
         return ab.reshape(-1, n)
 
     @property
+    def blocks(self):
+        """The row blocks of the energy: the mesh's own rows alone."""
+        return (self,)
+
+    def young(self, F):
+        """The Young function of the rows' energy: F itself."""
+        return F
+
+    @property
     def measure(self):
         return math.prod(self.extents)
 
@@ -139,13 +151,6 @@ class Mesh:
 
     def field(self, values):
         return ScalarField(np.asarray(values, dtype=float), self)
-
-    def field_from_callable(self, fn):
-        """Sample fn at interior node coordinates."""
-        pts = self.interior_coords
-        if self.dim == 1:
-            return self.field(np.asarray([fn(x) for x in pts[:, 0]]))
-        return self.field(np.asarray([fn(x, y) for x, y in pts]))
 
     @classmethod
     def interval(cls, length, cells):

@@ -7,8 +7,10 @@ map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
 stiffness solve and projected onto the constraint tangent.
 The same engine, energy, gradient and stiffness drive the local problem
-here and the fractional pair-sum problem in :mod:`orlicz_eigen.fractional`,
-whose interior pairs are difference rows like the local cells.
+here and the fractional pair-sum problem in :mod:`orlicz_eigen.fractional`:
+each sums over the row blocks of its mesh (``m.blocks``), a block being
+difference rows with weights and a Young function of its own, like the
+local cells.
 """
 
 import math
@@ -20,7 +22,7 @@ from scipy import linalg as sla
 from .errors import ConfigError, OrliczError, ZeroDenominatorError
 from .mesh import (ScalarField, _conform, bump_field, cell_gradients,
                    gradient_magnitudes)
-from .young import NormalizationResult, _check_alpha, _normalize
+from .young import NormalizationResult, _check_alpha, _normalize, modular
 
 __all__ = [
     "SolveOptions", "NormalizationResult", "MinimizerResult",
@@ -84,23 +86,26 @@ def _regularized_coef(F, g):
 
 
 def energy(F, u, m, *, cells=None):
-    """Quadrature of A over the element gradient magnitudes.  ``cells`` is
-    the lagged stiffness of the running solve, whose row memo keeps B u
-    for the gradient and the band at the same field."""
+    """Quadrature sum_e w_e A(|B_e u|) over the rows of each block of m,
+    with the block's Young function.  ``cells`` is the lagged stiffness of
+    the running solve, whose row memo keeps B u for the gradient and the
+    band at the same field."""
     values = _conform(u, m)
     g = (cells or _LaggedStiffness(m)).at(values).g
-    return float(np.dot(m.cell_weights, F.A(g)))
+    return sum(float(np.dot(b.cell_weights, b.young(F).A(gk)))
+               for b, gk in zip(m.blocks, g))
 
 
 def energy_gradient(F, u, m, *, cells=None):
-    """Nodal gradient B^T (w a(g)/g B u) of the discrete energy.
-    ``cells`` is the lagged stiffness of the running solve, whose memo of
-    B u and a(g)/g the energy and the preconditioner at the same field
-    share."""
+    """Nodal gradient sum over the blocks of B^T (w a(g)/g B u) of the
+    discrete energy.  ``cells`` is the lagged stiffness of the running
+    solve, whose memo of B u and a(g)/g the energy and the preconditioner
+    at the same field share."""
     values = _conform(u, m)
     cells = (cells or _LaggedStiffness(m)).at(values)
-    return m.transpose(
-        (cells.coefficient(F) * cells.slopes * m.flux_weights).ravel())
+    return sum(b.transpose((c * slopes * b.flux_weights).ravel())
+               for b, c, slopes in zip(m.blocks, cells.coefficients(F),
+                                       cells.slopes))
 
 
 def mass_gradient(F, u, m):
@@ -181,25 +186,25 @@ def _lifted(x, keep=0.0, least=0.0):
 
 class _LaggedStiffness:
     """Lagged-coefficient stiffness solves of one solve: the Cholesky
-    factor of B^T diag(w a(g)/g) B over the difference rows of any mesh
-    (cells, triangles or nonlocal pairs), assembled by the mesh's ``band``
-    straight into its upper banded storage.  ``diagonal(F, values)``, if
-    given, is added to the band's diagonal (the nonlocal exterior).
+    factor of the sum over the mesh's row blocks of B^T diag(w a(g)/g) B
+    (cells, triangles, nonlocal pairs and the nonlocal exterior alike),
+    each assembled by its block's ``band`` straight into upper banded
+    storage.  A block of smaller bandwidth (the exterior holds only the
+    diagonal) adds into the last rows of the first block's band.
 
-    A one-entry row memo, keyed on the field's contents, keeps B u
-    (``slopes``) and g = |B u| of the last field seen, and on top of it,
-    for the last Young function asked, a(g)/g and the diagonal term.  The
+    A one-entry row memo, keyed on the field's contents, keeps per block
+    B u (``slopes``) and g = |B u| of the last field seen, and on top of
+    it, for the last Young function asked, each block's a(g)/g.  The
     line-search energy of a trial fills it; once the trial is accepted, the
     gradient and the band built there read it instead of touching the rows
     again.  Any other field (a rejected trial's successor, or an array
     changed in place) misses the key and resets the memo.
     """
 
-    def __init__(self, m, diagonal=None):
+    def __init__(self, m):
         self.m = m
-        self.diagonal = diagonal
         self._values = self.slopes = self.g = None
-        self._F = self._coef = self._diag = None
+        self._F = self._coefs = None
 
     def at(self, values):
         """The memo at ``values``, a conforming float array: B u and |B u|
@@ -207,43 +212,31 @@ class _LaggedStiffness:
         """
         if self._values is None or not np.array_equal(self._values, values):
             self._values = values.copy()
-            self.slopes = cell_gradients(values, self.m)
-            self.g = gradient_magnitudes(self.slopes)
-            self._F = self._coef = self._diag = None
+            self.slopes = [cell_gradients(values, b) for b in self.m.blocks]
+            self.g = [gradient_magnitudes(x) for x in self.slopes]
+            self._F = self._coefs = None
         return self
 
-    def _young(self, F):
+    def coefficients(self, F):
+        """a(g)/g of each block at the memo's field, with the block's Young
+        function, regularized at vanishing g."""
         if self._F is not F:
-            self._F, self._coef, self._diag = F, None, None
-
-    def coefficient(self, F):
-        """a(g)/g at the memo's field, regularized at vanishing g."""
-        self._young(F)
-        if self._coef is None:
-            self._coef = _regularized_coef(F, self.g)
-        return self._coef
-
-    def diagonal_term(self, F):
-        """``diagonal(F, values)`` at the memo's field, or None without the
-        hook."""
-        if self.diagonal is None:
-            return None
-        self._young(F)
-        if self._diag is None:
-            self._diag = self.diagonal(F, self._values)
-        return self._diag
+            self._F = F
+            self._coefs = [_regularized_coef(b.young(F), g)
+                           for b, g in zip(self.m.blocks, self.g)]
+        return self._coefs
 
     def band(self, F, values, keep=0.0):
         """Upper banded storage, (bandwidth + 1) x n, of the stiffness at
         ``values``.  Zero (underflowed) or non-finite coefficients a(g)/g,
-        and those not above ``keep`` times the largest, are lifted by
-        :func:`_lifted`; then so are zero or non-finite diagonal entries."""
+        and those not above ``keep`` times the largest of their block, are
+        lifted by :func:`_lifted`; then so are zero or non-finite diagonal
+        entries."""
         self.at(values)
-        ab = self.m.band(
-            (_lifted(self.coefficient(F), keep) * self.m.band_weights).ravel())
-        extra = self.diagonal_term(F)
-        if extra is not None:
-            ab[-1] += extra
+        ab, *rest = (b.band((_lifted(c, keep) * b.band_weights).ravel())
+                     for b, c in zip(self.m.blocks, self.coefficients(F)))
+        for part in rest:
+            ab[-len(part):] += part
         ab[-1] = _lifted(ab[-1], least=1e-280)
         return ab
 
@@ -280,11 +273,7 @@ class Problem:
         self._precond = precond_factory
 
     def mass_gradient(self, values):
-        return mass_gradient(self.F, ScalarField(values, self.m), self.m)
-
-    def modular_scaled(self, values, r):
-        return float(np.dot(self.m.node_weights,
-                            self.F.A(r * np.abs(values))))
+        return mass_gradient(self.F, values, self.m)
 
     def project(self, values, alpha, r0=1.0):
         norm = _normalize(self.F, np.abs(values), self.m.node_weights,
@@ -516,15 +505,23 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     non-finite or non-positive alpha raises ConfigError; a minimizer whose
     modular misses alpha by more than 1e-10 relative raises OrliczError.
     """
-    opts = opts or SolveOptions()
-    cells = _LaggedStiffness(m)
+    return _solve(F, m, m, alpha, opts, initial)
+
+
+def _solve(F, rows, m, alpha, opts, initial):
+    """:func:`solve_E` with the energy over the row blocks of ``rows`` and
+    the zero-order modular over the nodes of m: ``rows`` itself on a local
+    mesh, the interval of a nonlocal one.  The energy and its gradient are
+    looked up in this module at each call, so a wrapper installed on
+    ``energy`` or ``energy_gradient`` sees every solve's calls."""
+    cells = _LaggedStiffness(rows)
     problem = Problem(
         F, m,
-        energy_fn=lambda v: energy(F, ScalarField(v, m), m, cells=cells),
-        gradient_fn=lambda v: energy_gradient(F, ScalarField(v, m), m,
-                                              cells=cells),
+        energy_fn=lambda v: energy(F, v, rows, cells=cells),
+        gradient_fn=lambda v: energy_gradient(F, v, rows, cells=cells),
         precond_factory=cells)
-    return minimize_with_restarts(problem, alpha, opts, initial)
+    return minimize_with_restarts(problem, alpha, opts or SolveOptions(),
+                                  initial)
 
 
 def minimize_with_restarts(problem, alpha, opts, initial=None):
@@ -556,7 +553,7 @@ def minimize_with_restarts(problem, alpha, opts, initial=None):
             break
     best = _pick_best(runs)
     u = ScalarField(best.values, problem.m)
-    achieved = problem.modular_scaled(best.values, 1.0)
+    achieved = modular(problem.F, best.values, problem.m)
     if not abs(achieved - alpha) <= 1e-10 * alpha:
         raise OrliczError(
             f"minimizer misses the constraint: modular {achieved!r} "

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import (BracketRangeError, ConfigError, ConformanceError,
-                     ZeroDenominatorError)
+from .errors import BracketRangeError, ConfigError, ZeroDenominatorError
+from .mesh import _conform
 
 __all__ = [
     "SATURATION", "DIVERGENCE_THRESHOLD", "VANISHING_THRESHOLD",
@@ -618,14 +618,14 @@ def complementary_function(F, label=None):
 
 def modular(F, u, m):
     """Quadrature approximation of the zero-order modular of |u| over m."""
-    values = _conforming_values(u, m)
+    values = _conform(u, m)
     return float(np.dot(m.node_weights, F.A(np.abs(values))))
 
 
 def luxemburg_norm(F, u, m):
     """Infimal k > 0 with modular(F, u/k, m) <= 1: k = 1/r for the radius r
     with modular(F, r u, m) = 1 (see ``_normalize``)."""
-    values = _conforming_values(u, m)
+    values = _conform(u, m)
     if not np.any(values):
         return 0.0
     return 1.0 / _normalize(F, np.abs(values), m.node_weights, 1.0).r_alpha
@@ -805,17 +805,7 @@ def _normalize(F, absu, w, alpha, r0=1.0):
                                iterations=steps + more)
 
 
-def _conforming_values(u, m):
-    values = getattr(u, "values", u)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (m.interior_count,):
-        raise ConformanceError(
-            f"field has {values.shape} values, mesh has "
-            f"{m.interior_count} interior nodes")
-    return values
-
-
-def _default_grid(F, endpoint, points_per_decade=8):
+def _default_grid(endpoint, points_per_decade=8):
     if endpoint is Endpoint.ZERO:
         lo, hi = 1e-9, 1.0
     else:
@@ -834,7 +824,7 @@ def delta2_report(F, endpoint, grid=None, points_per_decade=8,
     """
     endpoint = Endpoint(endpoint)
     if grid is None:
-        grid = _default_grid(F, endpoint, points_per_decade)
+        grid = _default_grid(endpoint, points_per_decade)
     grid = np.asarray(grid, dtype=float)
     if grid[-1] / grid[0] < 10.0 ** 6 * (1 - 1e-9):
         raise ValueError("delta2 grid must cover at least 6 decades")
@@ -873,9 +863,6 @@ def delta2_report(F, endpoint, grid=None, points_per_decade=8,
     holds = doubling_sup < divergence_threshold and not monotone_growth
     threshold = float(eff_grid[0] if endpoint is Endpoint.INFINITY
                       else eff_grid[-1])
-    if endpoint is Endpoint.ZERO:
-        threshold = float(eff_grid[-1])
-        # effective lower cutoff after underflow skipping is eff_grid[0]
     C = max(2.0, doubling_sup) if holds else math.inf
     return Delta2Report(endpoint=endpoint, holds=holds, p_index=p_index,
                         threshold=threshold, doubling_sup=doubling_sup,

@@ -8,11 +8,10 @@ from scipy.integrate import quad, quad_vec
 
 from orlicz_eigen.errors import ConfigError, ConformanceError
 from orlicz_eigen.fractional import (NonlocalMesh, _primitive,
-                                     _primitive_by_rule, _stiffness,
-                                     energy_s, energy_s_gradient,
-                                     lagrange_quotient_s, solve_Es,
-                                     weak_residual_s)
-from orlicz_eigen.solver import EPS_GRAD, SolveOptions
+                                     _primitive_by_rule, energy_s,
+                                     energy_s_gradient, lagrange_quotient_s,
+                                     solve_Es, weak_residual_s)
+from orlicz_eigen.solver import EPS_GRAD, SolveOptions, _LaggedStiffness
 from orlicz_eigen.young import YoungFunction, modular
 
 import oracles
@@ -51,7 +50,7 @@ def test_from_config_rejects_r_cut():
 def _dense_stiffness(F, u, nm, cells=None):
     """The lagged stiffness of a solve (``cells``, or a fresh one), read
     out of its upper band."""
-    ab = (cells or _stiffness(nm)).band(F, u)
+    ab = (cells or _LaggedStiffness(nm)).band(F, u)
     b = ab.shape[0] - 1
     K = sum(np.diag(ab[b - k, k:], k) for k in range(1, b + 1))
     return K + K.T + np.diag(ab[b])
@@ -269,7 +268,7 @@ def test_band_finite_and_build_solves_dense_stiffness(n, monkeypatch):
     nm = NonlocalMesh(1.0, n, 0.5)
     rng = np.random.default_rng(n)
     u, rhs = rng.standard_normal(n), rng.standard_normal(n)
-    cells = _stiffness(nm)
+    cells = _LaggedStiffness(nm)
     K = _dense_stiffness(F, u, nm, cells)  # fills the memo
     with monkeypatch.context() as mp:
         # an entry the assembly leaves unwritten would keep its NaN
@@ -312,7 +311,7 @@ def test_stiffness_guards_vanishing_rows():
     d = np.diag(K)
     assert np.all(K == np.diag(d)) and np.all(d > 0.0)
     assert np.all(np.isfinite(
-        _stiffness(nm).build(F, u)(np.ones(nm.interior_count))))
+        _LaggedStiffness(nm).build(F, u)(np.ones(nm.interior_count))))
 
 
 def _grid(L, N):
@@ -417,7 +416,7 @@ def test_discrete_halo_converges_to_exterior_term(F, s):
 def test_pair_memo_never_stale():
     nm = NonlocalMesh(1.0, 21, 0.5)
     F2, F4 = YoungFunction.power(2), YoungFunction.power(4)
-    cells = _stiffness(nm)
+    cells = _LaggedStiffness(nm)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(nm.interior_count)
 
@@ -453,33 +452,49 @@ def test_pair_memo_never_stale():
 
 
 def test_exterior_coefficient_once_per_gradient_and_build(monkeypatch):
-    # the gradient's 2 dz u and the band's diagonal 2 dz share one
-    # evaluation of A at the exterior arguments; the interior rows use a
+    # the exterior rows' a(g)/g = A(g)/g^2 is one evaluation of A, which
+    # the gradient and the band's diagonal share; the pair rows use a
     nm = NonlocalMesh(1.0, 21, 0.5)
     F = YoungFunction.sum_of_powers(2, 4)
     calls = []
     A = F.A
     monkeypatch.setattr(F, "A", lambda t: calls.append(1) or A(t))
     u = np.random.default_rng(8).standard_normal(nm.interior_count)
-    cells = _stiffness(nm)
+    cells = _LaggedStiffness(nm)
     g = energy_s_gradient(F, u, nm, cells=cells)
     x = cells.build(F, u)(u)
     assert len(calls) == 1
     calls.clear()
     assert _close(energy_s_gradient(F, u, nm), g)
-    assert np.array_equal(_stiffness(nm).build(F, u)(u), x)
+    assert np.array_equal(_LaggedStiffness(nm).build(F, u)(u), x)
     assert len(calls) == 2  # without the memo: once each
 
 
 def test_solve_pins_the_cli_answer():
-    # the CLI's `nonlocal --young sop24 --s 0.5 --alpha 1 --nodes 128
-    # --seed 1` answer (one BLAS thread), kept through refactors of the
-    # pair assembly
+    """A determinism pin, not an accuracy check: the CLI's `nonlocal
+    --young sop24 --s 0.5 --alpha 1 --nodes 128 --seed 1` answer (one BLAS
+    thread), kept through refactors of the pair assembly.  lambda moves by
+    about 1e-10 with the projection radius at the 1e-14 level, so 1e-12
+    pins the arithmetic, not the discrete eigenvalue; the accuracy of
+    lambda is checked by ``test_lambda_is_the_derivative_of_the_energy``."""
     res = solve_Es(YoungFunction.sum_of_powers(2, 4),
                    NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
     assert res.converged
     assert res.energy == pytest.approx(15.479058254662176, rel=1e-12)
     assert res.lam == pytest.approx(15.696976705752444, rel=1e-12)
+
+
+def test_lambda_is_the_derivative_of_the_energy():
+    # the Lagrange multiplier is dE/dalpha: a central difference of warm
+    # solves at alpha = 1 +- 1e-4 reproduces lambda at alpha = 1
+    F, nm = YoungFunction.sum_of_powers(2, 4), NonlocalMesh(1.0, 128, 0.5)
+    d, opts = 1e-4, SolveOptions(seed=1)
+    mid = solve_Es(F, nm, 1.0, opts)
+    up, down = (solve_Es(F, nm, 1.0 + e, opts, initial=mid.u)
+                for e in (d, -d))
+    assert mid.converged and up.converged and down.converged
+    slope = (up.energy - down.energy) / (2.0 * d)
+    assert abs(slope / mid.lam - 1.0) <= 1e-8
 
 
 def test_solves_on_shared_mesh_match_fresh_mesh():
