@@ -40,7 +40,7 @@ from .errors import ConfigError
 from .mesh import Mesh, row_factors
 from .solver import (_solve, energy, energy_gradient, lagrange_quotient,
                      weak_residual)
-from .young import SATURATION, Family, _ipow
+from .young import SATURATION
 
 __all__ = [
     "NonlocalMesh", "energy_s", "energy_s_gradient", "lagrange_quotient_s",
@@ -66,11 +66,10 @@ _RULE_X, _RULE_W = _tanh_sinh_rule()
 
 def _primitive_by_rule(F, tau):
     """G(tau) = int_0^1 A(tau x)/x dx by the fixed rule, elementwise.
-    Past its knot t0, where A'' jumps, exp_neg_inv_power is integrated
-    apart, in log t."""
+    Past the knot of F, where A'' jumps (exp_neg_inv_power's t0), the
+    integral is taken apart, in log t."""
     tau = np.asarray(tau, dtype=float)
-    knot = (F._enip_t0() if F.family is Family.EXP_NEG_INV_POWER
-            else math.inf)
+    knot = F.knot
     G = F.A(np.minimum(tau, knot)[..., None] * _RULE_X) @ (_RULE_W / _RULE_X)
     hi = tau > knot
     if np.any(hi):
@@ -81,15 +80,11 @@ def _primitive_by_rule(F, tau):
 
 
 def _primitive(F, tau):
-    """G(tau) = int_0^tau A(sigma)/sigma dsigma, saturating like A."""
-    p = F.params
+    """G(tau) = int_0^tau A(sigma)/sigma dsigma, saturating like A: F's
+    closed form where it has one, else the fixed rule."""
     with np.errstate(over="ignore"):
-        if F.family is Family.POWER:
-            G = _ipow(tau, p["p"]) / p["p"]
-        elif F.family is Family.SUM_OF_POWERS:
-            G = (_ipow(tau, p["p"]) / p["p"] ** 2
-                 + _ipow(tau, p["q"]) / p["q"] ** 2)
-        else:
+        G = F.closed_primitive(tau)
+        if G is None:
             G = _primitive_by_rule(F, tau)
     return np.minimum(G, SATURATION)
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import ConfigError, OrliczError, ZeroDenominatorError
+from .errors import (ConfigError, GeometryError, OrliczError,
+                     ZeroDenominatorError)
 from .mesh import (ScalarField, _conform, bump_field, cell_gradients,
                    gradient_magnitudes)
-from .young import NormalizationResult, _check_alpha, _normalize, modular
+from .young import (NormalizationResult, YoungFunction, _check_alpha,
+                    _normalize, modular)
 
 __all__ = [
     "SolveOptions", "NormalizationResult", "MinimizerResult",
@@ -39,8 +41,6 @@ class SolveOptions:
     max_iter: int = 50_000
     restarts: int = None  # None: up to MAX_STARTS; an integer forces that many
     seed: int = 0
-    armijo: float = 1e-4
-    shrink: float = 0.5
 
 
 @dataclass
@@ -65,7 +65,7 @@ class MinimizerResult:
         return (max(self.restart_energies) - lo) / abs(lo)
 
     def as_dict(self):
-        out = {
+        return {
             "alpha": self.alpha,
             "energy": self.energy,
             "lambda": self.lam,
@@ -75,7 +75,6 @@ class MinimizerResult:
             "restarts_used": self.restarts_used,
             "restart_spread": self.restart_spread,
         }
-        return out
 
 
 # -- local quadratures and assembly ----------------------------------------
@@ -258,19 +257,23 @@ class _LaggedStiffness:
 # -- descent engine --------------------------------------------------------
 
 class Problem:
-    """Callable bundle consumed by the descent engine.
+    """One solve as the descent engine reads it: the energy over the row
+    blocks of ``rows`` and its gradient, which share the row memo of the
+    lagged stiffness solves ``_precond`` and are looked up in this module at
+    each call (so a wrapper on ``energy`` or ``energy_gradient`` sees them),
+    and the mass gradient and the projection over the nodes of m."""
 
-    Local and nonlocal problems provide the same surface: energy, its nodal
-    gradient, the zero-order mass gradient, the modular (for normalization),
-    and a lagged preconditioner factory.
-    """
-
-    def __init__(self, F, m, energy_fn, gradient_fn, precond_factory):
+    def __init__(self, F, rows, m):
         self.F = F
+        self.rows = rows
         self.m = m
-        self.energy = energy_fn
-        self.gradient = gradient_fn
-        self._precond = precond_factory
+        self._precond = _LaggedStiffness(rows)
+
+    def energy(self, values):
+        return energy(self.F, values, self.rows, cells=self._precond)
+
+    def gradient(self, values):
+        return energy_gradient(self.F, values, self.rows, cells=self._precond)
 
     def mass_gradient(self, values):
         return mass_gradient(self.F, values, self.m)
@@ -295,6 +298,8 @@ class _RunResult:
 
 
 _POLISH_THRESHOLD = 1e-4
+_ARMIJO = 1e-4          # sufficient-decrease constant of the line search
+_SHRINK = 0.5           # backtracking cap, as a fraction of the failed step
 _STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
 _THETA_MIN = 1e-3       # damping floor of the polish
 _THETA_MAX = 0.9        # a model damping at or above this is not trusted
@@ -354,15 +359,15 @@ def _polish(problem, alpha, u, opts, budget):
     return u, lam, res, it, res < opts.tol
 
 
-def _backtrack(E0, gd, s, Es, shrink):
+def _backtrack(E0, gd, s, Es):
     """Next trial step after the Armijo test failed at step s: the minimizer
     of the quadratic through E(0) = E0 with slope -gd and E(s) = Es,
-    clamped to [_STEP_MIN s, shrink s]; shrink s when Es is not finite or
+    clamped to [_STEP_MIN s, _SHRINK s]; _SHRINK s when Es is not finite or
     the quadratic is not convex."""
     curv = Es - E0 + gd * s  # s^2 times the quadratic's curvature
     if not (math.isfinite(curv) and curv > 0.0):
-        return shrink * s
-    return min(max(0.5 * gd * s * s / curv, _STEP_MIN * s), shrink * s)
+        return _SHRINK * s
+    return min(max(0.5 * gd * s * s / curv, _STEP_MIN * s), _SHRINK * s)
 
 
 def _descend(problem, alpha, start_values, opts):
@@ -411,10 +416,10 @@ def _descend(problem, alpha, start_values, opts):
             if np.any(trial_raw):
                 trial = problem.project(trial_raw, alpha)
                 Et = problem.energy(trial)
-                if Et <= E - opts.armijo * s * gd:
+                if Et <= E - _ARMIJO * s * gd:
                     accepted = True
                     break
-            s = _backtrack(E, gd, s, Et, opts.shrink)
+            s = _backtrack(E, gd, s, Et)
         if not accepted:
             # the energy landscape is flat at this resolution; hand the
             # iterate to the residual-driven polish before giving up
@@ -454,7 +459,7 @@ def default_starts(problem, opts, initial=None):
         if r_plateau > max(m.spacing):
             try:
                 starts.append(bump_field(m, 0.8 * r_plateau).values)
-            except Exception:
+            except GeometryError:
                 pass
     rng = np.random.default_rng(opts.seed)
     while len(starts) < n:
@@ -469,9 +474,8 @@ def quadratic_eigenvector(problem, iterations=100):
     """First eigenvector of the p=2 discretization by inverse power
     iteration with the problem's own stiffness solve."""
     m = problem.m
-    from .young import YoungFunction
-    F2 = YoungFunction.power(2)
-    solve = problem._precond.build(F2, np.ones(m.interior_count))
+    solve = problem._precond.build(YoungFunction.power(2),
+                                   np.ones(m.interior_count))
     v = np.ones(m.interior_count)
     v /= math.sqrt(float(np.dot(m.node_weights, v * v)))
     lam_old = math.inf
@@ -511,17 +515,9 @@ def solve_E(F, m, alpha, opts=None, initial=None):
 def _solve(F, rows, m, alpha, opts, initial):
     """:func:`solve_E` with the energy over the row blocks of ``rows`` and
     the zero-order modular over the nodes of m: ``rows`` itself on a local
-    mesh, the interval of a nonlocal one.  The energy and its gradient are
-    looked up in this module at each call, so a wrapper installed on
-    ``energy`` or ``energy_gradient`` sees every solve's calls."""
-    cells = _LaggedStiffness(rows)
-    problem = Problem(
-        F, m,
-        energy_fn=lambda v: energy(F, v, rows, cells=cells),
-        gradient_fn=lambda v: energy_gradient(F, v, rows, cells=cells),
-        precond_factory=cells)
-    return minimize_with_restarts(problem, alpha, opts or SolveOptions(),
-                                  initial)
+    mesh, the interval of a nonlocal one."""
+    return minimize_with_restarts(Problem(F, rows, m), alpha,
+                                  opts or SolveOptions(), initial)
 
 
 def minimize_with_restarts(problem, alpha, opts, initial=None):

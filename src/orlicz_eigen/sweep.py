@@ -9,7 +9,7 @@ resulting records.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,13 +60,7 @@ class LimitEstimate:
     relative_gap: float
 
     def as_dict(self):
-        return {
-            "endpoint": self.endpoint,
-            "exponent": self.exponent,
-            "extrapolated": self.extrapolated,
-            "reference": self.reference,
-            "relative_gap": self.relative_gap,
-        }
+        return asdict(self)
 
 
 def geometric_grid(alpha_min, alpha_max, per_decade):
@@ -104,9 +98,7 @@ def run_sweep(F, m, alpha_grid, opts=None, solve=None, warm=True):
     records = []
     prev = None
     branch = []  # (log alpha, values): last consecutive converged
-    warm_opts = SolveOptions(
-        tol=opts.tol, max_iter=opts.max_iter, restarts=1, seed=opts.seed,
-        armijo=opts.armijo, shrink=opts.shrink)
+    warm_opts = replace(opts, restarts=1)
     for alpha in grid:
         x = math.log(alpha)
         start = _secant_start(branch, x, m) if len(branch) == 2 else None

@@ -8,6 +8,15 @@ along a ray (the normalization radius, which also gives the Luxemburg
 norm), doubling (Delta_2) diagnostics at both endpoints, and the endpoint
 power functions M_0 / M_infty with their exponents.
 
+Each closed-form family is one row of ``_SPECS``: its parameter names and
+kinds, the check they must pass with its ConfigError message, its default
+label and, for the two power sums, their terms.  Power and SumOfPowers are
+A(t) = sum_k t^p_k / d_k, with d = 1 for t^p and d_k = p_k for
+t^p/p + t^q/q; one power-sum path derives from these terms A, a, log A,
+log a, the moments of the normalization (``_power_terms``) and the
+primitive G(t) = int_0^t A(s)/s ds = sum_k t^p_k / (d_k p_k) that the
+nonlocal exterior integrates.  The custom family keeps its own quadrature.
+
 Exponential families saturate at ``SATURATION`` instead of overflowing, and
 all endpoint ratios are formed in log space so that regime detection is not
 corrupted by overflow or underflow.
@@ -15,8 +24,8 @@ corrupted by overflow or underflow.
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import integrate
@@ -40,6 +49,7 @@ LOG_SATURATION = math.log(SATURATION)
 # divergence threshold on the default grids, exponential blowup crosses it.
 DIVERGENCE_THRESHOLD = 1e6
 VANISHING_THRESHOLD = 1e-6
+_FIT_TOL = 1e-2  # spread of a power-like ratio over its last decade
 
 
 class Family(str, enum.Enum):
@@ -147,13 +157,85 @@ def _log_exp_tail(t, n):
     return out
 
 
+def _power_sum(t, terms):
+    """sum_k c_k t^e_k / d_k over the (e_k, c_k, d_k) of ``terms``, from the
+    first term on, with no product by a c_k of 1 or quotient by a d_k of 1.
+    Each later pass writes in place, as numpy's elision of temporaries does
+    for t^p/p + t^q/q, into an array that is not ``t`` (_ipow returns t for
+    an exponent of 1, which at most one term has)."""
+    out = None
+    for e, c, d in terms:
+        x = _ipow(t, e)
+        if c != 1.0:
+            x = np.multiply(c, x, out=None if x is t else x)
+        if d != 1.0:
+            x = np.divide(x, d, out=None if x is t else x)
+        out = x if out is None else np.add(out, x,
+                                           out=x if out is t else out)
+    return out
+
+
+def _log_power_sum(logt, terms):
+    """log of :func:`_power_sum` from log t, by logaddexp over the terms."""
+    out = None
+    for e, c, d in terms:
+        x = e * logt
+        if c != 1.0:
+            x = x + math.log(c)
+        if d != 1.0:
+            x = x - math.log(d)
+        out = x if out is None else np.logaddexp(out, x)
+    return out
+
+
+class _Spec(NamedTuple):
+    """One closed-form family: its parameters as (name, kind) in constructor
+    order, the test ``fails(params)`` of its hypotheses with the ConfigError
+    ``message`` when it holds, its default ``label(params)`` and, for the
+    power sums A(t) = sum_k t^p_k / d_k, ``terms(params)`` = [(p_k, d_k)]."""
+    params: tuple
+    fails: Callable
+    message: str
+    label: Callable
+    terms: Optional[Callable] = None
+
+
+_SPECS = {
+    Family.POWER: _Spec(
+        (("p", float),), lambda p: p["p"] <= 1, "power family needs p > 1",
+        lambda p: f"t^{p['p']}", lambda p: [(p["p"], 1.0)]),
+    Family.SUM_OF_POWERS: _Spec(
+        (("p", float), ("q", float)), lambda p: not 1 < p["p"] < p["q"],
+        "sum_of_powers needs 1 < p < q",
+        lambda p: f"t^{p['p']}/{p['p']} + t^{p['q']}/{p['q']}",
+        lambda p: [(p["p"], p["p"]), (p["q"], p["q"])]),
+    Family.POWER_LOG: _Spec(
+        (("p", float), ("alpha", float), ("r", float)),
+        lambda p: p["p"] <= 1 or p["alpha"] < 0 or p["r"] <= 0,
+        "power_log needs p > 1, alpha >= 0, r > 0",
+        lambda p: f"(t^{p['p']}/{p['p']}) ln^{p['alpha']}(1+t^{p['r']})"),
+    # n = 1 would give a(0) = 1, breaking the Young normalization
+    Family.EXP_MINUS_POLY: _Spec(
+        (("n", int),), lambda p: p["n"] < 2, "exp_minus_poly needs n >= 2",
+        lambda p: f"e^t - T_{p['n'] - 1}(t)"),
+    Family.EXP_NEG_INV_POWER: _Spec(
+        (("alpha", float),), lambda p: p["alpha"] <= 0,
+        "exp_neg_inv_power needs alpha > 0",
+        lambda p: f"exp(-t^-{p['alpha']})"),
+    Family.DOUBLE_EXP: _Spec(
+        (), lambda p: False, "", lambda p: "e^(e^t) - e - e t"),
+}
+
+
 @dataclass
 class YoungFunction:
     """A Young function with its density, evaluated in closed form per family.
 
     ``a``, ``A`` and ``a_inv`` accept scalars or numpy arrays;
     ``log_A``/``log_a`` are used internally whenever endpoint ratios could
-    overflow or underflow.
+    overflow or underflow.  ``knot`` is the point where A'' jumps
+    (exp_neg_inv_power's hand-over to its quadratic continuation), and
+    infinite for every other family.
     """
 
     family: Family
@@ -163,45 +245,66 @@ class YoungFunction:
 
     def __post_init__(self):
         self.family = Family(self.family)
-        self._validate()
-        # anchor cache for Custom primitives: sorted t -> A(t)
-        self._anchors = {0.0: 0.0}
-        if not self.label:
-            self.label = self._default_label()
+        p, spec = self.params, _SPECS.get(self.family)
+        if spec is None:  # the custom family
+            if self.custom_density is None:
+                raise ConfigError("custom family needs a density callable")
+            self._anchors = {0.0: 0.0}  # primitive cache: sorted t -> A(t)
+        elif spec.fails(p):
+            raise ConfigError(spec.message)
+        self.label = self.label or (spec.label(p) if spec else "custom")
+        # (exponent, factor, divisor) of each term of A, of a and of the
+        # primitive G(t) = int_0^t A(s)/s ds of a power sum
+        terms = spec.terms(p) if spec and spec.terms else None
+        self._sums = None if terms is None else {
+            "A": [(q, 1.0, d) for q, d in terms],
+            "a": [(q - 1.0, q / d, 1.0) for q, d in terms],
+            "G": [(q, 1.0, d * q) for q, d in terms]}
+        self.knot = math.inf
+        if self.family is Family.EXP_NEG_INV_POWER:
+            al = p["alpha"]
+            self.knot = t0 = (al / (al + 1.0)) ** (1.0 / al)
+            self._A0 = math.exp(-t0 ** (-al))  # A and a at the knot
+            self._a0 = al * t0 ** (-al - 1.0) * self._A0
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _build(cls, family, *values):
+        """The family with its parameters, in table order, as their kinds."""
+        return cls(family, {name: kind(v) for (name, kind), v
+                            in zip(_SPECS[family].params, values)})
+
+    @classmethod
     def power(cls, p):
         """A(t) = t^p for p > 1."""
-        return cls(Family.POWER, {"p": float(p)})
+        return cls._build(Family.POWER, p)
 
     @classmethod
     def sum_of_powers(cls, p, q):
         """A(t) = t^p/p + t^q/q, the (p,q)-Laplacian profile."""
-        return cls(Family.SUM_OF_POWERS, {"p": float(p), "q": float(q)})
+        return cls._build(Family.SUM_OF_POWERS, p, q)
 
     @classmethod
     def power_log(cls, p, alpha, r):
         """A(t) = (t^p/p) * ln^alpha(1 + t^r)."""
-        return cls(Family.POWER_LOG,
-                   {"p": float(p), "alpha": float(alpha), "r": float(r)})
+        return cls._build(Family.POWER_LOG, p, alpha, r)
 
     @classmethod
     def exp_minus_poly(cls, n):
         """A(t) = e^t minus its Taylor polynomial of degree n-1."""
-        return cls(Family.EXP_MINUS_POLY, {"n": int(n)})
+        return cls._build(Family.EXP_MINUS_POLY, n)
 
     @classmethod
     def exp_neg_inv_power(cls, alpha):
         """A(t) = exp(-t^-alpha) near zero, continued quadratically beyond
         the point where the closed-form density stops being monotone."""
-        return cls(Family.EXP_NEG_INV_POWER, {"alpha": float(alpha)})
+        return cls._build(Family.EXP_NEG_INV_POWER, alpha)
 
     @classmethod
     def double_exp(cls):
         """A(t) = e^(e^t) - e - e t, doubly exponential at infinity."""
-        return cls(Family.DOUBLE_EXP, {})
+        return cls._build(Family.DOUBLE_EXP)
 
     @classmethod
     def custom(cls, density, label="custom"):
@@ -222,26 +325,16 @@ class YoungFunction:
             fam = Family(cfg["family"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad young-function family: {exc}") from exc
-        params = dict(cfg.get("params", {}))
-        makers = {
-            Family.POWER: lambda: cls.power(params.pop("p")),
-            Family.SUM_OF_POWERS:
-                lambda: cls.sum_of_powers(params.pop("p"), params.pop("q")),
-            Family.POWER_LOG:
-                lambda: cls.power_log(params.pop("p"), params.pop("alpha"),
-                                      params.pop("r")),
-            Family.EXP_MINUS_POLY: lambda: cls.exp_minus_poly(params.pop("n")),
-            Family.EXP_NEG_INV_POWER:
-                lambda: cls.exp_neg_inv_power(params.pop("alpha")),
-            Family.DOUBLE_EXP: cls.double_exp,
-        }
-        if fam not in makers:
+        if fam not in _SPECS:
             raise ConfigError("custom families cannot be built from config")
+        params = dict(cfg.get("params", {}))
         try:
-            out = makers[fam]()
+            values = [params.pop(name) for name, _ in _SPECS[fam].params]
         except KeyError as exc:
             raise ConfigError(f"missing parameter {exc} for family "
                               f"{fam.value!r}") from exc
+        try:
+            out = cls._build(fam, *values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"non-numeric parameter for family "
                               f"{fam.value!r}: {exc}") from exc
@@ -250,40 +343,6 @@ class YoungFunction:
                 f"unknown parameter {sorted(params)[0]!r} for family "
                 f"{fam.value!r}")
         return out
-
-    def _validate(self):
-        p = self.params
-        if self.family is Family.POWER and p["p"] <= 1:
-            raise ConfigError("power family needs p > 1")
-        if self.family is Family.SUM_OF_POWERS and not 1 < p["p"] < p["q"]:
-            raise ConfigError("sum_of_powers needs 1 < p < q")
-        if self.family is Family.POWER_LOG and (p["p"] <= 1 or p["alpha"] < 0
-                                                or p["r"] <= 0):
-            raise ConfigError("power_log needs p > 1, alpha >= 0, r > 0")
-        if self.family is Family.EXP_MINUS_POLY and p["n"] < 2:
-            # n = 1 would give a(0) = 1, breaking the Young normalization
-            raise ConfigError("exp_minus_poly needs n >= 2")
-        if self.family is Family.EXP_NEG_INV_POWER and p["alpha"] <= 0:
-            raise ConfigError("exp_neg_inv_power needs alpha > 0")
-        if self.family is Family.CUSTOM and self.custom_density is None:
-            raise ConfigError("custom family needs a density callable")
-
-    def _default_label(self):
-        p = self.params
-        return {
-            Family.POWER: lambda: f"t^{p.get('p')}",
-            Family.SUM_OF_POWERS:
-                lambda: f"t^{p.get('p')}/{p.get('p')} + t^{p.get('q')}/{p.get('q')}",
-            Family.POWER_LOG:
-                lambda: (f"(t^{p.get('p')}/{p.get('p')})"
-                         f" ln^{p.get('alpha')}(1+t^{p.get('r')})"),
-            Family.EXP_MINUS_POLY:
-                lambda: f"e^t - T_{p.get('n')-1 if p.get('n') else 0}(t)",
-            Family.EXP_NEG_INV_POWER:
-                lambda: f"exp(-t^-{p.get('alpha')})",
-            Family.DOUBLE_EXP: lambda: "e^(e^t) - e - e t",
-            Family.CUSTOM: lambda: "custom",
-        }[self.family]()
 
     # -- evaluation --------------------------------------------------------
 
@@ -303,28 +362,28 @@ class YoungFunction:
 
     def log_A(self, t):
         """log A(t), computed without forming A where it would overflow."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = self._log_A_impl(t)
-        return float(out[0]) if scalar else out
+        return self._log(t, density=False)
 
     def log_a(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = self._log_a_impl(t)
-        return float(out[0]) if scalar else out
+        """log a(t), likewise."""
+        return self._log(t, density=True)
+
+    def closed_primitive(self, tau):
+        """G(tau) = int_0^tau A(s)/s ds at an array tau of rank 1 or more,
+        in closed form (a power sum), or None for the families without one."""
+        if self._sums is None:
+            return None
+        with np.errstate(over="ignore"):
+            return _power_sum(np.asarray(tau, dtype=float), self._sums["G"])
 
     def _A_impl(self, t):
         fam, p = self.family, self.params
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if fam is Family.POWER:
-                out = _ipow(t, p["p"])
-            elif fam is Family.SUM_OF_POWERS:
-                out = _ipow(t, p["p"]) / p["p"] + _ipow(t, p["q"]) / p["q"]
+            if self._sums is not None:
+                out = _power_sum(t, self._sums["A"])
             elif fam is Family.POWER_LOG:
-                out = self._power_log_A(t)
+                out = (_ipow(t, p["p"]) / p["p"]
+                       * self._power_log_parts(t)[1] ** p["alpha"])
             elif fam is Family.EXP_MINUS_POLY:
                 out = _exp_tail(t, p["n"])
             elif fam is Family.EXP_NEG_INV_POWER:
@@ -342,23 +401,18 @@ class YoungFunction:
         return _saturate(out)
 
     def _power_terms(self):
-        """[(p_k, c_k)] with A(t) = sum_k c_k t^p_k for the power families,
+        """[(p_k, c_k)] with A(t) = sum_k c_k t^p_k for the power sums,
         whose modular along a ray is a polynomial in the radius (see
         ``_normalize``); None for every other family."""
-        p = self.params
-        if self.family is Family.POWER:
-            return [(p["p"], 1.0)]
-        if self.family is Family.SUM_OF_POWERS:
-            return [(p["p"], 1.0 / p["p"]), (p["q"], 1.0 / p["q"])]
-        return None
+        if self._sums is None:
+            return None
+        return [(q, 1.0 / d) for q, _, d in self._sums["A"]]
 
     def _a_impl(self, t):
         fam, p = self.family, self.params
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if fam is Family.POWER:
-                out = p["p"] * _ipow(t, p["p"] - 1.0)
-            elif fam is Family.SUM_OF_POWERS:
-                out = _ipow(t, p["p"] - 1.0) + _ipow(t, p["q"] - 1.0)
+            if self._sums is not None:
+                out = _power_sum(t, self._sums["a"])
             elif fam is Family.POWER_LOG:
                 out = self._power_log_a(t)
             elif fam is Family.EXP_MINUS_POLY:
@@ -372,16 +426,20 @@ class YoungFunction:
                                 for x in t.ravel()]).reshape(t.shape)
         return _saturate(out)
 
-    def _log_A_impl(self, t):
+    def _log(self, t, density):
+        """log a(t) if ``density``, else log A(t), from the asymptotics of
+        each family where the value itself would overflow."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return float(self._log(t.reshape(1), density)[0])
         fam, p = self.family, self.params
+        exact = self._a_impl if density else self._A_impl
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             logt = np.log(t)
-            if fam is Family.POWER:
-                return p["p"] * logt
-            if fam is Family.SUM_OF_POWERS:
-                return np.logaddexp(p["p"] * logt - math.log(p["p"]),
-                                    p["q"] * logt - math.log(p["q"]))
-            if fam is Family.POWER_LOG:
+            if self._sums is not None:
+                return _log_power_sum(logt, self._sums["a" if density
+                                                       else "A"])
+            if fam is Family.POWER_LOG and not density:
                 x = p["r"] * logt
                 biglog = np.where(x > 30.0, np.log(np.maximum(x, 1e-300)),
                                   np.log(np.log1p(
@@ -389,105 +447,62 @@ class YoungFunction:
                 return (p["p"] * logt - math.log(p["p"])
                         + p["alpha"] * biglog)
             if fam is Family.EXP_MINUS_POLY:
-                return _log_exp_tail(t, p["n"])
+                return _log_exp_tail(t, p["n"] - 1 if density else p["n"])
             if fam is Family.EXP_NEG_INV_POWER:
-                al = self.params["alpha"]
-                t0 = self._enip_t0()
-                out = np.where(t <= t0, -np.power(np.maximum(t, 1e-300), -al),
-                               0.0)
-                hi = t > t0
-                if np.any(hi):
-                    out[hi] = np.log(self._enip_A(t[hi]))
-                return out
-            if fam is Family.DOUBLE_EXP:
-                out = np.empty_like(t)
-                big = t > 6.0
-                out[big] = np.exp(np.minimum(t[big], 700.0))
-                out[~big] = np.log(np.maximum(self._A_impl(t[~big]), 1e-300))
-                return out
-            return np.log(np.maximum(self._A_impl(t), 1e-300))
-
-    def _log_a_impl(self, t):
-        fam, p = self.family, self.params
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            logt = np.log(t)
-            if fam is Family.POWER:
-                return math.log(p["p"]) + (p["p"] - 1.0) * logt
-            if fam is Family.SUM_OF_POWERS:
-                return np.logaddexp((p["p"] - 1.0) * logt,
-                                    (p["q"] - 1.0) * logt)
-            if fam is Family.EXP_MINUS_POLY:
-                return _log_exp_tail(t, p["n"] - 1)
-            if fam is Family.EXP_NEG_INV_POWER:
+                # the closed form up to the knot, the log of the quadratic
+                # continuation past it (NaN reads 0)
                 al = p["alpha"]
-                t0 = self._enip_t0()
-                out = np.where(
-                    t <= t0,
-                    math.log(al) - (al + 1.0) * logt
-                    - np.power(np.maximum(t, 1e-300), -al),
-                    0.0)
-                hi = t > t0
+                out = -np.power(np.maximum(t, 1e-300), -al)
+                if density:
+                    out = math.log(al) - (al + 1.0) * logt + out
+                out = np.where(t <= self.knot, out, 0.0)
+                hi = t > self.knot
                 if np.any(hi):
-                    out[hi] = np.log(self._enip_a(t[hi]))
+                    out[hi] = np.log((self._enip_a if density
+                                      else self._enip_A)(t[hi]))
                 return out
             if fam is Family.DOUBLE_EXP:
+                # log A ~ e^t and log a ~ t + e^t past t = 6
                 out = np.empty_like(t)
                 big = t > 6.0
-                out[big] = t[big] + np.exp(np.minimum(t[big], 700.0))
-                out[~big] = np.log(np.maximum(self._a_impl(t[~big]), 1e-300))
+                tail = np.exp(np.minimum(t[big], 700.0))
+                out[big] = t[big] + tail if density else tail
+                out[~big] = np.log(np.maximum(exact(t[~big]), 1e-300))
                 return out
-            return np.log(np.maximum(self._a_impl(t), 1e-300))
+            return np.log(np.maximum(exact(t), 1e-300))
 
-    def _power_log_A(self, t):
-        p, al, r = self.params["p"], self.params["alpha"], self.params["r"]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            tr = np.where(r * np.log(np.maximum(t, 1e-300)) > 700.0, np.inf,
-                          _ipow(t, r))
-            big = np.where(np.isinf(tr), r * np.log(t), np.log1p(tr))
-            return _ipow(t, p) / p * big ** al
+    def _power_log_parts(self, t):
+        """t^r and ln(1 + t^r), the latter as r ln t where t^r overflows."""
+        r = self.params["r"]
+        tr = np.where(r * np.log(np.maximum(t, 1e-300)) > 700.0, np.inf,
+                      _ipow(t, r))
+        return tr, np.where(np.isinf(tr), r * np.log(t), np.log1p(tr))
 
     def _power_log_a(self, t):
         p, al, r = self.params["p"], self.params["alpha"], self.params["r"]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            tr = np.where(r * np.log(np.maximum(t, 1e-300)) > 700.0, np.inf,
-                          _ipow(t, r))
-            big = np.where(np.isinf(tr), r * np.log(t), np.log1p(tr))
-            frac = np.where(np.isinf(tr), r / np.maximum(t, 1e-300),
-                            r * _ipow(t, r - 1.0) / (1.0 + tr))
-            first = _ipow(t, p - 1.0) * big ** al
-            second = np.where(al > 0,
-                              _ipow(t, p) / p * al
-                              * big ** max(al - 1.0, 0.0) * frac,
-                              0.0)
-            return np.where(t > 0, first + second, 0.0)
-
-    def _enip_t0(self):
-        al = self.params["alpha"]
-        return (al / (al + 1.0)) ** (1.0 / al)
+        tr, big = self._power_log_parts(t)
+        frac = np.where(np.isinf(tr), r / np.maximum(t, 1e-300),
+                        r * _ipow(t, r - 1.0) / (1.0 + tr))
+        first = _ipow(t, p - 1.0) * big ** al
+        second = np.where(al > 0,
+                          _ipow(t, p) / p * al
+                          * big ** max(al - 1.0, 0.0) * frac,
+                          0.0)
+        return np.where(t > 0, first + second, 0.0)
 
     def _enip_A(self, t):
-        al = self.params["alpha"]
-        t0 = self._enip_t0()
-        a0 = al * t0 ** (-al - 1.0) * math.exp(-t0 ** (-al))
-        A0 = math.exp(-t0 ** (-al))
-        with np.errstate(over="ignore", divide="ignore"):
-            lowv = np.exp(-np.power(np.maximum(t, 1e-300), -al))
-            d = t - t0
-            hiv = A0 + a0 * d + 0.5 * a0 * d * d
-        return np.where(t <= t0, lowv, hiv)
+        al, t0, a0 = self.params["alpha"], self.knot, self._a0
+        lowv = np.exp(-np.power(np.maximum(t, 1e-300), -al))
+        d = t - t0
+        return np.where(t <= t0, lowv, self._A0 + a0 * d + 0.5 * a0 * d * d)
 
     def _enip_a(self, t):
-        al = self.params["alpha"]
-        t0 = self._enip_t0()
-        a0 = al * t0 ** (-al - 1.0) * math.exp(-t0 ** (-al))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # in log space: t^(-al-1) * exp(-t^-al) is inf * 0 near t = 0
-            logt = np.log(t)
-            lowv = np.exp(math.log(al) - (al + 1.0) * logt
-                          - np.exp(-al * logt))
-            lowv[t == 0.0] = 0.0
-            hiv = a0 * (1.0 + (t - t0))
-        return np.where(t <= t0, lowv, hiv)
+        al, t0 = self.params["alpha"], self.knot
+        # in log space: t^(-al-1) * exp(-t^-al) is inf * 0 near t = 0
+        logt = np.log(t)
+        lowv = np.exp(math.log(al) - (al + 1.0) * logt - np.exp(-al * logt))
+        lowv[t == 0.0] = 0.0
+        return np.where(t <= t0, lowv, self._a0 * (1.0 + (t - t0)))
 
     def _custom_A_scalar(self, t):
         """Quadrature of the density from the nearest cached anchor."""
@@ -561,14 +576,7 @@ class Delta2Report:
     C_constant: float           # math.inf when the condition fails
 
     def as_dict(self):
-        return {
-            "endpoint": self.endpoint.value,
-            "holds": self.holds,
-            "p_index": self.p_index,
-            "threshold": self.threshold,
-            "doubling_sup": self.doubling_sup,
-            "C_constant": self.C_constant,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -805,30 +813,17 @@ def _normalize(F, absu, w, alpha, r0=1.0):
                                iterations=steps + more)
 
 
-def _default_grid(endpoint, points_per_decade=8):
-    if endpoint is Endpoint.ZERO:
-        lo, hi = 1e-9, 1.0
-    else:
-        lo, hi = 1.0, 1e8
-    n = max(int(round(points_per_decade * math.log10(hi / lo))) + 1, 49)
-    return np.geomspace(lo, hi, n)
-
-
-def delta2_report(F, endpoint, grid=None, points_per_decade=8,
-                  divergence_threshold=DIVERGENCE_THRESHOLD):
+def delta2_report(F, endpoint):
     """Doubling diagnostics of A toward one endpoint.
 
-    p_index is the sup of t a(t)/A(t) over the grid; the condition holds when
-    the doubling ratio A(2t)/A(t) stays below the divergence threshold and
+    p_index is the sup of t a(t)/A(t) over a grid of 8 points per decade,
+    [1e-9, 1] toward zero and [1, 1e8] toward infinity; the condition holds
+    when the doubling ratio A(2t)/A(t) stays below DIVERGENCE_THRESHOLD and
     shows no monotone growth across the last two decades toward the endpoint.
     """
     endpoint = Endpoint(endpoint)
-    if grid is None:
-        grid = _default_grid(endpoint, points_per_decade)
-    grid = np.asarray(grid, dtype=float)
-    if grid[-1] / grid[0] < 10.0 ** 6 * (1 - 1e-9):
-        raise ValueError("delta2 grid must cover at least 6 decades")
-
+    grid = (np.geomspace(1e-9, 1.0, 73) if endpoint is Endpoint.ZERO
+            else np.geomspace(1.0, 1e8, 65))
     logA = F.log_A(grid)
     usable = np.isfinite(logA) & (logA > -700.0)
     eff_grid = grid[usable]
@@ -845,7 +840,7 @@ def delta2_report(F, endpoint, grid=None, points_per_decade=8,
     ratio = np.exp(np.minimum(np.log(eff_grid) + F.log_a(eff_grid) - logA,
                               700.0))
     p_index = float(np.max(ratio))
-    if p_index > divergence_threshold:
+    if p_index > DIVERGENCE_THRESHOLD:
         p_index = math.inf
 
     # order doubling values toward the endpoint and inspect the last 2 decades
@@ -860,7 +855,7 @@ def delta2_report(F, endpoint, grid=None, points_per_decade=8,
     monotone_growth = bool(tail.size >= 3
                            and np.all(diffs > 1e-12 * tail[:-1]))
 
-    holds = doubling_sup < divergence_threshold and not monotone_growth
+    holds = doubling_sup < DIVERGENCE_THRESHOLD and not monotone_growth
     threshold = float(eff_grid[0] if endpoint is Endpoint.INFINITY
                       else eff_grid[-1])
     C = max(2.0, doubling_sup) if holds else math.inf
@@ -869,8 +864,8 @@ def delta2_report(F, endpoint, grid=None, points_per_decade=8,
                         C_constant=C)
 
 
-def _default_tau_grid(endpoint, F=None, points_per_decade=4):
-    """Geometric tau grid from 1 toward the endpoint.
+def _default_tau_grid(endpoint, F):
+    """Geometric tau grid from 1 toward the endpoint, 4 points per decade.
 
     Closed-form families evaluate ratios in exact log space, so the grid can
     go very deep (slowly-converging logarithmic corrections need it); custom
@@ -878,24 +873,19 @@ def _default_tau_grid(endpoint, F=None, points_per_decade=4):
     representable.
     """
     decades = 100
-    if F is not None:
-        if F.family is Family.CUSTOM:
-            decades = 8
-        elif F.family is Family.DOUBLE_EXP and \
-                Endpoint(endpoint) is Endpoint.INFINITY:
-            # log A ~ e^tau must stay below the double range
-            return np.geomspace(1.0, 250.0, 41)
-        elif F.family is Family.EXP_NEG_INV_POWER and \
-                Endpoint(endpoint) is Endpoint.ZERO:
-            al = F.params["alpha"]
-            decades = min(100, int(280.0 / al))
-    n = decades * points_per_decade + 1
-    if Endpoint(endpoint) is Endpoint.ZERO:
-        return np.geomspace(1.0, 10.0 ** -decades, n)
-    return np.geomspace(1.0, 10.0 ** decades, n)
+    if F.family is Family.CUSTOM:
+        decades = 8
+    elif F.family is Family.DOUBLE_EXP and endpoint is Endpoint.INFINITY:
+        # log A ~ e^tau must stay below the double range
+        return np.geomspace(1.0, 250.0, 41)
+    elif F.family is Family.EXP_NEG_INV_POWER and endpoint is Endpoint.ZERO:
+        decades = min(100, int(280.0 / F.params["alpha"]))
+    if endpoint is Endpoint.ZERO:
+        return np.geomspace(1.0, 10.0 ** -decades, decades * 4 + 1)
+    return np.geomspace(1.0, 10.0 ** decades, decades * 4 + 1)
 
 
-def matuszewska(F, endpoint, t, tau_grid=None, fit_tol=1e-2):
+def matuszewska(F, endpoint, t, tau_grid=None):
     """Running estimate of the endpoint ratio A(tau t)/A(tau) with a regime
     tag.
 
@@ -925,20 +915,20 @@ def matuszewska(F, endpoint, t, tau_grid=None, fit_tol=1e-2):
     if finite.size == last.size and finite.size >= 3:
         mid = np.median(finite)
         spread = (np.max(finite) - np.min(finite)) / max(abs(mid), 1e-300)
-        if spread <= fit_tol:
+        if spread <= _FIT_TOL:
             return MatuszewskaValue(t, float(mid), Regime.POWER_LIKE, vals)
     return MatuszewskaValue(t, math.nan, Regime.OSCILLATING, vals)
 
 
 def _last_decade(vals, tau_grid, endpoint):
-    if Endpoint(endpoint) is Endpoint.INFINITY:
+    if endpoint is Endpoint.INFINITY:
         sel = tau_grid >= tau_grid.max() / 10.0
     else:
         sel = tau_grid <= tau_grid.min() * 10.0
     return vals[sel]
 
 
-def matuszewska_exponent(F, endpoint, tau_grid=None, fit_tol=1e-2):
+def matuszewska_exponent(F, endpoint):
     """Fit the endpoint power exponent from sampled ratio values.
 
     Returns a power-like estimate with the fitted exponent, a degenerate
@@ -946,41 +936,29 @@ def matuszewska_exponent(F, endpoint, tau_grid=None, fit_tol=1e-2):
     (no exponent) when the ratios neither stabilize nor degenerate.
     """
     endpoint = Endpoint(endpoint)
-    if tau_grid is None:
-        tau_grid = _default_tau_grid(endpoint, F)
+    tau_grid = _default_tau_grid(endpoint, F)
     ts = 2.0 ** np.array([-3.0, -2.5, -2.0, -1.5, -1.0, -0.5,
                           0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    results = [matuszewska(F, endpoint, t, tau_grid, fit_tol) for t in ts]
+    results = [matuszewska(F, endpoint, t, tau_grid) for t in ts]
     regimes = {r.regime for r in results}
     samples = [(r.t, r.value) for r in results]
 
+    regime, exponent = Regime.OSCILLATING, math.nan
     if Regime.TRIVIAL_DEGENERATE in regimes:
-        degenerate_ok = all(
-            (r.regime is Regime.TRIVIAL_DEGENERATE
-             and ((r.t > 1 and r.value == math.inf)
-                  or (r.t < 1 and r.value == 0.0)))
-            or r.regime is Regime.POWER_LIKE  # small-|log t| stragglers
-            for r in results)
-        regime = (Regime.TRIVIAL_DEGENERATE if degenerate_ok
-                  else Regime.OSCILLATING)
-        return MatuszewskaEstimate(endpoint, samples, regime, math.nan,
-                                   np.asarray(tau_grid))
-    if regimes != {Regime.POWER_LIKE}:
-        return MatuszewskaEstimate(endpoint, samples, Regime.OSCILLATING,
-                                   math.nan, np.asarray(tau_grid))
-
-    logt = np.log(ts)
-    logm = np.log([r.value for r in results])
-    exponent = float(np.dot(logt, logm) / np.dot(logt, logt))
-    fitted = ts ** exponent
-    deviation = np.max(np.abs([r.value for r in results] / fitted - 1.0))
-    # validity: samples track a power and respect M(t) <= t below 1
-    below_one = [r for r in results if r.t < 1.0]
-    valid = (deviation <= 10 * fit_tol
-             and all(r.value <= r.t * (1.0 + 10 * fit_tol)
-                     for r in below_one))
-    if not valid or exponent < 1.0 - 10 * fit_tol:
-        return MatuszewskaEstimate(endpoint, samples, Regime.OSCILLATING,
-                                   math.nan, np.asarray(tau_grid))
-    return MatuszewskaEstimate(endpoint, samples, Regime.POWER_LIKE,
-                               max(exponent, 1.0), np.asarray(tau_grid))
+        if all((r.regime is Regime.TRIVIAL_DEGENERATE
+                and ((r.t > 1 and r.value == math.inf)
+                     or (r.t < 1 and r.value == 0.0)))
+               or r.regime is Regime.POWER_LIKE  # small-|log t| stragglers
+               for r in results):
+            regime = Regime.TRIVIAL_DEGENERATE
+    elif regimes == {Regime.POWER_LIKE}:
+        logt = np.log(ts)
+        values = np.array([r.value for r in results])
+        fit = float(np.dot(logt, np.log(values)) / np.dot(logt, logt))
+        deviation = np.max(np.abs(values / ts ** fit - 1.0))
+        # validity: samples track a power and respect M(t) <= t below 1
+        if (deviation <= 10 * _FIT_TOL and fit >= 1.0 - 10 * _FIT_TOL
+                and all(r.value <= r.t * (1.0 + 10 * _FIT_TOL)
+                        for r in results if r.t < 1.0)):
+            regime, exponent = Regime.POWER_LIKE, max(fit, 1.0)
+    return MatuszewskaEstimate(endpoint, samples, regime, exponent, tau_grid)

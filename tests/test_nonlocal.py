@@ -552,7 +552,7 @@ def test_primitive_rule_matches_quad(F):
     # G(tau) = int_0^tau A(s)/s ds; exp_neg_inv_power(1) is E1(1/tau) up to
     # its knot t0 = 1/2, where the closed form hands over to a quadratic
     tau = np.geomspace(2e-3, 40.0, 25)
-    t0 = F._enip_t0() if F.family.value == "exp_neg_inv_power" else None
+    t0 = F.knot if F.family.value == "exp_neg_inv_power" else None
 
     def G(t):
         return quad(lambda x: F.A(x) / x, 0.0, t, epsabs=0.0, epsrel=1e-13,

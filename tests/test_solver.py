@@ -88,7 +88,7 @@ def test_normalization_newton(m200, family, alpha, r0):
     achieved = modular(F, u * res.r_alpha, m200)
     assert abs(achieved - alpha) <= 1e-12 * alpha
     assert res.phi_value == achieved
-    problem = Problem(F, m200, None, None, None)
+    problem = Problem(F, m200, m200)
     projected = problem.project(u.values, alpha, r0)
     assert np.array_equal(projected, u.values * res.r_alpha)
 
@@ -206,7 +206,7 @@ def test_normalization_rejects_bad_alpha(m200, alpha):
 
 def test_normalization_range_errors(m200):
     F = YoungFunction.power(2)
-    problem = Problem(F, m200, None, None, None)
+    problem = Problem(F, m200, m200)
     ones = np.ones(m200.interior_count)
     with pytest.raises(ZeroDenominatorError):
         problem.project(np.zeros(m200.interior_count), 1.0)
@@ -405,6 +405,16 @@ def test_constraint_postcondition_raises(m200, monkeypatch):
     F = YoungFunction.power(2)
     with pytest.raises(OrliczError, match="misses the constraint"):
         solve_E(F, m200, 1.0, SolveOptions(max_iter=3, restarts=1))
+
+
+def test_plateau_start_error_is_not_swallowed(monkeypatch):
+    # only a geometry that admits no plateau skips that start; any other
+    # failure of bump_field reaches the caller
+    def broken(*args, **kwargs):
+        raise RuntimeError("bump_field broke")
+    monkeypatch.setattr(solver, "bump_field", broken)
+    with pytest.raises(RuntimeError, match="bump_field broke"):
+        solve_E(YoungFunction.power(2), Mesh.interval(4.0, 100), 1.0)
 
 
 def test_unconverged_run_is_flagged(m200):

@@ -1,6 +1,7 @@
 """Alpha sweeps and the theorem-verification checks."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -231,6 +232,16 @@ def test_secant_start_falls_back_on_a_degenerate_prediction(m200):
     run_sweep(YoungFunction.power(2), m200, grid,
               solve=_stub_solve(set(), calls, np.zeros(m200.interior_count)))
     assert all(calls[k][0] is calls[k - 1][1].u for k in range(1, 4))
+
+
+def test_warm_options_differ_only_in_restarts(m200):
+    opts = SolveOptions(tol=1e-9, max_iter=321, restarts=3, seed=7)
+    calls = []
+    run_sweep(YoungFunction.power(2), m200, geometric_grid(0.1, 1.0, 3), opts,
+              solve=_counting(_stub_reference(np.ones(m200.interior_count)),
+                              calls))
+    assert calls[0] is opts
+    assert calls[1:] == [replace(opts, restarts=1)] * 3
 
 
 # -- the Power(p) reference of the endpoint limits ---------------------------

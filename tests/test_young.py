@@ -255,6 +255,56 @@ def test_from_config_rejects_unknown_keys():
                                    "params": {"p": 2, "extra": 3}})
 
 
+# (from_config params, the classmethod's build, the default label)
+CONFIGURED = {
+    "power": ({"p": 3}, lambda: YoungFunction.power(3), "t^3.0"),
+    "sum_of_powers": ({"p": 1.5, "q": 3},
+                      lambda: YoungFunction.sum_of_powers(1.5, 3),
+                      "t^1.5/1.5 + t^3.0/3.0"),
+    "power_log": ({"p": 2, "alpha": 1, "r": 0.5},
+                  lambda: YoungFunction.power_log(2, 1, 0.5),
+                  "(t^2.0/2.0) ln^1.0(1+t^0.5)"),
+    "exp_minus_poly": ({"n": 3}, lambda: YoungFunction.exp_minus_poly(3),
+                       "e^t - T_2(t)"),
+    "exp_neg_inv_power": ({"alpha": 1.5},
+                          lambda: YoungFunction.exp_neg_inv_power(1.5),
+                          "exp(-t^-1.5)"),
+    "double_exp": ({}, YoungFunction.double_exp, "e^(e^t) - e - e t"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONFIGURED))
+def test_from_config_matches_constructor(family):
+    params, build, label = CONFIGURED[family]
+    F = YoungFunction.from_config({"family": family, "params": params})
+    G = build()
+    assert (F.label, F.params, repr(F)) == (G.label, G.params, repr(G))
+    assert F.label == label
+    assert [type(v) for v in F.params.values()] == \
+        [type(v) for v in G.params.values()]
+    t = np.concatenate(([0.0], np.geomspace(1e-6, 40.0, 97)))
+    for name in ("A", "a", "log_A", "log_a"):
+        _same(getattr(F, name)(t), getattr(G, name)(t))
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"family": "sum_of_powers", "params": {"p": 2}},
+     "missing parameter 'q' for family 'sum_of_powers'"),
+    ({"family": "power_log", "params": {"p": "x", "alpha": 1, "r": 1}},
+     "non-numeric parameter for family 'power_log': "
+     "could not convert string to float: 'x'"),
+    ({"family": "power", "params": {"p": 2, "q": 3}},
+     "unknown parameter 'q' for family 'power'"),
+    ({"family": "power", "params": {"p": 0.5}}, "power family needs p > 1"),
+    ({"family": "exp_minus_poly", "params": {"n": 1}},
+     "exp_minus_poly needs n >= 2"),
+])
+def test_from_config_messages(cfg, message):
+    with pytest.raises(ConfigError) as info:
+        YoungFunction.from_config(cfg)
+    assert str(info.value) == message
+
+
 # -- complementary function -------------------------------------------------
 
 def test_complementary_power2():
@@ -408,6 +458,19 @@ def test_luxemburg_norm_puts_modular_on_one(name):
         u = m.field(scale * rng.standard_normal(m.interior_count))
         k = luxemburg_norm(F, u, m)
         assert abs(modular(F, u * (1.0 / k), m) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 4.0), (1.5, 2.0)])
+def test_power_sum_writes_no_term_that_is_its_input(p, q):
+    # the density of t^p/p + t^q/q has a term t^1 (first or second), which
+    # the power sum reads as t itself and must not add into
+    from orlicz_eigen.young import _ipow
+    F = YoungFunction.sum_of_powers(p, q)
+    t = np.geomspace(1e-3, 1e3, 301)
+    before = t.copy()
+    np.testing.assert_array_equal(F.a(t),
+                                  _ipow(t, p - 1.0) + _ipow(t, q - 1.0))
+    np.testing.assert_array_equal(t, before)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
