@@ -33,6 +33,7 @@ __all__ = [
 
 EPS_GRAD = 1e-12  # regularization of a(g)/g at vanishing gradient
 MAX_STARTS = 5    # start pool when restarts is None (stop at first agreement)
+_PBTRF, _PBTRS = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0),))
 
 
 @dataclass
@@ -240,18 +241,31 @@ class _LaggedStiffness:
         return ab
 
     def build(self, F, values):
-        try:
-            cho = sla.cholesky_banded(self.band(F, values), lower=False)
-        except sla.LinAlgError:
-            # coefficients spread past the working precision cancel a pivot
-            # of a weakly dominant band (1D cells, steep exp_minus_poly
-            # fields): factor again with them within 1e10 of the largest
-            cho = sla.cholesky_banded(self.band(F, values, keep=1e-10),
-                                      lower=False)
+        # a Fortran-order copy of the band is factored in place; coefficients
+        # spread past the working precision cancel a pivot of a weakly dominant
+        # band (1D cells, steep exp_minus_poly): retry within 1e10 of the max
+        for keep in (0.0, 1e-10):
+            ab = _finite(np.array(self.band(F, values, keep), order="F"))
+            cho, info = _PBTRF(ab, overwrite_ab=1)
+            if info <= 0:
+                break
+        else:
+            raise sla.LinAlgError(f"minor {info} is not positive definite")
+        _finite(cho, info)
 
         def solve(rhs):
-            return sla.cho_solve_banded((cho, False), rhs)
+            if len(rhs) != cho.shape[1]:
+                raise ValueError("right-hand side and band differ in length")
+            x, info = _PBTRS(cho, _finite(rhs))
+            return _finite(x, info) if info else x  # only info < 0 raises
         return solve
+
+
+def _finite(x, info=0):
+    """``x``; ValueError on an inf or NaN in it, or a negative LAPACK info."""
+    if info < 0 or not np.isfinite(x).all():
+        raise ValueError(f"LAPACK info {info}" if info else "an inf or a NaN")
+    return x
 
 
 # -- descent engine --------------------------------------------------------

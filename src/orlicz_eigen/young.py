@@ -15,7 +15,8 @@ A(t) = sum_k t^p_k / d_k, with d = 1 for t^p and d_k = p_k for
 t^p/p + t^q/q; one power-sum path derives from these terms A, a, log A,
 log a, the moments of the normalization (``_power_terms``) and the
 primitive G(t) = int_0^t A(s)/s ds = sum_k t^p_k / (d_k p_k) that the
-nonlocal exterior integrates.  The custom family keeps its own quadrature.
+nonlocal exterior integrates.  The custom family keeps its own quadrature,
+``scipy.integrate.quad``, imported only when a custom A is first evaluated.
 
 Exponential families saturate at ``SATURATION`` instead of overflowing, and
 all endpoint ratios are formed in log space so that regime detection is not
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BracketRangeError, ConfigError, ZeroDenominatorError
 from .mesh import _conform
@@ -245,13 +245,28 @@ class YoungFunction:
 
     def __post_init__(self):
         self.family = Family(self.family)
-        p, spec = self.params, _SPECS.get(self.family)
+        spec = _SPECS.get(self.family)
         if spec is None:  # the custom family
             if self.custom_density is None:
                 raise ConfigError("custom family needs a density callable")
             self._anchors = {0.0: 0.0}  # primitive cache: sorted t -> A(t)
-        elif spec.fails(p):
-            raise ConfigError(spec.message)
+        else:  # the table's names and kinds, then the hypotheses
+            given, fam = dict(self.params), self.family.value
+            try:
+                self.params = {name: kind(given.pop(name))
+                               for name, kind in spec.params}
+            except KeyError as exc:
+                raise ConfigError(f"missing parameter {exc} for family "
+                                  f"{fam!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"non-numeric parameter for family "
+                                  f"{fam!r}: {exc}") from exc
+            if spec.fails(self.params):
+                raise ConfigError(spec.message)
+            if given:
+                raise ConfigError(f"unknown parameter {sorted(given)[0]!r} "
+                                  f"for family {fam!r}")
+        p = self.params
         self.label = self.label or (spec.label(p) if spec else "custom")
         # (exponent, factor, divisor) of each term of A, of a and of the
         # primitive G(t) = int_0^t A(s)/s ds of a power sum
@@ -271,8 +286,8 @@ class YoungFunction:
 
     @classmethod
     def _build(cls, family, *values):
-        """The family with its parameters, in table order, as their kinds."""
-        return cls(family, {name: kind(v) for (name, kind), v
+        """The family with its parameters given in table order."""
+        return cls(family, {name: v for (name, _), v
                             in zip(_SPECS[family].params, values)})
 
     @classmethod
@@ -327,22 +342,7 @@ class YoungFunction:
             raise ConfigError(f"bad young-function family: {exc}") from exc
         if fam not in _SPECS:
             raise ConfigError("custom families cannot be built from config")
-        params = dict(cfg.get("params", {}))
-        try:
-            values = [params.pop(name) for name, _ in _SPECS[fam].params]
-        except KeyError as exc:
-            raise ConfigError(f"missing parameter {exc} for family "
-                              f"{fam.value!r}") from exc
-        try:
-            out = cls._build(fam, *values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"non-numeric parameter for family "
-                              f"{fam.value!r}: {exc}") from exc
-        if params:
-            raise ConfigError(
-                f"unknown parameter {sorted(params)[0]!r} for family "
-                f"{fam.value!r}")
-        return out
+        return cls(fam, cfg.get("params", {}))
 
     # -- evaluation --------------------------------------------------------
 
@@ -512,6 +512,7 @@ class YoungFunction:
         base = self._anchors[lower]
         if lower == t:
             return base
+        from scipy import integrate
         inc, _ = integrate.quad(self.custom_density, lower, t,
                                 epsabs=1e-14, epsrel=1e-10, limit=200)
         val = base + inc

@@ -1,7 +1,10 @@
 """CLI surface: subcommands, outputs, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter, since these tests load scipy.integrate; the
+    # custom family loads it on its first A, with the values it had when
+    # the module imported it
+    probe = """if True:
+        import math, sys
+        import numpy as np
+        import orlicz_eigen.cli
+        from orlicz_eigen.young import YoungFunction
+        before = "scipy.integrate" in sys.modules
+        F = YoungFunction.custom(lambda t: t * math.log1p(t))
+        A = list(F.A(np.array([0.5, 3.0, 1.0, 10.0]))) + [F.A(2.5)]
+        print(before, "scipy.integrate" in sys.modules,
+              *(float(v).hex() for v in A))
+    """
+    src = str(Path(orlicz_eigen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.split() == [
+        "False", "True", "0x1.2269439c1371cp-5", "0x1.32e42fefa39f0p+2",
+        "0x1.0000000000000p-2", "0x1.8ac883fd8c98ap+6",
+        "0x1.7ceda8d4de08dp+1"]
 
 
 def test_version(capsys):

@@ -263,7 +263,7 @@ def test_pair_operators_match_dense_rows(n):
 @pytest.mark.parametrize("n", SMALL_N + [7, 37, 48])
 def test_band_finite_and_build_solves_dense_stiffness(n, monkeypatch):
     # every entry of the band is finite, the ones LAPACK never reads too,
-    # since cholesky_banded checks the whole array
+    # since the build checks the whole array
     F = YoungFunction.sum_of_powers(2, 4)
     nm = NonlocalMesh(1.0, n, 0.5)
     rng = np.random.default_rng(n)

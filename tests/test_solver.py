@@ -11,6 +11,7 @@ import scipy.linalg
 from orlicz_eigen.errors import (BracketRangeError, ConfigError,
                                  OrliczError, ZeroDenominatorError)
 from orlicz_eigen import solver
+from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.mesh import Mesh, bump_field
 from orlicz_eigen.solver import (Problem, SolveOptions, energy,
                                  energy_gradient, lagrange_quotient,
@@ -686,6 +687,66 @@ def test_build_retries_once_then_raises_linalg_error():
     with pytest.raises(np.linalg.LinAlgError):
         cells.build(F, u)
     assert keeps == [0.0, 1e-10]
+
+
+@pytest.mark.parametrize("m", [
+    Mesh.interval(1.0, 40), Mesh.rectangle(1.0, 1.0, 4, 3),
+    NonlocalMesh(1.0, 7, 0.5), NonlocalMesh(1.0, 37, 0.5),
+    NonlocalMesh(1.0, 48, 0.5)], ids=["1d", "2d", "N7", "N37", "N48"])
+def test_build_factors_and_solves_as_scipy_wrappers(m, monkeypatch):
+    # LAPACK called directly gives the factor and the solve of
+    # cholesky_banded/cho_solve_banded bit for bit, and leaves the band
+    F = YoungFunction.sum_of_powers(2, 4)
+    rng = np.random.default_rng(m.interior_count)
+    u, rhs = (rng.standard_normal(m.interior_count) for _ in range(2))
+    cells = solver._LaggedStiffness(m)
+    band = cells.band(F, u)
+    kept = band.copy()
+    cells.band = lambda F, values, keep=0.0: band
+    factors, pbtrf = [], solver._PBTRF
+    monkeypatch.setattr(solver, "_PBTRF", lambda ab, **kw: factors.append(
+        pbtrf(ab, **kw)) or factors[-1])
+    x = cells.build(F, u)(rhs)
+    cho = scipy.linalg.cholesky_banded(kept, lower=False)
+    assert len(factors) == 1 and factors[0][1] == 0
+    assert np.array_equal(factors[0][0], cho)
+    assert np.array_equal(x, scipy.linalg.cho_solve_banded((cho, False), rhs))
+    assert np.array_equal(band, kept)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_a_bad_band_or_right_hand_side(bad):
+    m = Mesh.interval(1.0, 6)
+    F, u = YoungFunction.power(2), np.ones(m.interior_count)
+    good = solver._LaggedStiffness(m).band(F, u)
+    # ab[0, 0] is never read by LAPACK; the whole band is checked
+    for slot in ((0, 0), (-1, 2), (0, 3)):
+        ab = good.copy()
+        ab[slot] = bad
+        with pytest.raises(ValueError):
+            _with_band(m, lambda keep: ab).build(F, u)
+    solve = _with_band(m, lambda keep: good).build(F, u)
+    rhs = np.ones(m.interior_count)
+    rhs[1] = bad
+    with pytest.raises(ValueError):
+        solve(rhs)
+    for n in (m.interior_count - 1, m.interior_count + 1):
+        with pytest.raises(ValueError):  # as cho_solve_banded's shape check
+            solve(np.ones(n))
+
+
+@pytest.mark.parametrize("factored", [
+    lambda cho: (np.where(cho > 1.5, np.nan, cho), 0),
+    lambda cho: (cho, -3)], ids=["nan-factor", "illegal-argument"])
+def test_build_rejects_a_non_finite_factor_or_negative_info(factored,
+                                                            monkeypatch):
+    m = Mesh.interval(1.0, 6)
+    F, u = YoungFunction.power(2), np.ones(m.interior_count)
+    pbtrf = solver._PBTRF
+    monkeypatch.setattr(solver, "_PBTRF",
+                        lambda ab, **kw: factored(pbtrf(ab, **kw)[0]))
+    with pytest.raises(ValueError):
+        solver._LaggedStiffness(m).build(F, u)
 
 
 def test_stiffness_lifts_a_block_cut_off_by_underflow():

@@ -305,6 +305,29 @@ def test_from_config_messages(cfg, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("params, expected", [
+    ({"p": 3, "q": 1}, "unknown parameter 'q' for family 'power'"),
+    ({"p": 3}, ({"p": 3.0}, "t^3.0")),
+    ({}, "missing parameter 'p' for family 'power'"),
+    ({"p": "3"}, ({"p": 3.0}, "t^3.0")),
+    ({"p": "x"}, "non-numeric parameter for family 'power': "
+                 "could not convert string to float: 'x'"),
+])
+def test_dataclass_constructor_validates_as_from_config(params, expected):
+    # YoungFunction(family, params) runs from_config's checks: the same
+    # parameters of the table's kinds, or the same ConfigError
+    for build in (lambda: YoungFunction("power", params),
+                  lambda: YoungFunction.from_config(
+                      {"family": "power", "params": params})):
+        try:
+            F = build()
+        except ConfigError as exc:
+            assert str(exc) == expected
+        else:
+            assert (F.params, F.label) == expected
+            assert type(F.params["p"]) is float
+
+
 # -- complementary function -------------------------------------------------
 
 def test_complementary_power2():
