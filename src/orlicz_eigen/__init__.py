@@ -7,6 +7,12 @@ __version__ = "0.1.0"
 
 from .errors import (BracketRangeError, ConfigError, ConformanceError,
                      GeometryError, OrliczError, ZeroDenominatorError)
+# young first: without a bytecode cache, numpy's import then reuses the
+# memory compiling young frees instead of leaving a hole of varying size
+from .young import (Delta2Report, Endpoint, Family, MatuszewskaEstimate,
+                    Regime, YoungFunction, complementary_eval,
+                    complementary_function, delta2_report, luxemburg_norm,
+                    matuszewska, matuszewska_exponent, modular)
 from .fractional import (NonlocalMesh, energy_s, lagrange_quotient_s,
                          solve_Es)
 from .mesh import Mesh, ScalarField, bump_field, cell_gradient_magnitudes
@@ -14,10 +20,6 @@ from .solver import (MinimizerResult, SolveOptions, energy,
                      lagrange_quotient, phi_root, solve_E, weak_residual)
 from .sweep import (LimitEstimate, SweepRecord, check_bounds, check_decay,
                     estimate_limits, geometric_grid, run_sweep)
-from .young import (Delta2Report, Endpoint, Family, MatuszewskaEstimate,
-                    Regime, YoungFunction, complementary_eval,
-                    complementary_function, delta2_report, luxemburg_norm,
-                    matuszewska, matuszewska_exponent, modular)
 
 __all__ = [
     "__version__",

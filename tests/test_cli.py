@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def fresh_interpreter(probe):
+    """Standard output of ``probe`` run by a new interpreter on these sources."""
+    src = str(Path(orlicz_eigen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}).stdout
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # a fresh interpreter, since these tests load scipy.integrate; the
     # custom family loads it on its first A, with the values it had when
@@ -39,15 +48,27 @@ def test_import_leaves_scipy_integrate_unloaded():
         print(before, "scipy.integrate" in sys.modules,
               *(float(v).hex() for v in A))
     """
-    src = str(Path(orlicz_eigen.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.split() == [
+    assert fresh_interpreter(probe).split() == [
         "False", "True", "0x1.2269439c1371cp-5", "0x1.32e42fefa39f0p+2",
         "0x1.0000000000000p-2", "0x1.8ac883fd8c98ap+6",
         "0x1.7ceda8d4de08dp+1"]
+
+
+def test_import_compiles_young_before_numpy_loads():
+    # the package imports young first, so numpy's import reuses the memory
+    # that compiling young freed (see orlicz_eigen/__init__.py)
+    probe = """if True:
+        import sys
+        order = []
+        class Watch:
+            def find_spec(self, name, path=None, target=None):
+                if name in ("numpy", "orlicz_eigen.young"):
+                    order.append(name)
+        sys.meta_path.insert(0, Watch())
+        import orlicz_eigen
+        print(*order)
+    """
+    assert fresh_interpreter(probe).split() == ["orlicz_eigen.young", "numpy"]
 
 
 def test_version(capsys):
