@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .errors import GeometryError, OrliczError, ConfigError
-from .fractional import NonlocalMesh, solve_Es
+from .fractional import NonlocalMesh
 from .mesh import Mesh
 from .solver import SolveOptions, solve_E
 from .sweep import (check_bounds, check_decay, estimate_limits,
@@ -140,20 +140,11 @@ def _cmd_inspect(args):
     return 0
 
 
-def _cmd_solve(args):
+def _cmd_solve(args):  # and ``nonlocal``, which has no --mesh
     F = _young_from_arg(args.young)
-    m = _mesh_from_arg(args.mesh)
+    m = (NonlocalMesh(args.interval, args.nodes, args.s) if args.mesh is None
+         else _mesh_from_arg(args.mesh))
     result = solve_E(F, m, args.alpha, _solve_options(args))
-    _emit_json(result.as_dict(), args.out)
-    if args.csv:
-        result.u.to_csv(args.csv)
-    return 0 if result.converged else 1
-
-
-def _cmd_nonlocal(args):
-    F = _young_from_arg(args.young)
-    nm = NonlocalMesh(args.interval, args.nodes, args.s)
-    result = solve_Es(F, nm, args.alpha, _solve_options(args))
     _emit_json(result.as_dict(), args.out)
     if args.csv:
         result.u.to_csv(args.csv)
@@ -184,14 +175,14 @@ def _check_derivative(records):
     }
 
 
-def _check_limits(F, m, records, opts, solve):
+def _check_limits(F, m, records, opts):
     out = {"overall_pass": True}
     for ep in (Endpoint.ZERO, Endpoint.INFINITY):
         est = matuszewska_exponent(F, ep)
         if est.regime is not Regime.POWER_LIKE:
             out[ep.value] = {"regime": est.regime.value, "skipped": True}
             continue
-        le = estimate_limits(F, m, records, ep, opts, solve, estimate=est)
+        le = estimate_limits(F, m, records, ep, opts, estimate=est)
         ok = le.relative_gap <= 5e-2
         out[ep.value] = dict(le.as_dict(), overall_pass=ok)
         out["overall_pass"] = out["overall_pass"] and ok
@@ -241,17 +232,10 @@ def _cmd_sweep(args):
     if args.nonlocal_:
         if m.dim != 1:
             raise ConfigError("nonlocal sweeps are one-dimensional")
-        nm = NonlocalMesh(m.extents[0], m.interior_count, args.s)
+        m = NonlocalMesh(m.extents[0], m.interior_count, args.s)
+    checks, p_index, decay_endpoint = _sweep_checks(args, F, grid, m)
 
-        def solve(Fy, _m, alpha, o, initial=None):
-            return solve_Es(Fy, nm, alpha, o, initial)
-        check_mesh = nm.mesh
-    else:
-        solve, check_mesh = solve_E, m
-    checks, p_index, decay_endpoint = _sweep_checks(args, F, grid,
-                                                    check_mesh)
-
-    records = run_sweep(F, check_mesh, grid, opts, solve, warm=args.warm)
+    records = run_sweep(F, m, grid, opts, warm=args.warm)
     converged = [r for r in records if r.converged]
 
     report = {
@@ -267,11 +251,10 @@ def _cmd_sweep(args):
         elif name == "derivative":
             report["checks"]["derivative"] = _check_derivative(records)
         elif name == "limits":
-            report["checks"]["limits"] = _check_limits(
-                F, check_mesh, records, opts, solve)
+            report["checks"]["limits"] = _check_limits(F, m, records, opts)
         elif name == "decay":
-            report["checks"]["decay"] = check_decay(
-                F, check_mesh, records, decay_endpoint)
+            report["checks"]["decay"] = check_decay(F, m, records,
+                                                    decay_endpoint)
 
     if args.csv:
         header = ["alpha", "energy", "quotient", "lambda", "dE_dalpha",
@@ -357,7 +340,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--csv", help="write the minimizer's nodal values here")
     _add_solver_flags(p)
-    p.set_defaults(fn=_cmd_nonlocal)
+    p.set_defaults(fn=_cmd_solve, mesh=None)
 
     return parser
 

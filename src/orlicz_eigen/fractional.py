@@ -1,18 +1,19 @@
 """Nonlocal (fractional) energy in 1D: the Hölder quotient
 D^s u(x, y) = (u(x) - u(y)) / |x - y|^s against the measure |x - y|^{-1} dxdy.
 
-Each unordered interior pair is one difference row of the local core
-(:mod:`orlicz_eigen.mesh`), with spacing |x_i - x_j|^s and weight
-2h^2/|x_i - x_j| (the midpoint rule, both orders), so the interior energy
-sum_e w_e A(|B_e u|), its gradient and the banded lagged stiffness are
-those of :mod:`orlicz_eigen.solver`, with bandwidth N - 1.  The pairs sit
-in a wrap-around layout of N // 2 rows of N: row d, column i is the pair
-(i, (i + d) mod N).  That lists the N(N - 1)/2 pairs once for odd N; for
-even N row N/2 lists each of its pairs twice, and the second half has
-weight 0 (N/2 extra entries).  The mesh's ``differences``, ``transpose``
-and ``band`` are then slices, reshapes and windows of the rows, with no
-index arrays; local meshes keep their index rows.  Pair sums are O(N^2),
-sized for verification, not production.
+A :class:`NonlocalMesh` is the interval (0, L) as a
+:class:`orlicz_eigen.mesh.Mesh`, whose nodes and quadrature it keeps, with
+two row blocks of the core as its energy ``blocks``; so
+:func:`orlicz_eigen.solver.solve_E` and the sweeps take it like any mesh.
+The first block has one difference row per unordered interior pair, with
+spacing |x_i - x_j|^s and weight 2h^2/|x_i - x_j| (the midpoint rule, both
+orders), and bandwidth N - 1.  The pairs sit in a wrap-around layout of
+N // 2 rows of N: row d, column i is the pair (i, (i + d) mod N).  That
+lists the N(N - 1)/2 pairs once for odd N; for even N row N/2 lists each of
+its pairs twice, and the second half has weight 0 (N/2 extra entries).  The
+block's ``differences``, ``transpose`` and ``band`` are then slices,
+reshapes and windows of the rows, with no index arrays.  Pair sums are
+O(N^2), sized for verification, not production.
 
 The field vanishes outside (0, L), so each node's pairs with the exterior
 integrate in closed form: E_ext = (2h/s) sum_i [G(|u_i| d_L^{-s}) +
@@ -31,14 +32,13 @@ otherwise a fixed 113-node rule (113 values of A each).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .mesh import Mesh, row_factors
-from .solver import (_solve, energy, energy_gradient, lagrange_quotient,
+from .solver import (energy, energy_gradient, lagrange_quotient, solve_E,
                      weak_residual)
 from .young import SATURATION
 
@@ -137,64 +137,31 @@ class _Exterior:
         return (c[:n] + c[n:]).reshape(1, n)
 
 
-@dataclass
-class NonlocalMesh:
-    """Interval (0, L) with ``nodes`` interior nodes; the field vanishes
-    outside.  The unordered interior pairs are difference rows in a
-    wrap-around layout of M = N // 2 rows of N: row d = 1..M, column i is
-    the pair (i, (i + d) mod N), at distance d h when i < N - d and
-    (N - d) h otherwise.  For odd N that lists every pair once; for even N
-    row N/2 lists each pair twice, and its second half has weight 0.  As
-    for :class:`orlicz_eigen.mesh.Mesh`, ``plus`` = i and ``minus`` =
-    (i + d) mod N are (1, M N) arrays, row-major over (d, i), that describe
-    the layout (the operators below do not read them), ``row_spacing`` =
-    |x_i - x_j|^s, ``cell_weights`` = 2h^2/|x_i - x_j|, the midpoint rule
-    of the measure |x - y|^{-1} dxdy over both orders, and the row factors
-    (:func:`orlicz_eigen.mesh.row_factors`) ``flux_weights`` =
-    w/|x_i - x_j|^s and ``band_weights`` = w/|x_i - x_j|^{2s}; the
-    ``bandwidth`` is N - 1.  ``differences``, ``transpose`` and ``band``
-    are the operator methods of ``Mesh``, computed from slices and
-    windows of the (M, N) rows instead of index scatters.  ``mesh`` is the
-    local interval, whose nodal quadrature ``node_weights`` the zero-order
-    modular uses.  ``blocks`` are the pair rows and the exterior rows
-    (:class:`_Exterior`), integrated exactly from d_L = x_i - h/2 and
-    d_R = L - x_i - h/2."""
+class _Pairs:
+    """The interior pairs of a :class:`NonlocalMesh` as a row block: row
+    d = 1..M = N // 2, column i is the pair (i, (i + d) mod N), at distance
+    d h when i < N - d and (N - d) h otherwise.  ``plus`` = i and ``minus``
+    = (i + d) mod N, (1, M N) arrays row-major over (d, i), describe the
+    layout (the operators below do not read them); ``row_spacing`` =
+    |x_i - x_j|^s and ``cell_weights`` = 2h^2/|x_i - x_j|, with the row
+    factors and ``bandwidth`` (N - 1) of a ``Mesh``'s rows."""
 
-    length: float
-    nodes: int
-    s: float
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ConfigError(f"s must lie strictly in (0, 1), got {self.s}")
-        if self.nodes < 2:
-            raise ConfigError("need at least 2 interior nodes")
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ConfigError(
-                f"length must be finite and positive, got {self.length}")
-        self.mesh = Mesh.interval(self.length, self.nodes + 1)
-        self.node_weights = self.mesh.node_weights
-        h = self.h = self.mesh.spacing[0]
-        x = self.x = self.mesh.interior_coords[:, 0]
-        n = self.interior_count = self.mesh.interior_count
+    def __init__(self, nm):
+        h, x = nm.h, nm.x
+        n = self.interior_count = nm.interior_count
         i = np.arange(n)
         self.plus = np.tile(i, n // 2).reshape(1, -1)
         self.minus = ((i + np.arange(1, n // 2 + 1)[:, None]) % n
                       ).reshape(1, -1)
         d = (x[np.maximum(self.plus, self.minus)]
              - x[np.minimum(self.plus, self.minus)])
-        self.row_spacing = d ** self.s
+        self.row_spacing = d ** nm.s
         self.cell_weights = 2.0 * h * h / d[0]
         if n % 2 == 0:
             self.cell_weights[-(n // 2):] = 0.0
         self.flux_weights, self.band_weights = row_factors(
             self.row_spacing, self.cell_weights)
         self.bandwidth = n - 1
-        self.exterior = _Exterior(self)
-
-    @property
-    def blocks(self):
-        return (self, self.exterior)
 
     young = Mesh.young  # the pair rows' Young function is F itself
 
@@ -252,6 +219,38 @@ class NonlocalMesh:
         ab[-1] = plus + minus
         return ab
 
+
+class NonlocalMesh(Mesh):
+    """The interval (0, L) with ``nodes`` interior nodes as a ``Mesh`` of
+    nodes + 1 cells, whose nodes and local rows it keeps; the field
+    vanishes outside.  Its energy ``blocks`` are the rows ``pairs``
+    (:class:`_Pairs`) and ``exterior`` (:class:`_Exterior`).  Two nonlocal
+    meshes are equal when their length, nodes and s are."""
+
+    def __init__(self, length, nodes, s):
+        if not 0.0 < s < 1.0:
+            raise ConfigError(f"s must lie strictly in (0, 1), got {s}")
+        if nodes < 2:
+            raise ConfigError("need at least 2 interior nodes")
+        if not (math.isfinite(length) and length > 0):
+            raise ConfigError(
+                f"length must be finite and positive, got {length}")
+        self.length, self.nodes, self.s = length, nodes, s
+        super().__init__(1, (length,), (nodes + 1,))
+        self.h = self.spacing[0]
+        self.x = self.interior_coords[:, 0]
+        self.pairs = _Pairs(self)
+        self.exterior = _Exterior(self)
+
+    @property
+    def blocks(self):
+        return (self.pairs, self.exterior)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (self.length, self.nodes, self.s)
+            == (other.length, other.nodes, other.s))
+
     @classmethod
     def from_config(cls, cfg):
         if not isinstance(cfg, dict):
@@ -265,23 +264,19 @@ class NonlocalMesh:
                        float(cfg["s"]))
         except KeyError as exc:
             raise ConfigError(f"missing nonlocal config key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"non-numeric nonlocal config: {exc}") from exc
 
     def __repr__(self):
         return (f"NonlocalMesh(length={self.length}, nodes={self.nodes}, "
                 f"s={self.s})")
 
 
-# The nonlocal energy, gradient and quotients are the core's over the
-# mesh's pair and exterior blocks; the names stay as public API.
+# A nonlocal mesh is a mesh, so its energy, gradient, quotients and solve
+# are the core's over its pair and exterior blocks; the names stay as
+# public API.
 energy_s = energy
 energy_s_gradient = energy_gradient
 lagrange_quotient_s = lagrange_quotient
 weak_residual_s = weak_residual
-
-
-def solve_Es(F, nm, alpha, opts=None, initial=None):
-    """Minimize the pair-row energy, exterior rows included, at zero-order
-    modular alpha over the interval.  Identical contract to
-    :func:`orlicz_eigen.solver.solve_E`.
-    """
-    return _solve(F, nm, nm.mesh, alpha, opts, initial)
+solve_Es = solve_E

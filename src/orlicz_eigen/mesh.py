@@ -15,9 +15,8 @@ banded stiffness), which the solver's core calls; local meshes scatter
 over their index rows ``plus`` and ``minus``.  The core sums over a
 mesh's ``blocks``, each a set of such rows whose ``young(F)`` is the Young
 function of its energy; a local mesh is one block with F itself.
-:class:`orlicz_eigen.fractional.NonlocalMesh` keeps the same row data
-and provides the same three methods over its wrap-around pair layout,
-with its exterior as a second block.
+:class:`orlicz_eigen.fractional.NonlocalMesh` is an interval whose blocks
+are its pair rows and its exterior rows instead.
 """
 
 import math
@@ -58,13 +57,17 @@ class Mesh:
 
     def __post_init__(self):
         if self.dim not in (1, 2):
-            raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
+            raise ConfigError(f"dim must be 1 or 2, got {self.dim!r}")
+        self.dim = int(self.dim)
         self.extents = tuple(float(e) for e in np.atleast_1d(self.extents))
-        self.counts = tuple(int(c) for c in np.atleast_1d(self.counts))
-        if len(self.extents) != self.dim or len(self.counts) != self.dim:
+        counts = [float(c) for c in np.atleast_1d(self.counts)]
+        if len(self.extents) != self.dim or len(counts) != self.dim:
             raise ConfigError("extents/counts must match dim")
-        if any(e <= 0 for e in self.extents) or any(c < 2 for c in self.counts):
-            raise ConfigError("extents must be positive, counts at least 2")
+        if not (all(math.isfinite(e) and e > 0 for e in self.extents)
+                and all(c.is_integer() and c >= 2 for c in counts)):
+            raise ConfigError("extents must be finite and positive, counts "
+                              "whole numbers of at least 2")
+        self.counts = tuple(int(c) for c in counts)
         self.spacing = tuple(e / c for e, c in zip(self.extents, self.counts))
         self._build()
 
@@ -169,10 +172,12 @@ class Mesh:
             raise ConfigError(
                 f"unknown key in mesh config: {sorted(extra)[0]!r}")
         try:
-            return cls(int(cfg["dim"]), tuple(cfg["extents"]),
+            return cls(cfg["dim"], tuple(cfg["extents"]),
                        tuple(cfg["counts"]))
         except KeyError as exc:
             raise ConfigError(f"missing mesh config key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"non-numeric mesh config: {exc}") from exc
 
     def __repr__(self):
         return f"Mesh(dim={self.dim}, extents={self.extents}, counts={self.counts})"

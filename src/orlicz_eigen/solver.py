@@ -6,11 +6,10 @@ rescaled back onto the constraint by the root of the monotone normalization
 map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
 stiffness solve and projected onto the constraint tangent.
-The same engine, energy, gradient and stiffness drive the local problem
-here and the fractional pair-sum problem in :mod:`orlicz_eigen.fractional`:
-each sums over the row blocks of its mesh (``m.blocks``), a block being
-difference rows with weights and a Young function of its own, like the
-local cells.
+One engine, energy, gradient and stiffness serve every mesh, the
+fractional :class:`orlicz_eigen.fractional.NonlocalMesh` included: each sums
+over the row blocks of the mesh (``m.blocks``), a block being difference
+rows with weights and a Young function of its own.
 """
 
 import math
@@ -272,22 +271,21 @@ def _finite(x, info=0):
 
 class Problem:
     """One solve as the descent engine reads it: the energy over the row
-    blocks of ``rows`` and its gradient, which share the row memo of the
+    blocks of the mesh m and its gradient, which share the row memo of the
     lagged stiffness solves ``_precond`` and are looked up in this module at
     each call (so a wrapper on ``energy`` or ``energy_gradient`` sees them),
     and the mass gradient and the projection over the nodes of m."""
 
-    def __init__(self, F, rows, m):
+    def __init__(self, F, m):
         self.F = F
-        self.rows = rows
         self.m = m
-        self._precond = _LaggedStiffness(rows)
+        self._precond = _LaggedStiffness(m)
 
     def energy(self, values):
-        return energy(self.F, values, self.rows, cells=self._precond)
+        return energy(self.F, values, self.m, cells=self._precond)
 
     def gradient(self, values):
-        return energy_gradient(self.F, values, self.rows, cells=self._precond)
+        return energy_gradient(self.F, values, self.m, cells=self._precond)
 
     def mass_gradient(self, values):
         return mass_gradient(self.F, values, self.m)
@@ -395,6 +393,7 @@ def _descend(problem, alpha, start_values, opts):
     res = math.inf
     it = 0
     converged = False
+    accepted = True
     for it in range(1, opts.max_iter + 1):
         g = problem.gradient(u)
         mg = problem.mass_gradient(u)
@@ -403,10 +402,6 @@ def _descend(problem, alpha, start_values, opts):
             converged = True
             break
         if res < _POLISH_THRESHOLD:
-            u, lam, res, extra, converged = _polish(
-                problem, alpha, u, opts, opts.max_iter - it)
-            it += extra
-            E = problem.energy(u)
             break
         solve = problem.preconditioner(u)
         pg = solve(g)
@@ -435,15 +430,16 @@ def _descend(problem, alpha, start_values, opts):
                     break
             s = _backtrack(E, gd, s, Et)
         if not accepted:
-            # the energy landscape is flat at this resolution; hand the
-            # iterate to the residual-driven polish before giving up
-            u, lam, res, extra, converged = _polish(
-                problem, alpha, u, opts, opts.max_iter - it)
-            it += extra
-            E = problem.energy(u)
             break
         assert Et <= E * (1.0 + 1e-14) + 1e-300, "descent must be monotone"
         u, E = trial, Et
+    if not converged and (res < _POLISH_THRESHOLD or not accepted):
+        # a small residual, or an energy landscape flat at this resolution,
+        # hands the iterate to the residual-driven polish
+        u, lam, res, extra, converged = _polish(
+            problem, alpha, u, opts, opts.max_iter - it)
+        it += extra
+        E = problem.energy(u)
     return _RunResult(values=u, energy=E, lam=lam, residual=res,
                       iterations=it, converged=converged)
 
@@ -523,14 +519,7 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     non-finite or non-positive alpha raises ConfigError; a minimizer whose
     modular misses alpha by more than 1e-10 relative raises OrliczError.
     """
-    return _solve(F, m, m, alpha, opts, initial)
-
-
-def _solve(F, rows, m, alpha, opts, initial):
-    """:func:`solve_E` with the energy over the row blocks of ``rows`` and
-    the zero-order modular over the nodes of m: ``rows`` itself on a local
-    mesh, the interval of a nonlocal one."""
-    return minimize_with_restarts(Problem(F, rows, m), alpha,
+    return minimize_with_restarts(Problem(F, m), alpha,
                                   opts or SolveOptions(), initial)
 
 
@@ -541,14 +530,21 @@ def minimize_with_restarts(problem, alpha, opts, initial=None):
     solve stops after the first converged run whose energy agrees with an
     earlier converged run's within opts.tol relative,
     |E_i - E_j| <= tol max(|E_i|, |E_j|); unconverged runs never count as
-    agreement.  An integer ``opts.restarts`` runs exactly that many starts
-    (below 1 raises ConfigError).  The lowest-energy run among those made
-    is returned (see ``_pick_best``), with ``restarts_used`` runs and the
-    converged runs' energies in ``restart_energies``.
+    agreement.  An integer ``opts.restarts`` runs exactly that many starts.
+    A restarts or max_iter below 1, a negative seed and a tol that is not
+    finite and positive raise ConfigError.  The lowest-energy run among
+    those made is returned (see ``_pick_best``), with ``restarts_used`` runs
+    and the converged runs' energies in ``restart_energies``.
     """
     _check_alpha(alpha)
     if opts.restarts is not None and not opts.restarts >= 1:
         raise ConfigError(f"restarts must be at least 1, got {opts.restarts}")
+    if not (math.isfinite(opts.tol) and opts.tol > 0):
+        raise ConfigError(f"tol must be finite and positive, got {opts.tol}")
+    if not opts.max_iter >= 1:
+        raise ConfigError(f"max_iter must be at least 1, got {opts.max_iter}")
+    if not opts.seed >= 0:
+        raise ConfigError(f"seed must be at least 0, got {opts.seed}")
     runs, energies = [], []
     for start in default_starts(problem, opts, initial):
         run = _descend(problem, alpha, start, opts)

@@ -76,7 +76,7 @@ def geometric_grid(alpha_min, alpha_max, per_decade):
     return np.geomspace(alpha_min, alpha_max, n)
 
 
-def run_sweep(F, m, alpha_grid, opts=None, solve=None, warm=True):
+def run_sweep(F, m, alpha_grid, opts=None, warm=True):
     """One constrained solve per alpha, warm-started along the grid.
 
     The first alpha runs the full multistart; each later alpha restarts
@@ -92,7 +92,6 @@ def run_sweep(F, m, alpha_grid, opts=None, solve=None, warm=True):
     both converged, else NaN (endpoints included).  Unconverged alphas are
     flagged and the sweep continues.
     """
-    solve = solve or solve_E
     opts = opts or SolveOptions()
     grid = np.sort(np.asarray(alpha_grid, dtype=float))
     records = []
@@ -102,9 +101,9 @@ def run_sweep(F, m, alpha_grid, opts=None, solve=None, warm=True):
     for alpha in grid:
         x = math.log(alpha)
         start = _secant_start(branch, x, m) if len(branch) == 2 else None
-        result = solve(F, m, float(alpha),
-                       opts if prev is None else warm_opts,
-                       initial=prev if start is None else start)
+        result = solve_E(F, m, float(alpha),
+                         opts if prev is None else warm_opts,
+                         initial=prev if start is None else start)
         if result.converged and warm:
             prev = result.u
             values = np.asarray(getattr(prev, "values", prev), dtype=float)
@@ -216,8 +215,7 @@ def _extrapolate(xs, ys):
     return acc
 
 
-def estimate_limits(F, m, records, endpoint, opts=None, solve=None,
-                    estimate=None):
+def estimate_limits(F, m, records, endpoint, opts=None, estimate=None):
     """Extrapolated endpoint limit of E(alpha)/alpha against the first
     eigenvalue of the pure power problem with the endpoint's
     Matuszewska-Orlicz exponent, solved on the same mesh.
@@ -233,7 +231,6 @@ def estimate_limits(F, m, records, endpoint, opts=None, solve=None,
     ``opts``, the full multistart; an explicit ``opts.restarts`` is used
     as given.
     """
-    solve = solve or solve_E
     opts = opts or SolveOptions()
     endpoint = Endpoint(endpoint)
     est = estimate or matuszewska_exponent(F, endpoint)
@@ -252,22 +249,22 @@ def estimate_limits(F, m, records, endpoint, opts=None, solve=None,
     quotients = [r.quotient for r in tail]
     extrapolated = _extrapolate([r.alpha for r in tail], quotients)
     # quotient at alpha = 1; constant by homogeneity
-    reference = _power_reference(est.exponent, m, opts, solve).energy
+    reference = _power_reference(est.exponent, m, opts).energy
     gap = abs(extrapolated - reference) / reference
     return LimitEstimate(
         endpoint=endpoint.value, exponent=est.exponent,
         extrapolated=extrapolated, reference=reference, relative_gap=gap)
 
 
-def _power_reference(p, m, opts, solve):
+def _power_reference(p, m, opts):
     """Solve Power(p) at alpha = 1: one run when ``opts.restarts`` is None,
     kept if it converged to a minimizer of one sign, else ``opts``."""
     F = YoungFunction.power(p)
     if opts.restarts is None:
-        ref = solve(F, m, 1.0, replace(opts, restarts=1))
+        ref = solve_E(F, m, 1.0, replace(opts, restarts=1))
         if ref.converged and _one_signed(ref.u):
             return ref
-    return solve(F, m, 1.0, opts)
+    return solve_E(F, m, 1.0, opts)
 
 
 def _one_signed(u):

@@ -12,6 +12,10 @@ import pytest
 
 import orlicz_eigen
 from orlicz_eigen.cli import main
+from orlicz_eigen.fractional import NonlocalMesh
+from orlicz_eigen.solver import SolveOptions, solve_E
+from orlicz_eigen.sweep import geometric_grid, run_sweep
+from orlicz_eigen.young import YoungFunction
 
 POWER2 = '{"family": "power", "params": {"p": 2}}'
 SUM24 = '{"family": "sum_of_powers", "params": {"p": 2, "q": 4}}'
@@ -180,6 +184,36 @@ def test_restarts_below_one_exit_2(capsys, restarts):
     assert "restarts" in err
 
 
+@pytest.mark.parametrize("mesh,word", [
+    ("interval:nan,10", "finite"),
+    ("interval:inf,10", "finite"),
+    ("rectangle:1,nan,4,4", "finite"),
+    ('{"dim": "x", "extents": [1], "counts": [10]}', "dim must be 1 or 2"),
+    ('{"dim": 1.5, "extents": [1], "counts": [10]}', "dim must be 1 or 2"),
+    ('{"dim": 1, "extents": 1, "counts": [10]}', "non-numeric"),
+    ('{"dim": 1, "extents": ["a"], "counts": [10]}', "non-numeric"),
+    ('{"dim": 1, "extents": [1], "counts": [10.5]}', "whole numbers"),
+], ids=["interval-nan", "interval-inf", "rectangle-nan", "json-dim",
+        "json-dim-half", "json-extents-scalar", "json-extents-string",
+        "json-counts-half"])
+def test_bad_mesh_exit_2(capsys, mesh, word):
+    code, out, err = run(capsys, "solve", "--young", POWER2, "--mesh", mesh,
+                         "--alpha", "1.0")
+    assert code == 2 and out == ""
+    assert word in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"),
+    ("--max-iter", "0"), ("--seed", "-1")])
+def test_bad_solver_options_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "solve", "--young", POWER2,
+                         "--mesh", "interval:1.0,100", "--alpha", "1.0",
+                         flag, value)
+    assert code == 2 and out == ""
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+
+
 def test_sweep_nan_alpha_exit_2(capsys):
     code, out, err = run(capsys, "sweep", "--young", POWER2,
                          "--mesh", "interval:1.0,100",
@@ -289,6 +323,38 @@ def test_nonlocal_solve(capsys):
     assert set(payload) == {"alpha", "energy", "lambda", "residual",
                             "iterations", "converged", "restarts_used",
                             "restart_spread"}
+
+
+def test_nonlocal_sweep_matches_run_sweep(capsys, tmp_path):
+    # sweep --nonlocal passes its NonlocalMesh to run_sweep and to the
+    # limits reference like any mesh
+    csv = tmp_path / "sweep.csv"
+    code, out, _ = run(capsys, "sweep", "--young", SUM24, "--nonlocal",
+                       "--s", "0.5", "--mesh", "interval:1.0,40",
+                       "--alpha-min", "1e-2", "--alpha-max", "1e2",
+                       "--per-decade", "3", "--seed", "1",
+                       "--check", "bounds,derivative,limits",
+                       "--csv", str(csv))
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert all(checks[name]["overall_pass"]
+               for name in ("bounds", "derivative", "limits"))
+    F, nm = YoungFunction.sum_of_powers(2, 4), NonlocalMesh(1.0, 39, 0.5)
+    opts = SolveOptions(seed=1)
+    records = run_sweep(F, nm, geometric_grid(1e-2, 1e2, 3), opts)
+    lines = csv.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == len(records) + 1
+    for line, record in zip(lines[1:], records):
+        row = dict(zip(header, line.split(",")))
+        expected = record.as_dict()
+        assert row["converged"] == str(expected.pop("converged"))
+        assert {k: float(row[k]) for k in expected} == pytest.approx(
+            expected, rel=0.0, abs=0.0, nan_ok=True)
+    for endpoint in ("zero", "infinity"):
+        limits = checks["limits"][endpoint]
+        power = YoungFunction.power(limits["exponent"])
+        assert limits["reference"] == solve_E(power, nm, 1.0, opts).energy
 
 
 def test_sweep_csv_deterministic(capsys, tmp_path):

@@ -11,6 +11,7 @@ from orlicz_eigen.fractional import (NonlocalMesh, _primitive,
                                      _primitive_by_rule, energy_s,
                                      energy_s_gradient, lagrange_quotient_s,
                                      solve_Es, weak_residual_s)
+from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.solver import EPS_GRAD, SolveOptions, _LaggedStiffness
 from orlicz_eigen.young import YoungFunction, modular
 
@@ -40,6 +41,25 @@ def test_config_validation():
                                   "bogus": 1})
 
 
+def test_equality_is_on_length_nodes_and_s():
+    # a NonlocalMesh is a Mesh, whose fields (dim, extents, counts) alone
+    # would call meshes of different s equal
+    nm = NonlocalMesh(1.0, 16, 0.5)
+    assert nm == NonlocalMesh(1.0, 16, 0.5)
+    assert nm != NonlocalMesh(1.0, 16, 0.3)
+    assert nm != NonlocalMesh(2.0, 16, 0.5)
+    assert nm != NonlocalMesh(1.0, 17, 0.5)
+    assert nm != Mesh.interval(1.0, 17) and Mesh.interval(1.0, 17) != nm
+
+
+@pytest.mark.parametrize("key,value", [("length", "a"), ("nodes", None),
+                                       ("s", [0.5])])
+def test_from_config_rejects_non_numeric(key, value):
+    cfg = dict({"length": 1.0, "nodes": 16, "s": 0.5}, **{key: value})
+    with pytest.raises(ConfigError, match="non-numeric"):
+        NonlocalMesh.from_config(cfg)
+
+
 def test_from_config_rejects_r_cut():
     # the halo cutoff is gone: the exterior is integrated exactly
     with pytest.raises(ConfigError, match="r_cut"):
@@ -61,8 +81,10 @@ def test_pair_weights_symmetric_positive(nm):
     # with the weight 2 h^2/|x_i - x_j| of both orders
     n = nm.interior_count
     W = np.zeros((n, n))
-    np.add.at(W, (nm.plus[0], nm.minus[0]), nm.cell_weights)
-    np.add.at(W, (nm.minus[0], nm.plus[0]), nm.cell_weights)
+    np.add.at(W, (nm.pairs.plus[0], nm.pairs.minus[0]),
+              nm.pairs.cell_weights)
+    np.add.at(W, (nm.pairs.minus[0], nm.pairs.plus[0]),
+              nm.pairs.cell_weights)
     assert _close(W, W.T)
     off_diag = ~np.eye(n, dtype=bool)
     assert np.all(W[off_diag] > 0.0)
@@ -116,7 +138,7 @@ def test_quotient_power_identity(nm):
     u = np.abs(rng.standard_normal(nm.interior_count)) + 0.1
     lam = lagrange_quotient_s(F, u, nm)
     assert lam == pytest.approx(
-        energy_s(F, u, nm) / modular(F, u, nm.mesh), rel=1e-12)
+        energy_s(F, u, nm) / modular(F, u, nm), rel=1e-12)
 
 
 def test_quotient_sandwich_under_doubling(nm):
@@ -197,8 +219,8 @@ def _assert_matches_dense_reference(F, nm):
 def test_block_assembly_matches_dense_reference(F):
     # an odd N: one row per unordered pair, every pair within the band
     nm = NonlocalMesh(1.0, 37, 0.4)
-    assert nm.plus.shape == nm.minus.shape == (1, 37 * 36 // 2)
-    assert nm.bandwidth == 36
+    assert nm.pairs.plus.shape == nm.pairs.minus.shape == (1, 37 * 36 // 2)
+    assert nm.pairs.bandwidth == 36
     _assert_matches_dense_reference(F, nm)
 
 
@@ -211,8 +233,8 @@ def test_wrap_around_layout_matches_dense_reference(F, n):
     # odd N lists each pair once; even N repeats row N/2 with a zero-weight
     # second half, and N = 2 is that half row alone
     nm = NonlocalMesh(1.0, n, 0.4)
-    assert nm.plus.shape == nm.minus.shape == (1, n // 2 * n)
-    assert nm.bandwidth == n - 1
+    assert nm.pairs.plus.shape == nm.pairs.minus.shape == (1, n // 2 * n)
+    assert nm.pairs.bandwidth == n - 1
     u = np.random.default_rng(n).standard_normal(n)
     E, g, K = _dense_reference(F, u, nm)
     assert energy_s(F, u, nm) == pytest.approx(E, rel=1e-13)
@@ -226,9 +248,9 @@ def test_each_pair_once_with_its_weight(n):
     # 2h^2/|x_i - x_j|; the only other rows are the N/2 repeats of an even N,
     # with weight 0
     nm = NonlocalMesh(1.0, n, 0.5)
-    w = nm.cell_weights
-    lo = np.minimum(nm.plus[0], nm.minus[0])
-    hi = np.maximum(nm.plus[0], nm.minus[0])
+    w = nm.pairs.cell_weights
+    lo = np.minimum(nm.pairs.plus[0], nm.pairs.minus[0])
+    hi = np.maximum(nm.pairs.plus[0], nm.pairs.minus[0])
     live = w > 0.0
     pairs = lo[live] * n + hi[live]
     assert np.array_equal(np.sort(pairs), np.flatnonzero(
@@ -249,13 +271,14 @@ def test_pair_operators_match_dense_rows(n):
     rng = np.random.default_rng(n)
     rows = n // 2 * n
     D = np.zeros((rows, n))
-    D[np.arange(rows), nm.plus[0]] += 1.0
-    D[np.arange(rows), nm.minus[0]] -= 1.0
+    D[np.arange(rows), nm.pairs.plus[0]] += 1.0
+    D[np.arange(rows), nm.pairs.minus[0]] -= 1.0
     u, f, c = (rng.standard_normal(size) for size in (n, rows, rows))
-    c[nm.cell_weights == 0.0] = 0.0  # as band_weights makes it
-    assert _close(nm.differences(u)[0], D @ u / nm.row_spacing[0])
-    assert _close(nm.transpose(f), D.T @ f)
-    ab = nm.band(c)
+    c[nm.pairs.cell_weights == 0.0] = 0.0  # as band_weights makes it
+    assert _close(nm.pairs.differences(u)[0],
+                  D @ u / nm.pairs.row_spacing[0])
+    assert _close(nm.pairs.transpose(f), D.T @ f)
+    ab = nm.pairs.band(c)
     K = sum(np.diag(ab[n - 1 - k, k:], k) for k in range(1, n))
     assert _close(K + K.T + np.diag(ab[-1]), D.T @ (c[:, None] * D))
 

@@ -89,7 +89,7 @@ def test_normalization_newton(m200, family, alpha, r0):
     achieved = modular(F, u * res.r_alpha, m200)
     assert abs(achieved - alpha) <= 1e-12 * alpha
     assert res.phi_value == achieved
-    problem = Problem(F, m200, m200)
+    problem = Problem(F, m200)
     projected = problem.project(u.values, alpha, r0)
     assert np.array_equal(projected, u.values * res.r_alpha)
 
@@ -207,7 +207,7 @@ def test_normalization_rejects_bad_alpha(m200, alpha):
 
 def test_normalization_range_errors(m200):
     F = YoungFunction.power(2)
-    problem = Problem(F, m200, m200)
+    problem = Problem(F, m200)
     ones = np.ones(m200.interior_count)
     with pytest.raises(ZeroDenominatorError):
         problem.project(np.zeros(m200.interior_count), 1.0)

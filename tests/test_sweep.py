@@ -147,7 +147,7 @@ def test_unconverged_records_flagged_not_fatal(m200):
     assert not any(r.converged for r in recs)
 
 
-def test_secant_start_matches_previous_minimizer_start(m200):
+def test_secant_start_matches_previous_minimizer_start(m200, monkeypatch):
     F = YoungFunction.sum_of_powers(2, 4)
     grid = geometric_grid(0.1, 10.0, 5)
     runs = {"secant": [], "previous": []}
@@ -163,8 +163,10 @@ def test_secant_start_matches_previous_minimizer_start(m200):
         res = solve_E(F_, m, alpha, opts, done[-1][1].u if done else None)
         done.append((initial, res))
         return res
-    predicted = run_sweep(F, m200, grid, solve=secant)
-    plain = run_sweep(F, m200, grid, solve=previous)
+    monkeypatch.setattr(sweep, "solve_E", secant)
+    predicted = run_sweep(F, m200, grid)
+    monkeypatch.setattr(sweep, "solve_E", previous)
+    plain = run_sweep(F, m200, grid)
     # from the third alpha on, the start is a prediction, not a minimizer
     starts = [init for init, _ in runs["secant"]]
     minimizers = [res.u for _, res in runs["secant"]]
@@ -195,11 +197,12 @@ def _stub_solve(unconverged, calls, shape=None):
     return solve
 
 
-def test_derivative_needs_both_neighbours_converged(m200):
+def test_derivative_needs_both_neighbours_converged(m200, monkeypatch):
     grid = geometric_grid(0.1, 10.0, 5)
     calls = []
-    recs = run_sweep(YoungFunction.power(2), m200, grid,
-                     solve=_stub_solve({float(grid[4])}, calls))
+    monkeypatch.setattr(sweep, "solve_E",
+                        _stub_solve({float(grid[4])}, calls))
+    recs = run_sweep(YoungFunction.power(2), m200, grid)
     for k, r in enumerate(recs):
         if k in (0, 3, 5, len(recs) - 1):
             assert math.isnan(r.dE_dalpha)
@@ -224,22 +227,24 @@ def test_derivative_needs_both_neighbours_converged(m200):
                            starts[k].values[0] / u[k].values[0], rtol=1e-12)
 
 
-def test_secant_start_falls_back_on_a_degenerate_prediction(m200):
+def test_secant_start_falls_back_on_a_degenerate_prediction(m200,
+                                                            monkeypatch):
     # zero minimizers have no shape: the prediction is not finite and each
     # alpha starts from the previous minimizer
     grid = geometric_grid(0.1, 1.0, 3)
     calls = []
-    run_sweep(YoungFunction.power(2), m200, grid,
-              solve=_stub_solve(set(), calls, np.zeros(m200.interior_count)))
+    monkeypatch.setattr(sweep, "solve_E", _stub_solve(
+        set(), calls, np.zeros(m200.interior_count)))
+    run_sweep(YoungFunction.power(2), m200, grid)
     assert all(calls[k][0] is calls[k - 1][1].u for k in range(1, 4))
 
 
-def test_warm_options_differ_only_in_restarts(m200):
+def test_warm_options_differ_only_in_restarts(m200, monkeypatch):
     opts = SolveOptions(tol=1e-9, max_iter=321, restarts=3, seed=7)
     calls = []
-    run_sweep(YoungFunction.power(2), m200, geometric_grid(0.1, 1.0, 3), opts,
-              solve=_counting(_stub_reference(np.ones(m200.interior_count)),
-                              calls))
+    monkeypatch.setattr(sweep, "solve_E", _counting(
+        _stub_reference(np.ones(m200.interior_count)), calls))
+    run_sweep(YoungFunction.power(2), m200, geometric_grid(0.1, 1.0, 3), opts)
     assert calls[0] is opts
     assert calls[1:] == [replace(opts, restarts=1)] * 3
 
@@ -271,12 +276,13 @@ def _stub_reference(values, converged=True):
     return solve
 
 
-def test_limits_reference_is_one_run_per_endpoint(m200):
+def test_limits_reference_is_one_run_per_endpoint(m200, monkeypatch):
     F = YoungFunction.sum_of_powers(2, 4)
     recs = _flat_records(geometric_grid(1e-2, 1e2, 5))
     calls = []
+    monkeypatch.setattr(sweep, "solve_E", _counting(solve_E, calls))
     for ep in (Endpoint.ZERO, Endpoint.INFINITY):
-        estimate_limits(F, m200, recs, ep, solve=_counting(solve_E, calls))
+        estimate_limits(F, m200, recs, ep)
     assert [o.restarts for o in calls] == [1, 1]
     # only the start count differs from the caller's (default) options
     assert all(o.tol == SolveOptions().tol and o.seed == SolveOptions().seed
@@ -288,12 +294,12 @@ def _nonlocal_case(N=64):
 
     def solve(F, _m, alpha, opts, initial=None):
         return solve_Es(F, nm, alpha, opts, initial)
-    return nm.mesh, solve
+    return nm, solve
 
 
 @pytest.mark.parametrize("p", [2, 4])
 @pytest.mark.parametrize("case", ["interval", "rectangle", "nonlocal"])
-def test_limits_reference_matches_multistart(case, p):
+def test_limits_reference_matches_multistart(case, p, monkeypatch):
     if case == "interval":
         m, solve = Mesh.interval(1.0, 200), solve_E
     elif case == "rectangle":
@@ -302,8 +308,9 @@ def test_limits_reference_matches_multistart(case, p):
         m, solve = _nonlocal_case()
     F = YoungFunction.power(p)
     calls = []
+    monkeypatch.setattr(sweep, "solve_E", _counting(solve, calls))
     le = estimate_limits(F, m, _flat_records(geometric_grid(1.0, 10.0, 3)),
-                         Endpoint.INFINITY, solve=_counting(solve, calls))
+                         Endpoint.INFINITY)
     assert [o.restarts for o in calls] == [1]  # the single run was kept
     multi = solve(YoungFunction.power(le.exponent), m, 1.0,
                   SolveOptions(restarts=5))
@@ -316,36 +323,39 @@ def test_limits_reference_matches_multistart(case, p):
     (np.sin(2 * np.pi * np.linspace(0, 1, 201)[1:-1]), True),
 ], ids=["unconverged", "sign-changing"])
 def test_limits_reference_falls_back_to_callers_options(m200, values,
-                                                        converged):
+                                                        converged,
+                                                        monkeypatch):
     recs = _flat_records(geometric_grid(1.0, 10.0, 3))
     opts = SolveOptions(tol=1e-9, seed=7)
     calls = []
+    monkeypatch.setattr(sweep, "solve_E", _counting(
+        _stub_reference(values, converged), calls))
     estimate_limits(YoungFunction.power(2), m200, recs, Endpoint.INFINITY,
-                    opts, _counting(_stub_reference(values, converged),
-                                    calls))
+                    opts)
     assert len(calls) == 2
     assert calls[0].restarts == 1 and calls[0].tol == 1e-9
     assert calls[1] is opts
 
 
-def test_limits_reference_keeps_a_one_signed_run(m200):
+def test_limits_reference_keeps_a_one_signed_run(m200, monkeypatch):
     # a converged run of one sign, negative included, is kept as it is
     recs = _flat_records(geometric_grid(1.0, 10.0, 3))
     for values in (np.ones(199), -np.ones(199)):
         calls = []
+        monkeypatch.setattr(sweep, "solve_E",
+                            _counting(_stub_reference(values), calls))
         estimate_limits(YoungFunction.power(2), m200, recs,
-                        Endpoint.INFINITY,
-                        solve=_counting(_stub_reference(values), calls))
+                        Endpoint.INFINITY)
         assert [o.restarts for o in calls] == [1]
 
 
-def test_limits_reference_keeps_explicit_restarts(m200):
+def test_limits_reference_keeps_explicit_restarts(m200, monkeypatch):
     recs = _flat_records(geometric_grid(1.0, 10.0, 3))
     opts = SolveOptions(restarts=3)
     calls = []
+    monkeypatch.setattr(sweep, "solve_E", _counting(solve_E, calls))
     le = estimate_limits(YoungFunction.power(2), m200, recs,
-                         Endpoint.INFINITY, opts,
-                         _counting(solve_E, calls))
+                         Endpoint.INFINITY, opts)
     assert len(calls) == 1 and calls[0] is opts
     assert le.reference == solve_E(YoungFunction.power(le.exponent), m200,
                                    1.0, opts).energy
@@ -361,8 +371,8 @@ def test_limits_fit_each_endpoint_exponent_once(m200, monkeypatch):
     monkeypatch.setattr(sweep, "matuszewska_exponent", counted)
     F = YoungFunction.sum_of_powers(2, 4)
     recs = _flat_records(geometric_grid(1e-2, 1e2, 5))
-    report = _check_limits(F, m200, recs, SolveOptions(),
-                           _stub_reference(np.ones(199)))
+    monkeypatch.setattr(sweep, "solve_E", _stub_reference(np.ones(199)))
+    report = _check_limits(F, m200, recs, SolveOptions())
     assert set(report) == {"overall_pass", "zero", "infinity"}
     assert sorted(e.value for e in fitted) == ["infinity", "zero"]
 
