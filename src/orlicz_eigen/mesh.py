@@ -59,8 +59,8 @@ class Mesh:
         if self.dim not in (1, 2):
             raise ConfigError(f"dim must be 1 or 2, got {self.dim!r}")
         self.dim = int(self.dim)
-        self.extents = tuple(float(e) for e in np.atleast_1d(self.extents))
-        counts = [float(c) for c in np.atleast_1d(self.counts)]
+        self.extents = tuple(_floats(self.extents))
+        counts = _floats(self.counts)
         if len(self.extents) != self.dim or len(counts) != self.dim:
             raise ConfigError("extents/counts must match dim")
         if not (all(math.isfinite(e) and e > 0 for e in self.extents)
@@ -181,6 +181,12 @@ class Mesh:
 
     def __repr__(self):
         return f"Mesh(dim={self.dim}, extents={self.extents}, counts={self.counts})"
+
+
+def _floats(items):
+    """float() of each item, or of ``items`` itself when it is a scalar, so
+    that a non-numeric item is named as given rather than by numpy's repr."""
+    return [float(x) for x in (items if np.iterable(items) else (items,))]
 
 
 def band_slots(plus, minus, n):

@@ -10,13 +10,23 @@ One engine, energy, gradient and stiffness serve every mesh, the
 fractional :class:`orlicz_eigen.fractional.NonlocalMesh` included: each sums
 over the row blocks of the mesh (``m.blocks``), a block being difference
 rows with weights and a Young function of its own.
+
+The stiffness is factored and solved by LAPACK's banded Cholesky,
+``dpbtrf``/``dpbtrs``, through scipy's own f2py wrappers.  Their extension
+module ``scipy.linalg._flapack`` is loaded from its file (:func:`_flapack`)
+rather than through ``scipy.linalg``, whose import costs each process about
+0.23 s and 29 MB for these two functions.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
+from numpy.random import default_rng
 
 from .errors import (ConfigError, GeometryError, OrliczError,
                      ZeroDenominatorError)
@@ -32,7 +42,35 @@ __all__ = [
 
 EPS_GRAD = 1e-12  # regularization of a(g)/g at vanishing gradient
 MAX_STARTS = 5    # start pool when restarts is None (stop at first agreement)
-_PBTRF, _PBTRS = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0),))
+
+
+def _flapack():
+    """scipy's f2py LAPACK module, ``scipy.linalg._flapack``, loaded from its
+    file without running the ``scipy`` or ``scipy.linalg`` initializers,
+    and registered so that a later ``import scipy.linalg`` reuses it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")  # does not import scipy
+    if spec is None:
+        raise ImportError("scipy is not installed", name=name)
+    base = os.path.join(spec.submodule_search_locations[0], "linalg",
+                        "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base + suffix
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            spec = importlib.util.spec_from_loader(name, loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"no extension module {base}*", name=name, path=base)
+
+
+# the very wrappers that scipy.linalg.get_lapack_funcs returns for float64
+_LAPACK = _flapack()
+_PBTRF, _PBTRS = _LAPACK.dpbtrf, _LAPACK.dpbtrs
 
 
 @dataclass
@@ -249,7 +287,8 @@ class _LaggedStiffness:
             if info <= 0:
                 break
         else:
-            raise sla.LinAlgError(f"minor {info} is not positive definite")
+            raise np.linalg.LinAlgError(
+                f"minor {info} is not positive definite")
         _finite(cho, info)
 
         def solve(rhs):
@@ -471,7 +510,7 @@ def default_starts(problem, opts, initial=None):
                 starts.append(bump_field(m, 0.8 * r_plateau).values)
             except GeometryError:
                 pass
-    rng = np.random.default_rng(opts.seed)
+    rng = default_rng(opts.seed)
     while len(starts) < n:
         raw = np.abs(rng.standard_normal(m.interior_count))
         if m.dim == 1:

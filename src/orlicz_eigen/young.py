@@ -914,11 +914,19 @@ def matuszewska(F, endpoint, t, tau_grid=None):
         return MatuszewskaValue(t, 0.0, Regime.TRIVIAL_DEGENERATE, vals)
     finite = last[np.isfinite(last)]
     if finite.size == last.size and finite.size >= 3:
-        mid = np.median(finite)
+        mid = _median(finite)
         spread = (np.max(finite) - np.min(finite)) / max(abs(mid), 1e-300)
         if spread <= _FIT_TOL:
             return MatuszewskaValue(t, float(mid), Regime.POWER_LIKE, vals)
     return MatuszewskaValue(t, math.nan, Regime.OSCILLATING, vals)
+
+
+def _median(x):
+    """np.median of a finite 1-D array, bit for bit, without the numpy.ma
+    import that np.median makes on its first call."""
+    s = np.sort(x)
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
 
 
 def _last_decade(vals, tau_grid, endpoint):

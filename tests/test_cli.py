@@ -58,6 +58,53 @@ def test_import_leaves_scipy_integrate_unloaded():
         "0x1.7ceda8d4de08dp+1"]
 
 
+def test_import_leaves_scipy_linalg_unloaded():
+    # the solver loads scipy's LAPACK wrappers from their extension file;
+    # the custom family's quad, which imports scipy.linalg, still evaluates
+    # after that, and scipy.linalg hands out the very same wrappers
+    probe = """if True:
+        import math, sys
+        import numpy as np
+        import orlicz_eigen.cli
+        from orlicz_eigen import solver
+        from orlicz_eigen.young import YoungFunction
+        print(*(name in sys.modules
+                for name in ("scipy.linalg", "scipy.integrate")))
+        F = YoungFunction.custom(lambda t: t * math.log1p(t))
+        print(float(F.A(2.5)).hex(), "scipy.linalg" in sys.modules)
+        from scipy.linalg import get_lapack_funcs
+        pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0),))
+        print(pbtrf is solver._PBTRF, pbtrs is solver._PBTRS)
+    """
+    assert fresh_interpreter(probe).split() == [
+        "False", "False", "0x1.7ceda8d4de08ep+1", "True", "True", "True"]
+
+
+def test_first_command_loads_no_numpy_or_scipy_module():
+    # set-up stays in set-up: after the import, a sweep with every check
+    # but decay and a nonlocal solve load no further numpy or scipy module
+    # (argparse's messages may load locale)
+    probe = f"""if True:
+        import contextlib, io, sys
+        from orlicz_eigen import cli
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["sweep", "--young", {SUM24!r},
+                               "--mesh", "interval:1.0,40",
+                               "--alpha-min", "1e-2", "--alpha-max", "1e2",
+                               "--per-decade", "3", "--seed", "1",
+                               "--check", "bounds,derivative,limits"]),
+                     cli.main(["nonlocal", "--young", {SUM24!r},
+                               "--interval", "1.0", "--s", "0.5",
+                               "--nodes", "16", "--alpha", "1.0"])]
+        print(*codes, *sorted(name for name in set(sys.modules) - before
+                              if name.startswith(("numpy", "scipy"))))
+    """
+    out = fresh_interpreter(probe).split()
+    # exit 1: the derivative check fails on so coarse a grid
+    assert out[:2] == ["1", "0"] and out[2:] == []
+
+
 def test_import_compiles_young_before_numpy_loads():
     # the package imports young first, so numpy's import reuses the memory
     # that compiling young freed (see orlicz_eigen/__init__.py)
@@ -191,16 +238,20 @@ def test_restarts_below_one_exit_2(capsys, restarts):
     ('{"dim": "x", "extents": [1], "counts": [10]}', "dim must be 1 or 2"),
     ('{"dim": 1.5, "extents": [1], "counts": [10]}', "dim must be 1 or 2"),
     ('{"dim": 1, "extents": 1, "counts": [10]}', "non-numeric"),
-    ('{"dim": 1, "extents": ["a"], "counts": [10]}', "non-numeric"),
+    ('{"dim": 1, "extents": ["a"], "counts": [10]}',
+     "non-numeric mesh config: could not convert string to float: 'a'"),
+    ('{"dim": 1, "extents": [1], "counts": ["x"]}',
+     "non-numeric mesh config: could not convert string to float: 'x'"),
     ('{"dim": 1, "extents": [1], "counts": [10.5]}', "whole numbers"),
 ], ids=["interval-nan", "interval-inf", "rectangle-nan", "json-dim",
         "json-dim-half", "json-extents-scalar", "json-extents-string",
-        "json-counts-half"])
+        "json-counts-string", "json-counts-half"])
 def test_bad_mesh_exit_2(capsys, mesh, word):
     code, out, err = run(capsys, "solve", "--young", POWER2, "--mesh", mesh,
                          "--alpha", "1.0")
     assert code == 2 and out == ""
-    assert word in err and "Traceback" not in err
+    # a bad item is quoted as given, not through numpy's repr (np.str_)
+    assert word in err and "Traceback" not in err and "np." not in err
 
 
 @pytest.mark.parametrize("flag,value", [

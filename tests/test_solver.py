@@ -1,7 +1,10 @@
 """Constrained minimization: normalization, gradients, residuals, solves."""
 
 import decimal
+import importlib.util
 import math
+import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -712,6 +715,32 @@ def test_build_factors_and_solves_as_scipy_wrappers(m, monkeypatch):
     assert np.array_equal(factors[0][0], cho)
     assert np.array_equal(x, scipy.linalg.cho_solve_banded((cho, False), rhs))
     assert np.array_equal(band, kept)
+
+
+def test_lapack_wrappers_are_scipys():
+    # scipy.linalg reuses the extension module the solver loaded (or the
+    # solver reuses scipy's), so get_lapack_funcs returns the solver's
+    # wrappers themselves
+    assert sys.modules["scipy.linalg._flapack"] is solver._LAPACK
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
+                                                 (np.empty(0),))
+    assert pbtrf is solver._PBTRF and pbtrs is solver._PBTRS
+    ab = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0]])
+    cho, info = solver._PBTRF(np.array(ab, order="F"))
+    assert info == 0
+    assert np.array_equal(cho, scipy.linalg.cholesky_banded(ab))
+    rhs = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(solver._PBTRS(cho, rhs)[0],
+                          scipy.linalg.cho_solve_banded((cho, False), rhs))
+
+
+def test_lapack_loader_names_a_missing_file(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    spec = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match=re.escape(
+            str(tmp_path / "linalg" / "_flapack"))):
+        solver._flapack()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

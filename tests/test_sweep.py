@@ -10,7 +10,7 @@ import pytest
 from orlicz_eigen import cli, sweep
 from orlicz_eigen.cli import _check_derivative, _check_limits
 from orlicz_eigen.errors import ConfigError, GeometryError
-from orlicz_eigen.fractional import NonlocalMesh, solve_Es
+from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.solver import SolveOptions, solve_E
 from orlicz_eigen.sweep import (SweepRecord, check_bounds, check_decay,
@@ -290,11 +290,7 @@ def test_limits_reference_is_one_run_per_endpoint(m200, monkeypatch):
 
 
 def _nonlocal_case(N=64):
-    nm = NonlocalMesh(1.0, N, 0.5)
-
-    def solve(F, _m, alpha, opts, initial=None):
-        return solve_Es(F, nm, alpha, opts, initial)
-    return nm, solve
+    return NonlocalMesh(1.0, N, 0.5), solve_E
 
 
 @pytest.mark.parametrize("p", [2, 4])
