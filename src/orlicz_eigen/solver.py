@@ -20,6 +20,7 @@ rather than through ``scipy.linalg``, whose import costs each process about
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -247,7 +248,9 @@ class _LaggedStiffness:
         """The memo at ``values``, a conforming float array: B u and |B u|
         are recomputed only when its contents differ from the last field's.
         """
-        if self._values is None or not np.array_equal(self._values, values):
+        last = self._values
+        if (last is None or last.shape != values.shape
+                or not (last == values).all()):
             self._values = values.copy()
             self.slopes = [cell_gradients(values, b) for b in self.m.blocks]
             self.g = [gradient_magnitudes(x) for x in self.slopes]
@@ -357,10 +360,15 @@ _THETA_MAX = 0.9        # a model damping at or above this is not trusted
 _THETA_FALLBACK = 0.5   # damping used when the model's is not
 
 
-def _polish(problem, alpha, u, opts, budget):
+def _polish(problem, alpha, u, opts, budget, state=None):
     """Residual-driven tail phase: lagged inverse iteration on the
     stationarity system, immune to the energy-difference noise floor that
     limits Armijo comparisons near the minimizer.
+
+    ``state`` is (lam, residual, mass gradient, defect g - lam mg) at u:
+    the descent hands over its last stationarity check, so the polish
+    starts without evaluating the gradients at u again.  It is computed
+    here when None.
 
     Each step tries the undamped update, the projected inverse iterate
     u + w, then one damped update u + theta w.  The lagged stiffness
@@ -379,7 +387,7 @@ def _polish(problem, alpha, u, opts, budget):
         lam, res = _stationarity(g, mg, values, problem.m.node_weights)
         return lam, res, mg, g - lam * mg, values
 
-    state = stationarity(u)
+    state = stationarity(u) if state is None else (*state, u)
     it = 0
     for it in range(1, budget + 1):
         lam, res, mg, defect, u = state
@@ -474,9 +482,11 @@ def _descend(problem, alpha, start_values, opts):
         u, E = trial, Et
     if not converged and (res < _POLISH_THRESHOLD or not accepted):
         # a small residual, or an energy landscape flat at this resolution,
-        # hands the iterate to the residual-driven polish
+        # hands the iterate to the residual-driven polish, with the
+        # stationarity check made at u before either break (u has not moved)
         u, lam, res, extra, converged = _polish(
-            problem, alpha, u, opts, opts.max_iter - it)
+            problem, alpha, u, opts, opts.max_iter - it,
+            (lam, res, mg, g - lam * mg))
         it += extra
         E = problem.energy(u)
     return _RunResult(values=u, energy=E, lam=lam, residual=res,
@@ -484,39 +494,47 @@ def _descend(problem, alpha, start_values, opts):
 
 
 def _smooth(values, passes=10):
-    v = values.copy()
+    """``passes`` sweeps of the stencil (1/4, 1/2, 1/4) with zero ends, in
+    a buffer that keeps the two zeros."""
+    padded = np.zeros(len(values) + 2)
+    padded[1:-1] = values
     for _ in range(passes):
-        padded = np.pad(v, 1)
-        v = 0.5 * v + 0.25 * (padded[:-2] + padded[2:])
-    return v
+        padded[1:-1] = 0.5 * padded[1:-1] + 0.25 * (padded[:-2] + padded[2:])
+    return padded[1:-1]
 
 
 def default_starts(problem, opts, initial=None):
     """Multistart pool: warm start if given, else the quadratic-case first
     eigenvector, a plateau profile where the geometry admits one, and
     smoothed positive random fields; opts.restarts of them, or MAX_STARTS
-    when it is None."""
-    m = problem.m
+    when it is None.  Each start is made when the iterator reaches it, so
+    a solve that stops early builds no more; the random fields come from
+    one generator seeded with opts.seed, in a fixed order."""
     n = MAX_STARTS if opts.restarts is None else opts.restarts
-    starts = []
+    return itertools.islice(_start_pool(problem, opts, initial), n)
+
+
+def _start_pool(problem, opts, initial):
+    """Every start of :func:`default_starts` in order, without end."""
+    m = problem.m
     if initial is not None:
-        starts.append(np.asarray(getattr(initial, "values", initial),
-                                 dtype=float))
+        yield np.asarray(getattr(initial, "values", initial), dtype=float)
     else:
-        starts.append(np.abs(quadratic_eigenvector(problem)))
+        yield np.abs(quadratic_eigenvector(problem))
         r_plateau = m.inner_radius - 1.0 - 3.0 * max(m.spacing)
         if r_plateau > max(m.spacing):
             try:
-                starts.append(bump_field(m, 0.8 * r_plateau).values)
+                bump = bump_field(m, 0.8 * r_plateau).values
             except GeometryError:
                 pass
+            else:
+                yield bump
     rng = default_rng(opts.seed)
-    while len(starts) < n:
+    while True:
         raw = np.abs(rng.standard_normal(m.interior_count))
         if m.dim == 1:
             raw = _smooth(raw)
-        starts.append(raw + 1e-3)
-    return starts[:n]
+        yield raw + 1e-3
 
 
 def quadratic_eigenvector(problem, iterations=100):

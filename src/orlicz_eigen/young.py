@@ -275,6 +275,12 @@ class YoungFunction:
             "A": [(q, 1.0, d) for q, d in terms],
             "a": [(q - 1.0, q / d, 1.0) for q, d in terms],
             "G": [(q, 1.0, d * q) for q, d in terms]}
+        # what the normalization's moment path needs of A alone, once:
+        # (p_k, c_k) with A(t) = sum_k c_k t^p_k, and its rho_sat
+        self._moment_terms = self._rho_sat = None
+        if terms is not None:
+            self._moment_terms = tuple((q, 1.0 / d) for q, d in terms)
+            self._rho_sat = _saturation_radius(self._moment_terms)
         self.knot = math.inf
         if self.family is Family.EXP_NEG_INV_POWER:
             al = p["alpha"]
@@ -401,12 +407,11 @@ class YoungFunction:
         return _saturate(out)
 
     def _power_terms(self):
-        """[(p_k, c_k)] with A(t) = sum_k c_k t^p_k for the power sums,
+        """((p_k, c_k), ...) with A(t) = sum_k c_k t^p_k for the power sums,
         whose modular along a ray is a polynomial in the radius (see
-        ``_normalize``); None for every other family."""
-        if self._sums is None:
-            return None
-        return [(q, 1.0 / d) for q, _, d in self._sums["A"]]
+        ``_normalize``); None for every other family.  The tuple is built
+        once, with the Young function."""
+        return self._moment_terms
 
     def _a_impl(self, t):
         fam, p = self.family, self.params
@@ -688,26 +693,34 @@ class _ArrayModular:
             return float(np.dot(self.w, self.F.a(self.t) * self.t)) / self.phi
 
 
+def _saturation_radius(terms):
+    """rho_sat of a Young function A(t) = sum_k c_k t^p_k (``terms``): below
+    it every rho^p_k stays under SATURATION and every c_k rho^p_k under
+    SATURATION / len(terms), so A(rho) cannot saturate and nothing
+    overflows."""
+    k = len(terms)
+    return min(math.exp((LOG_SATURATION - math.log(max(k * c, 1.0))) / p)
+               for p, c in terms)
+
+
 class _RadialMoments:
     """phi(r) = sum_k c_k rho^p_k M_k with rho = r tmax, in closed form for
     a Young function A(t) = sum_k c_k t^p_k (``terms``), from the moments
     M_k = sum w (absu / tmax)^p_k of one pass over the field.  Scaling by
     tmax = max absu keeps each moment between the weight at the maximum and
     sum w.  ``array`` is the _ArrayModular of the same field, which takes
-    the calls where A(rho) could saturate."""
+    the calls from rho_sat on (see :func:`_saturation_radius`), where A(rho)
+    could saturate.  ``tmax`` and ``rho_sat`` are computed here unless the
+    caller has them: ``_normalize`` takes tmax with its zero test, and each
+    YoungFunction keeps the rho_sat of its terms."""
 
-    def __init__(self, terms, array):
-        self.tmax = float(array.absu.max())
+    def __init__(self, terms, array, tmax=None, rho_sat=None):
+        self.tmax = float(array.absu.max()) if tmax is None else tmax
         x = array.absu / self.tmax
         self.terms = [(p, c * float(np.dot(array.w, _ipow(x, p))))  # c_k M_k
                       for p, c in terms]
-        # below rho_sat every rho^p_k stays under SATURATION and every
-        # c_k rho^p_k under SATURATION / len(terms), so A(rho) cannot
-        # saturate and nothing overflows
-        k = len(terms)
-        self.rho_sat = min(
-            math.exp((LOG_SATURATION - math.log(max(k * c, 1.0))) / p)
-            for p, c in terms)
+        self.rho_sat = (_saturation_radius(terms) if rho_sat is None
+                        else rho_sat)
         self.array = array
         self.on_array = False  # the last call evaluated the array
 
@@ -716,10 +729,13 @@ class _RadialMoments:
         self.on_array = rho >= self.rho_sat
         if self.on_array:
             return self.array(r)
-        parts = [cm * rho ** p for p, cm in self.terms]
-        self.phi = sum(parts)
-        self.dphi = sum(p * v for (p, _), v in zip(self.terms, parts))
-        return self.phi
+        phi = dphi = 0.0
+        for p, cm in self.terms:
+            v = cm * rho ** p
+            phi += v
+            dphi += p * v
+        self.phi, self.dphi = phi, dphi
+        return phi
 
     def slope(self):
         if self.on_array:
@@ -732,6 +748,7 @@ def _newton(phi_at, alpha, r0):
     slope taken from the evaluator ``phi_at`` (see ``_normalize``)."""
     lo, hi = 0.0, math.inf
     up = down = 2.0
+    log_alpha = math.log(alpha)
     r_next = min(max(float(r0), _MIN_RADIUS), _MAX_RADIUS)
     for it in range(1, _MAX_STEPS + 1):
         r = r_next
@@ -747,7 +764,7 @@ def _newton(phi_at, alpha, r0):
             break
         s = phi_at.slope()  # = r phi'(r) / phi(r)
         if s > 0.0 and math.isfinite(s):
-            step = (math.log(alpha) - math.log(phi)) / s
+            step = (log_alpha - math.log(phi)) / s
             if close and abs(step) <= _RTOL:
                 break
             r_next = r * math.exp(max(min(step, 700.0), -700.0))
@@ -794,13 +811,14 @@ def _normalize(F, absu, w, alpha, r0=1.0):
     (and the array steps after a missed check).
     """
     _check_alpha(alpha)
-    if not np.any(absu):
+    tmax = float(absu.max(initial=0.0))  # NaN passes, as np.any lets it
+    if tmax == 0.0:
         raise ZeroDenominatorError("phi is identically zero for u = 0")
     array = _ArrayModular(F, absu, w)
     steps = 0
     terms = F._power_terms()
     if terms is not None:
-        moments = _RadialMoments(terms, array)
+        moments = _RadialMoments(terms, array, tmax, F._rho_sat)
         r, phi, steps = _newton(moments, alpha, r0)
         if not moments.on_array:
             phi = array(r)

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from orlicz_eigen.errors import (BracketRangeError, ConfigError,
                                  OrliczError, ZeroDenominatorError)
-from orlicz_eigen import solver
+from orlicz_eigen import solver, young
 from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.mesh import Mesh, bump_field
 from orlicz_eigen.solver import (Problem, SolveOptions, energy,
@@ -196,6 +196,26 @@ def test_moment_path_range_errors(m200, family):
         phi_root(F, m200.field(1e-290 * ones), m200, 1.0)
     with pytest.raises(BracketRangeError):
         phi_root(F, m200.field(1e290 * ones), m200, 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(MOMENT_FAMILIES))
+def test_moment_terms_and_saturation_radius_are_cached(family):
+    # built once with the Young function, equal bit for bit to the terms
+    # and rho_sat by their formulas
+    F = MOMENT_FAMILIES[family]()
+    terms = [(q, 1.0 / d) for q, _, d in F._sums["A"]]
+    k = len(terms)
+    rho_sat = min(math.exp((math.log(SATURATION)
+                            - math.log(max(k * c, 1.0))) / p)
+                  for p, c in terms)
+    assert F._power_terms() is F._power_terms()
+    assert isinstance(F._power_terms(), tuple)
+    assert list(F._power_terms()) == terms
+    assert F._rho_sat == rho_sat
+    absu = np.array([0.0, 0.5, 2.0])
+    moments = young._RadialMoments(
+        F._power_terms(), young._ArrayModular(F, absu, np.ones(3)))
+    assert moments.rho_sat == rho_sat and moments.tmax == 2.0
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
@@ -465,6 +485,26 @@ def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
     assert res.converged
     assert counts["iterations"] > 0
     assert counts["projections"] <= 2 * counts["iterations"]
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1.0, 1e4])
+def test_polish_starts_from_the_descents_last_check(m200, monkeypatch,
+                                                    alpha):
+    # the (lam, residual, mass gradient, defect) the descent hands over
+    # are those the polish would compute at the same iterate
+    polish, runs = solver._polish, []
+
+    def both(problem, alpha, u, opts, budget, state):
+        handed = polish(problem, alpha, u, opts, budget, state)
+        fresh = polish(problem, alpha, u, opts, budget)
+        assert np.array_equal(handed[0], fresh[0])
+        assert handed[1:] == fresh[1:]
+        runs.append(handed)
+        return handed
+    monkeypatch.setattr(solver, "_polish", both)
+    res = solve_E(YoungFunction.sum_of_powers(2, 4), m200, alpha,
+                  SolveOptions(restarts=2, seed=1))
+    assert res.converged and runs
 
 
 class _TurnedGradient:
@@ -833,6 +873,56 @@ def test_default_restarts_stop_at_first_agreeing_pair(m200):
     assert len(early.restart_energies) == 2
     assert 0.0 <= early.restart_spread <= 1e-8
     assert 0.0 <= full.as_dict()["restart_spread"] <= 1e-8
+
+
+def _smooth_by_pad(values, passes=10):
+    """The reference for ``solver._smooth``: np.pad on every pass."""
+    v = values.copy()
+    for _ in range(passes):
+        padded = np.pad(v, 1)
+        v = 0.5 * v + 0.25 * (padded[:-2] + padded[2:])
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 199])
+def test_smooth_matches_the_padded_stencil(n):
+    raw = np.abs(np.random.default_rng(n).standard_normal(n))
+    before = raw.copy()
+    assert np.array_equal(solver._smooth(raw), _smooth_by_pad(raw))
+    assert np.array_equal(raw, before)
+
+
+def test_cold_solve_draws_only_the_starts_it_runs(m200, monkeypatch):
+    # two agreeing runs: the eigenvector start and one random field, so
+    # one smoothing, not one for each of the pool's four random fields
+    smooth, calls = solver._smooth, []
+
+    def counted(values, *args):
+        calls.append(1)
+        return smooth(values, *args)
+    monkeypatch.setattr(solver, "_smooth", counted)
+    res = solve_E(YoungFunction.sum_of_powers(2, 4), m200, 1.0,
+                  SolveOptions(seed=1))
+    assert res.restarts_used == 2 and len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_start_pool_is_the_seeded_draw_in_order(m200, seed):
+    # the quadratic eigenvector, then smoothed |N(0, 1)| fields plus 1e-3
+    # from one generator of the seed, all drawn up front here
+    problem = Problem(YoungFunction.sum_of_powers(2, 4), m200)
+    opts = SolveOptions(restarts=5, seed=seed)
+    got = list(solver.default_starts(problem, opts))
+    rng = np.random.default_rng(seed)
+    want = [np.abs(solver.quadratic_eigenvector(problem))] + [
+        _smooth_by_pad(np.abs(rng.standard_normal(m200.interior_count)))
+        + 1e-3 for _ in range(4)]
+    assert len(got) == 5
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    warm = list(solver.default_starts(problem, SolveOptions(restarts=1),
+                                      initial=want[2]))
+    assert len(warm) == 1 and np.array_equal(warm[0], want[2])
 
 
 def _canned_descend(energies, converged):

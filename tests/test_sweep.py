@@ -378,3 +378,23 @@ def test_limits_estimate_for_another_endpoint_rejected(m200):
     est = matuszewska_exponent(F, Endpoint.ZERO)
     with pytest.raises(ConfigError, match="endpoint"):
         estimate_limits(F, m200, [], Endpoint.INFINITY, estimate=est)
+
+
+def test_sweep_pins_the_cli_answer():
+    """A determinism pin for refactors of the 1D path, not an accuracy
+    check: E and lambda of the CLI's `sweep --young sop24 --mesh
+    interval:1.0,200 --alpha-min 1e-4 --alpha-max 1e4 --per-decade 5
+    --seed 1` at alpha = 1e-4, 1 and 1e4 (one BLAS thread), kept to 1e-12
+    relative, which pins the arithmetic of the projection, the descent,
+    the polish and the warm starts, not the discrete eigenvalue."""
+    records = run_sweep(YoungFunction.sum_of_powers(2, 4),
+                        Mesh.interval(1.0, 200),
+                        geometric_grid(1e-4, 1e4, 5), SolveOptions(seed=1))
+    pinned = {1e-4: (0.0009882492040670884, 9.895591621510503),
+              1.0: (40.21394790521188, 50.829169386861274),
+              1e4: (725785.1313915286, 72.81414225690686)}
+    got = {r.alpha: (r.energy, r.lam) for r in records if r.alpha in pinned}
+    assert sorted(got) == sorted(pinned)
+    for alpha, (E, lam) in pinned.items():
+        assert got[alpha][0] == pytest.approx(E, rel=1e-12)
+        assert got[alpha][1] == pytest.approx(lam, rel=1e-12)
