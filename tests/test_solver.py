@@ -400,6 +400,24 @@ def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
         oracles.five_point_ground_eigenvalue(lx, ly, nx, ny), rel=1e-12)
 
 
+@pytest.mark.parametrize("lx,ly,nx,ny,E,lam,iterations", [
+    (1.0, 1.0, 32, 32, 105.78761050590037, 131.0289836194381, 22),
+    (2.0, 1.0, 24, 12, 42.46842746057696, 54.897644673015876, 28),
+    (1.0, 1.0, 3, 2, 22.473171161671292, 29.989268464668523, 13),
+])
+def test_solve_2d_pins_the_answer(lx, ly, nx, ny, E, lam, iterations):
+    """A determinism pin for refactors of the 2D operators, not an accuracy
+    check: E, lambda and the iteration count of SumOfPowers(2,4) at
+    alpha = 1, seed 1 (one BLAS thread), on a square, a non-square and the
+    smallest uneven rectangle, where a swapped axis or stride shows."""
+    res = solve_E(YoungFunction.sum_of_powers(2, 4),
+                  Mesh.rectangle(lx, ly, nx, ny), 1.0, SolveOptions(seed=1))
+    assert res.converged is True
+    assert res.iterations == iterations
+    assert res.energy == pytest.approx(E, rel=1e-12)
+    assert res.lam == pytest.approx(lam, rel=1e-12)
+
+
 def test_solve_2d_quadratic_converges_to_two_pi_squared():
     F = YoungFunction.power(2)
     errs = []
