@@ -13,8 +13,7 @@ from .young import (Delta2Report, Endpoint, Family, MatuszewskaEstimate,
                     Regime, YoungFunction, complementary_eval,
                     complementary_function, delta2_report, luxemburg_norm,
                     matuszewska, matuszewska_exponent, modular)
-from .fractional import (NonlocalMesh, energy_s, lagrange_quotient_s,
-                         solve_Es)
+from .fractional import NonlocalMesh
 from .mesh import Mesh, ScalarField, bump_field, cell_gradient_magnitudes
 from .solver import (MinimizerResult, SolveOptions, energy,
                      lagrange_quotient, phi_root, solve_E, weak_residual)
@@ -32,7 +31,7 @@ __all__ = [
     "Mesh", "ScalarField", "cell_gradient_magnitudes", "bump_field",
     "SolveOptions", "MinimizerResult", "phi_root", "energy",
     "lagrange_quotient", "weak_residual", "solve_E",
-    "NonlocalMesh", "energy_s", "lagrange_quotient_s", "solve_Es",
+    "NonlocalMesh",
     "SweepRecord", "LimitEstimate", "geometric_grid", "run_sweep",
     "check_bounds", "estimate_limits", "check_decay",
 ]

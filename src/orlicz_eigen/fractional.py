@@ -38,14 +38,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .mesh import Mesh, row_factors
-from .solver import (energy, energy_gradient, lagrange_quotient, solve_E,
-                     weak_residual)
 from .young import SATURATION
 
-__all__ = [
-    "NonlocalMesh", "energy_s", "energy_s_gradient", "lagrange_quotient_s",
-    "weak_residual_s", "solve_Es",
-]
+__all__ = ["NonlocalMesh"]
 
 
 def _tanh_sinh_rule():
@@ -271,12 +266,3 @@ class NonlocalMesh(Mesh):
         return (f"NonlocalMesh(length={self.length}, nodes={self.nodes}, "
                 f"s={self.s})")
 
-
-# A nonlocal mesh is a mesh, so its energy, gradient, quotients and solve
-# are the core's over its pair and exterior blocks; the names stay as
-# public API.
-energy_s = energy
-energy_s_gradient = energy_gradient
-lagrange_quotient_s = lagrange_quotient
-weak_residual_s = weak_residual
-solve_Es = solve_E

@@ -6,14 +6,17 @@ spacing, (u[plus] - u[minus]) / h, one per axis: a 1D cell has one such
 row, and each rectangle cell is split along its (0,0)-(1,1) diagonal into
 two right P1 triangles, whose x and y slopes are differences along their
 legs.  The gradient is constant on every element, so element weights
-times A(|B_e u|) integrate A(|grad u|) exactly.  Boundary nodes point to a
-zero appended after the interior values.  Zero-order terms use nodal
+times A(|B_e u|) integrate A(|grad u|) exactly.  Zero-order terms use nodal
 quadrature whose weights sum exactly to the domain measure.
 Each mesh owns its difference operator: ``differences`` (B u),
 ``transpose`` (the gradient's sums of row fluxes) and ``band`` (the
-banded stiffness), which the solver's core calls; local meshes scatter
-over their index rows ``plus`` and ``minus``.  The core sums over a
-mesh's ``blocks``, each a set of such rows whose ``young(F)`` is the Young
+banded stiffness), which the solver's core calls.  A local mesh's rows
+come in groups of one difference per cell along one axis, so each group
+is a pair of slices of its cell array: the cells whose plus corner, and
+those whose minus corner, is an interior node, in node order; a boundary
+corner reads zero.  B u writes the interior values into them, and D^T and
+the band sum the rows out of them.  The core sums over a mesh's
+``blocks``, each a set of such rows whose ``young(F)`` is the Young
 function of its energy; a local mesh is one block with F itself.
 :class:`orlicz_eigen.fractional.NonlocalMesh` is an interval whose blocks
 are its pair rows and its exterior rows instead.
@@ -38,17 +41,17 @@ class Mesh:
 
     - ``interior_count`` interior nodes, numbered with the last axis
       fastest, at ``interior_coords`` with quadrature ``node_weights``;
-    - ``plus`` and ``minus``, shape (dim, elements): the node numbers of
-      the two ends of each element's difference along each axis, where
-      ``interior_count`` stands for any boundary node, and
-      ``row_spacing``, the spacing of each axis as a (dim, 1) column;
-    - ``cell_weights``, the measure of each element (cell or triangle);
+    - ``row_spacing``, the spacing of each axis as a (dim, 1) column;
+    - ``cell_weights``, the measure of each element (cell or triangle),
+      in the row order of the difference groups: in 2D, all cells'
+      triangles (00, 10, 11), then their triangles (00, 01, 11);
     - the row factors of :func:`row_factors`, shape (dim, elements):
       ``flux_weights`` w/h and ``band_weights`` w/h^2, which scale the
       gradient's fluxes and the stiffness entries;
-    - ``bandwidth`` and ``band_slots``, where each difference's entries of
-      the stiffness B^T diag(c) B land in its upper banded storage, which
-      :meth:`band` scatters into.
+    - ``bandwidth``, the upper bandwidth of the stiffness B^T diag(c) B:
+      the node-number step of the first axis that has two interior nodes
+      in a row, or 0;
+    - the slices of each difference group that the operators read.
     """
 
     dim: int
@@ -73,7 +76,7 @@ class Mesh:
 
     def _build(self):
         inner = tuple(c - 1 for c in self.counts)
-        n = self.interior_count = math.prod(inner)
+        self.interior_count = math.prod(inner)
         axes = [np.arange(1, c) * h for c, h in zip(self.counts, self.spacing)]
         self.interior_coords = np.stack(
             [X.ravel() for X in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -85,50 +88,72 @@ class Mesh:
             weights.append(w)
         self.node_weights = reduce(np.multiply.outer, weights).ravel()
 
-        node = np.full(tuple(c + 1 for c in self.counts), n)
-        node[(slice(1, -1),) * self.dim] = np.arange(n).reshape(inner)
-        if self.dim == 1:
-            plus, minus = [[node[1:]]], [[node[:-1]]]
-        else:
-            # triangles (00, 10, 11) then (00, 01, 11) of each cell
-            c00, c10 = node[:-1, :-1], node[1:, :-1]
-            c01, c11 = node[:-1, 1:], node[1:, 1:]
-            plus = [[c10, c11], [c11, c01]]
-            minus = [[c00, c01], [c10, c00]]
-        self.plus, self.minus = (
-            np.array([np.concatenate([b.ravel() for b in axis])
-                      for axis in side]) for side in (plus, minus))
-        self.cell_weights = np.full(self.plus.shape[1],
+        # the rows come in groups of one difference per cell along one axis,
+        # from a minus to a plus corner: x then y rows of the triangles
+        # (00, 10, 11) and (00, 01, 11).  The operators read one slice per
+        # group and side: the cells whose plus (side 0) or minus (side 1)
+        # corner is an interior node, one cell per node.
+        corners = ([((1,), (0,))] if self.dim == 1 else
+                   [((1, 0), (0, 0)), ((1, 1), (0, 1)),
+                    ((1, 1), (1, 0)), ((0, 1), (0, 0))])
+        per_axis = len(corners) // self.dim
+        self._inner, self._cells = inner, (len(corners),) + self.counts
+        self._ends = [(side, (g,) + tuple(slice(1 - o, c - o) for o, c in
+                                          zip(end, self.counts)))
+                      for side, ends in enumerate(zip(*corners))
+                      for g, end in enumerate(ends)]
+        self.cell_weights = np.full(per_axis * math.prod(self.counts),
                                     math.prod(self.spacing)
                                     / math.factorial(self.dim))
         self.row_spacing = np.array(self.spacing).reshape(-1, 1)
         self.flux_weights, self.band_weights = row_factors(
             self.row_spacing, self.cell_weights)
-
-        self.bandwidth, self.band_slots = band_slots(self.plus, self.minus, n)
+        # interior node numbers step by the product of the later axes'
+        # interior counts.  An axis's differences between two interior
+        # nodes are the stiffness's edges, in band row bandwidth - stride
+        # at their plus end: the nodes whose minus neighbour is interior.
+        strides = [math.prod(inner[k + 1:]) for k in range(self.dim)]
+        edge_axes = [k for k in range(self.dim) if inner[k] > 1]
+        self.bandwidth = max((strides[k] for k in edge_axes), default=0)
+        self._edges = [
+            (self.bandwidth - strides[k],
+             tuple(slice(int(j == k), None) for j in range(self.dim)),
+             self._ends[k * per_axis:(k + 1) * per_axis]) for k in edge_axes]
 
     def differences(self, values):
         """B u, shape (dim, elements), at the interior values: row k holds
         each element's slope along axis k."""
-        ext = np.concatenate((values, [0.0]))
-        return (ext[self.plus] - ext[self.minus]) / self.row_spacing
+        u, out = values.reshape(self._inner), np.zeros(self._cells)
+        for side, end in self._ends:
+            out[end] = out[end] - u if side else u
+        out = out.reshape(self.dim, -1)
+        out /= self.row_spacing
+        return out
 
     def transpose(self, flux):
         """D^T flux at the interior nodes for the unscaled differences
-        D = h B and one flux per row entry, raveled: the sum over the rows'
-        plus ends minus the sum over their minus ends."""
-        n = self.interior_count
-        return (np.bincount(self.plus.ravel(), flux, minlength=n + 1)
-                - np.bincount(self.minus.ravel(), flux, minlength=n + 1))[:n]
+        D = h B and one flux per row entry, raveled: the rows' plus ends
+        minus their minus ends, each side summed from zero in row order."""
+        rows, sums = flux.reshape(self._cells), np.zeros((2,) + self._inner)
+        for side, end in self._ends:
+            sums[side] += rows[end]
+        return (sums[0] - sums[1]).ravel()
 
     def band(self, c):
         """Upper banded storage, (bandwidth + 1) x n, of D^T diag(c) D for
-        one coefficient per row entry, raveled, scattered into
-        ``band_slots``."""
-        n = self.interior_count
-        ab = np.bincount(self.band_slots, np.concatenate((c, c, -c)),
-                         minlength=(self.bandwidth + 1) * n + 1)[:-1]
-        return ab.reshape(-1, n)
+        one coefficient per row entry, raveled: on the diagonal the rows'
+        plus ends, then their minus ends, summed from zero in row order,
+        and each edge's rows subtracted from zero."""
+        rows = c.reshape(self._cells)
+        ab = np.zeros((self.bandwidth + 1,) + self._inner)
+        diag = ab[-1]
+        for _, end in self._ends:
+            diag += rows[end]
+        for row, nodes, ends in self._edges:
+            edge = ab[row][nodes]
+            for _, end in ends:
+                edge -= rows[end][nodes]
+        return ab.reshape(self.bandwidth + 1, -1)
 
     @property
     def blocks(self):
@@ -187,23 +212,6 @@ def _floats(items):
     """float() of each item, or of ``items`` itself when it is a scalar, so
     that a non-numeric item is named as given rather than by numpy's repr."""
     return [float(x) for x in (items if np.iterable(items) else (items,))]
-
-
-def band_slots(plus, minus, n):
-    """Bandwidth u and the slots where each difference row's entries of the
-    stiffness B^T diag(c) B land in (u + 1) x n upper banded storage: row r
-    adds c_r at (plus, plus) and (minus, minus) and -c_r at (lo, hi), the
-    pair in order; entries on the appended zero (node n) go to one
-    discarded slot after the band."""
-    p, q = plus.ravel(), minus.ravel()
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    both = hi < n
-    u = int(np.max(hi - lo, where=both, initial=0))
-    drop = (u + 1) * n
-    return u, np.concatenate([
-        np.where(p < n, u * n + p, drop),
-        np.where(q < n, u * n + q, drop),
-        np.where(both, (u + lo - hi) * n + hi, drop)])
 
 
 def row_factors(row_spacing, cell_weights):

@@ -4,10 +4,12 @@ These are deliberately written against the mathematical problem, not against
 the package's internals: a tridiagonal generalized eigensolver assembled from
 the same quadrature rules (piecewise-linear stiffness with one-point cell
 quadrature, trapezoidal mass), its 2D counterpart on the 5-point stencil,
-and a shooting-method eigenvalue for the 1D p-Laplacian ODE with a
-closed-form cross-check.
+a shooting-method eigenvalue for the 1D p-Laplacian ODE with a
+closed-form cross-check, and the dense difference rows of the P1 elements
+from their vertex coordinates.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -98,6 +100,56 @@ def five_point_ground_eigenvalue(lx, ly, nx, ny):
     vals = spla.eigsh(K.tocsc(), k=1, M=M.tocsc(), sigma=0.0,
                       which="LM", return_eigenvectors=False)
     return float(vals[0])
+
+
+def dense_differences(extents, counts):
+    """Dense difference rows of the P1 elements on the (0, extents) grid
+    with ``counts`` cells per axis and zero boundary values, built from the
+    elements' vertex coordinates alone: D, one row per (axis, element) and
+    one column per interior node, and the spacing of each row, so that
+    B = D / spacing row by row.
+
+    Elements are the 1D cells, or in 2D the triangles (00, 10, 11) of every
+    cell and then the triangles (00, 01, 11), cells with the last axis
+    fastest; rows run axis by axis over the elements in that order.  The
+    slope of the interpolant along axis k is the difference quotient along
+    the element's leg parallel to that axis: +1 at its far vertex, -1 at
+    its near one, nothing at a boundary vertex.  Interior nodes are
+    numbered with the last axis fastest.
+    """
+    h = [e / c for e, c in zip(extents, counts)]
+    inner = [c - 1 for c in counts]
+
+    def column(node):
+        if not all(0 < i < c for i, c in zip(node, counts)):
+            return None
+        col = 0
+        for i, n in zip(node, inner):
+            col = col * n + i - 1
+        return col
+
+    cells = itertools.product(*(range(c) for c in counts))
+    if len(counts) == 1:
+        elements = [[(i,), (i + 1,)] for (i,) in cells]
+    else:
+        cells = list(cells)
+        elements = ([[(i, j), (i + 1, j), (i + 1, j + 1)] for i, j in cells]
+                    + [[(i, j), (i, j + 1), (i + 1, j + 1)] for i, j in cells])
+    rows, spacing = [], []
+    for k in range(len(counts)):
+        for vertices in elements:
+            x = {v: [i * hk for i, hk in zip(v, h)] for v in vertices}
+            (near, far), = [
+                (a, b) for a in vertices for b in vertices
+                if x[b][k] > x[a][k] and all(
+                    x[b][j] == x[a][j] for j in range(len(counts)) if j != k)]
+            row = np.zeros(math.prod(inner))
+            for node, sign in ((far, 1.0), (near, -1.0)):
+                if column(node) is not None:
+                    row[column(node)] += sign
+            rows.append(row)
+            spacing.append(x[far][k] - x[near][k])
+    return np.array(rows), np.array(spacing)
 
 
 def pi_p(p):

@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from orlicz_eigen.fractional import (NonlocalMesh, energy_s,
-                                     energy_s_gradient, solve_Es)
+from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.mesh import Mesh
-from orlicz_eigen.solver import SolveOptions, solve_E
+from orlicz_eigen.solver import (SolveOptions, energy, energy_gradient,
+                                 solve_E)
 from orlicz_eigen.sweep import (check_bounds, check_decay, estimate_limits,
                                 geometric_grid, run_sweep)
 from orlicz_eigen.young import (Endpoint, Regime, YoungFunction,
@@ -202,7 +202,7 @@ def test_criterion_09_nonlocal_homogeneity():
     nm = NonlocalMesh(1.0, 128, 0.5)
     quotients = []
     for alpha in (0.5, 1.0, 2.0):
-        res = solve_Es(F, nm, alpha)
+        res = solve_E(F, nm, alpha)
         assert res.converged
         quotients.append(res.energy / alpha)
     spread = (max(quotients) - min(quotients)) / min(quotients)
@@ -210,8 +210,8 @@ def test_criterion_09_nonlocal_homogeneity():
     rng = np.random.default_rng(9)
     u = np.abs(rng.standard_normal(nm.interior_count)) + 0.1
     v = rng.standard_normal(nm.interior_count)
-    g = float(energy_s_gradient(F, u, nm) @ v)
-    num = oracles.directional_derivative(lambda w: energy_s(F, w, nm), u, v)
+    g = float(energy_gradient(F, u, nm) @ v)
+    num = oracles.directional_derivative(lambda w: energy(F, w, nm), u, v)
     assert abs(g - num) / abs(num) <= 1e-5
     elapsed = time.time() - start
     assert elapsed < 120.0
@@ -223,8 +223,8 @@ def test_criterion_10_nonlocal_limit(sum24):
     """SumOfPowers(2,4) quotient at alpha = 1e-3 within 10% of the
     Power(2) nonlocal quotient on the identical mesh."""
     nm = NonlocalMesh(1.0, 128, 0.5)
-    mixed = solve_Es(sum24, nm, 1e-3)
-    pure = solve_Es(YoungFunction.power(2), nm, 1e-3)
+    mixed = solve_E(sum24, nm, 1e-3)
+    pure = solve_E(YoungFunction.power(2), nm, 1e-3)
     assert mixed.converged and pure.converged
     gap = abs(mixed.energy / 1e-3 - pure.energy / 1e-3) / (pure.energy / 1e-3)
     assert gap <= 0.10

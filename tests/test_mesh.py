@@ -82,38 +82,39 @@ def test_2d_gradient_magnitudes_plane():
     # sees unit slope
     u = m.field(m.interior_coords[:, 0])
     g = cell_gradient_magnitudes(u, m)
-    n = m.interior_count
-    inner = np.all((m.plus < n) & (m.minus < n), axis=0)
+    D, _ = oracles.dense_differences(m.extents, m.counts)
+    inner = np.all((np.abs(D).sum(axis=1) == 2).reshape(m.dim, -1), axis=0)
     assert inner.sum() == 2 * 18 * 18
     assert np.allclose(g[inner], 1.0, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [Mesh.interval(1.0, 7),
-                               Mesh.rectangle(1.0, 1.0, 4, 3)],
-                         ids=["interval", "rectangle"])
+@pytest.mark.parametrize("m", [
+    Mesh.interval(1.0, 7), Mesh.interval(1.0, 2),
+    Mesh.rectangle(1.0, 1.0, 4, 3), Mesh.rectangle(1.0, 1.0, 2, 2),
+    Mesh.rectangle(1.0, 1.0, 2, 3), Mesh.rectangle(1.0, 1.0, 3, 2),
+    Mesh.rectangle(2.0, 1.0, 6, 5)],
+    ids=["interval", "interval-2", "rectangle", "rectangle-2x2",
+         "rectangle-2x3", "rectangle-3x2", "rectangle-6x5"])
 def test_difference_operator_matches_dense_rows(m):
     # differences, transpose and band against dense matrices built from
-    # plus and minus, boundary ends dropped: B u = D u / h for the unscaled
-    # differences D, D^T f and the band of D^T diag(c) D
-    n = m.interior_count
-    plus, minus = m.plus.ravel(), m.minus.ravel()
-    rows = np.arange(plus.size)
-    D = np.zeros((plus.size, n + 1))
-    np.add.at(D, (rows, plus), 1.0)
-    np.add.at(D, (rows, minus), -1.0)
-    D = D[:, :n]
-    spacing = np.repeat(m.row_spacing[:, 0], m.plus.shape[1])
+    # the elements' vertex coordinates: B u = D u / h for the unscaled
+    # differences D, D^T f and the band of D^T diag(c) D, whose upper
+    # bandwidth is the mesh's
+    D, spacing = oracles.dense_differences(m.extents, m.counts)
+    rows, n = D.shape
     rng = np.random.default_rng(7)
-    u, f, c = (rng.standard_normal(size)
-               for size in (n, plus.size, plus.size))
+    u, f, c = (rng.standard_normal(size) for size in (n, rows, rows))
     np.testing.assert_allclose(m.differences(u).ravel(), D @ u / spacing,
                                rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(m.transpose(f), D.T @ f, rtol=0.0,
                                atol=1e-14 * np.abs(f).sum())
     ab = m.band(c)
     b = m.bandwidth
+    i, j = np.nonzero(np.abs(D).T @ np.abs(D))
+    assert b == np.max(j - i)
     assert ab.shape == (b + 1, n)
-    K = sum(np.diag(ab[b - k, k:], k) for k in range(1, b + 1))
+    K = sum((np.diag(ab[b - k, k:], k) for k in range(1, b + 1)),
+            np.zeros((n, n)))
     np.testing.assert_allclose(K + K.T + np.diag(ab[b]),
                                D.T @ (c[:, None] * D), rtol=0.0,
                                atol=1e-14 * np.abs(c).sum())

@@ -8,11 +8,11 @@ from scipy.integrate import quad, quad_vec
 
 from orlicz_eigen.errors import ConfigError, ConformanceError
 from orlicz_eigen.fractional import (NonlocalMesh, _primitive,
-                                     _primitive_by_rule, energy_s,
-                                     energy_s_gradient, lagrange_quotient_s,
-                                     solve_Es, weak_residual_s)
+                                     _primitive_by_rule)
 from orlicz_eigen.mesh import Mesh
-from orlicz_eigen.solver import EPS_GRAD, SolveOptions, _LaggedStiffness
+from orlicz_eigen.solver import (EPS_GRAD, SolveOptions, _LaggedStiffness,
+                                 energy, energy_gradient, lagrange_quotient,
+                                 solve_E, weak_residual)
 from orlicz_eigen.young import YoungFunction, modular
 
 import oracles
@@ -92,7 +92,7 @@ def test_pair_weights_symmetric_positive(nm):
     assert _close(W[off_diag], 2.0 * nm.h * nm.h / D[off_diag])
 
 
-@pytest.mark.parametrize("fn", [energy_s, energy_s_gradient],
+@pytest.mark.parametrize("fn", [energy, energy_gradient],
                          ids=["energy", "gradient"])
 def test_wrong_shape_field_raises_conformance_error(nm, fn):
     # the same fault as a wrong-shape field on a local mesh
@@ -103,23 +103,23 @@ def test_wrong_shape_field_raises_conformance_error(nm, fn):
 
 def test_energy_zero_field(nm):
     F = YoungFunction.power(2)
-    assert energy_s(F, np.zeros(nm.interior_count), nm) == 0.0
+    assert energy(F, np.zeros(nm.interior_count), nm) == 0.0
 
 
 def test_energy_homogeneity(nm):
     F = YoungFunction.power(3)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(nm.interior_count)
-    assert energy_s(F, 2.0 * u, nm) == \
-        pytest.approx(8.0 * energy_s(F, u, nm), rel=1e-12)
+    assert energy(F, 2.0 * u, nm) == \
+        pytest.approx(8.0 * energy(F, u, nm), rel=1e-12)
 
 
 def test_energy_reflection_symmetry(nm):
     F = YoungFunction.sum_of_powers(2, 4)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(nm.interior_count)
-    assert energy_s(F, u, nm) == pytest.approx(energy_s(F, u[::-1], nm),
-                                               abs=1e-14 * energy_s(F, u, nm))
+    assert energy(F, u, nm) == pytest.approx(energy(F, u[::-1], nm),
+                                             abs=1e-14 * energy(F, u, nm))
 
 
 def test_gradient_matches_finite_differences(nm):
@@ -127,8 +127,8 @@ def test_gradient_matches_finite_differences(nm):
     rng = np.random.default_rng(2)
     u = np.abs(rng.standard_normal(nm.interior_count)) + 0.1
     v = rng.standard_normal(nm.interior_count)
-    g = energy_s_gradient(F, u, nm)
-    num = oracles.directional_derivative(lambda w: energy_s(F, w, nm), u, v)
+    g = energy_gradient(F, u, nm)
+    num = oracles.directional_derivative(lambda w: energy(F, w, nm), u, v)
     assert float(g @ v) == pytest.approx(num, rel=1e-5)
 
 
@@ -136,14 +136,14 @@ def test_quotient_power_identity(nm):
     F = YoungFunction.power(2)
     rng = np.random.default_rng(3)
     u = np.abs(rng.standard_normal(nm.interior_count)) + 0.1
-    lam = lagrange_quotient_s(F, u, nm)
+    lam = lagrange_quotient(F, u, nm)
     assert lam == pytest.approx(
-        energy_s(F, u, nm) / modular(F, u, nm), rel=1e-12)
+        energy(F, u, nm) / modular(F, u, nm), rel=1e-12)
 
 
 def test_quotient_sandwich_under_doubling(nm):
     F = YoungFunction.sum_of_powers(2, 4)
-    res = solve_Es(F, nm, 1.0, SolveOptions(restarts=2))
+    res = solve_E(F, nm, 1.0, SolveOptions(restarts=2))
     p = 4.0
     q = res.energy / 1.0
     assert q / p * (1 - 1e-9) <= res.lam <= p * q * (1 + 1e-9)
@@ -151,15 +151,15 @@ def test_quotient_sandwich_under_doubling(nm):
 
 def test_solve_converges_with_small_residual(nm):
     F = YoungFunction.power(2)
-    res = solve_Es(F, nm, 1.0, SolveOptions(restarts=2))
+    res = solve_E(F, nm, 1.0, SolveOptions(restarts=2))
     assert res.converged
-    assert weak_residual_s(F, res.u.values, res.lam, nm) <= 1e-8
+    assert weak_residual(F, res.u.values, res.lam, nm) <= 1e-8
     assert abs(res.alpha - 1.0) <= 1e-10
 
 
 def test_solve_minimizer_symmetric(nm):
     F = YoungFunction.power(2)
-    res = solve_Es(F, nm, 1.0, SolveOptions(restarts=2))
+    res = solve_E(F, nm, 1.0, SolveOptions(restarts=2))
     u = res.u.values
     assert np.max(np.abs(u - u[::-1])) <= 5e-2 * np.max(np.abs(u))
 
@@ -210,8 +210,8 @@ def _assert_matches_dense_reference(F, nm):
     u = rng.standard_normal(nm.interior_count)
     u[5] = u[6]  # a vanishing pair quotient exercises the regularization
     E, g, K = _dense_reference(F, u, nm)
-    assert energy_s(F, u, nm) == pytest.approx(E, rel=1e-13)
-    assert _close(energy_s_gradient(F, u, nm), g)
+    assert energy(F, u, nm) == pytest.approx(E, rel=1e-13)
+    assert _close(energy_gradient(F, u, nm), g)
     assert _close(_dense_stiffness(F, u, nm), K)
 
 
@@ -237,8 +237,8 @@ def test_wrap_around_layout_matches_dense_reference(F, n):
     assert nm.pairs.bandwidth == n - 1
     u = np.random.default_rng(n).standard_normal(n)
     E, g, K = _dense_reference(F, u, nm)
-    assert energy_s(F, u, nm) == pytest.approx(E, rel=1e-13)
-    assert _close(energy_s_gradient(F, u, nm), g)
+    assert energy(F, u, nm) == pytest.approx(E, rel=1e-13)
+    assert _close(energy_gradient(F, u, nm), g)
     assert _close(_dense_stiffness(F, u, nm), K)
 
 
@@ -378,9 +378,9 @@ def test_halo_truncation_monotone_and_small(nm):
     # it added it no longer depends on its width, and the exterior term is
     # above that limit by less than h (O(h) midpoint error at the boundary)
     F = YoungFunction.power(2)
-    res = solve_Es(F, nm, 1.0, SolveOptions(restarts=2))
+    res = solve_E(F, nm, 1.0, SolveOptions(restarts=2))
     u = res.u.values
-    ext = energy_s(F, u, nm) - _interior_energy(F, u, nm.length, nm.s)
+    ext = energy(F, u, nm) - _interior_energy(F, u, nm.length, nm.s)
     halos = [_discrete_halo(F, u, nm.length, nm.s, r) for r in (4, 8, 40)]
     near = [a for a, _ in halos]
     assert near[0] < near[1] < near[2] < ext
@@ -419,13 +419,13 @@ def test_tail_bound_covers_far_halo(F, s):
 @pytest.mark.parametrize("F", FAMILIES, ids=lambda F: F.family.value)
 def test_discrete_halo_converges_to_exterior_term(F, s):
     # a zero halo widened from L to 4L gains energy, the quadrature beyond
-    # it accounts for the gain, and the exterior term of energy_s exceeds
+    # it accounts for the gain, and the exterior term of energy exceeds
     # that limit by O(h) or less: measured ratios 0.24-0.44 per halving
     gaps = []
     for N in (32, 64, 128):
         h, x = _grid(1.0, N)
         u = np.sin(np.pi * x)
-        ext = (energy_s(F, u, NonlocalMesh(1.0, N, s))
+        ext = (energy(F, u, NonlocalMesh(1.0, N, s))
                - _interior_energy(F, u, 1.0, s))
         (n1, f1), (n4, f4) = (_discrete_halo(F, u, 1.0, s, r)
                               for r in (1.0, 4.0))
@@ -446,31 +446,31 @@ def test_pair_memo_never_stale():
     def stiffness(F, u):
         return _dense_stiffness(F, u, nm, cells)
 
-    def energy(F, u):
+    def memo_energy(F, u):
         # the line-search energy fills the memo the gradient then reads
-        E = energy_s(F, u, nm, cells=cells)
-        assert E == energy_s(F, u.copy(), nm)
+        E = energy(F, u, nm, cells=cells)
+        assert E == energy(F, u.copy(), nm)
         return E
 
     for F in (F2, F4, F2):
         # same field, another Young function on the same mesh
         E, g, K = _dense_reference(F, u, nm)
-        assert energy(F, u) == pytest.approx(E, rel=1e-13)
-        assert _close(energy_s_gradient(F, u, nm, cells=cells), g)
+        assert memo_energy(F, u) == pytest.approx(E, rel=1e-13)
+        assert _close(energy_gradient(F, u, nm, cells=cells), g)
         assert _close(stiffness(F, u), K)
     # the field changed in place under the memo
     u[3] += 0.5
     E, g, K = _dense_reference(F2, u, nm)
-    assert energy(F2, u) == pytest.approx(E, rel=1e-13)
+    assert memo_energy(F2, u) == pytest.approx(E, rel=1e-13)
     assert _close(stiffness(F2, u), K)
-    assert _close(energy_s_gradient(F2, u, nm, cells=cells), g)
+    assert _close(energy_gradient(F2, u, nm, cells=cells), g)
     # a rejected trial between the gradient and the band at u
-    energy(F2, 3.0 * u)
+    memo_energy(F2, 3.0 * u)
     assert _close(stiffness(F2, u), K)
     # a gradient through the module call shares the solve's assembly
     u *= 2.0
     _, g, K = _dense_reference(F4, u, nm)
-    assert _close(energy_s_gradient(F4, u, nm, cells=cells), g)
+    assert _close(energy_gradient(F4, u, nm, cells=cells), g)
     assert _close(stiffness(F4, u), K)
 
 
@@ -484,11 +484,11 @@ def test_exterior_coefficient_once_per_gradient_and_build(monkeypatch):
     monkeypatch.setattr(F, "A", lambda t: calls.append(1) or A(t))
     u = np.random.default_rng(8).standard_normal(nm.interior_count)
     cells = _LaggedStiffness(nm)
-    g = energy_s_gradient(F, u, nm, cells=cells)
+    g = energy_gradient(F, u, nm, cells=cells)
     x = cells.build(F, u)(u)
     assert len(calls) == 1
     calls.clear()
-    assert _close(energy_s_gradient(F, u, nm), g)
+    assert _close(energy_gradient(F, u, nm), g)
     assert np.array_equal(_LaggedStiffness(nm).build(F, u)(u), x)
     assert len(calls) == 2  # without the memo: once each
 
@@ -500,8 +500,8 @@ def test_solve_pins_the_cli_answer():
     about 1e-10 with the projection radius at the 1e-14 level, so 1e-12
     pins the arithmetic, not the discrete eigenvalue; the accuracy of
     lambda is checked by ``test_lambda_is_the_derivative_of_the_energy``."""
-    res = solve_Es(YoungFunction.sum_of_powers(2, 4),
-                   NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
+    res = solve_E(YoungFunction.sum_of_powers(2, 4),
+                  NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
     assert res.converged
     assert res.energy == pytest.approx(15.479058254662176, rel=1e-12)
     assert res.lam == pytest.approx(15.696976705752444, rel=1e-12)
@@ -512,8 +512,8 @@ def test_lambda_is_the_derivative_of_the_energy():
     # solves at alpha = 1 +- 1e-4 reproduces lambda at alpha = 1
     F, nm = YoungFunction.sum_of_powers(2, 4), NonlocalMesh(1.0, 128, 0.5)
     d, opts = 1e-4, SolveOptions(seed=1)
-    mid = solve_Es(F, nm, 1.0, opts)
-    up, down = (solve_Es(F, nm, 1.0 + e, opts, initial=mid.u)
+    mid = solve_E(F, nm, 1.0, opts)
+    up, down = (solve_E(F, nm, 1.0 + e, opts, initial=mid.u)
                 for e in (d, -d))
     assert mid.converged and up.converged and down.converged
     slope = (up.energy - down.energy) / (2.0 * d)
@@ -524,18 +524,18 @@ def test_solves_on_shared_mesh_match_fresh_mesh():
     # the sweep's Power(2) and Power(4) reference solves share one mesh
     nm = NonlocalMesh(1.0, 24, 0.5)
     opts = SolveOptions(restarts=1)
-    shared = [solve_Es(F, nm, 1.0, opts) for F in
+    shared = [solve_E(F, nm, 1.0, opts) for F in
               (YoungFunction.power(2), YoungFunction.power(4))]
-    fresh = solve_Es(YoungFunction.power(4), NonlocalMesh(1.0, 24, 0.5),
-                     1.0, opts)
+    fresh = solve_E(YoungFunction.power(4), NonlocalMesh(1.0, 24, 0.5),
+                    1.0, opts)
     assert shared[1].energy == fresh.energy and shared[1].lam == fresh.lam
 
 
 def test_default_restarts_stop_at_first_agreeing_pair():
     nm = NonlocalMesh(1.0, 37, 0.5)
     F = YoungFunction.sum_of_powers(2, 4)
-    early = solve_Es(F, nm, 1.0)
-    full = solve_Es(F, nm, 1.0, SolveOptions(restarts=5))
+    early = solve_E(F, nm, 1.0)
+    full = solve_E(F, nm, 1.0, SolveOptions(restarts=5))
     assert early.converged and early.restarts_used == 2
     assert full.restarts_used == 5
     assert abs(early.energy - full.energy) <= 1e-8 * full.energy
@@ -550,10 +550,10 @@ def test_custom_young_matches_power_on_pair_arrays():
     rng = np.random.default_rng(6)
     u = rng.standard_normal(nm.interior_count)
     # A is integrated by quad at epsrel 1e-10; a is the density itself
-    assert energy_s(custom, u, nm) == pytest.approx(energy_s(power, u, nm),
-                                                    rel=1e-9)
-    assert _close(energy_s_gradient(custom, u, nm),
-                  energy_s_gradient(power, u, nm))
+    assert energy(custom, u, nm) == pytest.approx(energy(power, u, nm),
+                                                  rel=1e-9)
+    assert _close(energy_gradient(custom, u, nm),
+                  energy_gradient(power, u, nm))
 
 
 @pytest.mark.parametrize("F", [YoungFunction.power(1.2),
