@@ -50,8 +50,7 @@ class Mesh:
       gradient's fluxes and the stiffness entries;
     - ``bandwidth``, the upper bandwidth of the stiffness B^T diag(c) B:
       the node-number step of the first axis that has two interior nodes
-      in a row, or 0;
-    - the slices of each difference group that the operators read.
+      in a row, or 0.
     """
 
     dim: int
