@@ -258,9 +258,9 @@ def _cmd_sweep(args):
 
     if args.csv:
         header = ["alpha", "energy", "quotient", "lambda", "dE_dalpha",
-                  "converged", "residual"]
+                  "converged", "residual", "iterations"]
         rows = [[r.alpha, r.energy, r.quotient, r.lam, r.dE_dalpha,
-                 r.converged, r.residual] for r in records]
+                 r.converged, r.residual, r.iterations] for r in records]
         _write_csv(args.csv, header, rows)
     if args.plot_script:
         with open(args.plot_script, "w") as fh:

@@ -353,6 +353,7 @@ class _RunResult:
 
 _POLISH_THRESHOLD = 1e-4
 _ARMIJO = 1e-4          # sufficient-decrease constant of the line search
+_STALL = 0.5            # a residual not below this fraction of the last stalls
 _SHRINK = 0.5           # backtracking cap, as a fraction of the failed step
 _STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
 _THETA_MIN = 1e-3       # damping floor of the polish
@@ -418,22 +419,36 @@ def _polish(problem, alpha, u, opts, budget, state=None):
     return u, lam, res, it, res < opts.tol
 
 
-def _backtrack(E0, gd, s, Es):
-    """Next trial step after the Armijo test failed at step s: the minimizer
-    of the quadratic through E(0) = E0 with slope -gd and E(s) = Es,
-    clamped to [_STEP_MIN s, _SHRINK s]; _SHRINK s when Es is not finite or
+def _model_step(E0, gd, s, Es, lo, hi, fallback):
+    """The minimizer of the quadratic through E(0) = E0 with slope -gd and
+    E(s) = Es, clamped to [lo, hi]; ``fallback`` when Es is not finite or
     the quadratic is not convex."""
     curv = Es - E0 + gd * s  # s^2 times the quadratic's curvature
     if not (math.isfinite(curv) and curv > 0.0):
-        return _SHRINK * s
-    return min(max(0.5 * gd * s * s / curv, _STEP_MIN * s), _SHRINK * s)
+        return fallback
+    return min(max(0.5 * gd * s * s / curv, lo), hi)
+
+
+def _backtrack(E0, gd, s, Es):
+    """Next trial step after the Armijo test failed at step s: the
+    quadratic model's minimizer clamped to [_STEP_MIN s, _SHRINK s];
+    _SHRINK s when Es is not finite or the model is not convex."""
+    return _model_step(E0, gd, s, Es, _STEP_MIN * s, _SHRINK * s, _SHRINK * s)
 
 
 def _descend(problem, alpha, start_values, opts):
     """Normalization-projected preconditioned descent from one start,
     finished by an inverse-iteration polish once the residual is small.
+
     Each line search tries the unit step first and backtracks by
-    :func:`_backtrack` until the Armijo test holds."""
+    :func:`_backtrack` until the Armijo test holds.  The lagged stiffness
+    a(g)/g is a secant below the tangent, so along a stiff mode the unit
+    step can overshoot about twofold and pass Armijo without progress, the
+    iterates cycling over the minimizer.  So an iteration whose residual is
+    not below _STALL times the last one's starts its line search instead at
+    the minimizer of the last line search's quadratic model through its
+    accepted trial (:func:`_model_step`), clamped to [_STEP_MIN, 1], or at
+    1 where that model is not convex."""
     u = problem.project(start_values, alpha)
     E = problem.energy(u)
     lam = math.nan
@@ -441,9 +456,11 @@ def _descend(problem, alpha, start_values, opts):
     it = 0
     converged = False
     accepted = True
+    model_step = 1.0  # the last line search's model minimizer
     for it in range(1, opts.max_iter + 1):
         g = problem.gradient(u)
         mg = problem.mass_gradient(u)
+        last = res
         lam, res = _stationarity(g, mg, u, problem.m.node_weights)
         if res < opts.tol:
             converged = True
@@ -463,8 +480,9 @@ def _descend(problem, alpha, start_values, opts):
                 break
         # unit trial step: with the lagged stiffness solve the projected
         # direction is Newton-like, so s = 1 recovers inverse-iteration
-        # progress on the quadratic problem and backtracking handles the rest
-        s = 1.0
+        # progress on the quadratic problem and backtracking handles the
+        # rest; after a stall, the model step
+        s = model_step if res >= _STALL * last else 1.0
         accepted = False
         while s > 1e-18:
             trial_raw = u - s * d
@@ -479,6 +497,7 @@ def _descend(problem, alpha, start_values, opts):
         if not accepted:
             break
         assert Et <= E * (1.0 + 1e-14) + 1e-300, "descent must be monotone"
+        model_step = _model_step(E, gd, s, Et, _STEP_MIN, 1.0, 1.0)
         u, E = trial, Et
     if not converged and (res < _POLISH_THRESHOLD or not accepted):
         # a small residual, or an energy landscape flat at this resolution,

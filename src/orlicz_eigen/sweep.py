@@ -33,6 +33,7 @@ class SweepRecord:
     lam: float
     converged: bool
     residual: float
+    iterations: int = 0  # of the solve's returned run
     dE_dalpha: float = math.nan
     bounds_ok: dict = None
 
@@ -45,6 +46,7 @@ class SweepRecord:
             "dE_dalpha": self.dE_dalpha,
             "converged": self.converged,
             "residual": self.residual,
+            "iterations": self.iterations,
         }
         if self.bounds_ok is not None:
             out.update({f"ok_{k}": v for k, v in self.bounds_ok.items()})
@@ -81,16 +83,19 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
 
     The first alpha runs the full multistart; each later alpha restarts
     once.  Once two consecutive alphas have converged, the start is a
-    secant prediction: the two minimizers' shapes, normalized in the
-    ``node_weights`` L2 norm, extrapolated linearly in log alpha (the
-    minimizers form a smooth branch, since dE/dalpha = lambda).  Otherwise
-    (fewer than two consecutive converged alphas, or a non-finite or
-    all-zero prediction) it is the last converged minimizer.  The solver's
-    own normalization projection rescales either onto the new constraint.
-    With ``warm=False`` every alpha runs the full multistart instead.
+    prediction along the branch: the shapes of the last two to four
+    consecutive converged minimizers, normalized in the ``node_weights`` L2
+    norm, extrapolated by their Lagrange polynomial in log alpha (the
+    minimizers form a smooth branch, since dE/dalpha = lambda; see
+    :func:`_secant_start`).  Otherwise (fewer than two consecutive converged
+    alphas, or a non-finite or all-zero prediction) it is the last converged
+    minimizer.  The solver's own normalization projection rescales either
+    onto the new constraint.  With ``warm=False`` every alpha runs the full
+    multistart instead.
     dE/dalpha is the central difference over the neighboring samples when
     both converged, else NaN (endpoints included).  Unconverged alphas are
-    flagged and the sweep continues.
+    flagged and the sweep continues.  Each record keeps the iteration count
+    of the solve's returned run.
     """
     opts = opts or SolveOptions()
     grid = np.sort(np.asarray(alpha_grid, dtype=float))
@@ -100,20 +105,21 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
     warm_opts = replace(opts, restarts=1)
     for alpha in grid:
         x = math.log(alpha)
-        start = _secant_start(branch, x, m) if len(branch) == 2 else None
+        start = _secant_start(branch, x, m) if len(branch) >= 2 else None
         result = solve_E(F, m, float(alpha),
                          opts if prev is None else warm_opts,
                          initial=prev if start is None else start)
         if result.converged and warm:
             prev = result.u
             values = np.asarray(getattr(prev, "values", prev), dtype=float)
-            branch = branch[-1:] + [(x, values)]
+            branch = branch[-3:] + [(x, values)]  # up to four minimizers
         else:
             branch = []
         records.append(SweepRecord(
             alpha=float(alpha), energy=result.energy,
             quotient=result.energy / float(alpha), lam=result.lam,
-            converged=result.converged, residual=result.residual))
+            converged=result.converged, residual=result.residual,
+            iterations=result.iterations))
     for k in range(1, len(records) - 1):
         lo, hi = records[k - 1], records[k + 1]
         if lo.converged and hi.converged:
@@ -123,16 +129,27 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
 
 
 def _secant_start(branch, x, m):
-    """Linear extrapolation to log alpha = x of the shapes (unit
-    ``node_weights`` L2 norm) of the two minimizers in ``branch``, as a
-    field on m; None when it is not finite or all zero."""
-    (x0, u0), (x1, u1) = branch
-    if x1 == x0:
+    """Extrapolation to log alpha = x of the shapes (unit ``node_weights``
+    L2 norm) of the minimizers in ``branch`` by their Lagrange polynomial in
+    log alpha, as a field on m; None when two share a log alpha or the
+    prediction is not finite or all zero.  The prediction is written as
+    y_n + sum_k t_k (y_n - y_k) about the newest shape y_n, with
+    t_k = -L_k(x), so with two minimizers it is the linear secant
+    y_1 + (x - x_1)/(x_1 - x_0) (y_1 - y_0)."""
+    xs = [xk for xk, _ in branch]
+    if len(set(xs)) < len(xs):
         return None
+    *older, xn = xs
     with np.errstate(all="ignore"):
-        y0, y1 = (u / np.sqrt(np.dot(m.node_weights, u * u))
-                  for u in (u0, u1))
-        pred = y1 + (x - x1) / (x1 - x0) * (y1 - y0)
+        *ys, yn = (u / np.sqrt(np.dot(m.node_weights, u * u))
+                   for _, u in branch)
+        pred = yn
+        for k, (xk, yk) in enumerate(zip(older, ys)):
+            t = (x - xn) / (xn - xk)
+            for j, xj in enumerate(older):
+                if j != k:
+                    t *= (x - xj) / (xk - xj)
+            pred = pred + t * (yn - yk)
     if not (np.all(np.isfinite(pred)) and np.any(pred)):
         return None
     return m.field(pred)

@@ -400,6 +400,8 @@ def test_nonlocal_sweep_matches_run_sweep(capsys, tmp_path):
         row = dict(zip(header, line.split(",")))
         expected = record.as_dict()
         assert row["converged"] == str(expected.pop("converged"))
+        # the returned run's iteration count, deterministic at one thread
+        assert row["iterations"] == str(expected.pop("iterations")) != "0"
         assert {k: float(row[k]) for k in expected} == pytest.approx(
             expected, rel=0.0, abs=0.0, nan_ok=True)
     for endpoint in ("zero", "infinity"):

@@ -401,8 +401,8 @@ def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
 
 
 @pytest.mark.parametrize("lx,ly,nx,ny,E,lam,iterations", [
-    (1.0, 1.0, 32, 32, 105.78761050590037, 131.0289836194381, 22),
-    (2.0, 1.0, 24, 12, 42.46842746057696, 54.897644673015876, 28),
+    (1.0, 1.0, 32, 32, 105.7876105059004, 131.02898361653624, 21),
+    (2.0, 1.0, 24, 12, 42.468427460576926, 54.89764466327072, 22),
     (1.0, 1.0, 3, 2, 22.473171161671292, 29.989268464668523, 13),
 ])
 def test_solve_2d_pins_the_answer(lx, ly, nx, ny, E, lam, iterations):
@@ -633,6 +633,40 @@ def test_backtracking_takes_the_clamped_quadratic_step(scale, wall, steps):
     assert run.energy == pytest.approx((1.0 - scale * steps[-1]) ** 4 / 4.0,
                                        rel=1e-12)
     assert run.energy <= 0.25 - 1e-4 * steps[-1] * scale
+
+
+def test_line_search_after_a_stall_starts_at_the_model_step(monkeypatch):
+    # on the quartic the residual is sqrt(1 + y^2), so the second iteration
+    # (y = 1/3) stalls against the first (y = 1): its line search starts at
+    # the minimizer of the first one's model through its accepted trial
+    # (s = 2/9, y = 1/3), not at the unit step
+    problem = _ScaledQuartic(3.0)
+    trials = []
+    energy = problem.energy
+    monkeypatch.setattr(problem, "energy",
+                        lambda v: trials.append(v[1]) or energy(v))
+    run = solver._descend(problem, 1.0, np.array([1.0, 1.0]),
+                          SolveOptions(max_iter=2))
+    model = _quadratic_step(3.0, 2.0 / 9.0)
+    assert 0.1 < model < 0.5
+    y1 = 1.0 - 3.0 * (2.0 / 9.0)
+    # the start, the first line search (1, 2/9), one trial of the second
+    assert trials == pytest.approx(
+        [1.0, -2.0, y1, y1 - model * 3.0 * y1 ** 3], rel=1e-12)
+    assert run.energy == pytest.approx(trials[-1] ** 4 / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("curv,step", [
+    (0.5, 1.0),    # the minimizer 3 is clamped to 1
+    (29.0, 0.1),   # the minimizer 3/58 is clamped to 0.1
+    (6.0, 0.25),   # the minimizer 1/4 is kept
+    (0.0, 1.0),    # a linear model: the fallback
+    (math.inf, 1.0),
+])
+def test_model_step_is_the_clamped_minimizer(curv, step):
+    # E(0) = 1/4, slope -3 and E(1) = 1/4 - 3 + curv
+    assert solver._model_step(0.25, 3.0, 1.0, 0.25 - 3.0 + curv,
+                              0.1, 1.0, 1.0) == step
 
 
 # -- coefficient memo -----------------------------------------------------------

@@ -30,6 +30,14 @@ def sweep24(m200):
     return run_sweep(F, m200, geometric_grid(1e-2, 1e2, 5))
 
 
+@pytest.fixture(scope="module")
+def cli_sweep24(m200):
+    """The records of the CLI's `sweep --young sop24 --mesh interval:1.0,200
+    --alpha-min 1e-4 --alpha-max 1e4 --per-decade 5 --seed 1`."""
+    return run_sweep(YoungFunction.sum_of_powers(2, 4), m200,
+                     geometric_grid(1e-4, 1e4, 5), SolveOptions(seed=1))
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         geometric_grid(1.0, 0.1, 5)
@@ -191,7 +199,7 @@ def _stub_solve(unconverged, calls, shape=None):
                 else shape)
         res = SimpleNamespace(
             u=m.field(base * alpha ** 0.5), energy=2.0 * alpha, lam=2.0,
-            converged=alpha not in unconverged, residual=0.0)
+            converged=alpha not in unconverged, residual=0.0, iterations=1)
         calls.append((initial, res))
         return res
     return solve
@@ -272,7 +280,7 @@ def _stub_reference(values, converged=True):
     def solve(F, m, alpha, opts, initial=None):
         return SimpleNamespace(u=m.field(np.asarray(values, dtype=float)),
                                energy=1.0, lam=1.0, residual=0.0,
-                               converged=converged)
+                               converged=converged, iterations=1)
     return solve
 
 
@@ -380,21 +388,76 @@ def test_limits_estimate_for_another_endpoint_rejected(m200):
         estimate_limits(F, m200, [], Endpoint.INFINITY, estimate=est)
 
 
-def test_sweep_pins_the_cli_answer():
+def test_sweep_pins_the_cli_answer(cli_sweep24):
     """A determinism pin for refactors of the 1D path, not an accuracy
     check: E and lambda of the CLI's `sweep --young sop24 --mesh
     interval:1.0,200 --alpha-min 1e-4 --alpha-max 1e4 --per-decade 5
     --seed 1` at alpha = 1e-4, 1 and 1e4 (one BLAS thread), kept to 1e-12
     relative, which pins the arithmetic of the projection, the descent,
     the polish and the warm starts, not the discrete eigenvalue."""
-    records = run_sweep(YoungFunction.sum_of_powers(2, 4),
-                        Mesh.interval(1.0, 200),
-                        geometric_grid(1e-4, 1e4, 5), SolveOptions(seed=1))
     pinned = {1e-4: (0.0009882492040670884, 9.895591621510503),
-              1.0: (40.21394790521188, 50.829169386861274),
-              1e4: (725785.1313915286, 72.81414225690686)}
-    got = {r.alpha: (r.energy, r.lam) for r in records if r.alpha in pinned}
+              1.0: (40.21394790521224, 50.82916938747858),
+              1e4: (725785.1313915466, 72.81414225692818)}
+    got = {r.alpha: (r.energy, r.lam) for r in cli_sweep24
+           if r.alpha in pinned}
     assert sorted(got) == sorted(pinned)
     for alpha, (E, lam) in pinned.items():
         assert got[alpha][0] == pytest.approx(E, rel=1e-12)
         assert got[alpha][1] == pytest.approx(lam, rel=1e-12)
+
+
+def test_warm_alphas_of_the_cli_sweep_take_at_most_16_iterations(
+        cli_sweep24):
+    # the descent's stall rule ends the unit step's two-cycle over the
+    # minimizer (23 and 27 iterations at alpha = 0.0251 and 0.0398 without
+    # it), and the predicted starts keep every warm alpha short
+    assert len(cli_sweep24) == 41
+    assert all(r.converged for r in cli_sweep24)
+    assert all(isinstance(r.iterations, int) for r in cli_sweep24)
+    assert max(r.iterations for r in cli_sweep24[1:]) <= 16
+
+
+def _two_mode_fields(m, xs, scales):
+    """Fields r_k (a + b T3(x_k)) on m, with a and b orthogonal in the
+    ``node_weights`` inner product and T3(x) = 4x^3 - 3x, which is +-1 at
+    x = -1, -1/2, 1/2 and 1: there every shape is (a + b T3(x_k))/c with
+    c^2 = |a|^2 + |b|^2, a cubic in x.  Returns the branch and that cubic
+    shape as a function of x."""
+    w, t = m.node_weights, m.interior_coords[:, 0]
+    a, b = np.sin(np.pi * t), np.sin(2.0 * np.pi * t)
+    b = b - np.dot(w, a * b) / np.dot(w, a * a) * a
+    c = math.sqrt(np.dot(w, a * a) + np.dot(w, b * b))
+
+    def shape(x):
+        return (a + (4.0 * x ** 3 - 3.0 * x) * b) / c
+    return [(x, r * c * shape(x)) for x, r in zip(xs, scales)], shape
+
+
+def test_secant_start_is_the_cubic_through_four_shapes():
+    m = Mesh.interval(1.0, 40)
+    branch, shape = _two_mode_fields(m, (-1.0, -0.5, 0.5, 1.0),
+                                     (0.3, 2.0, 7.0, 0.05))
+    for x in (1.5, 2.0, 0.0):
+        pred = sweep._secant_start(branch, x, m).values
+        np.testing.assert_allclose(pred, shape(x), rtol=0.0,
+                                   atol=1e-12 * np.abs(shape(x)).max())
+    # three shapes give their parabola, which is not the cubic
+    pred = sweep._secant_start(branch[1:], 1.5, m).values
+    assert np.abs(pred - shape(1.5)).max() > 1.0
+
+
+def test_secant_start_of_two_shapes_is_the_linear_secant():
+    m = Mesh.interval(1.0, 40)
+    rng = np.random.default_rng(5)
+    u0, u1 = (np.abs(rng.standard_normal(m.interior_count)) + 0.1
+              for _ in range(2))
+    x0, x1, x = math.log(0.1), math.log(0.1585), math.log(0.2512)
+    pred = sweep._secant_start([(x0, u0), (x1, u1)], x, m).values
+    y0, y1 = (u / np.sqrt(np.dot(m.node_weights, u * u)) for u in (u0, u1))
+    assert np.array_equal(pred, y1 + (x - x1) / (x1 - x0) * (y1 - y0))
+
+
+def test_secant_start_rejects_a_repeated_alpha():
+    m = Mesh.interval(1.0, 40)
+    branch, _ = _two_mode_fields(m, (-1.0, -0.5, -0.5, 1.0), (1, 1, 1, 1))
+    assert sweep._secant_start(branch, 1.5, m) is None
