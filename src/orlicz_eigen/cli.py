@@ -126,16 +126,11 @@ print("wrote", {out_path!r})
 def _cmd_inspect(args):
     F = _young_from_arg(args.young)
     payload = {"label": F.label, "family": F.family.value,
-               "delta2": {}, "matuszewska": {}}
-    p_candidates = []
-    for ep in (Endpoint.ZERO, Endpoint.INFINITY):
-        rep = delta2_report(F, ep)
-        payload["delta2"][ep.value] = rep.as_dict()
-        if math.isfinite(rep.p_index):
-            p_candidates.append(rep.p_index)
-        est = matuszewska_exponent(F, ep)
-        payload["matuszewska"][ep.value] = est.as_dict()
-    payload["p_index"] = max(p_candidates) if p_candidates else math.inf
+               "delta2": {ep.value: delta2_report(F, ep).as_dict()
+                          for ep in Endpoint},
+               "matuszewska": {ep.value: matuszewska_exponent(F, ep).as_dict()
+                               for ep in Endpoint},
+               "p_index": _global_p_index(F)}
     _emit_json(payload, args.out)
     return 0
 
@@ -152,14 +147,9 @@ def _cmd_solve(args):  # and ``nonlocal``, which has no --mesh
 
 
 def _global_p_index(F):
-    ps = [delta2_report(F, ep).p_index
-          for ep in (Endpoint.ZERO, Endpoint.INFINITY)]
-    p = max(ps)
-    if not math.isfinite(p):
-        raise ConfigError(
-            "bounds check needs the doubling condition; the doubling "
-            "index diverges for this Young function")
-    return p
+    """The doubling index of F over (0, inf): the larger of its endpoints'
+    Delta_2 indices, inf when either diverges."""
+    return max(delta2_report(F, ep).p_index for ep in Endpoint)
 
 
 def _check_derivative(records):
@@ -216,6 +206,10 @@ def _sweep_checks(args, F, grid, m):
     p = endpoint = None
     if "bounds" in checks:
         p = _global_p_index(F)
+        if not math.isfinite(p):
+            raise ConfigError(
+                "bounds check needs the doubling condition; the doubling "
+                "index diverges for this Young function")
         require_alpha_one(grid, "bounds")
     if "decay" in checks:
         endpoint = _decay_endpoint(F)

@@ -229,17 +229,10 @@ class ScalarField:
     """Interior nodal values of a trial function, zero on the boundary."""
 
     values: np.ndarray
-    mesh: Mesh = field(repr=False, default=None)
+    mesh: Mesh = field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.mesh is not None and \
-                self.values.shape != (self.mesh.interior_count,):
-            raise ConformanceError(
-                f"{self.values.shape[0] if self.values.ndim else 0} values "
-                f"for a mesh with {self.mesh.interior_count} interior nodes")
-        if not np.all(np.isfinite(self.values)):
-            raise ConformanceError("field values must be finite")
+        self.values = _conform(self.values, self.mesh, finite=True)
 
     def copy(self):
         return ScalarField(self.values.copy(), self.mesh)
@@ -260,13 +253,19 @@ class ScalarField:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _conform(u, m):
-    values = getattr(u, "values", u)
-    values = np.asarray(values, dtype=float)
+def _conform(u, m, finite=False):
+    """The values of the field u (a ScalarField or an array) as a float
+    array, one per interior node of m, else ConformanceError.  ``finite``
+    also rejects an inf or a NaN: that is checked where a field enters
+    (ScalarField, a solve's initial field, phi_root, modular and
+    luxemburg_norm), not on every iterate."""
+    values = np.asarray(getattr(u, "values", u), dtype=float)
     if values.shape != (m.interior_count,):
         raise ConformanceError(
             f"field has shape {values.shape}, mesh expects "
             f"({m.interior_count},)")
+    if finite and not np.isfinite(values).all():
+        raise ConformanceError("field values must be finite")
     return values
 
 

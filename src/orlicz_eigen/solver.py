@@ -149,22 +149,44 @@ def energy_gradient(F, u, m, *, cells=None):
 def mass_gradient(F, u, m):
     """Nodal gradient of the zero-order modular (the eigenvalue's
     right-hand side tested against nodal basis functions)."""
-    values = np.asarray(getattr(u, "values", u), dtype=float)
+    values = _conform(u, m)
     return m.node_weights * F.a(np.abs(values)) * np.sign(values)
 
 
 def lagrange_quotient(F, u, m):
     """lambda = int a(|grad u|)|grad u| / int a(|u|)|u| by quadrature."""
-    values = np.asarray(getattr(u, "values", u), dtype=float)
-    return _stationarity(energy_gradient(F, u, m), mass_gradient(F, u, m),
-                         values, m.node_weights)[0]
+    return _check(Problem(F, m), _conform(u, m)).lam
 
 
 def weak_residual(F, u, lam, m):
     """Normalized quadrature-weighted norm of the nodal weak-form defect."""
-    values = np.asarray(getattr(u, "values", u), dtype=float)
-    return _stationarity(energy_gradient(F, u, m), mass_gradient(F, u, m),
-                         values, m.node_weights, lam)[1]
+    return _check(Problem(F, m), _conform(u, m), lam).res
+
+
+@dataclass
+class _Check:
+    """The stationarity check at the nodal values of an iterate: the energy
+    gradient g, the mass gradient mg, the Lagrange quotient lam (or the
+    multiplier given) and the residual res of :func:`_stationarity`."""
+    values: np.ndarray
+    g: np.ndarray
+    mg: np.ndarray
+    lam: float
+    res: float
+
+    @property
+    def defect(self):
+        """The weak-form defect g - lam mg."""
+        return self.g - self.lam * self.mg
+
+
+def _check(problem, values, lam=None):
+    """The :class:`_Check` of ``problem`` at ``values``: the one place
+    where the solver evaluates both gradients and the residual."""
+    g = problem.gradient(values)
+    mg = problem.mass_gradient(values)
+    return _Check(values, g, mg,
+                  *_stationarity(g, mg, values, problem.m.node_weights, lam))
 
 
 def _stationarity(g, mg, values, weights, lam=None):
@@ -204,7 +226,7 @@ def phi_root(F, u, m, alpha, r0=1.0):
     evaluations of the map: array evaluations of A, or for the power
     families the scalar steps on the field's moments plus one array
     check."""
-    values = np.asarray(getattr(u, "values", u), dtype=float)
+    values = _conform(u, m, finite=True)
     return _normalize(F, np.abs(values), m.node_weights, alpha, r0)
 
 
@@ -361,15 +383,15 @@ _THETA_MAX = 0.9        # a model damping at or above this is not trusted
 _THETA_FALLBACK = 0.5   # damping used when the model's is not
 
 
-def _polish(problem, alpha, u, opts, budget, state=None):
+def _polish(problem, alpha, check, opts, budget):
     """Residual-driven tail phase: lagged inverse iteration on the
     stationarity system, immune to the energy-difference noise floor that
     limits Armijo comparisons near the minimizer.
 
-    ``state`` is (lam, residual, mass gradient, defect g - lam mg) at u:
-    the descent hands over its last stationarity check, so the polish
-    starts without evaluating the gradients at u again.  It is computed
-    here when None.
+    ``check`` is the :class:`_Check` of the iterate to start from: the
+    descent hands over its last one, so the polish starts without
+    evaluating the gradients there again.  Returns (u, lam, residual,
+    iterations, converged).
 
     Each step tries the undamped update, the projected inverse iterate
     u + w, then one damped update u + theta w.  The lagged stiffness
@@ -381,42 +403,33 @@ def _polish(problem, alpha, u, opts, budget, state=None):
     if neither beats the residual at u is theta halved, down to 1e-3, until
     one does; if none does, the polish stops."""
     inv_w = 1.0 / problem.m.node_weights
-
-    def stationarity(values):
-        g = problem.gradient(values)
-        mg = problem.mass_gradient(values)
-        lam, res = _stationarity(g, mg, values, problem.m.node_weights)
-        return lam, res, mg, g - lam * mg, values
-
-    state = stationarity(u) if state is None else (*state, u)
     it = 0
     for it in range(1, budget + 1):
-        lam, res, mg, defect, u = state
-        if res < opts.tol:
-            return u, lam, res, it, True
+        if check.res < opts.tol:
+            return check.values, check.lam, check.res, it, True
+        u, res, defect = check.values, check.res, check.defect
         solve = problem.preconditioner(u)
-        v = solve(mg)
+        v = solve(check.mg)
         if not np.all(np.isfinite(v)) or not np.any(v):
             break
-        undamped = stationarity(problem.project(v, alpha))
-        w = undamped[4] - u
-        dd = undamped[3] - defect
+        undamped = _check(problem, problem.project(v, alpha))
+        w = undamped.values - u
+        dd = undamped.defect - defect
         dd2 = float(np.dot(dd * dd, inv_w))
         theta = -float(np.dot(defect * dd, inv_w)) / dd2 if dd2 > 0 else 0.0
         if not _THETA_MIN < theta < _THETA_MAX:
             theta = _THETA_FALLBACK
-        damped = stationarity(problem.project(u + theta * w, alpha))
-        best = min(undamped, damped, key=lambda s: s[1])
-        while best[1] >= res:
+        damped = _check(problem, problem.project(u + theta * w, alpha))
+        best = min(undamped, damped, key=lambda c: c.res)
+        while best.res >= res:
             theta *= 0.5
             if theta <= _THETA_MIN:
                 break
-            best = stationarity(problem.project(u + theta * w, alpha))
-        if best[1] >= res:
+            best = _check(problem, problem.project(u + theta * w, alpha))
+        if best.res >= res:
             break
-        state = best
-    lam, res, _, _, u = state
-    return u, lam, res, it, res < opts.tol
+        check = best
+    return check.values, check.lam, check.res, it, check.res < opts.tol
 
 
 def _model_step(E0, gd, s, Es, lo, hi, fallback):
@@ -451,17 +464,15 @@ def _descend(problem, alpha, start_values, opts):
     1 where that model is not convex."""
     u = problem.project(start_values, alpha)
     E = problem.energy(u)
-    lam = math.nan
     res = math.inf
     it = 0
     converged = False
     accepted = True
     model_step = 1.0  # the last line search's model minimizer
     for it in range(1, opts.max_iter + 1):
-        g = problem.gradient(u)
-        mg = problem.mass_gradient(u)
         last = res
-        lam, res = _stationarity(g, mg, u, problem.m.node_weights)
+        check = _check(problem, u)
+        g, mg, res = check.g, check.mg, check.res
         if res < opts.tol:
             converged = True
             break
@@ -499,13 +510,13 @@ def _descend(problem, alpha, start_values, opts):
         assert Et <= E * (1.0 + 1e-14) + 1e-300, "descent must be monotone"
         model_step = _model_step(E, gd, s, Et, _STEP_MIN, 1.0, 1.0)
         u, E = trial, Et
+    lam = check.lam
     if not converged and (res < _POLISH_THRESHOLD or not accepted):
         # a small residual, or an energy landscape flat at this resolution,
         # hands the iterate to the residual-driven polish, with the
         # stationarity check made at u before either break (u has not moved)
         u, lam, res, extra, converged = _polish(
-            problem, alpha, u, opts, opts.max_iter - it,
-            (lam, res, mg, g - lam * mg))
+            problem, alpha, check, opts, opts.max_iter - it)
         it += extra
         E = problem.energy(u)
     return _RunResult(values=u, energy=E, lam=lam, residual=res,
@@ -537,7 +548,7 @@ def _start_pool(problem, opts, initial):
     """Every start of :func:`default_starts` in order, without end."""
     m = problem.m
     if initial is not None:
-        yield np.asarray(getattr(initial, "values", initial), dtype=float)
+        yield _conform(initial, m, finite=True)
     else:
         yield np.abs(quadratic_eigenvector(problem))
         r_plateau = m.inner_radius - 1.0 - 3.0 * max(m.spacing)
@@ -585,33 +596,22 @@ def _pick_best(runs):
 def solve_E(F, m, alpha, opts=None, initial=None):
     """Minimize the gradient modular at zero-order modular alpha.
 
-    Runs projected-descent starts one at a time (see
-    :func:`minimize_with_restarts`): by default up to MAX_STARTS, stopping
-    as soon as two converged runs agree in energy to opts.tol relative;
-    ``SolveOptions(restarts=N)`` forces exactly N.  Returns the
-    lowest-energy converged run (all runs, flagged unconverged, if none
-    converges), with the converged runs' relative energy spread as
-    ``restart_spread``.  ``initial`` warm-starts the first run.  A
-    non-finite or non-positive alpha raises ConfigError; a minimizer whose
-    modular misses alpha by more than 1e-10 relative raises OrliczError.
-    """
-    return minimize_with_restarts(Problem(F, m), alpha,
-                                  opts or SolveOptions(), initial)
-
-
-def minimize_with_restarts(problem, alpha, opts, initial=None):
-    """Descend from the starts of :func:`default_starts`, one at a time.
-
+    Descends from the starts of :func:`default_starts`, one at a time.
     With ``opts.restarts`` None the pool holds MAX_STARTS starts, and the
     solve stops after the first converged run whose energy agrees with an
     earlier converged run's within opts.tol relative,
     |E_i - E_j| <= tol max(|E_i|, |E_j|); unconverged runs never count as
-    agreement.  An integer ``opts.restarts`` runs exactly that many starts.
-    A restarts or max_iter below 1, a negative seed and a tol that is not
-    finite and positive raise ConfigError.  The lowest-energy run among
-    those made is returned (see ``_pick_best``), with ``restarts_used`` runs
-    and the converged runs' energies in ``restart_energies``.
+    agreement.  ``SolveOptions(restarts=N)`` runs exactly N starts.
+    ``initial``, one finite value per interior node of m (else
+    ConformanceError), warm-starts the first run.  Returns the lowest-energy
+    converged run (all runs, flagged unconverged, if none converges), with
+    the converged runs' energies in ``restart_energies``.  A non-finite or
+    non-positive alpha, a restarts or max_iter below 1, a negative seed and
+    a tol that is not finite and positive raise ConfigError; a minimizer
+    whose modular misses alpha by more than 1e-10 relative raises
+    OrliczError.
     """
+    opts = opts or SolveOptions()
     _check_alpha(alpha)
     if opts.restarts is not None and not opts.restarts >= 1:
         raise ConfigError(f"restarts must be at least 1, got {opts.restarts}")
@@ -621,6 +621,7 @@ def minimize_with_restarts(problem, alpha, opts, initial=None):
         raise ConfigError(f"max_iter must be at least 1, got {opts.max_iter}")
     if not opts.seed >= 0:
         raise ConfigError(f"seed must be at least 0, got {opts.seed}")
+    problem = Problem(F, m)
     runs, energies = [], []
     for start in default_starts(problem, opts, initial):
         run = _descend(problem, alpha, start, opts)
@@ -634,14 +635,13 @@ def minimize_with_restarts(problem, alpha, opts, initial=None):
         if agreed and opts.restarts is None:
             break
     best = _pick_best(runs)
-    u = ScalarField(best.values, problem.m)
-    achieved = modular(problem.F, best.values, problem.m)
+    achieved = modular(F, best.values, m)
     if not abs(achieved - alpha) <= 1e-10 * alpha:
         raise OrliczError(
             f"minimizer misses the constraint: modular {achieved!r} "
             f"for alpha = {alpha!r}")
     return MinimizerResult(
-        u=u, alpha=achieved, energy=best.energy, lam=best.lam,
+        u=ScalarField(best.values, m), alpha=achieved, energy=best.energy, lam=best.lam,
         residual=best.residual, iterations=best.iterations,
         converged=best.converged, restarts_used=len(runs),
         restart_energies=energies)

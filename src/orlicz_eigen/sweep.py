@@ -111,8 +111,7 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
                          initial=prev if start is None else start)
         if result.converged and warm:
             prev = result.u
-            values = np.asarray(getattr(prev, "values", prev), dtype=float)
-            branch = branch[-3:] + [(x, values)]  # up to four minimizers
+            branch = branch[-3:] + [(x, prev.values)]  # up to four minimizers
         else:
             branch = []
         records.append(SweepRecord(
@@ -217,7 +216,7 @@ def check_bounds(records, p, slack=1e-9):
     }
 
 
-def _extrapolate(xs, ys):
+def _extrapolate(ys):
     """Richardson-style extrapolation of y(x) as x runs to its endpoint:
     Aitken's delta-squared on the last three samples, falling back to the
     last value when the sequence has effectively converged."""
@@ -263,8 +262,7 @@ def estimate_limits(F, m, records, endpoint, opts=None, estimate=None):
     tail = [r for r in ordered if r.converged][-3:]
     if len(tail) < 3:
         raise ConfigError("need at least 3 converged records to extrapolate")
-    quotients = [r.quotient for r in tail]
-    extrapolated = _extrapolate([r.alpha for r in tail], quotients)
+    extrapolated = _extrapolate([r.quotient for r in tail])
     # quotient at alpha = 1; constant by homogeneity
     reference = _power_reference(est.exponent, m, opts).energy
     gap = abs(extrapolated - reference) / reference

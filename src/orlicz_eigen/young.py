@@ -632,14 +632,14 @@ def complementary_function(F, label=None):
 
 def modular(F, u, m):
     """Quadrature approximation of the zero-order modular of |u| over m."""
-    values = _conform(u, m)
+    values = _conform(u, m, finite=True)
     return float(np.dot(m.node_weights, F.A(np.abs(values))))
 
 
 def luxemburg_norm(F, u, m):
     """Infimal k > 0 with modular(F, u/k, m) <= 1: k = 1/r for the radius r
     with modular(F, r u, m) = 1 (see ``_normalize``)."""
-    values = _conform(u, m)
+    values = _conform(u, m, finite=True)
     if not np.any(values):
         return 0.0
     return 1.0 / _normalize(F, np.abs(values), m.node_weights, 1.0).r_alpha

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -145,6 +146,19 @@ def test_inspect_sum_of_powers(capsys):
         pytest.approx(2.0, abs=1e-2)
     assert payload["matuszewska"]["infinity"]["exponent"] == \
         pytest.approx(4.0, abs=1e-2)
+
+
+def test_inspect_reports_a_divergent_index_for_a_non_doubling_function(
+        capsys):
+    # Delta_2 fails at infinity for e^t - 1 - t, so the global index is
+    # infinite although the index at zero is finite; `sweep --check bounds`
+    # rejects this function through the same index
+    code, out, _ = run(capsys, "inspect", "--young", EXP2)
+    assert code == 0
+    payload = json.loads(out)
+    assert math.isfinite(payload["delta2"]["zero"]["p_index"])
+    assert payload["delta2"]["infinity"]["p_index"] == math.inf
+    assert payload["p_index"] == math.inf
 
 
 def test_solve_json_and_csv(capsys, tmp_path):

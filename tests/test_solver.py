@@ -12,7 +12,8 @@ import pytest
 import scipy.linalg
 
 from orlicz_eigen.errors import (BracketRangeError, ConfigError,
-                                 OrliczError, ZeroDenominatorError)
+                                 ConformanceError, OrliczError,
+                                 ZeroDenominatorError)
 from orlicz_eigen import solver, young
 from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.mesh import Mesh, bump_field
@@ -20,7 +21,8 @@ from orlicz_eigen.solver import (Problem, SolveOptions, energy,
                                  energy_gradient, lagrange_quotient,
                                  mass_gradient, phi_root, solve_E,
                                  weak_residual)
-from orlicz_eigen.young import SATURATION, YoungFunction, modular
+from orlicz_eigen.young import (SATURATION, YoungFunction, luxemburg_norm,
+                                modular)
 
 import oracles
 
@@ -243,6 +245,37 @@ def test_normalization_range_errors(m200):
         phi_root(F, m200.field(1e-290 * ones), m200, 1.0)
     with pytest.raises(BracketRangeError):
         phi_root(F, m200.field(1e290 * ones), m200, 1.0)
+
+
+# -- fields entering from outside --------------------------------------------
+
+def _nan_field(m):
+    values = np.ones(m.interior_count)
+    values[3] = math.nan
+    return values
+
+
+def test_solve_rejects_an_initial_field_that_does_not_conform(m200):
+    # a wrong length is not a numpy broadcasting error, and a NaN is not
+    # a bracketing failure of the projection's radius
+    F = YoungFunction.sum_of_powers(2, 4)
+    for initial in (np.ones(m200.interior_count + 1), _nan_field(m200)):
+        with pytest.raises(ConformanceError):
+            solve_E(F, m200, 1.0, SolveOptions(restarts=1), initial=initial)
+
+
+def test_phi_root_rejects_a_field_that_does_not_conform(m200):
+    F = YoungFunction.sum_of_powers(2, 4)
+    for u in (np.ones(m200.interior_count - 1), _nan_field(m200)):
+        with pytest.raises(ConformanceError):
+            phi_root(F, u, m200, 1.0)
+
+
+@pytest.mark.parametrize("fn", [modular, luxemburg_norm])
+def test_modulars_reject_a_field_with_a_nan(m200, fn):
+    # the modular of a NaN field read 1e300 instead of failing
+    with pytest.raises(ConformanceError):
+        fn(YoungFunction.sum_of_powers(2, 4), _nan_field(m200), m200)
 
 
 # -- gradients and residuals ------------------------------------------------
@@ -508,15 +541,19 @@ def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
 @pytest.mark.parametrize("alpha", [1e-4, 1.0, 1e4])
 def test_polish_starts_from_the_descents_last_check(m200, monkeypatch,
                                                     alpha):
-    # the (lam, residual, mass gradient, defect) the descent hands over
-    # are those the polish would compute at the same iterate
+    # the check the descent hands over is the one the polish would make at
+    # the same iterate, bit for bit, and both polish alike from it
     polish, runs = solver._polish, []
 
-    def both(problem, alpha, u, opts, budget, state):
-        handed = polish(problem, alpha, u, opts, budget, state)
-        fresh = polish(problem, alpha, u, opts, budget)
-        assert np.array_equal(handed[0], fresh[0])
-        assert handed[1:] == fresh[1:]
+    def both(problem, alpha, check, opts, budget):
+        fresh = solver._check(problem, check.values)
+        for name in ("values", "g", "mg", "defect"):
+            assert np.array_equal(getattr(check, name), getattr(fresh, name))
+        assert (check.lam, check.res) == (fresh.lam, fresh.res)
+        handed = polish(problem, alpha, check, opts, budget)
+        again = polish(problem, alpha, fresh, opts, budget)
+        assert np.array_equal(handed[0], again[0])
+        assert handed[1:] == again[1:]
         runs.append(handed)
         return handed
     monkeypatch.setattr(solver, "_polish", both)
@@ -561,8 +598,8 @@ def test_polish_halves_when_the_model_trial_fails():
     residuals = [math.sin(0.1)]
     for budget in (1, 2, 3):
         problem = _TurnedGradient()
-        u, lam, res, it, converged = solver._polish(problem, 1.0, u0, opts,
-                                                    budget)
+        u, lam, res, it, converged = solver._polish(
+            problem, 1.0, solver._check(problem, u0), opts, budget)
         assert res <= residuals[-1]
         residuals.append(res)
         if budget == 1:
@@ -574,6 +611,35 @@ def test_polish_halves_when_the_model_trial_fails():
             assert it == 2 and np.array_equal(u, [1.0, 0.25])
         assert not converged
     assert residuals[1] == pytest.approx(math.sin(0.075), rel=1e-12)
+
+
+def test_a_failed_line_search_hands_the_unmoved_check_to_the_polish(
+        monkeypatch):
+    # an energy finite only at the start never passes Armijo, so the line
+    # search halves to its floor and the polish starts from the check made
+    # at the start, which the descent has not moved
+    problem = _ScaledQuartic(3.0)
+    energies = iter([0.25])
+    monkeypatch.setattr(problem, "energy",
+                        lambda values: next(energies, math.inf))
+    handed = []
+
+    def polish(problem, alpha, check, opts, budget):
+        handed.append((check, budget))
+        return check.values, check.lam, check.res, 0, False
+    monkeypatch.setattr(solver, "_polish", polish)
+    run = solver._descend(problem, 1.0, np.array([1.0, 1.0]),
+                          SolveOptions(max_iter=5))
+    [(check, budget)] = handed
+    fresh = solver._check(problem, np.array([1.0, 1.0]))
+    for name in ("values", "g", "mg", "defect"):
+        assert np.array_equal(getattr(check, name), getattr(fresh, name))
+    assert (check.lam, check.res) == (fresh.lam, fresh.res) == \
+        (1.0, math.sqrt(2.0))
+    assert budget == 4 and run.iterations == 1 and not run.converged
+    # the start's projection, then the trials s = 1, 1/2, ..., 2^-59
+    assert len(problem.steps) == 61
+    assert problem.steps[:4] == pytest.approx([0.0, 1.0, 0.5, 0.25])
 
 
 # -- line search -------------------------------------------------------------

@@ -119,6 +119,23 @@ def test_check_bounds_needs_alpha_one(m200):
         check_bounds(recs, 2.0)
 
 
+def test_energy_at_one_interpolates_log_log_off_the_grid():
+    # a grid that brackets alpha = 1 without holding it: E = 3 alpha^2 is a
+    # line in log-log, so E(1) = 3 up to rounding, and the records the
+    # bounds check has seen carry its verdicts in their dicts
+    keys = ("ok_energy", "ok_eigenvalue", "ok_quotient")
+    records = [SweepRecord(alpha=a, energy=3.0 * a * a, quotient=3.0 * a,
+                           lam=6.0 * a, converged=True, residual=0.0)
+               for a in (0.25, 0.5, 2.0, 4.0)]
+    assert not any(k in records[1].as_dict() for k in keys)
+    report = check_bounds(records, 2.0)
+    assert report["energy_at_one"] == pytest.approx(3.0, rel=1e-14)
+    assert report["overall_pass"] and report["records_checked"] == 4
+    row = records[1].as_dict()
+    assert [row[k] for k in keys] == [True, True, True]
+    assert row["alpha"] == 0.5 and row["energy"] == 0.75
+
+
 def test_estimate_limits_power_gap_zero(m200):
     F = YoungFunction.power(2)
     recs = run_sweep(F, m200, geometric_grid(0.1, 10.0, 5))
