@@ -5,7 +5,9 @@ The descent engine keeps every iterate exactly feasible: each trial step is
 rescaled back onto the constraint by the root of the monotone normalization
 map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
-stiffness solve and projected onto the constraint tangent.
+stiffness solve and projected onto the constraint tangent.  Each solve is
+one :class:`Problem` of one Young function and one mesh, which keeps the
+row memo that its energy, gradient and stiffness share.
 One engine, energy, gradient and stiffness serve every mesh, the
 fractional :class:`orlicz_eigen.fractional.NonlocalMesh` included: each sums
 over the row blocks of the mesh (``m.blocks``), a block being difference
@@ -118,31 +120,26 @@ class MinimizerResult:
 
 # -- local quadratures and assembly ----------------------------------------
 
-def _regularized_coef(F, g):
-    gr = np.maximum(g, EPS_GRAD)
-    return F.a(gr) / gr
-
-
 def energy(F, u, m, *, cells=None):
     """Quadrature sum_e w_e A(|B_e u|) over the rows of each block of m,
-    with the block's Young function.  ``cells`` is the lagged stiffness of
+    with the block's Young function.  ``cells`` is the :class:`Problem` of
     the running solve, whose row memo keeps B u for the gradient and the
-    band at the same field."""
-    values = _conform(u, m)
-    g = (cells or _LaggedStiffness(m)).at(values).g
+    band at the same field; without it, u must be finite."""
+    values = _conform(u, m, finite=cells is None)
+    g = (cells or Problem(F, m)).at(values).g
     return sum(float(np.dot(b.cell_weights, b.young(F).A(gk)))
                for b, gk in zip(m.blocks, g))
 
 
 def energy_gradient(F, u, m, *, cells=None):
     """Nodal gradient sum over the blocks of B^T (w a(g)/g B u) of the
-    discrete energy.  ``cells`` is the lagged stiffness of the running
+    discrete energy.  ``cells`` is the :class:`Problem` of the running
     solve, whose memo of B u and a(g)/g the energy and the preconditioner
-    at the same field share."""
-    values = _conform(u, m)
-    cells = (cells or _LaggedStiffness(m)).at(values)
+    at the same field share; without it, u must be finite."""
+    values = _conform(u, m, finite=cells is None)
+    cells = (cells or Problem(F, m)).at(values)
     return sum(b.transpose((c * slopes * b.flux_weights).ravel())
-               for b, c, slopes in zip(m.blocks, cells.coefficients(F),
+               for b, c, slopes in zip(m.blocks, cells.coefficients(),
                                        cells.slopes))
 
 
@@ -155,12 +152,12 @@ def mass_gradient(F, u, m):
 
 def lagrange_quotient(F, u, m):
     """lambda = int a(|grad u|)|grad u| / int a(|u|)|u| by quadrature."""
-    return _check(Problem(F, m), _conform(u, m)).lam
+    return _check(Problem(F, m), _conform(u, m, finite=True)).lam
 
 
 def weak_residual(F, u, lam, m):
     """Normalized quadrature-weighted norm of the nodal weak-form defect."""
-    return _check(Problem(F, m), _conform(u, m), lam).res
+    return _check(Problem(F, m), _conform(u, m, finite=True), lam).res
 
 
 @dataclass
@@ -230,7 +227,7 @@ def phi_root(F, u, m, alpha, r0=1.0):
     return _normalize(F, np.abs(values), m.node_weights, alpha, r0)
 
 
-# -- preconditioners -------------------------------------------------------
+# -- one solve: row memo, stiffness and projection -------------------------
 
 def _lifted(x, keep=0.0, least=0.0):
     """x, or a copy in which each entry that is not finite or not above
@@ -244,9 +241,14 @@ def _lifted(x, keep=0.0, least=0.0):
     return np.where(ok & (x > keep * top), x, 1e-10 * top)
 
 
-class _LaggedStiffness:
-    """Lagged-coefficient stiffness solves of one solve: the Cholesky
-    factor of the sum over the mesh's row blocks of B^T diag(w a(g)/g) B
+class Problem:
+    """One solve as the descent engine reads it, of the Young function F
+    on the mesh m: the energy over the row blocks of m and its gradient,
+    looked up in this module at each call (so a wrapper on ``energy`` or
+    ``energy_gradient`` sees them), the mass gradient and the projection
+    over the nodes of m, and the lagged-coefficient stiffness solves.
+
+    The stiffness is the sum over the row blocks of B^T diag(w a(g)/g) B
     (cells, triangles, nonlocal pairs and the nonlocal exterior alike),
     each assembled by its block's ``band`` straight into upper banded
     storage.  A block of smaller bandwidth (the exterior holds only the
@@ -254,41 +256,53 @@ class _LaggedStiffness:
 
     A one-entry row memo, keyed on the field's contents, keeps per block
     B u (``slopes``) and g = |B u| of the last field seen, and on top of
-    it, for the last Young function asked, each block's a(g)/g.  The
-    line-search energy of a trial fills it; once the trial is accepted, the
-    gradient and the band built there read it instead of touching the rows
-    again.  Any other field (a rejected trial's successor, or an array
-    changed in place) misses the key and resets the memo.
+    it each block's a(g)/g.  The line-search energy of a trial fills it;
+    once the trial is accepted, the gradient and the band built there read
+    it instead of touching the rows again.  Any other field (a rejected
+    trial's successor, or an array changed in place) misses the key and
+    resets the memo.
     """
 
-    def __init__(self, m):
+    def __init__(self, F, m):
+        self.F = F
         self.m = m
-        self._values = self.slopes = self.g = None
-        self._F = self._coefs = None
+        self._values = self.slopes = self.g = self._coefs = None
 
     def at(self, values):
         """The memo at ``values``, a conforming float array: B u and |B u|
         are recomputed only when its contents differ from the last field's.
         """
-        last = self._values
-        if (last is None or last.shape != values.shape
-                or not (last == values).all()):
+        if self._values is None or not (self._values == values).all():
             self._values = values.copy()
             self.slopes = [cell_gradients(values, b) for b in self.m.blocks]
             self.g = [gradient_magnitudes(x) for x in self.slopes]
-            self._F = self._coefs = None
+            self._coefs = None
         return self
 
-    def coefficients(self, F):
+    def coefficients(self):
         """a(g)/g of each block at the memo's field, with the block's Young
         function, regularized at vanishing g."""
-        if self._F is not F:
-            self._F = F
-            self._coefs = [_regularized_coef(b.young(F), g)
-                           for b, g in zip(self.m.blocks, self.g)]
+        if self._coefs is None:
+            gr = [np.maximum(g, EPS_GRAD) for g in self.g]
+            self._coefs = [b.young(self.F).a(x) / x
+                           for b, x in zip(self.m.blocks, gr)]
         return self._coefs
 
-    def band(self, F, values, keep=0.0):
+    def energy(self, values):
+        return energy(self.F, values, self.m, cells=self)
+
+    def gradient(self, values):
+        return energy_gradient(self.F, values, self.m, cells=self)
+
+    def mass_gradient(self, values):
+        return mass_gradient(self.F, values, self.m)
+
+    def project(self, values, alpha, r0=1.0):
+        norm = _normalize(self.F, np.abs(values), self.m.node_weights,
+                          alpha, r0)
+        return values * norm.r_alpha
+
+    def band(self, values, keep=0.0):
         """Upper banded storage, (bandwidth + 1) x n, of the stiffness at
         ``values``.  Zero (underflowed) or non-finite coefficients a(g)/g,
         and those not above ``keep`` times the largest of their block, are
@@ -296,18 +310,18 @@ class _LaggedStiffness:
         entries."""
         self.at(values)
         ab, *rest = (b.band((_lifted(c, keep) * b.band_weights).ravel())
-                     for b, c in zip(self.m.blocks, self.coefficients(F)))
+                     for b, c in zip(self.m.blocks, self.coefficients()))
         for part in rest:
             ab[-len(part):] += part
         ab[-1] = _lifted(ab[-1], least=1e-280)
         return ab
 
-    def build(self, F, values):
+    def preconditioner(self, values):
         # a Fortran-order copy of the band is factored in place; coefficients
         # spread past the working precision cancel a pivot of a weakly dominant
         # band (1D cells, steep exp_minus_poly): retry within 1e10 of the max
         for keep in (0.0, 1e-10):
-            ab = _finite(np.array(self.band(F, values, keep), order="F"))
+            ab = _finite(np.array(self.band(values, keep), order="F"))
             cho, info = _PBTRF(ab, overwrite_ab=1)
             if info <= 0:
                 break
@@ -332,36 +346,6 @@ def _finite(x, info=0):
 
 
 # -- descent engine --------------------------------------------------------
-
-class Problem:
-    """One solve as the descent engine reads it: the energy over the row
-    blocks of the mesh m and its gradient, which share the row memo of the
-    lagged stiffness solves ``_precond`` and are looked up in this module at
-    each call (so a wrapper on ``energy`` or ``energy_gradient`` sees them),
-    and the mass gradient and the projection over the nodes of m."""
-
-    def __init__(self, F, m):
-        self.F = F
-        self.m = m
-        self._precond = _LaggedStiffness(m)
-
-    def energy(self, values):
-        return energy(self.F, values, self.m, cells=self._precond)
-
-    def gradient(self, values):
-        return energy_gradient(self.F, values, self.m, cells=self._precond)
-
-    def mass_gradient(self, values):
-        return mass_gradient(self.F, values, self.m)
-
-    def project(self, values, alpha, r0=1.0):
-        norm = _normalize(self.F, np.abs(values), self.m.node_weights,
-                          alpha, r0)
-        return values * norm.r_alpha
-
-    def preconditioner(self, values):
-        return self._precond.build(self.F, values)
-
 
 @dataclass
 class _RunResult:
@@ -533,24 +517,17 @@ def _smooth(values, passes=10):
     return padded[1:-1]
 
 
-def default_starts(problem, opts, initial=None):
-    """Multistart pool: warm start if given, else the quadratic-case first
-    eigenvector, a plateau profile where the geometry admits one, and
-    smoothed positive random fields; opts.restarts of them, or MAX_STARTS
-    when it is None.  Each start is made when the iterator reaches it, so
-    a solve that stops early builds no more; the random fields come from
-    one generator seeded with opts.seed, in a fixed order."""
-    n = MAX_STARTS if opts.restarts is None else opts.restarts
-    return itertools.islice(_start_pool(problem, opts, initial), n)
-
-
-def _start_pool(problem, opts, initial):
-    """Every start of :func:`default_starts` in order, without end."""
-    m = problem.m
+def _start_pool(m, opts, initial):
+    """Multistart pool, without end: the warm start if given, else the
+    quadratic-case first eigenvector and a plateau profile where the
+    geometry admits one, then smoothed positive random fields.  Each start
+    is made when the iterator reaches it, so a solve that stops early
+    builds no more; the random fields come from one generator seeded with
+    opts.seed, in a fixed order."""
     if initial is not None:
         yield _conform(initial, m, finite=True)
     else:
-        yield np.abs(quadratic_eigenvector(problem))
+        yield np.abs(quadratic_eigenvector(m))
         r_plateau = m.inner_radius - 1.0 - 3.0 * max(m.spacing)
         if r_plateau > max(m.spacing):
             try:
@@ -567,12 +544,11 @@ def _start_pool(problem, opts, initial):
         yield raw + 1e-3
 
 
-def quadratic_eigenvector(problem, iterations=100):
-    """First eigenvector of the p=2 discretization by inverse power
-    iteration with the problem's own stiffness solve."""
-    m = problem.m
-    solve = problem._precond.build(YoungFunction.power(2),
-                                   np.ones(m.interior_count))
+def quadratic_eigenvector(m, iterations=100):
+    """First eigenvector of the p=2 discretization of m by inverse power
+    iteration with the stiffness solve of its own p=2 :class:`Problem`."""
+    solve = Problem(YoungFunction.power(2), m).preconditioner(
+        np.ones(m.interior_count))
     v = np.ones(m.interior_count)
     v /= math.sqrt(float(np.dot(m.node_weights, v * v)))
     lam_old = math.inf
@@ -596,7 +572,7 @@ def _pick_best(runs):
 def solve_E(F, m, alpha, opts=None, initial=None):
     """Minimize the gradient modular at zero-order modular alpha.
 
-    Descends from the starts of :func:`default_starts`, one at a time.
+    Descends from the starts of :func:`_start_pool`, one at a time.
     With ``opts.restarts`` None the pool holds MAX_STARTS starts, and the
     solve stops after the first converged run whose energy agrees with an
     earlier converged run's within opts.tol relative,
@@ -623,7 +599,8 @@ def solve_E(F, m, alpha, opts=None, initial=None):
         raise ConfigError(f"seed must be at least 0, got {opts.seed}")
     problem = Problem(F, m)
     runs, energies = [], []
-    for start in default_starts(problem, opts, initial):
+    n = MAX_STARTS if opts.restarts is None else opts.restarts
+    for start in itertools.islice(_start_pool(m, opts, initial), n):
         run = _descend(problem, alpha, start, opts)
         runs.append(run)
         if not run.converged:

@@ -10,9 +10,9 @@ from orlicz_eigen.errors import ConfigError, ConformanceError
 from orlicz_eigen.fractional import (NonlocalMesh, _primitive,
                                      _primitive_by_rule)
 from orlicz_eigen.mesh import Mesh
-from orlicz_eigen.solver import (EPS_GRAD, SolveOptions, _LaggedStiffness,
-                                 energy, energy_gradient, lagrange_quotient,
-                                 solve_E, weak_residual)
+from orlicz_eigen.solver import (EPS_GRAD, Problem, SolveOptions, energy,
+                                 energy_gradient, lagrange_quotient, solve_E,
+                                 weak_residual)
 from orlicz_eigen.young import YoungFunction, modular
 
 import oracles
@@ -68,9 +68,9 @@ def test_from_config_rejects_r_cut():
 
 
 def _dense_stiffness(F, u, nm, cells=None):
-    """The lagged stiffness of a solve (``cells``, or a fresh one), read
-    out of its upper band."""
-    ab = (cells or _LaggedStiffness(nm)).band(F, u)
+    """The lagged stiffness of a solve (the Problem ``cells``, or a fresh
+    one), read out of its upper band."""
+    ab = (cells or Problem(F, nm)).band(u)
     b = ab.shape[0] - 1
     K = sum(np.diag(ab[b - k, k:], k) for k in range(1, b + 1))
     return K + K.T + np.diag(ab[b])
@@ -291,14 +291,14 @@ def test_band_finite_and_build_solves_dense_stiffness(n, monkeypatch):
     nm = NonlocalMesh(1.0, n, 0.5)
     rng = np.random.default_rng(n)
     u, rhs = rng.standard_normal(n), rng.standard_normal(n)
-    cells = _LaggedStiffness(nm)
+    cells = Problem(F, nm)
     K = _dense_stiffness(F, u, nm, cells)  # fills the memo
     with monkeypatch.context() as mp:
         # an entry the assembly leaves unwritten would keep its NaN
         mp.setattr(np, "empty", lambda shape: np.full(shape, np.nan))
-        ab = cells.band(F, u)
+        ab = cells.band(u)
     assert np.all(np.isfinite(ab))
-    x = cells.build(F, u)(rhs)
+    x = cells.preconditioner(u)(rhs)
     ref = np.linalg.solve(K, rhs)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -334,7 +334,7 @@ def test_stiffness_guards_vanishing_rows():
     d = np.diag(K)
     assert np.all(K == np.diag(d)) and np.all(d > 0.0)
     assert np.all(np.isfinite(
-        _LaggedStiffness(nm).build(F, u)(np.ones(nm.interior_count))))
+        Problem(F, nm).preconditioner(u)(np.ones(nm.interior_count))))
 
 
 def _grid(L, N):
@@ -439,38 +439,41 @@ def test_discrete_halo_converges_to_exterior_term(F, s):
 def test_pair_memo_never_stale():
     nm = NonlocalMesh(1.0, 21, 0.5)
     F2, F4 = YoungFunction.power(2), YoungFunction.power(4)
-    cells = _LaggedStiffness(nm)
+    problems = {id(F): Problem(F, nm) for F in (F2, F4)}
     rng = np.random.default_rng(5)
     u = rng.standard_normal(nm.interior_count)
 
     def stiffness(F, u):
-        return _dense_stiffness(F, u, nm, cells)
+        return _dense_stiffness(F, u, nm, problems[id(F)])
 
     def memo_energy(F, u):
         # the line-search energy fills the memo the gradient then reads
-        E = energy(F, u, nm, cells=cells)
+        E = energy(F, u, nm, cells=problems[id(F)])
         assert E == energy(F, u.copy(), nm)
         return E
 
+    def memo_gradient(F, u):
+        return energy_gradient(F, u, nm, cells=problems[id(F)])
+
     for F in (F2, F4, F2):
-        # same field, another Young function on the same mesh
+        # same field, each Young function with its own Problem on the mesh
         E, g, K = _dense_reference(F, u, nm)
         assert memo_energy(F, u) == pytest.approx(E, rel=1e-13)
-        assert _close(energy_gradient(F, u, nm, cells=cells), g)
+        assert _close(memo_gradient(F, u), g)
         assert _close(stiffness(F, u), K)
     # the field changed in place under the memo
     u[3] += 0.5
     E, g, K = _dense_reference(F2, u, nm)
     assert memo_energy(F2, u) == pytest.approx(E, rel=1e-13)
     assert _close(stiffness(F2, u), K)
-    assert _close(energy_gradient(F2, u, nm, cells=cells), g)
+    assert _close(memo_gradient(F2, u), g)
     # a rejected trial between the gradient and the band at u
     memo_energy(F2, 3.0 * u)
     assert _close(stiffness(F2, u), K)
     # a gradient through the module call shares the solve's assembly
     u *= 2.0
     _, g, K = _dense_reference(F4, u, nm)
-    assert _close(energy_gradient(F4, u, nm, cells=cells), g)
+    assert _close(memo_gradient(F4, u), g)
     assert _close(stiffness(F4, u), K)
 
 
@@ -483,13 +486,13 @@ def test_exterior_coefficient_once_per_gradient_and_build(monkeypatch):
     A = F.A
     monkeypatch.setattr(F, "A", lambda t: calls.append(1) or A(t))
     u = np.random.default_rng(8).standard_normal(nm.interior_count)
-    cells = _LaggedStiffness(nm)
+    cells = Problem(F, nm)
     g = energy_gradient(F, u, nm, cells=cells)
-    x = cells.build(F, u)(u)
+    x = cells.preconditioner(u)(u)
     assert len(calls) == 1
     calls.clear()
     assert _close(energy_gradient(F, u, nm), g)
-    assert np.array_equal(_LaggedStiffness(nm).build(F, u)(u), x)
+    assert np.array_equal(Problem(F, nm).preconditioner(u)(u), x)
     assert len(calls) == 2  # without the memo: once each
 
 

@@ -2,6 +2,7 @@
 
 import decimal
 import importlib.util
+import itertools
 import math
 import re
 import sys
@@ -276,6 +277,23 @@ def test_modulars_reject_a_field_with_a_nan(m200, fn):
     # the modular of a NaN field read 1e300 instead of failing
     with pytest.raises(ConformanceError):
         fn(YoungFunction.sum_of_powers(2, 4), _nan_field(m200), m200)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("m", [Mesh.interval(1.0, 20),
+                               NonlocalMesh(1.0, 20, 0.5)],
+                         ids=["interval", "nonlocal"])
+@pytest.mark.parametrize("fn", [
+    energy, energy_gradient, lagrange_quotient,
+    lambda F, u, m: weak_residual(F, u, 1.0, m)],
+    ids=["energy", "energy_gradient", "lagrange_quotient", "weak_residual"])
+def test_public_entries_reject_a_non_finite_field(fn, m, bad):
+    # a NaN read 1e299 as the energy, NaN gradient entries, a quotient
+    # with a zero denominator and an inf residual instead of failing
+    u = np.ones(m.interior_count)
+    u[3] = bad
+    with pytest.raises(ConformanceError):
+        fn(YoungFunction.sum_of_powers(2, 4), u, m)
 
 
 # -- gradients and residuals ------------------------------------------------
@@ -613,6 +631,22 @@ def test_polish_halves_when_the_model_trial_fails():
     assert residuals[1] == pytest.approx(math.sin(0.075), rel=1e-12)
 
 
+@pytest.mark.parametrize("iterate", [np.zeros(2), np.array([np.nan, 1.0])],
+                         ids=["zero", "nan"])
+def test_polish_stops_on_a_zero_or_non_finite_inverse_iterate(iterate):
+    # an inverse iterate that cannot be projected ends the polish at u,
+    # before any trial
+    problem = _TurnedGradient()
+    problem.preconditioner = lambda values: lambda rhs: iterate
+    u0 = np.array([1.0, 0.0])
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, u0), SolveOptions(), 5)
+    assert problem.trials == [] and np.array_equal(u, u0)
+    assert lam == pytest.approx(math.cos(0.1), rel=1e-15)
+    assert res == pytest.approx(math.sin(0.1), rel=1e-15)
+    assert it == 1 and not converged
+
+
 def test_a_failed_line_search_hands_the_unmoved_check_to_the_polish(
         monkeypatch):
     # an energy finite only at the start never passes Armijo, so the line
@@ -722,6 +756,33 @@ def test_line_search_after_a_stall_starts_at_the_model_step(monkeypatch):
     assert run.energy == pytest.approx(trials[-1] ** 4 / 4.0, rel=1e-12)
 
 
+def test_descent_falls_back_to_the_unprojected_direction():
+    # a solve by the skew matrix S = [[1, 1], [2, 1]] turns the projected
+    # direction y^3 (0, -1) uphill; its unprojected y^3 (1, 1) is taken
+    # instead: the unit trial (0, 0) has no projection, the halved one is
+    # accepted
+    problem = _ScaledQuartic(1.0)
+    skew = np.array([[1.0, 1.0], [2.0, 1.0]])
+    problem.preconditioner = lambda values: lambda rhs: skew @ rhs
+    run = solver._descend(problem, 1.0, np.array([1.0, 1.0]),
+                          SolveOptions(max_iter=1))
+    assert problem.steps == [0.0, 0.5]
+    assert np.array_equal(run.values, [0.5, 0.5])
+    assert run.energy == 0.5 ** 4 / 4.0
+
+
+def test_descent_stops_when_no_direction_descends():
+    # a negative solve makes both the projected and the unprojected slope
+    # negative: the descent stops at its start, without a trial
+    problem = _ScaledQuartic(-1.0)
+    run = solver._descend(problem, 1.0, np.array([1.0, 1.0]),
+                          SolveOptions(max_iter=5))
+    assert problem.steps == [0.0]  # the start's own projection
+    assert np.array_equal(run.values, [1.0, 1.0])
+    assert run.iterations == 1 and run.energy == 0.25
+    assert not run.converged
+
+
 @pytest.mark.parametrize("curv,step", [
     (0.5, 1.0),    # the minimizer 3 is clamped to 1
     (29.0, 0.1),   # the minimizer 3/58 is clamped to 0.1
@@ -748,26 +809,26 @@ def test_preconditioner_reuses_the_gradients_coefficient(m, monkeypatch):
     rng = np.random.default_rng(3)
     u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
     rhs = rng.standard_normal(m.interior_count)
-    cells = solver._LaggedStiffness(m)
+    cells = Problem(F, m)
     g = energy_gradient(F, u, m, cells=cells)
     assert np.array_equal(g, energy_gradient(F, u, m))
     calls.clear()
-    hit = cells.build(F, u)(rhs)
+    hit = cells.preconditioner(u)(rhs)
     assert calls == []  # same iterate: the gradient's a(g)/g is reused
-    assert np.array_equal(hit, solver._LaggedStiffness(m).build(F, u)(rhs))
+    assert np.array_equal(hit, Problem(F, m).preconditioner(u)(rhs))
     assert len(calls) == 1  # a fresh build evaluates a once
     # an iterate changed in place after the gradient misses the memo
     u[3] *= 1.5
     calls.clear()
-    moved = cells.build(F, u)(rhs)
+    moved = cells.preconditioner(u)(rhs)
     assert len(calls) == 1
-    assert np.array_equal(moved,
-                          solver._LaggedStiffness(m).build(F, u)(rhs))
-    # so does another Young function at the same iterate
-    calls.clear()
+    assert np.array_equal(moved, Problem(F, m).preconditioner(u)(rhs))
+    # another Young function at the same iterate is another Problem, whose
+    # build leaves this memo and its a(g)/g as they are
     G = YoungFunction.power(3)
-    assert np.array_equal(cells.build(G, u)(rhs),
-                          solver._LaggedStiffness(m).build(G, u)(rhs))
+    calls.clear()
+    Problem(G, m).preconditioner(u)
+    assert np.array_equal(cells.preconditioner(u)(rhs), moved)
     assert calls == []
 
 
@@ -786,67 +847,71 @@ def test_energy_shares_the_row_memo(m, monkeypatch):
     rng = np.random.default_rng(4)
     u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
     rhs = rng.standard_normal(m.interior_count)
-    cells = solver._LaggedStiffness(m)
+    cells = Problem(F, m)
 
     def fresh(fn, F, v):
         return fn(F, v.copy(), m)
 
-    def memo(fn, F, v):
-        """fn through the memo, and the passes over the rows it made."""
+    def memo(fn, F, v, problem=cells):
+        """fn through the memo of ``problem``, and the passes over the rows
+        it made."""
         passes.clear()
-        return fn(F, v, m, cells=cells), len(passes)
+        return fn(F, v, m, cells=problem), len(passes)
 
     # a trial, then the gradient and the band once it is accepted
     trial = u - 0.1 * rng.standard_normal(m.interior_count)
     assert memo(energy, F, trial) == (fresh(energy, F, trial), 1)
     g, made = memo(energy_gradient, F, trial)
-    x = cells.build(F, trial)(rhs)
+    x = cells.preconditioner(trial)(rhs)
     assert made == 0 and len(passes) == 0  # one pass per iterate
     assert np.array_equal(g, fresh(energy_gradient, F, trial))
-    assert np.array_equal(x, solver._LaggedStiffness(m).build(F, trial)(rhs))
+    assert np.array_equal(x, Problem(F, m).preconditioner(trial)(rhs))
     # the accepted iterate again, as after a polish
     assert memo(energy, F, trial) == (fresh(energy, F, trial), 0)
     # a rejected trial, then the gradient and band at the iterate it left
     rejected = 3.0 * trial
     assert memo(energy, F, rejected) == (fresh(energy, F, rejected), 1)
     assert np.array_equal(memo(energy_gradient, F, trial)[0], g)
-    assert np.array_equal(cells.build(F, trial)(rhs), x)
+    assert np.array_equal(cells.preconditioner(trial)(rhs), x)
     # a field changed in place under the memo
     trial[2] *= 1.5
     assert memo(energy, F, trial) == (fresh(energy, F, trial), 1)
     got, made = memo(energy_gradient, F, trial)
     assert made == 0
     assert np.array_equal(got, fresh(energy_gradient, F, trial))
-    # a second Young function at the same field reuses B u only
-    assert memo(energy, G, trial) == (fresh(energy, G, trial), 0)
-    got, made = memo(energy_gradient, G, trial)
+    # a second Young function at the same field is a second Problem: one
+    # pass of its own, and the first one's memo still holds the field
+    other = Problem(G, m)
+    assert memo(energy, G, trial, other) == (fresh(energy, G, trial), 1)
+    got, made = memo(energy_gradient, G, trial, other)
     assert made == 0
     assert np.array_equal(got, fresh(energy_gradient, G, trial))
+    assert memo(energy, F, trial) == (fresh(energy, F, trial), 0)
 
 
-def _with_band(m, ab):
-    cells = solver._LaggedStiffness(m)
-    cells.band = lambda F, values, keep=0.0: ab(keep).copy()
-    return cells
+def _with_band(F, m, ab):
+    problem = Problem(F, m)
+    problem.band = lambda values, keep=0.0: ab(keep).copy()
+    return problem
 
 
 def test_build_retries_once_then_raises_linalg_error():
     m = Mesh.interval(1.0, 6)
     F, u = YoungFunction.power(2), np.ones(m.interior_count)
-    good = solver._LaggedStiffness(m).band(F, u)
+    good = Problem(F, m).band(u)
     indefinite = good.copy()
     indefinite[-1, 2] = -1.0
     # the retry with lifted coefficients is factored when it is definite
     keeps = []
-    cells = _with_band(m, lambda keep: keeps.append(keep) or (
+    cells = _with_band(F, m, lambda keep: keeps.append(keep) or (
         indefinite if keep == 0.0 else good))
-    x = cells.build(F, u)(np.ones(m.interior_count))
+    x = cells.preconditioner(u)(np.ones(m.interior_count))
     assert keeps == [0.0, 1e-10] and np.all(np.isfinite(x))
     # and a retry that still fails raises
     keeps.clear()
-    cells = _with_band(m, lambda keep: keeps.append(keep) or indefinite)
+    cells = _with_band(F, m, lambda keep: keeps.append(keep) or indefinite)
     with pytest.raises(np.linalg.LinAlgError):
-        cells.build(F, u)
+        cells.preconditioner(u)
     assert keeps == [0.0, 1e-10]
 
 
@@ -860,14 +925,14 @@ def test_build_factors_and_solves_as_scipy_wrappers(m, monkeypatch):
     F = YoungFunction.sum_of_powers(2, 4)
     rng = np.random.default_rng(m.interior_count)
     u, rhs = (rng.standard_normal(m.interior_count) for _ in range(2))
-    cells = solver._LaggedStiffness(m)
-    band = cells.band(F, u)
+    cells = Problem(F, m)
+    band = cells.band(u)
     kept = band.copy()
-    cells.band = lambda F, values, keep=0.0: band
+    cells.band = lambda values, keep=0.0: band
     factors, pbtrf = [], solver._PBTRF
     monkeypatch.setattr(solver, "_PBTRF", lambda ab, **kw: factors.append(
         pbtrf(ab, **kw)) or factors[-1])
-    x = cells.build(F, u)(rhs)
+    x = cells.preconditioner(u)(rhs)
     cho = scipy.linalg.cholesky_banded(kept, lower=False)
     assert len(factors) == 1 and factors[0][1] == 0
     assert np.array_equal(factors[0][0], cho)
@@ -905,14 +970,14 @@ def test_lapack_loader_names_a_missing_file(tmp_path, monkeypatch):
 def test_build_rejects_a_bad_band_or_right_hand_side(bad):
     m = Mesh.interval(1.0, 6)
     F, u = YoungFunction.power(2), np.ones(m.interior_count)
-    good = solver._LaggedStiffness(m).band(F, u)
+    good = Problem(F, m).band(u)
     # ab[0, 0] is never read by LAPACK; the whole band is checked
     for slot in ((0, 0), (-1, 2), (0, 3)):
         ab = good.copy()
         ab[slot] = bad
         with pytest.raises(ValueError):
-            _with_band(m, lambda keep: ab).build(F, u)
-    solve = _with_band(m, lambda keep: good).build(F, u)
+            _with_band(F, m, lambda keep: ab).preconditioner(u)
+    solve = _with_band(F, m, lambda keep: good).preconditioner(u)
     rhs = np.ones(m.interior_count)
     rhs[1] = bad
     with pytest.raises(ValueError):
@@ -933,7 +998,7 @@ def test_build_rejects_a_non_finite_factor_or_negative_info(factored,
     monkeypatch.setattr(solver, "_PBTRF",
                         lambda ab, **kw: factored(pbtrf(ab, **kw)[0]))
     with pytest.raises(ValueError):
-        solver._LaggedStiffness(m).build(F, u)
+        Problem(F, m).preconditioner(u)
 
 
 def test_stiffness_lifts_a_block_cut_off_by_underflow():
@@ -945,7 +1010,7 @@ def test_stiffness_lifts_a_block_cut_off_by_underflow():
     F = YoungFunction.exp_neg_inv_power(1)
     u = np.full(m.interior_count, 1e-3)
     u[15:25:2] = 1.0
-    x = solver._LaggedStiffness(m).build(F, u)(np.ones(m.interior_count))
+    x = Problem(F, m).preconditioner(u)(np.ones(m.interior_count))
     assert np.all(np.isfinite(x)) and np.max(np.abs(x)) < 1e12
 
 
@@ -958,10 +1023,10 @@ def test_stiffness_refactors_when_the_spread_cancels_a_pivot():
     F = YoungFunction.exp_minus_poly(2)
     u = np.full(m.interior_count, 1e-3)
     u[20] = 8.0
-    cells = solver._LaggedStiffness(m)
+    cells = Problem(F, m)
     with pytest.raises(np.linalg.LinAlgError):
-        scipy.linalg.cholesky_banded(cells.band(F, u), lower=False)
-    x = cells.build(F, u)(np.ones(m.interior_count))
+        scipy.linalg.cholesky_banded(cells.band(u), lower=False)
+    x = cells.preconditioner(u)(np.ones(m.interior_count))
     assert np.all(np.isfinite(x)) and np.all(x > 0.0)
 
 
@@ -977,6 +1042,13 @@ def test_stationarity_of_a_huge_gradient_is_finite():
     # a gradient that is not finite has no residual to speak of
     assert solver._stationarity(np.array([np.inf, 1.0, 2.0]), ones, ones,
                                 ones, lam=1.0)[1] == math.inf
+
+
+def test_stationarity_of_a_zero_gradient_is_inf():
+    # at the quartic's minimizer y = 0 the energy gradient vanishes, and
+    # the defect relative to it has no finite value
+    check = solver._check(_ScaledQuartic(1.0), np.array([1.0, 0.0]))
+    assert check.lam == 0.0 and check.res == math.inf
 
 
 # -- multistart early stop --------------------------------------------------
@@ -1028,18 +1100,17 @@ def test_cold_solve_draws_only_the_starts_it_runs(m200, monkeypatch):
 def test_start_pool_is_the_seeded_draw_in_order(m200, seed):
     # the quadratic eigenvector, then smoothed |N(0, 1)| fields plus 1e-3
     # from one generator of the seed, all drawn up front here
-    problem = Problem(YoungFunction.sum_of_powers(2, 4), m200)
-    opts = SolveOptions(restarts=5, seed=seed)
-    got = list(solver.default_starts(problem, opts))
+    opts = SolveOptions(seed=seed)
+    got = list(itertools.islice(solver._start_pool(m200, opts, None), 5))
     rng = np.random.default_rng(seed)
-    want = [np.abs(solver.quadratic_eigenvector(problem))] + [
+    want = [np.abs(solver.quadratic_eigenvector(m200))] + [
         _smooth_by_pad(np.abs(rng.standard_normal(m200.interior_count)))
         + 1e-3 for _ in range(4)]
     assert len(got) == 5
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    warm = list(solver.default_starts(problem, SolveOptions(restarts=1),
-                                      initial=want[2]))
+    warm = list(itertools.islice(solver._start_pool(
+        m200, SolveOptions(), want[2]), 1))
     assert len(warm) == 1 and np.array_equal(warm[0], want[2])
 
 
