@@ -5,9 +5,13 @@ The descent engine keeps every iterate exactly feasible: each trial step is
 rescaled back onto the constraint by the root of the monotone normalization
 map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
-stiffness solve and projected onto the constraint tangent.  Each solve is
-one :class:`Problem` of one Young function and one mesh, which keeps the
-row memo that its energy, gradient and stiffness share.
+stiffness solve and projected onto the constraint tangent.  Near the
+minimizer a polish takes inexact Newton steps on the stationarity system,
+by CG on the constraint tangent preconditioned with the same stiffness, and
+falls back to damped inverse iteration where a Newton step does not pay.
+Each solve is one :class:`Problem` of one Young function and one mesh,
+which keeps the row memo that its energy, gradient, stiffness and Hessian
+share.
 One engine, energy, gradient and stiffness serve every mesh, the
 fractional :class:`orlicz_eigen.fractional.NonlocalMesh` included: each sums
 over the row blocks of the mesh (``m.blocks``), a block being difference
@@ -44,6 +48,7 @@ __all__ = [
 ]
 
 EPS_GRAD = 1e-12  # regularization of a(g)/g at vanishing gradient
+DIFF_STEP = 1e-5  # relative step of the central difference a'(t)
 MAX_STARTS = 5    # start pool when restarts is None (stop at first agreement)
 
 
@@ -337,6 +342,52 @@ class Problem:
             return _finite(x, info) if info else x  # only info < 0 raises
         return solve
 
+    def tangent(self, values, lam):
+        """The Hessian of the Lagrangian E - lam M at ``values`` as a
+        matvec, v -> sum_b B_b^T (w_b H_b B_b v) - lam w a'(|u|) v, w the
+        node weights.  H_b, the Hessian of A(|s|) at each row's s = B u, is
+        a'(g) on one-component rows (1D cells, nonlocal pairs, the
+        exterior) and c I + (a'(g) - c) n n^T on 2D triangles, with
+        c = a(g)/g and n = s/g from the row memo.  Each a' is
+        :func:`_derivative` of the block's own density (F's for M), so one
+        path serves every family and the exterior's G.  The matvec runs
+        through the blocks' ``differences`` and ``transpose``; no band is
+        assembled."""
+        self.at(values)
+        rows = []
+        for b, c, s, g in zip(self.m.blocks, self.coefficients(),
+                              self.slopes, self.g):
+            gr = np.maximum(g, EPS_GRAD)
+            da = _derivative(b.young(self.F).a, gr)
+            if len(s) == 1:
+                rows.append((b, da * b.flux_weights, None, None))
+            else:
+                n = s / gr
+                rows.append((b, c * b.flux_weights, n,
+                             (da - c) * n * b.flux_weights))
+        mass = lam * self.m.node_weights * _derivative(
+            self.F.a, np.maximum(np.abs(values), EPS_GRAD))
+
+        def apply(v):
+            out = -mass * v
+            for b, k, n, kn in rows:
+                x = b.differences(v)
+                flux = k * x
+                if n is not None:
+                    flux += kn * (n * x).sum(axis=0)
+                out += b.transpose(flux.ravel())
+            return out
+        return apply
+
+
+def _derivative(a, t):
+    """a'(t) at t > 0 by the central difference of the density ``a`` over
+    t (1 +- DIFF_STEP); an overflow in it gives an inf or a NaN, which the
+    caller's checks catch, not a warning."""
+    hi, lo = t * (1.0 + DIFF_STEP), t * (1.0 - DIFF_STEP)
+    with np.errstate(all="ignore"):
+        return (a(hi) - a(lo)) / (hi - lo)
+
 
 def _finite(x, info=0):
     """``x``; ValueError on an inf or NaN in it, or a negative LAPACK info."""
@@ -365,26 +416,69 @@ _STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
 _THETA_MIN = 1e-3       # damping floor of the polish
 _THETA_MAX = 0.9        # a model damping at or above this is not trusted
 _THETA_FALLBACK = 0.5   # damping used when the model's is not
+_FORCING = 1e-2         # CG stops once its preconditioned residual falls by this
+_CG_MAX = 50            # CG iterations per Newton step
+_NEWTON_GAIN = 0.5      # a Newton trial is kept below this fraction of the residual
+
+
+def _newton_step(problem, check, solve, pc):
+    """Inexact Newton step v at the iterate of ``check``: projected
+    preconditioned CG for J v = -defect on the constraint tangent
+    T = {v : <mg, v> = 0}, J the Hessian of :meth:`Problem.tangent`.  The
+    preconditioner is the lagged stiffness K (``solve``) projected onto T
+    along pc = K^-1 mg, as in the descent: z = K^-1 r - (<mg, K^-1 r>/<mg,
+    pc>) pc, so every z, and so v, lies in T.  CG stops when sqrt(<r, z>)
+    has fallen by _FORCING, at a direction of non-positive curvature, or
+    after _CG_MAX iterations; v is zero if the first direction fails."""
+    mg, v, r = check.mg, np.zeros_like(check.values), -check.defect
+    denom = float(np.dot(mg, pc))
+    if not (denom > 0.0 and np.isfinite(r).all()):
+        return v
+
+    def precondition(x):
+        z = solve(x)
+        return z - (float(np.dot(mg, z)) / denom) * pc
+    apply = problem.tangent(check.values, check.lam)
+    p = z = precondition(r)
+    rz = float(np.dot(r, z))
+    stop = _FORCING ** 2 * rz
+    for _ in range(_CG_MAX):
+        if not rz > stop:  # also a zero or NaN first residual
+            break
+        jp = apply(p)
+        curv = float(np.dot(p, jp))
+        if not (math.isfinite(curv) and curv > 0.0):
+            break
+        v += (rz / curv) * p
+        r -= (rz / curv) * jp
+        z = precondition(r)
+        rz, last = float(np.dot(r, z)), rz
+        p = z + (rz / last) * p
+    return v
 
 
 def _polish(problem, alpha, check, opts, budget):
-    """Residual-driven tail phase: lagged inverse iteration on the
-    stationarity system, immune to the energy-difference noise floor that
-    limits Armijo comparisons near the minimizer.
+    """Residual-driven tail phase on the stationarity system, immune to
+    the energy-difference noise floor that limits Armijo comparisons near
+    the minimizer: a Newton step first, lagged inverse iteration where it
+    fails.
 
     ``check`` is the :class:`_Check` of the iterate to start from: the
     descent hands over its last one, so the polish starts without
     evaluating the gradients there again.  Returns (u, lam, residual,
     iterations, converged).
 
-    Each step tries the undamped update, the projected inverse iterate
-    u + w, then one damped update u + theta w.  The lagged stiffness
-    a(g)/g is a secant, not the tangent, so the undamped step overshoots
-    (by about q - 1 for A ~ t^q); theta minimizes the linearized weak-form
-    defect d(theta) = d0 + theta (d1 - d0) between the defects at u and at
-    u + w, in the 1/weights norm of the residual, and is replaced by 0.5
-    outside (1e-3, 0.9).  The trial with the lower residual is kept.  Only
-    if neither beats the residual at u is theta halved, down to 1e-3, until
+    Each step factors the lagged stiffness at u once.  It first tries the
+    projected Newton iterate u + v of :func:`_newton_step`, and keeps it if
+    its residual is below _NEWTON_GAIN times the residual at u.  Otherwise
+    it tries the undamped update, the projected inverse iterate u + w, then
+    one damped update u + theta w.  The lagged stiffness a(g)/g is a secant,
+    not the tangent, so the undamped step overshoots (by about q - 1 for
+    A ~ t^q); theta minimizes the linearized weak-form defect
+    d(theta) = d0 + theta (d1 - d0) between the defects at u and at u + w,
+    in the 1/weights norm of the residual, and is replaced by 0.5 outside
+    (1e-3, 0.9).  The trial with the lower residual is kept.  Only if
+    neither beats the residual at u is theta halved, down to 1e-3, until
     one does; if none does, the polish stops."""
     inv_w = 1.0 / problem.m.node_weights
     it = 0
@@ -396,6 +490,12 @@ def _polish(problem, alpha, check, opts, budget):
         v = solve(check.mg)
         if not np.all(np.isfinite(v)) or not np.any(v):
             break
+        step = _newton_step(problem, check, solve, v)
+        if np.any(step):
+            newton = _check(problem, problem.project(u + step, alpha))
+            if newton.res < _NEWTON_GAIN * res:
+                check = newton
+                continue
         undamped = _check(problem, problem.project(v, alpha))
         w = undamped.values - u
         dd = undamped.defect - defect
@@ -435,7 +535,8 @@ def _backtrack(E0, gd, s, Es):
 
 def _descend(problem, alpha, start_values, opts):
     """Normalization-projected preconditioned descent from one start,
-    finished by an inverse-iteration polish once the residual is small.
+    finished by the Newton polish of :func:`_polish` once the residual is
+    small.
 
     Each line search tries the unit step first and backtracks by
     :func:`_backtrack` until the Armijo test holds.  The lagged stiffness

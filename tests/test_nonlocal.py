@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
 
+from orlicz_eigen import solver
 from orlicz_eigen.errors import ConfigError, ConformanceError
 from orlicz_eigen.fractional import (NonlocalMesh, _primitive,
                                      _primitive_by_rule)
@@ -506,8 +507,25 @@ def test_solve_pins_the_cli_answer():
     res = solve_E(YoungFunction.sum_of_powers(2, 4),
                   NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
     assert res.converged
-    assert res.energy == pytest.approx(15.479058254662153, rel=1e-12)
-    assert res.lam == pytest.approx(15.696976706748476, rel=1e-12)
+    assert res.energy == pytest.approx(15.479058254662188, rel=1e-12)
+    assert res.lam == pytest.approx(15.696976706632281, rel=1e-12)
+
+
+def test_each_run_polishes_in_at_most_3_iterations(monkeypatch):
+    # the `nonlocal --nodes 128 --seed 1` solve: with the polish's Newton
+    # step both runs end within 3 polish iterations, where lagged inverse
+    # iteration alone took 7 and 10
+    polish, iterations = solver._polish, []
+
+    def counted(*args):
+        out = polish(*args)
+        iterations.append(out[3])
+        return out
+    monkeypatch.setattr(solver, "_polish", counted)
+    res = solve_E(YoungFunction.sum_of_powers(2, 4),
+                  NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
+    assert res.converged
+    assert len(iterations) == 2 and max(iterations) <= 3
 
 
 def test_lambda_is_the_derivative_of_the_energy():

@@ -321,6 +321,30 @@ def test_energy_gradient_2d_matches_finite_differences():
     assert float(g @ v) == pytest.approx(num, rel=1e-5)
 
 
+@pytest.mark.parametrize("F", [YoungFunction.sum_of_powers(2, 4),
+                               YoungFunction.exp_minus_poly(2)],
+                         ids=["sop24", "exp_minus_poly2"])
+@pytest.mark.parametrize("m", [Mesh.interval(1.0, 50),
+                               Mesh.rectangle(1.0, 1.0, 6, 5),
+                               NonlocalMesh(1.0, 20, 0.5)],
+                         ids=["interval", "rectangle", "nonlocal"])
+def test_tangent_is_the_derivative_of_the_lagrangian_gradient(m, F):
+    # the Hessian matvec of E - lam M against the central difference of
+    # its gradient along a random direction: the triangles' n n^T term,
+    # the nonlocal pairs and the exterior's G each enter
+    rng = np.random.default_rng(4)
+    u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
+    v = rng.standard_normal(m.interior_count)
+    lam, eps = 1.7, 1e-5
+
+    def lagrangian_gradient(w):
+        return energy_gradient(F, w, m) - lam * mass_gradient(F, w, m)
+    num = (lagrangian_gradient(u + eps * v)
+           - lagrangian_gradient(u - eps * v)) / (2.0 * eps)
+    got = Problem(F, m).tangent(u, lam)(v)
+    assert np.linalg.norm(got - num) <= 1e-6 * np.linalg.norm(num)
+
+
 def test_energy_gradient_zero_at_zero(m200):
     F = YoungFunction.power(2)
     g = energy_gradient(F, m200.zeros(), m200)
@@ -452,10 +476,10 @@ def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
 
 
 @pytest.mark.parametrize("lx,ly,nx,ny,E,lam,iterations", [
-    (1.0, 1.0, 32, 32, 105.7876105059004, 131.02898361653624, 21),
-    (2.0, 1.0, 24, 12, 42.468427460576926, 54.89764466327072, 22),
-    (1.0, 1.0, 3, 2, 22.473171161671292, 29.989268464668523, 13),
-])
+    (1.0, 1.0, 32, 32, 105.78761050590057, 131.02898361819587, 14),
+    (2.0, 1.0, 24, 12, 42.46842746057703, 54.897644672907475, 15),
+    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 8),
+], ids=["32x32", "24x12", "3x2"])
 def test_solve_2d_pins_the_answer(lx, ly, nx, ny, E, lam, iterations):
     """A determinism pin for refactors of the 2D operators, not an accuracy
     check: E, lambda and the iteration count of SumOfPowers(2,4) at
@@ -529,9 +553,9 @@ def test_deterministic_given_seed(m200):
 @pytest.mark.parametrize("alpha", [1.0, 1e2, 1e4])
 def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
                                                      alpha):
-    # the undamped trial is the projected inverse iterate itself and the
-    # defect model picks one damped trial, so a step projects twice unless
-    # the halving fallback runs
+    # a kept Newton trial is a step's one projection; a step whose Newton
+    # trial falls back adds the undamped and one damped trial, and more
+    # only if the halving runs.  These solves keep every Newton trial
     counts = {"polish": False, "projections": 0, "iterations": 0}
     project, polish = Problem.project, solver._polish
 
@@ -584,9 +608,12 @@ class _TurnedGradient:
     """Two-node stand-in for a Problem.  The constraint is u[0] = 1, the
     mass gradient is u, and the energy gradient is u turned by the angle
     phi(y) = 0.1 - 0.2 y + 1.6 y^3 at y = u[1], so the residual is
-    |sin phi(y)|.  The canned solve steps y by +1.  From y = 0 the residual
+    |sin phi(y)|.  The canned solve adds rhs[0] to rhs[1], so the inverse
+    iterate of the mass gradient steps y by +1.  From y = 0 the residual
     falls for steps below 0.25 (phi is least at y = 0.204) but rises at
-    0.5 and 1, and the defect model's damping is negative."""
+    0.5 and 1, and the defect model's damping is negative.  The tangent
+    is the identity, so the Newton step is the projected defect, which
+    steps y by -sin 0.1 from y = 0, where the residual rises."""
 
     m = SimpleNamespace(node_weights=np.ones(2))
 
@@ -607,7 +634,10 @@ class _TurnedGradient:
         return values / values[0]
 
     def preconditioner(self, values):
-        return lambda rhs: values + np.array([0.0, 1.0])
+        return lambda rhs: rhs + np.array([0.0, rhs[0]])
+
+    def tangent(self, values, lam):
+        return lambda v: v
 
 
 def test_polish_halves_when_the_model_trial_fails():
@@ -621,14 +651,34 @@ def test_polish_halves_when_the_model_trial_fails():
         assert res <= residuals[-1]
         residuals.append(res)
         if budget == 1:
-            # undamped y = 1, model fallback 0.5, then the halving's 0.25
-            assert problem.trials == [1.0, 0.5, 0.25]
+            # the Newton trial y = -sin 0.1 does not halve the residual, so
+            # the undamped y = 1, model fallback 0.5, then the halving's 0.25
+            assert problem.trials == pytest.approx(
+                [-math.sin(0.1), 1.0, 0.5, 0.25], rel=1e-12)
             assert it == 1 and np.array_equal(u, [1.0, 0.25])
         else:
             # from y = 0.25 no step along +y helps: the polish stops
             assert it == 2 and np.array_equal(u, [1.0, 0.25])
         assert not converged
     assert residuals[1] == pytest.approx(math.sin(0.075), rel=1e-12)
+
+
+def test_polish_keeps_a_newton_trial_that_halves_the_residual():
+    # from y = 0.5 (residual sin 0.2) one CG step solves the identity
+    # tangent's system: v = (sin 0.2 / 2) (1, -2), and the projected
+    # y = (0.5 - sin 0.2)/(1 + sin 0.2 / 2) = 0.274 has residual 0.078,
+    # below half of sin 0.2, so it is the iteration's only trial
+    problem = _TurnedGradient()
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, np.array([1.0, 0.5])),
+        SolveOptions(tol=1e-12), 1)
+    s = math.sin(0.2)
+    y = (0.5 - s) / (1.0 + 0.5 * s)
+    assert problem.trials == pytest.approx([y], rel=1e-12)
+    assert u == pytest.approx([1.0, y], rel=1e-12)
+    assert res == pytest.approx(math.sin(0.1 - 0.2 * y + 1.6 * y ** 3),
+                                rel=1e-12)
+    assert res < 0.5 * s and it == 1 and not converged
 
 
 @pytest.mark.parametrize("iterate", [np.zeros(2), np.array([np.nan, 1.0])],

@@ -1,5 +1,6 @@
 """Alpha sweeps and the theorem-verification checks."""
 
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from orlicz_eigen import cli, sweep
+from orlicz_eigen import cli, solver, sweep
 from orlicz_eigen.cli import _check_derivative, _check_limits
 from orlicz_eigen.errors import ConfigError, GeometryError
 from orlicz_eigen.fractional import NonlocalMesh
@@ -17,6 +18,9 @@ from orlicz_eigen.sweep import (SweepRecord, check_bounds, check_decay,
                                 estimate_limits, geometric_grid, run_sweep)
 from orlicz_eigen.young import (Endpoint, YoungFunction, delta2_report,
                                 matuszewska_exponent)
+
+
+SOP24 = '{"family": "sum_of_powers", "params": {"p": 2, "q": 4}}'
 
 
 @pytest.fixture(scope="module")
@@ -412,15 +416,36 @@ def test_sweep_pins_the_cli_answer(cli_sweep24):
     --seed 1` at alpha = 1e-4, 1 and 1e4 (one BLAS thread), kept to 1e-12
     relative, which pins the arithmetic of the projection, the descent,
     the polish and the warm starts, not the discrete eigenvalue."""
-    pinned = {1e-4: (0.0009882492040670884, 9.895591621510503),
-              1.0: (40.21394790521224, 50.82916938747858),
-              1e4: (725785.1313915466, 72.81414225692818)}
+    pinned = {1e-4: (0.0009882492040670882, 9.895591621475281),
+              1.0: (40.21394790521244, 50.829169386803066),
+              1e4: (725785.1313915467, 72.8141422569319)}
     got = {r.alpha: (r.energy, r.lam) for r in cli_sweep24
            if r.alpha in pinned}
     assert sorted(got) == sorted(pinned)
     for alpha, (E, lam) in pinned.items():
         assert got[alpha][0] == pytest.approx(E, rel=1e-12)
         assert got[alpha][1] == pytest.approx(lam, rel=1e-12)
+
+
+def test_every_polish_of_the_benchmark_sweep_takes_at_most_3_iterations(
+        monkeypatch, capsys):
+    # the polish's Newton step makes its tail quadratic: every polish of
+    # the benchmark's sweep (41 alphas and the two limits references) at
+    # seed 1 ends within 3 iterations, where lagged inverse iteration
+    # alone took 3 to 9
+    polish, iterations = solver._polish, []
+
+    def counted(*args):
+        out = polish(*args)
+        iterations.append(out[3])
+        return out
+    monkeypatch.setattr(solver, "_polish", counted)
+    assert cli.main(["sweep", "--young", SOP24, "--mesh", "interval:1.0,200",
+                     "--alpha-min", "1e-4", "--alpha-max", "1e4",
+                     "--per-decade", "5", "--check",
+                     "bounds,derivative,limits", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] == 41
+    assert len(iterations) == 43 and max(iterations) <= 3
 
 
 def test_warm_alphas_of_the_cli_sweep_take_at_most_16_iterations(
