@@ -7,8 +7,9 @@ map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
 stiffness solve and projected onto the constraint tangent.  Near the
 minimizer a polish takes inexact Newton steps on the stationarity system,
-by CG on the constraint tangent preconditioned with the same stiffness, and
-falls back to damped inverse iteration where a Newton step does not pay.
+by CG on the constraint tangent preconditioned with the same stiffness,
+halves a Newton step that does not pay, and falls back to damped inverse
+iteration where neither does.
 Each solve is one :class:`Problem` of one Young function and one mesh,
 which keeps the row memo that its energy, gradient, stiffness and Hessian
 share.
@@ -413,9 +414,7 @@ _ARMIJO = 1e-4          # sufficient-decrease constant of the line search
 _STALL = 0.5            # a residual not below this fraction of the last stalls
 _SHRINK = 0.5           # backtracking cap, as a fraction of the failed step
 _STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
-_THETA_MIN = 1e-3       # damping floor of the polish
-_THETA_MAX = 0.9        # a model damping at or above this is not trusted
-_THETA_FALLBACK = 0.5   # damping used when the model's is not
+_THETA_MIN = 1e-3       # damping floor of the polish's inverse trials
 _FORCING = 1e-2         # CG stops once its preconditioned residual falls by this
 _CG_MAX = 50            # CG iterations per Newton step
 _NEWTON_GAIN = 0.5      # a Newton trial is kept below this fraction of the residual
@@ -457,62 +456,52 @@ def _newton_step(problem, check, solve, pc):
     return v
 
 
+def _trials(problem, alpha, check, step, pc):
+    """The polish's trials at the iterate u of ``check``, each made only
+    once those before fail, with the fraction of the residual at u that its
+    own must be below: the Newton iterate u + step (_NEWTON_GAIN), then
+    (1: any decrease) its half step, the inverse iterate pc projected, and
+    the steps to that damped by 1/2, 1/4, ... to _THETA_MIN.  Where
+    A(|s|) ~ |s|^q on a row whose slope vanishes at the minimizer, the
+    Newton step maps s to s (q - 2)/(q - 1) and the half step to
+    s (2q - 3)/(2 (q - 1)), exact at q = 1.5; the secant inverse iterate
+    overshoots by about q - 1."""
+    u = check.values
+    if np.any(step):
+        yield _check(problem, problem.project(u + step, alpha)), _NEWTON_GAIN
+        yield _check(problem, problem.project(u + 0.5 * step, alpha)), 1.0
+    inverse = _check(problem, problem.project(pc, alpha))
+    yield inverse, 1.0
+    w, theta = inverse.values - u, 0.5
+    while theta > _THETA_MIN:
+        yield _check(problem, problem.project(u + theta * w, alpha)), 1.0
+        theta *= 0.5
+
+
 def _polish(problem, alpha, check, opts, budget):
     """Residual-driven tail phase on the stationarity system, immune to
     the energy-difference noise floor that limits Armijo comparisons near
-    the minimizer: a Newton step first, lagged inverse iteration where it
-    fails.
-
-    ``check`` is the :class:`_Check` of the iterate to start from: the
-    descent hands over its last one, so the polish starts without
-    evaluating the gradients there again.  Returns (u, lam, residual,
-    iterations, converged).
-
-    Each step factors the lagged stiffness at u once.  It first tries the
-    projected Newton iterate u + v of :func:`_newton_step`, and keeps it if
-    its residual is below _NEWTON_GAIN times the residual at u.  Otherwise
-    it tries the undamped update, the projected inverse iterate u + w, then
-    one damped update u + theta w.  The lagged stiffness a(g)/g is a secant,
-    not the tangent, so the undamped step overshoots (by about q - 1 for
-    A ~ t^q); theta minimizes the linearized weak-form defect
-    d(theta) = d0 + theta (d1 - d0) between the defects at u and at u + w,
-    in the 1/weights norm of the residual, and is replaced by 0.5 outside
-    (1e-3, 0.9).  The trial with the lower residual is kept.  Only if
-    neither beats the residual at u is theta halved, down to 1e-3, until
-    one does; if none does, the polish stops."""
-    inv_w = 1.0 / problem.m.node_weights
+    the minimizer.  ``check`` is the :class:`_Check` of the iterate to start
+    from (the descent hands over its last one, so the gradients there are
+    not evaluated again).  Each step factors the lagged stiffness at u once,
+    takes the Newton step of :func:`_newton_step` and keeps the first of
+    :func:`_trials` that passes; if none does, the polish stops.  Returns
+    (u, lam, residual, iterations, converged)."""
     it = 0
     for it in range(1, budget + 1):
         if check.res < opts.tol:
             return check.values, check.lam, check.res, it, True
-        u, res, defect = check.values, check.res, check.defect
-        solve = problem.preconditioner(u)
-        v = solve(check.mg)
-        if not np.all(np.isfinite(v)) or not np.any(v):
+        solve = problem.preconditioner(check.values)
+        pc = solve(check.mg)
+        if not np.all(np.isfinite(pc)) or not np.any(pc):
             break
-        step = _newton_step(problem, check, solve, v)
-        if np.any(step):
-            newton = _check(problem, problem.project(u + step, alpha))
-            if newton.res < _NEWTON_GAIN * res:
-                check = newton
-                continue
-        undamped = _check(problem, problem.project(v, alpha))
-        w = undamped.values - u
-        dd = undamped.defect - defect
-        dd2 = float(np.dot(dd * dd, inv_w))
-        theta = -float(np.dot(defect * dd, inv_w)) / dd2 if dd2 > 0 else 0.0
-        if not _THETA_MIN < theta < _THETA_MAX:
-            theta = _THETA_FALLBACK
-        damped = _check(problem, problem.project(u + theta * w, alpha))
-        best = min(undamped, damped, key=lambda c: c.res)
-        while best.res >= res:
-            theta *= 0.5
-            if theta <= _THETA_MIN:
-                break
-            best = _check(problem, problem.project(u + theta * w, alpha))
-        if best.res >= res:
+        step = _newton_step(problem, check, solve, pc)
+        res = check.res
+        check = next((trial for trial, gain in
+                      _trials(problem, alpha, check, step, pc)
+                      if trial.res < gain * res), check)
+        if check.res >= res:
             break
-        check = best
     return check.values, check.lam, check.res, it, check.res < opts.tol
 
 

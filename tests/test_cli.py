@@ -302,6 +302,21 @@ def test_sweep_derivative_check_passes(capsys, tmp_path):
     assert "matplotlib" in plot.read_text()
 
 
+def test_sweep_limits_check_skips_a_non_power_like_endpoint(capsys):
+    # exp_minus_poly(2) is power-like (index 2) at zero but grows faster
+    # than any power at infinity: that endpoint is reported, not checked
+    code, out, _ = run(capsys, "sweep", "--young", EXP2,
+                       "--mesh", "interval:1.0,50",
+                       "--alpha-min", "1e-3", "--alpha-max", "1",
+                       "--per-decade", "3", "--check", "limits",
+                       "--seed", "1")
+    limits = json.loads(out)["checks"]["limits"]
+    assert limits["infinity"] == {"regime": "trivial_degenerate",
+                                  "skipped": True}
+    assert limits["zero"]["overall_pass"] and limits["overall_pass"]
+    assert code == 0
+
+
 def test_sweep_decay_small_domain_exit_2(capsys):
     code, _, err = run(capsys, "sweep", "--young", EXP2,
                        "--mesh", "interval:1.0,100",

@@ -528,6 +528,18 @@ def test_each_run_polishes_in_at_most_3_iterations(monkeypatch):
     assert len(iterations) == 2 and max(iterations) <= 3
 
 
+@pytest.mark.parametrize("alpha", [1.0, 100.0])
+def test_index_below_two_converges_by_the_half_newton_step(alpha):
+    # Power(1.3): where a row's slope s vanishes at the minimizer, the
+    # Newton step maps s to -2.3 s and its half step to -0.67 s.  Without
+    # the half step every start stops near residual 1e-7, unconverged;
+    # with it the first two starts converge and agree
+    res = solve_E(YoungFunction.power(1.3), NonlocalMesh(1.0, 32, 0.7),
+                  alpha, SolveOptions(seed=1))
+    assert res.converged and res.restarts_used == 2
+    assert res.residual < 1e-8
+
+
 def test_lambda_is_the_derivative_of_the_energy():
     # the Lagrange multiplier is dE/dalpha: a central difference of warm
     # solves at alpha = 1 +- 1e-4 reproduces lambda at alpha = 1

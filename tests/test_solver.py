@@ -554,8 +554,8 @@ def test_deterministic_given_seed(m200):
 def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
                                                      alpha):
     # a kept Newton trial is a step's one projection; a step whose Newton
-    # trial falls back adds the undamped and one damped trial, and more
-    # only if the halving runs.  These solves keep every Newton trial
+    # trial fails adds its half step, then the inverse iterate and its
+    # damped steps.  These solves keep every Newton trial
     counts = {"polish": False, "projections": 0, "iterations": 0}
     project, polish = Problem.project, solver._polish
 
@@ -611,9 +611,11 @@ class _TurnedGradient:
     |sin phi(y)|.  The canned solve adds rhs[0] to rhs[1], so the inverse
     iterate of the mass gradient steps y by +1.  From y = 0 the residual
     falls for steps below 0.25 (phi is least at y = 0.204) but rises at
-    0.5 and 1, and the defect model's damping is negative.  The tangent
-    is the identity, so the Newton step is the projected defect, which
-    steps y by -sin 0.1 from y = 0, where the residual rises."""
+    0.5 and 1.  The tangent is the identity, so the Newton step is the
+    projected defect, which from y takes the trial to
+    (y - sin phi)/(1 + y sin phi), and its half step to
+    (y - sin(phi)/2)/(1 + y sin(phi)/2): from y = 0 both raise the
+    residual."""
 
     m = SimpleNamespace(node_weights=np.ones(2))
 
@@ -640,27 +642,122 @@ class _TurnedGradient:
         return lambda v: v
 
 
-def test_polish_halves_when_the_model_trial_fails():
+def _turned_residual(y):
+    return math.sin(0.1 - 0.2 * y + 1.6 * y ** 3)
+
+
+def test_polish_halves_the_newton_step_then_damps_the_inverse_iterate():
     opts = SolveOptions(tol=1e-12)
+    problem = _TurnedGradient()
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, np.array([1.0, 0.0])), opts, 1)
+    # from y = 0 the Newton trial -sin 0.1 and its half step raise the
+    # residual, so do the inverse iterate y = 1 and the half-way 0.5; the
+    # quarter 0.25 lowers it and is kept
+    s = math.sin(0.1)
+    assert problem.trials == pytest.approx([-s, -s / 2, 1.0, 0.5, 0.25],
+                                           rel=1e-12)
+    assert it == 1 and np.array_equal(u, [1.0, 0.25]) and not converged
+    assert res == pytest.approx(math.sin(0.075), rel=1e-12)
+
+    # from y = 0.25 the Newton trial 0.172 lowers the residual, but not by
+    # half; its half step 0.211 lowers it and is kept
+    problem.trials = []
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, u), opts, 1)
+    s = math.sin(0.075)
+    full, half = ((0.25 - k * s) / (1.0 + 0.25 * k * s) for k in (1.0, 0.5))
+    assert problem.trials == pytest.approx([full, half], rel=1e-12)
+    assert 0.5 * math.sin(0.075) <= _turned_residual(full) < math.sin(0.075)
+    assert u == pytest.approx([1.0, half], rel=1e-12)
+    assert res == pytest.approx(_turned_residual(half), rel=1e-12)
+    assert res < _turned_residual(full) and it == 1 and not converged
+
+
+class _ThreeHalvesRow:
+    """Two-node stand-in for a Problem: E = u0^2/2 + |y|^{3/2}/(3/2) at
+    y = u[1], whose slope vanishes at y = 0, under the constraint u0 = 1
+    (mass gradient (1, 0)).  The tangent is the exact Hessian,
+    diag(1, |y|^{-1/2}/2), so the Newton step maps y to
+    y (q - 2)/(q - 1) = -y at q = 3/2: it reflects, and the residual does
+    not fall.  Its half step lands on y = 0.  The canned solve adds rhs[0]
+    to rhs[1], so the inverse iterate is y = 1."""
+
+    m = SimpleNamespace(node_weights=np.ones(2))
+
+    def __init__(self):
+        self.trials = []
+
+    def gradient(self, values):
+        y = values[1]
+        return np.array([values[0], math.copysign(math.sqrt(abs(y)), y)])
+
+    def mass_gradient(self, values):
+        return np.array([1.0, 0.0])
+
+    def project(self, values, alpha, r0=1.0):
+        self.trials.append(values[1] / values[0])
+        return values / values[0]
+
+    def preconditioner(self, values):
+        return lambda rhs: rhs + np.array([0.0, rhs[0]])
+
+    def tangent(self, values, lam):
+        return lambda v: v * np.array([1.0, 0.5 / math.sqrt(abs(values[1]))])
+
+
+def test_polish_keeps_the_half_step_where_the_newton_step_reflects():
+    problem = _ThreeHalvesRow()
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, np.array([1.0, 0.25])),
+        SolveOptions(), 5)
+    assert problem.trials == [-0.25, 0.0]
+    assert np.array_equal(u, [1.0, 0.0]) and res == 0.0 and lam == 1.0
+    assert it == 2 and converged
+
+
+def _nan_defect(problem, u):
+    # the residual is set to 1, which the inverse iterate y = 1 (residual
+    # sin 1.5) lowers
+    check = solver._check(problem, u)
+    check.g, check.res = np.full(2, np.nan), 1.0
+    return check
+
+
+def _minus_identity(problem, u):
+    problem.tangent = lambda values, lam: lambda v: -v
+    return solver._check(problem, u)
+
+
+@pytest.mark.parametrize("start,trials", [
+    (_nan_defect, [1.0]), (_minus_identity, [1.0, 0.5, 0.25])],
+    ids=["nan-defect", "negative-curvature"])
+def test_a_zero_newton_step_goes_straight_to_the_inverse_trials(start,
+                                                                trials):
+    # CG breaks at once on a non-finite defect or a direction of
+    # non-positive curvature: the step is zero, and the polish makes no
+    # Newton trial; from y = 0 with the tangent -I the trials are those of
+    # the identity tangent less the two Newton trials
+    problem = _TurnedGradient()
     u0 = np.array([1.0, 0.0])
-    residuals = [math.sin(0.1)]
-    for budget in (1, 2, 3):
-        problem = _TurnedGradient()
-        u, lam, res, it, converged = solver._polish(
-            problem, 1.0, solver._check(problem, u0), opts, budget)
-        assert res <= residuals[-1]
-        residuals.append(res)
-        if budget == 1:
-            # the Newton trial y = -sin 0.1 does not halve the residual, so
-            # the undamped y = 1, model fallback 0.5, then the halving's 0.25
-            assert problem.trials == pytest.approx(
-                [-math.sin(0.1), 1.0, 0.5, 0.25], rel=1e-12)
-            assert it == 1 and np.array_equal(u, [1.0, 0.25])
-        else:
-            # from y = 0.25 no step along +y helps: the polish stops
-            assert it == 2 and np.array_equal(u, [1.0, 0.25])
-        assert not converged
-    assert residuals[1] == pytest.approx(math.sin(0.075), rel=1e-12)
+    check = start(problem, u0)
+    solve = problem.preconditioner(u0)
+    step = solver._newton_step(problem, check, solve, solve(check.mg))
+    assert np.array_equal(step, np.zeros(2))
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, check, SolveOptions(tol=1e-12), 1)
+    assert problem.trials == pytest.approx(trials, rel=1e-12)
+    assert np.array_equal(u, [1.0, trials[-1]])
+    assert res == pytest.approx(_turned_residual(trials[-1]), rel=1e-12)
+    assert it == 1 and not converged
+
+
+def test_newton_step_is_zero_where_the_projection_is_not_defined():
+    # <mg, K^-1 mg> <= 0: no projection onto the tangent along K^-1 mg
+    problem = _TurnedGradient()
+    check = solver._check(problem, np.array([1.0, 0.0]))
+    step = solver._newton_step(problem, check, lambda rhs: -rhs, -check.mg)
+    assert np.array_equal(step, np.zeros(2))
 
 
 def test_polish_keeps_a_newton_trial_that_halves_the_residual():
@@ -676,8 +773,7 @@ def test_polish_keeps_a_newton_trial_that_halves_the_residual():
     y = (0.5 - s) / (1.0 + 0.5 * s)
     assert problem.trials == pytest.approx([y], rel=1e-12)
     assert u == pytest.approx([1.0, y], rel=1e-12)
-    assert res == pytest.approx(math.sin(0.1 - 0.2 * y + 1.6 * y ** 3),
-                                rel=1e-12)
+    assert res == pytest.approx(_turned_residual(y), rel=1e-12)
     assert res < 0.5 * s and it == 1 and not converged
 
 
