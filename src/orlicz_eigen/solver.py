@@ -8,8 +8,7 @@ and search directions are preconditioned with a lagged-coefficient
 stiffness solve and projected onto the constraint tangent.  Near the
 minimizer a polish takes inexact Newton steps on the stationarity system,
 by CG on the constraint tangent preconditioned with the same stiffness,
-halves a Newton step that does not pay, and falls back to damped inverse
-iteration where neither does.
+halving each step until the residual falls enough.
 Each solve is one :class:`Problem` of one Young function and one mesh,
 which keeps the row memo that its energy, gradient, stiffness and Hessian
 share.
@@ -414,10 +413,9 @@ _ARMIJO = 1e-4          # sufficient-decrease constant of the line search
 _STALL = 0.5            # a residual not below this fraction of the last stalls
 _SHRINK = 0.5           # backtracking cap, as a fraction of the failed step
 _STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
-_THETA_MIN = 1e-3       # damping floor of the polish's inverse trials
+_THETA_MIN = 1e-3       # damping floor of the polish's Newton step
 _FORCING = 1e-2         # CG stops once its preconditioned residual falls by this
 _CG_MAX = 50            # CG iterations per Newton step
-_NEWTON_GAIN = 0.5      # a Newton trial is kept below this fraction of the residual
 
 
 def _newton_step(problem, check, solve, pc):
@@ -456,52 +454,35 @@ def _newton_step(problem, check, solve, pc):
     return v
 
 
-def _trials(problem, alpha, check, step, pc):
-    """The polish's trials at the iterate u of ``check``, each made only
-    once those before fail, with the fraction of the residual at u that its
-    own must be below: the Newton iterate u + step (_NEWTON_GAIN), then
-    (1: any decrease) its half step, the inverse iterate pc projected, and
-    the steps to that damped by 1/2, 1/4, ... to _THETA_MIN.  Where
-    A(|s|) ~ |s|^q on a row whose slope vanishes at the minimizer, the
-    Newton step maps s to s (q - 2)/(q - 1) and the half step to
-    s (2q - 3)/(2 (q - 1)), exact at q = 1.5; the secant inverse iterate
-    overshoots by about q - 1."""
-    u = check.values
-    if np.any(step):
-        yield _check(problem, problem.project(u + step, alpha)), _NEWTON_GAIN
-        yield _check(problem, problem.project(u + 0.5 * step, alpha)), 1.0
-    inverse = _check(problem, problem.project(pc, alpha))
-    yield inverse, 1.0
-    w, theta = inverse.values - u, 0.5
-    while theta > _THETA_MIN:
-        yield _check(problem, problem.project(u + theta * w, alpha)), 1.0
-        theta *= 0.5
-
-
 def _polish(problem, alpha, check, opts, budget):
     """Residual-driven tail phase on the stationarity system, immune to
     the energy-difference noise floor that limits Armijo comparisons near
-    the minimizer.  ``check`` is the :class:`_Check` of the iterate to start
-    from (the descent hands over its last one, so the gradients there are
-    not evaluated again).  Each step factors the lagged stiffness at u once,
-    takes the Newton step of :func:`_newton_step` and keeps the first of
-    :func:`_trials` that passes; if none does, the polish stops.  Returns
-    (u, lam, residual, iterations, converged)."""
+    the minimizer.  ``check`` is the :class:`_Check` of the iterate u to
+    start from (the descent hands over its last one, so the gradients there
+    are not evaluated again).  Each step factors the lagged stiffness at u
+    once, takes the Newton step v of :func:`_newton_step` and keeps the
+    first u + theta v, theta = 1, 1/2, 1/4, ... down to _THETA_MIN, whose
+    residual is below (1 - theta/2) times the residual at u (backtracking
+    inexact Newton, Eisenstat & Walker 1994); if v is zero or no theta
+    passes, the polish stops.  Where A(|s|) ~ |s|^q on a row whose slope
+    vanishes at the minimizer, theta v maps s to s (1 - theta/(q - 1)): the
+    Newton step overshoots for q < 2, and theta = q - 1 is exact.  Returns
+    (u, lam, residual, steps, converged), steps counting the steps made."""
     it = 0
-    for it in range(1, budget + 1):
-        if check.res < opts.tol:
-            return check.values, check.lam, check.res, it, True
+    while it < budget and check.res >= opts.tol:
+        it += 1
         solve = problem.preconditioner(check.values)
-        pc = solve(check.mg)
-        if not np.all(np.isfinite(pc)) or not np.any(pc):
+        step = _newton_step(problem, check, solve, solve(check.mg))
+        theta = 1.0
+        while np.any(step) and theta > _THETA_MIN:
+            trial = _check(problem, problem.project(
+                check.values + theta * step, alpha))
+            if trial.res < (1.0 - 0.5 * theta) * check.res:
+                break
+            theta *= 0.5
+        else:
             break
-        step = _newton_step(problem, check, solve, pc)
-        res = check.res
-        check = next((trial for trial, gain in
-                      _trials(problem, alpha, check, step, pc)
-                      if trial.res < gain * res), check)
-        if check.res >= res:
-            break
+        check = trial
     return check.values, check.lam, check.res, it, check.res < opts.tol
 
 

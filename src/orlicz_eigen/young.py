@@ -13,7 +13,7 @@ kinds, the check they must pass with its ConfigError message, its default
 label and, for the two power sums, their terms.  Power and SumOfPowers are
 A(t) = sum_k t^p_k / d_k, with d = 1 for t^p and d_k = p_k for
 t^p/p + t^q/q; one power-sum path derives from these terms A, a, log A,
-log a, the moments of the normalization (``_power_terms``) and the
+log a, the moments of the normalization (``_moment_terms``) and the
 primitive G(t) = int_0^t A(s)/s ds = sum_k t^p_k / (d_k p_k) that the
 nonlocal exterior integrates.  The custom family keeps its own quadrature,
 ``scipy.integrate.quad``, imported only when a custom A is first evaluated.
@@ -276,7 +276,8 @@ class YoungFunction:
             "a": [(q - 1.0, q / d, 1.0) for q, d in terms],
             "G": [(q, 1.0, d * q) for q, d in terms]}
         # what the normalization's moment path needs of A alone, once:
-        # (p_k, c_k) with A(t) = sum_k c_k t^p_k, and its rho_sat
+        # (p_k, c_k) with A(t) = sum_k c_k t^p_k, and its rho_sat; None for
+        # every family but the power sums
         self._moment_terms = self._rho_sat = None
         if terms is not None:
             self._moment_terms = tuple((q, 1.0 / d) for q, d in terms)
@@ -405,13 +406,6 @@ class YoungFunction:
                 out = np.array([self._custom_A_scalar(x)
                                 for x in t.ravel()]).reshape(t.shape)
         return _saturate(out)
-
-    def _power_terms(self):
-        """((p_k, c_k), ...) with A(t) = sum_k c_k t^p_k for the power sums,
-        whose modular along a ray is a polynomial in the radius (see
-        ``_normalize``); None for every other family.  The tuple is built
-        once, with the Young function."""
-        return self._moment_terms
 
     def _a_impl(self, t):
         fam, p = self.family, self.params
@@ -799,7 +793,7 @@ def _normalize(F, absu, w, alpha, r0=1.0):
     of the bracket is still open.
 
     phi and s come from one of two evaluators.  For the power families
-    (``F._power_terms()`` is not None) phi is a sum of powers of r whose
+    (``F._moment_terms`` is not None) phi is a sum of powers of r whose
     coefficients are moments of absu, taken in one pass, so each Newton
     step is scalar work; the root found is then checked by one array
     evaluation sum w A(r absu), which is the ``phi_value`` returned (equal
@@ -816,7 +810,7 @@ def _normalize(F, absu, w, alpha, r0=1.0):
         raise ZeroDenominatorError("phi is identically zero for u = 0")
     array = _ArrayModular(F, absu, w)
     steps = 0
-    terms = F._power_terms()
+    terms = F._moment_terms
     if terms is not None:
         moments = _RadialMoments(terms, array, tmax, F._rho_sat)
         r, phi, steps = _newton(moments, alpha, r0)

@@ -87,7 +87,7 @@ def test_normalization_newton(m200, family, alpha, r0):
     F.A = counted_A
     res = phi_root(F, u, m200, alpha, r0)
     # a fallback to plain bisection needs ~45 evaluations
-    if F._power_terms() is None:
+    if F._moment_terms is None:
         assert len(calls) == res.iterations <= 15
     else:
         # scalar Newton steps on the moments, then one array check
@@ -128,7 +128,7 @@ def _exact_radius(F, values, m, alpha):
         moments = [(D(p), D(c) * sum(D(w) * D(x) ** D(p) for w, x
                                      in zip(m.node_weights, np.abs(values))
                                      if x > 0.0))
-                   for p, c in F._power_terms()]
+                   for p, c in F._moment_terms]
         a = D(alpha)
         p, cm = moments[-1]
         r = (a / cm) ** (1 / p)
@@ -152,7 +152,7 @@ def test_moment_radius_matches_array_path(m200, family, field):
     F = MOMENT_FAMILIES[family]()
     u = m200.field(_fields(m200.interior_count)[field])
     plain = MOMENT_FAMILIES[family]()
-    plain._power_terms = lambda: None  # the array evaluator throughout
+    plain._moment_terms = None  # the array evaluator throughout
     for alpha in (1e-4, 1.0, 1e4):
         exact = _exact_radius(F, u.values, m200, alpha)
         for r0 in (1e-3, 1.0, 1e3):
@@ -211,13 +211,13 @@ def test_moment_terms_and_saturation_radius_are_cached(family):
     rho_sat = min(math.exp((math.log(SATURATION)
                             - math.log(max(k * c, 1.0))) / p)
                   for p, c in terms)
-    assert F._power_terms() is F._power_terms()
-    assert isinstance(F._power_terms(), tuple)
-    assert list(F._power_terms()) == terms
+    assert F._moment_terms is F._moment_terms
+    assert isinstance(F._moment_terms, tuple)
+    assert list(F._moment_terms) == terms
     assert F._rho_sat == rho_sat
     absu = np.array([0.0, 0.5, 2.0])
     moments = young._RadialMoments(
-        F._power_terms(), young._ArrayModular(F, absu, np.ones(3)))
+        F._moment_terms, young._ArrayModular(F, absu, np.ones(3)))
     assert moments.rho_sat == rho_sat and moments.tmax == 2.0
 
 
@@ -476,9 +476,9 @@ def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
 
 
 @pytest.mark.parametrize("lx,ly,nx,ny,E,lam,iterations", [
-    (1.0, 1.0, 32, 32, 105.78761050590057, 131.02898361819587, 14),
-    (2.0, 1.0, 24, 12, 42.46842746057703, 54.897644672907475, 15),
-    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 8),
+    (1.0, 1.0, 32, 32, 105.78761050590057, 131.02898361819587, 13),
+    (2.0, 1.0, 24, 12, 42.46842746057703, 54.897644672907475, 14),
+    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 7),
 ], ids=["32x32", "24x12", "3x2"])
 def test_solve_2d_pins_the_answer(lx, ly, nx, ny, E, lam, iterations):
     """A determinism pin for refactors of the 2D operators, not an accuracy
@@ -553,9 +553,9 @@ def test_deterministic_given_seed(m200):
 @pytest.mark.parametrize("alpha", [1.0, 1e2, 1e4])
 def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
                                                      alpha):
-    # a kept Newton trial is a step's one projection; a step whose Newton
-    # trial fails adds its half step, then the inverse iterate and its
-    # damped steps.  These solves keep every Newton trial
+    # each damped Newton trial is one projection, and a step that keeps
+    # the full Newton step makes only that one.  These solves keep every
+    # full step
     counts = {"polish": False, "projections": 0, "iterations": 0}
     project, polish = Problem.project, solver._polish
 
@@ -608,14 +608,10 @@ class _TurnedGradient:
     """Two-node stand-in for a Problem.  The constraint is u[0] = 1, the
     mass gradient is u, and the energy gradient is u turned by the angle
     phi(y) = 0.1 - 0.2 y + 1.6 y^3 at y = u[1], so the residual is
-    |sin phi(y)|.  The canned solve adds rhs[0] to rhs[1], so the inverse
-    iterate of the mass gradient steps y by +1.  From y = 0 the residual
-    falls for steps below 0.25 (phi is least at y = 0.204) but rises at
-    0.5 and 1.  The tangent is the identity, so the Newton step is the
-    projected defect, which from y takes the trial to
-    (y - sin phi)/(1 + y sin phi), and its half step to
-    (y - sin(phi)/2)/(1 + y sin(phi)/2): from y = 0 both raise the
-    residual."""
+    |sin phi(y)|.  The canned solve adds rhs[0] to rhs[1], and the tangent
+    is the identity, so the Newton step is the projected defect, which
+    takes the damped trial theta v from y to
+    (y - theta sin phi)/(1 + theta y sin phi): from y = 0, -theta sin 0.1."""
 
     m = SimpleNamespace(node_weights=np.ones(2))
 
@@ -646,51 +642,57 @@ def _turned_residual(y):
     return math.sin(0.1 - 0.2 * y + 1.6 * y ** 3)
 
 
-def test_polish_halves_the_newton_step_then_damps_the_inverse_iterate():
+def test_polish_stops_when_no_damped_newton_step_falls_enough():
+    # from y = 0 the ten damped trials -sin(0.1) 2^-k, k = 0..9 (the next
+    # theta, 2^-10, is below _THETA_MIN) all raise the residual, so the
+    # polish stops at u after one step
     opts = SolveOptions(tol=1e-12)
     problem = _TurnedGradient()
+    u0 = np.array([1.0, 0.0])
     u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, np.array([1.0, 0.0])), opts, 1)
-    # from y = 0 the Newton trial -sin 0.1 and its half step raise the
-    # residual, so do the inverse iterate y = 1 and the half-way 0.5; the
-    # quarter 0.25 lowers it and is kept
+        problem, 1.0, solver._check(problem, u0), opts, 5)
     s = math.sin(0.1)
-    assert problem.trials == pytest.approx([-s, -s / 2, 1.0, 0.5, 0.25],
+    thetas = [0.5 ** k for k in range(10)]
+    assert problem.trials == pytest.approx([-s * t for t in thetas],
                                            rel=1e-12)
-    assert it == 1 and np.array_equal(u, [1.0, 0.25]) and not converged
-    assert res == pytest.approx(math.sin(0.075), rel=1e-12)
+    assert all(_turned_residual(y) > s for y in problem.trials)
+    assert np.array_equal(u, u0) and res == pytest.approx(s, rel=1e-15)
+    assert it == 1 and not converged
 
-    # from y = 0.25 the Newton trial 0.172 lowers the residual, but not by
-    # half; its half step 0.211 lowers it and is kept
+    # from y = 0.25 each trial lowers the residual sin 0.075, but none
+    # below (1 - theta/2) of it: a decrease that does not shrink with the
+    # damping is not kept
     problem.trials = []
+    u0 = np.array([1.0, 0.25])
     u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, u), opts, 1)
+        problem, 1.0, solver._check(problem, u0), opts, 5)
     s = math.sin(0.075)
-    full, half = ((0.25 - k * s) / (1.0 + 0.25 * k * s) for k in (1.0, 0.5))
-    assert problem.trials == pytest.approx([full, half], rel=1e-12)
-    assert 0.5 * math.sin(0.075) <= _turned_residual(full) < math.sin(0.075)
-    assert u == pytest.approx([1.0, half], rel=1e-12)
-    assert res == pytest.approx(_turned_residual(half), rel=1e-12)
-    assert res < _turned_residual(full) and it == 1 and not converged
+    assert problem.trials == pytest.approx(
+        [(0.25 - t * s) / (1.0 + 0.25 * t * s) for t in thetas], rel=1e-12)
+    for t, y in zip(thetas, problem.trials):
+        assert (1.0 - 0.5 * t) * s <= _turned_residual(y) < s
+    assert np.array_equal(u, u0) and res == pytest.approx(s, rel=1e-12)
+    assert it == 1 and not converged
 
 
-class _ThreeHalvesRow:
-    """Two-node stand-in for a Problem: E = u0^2/2 + |y|^{3/2}/(3/2) at
-    y = u[1], whose slope vanishes at y = 0, under the constraint u0 = 1
-    (mass gradient (1, 0)).  The tangent is the exact Hessian,
-    diag(1, |y|^{-1/2}/2), so the Newton step maps y to
-    y (q - 2)/(q - 1) = -y at q = 3/2: it reflects, and the residual does
-    not fall.  Its half step lands on y = 0.  The canned solve adds rhs[0]
-    to rhs[1], so the inverse iterate is y = 1."""
+class _PowerRow:
+    """Two-node stand-in for a Problem: E = u0^2/2 + |y|^q/q at y = u[1],
+    whose slope vanishes at y = 0, under the constraint u0 = 1 (mass
+    gradient (1, 0)).  The tangent is the exact Hessian,
+    diag(1, (q - 1) |y|^(q - 2)), so the damped step theta v maps y to
+    y (1 - theta/(q - 1)): the Newton step overshoots for q < 2, and
+    theta = q - 1 lands on y = 0.  The canned solve adds rhs[0] to
+    rhs[1]."""
 
     m = SimpleNamespace(node_weights=np.ones(2))
 
-    def __init__(self):
+    def __init__(self, q):
+        self.q = q
         self.trials = []
 
     def gradient(self, values):
         y = values[1]
-        return np.array([values[0], math.copysign(math.sqrt(abs(y)), y)])
+        return np.array([values[0], math.copysign(abs(y) ** (self.q - 1), y)])
 
     def mass_gradient(self, values):
         return np.array([1.0, 0.0])
@@ -703,22 +705,37 @@ class _ThreeHalvesRow:
         return lambda rhs: rhs + np.array([0.0, rhs[0]])
 
     def tangent(self, values, lam):
-        return lambda v: v * np.array([1.0, 0.5 / math.sqrt(abs(values[1]))])
+        h = (self.q - 1) * abs(values[1]) ** (self.q - 2)
+        return lambda v: v * np.array([1.0, h])
 
 
 def test_polish_keeps_the_half_step_where_the_newton_step_reflects():
-    problem = _ThreeHalvesRow()
+    # q = 3/2: the Newton step maps y = 0.25 to -0.25, and the residual
+    # does not fall; the half step lands on 0
+    problem = _PowerRow(1.5)
     u, lam, res, it, converged = solver._polish(
         problem, 1.0, solver._check(problem, np.array([1.0, 0.25])),
         SolveOptions(), 5)
     assert problem.trials == [-0.25, 0.0]
     assert np.array_equal(u, [1.0, 0.0]) and res == 0.0 and lam == 1.0
-    assert it == 2 and converged
+    assert it == 1 and converged
+
+
+def test_polish_damps_to_the_quarter_step_where_the_half_step_reflects():
+    # q = 5/4: the Newton step maps y = 0.25 to -0.75 and the half step
+    # to -0.25, neither lowering the residual; the quarter step,
+    # theta = q - 1, lands on 0 up to rounding
+    problem = _PowerRow(1.25)
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, np.array([1.0, 0.25])),
+        SolveOptions(), 5)
+    assert problem.trials[:3] == pytest.approx([-0.75, -0.25, 0.0],
+                                               abs=1e-15)
+    assert converged and abs(u[1]) < 1e-15
+    assert it <= 3
 
 
 def _nan_defect(problem, u):
-    # the residual is set to 1, which the inverse iterate y = 1 (residual
-    # sin 1.5) lowers
     check = solver._check(problem, u)
     check.g, check.res = np.full(2, np.nan), 1.0
     return check
@@ -729,15 +746,12 @@ def _minus_identity(problem, u):
     return solver._check(problem, u)
 
 
-@pytest.mark.parametrize("start,trials", [
-    (_nan_defect, [1.0]), (_minus_identity, [1.0, 0.5, 0.25])],
-    ids=["nan-defect", "negative-curvature"])
-def test_a_zero_newton_step_goes_straight_to_the_inverse_trials(start,
-                                                                trials):
+@pytest.mark.parametrize("start", [_nan_defect, _minus_identity],
+                         ids=["nan-defect", "negative-curvature"])
+def test_a_zero_newton_step_ends_the_polish_at_u(start):
     # CG breaks at once on a non-finite defect or a direction of
-    # non-positive curvature: the step is zero, and the polish makes no
-    # Newton trial; from y = 0 with the tangent -I the trials are those of
-    # the identity tangent less the two Newton trials
+    # non-positive curvature: the step is zero, and the polish stops at u
+    # with no trial
     problem = _TurnedGradient()
     u0 = np.array([1.0, 0.0])
     check = start(problem, u0)
@@ -745,11 +759,9 @@ def test_a_zero_newton_step_goes_straight_to_the_inverse_trials(start,
     step = solver._newton_step(problem, check, solve, solve(check.mg))
     assert np.array_equal(step, np.zeros(2))
     u, lam, res, it, converged = solver._polish(
-        problem, 1.0, check, SolveOptions(tol=1e-12), 1)
-    assert problem.trials == pytest.approx(trials, rel=1e-12)
-    assert np.array_equal(u, [1.0, trials[-1]])
-    assert res == pytest.approx(_turned_residual(trials[-1]), rel=1e-12)
-    assert it == 1 and not converged
+        problem, 1.0, check, SolveOptions(tol=1e-12), 5)
+    assert problem.trials == [] and np.array_equal(u, u0)
+    assert res == check.res and it == 1 and not converged
 
 
 def test_newton_step_is_zero_where_the_projection_is_not_defined():
@@ -779,9 +791,10 @@ def test_polish_keeps_a_newton_trial_that_halves_the_residual():
 
 @pytest.mark.parametrize("iterate", [np.zeros(2), np.array([np.nan, 1.0])],
                          ids=["zero", "nan"])
-def test_polish_stops_on_a_zero_or_non_finite_inverse_iterate(iterate):
-    # an inverse iterate that cannot be projected ends the polish at u,
-    # before any trial
+def test_polish_stops_on_a_zero_or_non_finite_stiffness_solve_of_mg(iterate):
+    # a K^-1 mg that is zero or not finite projects nothing onto the
+    # tangent, so the Newton step is zero and the polish ends at u before
+    # any trial
     problem = _TurnedGradient()
     problem.preconditioner = lambda values: lambda rhs: iterate
     u0 = np.array([1.0, 0.0])

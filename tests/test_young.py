@@ -499,7 +499,7 @@ def test_power_sum_writes_no_term_that_is_its_input(p, q):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_power_terms_reproduce_A(name):
     F = PINNED[name][0]
-    terms = F._power_terms()
+    terms = F._moment_terms
     if F.family.value not in ("power", "sum_of_powers"):
         assert terms is None  # exp_minus_poly(2) and the rest: array path
         return
@@ -518,7 +518,7 @@ def test_moments_stay_below_saturation(F):
     # saturated range, where the moment path evaluates the array instead
     absu = np.array([0.0, 1e-300, 0.5, 1e-20, 3.0])
     w = np.full(absu.size, 0.25)
-    moments = _RadialMoments(F._power_terms(), _ArrayModular(F, absu, w))
+    moments = _RadialMoments(F._moment_terms, _ArrayModular(F, absu, w))
     rho = moments.rho_sat * (1.0 - 1e-15)
     assert F.A(rho) < SATURATION
     phi = moments(rho / moments.tmax)
