@@ -5,10 +5,11 @@ The descent engine keeps every iterate exactly feasible: each trial step is
 rescaled back onto the constraint by the root of the monotone normalization
 map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
-stiffness solve and projected onto the constraint tangent.  Near the
-minimizer a polish takes inexact Newton steps on the stationarity system,
+stiffness solve and projected onto the constraint tangent.  From residual
+1e-1 on, a polish takes inexact Newton steps on the stationarity system,
 by CG on the constraint tangent preconditioned with the same stiffness,
-halving each step until the residual falls enough.
+halving each step until the residual falls enough; a polish that stalls
+there hands its iterate back to the descent once.
 Each solve is one :class:`Problem` of one Young function and one mesh,
 which keeps the row memo that its energy, gradient, stiffness and Hessian
 share.
@@ -408,7 +409,7 @@ class _RunResult:
     converged: bool
 
 
-_POLISH_THRESHOLD = 1e-4
+_HANDOVER = (1e-1, 1e-4)  # hand-over residuals: first, after a hand-back
 _ARMIJO = 1e-4          # sufficient-decrease constant of the line search
 _STALL = 0.5            # a residual not below this fraction of the last stalls
 _SHRINK = 0.5           # backtracking cap, as a fraction of the failed step
@@ -505,8 +506,13 @@ def _backtrack(E0, gd, s, Es):
 
 def _descend(problem, alpha, start_values, opts):
     """Normalization-projected preconditioned descent from one start,
-    finished by the Newton polish of :func:`_polish` once the residual is
-    small.
+    finished by the Newton polish of :func:`_polish`.
+
+    The descent hands over to the polish below residual _HANDOVER[0], or
+    where its line search finds no decrease.  A polish that was handed over
+    by the residual test and stops unconverged, not below _HANDOVER[1] and
+    with budget left, hands its iterate back once: the descent then hands
+    over below _HANDOVER[1].  Both phases share opts.max_iter.
 
     Each line search tries the unit step first and backtracks by
     :func:`_backtrack` until the Armijo test holds.  The lagged stiffness
@@ -519,54 +525,52 @@ def _descend(problem, alpha, start_values, opts):
     1 where that model is not convex."""
     u = problem.project(start_values, alpha)
     E = problem.energy(u)
-    res = math.inf
     it = 0
-    converged = False
-    accepted = True
-    model_step = 1.0  # the last line search's model minimizer
-    for it in range(1, opts.max_iter + 1):
-        last = res
-        check = _check(problem, u)
-        g, mg, res = check.g, check.mg, check.res
-        if res < opts.tol:
-            converged = True
-            break
-        if res < _POLISH_THRESHOLD:
-            break
-        solve = problem.preconditioner(u)
-        pg = solve(g)
-        pc = solve(mg)
-        denom = float(np.dot(mg, pc))
-        mu = float(np.dot(mg, pg)) / denom if denom > 0 else 0.0
-        d = pg - mu * pc
-        gd = float(np.dot(g, d))
-        if gd <= 0.0:
-            d, gd = pg, float(np.dot(g, pg))
-            if gd <= 0.0:
+    for handover in _HANDOVER:
+        res, accepted = math.inf, True
+        model_step = 1.0  # the last line search's model minimizer
+        while it < opts.max_iter:
+            it += 1
+            last = res
+            check = _check(problem, u)
+            g, mg, res = check.g, check.mg, check.res
+            if res < opts.tol or res < handover:
                 break
-        # unit trial step: with the lagged stiffness solve the projected
-        # direction is Newton-like, so s = 1 recovers inverse-iteration
-        # progress on the quadratic problem and backtracking handles the
-        # rest; after a stall, the model step
-        s = model_step if res >= _STALL * last else 1.0
-        accepted = False
-        while s > 1e-18:
-            trial_raw = u - s * d
-            Et = math.nan
-            if np.any(trial_raw):
-                trial = problem.project(trial_raw, alpha)
-                Et = problem.energy(trial)
-                if Et <= E - _ARMIJO * s * gd:
-                    accepted = True
+            solve = problem.preconditioner(u)
+            pg = solve(g)
+            pc = solve(mg)
+            denom = float(np.dot(mg, pc))
+            mu = float(np.dot(mg, pg)) / denom if denom > 0 else 0.0
+            d = pg - mu * pc
+            gd = float(np.dot(g, d))
+            if gd <= 0.0:
+                d, gd = pg, float(np.dot(g, pg))
+                if gd <= 0.0:
                     break
-            s = _backtrack(E, gd, s, Et)
-        if not accepted:
+            # unit trial step: with the lagged stiffness solve the projected
+            # direction is Newton-like, so s = 1 recovers inverse-iteration
+            # progress on the quadratic problem and backtracking handles the
+            # rest; after a stall, the model step
+            s = model_step if res >= _STALL * last else 1.0
+            accepted = False
+            while s > 1e-18:
+                trial_raw = u - s * d
+                Et = math.nan
+                if np.any(trial_raw):
+                    trial = problem.project(trial_raw, alpha)
+                    Et = problem.energy(trial)
+                    if Et <= E - _ARMIJO * s * gd:
+                        accepted = True
+                        break
+                s = _backtrack(E, gd, s, Et)
+            if not accepted:
+                break
+            assert Et <= E * (1.0 + 1e-14) + 1e-300, "descent must be monotone"
+            model_step = _model_step(E, gd, s, Et, _STEP_MIN, 1.0, 1.0)
+            u, E = trial, Et
+        lam, converged = check.lam, res < opts.tol
+        if converged or (res >= handover and accepted):
             break
-        assert Et <= E * (1.0 + 1e-14) + 1e-300, "descent must be monotone"
-        model_step = _model_step(E, gd, s, Et, _STEP_MIN, 1.0, 1.0)
-        u, E = trial, Et
-    lam = check.lam
-    if not converged and (res < _POLISH_THRESHOLD or not accepted):
         # a small residual, or an energy landscape flat at this resolution,
         # hands the iterate to the residual-driven polish, with the
         # stationarity check made at u before either break (u has not moved)
@@ -574,6 +578,9 @@ def _descend(problem, alpha, start_values, opts):
             problem, alpha, check, opts, opts.max_iter - it)
         it += extra
         E = problem.energy(u)
+        if (converged or not accepted or res < _HANDOVER[1]
+                or it >= opts.max_iter):
+            break
     return _RunResult(values=u, energy=E, lam=lam, residual=res,
                       iterations=it, converged=converged)
 

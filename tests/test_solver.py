@@ -202,22 +202,34 @@ def test_moment_path_range_errors(m200, family):
 
 
 @pytest.mark.parametrize("family", sorted(MOMENT_FAMILIES))
-def test_moment_terms_and_saturation_radius_are_cached(family):
+def test_moment_terms_and_saturation_radius_are_cached(m200, monkeypatch,
+                                                      family):
     # built once with the Young function, equal bit for bit to the terms
-    # and rho_sat by their formulas
+    # and rho_sat by their formulas, and read by every projection: two
+    # phi_root calls hand _RadialMoments the very tuple built with F
     F = MOMENT_FAMILIES[family]()
+    built = F._moment_terms
     terms = [(q, 1.0 / d) for q, _, d in F._sums["A"]]
     k = len(terms)
     rho_sat = min(math.exp((math.log(SATURATION)
                             - math.log(max(k * c, 1.0))) / p)
                   for p, c in terms)
-    assert F._moment_terms is F._moment_terms
-    assert isinstance(F._moment_terms, tuple)
-    assert list(F._moment_terms) == terms
+    assert isinstance(built, tuple)
+    assert list(built) == terms
     assert F._rho_sat == rho_sat
+    radial, handed = young._RadialMoments, []
+
+    def recorded(terms, array, tmax=None, rho_sat=None):
+        handed.append((terms, rho_sat))
+        return radial(terms, array, tmax, rho_sat)
+    monkeypatch.setattr(young, "_RadialMoments", recorded)
+    u = m200.field(np.ones(m200.interior_count))
+    for alpha in (1.0, 3.0):
+        phi_root(F, u, m200, alpha)
+    assert len(handed) == 2
+    assert all(t is built and r == rho_sat for t, r in handed)
     absu = np.array([0.0, 0.5, 2.0])
-    moments = young._RadialMoments(
-        F._moment_terms, young._ArrayModular(F, absu, np.ones(3)))
+    moments = radial(built, young._ArrayModular(F, absu, np.ones(3)))
     assert moments.rho_sat == rho_sat and moments.tmax == 2.0
 
 
@@ -476,9 +488,9 @@ def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
 
 
 @pytest.mark.parametrize("lx,ly,nx,ny,E,lam,iterations", [
-    (1.0, 1.0, 32, 32, 105.78761050590057, 131.02898361819587, 13),
-    (2.0, 1.0, 24, 12, 42.46842746057703, 54.897644672907475, 14),
-    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 7),
+    (1.0, 1.0, 32, 32, 105.78761050590057, 131.02898361819587, 12),
+    (2.0, 1.0, 24, 12, 42.46842746057703, 54.897644672907475, 8),
+    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 4),
 ], ids=["32x32", "24x12", "3x2"])
 def test_solve_2d_pins_the_answer(lx, ly, nx, ny, E, lam, iterations):
     """A determinism pin for refactors of the 2D operators, not an accuracy
@@ -833,6 +845,103 @@ def test_a_failed_line_search_hands_the_unmoved_check_to_the_polish(
     # the start's projection, then the trials s = 1, 1/2, ..., 2^-59
     assert len(problem.steps) == 61
     assert problem.steps[:4] == pytest.approx([0.0, 1.0, 0.5, 0.25])
+
+
+def _stall_polish(monkeypatch, polishes=1, below=math.inf):
+    """Make the Newton step zero in the first ``polishes`` polishes of a
+    run once the residual is below ``below``, so such a polish stops there
+    unconverged (at once, by default).  Returns the list of (residual
+    handed over, budget, polish 5-tuple) per polish; clear it between
+    runs."""
+    polish, newton_step, calls = solver._polish, solver._newton_step, []
+
+    def recorded(problem, alpha, check, opts, budget):
+        calls.append((check.res, budget))
+        out = polish(problem, alpha, check, opts, budget)
+        calls[-1] += (out,)
+        return out
+
+    def step(problem, check, solve, pc):
+        if len(calls) <= polishes and check.res < below:
+            return np.zeros_like(check.values)
+        return newton_step(problem, check, solve, pc)
+    monkeypatch.setattr(solver, "_polish", recorded)
+    monkeypatch.setattr(solver, "_newton_step", step)
+    return calls
+
+
+def _sop24_descent(m, **options):
+    """One descent run of SumOfPowers(2,4) at alpha = 1 on m, from the
+    pool's first start, with SolveOptions(**options)."""
+    return solver._descend(Problem(YoungFunction.sum_of_powers(2, 4), m),
+                           1.0, np.abs(solver.quadratic_eigenvector(m)),
+                           SolveOptions(**options))
+
+
+def test_a_converging_polish_takes_over_at_residual_1e_1(m200, monkeypatch):
+    # the descent hands over below 1e-1, not 1e-4, and a polish that
+    # converges ends the run: one polish
+    polish, handed = solver._polish, []
+
+    def counted(problem, alpha, check, opts, budget):
+        handed.append(check.res)
+        return polish(problem, alpha, check, opts, budget)
+    monkeypatch.setattr(solver, "_polish", counted)
+    run = _sop24_descent(m200)
+    assert run.converged and len(handed) == 1
+    assert 1e-4 <= handed[0] < 1e-1
+
+
+def test_a_stalled_polish_hands_back_to_the_descent_once(m200, monkeypatch):
+    # the first polish stops at once, unconverged, at the residual it was
+    # handed below 1e-1; the descent takes the iterate back and hands over
+    # again below 1e-4, and that second polish converges to the energy of
+    # the run without the stall.  The second polish's budget is what the
+    # run had left
+    plain = _sop24_descent(m200)
+    calls = _stall_polish(monkeypatch)
+    run = _sop24_descent(m200)
+    assert plain.converged and run.converged and len(calls) == 2
+    (res1, _, first), (res2, budget, second) = calls
+    assert 1e-4 <= res1 < 1e-1 and first[2:] == (res1, 1, False)
+    assert res2 < 1e-4 and second[4]
+    assert run.iterations == SolveOptions().max_iter - budget + second[3]
+    assert run.energy == pytest.approx(plain.energy, rel=1e-12)
+
+
+def test_a_second_stalled_polish_ends_the_run(m200, monkeypatch):
+    # at most one hand-back: when the polish after it stalls too, the run
+    # ends there, unconverged, at that polish's residual
+    calls = _stall_polish(monkeypatch, polishes=2)
+    run = _sop24_descent(m200)
+    assert len(calls) == 2 and not run.converged
+    assert calls[1][0] < 1e-4 and run.residual == calls[1][2][2]
+
+
+def test_a_polish_stalled_below_1e_4_is_not_handed_back(m200, monkeypatch):
+    # a polish that stops unconverged below the second hand-over residual
+    # ends the run: the descent would hand the same check straight back to
+    # a polish that stalls alike
+    calls = _stall_polish(monkeypatch, below=1e-4)
+    run = _sop24_descent(m200)
+    [(res, _, (u, lam, stop, steps, converged))] = calls
+    assert res >= 1e-4 > stop and steps >= 2 and not converged
+    assert not run.converged and run.residual == stop
+
+
+def test_the_hand_back_keeps_within_max_iter(m200, monkeypatch):
+    # descent iterations and polish steps share max_iter across the
+    # hand-back: a run cut at any budget reports at most that many
+    # iterations, and converges only with the budget of the uncut run
+    calls = _stall_polish(monkeypatch)
+    full = _sop24_descent(m200)
+    assert full.converged and len(calls) == 2
+    for max_iter in range(1, full.iterations + 2):
+        calls.clear()
+        run = _sop24_descent(m200, max_iter=max_iter)
+        assert run.iterations <= max_iter and math.isfinite(run.residual)
+        assert run.converged == (max_iter >= full.iterations)
+        assert len(calls) <= 2
 
 
 # -- line search -------------------------------------------------------------
