@@ -8,8 +8,9 @@ and search directions are preconditioned with a lagged-coefficient
 stiffness solve and projected onto the constraint tangent.  From residual
 1e-1 on, a polish takes inexact Newton steps on the stationarity system,
 by CG on the constraint tangent preconditioned with the same stiffness,
-halving each step until the residual falls enough; a polish that stalls
-there hands its iterate back to the descent once.
+halving each step until the residual falls enough; its factor is kept
+while the steps made on it are full ones.  A polish that stalls there
+hands its iterate back to the descent once.
 Each solve is one :class:`Problem` of one Young function and one mesh,
 which keeps the row memo that its energy, gradient, stiffness and Hessian
 share.
@@ -460,30 +461,38 @@ def _polish(problem, alpha, check, opts, budget):
     the energy-difference noise floor that limits Armijo comparisons near
     the minimizer.  ``check`` is the :class:`_Check` of the iterate u to
     start from (the descent hands over its last one, so the gradients there
-    are not evaluated again).  Each step factors the lagged stiffness at u
-    once, takes the Newton step v of :func:`_newton_step` and keeps the
-    first u + theta v, theta = 1, 1/2, 1/4, ... down to _THETA_MIN, whose
-    residual is below (1 - theta/2) times the residual at u (backtracking
-    inexact Newton, Eisenstat & Walker 1994); if v is zero or no theta
-    passes, the polish stops.  Where A(|s|) ~ |s|^q on a row whose slope
+    are not evaluated again).  Each step takes the Newton step v of
+    :func:`_newton_step` and keeps the first u + theta v, theta = 1, 1/2,
+    1/4, ... down to _THETA_MIN, whose residual is below (1 - theta/2)
+    times the residual at u (backtracking inexact Newton, Eisenstat &
+    Walker 1994); if v is zero or no theta passes, the polish stops.  The
+    lagged stiffness, CG's preconditioner only, is factored at the first
+    step and kept while each step made on it keeps theta = 1; a step on a
+    kept factor tries theta = 1 alone, and if that fails (or v is zero) the
+    factor is dropped and the step redone at u on a fresh factor, counted
+    once.  Where A(|s|) ~ |s|^q on a row whose slope
     vanishes at the minimizer, theta v maps s to s (1 - theta/(q - 1)): the
     Newton step overshoots for q < 2, and theta = q - 1 is exact.  Returns
     (u, lam, residual, steps, converged), steps counting the steps made."""
-    it = 0
+    it, solve = 0, None
     while it < budget and check.res >= opts.tol:
         it += 1
-        solve = problem.preconditioner(check.values)
+        kept = solve is not None
+        solve = solve or problem.preconditioner(check.values)
         step = _newton_step(problem, check, solve, solve(check.mg))
         theta = 1.0
-        while np.any(step) and theta > _THETA_MIN:
+        while np.any(step) and theta > (0.5 if kept else _THETA_MIN):
             trial = _check(problem, problem.project(
                 check.values + theta * step, alpha))
             if trial.res < (1.0 - 0.5 * theta) * check.res:
                 break
             theta *= 0.5
         else:
-            break
-        check = trial
+            if not kept:
+                break
+            it, solve = it - 1, None  # redo the step on a fresh factor
+            continue
+        check, solve = trial, solve if theta == 1.0 else None
     return check.values, check.lam, check.res, it, check.res < opts.tol
 
 

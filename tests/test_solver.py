@@ -747,6 +747,76 @@ def test_polish_damps_to_the_quarter_step_where_the_half_step_reflects():
     assert it <= 3
 
 
+def _counting_builds(problem):
+    """``problem`` with its preconditioner wrapped to log each build, as
+    ("build", y) at y = u[1], into its list of trials."""
+    build = problem.preconditioner
+
+    def preconditioner(values):
+        problem.trials.append(("build", values[1]))
+        return build(values)
+    problem.preconditioner = preconditioner
+    return problem
+
+
+@pytest.mark.parametrize("q, builds", [(1.25, "every step"), (3.0, 1)])
+def test_polish_keeps_its_factor_only_across_full_newton_steps(q, builds):
+    # q = 5/4: every step is damped (to theta = q - 1 = 1/4 at most), so
+    # each drops its factor and the next step factors afresh, without a
+    # full trial on a kept factor that would fail and be redone.  q = 3:
+    # the full step maps y to y/2 and the residual y^2 falls fourfold, so
+    # one factor serves the whole polish
+    problem = _counting_builds(_PowerRow(q))
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, np.array([1.0, 0.25])),
+        SolveOptions(), 50)
+    made = sum(isinstance(t, tuple) for t in problem.trials)
+    trials = [t for t in problem.trials if not isinstance(t, tuple)]
+    assert converged and it > 1
+    assert made == (it if builds == "every step" else builds)
+    assert len(set(trials)) == len(trials)  # no step redone
+
+
+class _SteepeningRow(_PowerRow):
+    """:class:`_PowerRow` of q = 3/2 plus y^2/2: the gradient's row is
+    y + sign(y) |y|^(1/2) and the exact Hessian's 1 + |y|^(-1/2)/2, so the
+    Newton step maps y to -y/(1 + 2 |y|^(1/2)).  It falls within the
+    full step's (1 - 1/2) far from 0 (y = 4 to -0.8) and not near it
+    (-0.8 to 0.287), where the half step (to -0.257) passes."""
+
+    def __init__(self):
+        super().__init__(1.5)
+
+    def gradient(self, values):
+        return super().gradient(values) + np.array([0.0, values[1]])
+
+    def tangent(self, values, lam):
+        h = 1.0 + 0.5 / math.sqrt(abs(values[1]))
+        return lambda v: v * np.array([1.0, h])
+
+
+def test_a_failed_full_step_on_a_kept_factor_is_redone_on_a_fresh_one():
+    # the first step, on a fresh factor, keeps its full step 4 -> -0.8 and
+    # so its factor; the second tries only the full step on that factor,
+    # which fails, and is redone at -0.8 on a fresh factor, whose full
+    # step fails again and whose half step passes.  The redo costs one
+    # projection (4 against 3 when each step factored afresh) and counts
+    # as one step
+    problem = _counting_builds(_SteepeningRow())
+    u, lam, res, it, converged = solver._polish(
+        problem, 1.0, solver._check(problem, np.array([1.0, 4.0])),
+        SolveOptions(), 2)
+    full = 0.8 / (1.0 + 2.0 * math.sqrt(0.8))
+    assert problem.trials == [
+        ("build", 4.0), pytest.approx(-0.8, rel=1e-15),
+        pytest.approx(full, rel=1e-15),
+        ("build", pytest.approx(-0.8, rel=1e-15)),
+        pytest.approx(full, rel=1e-15),
+        pytest.approx(0.5 * (full - 0.8), rel=1e-15)]
+    assert u[1] == problem.trials[-1]
+    assert it == 2 and not converged
+
+
 def _nan_defect(problem, u):
     check = solver._check(problem, u)
     check.g, check.res = np.full(2, np.nan), 1.0

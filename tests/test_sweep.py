@@ -459,6 +459,37 @@ def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
     assert len(descent) == 44 and sum(descent) <= 53
 
 
+def test_every_polish_of_the_benchmark_sweep_factors_the_stiffness_once(
+        monkeypatch, capsys):
+    # the polish keeps its factor across full Newton steps, and every step
+    # of the benchmark's sweep at seed 1 is one: each of the 43 polishes
+    # builds one factor (108 steps; 120 factorizations in the whole sweep
+    # when the polish refactored at every step, 55 now)
+    polish, preconditioner = solver._polish, solver.Problem.preconditioner
+    builds, inside = [], [False]
+
+    def counted(*args):
+        builds.append(0)
+        inside[0] = True
+        try:
+            return polish(*args)
+        finally:
+            inside[0] = False
+
+    def counted_build(self, values):
+        if inside[0]:
+            builds[-1] += 1
+        return preconditioner(self, values)
+    monkeypatch.setattr(solver, "_polish", counted)
+    monkeypatch.setattr(solver.Problem, "preconditioner", counted_build)
+    assert cli.main(["sweep", "--young", SOP24, "--mesh", "interval:1.0,200",
+                     "--alpha-min", "1e-4", "--alpha-max", "1e4",
+                     "--per-decade", "5", "--check",
+                     "bounds,derivative,limits", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] == 41
+    assert builds == [1] * 43
+
+
 def test_warm_alphas_of_the_cli_sweep_take_at_most_16_iterations(
         cli_sweep24):
     # the descent's stall rule ends the unit step's two-cycle over the
