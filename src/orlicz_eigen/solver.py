@@ -7,10 +7,11 @@ map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
 stiffness solve and projected onto the constraint tangent.  From residual
 1e-1 on, a polish takes inexact Newton steps on the stationarity system,
-by CG on the constraint tangent preconditioned with the same stiffness,
-halving each step until the residual falls enough; its factor is kept
-while the steps made on it are full ones.  A polish that stalls there
-hands its iterate back to the descent once.
+by CG on the constraint tangent preconditioned with the same stiffness
+to a forcing tied to the residual, halving each step until the residual
+falls enough; its factor is kept while the steps made on it are full
+ones.  A polish that stalls there hands its iterate back to the descent
+once.
 Each solve is one :class:`Problem` of one Young function and one mesh,
 which keeps the row memo that its energy, gradient, stiffness and Hessian
 share.
@@ -350,34 +351,40 @@ class Problem:
         node weights.  H_b, the Hessian of A(|s|) at each row's s = B u, is
         a'(g) on one-component rows (1D cells, nonlocal pairs, the
         exterior) and c I + (a'(g) - c) n n^T on 2D triangles, with
-        c = a(g)/g and n = s/g from the row memo.  Each a' is
-        :func:`_derivative` of the block's own density (F's for M), so one
-        path serves every family and the exterior's G.  The matvec runs
-        through the blocks' ``differences`` and ``transpose``; no band is
-        assembled."""
+        c = a(g)/g and n = s/g from the row memo.  Each a' is that of the
+        block's own density (F's for M): F's closed form for a power sum,
+        else :func:`_derivative`, as for the exterior's G; an overflow
+        gives an inf or a NaN, which CG's curvature check catches.  The
+        matvec runs through the blocks' ``differences`` and ``transpose``;
+        no band is assembled."""
+        def slope(G, t):
+            da = G.closed_derivative(t) if G is self.F else None
+            return _derivative(G.a, t) if da is None else da
         self.at(values)
         rows = []
-        for b, c, s, g in zip(self.m.blocks, self.coefficients(),
-                              self.slopes, self.g):
-            gr = np.maximum(g, EPS_GRAD)
-            da = _derivative(b.young(self.F).a, gr)
-            if len(s) == 1:
-                rows.append((b, da * b.flux_weights, None, None))
-            else:
-                n = s / gr
-                rows.append((b, c * b.flux_weights, n,
-                             (da - c) * n * b.flux_weights))
-        mass = lam * self.m.node_weights * _derivative(
-            self.F.a, np.maximum(np.abs(values), EPS_GRAD))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, c, s, g in zip(self.m.blocks, self.coefficients(),
+                                  self.slopes, self.g):
+                gr = np.maximum(g, EPS_GRAD)
+                da = slope(b.young(self.F), gr)
+                if len(s) == 1:
+                    rows.append((b, da * b.flux_weights, None, None))
+                else:
+                    n = s / gr
+                    rows.append((b, c * b.flux_weights, n,
+                                 (da - c) * n * b.flux_weights))
+            mass = lam * self.m.node_weights * slope(
+                self.F, np.maximum(np.abs(values), EPS_GRAD))
 
         def apply(v):
-            out = -mass * v
-            for b, k, n, kn in rows:
-                x = b.differences(v)
-                flux = k * x
-                if n is not None:
-                    flux += kn * (n * x).sum(axis=0)
-                out += b.transpose(flux.ravel())
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = -mass * v
+                for b, k, n, kn in rows:
+                    x = b.differences(v)
+                    flux = k * x
+                    if n is not None:
+                        flux += kn * (n * x).sum(axis=0)
+                    out += b.transpose(flux.ravel())
             return out
         return apply
 
@@ -416,19 +423,19 @@ _STALL = 0.5            # a residual not below this fraction of the last stalls
 _SHRINK = 0.5           # backtracking cap, as a fraction of the failed step
 _STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
 _THETA_MIN = 1e-3       # damping floor of the polish's Newton step
-_FORCING = 1e-2         # CG stops once its preconditioned residual falls by this
+_FORCING = 1e-2         # CG's forcing far out (see _polish)
 _CG_MAX = 50            # CG iterations per Newton step
 
 
-def _newton_step(problem, check, solve, pc):
+def _newton_step(problem, check, solve, pc, forcing=_FORCING):
     """Inexact Newton step v at the iterate of ``check``: projected
     preconditioned CG for J v = -defect on the constraint tangent
     T = {v : <mg, v> = 0}, J the Hessian of :meth:`Problem.tangent`.  The
     preconditioner is the lagged stiffness K (``solve``) projected onto T
     along pc = K^-1 mg, as in the descent: z = K^-1 r - (<mg, K^-1 r>/<mg,
     pc>) pc, so every z, and so v, lies in T.  CG stops when sqrt(<r, z>)
-    has fallen by _FORCING, at a direction of non-positive curvature, or
-    after _CG_MAX iterations; v is zero if the first direction fails."""
+    has fallen by ``forcing``, at a direction of non-positive curvature,
+    or after _CG_MAX iterations; v is zero if the first direction fails."""
     mg, v, r = check.mg, np.zeros_like(check.values), -check.defect
     denom = float(np.dot(mg, pc))
     if not (denom > 0.0 and np.isfinite(r).all()):
@@ -440,7 +447,7 @@ def _newton_step(problem, check, solve, pc):
     apply = problem.tangent(check.values, check.lam)
     p = z = precondition(r)
     rz = float(np.dot(r, z))
-    stop = _FORCING ** 2 * rz
+    stop = forcing ** 2 * rz
     for _ in range(_CG_MAX):
         if not rz > stop:  # also a zero or NaN first residual
             break
@@ -462,24 +469,28 @@ def _polish(problem, alpha, check, opts, budget):
     the minimizer.  ``check`` is the :class:`_Check` of the iterate u to
     start from (the descent hands over its last one, so the gradients there
     are not evaluated again).  Each step takes the Newton step v of
-    :func:`_newton_step` and keeps the first u + theta v, theta = 1, 1/2,
-    1/4, ... down to _THETA_MIN, whose residual is below (1 - theta/2)
-    times the residual at u (backtracking inexact Newton, Eisenstat &
-    Walker 1994); if v is zero or no theta passes, the polish stops.  The
-    lagged stiffness, CG's preconditioner only, is factored at the first
-    step and kept while each step made on it keeps theta = 1; a step on a
-    kept factor tries theta = 1 alone, and if that fails (or v is zero) the
-    factor is dropped and the step redone at u on a fresh factor, counted
-    once.  Where A(|s|) ~ |s|^q on a row whose slope
-    vanishes at the minimizer, theta v maps s to s (1 - theta/(q - 1)): the
-    Newton step overshoots for q < 2, and theta = q - 1 is exact.  Returns
-    (u, lam, residual, steps, converged), steps counting the steps made."""
+    :func:`_newton_step` to the forcing min(_FORCING, max(res, 0.01
+    tol/res)) at residual res, so the tail is quadratic (Dembo, Eisenstat
+    & Steihaug 1982) and the last step does not over-solve past tol.  It
+    keeps the first u + theta v, theta = 1, 1/2, 1/4, ... down to
+    _THETA_MIN, whose residual is below (1 - theta/2) times the residual
+    at u (backtracking inexact Newton, Eisenstat & Walker 1994); if v is
+    zero or no theta passes, the polish stops.  The lagged stiffness, CG's
+    preconditioner only, is factored at the first step and kept while each
+    step made on it keeps theta = 1; a step on a kept factor tries
+    theta = 1 alone, and if that fails (or v is zero) the factor is
+    dropped and the step redone at u on a fresh factor, counted once.
+    Where A(|s|) ~ |s|^q on a row whose slope vanishes at the minimizer,
+    theta v maps s to s (1 - theta/(q - 1)): the Newton step overshoots
+    for q < 2, and theta = q - 1 is exact.  Returns (u, lam, residual,
+    steps, converged), steps counting the steps made."""
     it, solve = 0, None
     while it < budget and check.res >= opts.tol:
         it += 1
         kept = solve is not None
         solve = solve or problem.preconditioner(check.values)
-        step = _newton_step(problem, check, solve, solve(check.mg))
+        forcing = min(_FORCING, max(check.res, 0.01 * opts.tol / check.res))
+        step = _newton_step(problem, check, solve, solve(check.mg), forcing)
         theta = 1.0
         while np.any(step) and theta > (0.5 if kept else _THETA_MIN):
             trial = _check(problem, problem.project(

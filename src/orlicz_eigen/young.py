@@ -12,11 +12,12 @@ Each closed-form family is one row of ``_SPECS``: its parameter names and
 kinds, the check they must pass with its ConfigError message, its default
 label and, for the two power sums, their terms.  Power and SumOfPowers are
 A(t) = sum_k t^p_k / d_k, with d = 1 for t^p and d_k = p_k for
-t^p/p + t^q/q; one power-sum path derives from these terms A, a, log A,
-log a, the moments of the normalization (``_moment_terms``) and the
-primitive G(t) = int_0^t A(s)/s ds = sum_k t^p_k / (d_k p_k) that the
-nonlocal exterior integrates.  The custom family keeps its own quadrature,
-``scipy.integrate.quad``, imported only when a custom A is first evaluated.
+t^p/p + t^q/q; one power-sum path derives from these terms A, a, a',
+log A, log a, the moments of the normalization (``_moment_terms``) and
+the primitive G(t) = int_0^t A(s)/s ds = sum_k t^p_k / (d_k p_k) that
+the nonlocal exterior integrates.  The custom family keeps its own
+quadrature, ``scipy.integrate.quad``, imported only when a custom A is
+first evaluated.
 
 Exponential families saturate at ``SATURATION`` instead of overflowing, and
 all endpoint ratios are formed in log space so that regime detection is not
@@ -268,12 +269,13 @@ class YoungFunction:
                                   f"for family {fam!r}")
         p = self.params
         self.label = self.label or (spec.label(p) if spec else "custom")
-        # (exponent, factor, divisor) of each term of A, of a and of the
-        # primitive G(t) = int_0^t A(s)/s ds of a power sum
+        # (exponent, factor, divisor) of each term of A, of a, of a' and of
+        # the primitive G(t) = int_0^t A(s)/s ds of a power sum
         terms = spec.terms(p) if spec and spec.terms else None
         self._sums = None if terms is None else {
             "A": [(q, 1.0, d) for q, d in terms],
             "a": [(q - 1.0, q / d, 1.0) for q, d in terms],
+            "da": [(q - 2.0, q * (q - 1.0) / d, 1.0) for q, d in terms],
             "G": [(q, 1.0, d * q) for q, d in terms]}
         # what the normalization's moment path needs of A alone, once:
         # (p_k, c_k) with A(t) = sum_k c_k t^p_k, and its rho_sat; None for
@@ -382,6 +384,14 @@ class YoungFunction:
             return None
         with np.errstate(over="ignore"):
             return _power_sum(np.asarray(tau, dtype=float), self._sums["G"])
+
+    def closed_derivative(self, t):
+        """a'(t) at an array t > 0 of rank 1 or more, in closed form (inf
+        where it overflows), or None for the families without one."""
+        if self._sums is None:
+            return None
+        with np.errstate(over="ignore", divide="ignore"):
+            return _power_sum(np.asarray(t, dtype=float), self._sums["da"])
 
     def _A_impl(self, t):
         fam, p = self.family, self.params
@@ -668,6 +678,8 @@ class _ArrayModular:
     """phi(r) = sum w A(r absu) by one array evaluation of A per call, and
     its log slope r phi'(r) / phi(r) = sum w a(t) t / phi at t = r absu."""
 
+    on_array = True  # each call evaluates the array
+
     def __init__(self, F, absu, w):
         self.F, self.absu, self.w = F, absu, w
 
@@ -739,7 +751,9 @@ class _RadialMoments:
 
 def _newton(phi_at, alpha, r0):
     """(r, phi(r), evaluations) for phi(r) = alpha, with phi and its log
-    slope taken from the evaluator ``phi_at`` (see ``_normalize``)."""
+    slope taken from the evaluator ``phi_at`` (see ``_normalize``); a last
+    step below _RTOL is taken off the array, and phi is then that before
+    it (the moment path checks the root by one array evaluation)."""
     lo, hi = 0.0, math.inf
     up = down = 2.0
     log_alpha = math.log(alpha)
@@ -760,6 +774,7 @@ def _newton(phi_at, alpha, r0):
         if s > 0.0 and math.isfinite(s):
             step = (log_alpha - math.log(phi)) / s
             if close and abs(step) <= _RTOL:
+                r = r if phi_at.on_array else r * math.exp(step)
                 break
             r_next = r * math.exp(max(min(step, 700.0), -700.0))
             if lo < r_next < hi and _MIN_RADIUS <= r_next <= _MAX_RADIUS:

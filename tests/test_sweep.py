@@ -429,13 +429,16 @@ def test_sweep_pins_the_cli_answer(cli_sweep24):
 
 def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
         monkeypatch, capsys):
-    # handed over at residual 1e-1, the polish's Newton step makes the tail
-    # quadratic: every polish of the benchmark's sweep (41 alphas and the
-    # two limits references) at seed 1 ends within 4 steps, and the 44
-    # runs make 53 descent iterations in all (each warm alpha only its
-    # hand-over check; 142 when the descent went on to 1e-4).  A linear
-    # tail takes more steps, or stalls the polish and hands the iterate
-    # back to the descent
+    # handed over at residual 1e-1, the polish's Newton step, its CG
+    # forcing tied to the residual, makes the tail quadratic: every polish
+    # of the benchmark's sweep (41 alphas and the two limits references)
+    # at seed 1 ends within 4 steps, 86 in all (108 with a fixed forcing
+    # of 1e-2; the one polish of 4 steps is the cold Power(4) reference,
+    # 0.076 -> 0.017 -> 4.4e-4 -> 3.5e-7 -> 5e-12), and the 44 runs make
+    # 53 descent iterations in all (each warm alpha only its hand-over
+    # check; 142 when the descent went on to 1e-4).  A linear tail takes
+    # more steps, or stalls the polish and hands the iterate back to the
+    # descent
     polish, descend, steps, descent = solver._polish, solver._descend, [], []
 
     def counted(*args):
@@ -455,8 +458,29 @@ def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
                      "--per-decade", "5", "--check",
                      "bounds,derivative,limits", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] == 41
-    assert len(steps) == 43 and max(steps) <= 4
+    assert len(steps) == 43 and max(steps) <= 4 and sum(steps) <= 86
     assert len(descent) == 44 and sum(descent) <= 53
+
+
+def test_every_minimizer_of_the_benchmark_sweep_meets_alpha_to_1e_14(
+        monkeypatch, capsys):
+    # the projection of a Newton iterate, which lies on the constraint's
+    # tangent, starts within 1e-12 of alpha; the moment path takes its last
+    # scalar step there instead of keeping the start's modular error (up
+    # to 2.4e-13 relative over this sweep when it broke without the step)
+    misses = []
+
+    def recorded(F, m, alpha, *args, **kwargs):
+        res = solve_E(F, m, alpha, *args, **kwargs)
+        misses.append(abs(res.alpha - alpha) / alpha)
+        return res
+    monkeypatch.setattr(sweep, "solve_E", recorded)
+    assert cli.main(["sweep", "--young", SOP24, "--mesh", "interval:1.0,200",
+                     "--alpha-min", "1e-4", "--alpha-max", "1e4",
+                     "--per-decade", "5", "--check",
+                     "bounds,derivative,limits", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] == 41
+    assert len(misses) == 43 and max(misses) <= 1e-14
 
 
 def test_every_polish_of_the_benchmark_sweep_factors_the_stiffness_once(
