@@ -5,13 +5,13 @@ The descent engine keeps every iterate exactly feasible: each trial step is
 rescaled back onto the constraint by the root of the monotone normalization
 map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
 and search directions are preconditioned with a lagged-coefficient
-stiffness solve and projected onto the constraint tangent.  From residual
-1e-1 on, a polish takes inexact Newton steps on the stationarity system,
-by CG on the constraint tangent preconditioned with the same stiffness
-to a forcing tied to the residual, halving each step until the residual
-falls enough; its factor is kept while the steps made on it are full
-ones.  A polish that stalls there hands its iterate back to the descent
-once.
+stiffness solve and projected onto the constraint tangent.  A run from one
+start is one loop of steps: descent steps down to residual 1e-1, then
+inexact Newton steps on the stationarity system, by CG on the constraint
+tangent preconditioned with the same stiffness to a forcing tied to the
+residual, each halved until the residual falls enough; their factor is
+kept while the steps made on it are full ones.  Where a Newton step stalls
+there, the descent steps take the iterate back once.
 Each solve is one :class:`Problem` of one Young function and one mesh,
 which keeps the row memo that its energy, gradient, stiffness and Hessian
 share.
@@ -99,10 +99,11 @@ class MinimizerResult:
     energy: float
     lam: float
     residual: float
-    iterations: int
+    iterations: int  # steps of the returned run, descent and Newton
     converged: bool
     restarts_used: int
     restart_energies: list = field(default_factory=list)  # converged runs
+    newton_steps: int = 0  # of the iterations, the Newton steps
 
     @property
     def restart_spread(self):
@@ -120,6 +121,7 @@ class MinimizerResult:
             "lambda": self.lam,
             "residual": self.residual,
             "iterations": self.iterations,
+            "newton_steps": self.newton_steps,
             "converged": self.converged,
             "restarts_used": self.restarts_used,
             "restart_spread": self.restart_spread,
@@ -413,17 +415,19 @@ class _RunResult:
     energy: float
     lam: float
     residual: float
-    iterations: int
+    iterations: int  # steps made, descent and Newton steps alike
     converged: bool
+    newton_steps: int  # of the iterations, the Newton steps
 
 
-_HANDOVER = (1e-1, 1e-4)  # hand-over residuals: first, after a hand-back
+_HANDOVER = 1e-1        # residual below which the steps are Newton steps
+_HANDBACK = 1e-4        # the same, after the one hand-back
 _ARMIJO = 1e-4          # sufficient-decrease constant of the line search
 _STALL = 0.5            # a residual not below this fraction of the last stalls
 _SHRINK = 0.5           # backtracking cap, as a fraction of the failed step
 _STEP_MIN = 0.1         # backtracking floor, as a fraction of the failed step
-_THETA_MIN = 1e-3       # damping floor of the polish's Newton step
-_FORCING = 1e-2         # CG's forcing far out (see _polish)
+_THETA_MIN = 1e-3       # damping floor of the Newton step
+_FORCING = 1e-2         # CG's forcing far out (see _newton)
 _CG_MAX = 50            # CG iterations per Newton step
 
 
@@ -463,48 +467,32 @@ def _newton_step(problem, check, solve, pc, forcing=_FORCING):
     return v
 
 
-def _polish(problem, alpha, check, opts, budget):
-    """Residual-driven tail phase on the stationarity system, immune to
-    the energy-difference noise floor that limits Armijo comparisons near
-    the minimizer.  ``check`` is the :class:`_Check` of the iterate u to
-    start from (the descent hands over its last one, so the gradients there
-    are not evaluated again).  Each step takes the Newton step v of
-    :func:`_newton_step` to the forcing min(_FORCING, max(res, 0.01
-    tol/res)) at residual res, so the tail is quadratic (Dembo, Eisenstat
-    & Steihaug 1982) and the last step does not over-solve past tol.  It
-    keeps the first u + theta v, theta = 1, 1/2, 1/4, ... down to
-    _THETA_MIN, whose residual is below (1 - theta/2) times the residual
-    at u (backtracking inexact Newton, Eisenstat & Walker 1994); if v is
-    zero or no theta passes, the polish stops.  The lagged stiffness, CG's
-    preconditioner only, is factored at the first step and kept while each
-    step made on it keeps theta = 1; a step on a kept factor tries
-    theta = 1 alone, and if that fails (or v is zero) the factor is
-    dropped and the step redone at u on a fresh factor, counted once.
-    Where A(|s|) ~ |s|^q on a row whose slope vanishes at the minimizer,
-    theta v maps s to s (1 - theta/(q - 1)): the Newton step overshoots
-    for q < 2, and theta = q - 1 is exact.  Returns (u, lam, residual,
-    steps, converged), steps counting the steps made."""
-    it, solve = 0, None
-    while it < budget and check.res >= opts.tol:
-        it += 1
-        kept = solve is not None
-        solve = solve or problem.preconditioner(check.values)
-        forcing = min(_FORCING, max(check.res, 0.01 * opts.tol / check.res))
-        step = _newton_step(problem, check, solve, solve(check.mg), forcing)
-        theta = 1.0
-        while np.any(step) and theta > (0.5 if kept else _THETA_MIN):
-            trial = _check(problem, problem.project(
-                check.values + theta * step, alpha))
-            if trial.res < (1.0 - 0.5 * theta) * check.res:
-                break
-            theta *= 0.5
-        else:
-            if not kept:
-                break
-            it, solve = it - 1, None  # redo the step on a fresh factor
-            continue
-        check, solve = trial, solve if theta == 1.0 else None
-    return check.values, check.lam, check.res, it, check.res < opts.tol
+def _newton(problem, alpha, check, factor, tol):
+    """Damped Newton step from the iterate u of ``check``, at residual res:
+    the step v of :func:`_newton_step` to the forcing min(_FORCING,
+    max(res, 0.01 tol/res)) (a quadratic tail that does not over-solve
+    past tol; Dembo, Eisenstat & Steihaug 1982), then the first
+    u + theta v, theta = 1, 1/2, ... down to _THETA_MIN, whose residual is
+    below (1 - theta/2) res (Eisenstat & Walker 1994).  Where A(|s|) ~ |s|^q
+    on a row whose slope vanishes at the minimizer, theta v maps s to
+    s (1 - theta/(q - 1)), so theta = q - 1 is exact.  On a kept ``factor``
+    of the stiffness (CG's preconditioner) only theta = 1 is tried, and
+    the step is redone on a fresh factor if it fails.  Returns the new
+    iterate's :class:`_Check` and the factor to keep (None after a damped
+    step), or (None, None) if v is zero or no theta passes on a fresh one."""
+    solve = factor or problem.preconditioner(check.values)
+    forcing = min(_FORCING, max(check.res, 0.01 * tol / check.res))
+    step = _newton_step(problem, check, solve, solve(check.mg), forcing)
+    theta = 1.0
+    while np.any(step) and theta > (0.5 if factor else _THETA_MIN):
+        trial = _check(problem, problem.project(
+            check.values + theta * step, alpha))
+        if trial.res < (1.0 - 0.5 * theta) * check.res:
+            return trial, solve if theta == 1.0 else None
+        theta *= 0.5
+    if factor:  # redo the step on a fresh factor
+        return _newton(problem, alpha, check, None, tol)
+    return None, None
 
 
 def _model_step(E0, gd, s, Es, lo, hi, fallback):
@@ -517,45 +505,38 @@ def _model_step(E0, gd, s, Es, lo, hi, fallback):
     return min(max(0.5 * gd * s * s / curv, lo), hi)
 
 
-def _backtrack(E0, gd, s, Es):
-    """Next trial step after the Armijo test failed at step s: the
-    quadratic model's minimizer clamped to [_STEP_MIN s, _SHRINK s];
-    _SHRINK s when Es is not finite or the model is not convex."""
-    return _model_step(E0, gd, s, Es, _STEP_MIN * s, _SHRINK * s, _SHRINK * s)
-
-
 def _descend(problem, alpha, start_values, opts):
-    """Normalization-projected preconditioned descent from one start,
-    finished by the Newton polish of :func:`_polish`.
+    """One run from one start: one step per pass, at the iterate of the
+    last stationarity check, until its residual is below opts.tol or
+    opts.max_iter steps are made (``iterations``).  At residual ``near`` or
+    more the step is a projected preconditioned descent step, below it a
+    damped Newton step of :func:`_newton`, immune to the noise floor of the
+    Armijo test's energy differences near the minimizer.  ``near`` is
+    _HANDOVER at first; a failed line search sets it to infinity, so the
+    Newton steps start from its unmoved check.  A Newton step that fails
+    on a fresh factor ends the run, except once while ``near`` is
+    _HANDOVER and the residual _HANDBACK or more: ``near`` falls to
+    _HANDBACK, and descent steps take the iterate back.
 
-    The descent hands over to the polish below residual _HANDOVER[0], or
-    where its line search finds no decrease.  A polish that was handed over
-    by the residual test and stops unconverged, not below _HANDOVER[1] and
-    with budget left, hands its iterate back once: the descent then hands
-    over below _HANDOVER[1].  Both phases share opts.max_iter.
-
-    Each line search tries the unit step first and backtracks by
-    :func:`_backtrack` until the Armijo test holds.  The lagged stiffness
-    a(g)/g is a secant below the tangent, so along a stiff mode the unit
-    step can overshoot about twofold and pass Armijo without progress, the
-    iterates cycling over the minimizer.  So an iteration whose residual is
-    not below _STALL times the last one's starts its line search instead at
-    the minimizer of the last line search's quadratic model through its
-    accepted trial (:func:`_model_step`), clamped to [_STEP_MIN, 1], or at
-    1 where that model is not convex."""
-    u = problem.project(start_values, alpha)
-    E = problem.energy(u)
-    it = 0
-    for handover in _HANDOVER:
-        res, accepted = math.inf, True
-        model_step = 1.0  # the last line search's model minimizer
-        while it < opts.max_iter:
-            it += 1
-            last = res
-            check = _check(problem, u)
-            g, mg, res = check.g, check.mg, check.res
-            if res < opts.tol or res < handover:
-                break
+    Each line search tries the unit step first and, after an Armijo test
+    that failed at step s, the quadratic model's minimizer clamped to
+    [_STEP_MIN s, _SHRINK s] (:func:`_model_step`; _SHRINK s when the
+    trial's energy is not finite or the model is not convex).  The lagged
+    stiffness a(g)/g is a secant below the tangent, so along a stiff mode
+    the unit step can overshoot about twofold and pass Armijo without
+    progress, the iterates cycling over the minimizer.  So a descent step
+    whose residual is not below _STALL times the last one's starts its
+    line search instead at the minimizer of the last line search's model
+    through its accepted trial, clamped to [_STEP_MIN, 1], or at 1 where
+    that model is not convex (and after the hand-back).  The energy is
+    evaluated where a descent step needs it, and at the end."""
+    check = _check(problem, problem.project(start_values, alpha))
+    E, near, last, model_step = None, _HANDOVER, math.inf, 1.0
+    factor, it, newton = None, 0, 0
+    while check.res >= opts.tol and it < opts.max_iter:
+        if check.res >= near:
+            u, g, mg = check.values, check.g, check.mg
+            E = problem.energy(u) if E is None else E
             solve = problem.preconditioner(u)
             pg = solve(g)
             pc = solve(mg)
@@ -571,8 +552,8 @@ def _descend(problem, alpha, start_values, opts):
             # direction is Newton-like, so s = 1 recovers inverse-iteration
             # progress on the quadratic problem and backtracking handles the
             # rest; after a stall, the model step
-            s = model_step if res >= _STALL * last else 1.0
-            accepted = False
+            s = model_step if check.res >= _STALL * last else 1.0
+            last = check.res
             while s > 1e-18:
                 trial_raw = u - s * d
                 Et = math.nan
@@ -580,29 +561,27 @@ def _descend(problem, alpha, start_values, opts):
                     trial = problem.project(trial_raw, alpha)
                     Et = problem.energy(trial)
                     if Et <= E - _ARMIJO * s * gd:
-                        accepted = True
                         break
-                s = _backtrack(E, gd, s, Et)
-            if not accepted:
+                s = _model_step(E, gd, s, Et, _STEP_MIN * s, _SHRINK * s,
+                                _SHRINK * s)
+            if s > 1e-18:  # the Armijo test held
+                assert Et <= E * (1.0 + 1e-14) + 1e-300, \
+                    "descent must be monotone"
+                model_step = _model_step(E, gd, s, Et, _STEP_MIN, 1.0, 1.0)
+                check, E, it = _check(problem, trial), Et, it + 1
+                continue
+            near = math.inf  # flat at this resolution: Newton from here
+        moved, factor = _newton(problem, alpha, check, factor, opts.tol)
+        if moved is None:
+            if near != _HANDOVER or check.res < _HANDBACK:
                 break
-            assert Et <= E * (1.0 + 1e-14) + 1e-300, "descent must be monotone"
-            model_step = _model_step(E, gd, s, Et, _STEP_MIN, 1.0, 1.0)
-            u, E = trial, Et
-        lam, converged = check.lam, res < opts.tol
-        if converged or (res >= handover and accepted):
-            break
-        # a small residual, or an energy landscape flat at this resolution,
-        # hands the iterate to the residual-driven polish, with the
-        # stationarity check made at u before either break (u has not moved)
-        u, lam, res, extra, converged = _polish(
-            problem, alpha, check, opts, opts.max_iter - it)
-        it += extra
-        E = problem.energy(u)
-        if (converged or not accepted or res < _HANDOVER[1]
-                or it >= opts.max_iter):
-            break
-    return _RunResult(values=u, energy=E, lam=lam, residual=res,
-                      iterations=it, converged=converged)
+            near, model_step = _HANDBACK, 1.0  # the one hand-back, as a start
+            continue
+        check, E, it, newton = moved, None, it + 1, newton + 1
+    return _RunResult(
+        values=check.values, lam=check.lam, residual=check.res,
+        energy=problem.energy(check.values) if E is None else E,
+        iterations=it, converged=check.res < opts.tol, newton_steps=newton)
 
 
 def _smooth(values, passes=10):
@@ -716,7 +695,7 @@ def solve_E(F, m, alpha, opts=None, initial=None):
             f"minimizer misses the constraint: modular {achieved!r} "
             f"for alpha = {alpha!r}")
     return MinimizerResult(
-        u=ScalarField(best.values, m), alpha=achieved, energy=best.energy, lam=best.lam,
-        residual=best.residual, iterations=best.iterations,
+        u=ScalarField(best.values, m), alpha=achieved, energy=best.energy,
+        lam=best.lam, residual=best.residual, iterations=best.iterations,
         converged=best.converged, restarts_used=len(runs),
-        restart_energies=energies)
+        restart_energies=energies, newton_steps=best.newton_steps)

@@ -254,14 +254,20 @@ class YoungFunction:
         else:  # the table's names and kinds, then the hypotheses
             given, fam = dict(self.params), self.family.value
             try:
-                self.params = {name: kind(given.pop(name))
-                               for name, kind in spec.params}
+                raw = [(name, kind, float(given.pop(name)))
+                       for name, kind in spec.params]
             except KeyError as exc:
                 raise ConfigError(f"missing parameter {exc} for family "
                                   f"{fam!r}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"non-numeric parameter for family "
                                   f"{fam!r}: {exc}") from exc
+            for name, kind, x in raw:  # a finite float, or a whole int
+                if not (math.isfinite(x) and kind(x) == x):
+                    raise ConfigError(f"parameter {name!r} for family {fam!r} "
+                                      f"must be a finite {kind.__name__}, "
+                                      f"got {x!r}")
+            self.params = {name: kind(x) for name, kind, x in raw}
             if spec.fails(self.params):
                 raise ConfigError(spec.message)
             if given:

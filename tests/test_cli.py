@@ -402,8 +402,21 @@ def test_nonlocal_solve(capsys):
     payload = json.loads(out)
     assert payload["converged"]
     assert set(payload) == {"alpha", "energy", "lambda", "residual",
-                            "iterations", "converged", "restarts_used",
-                            "restart_spread"}
+                            "iterations", "newton_steps", "converged",
+                            "restarts_used", "restart_spread"}
+
+
+@pytest.mark.parametrize("nodes", ["128", "256"])
+def test_nonlocal_benchmark_commands_make_at_most_3_newton_steps(capsys,
+                                                                 nodes):
+    # the benchmark's nonlocal commands at seed 1: the returned run's last
+    # steps are at most 3 Newton steps, after its descent steps
+    code, out, _ = run(capsys, "nonlocal", "--young", SUM24,
+                       "--interval", "1.0", "--s", "0.5", "--alpha", "1.0",
+                       "--nodes", nodes, "--seed", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["converged"]
+    assert 0 < payload["newton_steps"] <= 3 < payload["iterations"]
 
 
 def test_nonlocal_sweep_matches_run_sweep(capsys, tmp_path):

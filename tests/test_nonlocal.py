@@ -513,30 +513,23 @@ def test_solve_pins_the_cli_answer():
 
 def test_each_run_polishes_in_at_most_3_newton_steps(monkeypatch):
     # the `nonlocal --nodes 128 --seed 1` solve: handed over at residual
-    # 1e-1, both runs end within 3 Newton steps of the polish (4 with a
-    # fixed CG forcing of 1e-2) after at most 4 descent iterations (3 and
-    # 4, each counting its hand-over check).  A linear tail takes more
-    # steps, or stalls the polish and hands the iterate back to the
-    # descent (9 and 11 iterations when the descent went on to 1e-4)
-    polish, descend, steps, descent = solver._polish, solver._descend, [], []
-
-    def counted(*args):
-        out = polish(*args)
-        steps.append(out[3])
-        return out
+    # 1e-1, both runs end within 3 Newton steps (4 with a fixed CG forcing
+    # of 1e-2) after at most 3 descent steps (2 and 3).  A linear tail
+    # takes more steps, or stalls and hands the iterate back to the
+    # descent steps (9 and 11 iterations, each hand-over check counted,
+    # when the descent went on to 1e-4)
+    descend, runs = solver._descend, []
 
     def counted_run(*args):
-        before = len(steps)
         run = descend(*args)
-        descent.append(run.iterations - sum(steps[before:]))
+        runs.append(run)
         return run
-    monkeypatch.setattr(solver, "_polish", counted)
     monkeypatch.setattr(solver, "_descend", counted_run)
     res = solve_E(YoungFunction.sum_of_powers(2, 4),
                   NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
-    assert res.converged
-    assert len(steps) == 2 and max(steps) <= 3
-    assert len(descent) == 2 and max(descent) <= 4
+    assert res.converged and len(runs) == 2
+    assert max(run.newton_steps for run in runs) <= 3
+    assert max(run.iterations - run.newton_steps for run in runs) <= 3
 
 
 @pytest.mark.parametrize("alpha", [1.0, 100.0])

@@ -552,9 +552,9 @@ def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
 
 
 @pytest.mark.parametrize("lx,ly,nx,ny,E,lam,iterations", [
-    (1.0, 1.0, 32, 32, 105.78761050590053, 131.0289836183901, 12),
-    (2.0, 1.0, 24, 12, 42.46842746057703, 54.89764467293589, 7),
-    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 4),
+    (1.0, 1.0, 32, 32, 105.78761050590053, 131.0289836183901, 11),
+    (2.0, 1.0, 24, 12, 42.46842746057703, 54.89764467293589, 6),
+    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 3),
 ], ids=["32x32", "24x12", "3x2"])
 def test_solve_2d_pins_the_answer(lx, ly, nx, ny, E, lam, iterations):
     """A determinism pin for refactors of the 2D operators, not an accuracy
@@ -624,7 +624,7 @@ def test_deterministic_given_seed(m200):
     assert np.array_equal(a.u.values, b.u.values)
 
 
-# -- polish ------------------------------------------------------------------
+# -- Newton steps ------------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [1.0, 1e2, 1e4])
 def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
@@ -632,52 +632,60 @@ def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
     # each damped Newton trial is one projection, and a step that keeps
     # the full Newton step makes only that one.  These solves keep every
     # full step
-    counts = {"polish": False, "projections": 0, "iterations": 0}
-    project, polish = Problem.project, solver._polish
+    counts = {"inside": 0, "projections": 0, "steps": 0}
+    project, newton, descend = Problem.project, solver._newton, \
+        solver._descend
 
     def counting_project(self, values, alpha, r0=1.0):
-        counts["projections"] += counts["polish"]
+        counts["projections"] += counts["inside"] > 0
         return project(self, values, alpha, r0)
 
-    def counting_polish(*args):
-        counts["polish"] = True
+    def counting_newton(*args):
+        counts["inside"] += 1
         try:
-            out = polish(*args)
+            return newton(*args)
         finally:
-            counts["polish"] = False
-        counts["iterations"] += out[3]
-        return out
+            counts["inside"] -= 1
+
+    def counting_descend(*args):
+        run = descend(*args)
+        counts["steps"] += run.newton_steps
+        return run
     monkeypatch.setattr(Problem, "project", counting_project)
-    monkeypatch.setattr(solver, "_polish", counting_polish)
+    monkeypatch.setattr(solver, "_newton", counting_newton)
+    monkeypatch.setattr(solver, "_descend", counting_descend)
     F = YoungFunction.sum_of_powers(2, 4)
     res = solve_E(F, m200, alpha, SolveOptions(restarts=1))
     assert res.converged
-    assert counts["iterations"] > 0
-    assert counts["projections"] <= 2 * counts["iterations"]
+    assert counts["steps"] > 0
+    assert counts["projections"] <= 2 * counts["steps"]
 
 
 @pytest.mark.parametrize("alpha", [1e-4, 1.0, 1e4])
 def test_polish_starts_from_the_descents_last_check(m200, monkeypatch,
                                                     alpha):
-    # the check the descent hands over is the one the polish would make at
-    # the same iterate, bit for bit, and both polish alike from it
-    polish, runs = solver._polish, []
+    # each Newton step starts from the check of the last step, bit for bit
+    # the one a fresh check at its iterate makes, and no iterate of a run
+    # is checked twice: the hand-over to the Newton steps makes no check
+    check_at, newton, seen, handed = solver._check, solver._newton, [], []
 
-    def both(problem, alpha, check, opts, budget):
-        fresh = solver._check(problem, check.values)
+    def recorded(problem, values, lam=None):
+        seen.append(values.tobytes())
+        return check_at(problem, values, lam)
+
+    def compared(problem, alpha, check, factor, tol):
+        fresh = check_at(problem, check.values)
         for name in ("values", "g", "mg", "defect"):
             assert np.array_equal(getattr(check, name), getattr(fresh, name))
         assert (check.lam, check.res) == (fresh.lam, fresh.res)
-        handed = polish(problem, alpha, check, opts, budget)
-        again = polish(problem, alpha, fresh, opts, budget)
-        assert np.array_equal(handed[0], again[0])
-        assert handed[1:] == again[1:]
-        runs.append(handed)
-        return handed
-    monkeypatch.setattr(solver, "_polish", both)
+        handed.append(check.res)
+        return newton(problem, alpha, check, factor, tol)
+    monkeypatch.setattr(solver, "_check", recorded)
+    monkeypatch.setattr(solver, "_newton", compared)
     res = solve_E(YoungFunction.sum_of_powers(2, 4), m200, alpha,
                   SolveOptions(restarts=2, seed=1))
-    assert res.converged and runs
+    assert res.converged and handed
+    assert len(set(seen)) == len(seen)
 
 
 class _TurnedGradient:
@@ -687,12 +695,17 @@ class _TurnedGradient:
     |sin phi(y)|.  The canned solve adds rhs[0] to rhs[1], and the tangent
     is the identity, so the Newton step is the projected defect, which
     takes the damped trial theta v from y to
-    (y - theta sin phi)/(1 + theta y sin phi): from y = 0, -theta sin 0.1."""
+    (y - theta sin phi)/(1 + theta y sin phi): from y = 0, -theta sin 0.1.
+    No energy has this gradient: the energy reads 0, which a run that
+    makes only Newton steps evaluates once, for its result."""
 
     m = SimpleNamespace(node_weights=np.ones(2))
 
     def __init__(self):
         self.trials = []
+
+    def energy(self, values):
+        return 0.0
 
     def gradient(self, values):
         phi = 0.1 - 0.2 * values[1] + 1.6 * values[1] ** 3
@@ -718,37 +731,41 @@ def _turned_residual(y):
     return math.sin(0.1 - 0.2 * y + 1.6 * y ** 3)
 
 
+def _newton_run(monkeypatch, problem, start, **options):
+    """A run of ``solver._descend`` from ``start`` on a two-node stand-in,
+    with SolveOptions(**options), in which every step is a Newton step:
+    the hand-over residual is infinite, and a failed step ends the run."""
+    monkeypatch.setattr(solver, "_HANDOVER", math.inf)
+    monkeypatch.setattr(solver, "_HANDBACK", math.inf)
+    return solver._descend(problem, 1.0, np.array(start),
+                           SolveOptions(**options))
+
+
 def test_polish_stops_when_no_damped_newton_step_falls_enough():
     # from y = 0 the ten damped trials -sin(0.1) 2^-k, k = 0..9 (the next
     # theta, 2^-10, is below _THETA_MIN) all raise the residual, so the
-    # polish stops at u after one step
-    opts = SolveOptions(tol=1e-12)
+    # Newton step fails and keeps no factor
     problem = _TurnedGradient()
-    u0 = np.array([1.0, 0.0])
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, u0), opts, 5)
+    check = solver._check(problem, np.array([1.0, 0.0]))
+    assert solver._newton(problem, 1.0, check, None, 1e-12) == (None, None)
     s = math.sin(0.1)
+    assert check.res == pytest.approx(s, rel=1e-15)
     thetas = [0.5 ** k for k in range(10)]
     assert problem.trials == pytest.approx([-s * t for t in thetas],
                                            rel=1e-12)
     assert all(_turned_residual(y) > s for y in problem.trials)
-    assert np.array_equal(u, u0) and res == pytest.approx(s, rel=1e-15)
-    assert it == 1 and not converged
 
     # from y = 0.25 each trial lowers the residual sin 0.075, but none
     # below (1 - theta/2) of it: a decrease that does not shrink with the
     # damping is not kept
     problem.trials = []
-    u0 = np.array([1.0, 0.25])
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, u0), opts, 5)
+    check = solver._check(problem, np.array([1.0, 0.25]))
+    assert solver._newton(problem, 1.0, check, None, 1e-12) == (None, None)
     s = math.sin(0.075)
     assert problem.trials == pytest.approx(
         [(0.25 - t * s) / (1.0 + 0.25 * t * s) for t in thetas], rel=1e-12)
     for t, y in zip(thetas, problem.trials):
         assert (1.0 - 0.5 * t) * s <= _turned_residual(y) < s
-    assert np.array_equal(u, u0) and res == pytest.approx(s, rel=1e-12)
-    assert it == 1 and not converged
 
 
 class _PowerRow:
@@ -765,6 +782,9 @@ class _PowerRow:
     def __init__(self, q):
         self.q = q
         self.trials = []
+
+    def energy(self, values):
+        return 0.5 * values[0] ** 2 + abs(values[1]) ** self.q / self.q
 
     def gradient(self, values):
         y = values[1]
@@ -787,28 +807,28 @@ class _PowerRow:
 
 def test_polish_keeps_the_half_step_where_the_newton_step_reflects():
     # q = 3/2: the Newton step maps y = 0.25 to -0.25, and the residual
-    # does not fall; the half step lands on 0
+    # does not fall; the half step lands on 0, and keeps no factor
     problem = _PowerRow(1.5)
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, np.array([1.0, 0.25])),
-        SolveOptions(), 5)
+    moved, factor = solver._newton(
+        problem, 1.0, solver._check(problem, np.array([1.0, 0.25])), None,
+        SolveOptions().tol)
     assert problem.trials == [-0.25, 0.0]
-    assert np.array_equal(u, [1.0, 0.0]) and res == 0.0 and lam == 1.0
-    assert it == 1 and converged
+    assert np.array_equal(moved.values, [1.0, 0.0])
+    assert moved.res == 0.0 and moved.lam == 1.0 and factor is None
 
 
-def test_polish_damps_to_the_quarter_step_where_the_half_step_reflects():
+def test_polish_damps_to_the_quarter_step_where_the_half_step_reflects(
+        monkeypatch):
     # q = 5/4: the Newton step maps y = 0.25 to -0.75 and the half step
     # to -0.25, neither lowering the residual; the quarter step,
     # theta = q - 1, lands on 0 up to rounding
     problem = _PowerRow(1.25)
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, np.array([1.0, 0.25])),
-        SolveOptions(), 5)
-    assert problem.trials[:3] == pytest.approx([-0.75, -0.25, 0.0],
-                                               abs=1e-15)
-    assert converged and abs(u[1]) < 1e-15
-    assert it <= 3
+    run = _newton_run(monkeypatch, problem, [1.0, 0.25])
+    assert problem.trials[0] == 0.25  # the start's own projection
+    assert problem.trials[1:4] == pytest.approx([-0.75, -0.25, 0.0],
+                                                abs=1e-15)
+    assert run.converged and abs(run.values[1]) < 1e-15
+    assert run.iterations == run.newton_steps <= 3
 
 
 def _counting_builds(problem):
@@ -824,20 +844,19 @@ def _counting_builds(problem):
 
 
 @pytest.mark.parametrize("q, builds", [(1.25, "every step"), (3.0, 1)])
-def test_polish_keeps_its_factor_only_across_full_newton_steps(q, builds):
+def test_polish_keeps_its_factor_only_across_full_newton_steps(
+        monkeypatch, q, builds):
     # q = 5/4: every step is damped (to theta = q - 1 = 1/4 at most), so
     # each drops its factor and the next step factors afresh, without a
     # full trial on a kept factor that would fail and be redone.  q = 3:
     # the full step maps y to y/2 and the residual y^2 falls fourfold, so
-    # one factor serves the whole polish
+    # one factor serves every step of the run
     problem = _counting_builds(_PowerRow(q))
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, np.array([1.0, 0.25])),
-        SolveOptions(), 50)
+    run = _newton_run(monkeypatch, problem, [1.0, 0.25])
     made = sum(isinstance(t, tuple) for t in problem.trials)
     trials = [t for t in problem.trials if not isinstance(t, tuple)]
-    assert converged and it > 1
-    assert made == (it if builds == "every step" else builds)
+    assert run.converged and run.iterations == run.newton_steps > 1
+    assert made == (run.iterations if builds == "every step" else builds)
     assert len(set(trials)) == len(trials)  # no step redone
 
 
@@ -851,6 +870,9 @@ class _SteepeningRow(_PowerRow):
     def __init__(self):
         super().__init__(1.5)
 
+    def energy(self, values):
+        return super().energy(values) + 0.5 * values[1] ** 2
+
     def gradient(self, values):
         return super().gradient(values) + np.array([0.0, values[1]])
 
@@ -859,7 +881,8 @@ class _SteepeningRow(_PowerRow):
         return lambda v: v * np.array([1.0, h])
 
 
-def test_a_failed_full_step_on_a_kept_factor_is_redone_on_a_fresh_one():
+def test_a_failed_full_step_on_a_kept_factor_is_redone_on_a_fresh_one(
+        monkeypatch):
     # the first step, on a fresh factor, keeps its full step 4 -> -0.8 and
     # so its factor; the second tries only the full step on that factor,
     # which fails, and is redone at -0.8 on a fresh factor, whose full
@@ -867,18 +890,16 @@ def test_a_failed_full_step_on_a_kept_factor_is_redone_on_a_fresh_one():
     # projection (4 against 3 when each step factored afresh) and counts
     # as one step
     problem = _counting_builds(_SteepeningRow())
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, np.array([1.0, 4.0])),
-        SolveOptions(), 2)
+    run = _newton_run(monkeypatch, problem, [1.0, 4.0], max_iter=2)
     full = 0.8 / (1.0 + 2.0 * math.sqrt(0.8))
     assert problem.trials == [
-        ("build", 4.0), pytest.approx(-0.8, rel=1e-15),
+        4.0, ("build", 4.0), pytest.approx(-0.8, rel=1e-15),
         pytest.approx(full, rel=1e-15),
         ("build", pytest.approx(-0.8, rel=1e-15)),
         pytest.approx(full, rel=1e-15),
         pytest.approx(0.5 * (full - 0.8), rel=1e-15)]
-    assert u[1] == problem.trials[-1]
-    assert it == 2 and not converged
+    assert run.values[1] == problem.trials[-1]
+    assert run.iterations == run.newton_steps == 2 and not run.converged
 
 
 def _nan_defect(problem, u):
@@ -896,18 +917,19 @@ def _minus_identity(problem, u):
                          ids=["nan-defect", "negative-curvature"])
 def test_a_zero_newton_step_ends_the_polish_at_u(start):
     # CG breaks at once on a non-finite defect or a direction of
-    # non-positive curvature: the step is zero, and the polish stops at u
-    # with no trial
+    # non-positive curvature: the step is zero, and the Newton step fails
+    # with no trial, on a fresh factor and on a kept one (redone on a
+    # fresh one)
     problem = _TurnedGradient()
     u0 = np.array([1.0, 0.0])
     check = start(problem, u0)
     solve = problem.preconditioner(u0)
     step = solver._newton_step(problem, check, solve, solve(check.mg))
     assert np.array_equal(step, np.zeros(2))
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, check, SolveOptions(tol=1e-12), 5)
-    assert problem.trials == [] and np.array_equal(u, u0)
-    assert res == check.res and it == 1 and not converged
+    for factor in (None, solve):
+        assert solver._newton(problem, 1.0, check, factor, 1e-12) == \
+            (None, None)
+    assert problem.trials == []
 
 
 def test_newton_step_is_zero_where_the_projection_is_not_defined():
@@ -922,84 +944,93 @@ def test_polish_keeps_a_newton_trial_that_halves_the_residual():
     # from y = 0.5 (residual sin 0.2) one CG step solves the identity
     # tangent's system: v = (sin 0.2 / 2) (1, -2), and the projected
     # y = (0.5 - sin 0.2)/(1 + sin 0.2 / 2) = 0.274 has residual 0.078,
-    # below half of sin 0.2, so it is the iteration's only trial
+    # below half of sin 0.2, so it is the step's only trial, and the full
+    # step keeps its factor
     problem = _TurnedGradient()
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, np.array([1.0, 0.5])),
-        SolveOptions(tol=1e-12), 1)
+    moved, factor = solver._newton(
+        problem, 1.0, solver._check(problem, np.array([1.0, 0.5])), None,
+        1e-12)
     s = math.sin(0.2)
     y = (0.5 - s) / (1.0 + 0.5 * s)
     assert problem.trials == pytest.approx([y], rel=1e-12)
-    assert u == pytest.approx([1.0, y], rel=1e-12)
-    assert res == pytest.approx(_turned_residual(y), rel=1e-12)
-    assert res < 0.5 * s and it == 1 and not converged
+    assert moved.values == pytest.approx([1.0, y], rel=1e-12)
+    assert moved.res == pytest.approx(_turned_residual(y), rel=1e-12)
+    assert moved.res < 0.5 * s and factor is not None
 
 
 @pytest.mark.parametrize("iterate", [np.zeros(2), np.array([np.nan, 1.0])],
                          ids=["zero", "nan"])
-def test_polish_stops_on_a_zero_or_non_finite_stiffness_solve_of_mg(iterate):
+def test_polish_stops_on_a_zero_or_non_finite_stiffness_solve_of_mg(
+        monkeypatch, iterate):
     # a K^-1 mg that is zero or not finite projects nothing onto the
-    # tangent, so the Newton step is zero and the polish ends at u before
-    # any trial
+    # tangent, so the Newton step is zero and the run ends at its start
+    # before any trial
     problem = _TurnedGradient()
     problem.preconditioner = lambda values: lambda rhs: iterate
-    u0 = np.array([1.0, 0.0])
-    u, lam, res, it, converged = solver._polish(
-        problem, 1.0, solver._check(problem, u0), SolveOptions(), 5)
-    assert problem.trials == [] and np.array_equal(u, u0)
-    assert lam == pytest.approx(math.cos(0.1), rel=1e-15)
-    assert res == pytest.approx(math.sin(0.1), rel=1e-15)
-    assert it == 1 and not converged
+    run = _newton_run(monkeypatch, problem, [1.0, 0.0])
+    assert problem.trials == [0.0]  # the start's own projection
+    assert np.array_equal(run.values, [1.0, 0.0])
+    assert run.lam == pytest.approx(math.cos(0.1), rel=1e-15)
+    assert run.residual == pytest.approx(math.sin(0.1), rel=1e-15)
+    assert run.iterations == run.newton_steps == 0 and not run.converged
 
 
 def test_a_failed_line_search_hands_the_unmoved_check_to_the_polish(
         monkeypatch):
     # an energy finite only at the start never passes Armijo, so the line
-    # search halves to its floor and the polish starts from the check made
-    # at the start, which the descent has not moved
+    # search halves to its floor and the Newton step is made at once, on a
+    # fresh factor, from the check made at the start, which the descent
+    # has not moved; when it fails too, the run ends there
     problem = _ScaledQuartic(3.0)
     energies = iter([0.25])
     monkeypatch.setattr(problem, "energy",
                         lambda values: next(energies, math.inf))
     handed = []
 
-    def polish(problem, alpha, check, opts, budget):
-        handed.append((check, budget))
-        return check.values, check.lam, check.res, 0, False
-    monkeypatch.setattr(solver, "_polish", polish)
+    def newton(problem, alpha, check, factor, tol):
+        handed.append((check, factor))
+        return None, None
+    monkeypatch.setattr(solver, "_newton", newton)
     run = solver._descend(problem, 1.0, np.array([1.0, 1.0]),
                           SolveOptions(max_iter=5))
-    [(check, budget)] = handed
+    [(check, factor)] = handed
     fresh = solver._check(problem, np.array([1.0, 1.0]))
     for name in ("values", "g", "mg", "defect"):
         assert np.array_equal(getattr(check, name), getattr(fresh, name))
     assert (check.lam, check.res) == (fresh.lam, fresh.res) == \
         (1.0, math.sqrt(2.0))
-    assert budget == 4 and run.iterations == 1 and not run.converged
+    assert factor is None and run.energy == 0.25
+    assert run.iterations == run.newton_steps == 0 and not run.converged
     # the start's projection, then the trials s = 1, 1/2, ..., 2^-59
     assert len(problem.steps) == 61
     assert problem.steps[:4] == pytest.approx([0.0, 1.0, 0.5, 0.25])
 
 
-def _stall_polish(monkeypatch, polishes=1, below=math.inf):
-    """Make the Newton step zero in the first ``polishes`` polishes of a
-    run once the residual is below ``below``, so such a polish stops there
-    unconverged (at once, by default).  Returns the list of (residual
-    handed over, budget, polish 5-tuple) per polish; clear it between
-    runs."""
-    polish, newton_step, calls = solver._polish, solver._newton_step, []
+def _newton_calls(monkeypatch, stalls=0, below=math.inf):
+    """Record each Newton step of a run as (the residual it starts from,
+    whether it moved), a step redone on a fresh factor once; and make the
+    Newton step v zero, so that the step fails, where the residual is
+    below ``below``, until ``stalls`` steps have failed.  Returns the list
+    of records; clear it between runs."""
+    newton, newton_step = solver._newton, solver._newton_step
+    calls, depth = [], [0]
 
-    def recorded(problem, alpha, check, opts, budget):
-        calls.append((check.res, budget))
-        out = polish(problem, alpha, check, opts, budget)
-        calls[-1] += (out,)
+    def recorded(problem, alpha, check, factor, tol):
+        depth[0] += 1
+        try:
+            out = newton(problem, alpha, check, factor, tol)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            calls.append((check.res, out[0] is not None))
         return out
 
     def step(problem, check, solve, pc, forcing):
-        if len(calls) <= polishes and check.res < below:
+        failed = sum(not moved for _, moved in calls)
+        if failed < stalls and check.res < below:
             return np.zeros_like(check.values)
         return newton_step(problem, check, solve, pc, forcing)
-    monkeypatch.setattr(solver, "_polish", recorded)
+    monkeypatch.setattr(solver, "_newton", recorded)
     monkeypatch.setattr(solver, "_newton_step", step)
     return calls
 
@@ -1013,69 +1044,118 @@ def _sop24_descent(m, **options):
 
 
 def test_a_converging_polish_takes_over_at_residual_1e_1(m200, monkeypatch):
-    # the descent hands over below 1e-1, not 1e-4, and a polish that
-    # converges ends the run: one polish
-    polish, handed = solver._polish, []
-
-    def counted(problem, alpha, check, opts, budget):
-        handed.append(check.res)
-        return polish(problem, alpha, check, opts, budget)
-    monkeypatch.setattr(solver, "_polish", counted)
+    # the descent steps hand over below 1e-1, not 1e-4, and from there
+    # every step is a Newton step that moves, until the run converges
+    calls = _newton_calls(monkeypatch)
     run = _sop24_descent(m200)
-    assert run.converged and len(handed) == 1
-    assert 1e-4 <= handed[0] < 1e-1
+    assert run.converged and calls and all(moved for _, moved in calls)
+    assert 1e-4 <= calls[0][0] < 1e-1
+    assert run.newton_steps == len(calls) < run.iterations
 
 
 def test_a_stalled_polish_hands_back_to_the_descent_once(m200, monkeypatch):
-    # the first polish stops at once, unconverged, at the residual it was
-    # handed below 1e-1; the descent takes the iterate back and hands over
-    # again below 1e-4, and that second polish converges to the energy of
-    # the run without the stall.  The second polish's budget is what the
-    # run had left
+    # the first Newton step fails, unconverged, at the residual it starts
+    # from below 1e-1; the descent steps take the iterate back down to
+    # 1e-4, where the Newton steps take over again and converge to the
+    # energy of the run without the stall.  The failed step is not counted
     plain = _sop24_descent(m200)
-    calls = _stall_polish(monkeypatch)
+    calls = _newton_calls(monkeypatch, stalls=1)
     run = _sop24_descent(m200)
-    assert plain.converged and run.converged and len(calls) == 2
-    (res1, _, first), (res2, budget, second) = calls
-    assert 1e-4 <= res1 < 1e-1 and first[2:] == (res1, 1, False)
-    assert res2 < 1e-4 and second[4]
-    assert run.iterations == SolveOptions().max_iter - budget + second[3]
+    assert plain.converged and run.converged
+    (res1, moved1), (res2, _) = calls[:2]
+    assert 1e-4 <= res1 < 1e-1 and not moved1
+    assert res2 < 1e-4 and all(moved for _, moved in calls[1:])
+    assert run.newton_steps == len(calls) - 1
+    assert (run.iterations - run.newton_steps
+            > plain.iterations - plain.newton_steps)
     assert run.energy == pytest.approx(plain.energy, rel=1e-12)
 
 
 def test_a_second_stalled_polish_ends_the_run(m200, monkeypatch):
-    # at most one hand-back: when the polish after it stalls too, the run
-    # ends there, unconverged, at that polish's residual
-    calls = _stall_polish(monkeypatch, polishes=2)
+    # at most one hand-back: when the Newton step after it fails too, the
+    # run ends there, unconverged, at that step's residual
+    calls = _newton_calls(monkeypatch, stalls=2)
     run = _sop24_descent(m200)
-    assert len(calls) == 2 and not run.converged
-    assert calls[1][0] < 1e-4 and run.residual == calls[1][2][2]
+    assert [moved for _, moved in calls] == [False, False]
+    assert calls[1][0] < 1e-4 and run.residual == calls[1][0]
+    assert not run.converged and run.newton_steps == 0
 
 
 def test_a_polish_stalled_below_1e_4_is_not_handed_back(m200, monkeypatch):
-    # a polish that stops unconverged below the second hand-over residual
-    # ends the run: the descent would hand the same check straight back to
-    # a polish that stalls alike
-    calls = _stall_polish(monkeypatch, below=1e-4)
+    # a Newton step that fails below the second hand-over residual ends the
+    # run: the descent steps would hand the same check straight back to a
+    # Newton step that fails alike
+    calls = _newton_calls(monkeypatch, stalls=1, below=1e-4)
     run = _sop24_descent(m200)
-    [(res, _, (u, lam, stop, steps, converged))] = calls
-    assert res >= 1e-4 > stop and steps >= 2 and not converged
+    *steps, (stop, moved) = calls
+    assert len(steps) >= 2 and all(m for _, m in steps) and not moved
+    assert steps[0][0] >= 1e-4 > stop
     assert not run.converged and run.residual == stop
+    assert run.newton_steps == len(steps)
 
 
 def test_the_hand_back_keeps_within_max_iter(m200, monkeypatch):
-    # descent iterations and polish steps share max_iter across the
-    # hand-back: a run cut at any budget reports at most that many
-    # iterations, and converges only with the budget of the uncut run
-    calls = _stall_polish(monkeypatch)
+    # descent and Newton steps share max_iter across the hand-back: a run
+    # cut at any budget makes that many steps, and converges only with the
+    # budget of the uncut run
+    calls = _newton_calls(monkeypatch, stalls=1)
     full = _sop24_descent(m200)
-    assert full.converged and len(calls) == 2
+    assert full.converged and sum(not moved for _, moved in calls) == 1
     for max_iter in range(1, full.iterations + 2):
         calls.clear()
         run = _sop24_descent(m200, max_iter=max_iter)
-        assert run.iterations <= max_iter and math.isfinite(run.residual)
+        assert run.iterations == min(max_iter, full.iterations)
+        assert math.isfinite(run.residual)
         assert run.converged == (max_iter >= full.iterations)
-        assert len(calls) <= 2
+        assert sum(not moved for _, moved in calls) <= 1
+
+
+@pytest.mark.parametrize("stalls", [0, 1], ids=["plain", "handed-back"])
+def test_iterations_count_the_steps_made(m200, monkeypatch, stalls):
+    # a run's iterations are its descent steps, each of which factors the
+    # stiffness once outside the Newton steps, and its Newton steps that
+    # moved; neither the checks nor a failed Newton step count
+    start = np.abs(solver.quadratic_eigenvector(m200))  # factors p = 2's
+    calls = _newton_calls(monkeypatch, stalls=stalls)
+    newton, build = solver._newton, Problem.preconditioner
+    inside, descent = [0], [0]
+
+    def counted_newton(*args):
+        inside[0] += 1
+        try:
+            return newton(*args)
+        finally:
+            inside[0] -= 1
+
+    def counted_build(self, values):
+        descent[0] += not inside[0]
+        return build(self, values)
+    monkeypatch.setattr(solver, "_newton", counted_newton)
+    monkeypatch.setattr(Problem, "preconditioner", counted_build)
+    run = solver._descend(Problem(YoungFunction.sum_of_powers(2, 4), m200),
+                          1.0, start, SolveOptions())
+    moved = sum(moved for _, moved in calls)
+    assert run.converged and len(calls) - moved == stalls
+    assert run.newton_steps == moved > 0 and descent[0] > 0
+    assert run.iterations == descent[0] + moved
+
+
+def test_a_warm_run_without_descent_steps_evaluates_the_energy_once(
+        m200, monkeypatch):
+    # a start below residual 1e-1 makes only Newton steps, and the run
+    # evaluates the energy once, for its result
+    F = YoungFunction.sum_of_powers(2, 4)
+    start = solve_E(F, m200, 1.0, SolveOptions(seed=1)).u.values
+    assert weak_residual(F, start, lagrange_quotient(F, start, m200),
+                         m200) < 1e-8
+    calls = []
+    monkeypatch.setattr(solver, "energy",
+                        lambda *args, **kw: calls.append(1) or energy(*args,
+                                                                      **kw))
+    res = solve_E(F, m200, 1.1, SolveOptions(restarts=1), initial=start)
+    assert res.converged and res.iterations == res.newton_steps > 0
+    assert res.as_dict()["newton_steps"] == res.newton_steps
+    assert len(calls) == 1 and res.energy == energy(F, res.u, m200)
 
 
 # -- line search -------------------------------------------------------------
@@ -1181,7 +1261,7 @@ def test_descent_stops_when_no_direction_descends():
                           SolveOptions(max_iter=5))
     assert problem.steps == [0.0]  # the start's own projection
     assert np.array_equal(run.values, [1.0, 1.0])
-    assert run.iterations == 1 and run.energy == 0.25
+    assert run.iterations == 0 and run.energy == 0.25
     assert not run.converged
 
 
@@ -1527,7 +1607,7 @@ def _canned_descend(energies, converged):
         return solver._RunResult(
             values=problem.project(start, alpha), energy=energies[k],
             lam=1.0, residual=0.0 if converged[k] else 1.0, iterations=1,
-            converged=converged[k])
+            converged=converged[k], newton_steps=0)
     return descend, calls
 
 

@@ -429,37 +429,31 @@ def test_sweep_pins_the_cli_answer(cli_sweep24):
 
 def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
         monkeypatch, capsys):
-    # handed over at residual 1e-1, the polish's Newton step, its CG
-    # forcing tied to the residual, makes the tail quadratic: every polish
+    # handed over at residual 1e-1, the Newton steps, their CG forcing
+    # tied to the residual, make the tail quadratic: in 43 of the 44 runs
     # of the benchmark's sweep (41 alphas and the two limits references)
-    # at seed 1 ends within 4 steps, 86 in all (108 with a fixed forcing
-    # of 1e-2; the one polish of 4 steps is the cold Power(4) reference,
-    # 0.076 -> 0.017 -> 4.4e-4 -> 3.5e-7 -> 5e-12), and the 44 runs make
-    # 53 descent iterations in all (each warm alpha only its hand-over
-    # check; 142 when the descent went on to 1e-4).  A linear tail takes
-    # more steps, or stalls the polish and hands the iterate back to the
-    # descent
-    polish, descend, steps, descent = solver._polish, solver._descend, [], []
-
-    def counted(*args):
-        out = polish(*args)
-        steps.append(out[3])
-        return out
+    # at seed 1 they end the run within 4 steps, 86 in all (108 with a
+    # fixed forcing of 1e-2; the one run of 4 is the cold Power(4)
+    # reference, 0.076 -> 0.017 -> 4.4e-4 -> 3.5e-7 -> 5e-12), and the 44
+    # runs make 9 descent steps in all (each warm alpha none; 98 when the
+    # descent went on to 1e-4).  A linear tail takes more steps, or stalls
+    # and hands the iterate back to the descent steps
+    descend, runs = solver._descend, []
 
     def counted_run(*args):
-        before = len(steps)
         run = descend(*args)
-        descent.append(run.iterations - sum(steps[before:]))
+        runs.append(run)
         return run
-    monkeypatch.setattr(solver, "_polish", counted)
     monkeypatch.setattr(solver, "_descend", counted_run)
     assert cli.main(["sweep", "--young", SOP24, "--mesh", "interval:1.0,200",
                      "--alpha-min", "1e-4", "--alpha-max", "1e4",
                      "--per-decade", "5", "--check",
                      "bounds,derivative,limits", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] == 41
-    assert len(steps) == 43 and max(steps) <= 4 and sum(steps) <= 86
-    assert len(descent) == 44 and sum(descent) <= 53
+    steps = [run.newton_steps for run in runs]
+    assert len(runs) == 44 and sum(n > 0 for n in steps) == 43
+    assert max(steps) <= 4 and sum(steps) <= 86
+    assert sum(run.iterations for run in runs) - sum(steps) <= 9
 
 
 def test_every_minimizer_of_the_benchmark_sweep_meets_alpha_to_1e_14(
@@ -485,33 +479,42 @@ def test_every_minimizer_of_the_benchmark_sweep_meets_alpha_to_1e_14(
 
 def test_every_polish_of_the_benchmark_sweep_factors_the_stiffness_once(
         monkeypatch, capsys):
-    # the polish keeps its factor across full Newton steps, and every step
-    # of the benchmark's sweep at seed 1 is one: each of the 43 polishes
-    # builds one factor (108 steps; 120 factorizations in the whole sweep
-    # when the polish refactored at every step, 55 now)
-    polish, preconditioner = solver._polish, solver.Problem.preconditioner
-    builds, inside = [], [False]
+    # the Newton steps keep their factor across full steps, and every
+    # Newton step of the benchmark's sweep at seed 1 is one: each of the
+    # 43 runs that make Newton steps builds one factor for them (86 steps;
+    # 120 factorizations in the whole sweep when each Newton step
+    # refactored, 55 now)
+    descend, newton = solver._descend, solver._newton
+    preconditioner = solver.Problem.preconditioner
+    runs, inside = [], [0]
 
-    def counted(*args):
-        builds.append(0)
-        inside[0] = True
+    def counted_run(*args):
+        runs.append(0)
+        run = descend(*args)
+        runs[-1] = (runs[-1], run.newton_steps)
+        return run
+
+    def counted_newton(*args):
+        inside[0] += 1
         try:
-            return polish(*args)
+            return newton(*args)
         finally:
-            inside[0] = False
+            inside[0] -= 1
 
     def counted_build(self, values):
         if inside[0]:
-            builds[-1] += 1
+            runs[-1] += 1
         return preconditioner(self, values)
-    monkeypatch.setattr(solver, "_polish", counted)
+    monkeypatch.setattr(solver, "_descend", counted_run)
+    monkeypatch.setattr(solver, "_newton", counted_newton)
     monkeypatch.setattr(solver.Problem, "preconditioner", counted_build)
     assert cli.main(["sweep", "--young", SOP24, "--mesh", "interval:1.0,200",
                      "--alpha-min", "1e-4", "--alpha-max", "1e4",
                      "--per-decade", "5", "--check",
                      "bounds,derivative,limits", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] == 41
-    assert builds == [1] * 43
+    assert [builds for builds, steps in runs if steps] == [1] * 43
+    assert [builds for builds, steps in runs if not steps] == [0]
 
 
 def test_warm_alphas_of_the_cli_sweep_take_at_most_16_iterations(

@@ -2,12 +2,14 @@
 diagnostics, and Matuszewska-Orlicz limits."""
 
 import decimal
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+from orlicz_eigen.cli import main
 from orlicz_eigen.errors import BracketRangeError, ConfigError
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.young import (SATURATION, Endpoint, Regime, YoungFunction,
@@ -303,6 +305,32 @@ def test_from_config_messages(cfg, message):
     with pytest.raises(ConfigError) as info:
         YoungFunction.from_config(cfg)
     assert str(info.value) == message
+
+
+_VALID_PARAMS = {"power": {"p": 2}, "sum_of_powers": {"p": 2, "q": 4},
+                 "power_log": {"p": 2, "alpha": 1, "r": 1},
+                 "exp_minus_poly": {"n": 2}, "exp_neg_inv_power": {"alpha": 1}}
+
+
+@pytest.mark.parametrize("family, name, value", [
+    (family, name, value) for family, params in _VALID_PARAMS.items()
+    for name in params for value in (math.inf, -math.inf, math.nan)
+] + [("exp_minus_poly", "n", 2.5)])
+def test_a_non_finite_or_fractional_parameter_is_a_config_error(
+        capsys, family, name, value):
+    # each parameter of each family at +-inf (JSON 1e400) and NaN, and a
+    # fractional n: once accepted (p = 1e400 ran a solve for over a
+    # minute, n = 2.5 ran as 2) or a traceback (n = 1e400 overflowed)
+    cfg = {"family": family, "params": {**_VALID_PARAMS[family],
+                                        name: value}}
+    with pytest.raises(ConfigError, match=f"^parameter '{name}' for family "
+                                          f"'{family}' must be a finite"):
+        YoungFunction.from_config(cfg)
+    text = json.dumps(cfg).replace("Infinity", "1e400")
+    assert main(["inspect", "--young", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parameter '{name}'")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("params, expected", [
