@@ -14,17 +14,16 @@ kept while the steps made on it are full ones.  Where a Newton step stalls
 there, the descent steps take the iterate back once.
 Each solve is one :class:`Problem` of one Young function and one mesh,
 which keeps the row memo that its energy, gradient, stiffness and Hessian
-share.
-One engine, energy, gradient and stiffness serve every mesh, the
-fractional :class:`orlicz_eigen.fractional.NonlocalMesh` included: each sums
-over the row blocks of the mesh (``m.blocks``), a block being difference
-rows with weights and a Young function of its own.
+share.  They serve every mesh, the fractional
+:class:`orlicz_eigen.fractional.NonlocalMesh` included, as sums over its
+row blocks (``m.blocks``): difference rows with weights and a Young
+function of their own.
 
 The stiffness is factored and solved by LAPACK's banded Cholesky,
-``dpbtrf``/``dpbtrs``, through scipy's own f2py wrappers.  Their extension
-module ``scipy.linalg._flapack`` is loaded from its file (:func:`_flapack`)
-rather than through ``scipy.linalg``, whose import costs each process about
-0.23 s and 29 MB for these two functions.
+``dpbtrf``/``dpbtrs``, and the Newton steps' banded Hessian applied by BLAS
+``dsbmv``, through scipy's own f2py wrappers, loaded from their extension
+files (:func:`_flapack`) rather than through ``scipy.linalg``, whose import
+costs each process about 0.23 s and 29 MB for these functions.
 """
 
 import importlib.machinery
@@ -55,33 +54,33 @@ DIFF_STEP = 1e-5  # relative step of the central difference a'(t)
 MAX_STARTS = 5    # start pool when restarts is None (stop at first agreement)
 
 
-def _flapack():
-    """scipy's f2py LAPACK module, ``scipy.linalg._flapack``, loaded from its
-    file without running the ``scipy`` or ``scipy.linalg`` initializers,
+def _flapack(name="_flapack"):
+    """scipy's f2py extension module ``scipy.linalg.<name>``, loaded from
+    its file without running the ``scipy`` or ``scipy.linalg`` initializers,
     and registered so that a later ``import scipy.linalg`` reuses it."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+    full = "scipy.linalg." + name
+    if full in sys.modules:
+        return sys.modules[full]
     spec = importlib.util.find_spec("scipy")  # does not import scipy
     if spec is None:
-        raise ImportError("scipy is not installed", name=name)
-    base = os.path.join(spec.submodule_search_locations[0], "linalg",
-                        "_flapack")
+        raise ImportError("scipy is not installed", name=full)
+    base = os.path.join(spec.submodule_search_locations[0], "linalg", name)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = base + suffix
         if os.path.isfile(path):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            spec = importlib.util.spec_from_loader(name, loader)
+            loader = importlib.machinery.ExtensionFileLoader(full, path)
+            spec = importlib.util.spec_from_loader(full, loader)
             module = importlib.util.module_from_spec(spec)
             loader.exec_module(module)
-            sys.modules[name] = module
+            sys.modules[full] = module
             return module
-    raise ImportError(f"no extension module {base}*", name=name, path=base)
+    raise ImportError(f"no extension module {base}*", name=full, path=base)
 
 
-# the very wrappers that scipy.linalg.get_lapack_funcs returns for float64
+# the very wrappers that scipy.linalg.get_lapack_funcs/get_blas_funcs return
 _LAPACK = _flapack()
 _PBTRF, _PBTRS = _LAPACK.dpbtrf, _LAPACK.dpbtrs
+_SBMV = _flapack("_fblas").dsbmv
 
 
 @dataclass
@@ -104,6 +103,7 @@ class MinimizerResult:
     restarts_used: int
     restart_energies: list = field(default_factory=list)  # converged runs
     newton_steps: int = 0  # of the iterations, the Newton steps
+    cg_iterations: int = 0  # Hessian matvecs of the run's Newton steps
 
     @property
     def restart_spread(self):
@@ -122,6 +122,7 @@ class MinimizerResult:
             "residual": self.residual,
             "iterations": self.iterations,
             "newton_steps": self.newton_steps,
+            "cg_iterations": self.cg_iterations,
             "converged": self.converged,
             "restarts_used": self.restarts_used,
             "restart_spread": self.restart_spread,
@@ -180,6 +181,7 @@ class _Check:
     mg: np.ndarray
     lam: float
     res: float
+    cg_iterations: int = 0  # by _newton_step, over the steps made from it
 
     @property
     def defect(self):
@@ -357,36 +359,40 @@ class Problem:
         block's own density (F's for M): F's closed form for a power sum,
         else :func:`_derivative`, as for the exterior's G; an overflow
         gives an inf or a NaN, which CG's curvature check catches.  The
-        matvec runs through the blocks' ``differences`` and ``transpose``;
-        no band is assembled."""
+        one-component rows (by their blocks' ``band``) and the mass term are
+        assembled once into one band for BLAS ``dsbmv``; 2D triangles, whose
+        cross term does not fit it, keep ``differences``/``transpose``."""
         def slope(G, t):
             da = G.closed_derivative(t) if G is self.F else None
             return _derivative(G.a, t) if da is None else da
         self.at(values)
-        rows = []
+        rows, bands = [], []
         with np.errstate(over="ignore", invalid="ignore"):
             for b, c, s, g in zip(self.m.blocks, self.coefficients(),
                                   self.slopes, self.g):
                 gr = np.maximum(g, EPS_GRAD)
                 da = slope(b.young(self.F), gr)
                 if len(s) == 1:
-                    rows.append((b, da * b.flux_weights, None, None))
+                    da *= b.band_weights.ravel()
+                    bands.append(b.band(da))
                 else:
                     n = s / gr
                     rows.append((b, c * b.flux_weights, n,
                                  (da - c) * n * b.flux_weights))
             mass = lam * self.m.node_weights * slope(
                 self.F, np.maximum(np.abs(values), EPS_GRAD))
+            ab, *rest = bands + [-mass.reshape(1, -1)]
+            for part in rest:
+                ab[-len(part):] += part
+        ab = np.asfortranarray(ab)
 
         def apply(v):
             with np.errstate(over="ignore", invalid="ignore"):
-                out = -mass * v
+                out = _SBMV(len(ab) - 1, 1.0, ab, v)
                 for b, k, n, kn in rows:
                     x = b.differences(v)
-                    flux = k * x
-                    if n is not None:
-                        flux += kn * (n * x).sum(axis=0)
-                    out += b.transpose(flux.ravel())
+                    out += b.transpose(
+                        (k * x + kn * (n * x).sum(axis=0)).ravel())
             return out
         return apply
 
@@ -418,6 +424,7 @@ class _RunResult:
     iterations: int  # steps made, descent and Newton steps alike
     converged: bool
     newton_steps: int  # of the iterations, the Newton steps
+    cg_iterations: int = 0  # of all its Newton steps, failed ones too
 
 
 _HANDOVER = 1e-1        # residual below which the steps are Newton steps
@@ -456,6 +463,7 @@ def _newton_step(problem, check, solve, pc, forcing=_FORCING):
         if not rz > stop:  # also a zero or NaN first residual
             break
         jp = apply(p)
+        check.cg_iterations += 1
         curv = float(np.dot(p, jp))
         if not (math.isfinite(curv) and curv > 0.0):
             break
@@ -532,7 +540,7 @@ def _descend(problem, alpha, start_values, opts):
     evaluated where a descent step needs it, and at the end."""
     check = _check(problem, problem.project(start_values, alpha))
     E, near, last, model_step = None, _HANDOVER, math.inf, 1.0
-    factor, it, newton = None, 0, 0
+    factor, it, newton, cg = None, 0, 0, 0
     while check.res >= opts.tol and it < opts.max_iter:
         if check.res >= near:
             u, g, mg = check.values, check.g, check.mg
@@ -571,7 +579,9 @@ def _descend(problem, alpha, start_values, opts):
                 check, E, it = _check(problem, trial), Et, it + 1
                 continue
             near = math.inf  # flat at this resolution: Newton from here
+        spent = check.cg_iterations
         moved, factor = _newton(problem, alpha, check, factor, opts.tol)
+        cg += check.cg_iterations - spent
         if moved is None:
             if near != _HANDOVER or check.res < _HANDBACK:
                 break
@@ -581,7 +591,8 @@ def _descend(problem, alpha, start_values, opts):
     return _RunResult(
         values=check.values, lam=check.lam, residual=check.res,
         energy=problem.energy(check.values) if E is None else E,
-        iterations=it, converged=check.res < opts.tol, newton_steps=newton)
+        iterations=it, converged=check.res < opts.tol, newton_steps=newton,
+        cg_iterations=cg)
 
 
 def _smooth(values, passes=10):
@@ -698,4 +709,5 @@ def solve_E(F, m, alpha, opts=None, initial=None):
         u=ScalarField(best.values, m), alpha=achieved, energy=best.energy,
         lam=best.lam, residual=best.residual, iterations=best.iterations,
         converged=best.converged, restarts_used=len(runs),
-        restart_energies=energies, newton_steps=best.newton_steps)
+        restart_energies=energies, newton_steps=best.newton_steps,
+        cg_iterations=best.cg_iterations)

@@ -402,8 +402,8 @@ def test_nonlocal_solve(capsys):
     payload = json.loads(out)
     assert payload["converged"]
     assert set(payload) == {"alpha", "energy", "lambda", "residual",
-                            "iterations", "newton_steps", "converged",
-                            "restarts_used", "restart_spread"}
+                            "iterations", "newton_steps", "cg_iterations",
+                            "converged", "restarts_used", "restart_spread"}
 
 
 @pytest.mark.parametrize("nodes", ["128", "256"])
@@ -417,6 +417,17 @@ def test_nonlocal_benchmark_commands_make_at_most_3_newton_steps(capsys,
     payload = json.loads(out)
     assert code == 0 and payload["converged"]
     assert 0 < payload["newton_steps"] <= 3 < payload["iterations"]
+
+
+def test_solve_json_carries_deterministic_cg_iterations(capsys):
+    # the CG iterations of the returned run's Newton steps, the same on a
+    # rerun of the command
+    argv = ("nonlocal", "--young", SUM24, "--interval", "1.0", "--s", "0.5",
+            "--alpha", "1.0", "--nodes", "64", "--seed", "1")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    payload = json.loads(first[1])
+    assert payload["cg_iterations"] > payload["newton_steps"] > 0
 
 
 def test_nonlocal_sweep_matches_run_sweep(capsys, tmp_path):

@@ -421,6 +421,70 @@ def test_tangent_takes_a_prime_in_closed_form_for_power_sums(
     assert (F.closed_derivative(u) is None) == (differences > 1)
 
 
+def _rows_matrix(b, n):
+    """B of the row block b as a dense (rows, n) matrix, column j its
+    differences at the j-th unit vector."""
+    return np.stack([b.differences(e).ravel() for e in np.eye(n)], axis=1)
+
+
+_BANDED_MESHES = [Mesh.interval(1.0, 20), NonlocalMesh(1.0, 21, 0.5),
+                  NonlocalMesh(1.0, 20, 0.5)]
+_BANDED_IDS = ["interval", "nonlocal-odd", "nonlocal-even"]
+
+
+@pytest.mark.parametrize("F", [YoungFunction.sum_of_powers(2, 4),
+                               YoungFunction.exp_minus_poly(2)],
+                         ids=["sop24", "exp_minus_poly2"])
+@pytest.mark.parametrize("m", _BANDED_MESHES, ids=_BANDED_IDS)
+def test_tangent_band_is_the_dense_hessian(m, F):
+    # the banded Hessian against B^T diag(w a'(g)) B - lam w a'(|u|) summed
+    # in the test over each block's dense rows, the exterior's included,
+    # and over the zero-weight repeats of an even N
+    rng = np.random.default_rng(m.interior_count)
+    n = m.interior_count
+    u = 0.05 * np.abs(rng.standard_normal(n)) + 0.01
+    v = rng.standard_normal(n)
+    lam = 1.7
+
+    def slope(G, t):
+        t = np.maximum(t, solver.EPS_GRAD)
+        closed = G.closed_derivative(t) if G is F else None
+        return solver._derivative(G.a, t) if closed is None else closed
+    H = -np.diag(lam * m.node_weights * slope(F, np.abs(u)))
+    for b in m.blocks:
+        B = _rows_matrix(b, n)
+        g = np.abs(b.differences(u)).ravel()  # as the memo's, bit for bit
+        w = np.ravel(b.cell_weights) * slope(b.young(F), g)
+        H += B.T @ (w[:, None] * B)
+    got = Problem(F, m).tangent(u, lam)(v)
+    want = H @ v
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m, rows", [
+    *((m, False) for m in _BANDED_MESHES),
+    (Mesh.rectangle(1.0, 1.0, 5, 4), True)],
+    ids=_BANDED_IDS + ["rectangle"])
+def test_tangent_applies_one_component_rows_without_the_row_passes(
+        monkeypatch, m, rows):
+    # the 1D cells, the nonlocal pairs and the exterior are applied as one
+    # band: no differences or transpose per matvec.  2D triangles, whose
+    # Hessian has a cross term n n^T, still run through their rows
+    calls = []
+    for b in m.blocks:
+        for name in ("differences", "transpose"):
+            method = getattr(b, name)
+            monkeypatch.setattr(b, name, lambda x, method=method:
+                                calls.append(1) or method(x))
+    rng = np.random.default_rng(3)
+    u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
+    apply = Problem(YoungFunction.sum_of_powers(2, 4), m).tangent(u, 1.0)
+    calls.clear()
+    out = apply(rng.standard_normal(m.interior_count))
+    assert out.shape == (m.interior_count,) and np.isfinite(out).all()
+    assert (len(calls) > 0) == rows
+
+
 def test_energy_gradient_zero_at_zero(m200):
     F = YoungFunction.power(2)
     g = energy_gradient(F, m200.zeros(), m200)
@@ -1422,6 +1486,27 @@ def test_build_factors_and_solves_as_scipy_wrappers(m, monkeypatch):
     assert np.array_equal(band, kept)
 
 
+@pytest.mark.parametrize("kd", [0, 1, "n - 1"])
+def test_sbmv_is_the_dense_symmetric_product(kd):
+    # the BLAS wrapper the Newton steps' Hessian is applied with, on upper
+    # banded storage of kd superdiagonals, against the dense symmetric
+    # matrix it holds; it is scipy's own, as the LAPACK wrappers are
+    n = 9
+    kd = n - 1 if kd == "n - 1" else kd
+    rng = np.random.default_rng(kd)
+    ab = rng.standard_normal((kd + 1, n))
+    dense = np.zeros((n, n))
+    for k in range(kd + 1):  # band row kd - k holds the k-th superdiagonal
+        dense += np.diag(ab[kd - k, k:], k)
+        if k:
+            dense += np.diag(ab[kd - k, k:], -k)
+    v = rng.standard_normal(n)
+    got = solver._SBMV(kd, 1.0, np.asfortranarray(ab), v)
+    assert np.allclose(got, dense @ v, rtol=1e-14, atol=1e-14)
+    assert sys.modules["scipy.linalg._fblas"].dsbmv is solver._SBMV
+    assert scipy.linalg.get_blas_funcs("sbmv", (np.empty(0),)) is solver._SBMV
+
+
 def test_lapack_wrappers_are_scipys():
     # scipy.linalg reuses the extension module the solver loaded (or the
     # solver reuses scipy's), so get_lapack_funcs returns the solver's
@@ -1594,6 +1679,67 @@ def test_start_pool_is_the_seeded_draw_in_order(m200, seed):
     warm = list(itertools.islice(solver._start_pool(
         m200, SolveOptions(), want[2]), 1))
     assert len(warm) == 1 and np.array_equal(warm[0], want[2])
+
+
+def _counting_matvecs(monkeypatch):
+    """Count every application of :meth:`Problem.tangent`'s matvec into
+    the one-entry list returned."""
+    tangent, matvecs = Problem.tangent, [0]
+
+    def counted(self, values, lam):
+        apply = tangent(self, values, lam)
+
+        def counted_apply(v):
+            matvecs[0] += 1
+            return apply(v)
+        return counted_apply
+    monkeypatch.setattr(Problem, "tangent", counted)
+    return matvecs
+
+
+@pytest.mark.parametrize("m", [Mesh.interval(1.0, 200),
+                               NonlocalMesh(1.0, 64, 0.5),
+                               Mesh.rectangle(1.0, 1.0, 12, 10)],
+                         ids=["interval", "nonlocal", "rectangle"])
+def test_cg_iterations_count_the_hessian_matvecs_of_the_run(m,
+                                                             monkeypatch):
+    # one per matvec of each Newton step's CG, and the same on a rerun
+    matvecs = _counting_matvecs(monkeypatch)
+    run = _sop24_descent(m)
+    assert run.converged and run.newton_steps > 0
+    assert run.cg_iterations == matvecs[0] > run.newton_steps
+    matvecs[0] = 0
+    assert _sop24_descent(m).cg_iterations == run.cg_iterations == matvecs[0]
+
+
+def test_cg_iterations_count_a_failed_newton_steps_matvecs(m200, monkeypatch):
+    # the first Newton step runs its CG and then fails (its step is
+    # dropped): the run hands back, and its count keeps that CG's matvecs
+    matvecs = _counting_matvecs(monkeypatch)
+    newton_step, failed = solver._newton_step, []
+
+    def dropped(problem, check, solve, pc, forcing):
+        step = newton_step(problem, check, solve, pc, forcing)
+        if not failed:
+            failed.append(matvecs[0])
+            return np.zeros_like(step)
+        return step
+    monkeypatch.setattr(solver, "_newton_step", dropped)
+    run = _sop24_descent(m200)
+    assert run.converged and failed[0] > 0
+    assert run.cg_iterations == matvecs[0] > failed[0]
+
+
+def test_solve_reports_the_cg_iterations_of_the_returned_run(m200,
+                                                             monkeypatch):
+    descend, runs = solver._descend, []
+    monkeypatch.setattr(solver, "_descend",
+                        lambda *args: runs.append(descend(*args)) or runs[-1])
+    res = solve_E(YoungFunction.sum_of_powers(2, 4), m200, 1.0,
+                  SolveOptions(restarts=3, seed=1))
+    [best] = [r for r in runs if r.values is res.u.values]
+    assert len(runs) == 3 and res.cg_iterations == best.cg_iterations > 0
+    assert res.as_dict()["cg_iterations"] == res.cg_iterations
 
 
 def _canned_descend(energies, converged):
