@@ -123,7 +123,10 @@ class _Exterior:
     def differences(self, values):
         return (values * self._q).reshape(1, -1)
 
-    def transpose(self, flux):
+    def pad(self):
+        return None
+
+    def transpose(self, flux, pad=None):
         n = self.interior_count
         return flux[:n] + flux[n:]
 
@@ -170,49 +173,60 @@ class _Pairs:
         out /= self.row_spacing
         return out
 
-    def _ends(self, x):
+    def pad(self):
+        """A scratch for :meth:`transpose`, which a caller may keep."""
+        n = self.interior_count
+        return np.empty((n // 2 + 1) * n)
+
+    def _ends(self, x, pad):
         """Per node, the sums of x (one entry per pair, raveled) over the
         pairs whose plus end it is and over those whose minus end it is.
-        The rows go into a buffer with a zero column in front and a zero
-        row below; read back with row stride N instead of N + 1, column k
-        of that view holds exactly the entries of the pairs whose minus end
-        is node k (row d at column (k - d) mod N), each once, and zeros."""
+        The rows go into ``pad``, a flat scratch of (N // 2 + 1) N entries,
+        with row stride N + 1 behind a zero, and zeros after them; read
+        back with row stride N, column k of that view holds exactly the
+        entries of the pairs whose minus end is node k (row d at column
+        (k - d) mod N), each once, and zeros."""
         n, half = self.interior_count, self.interior_count // 2
-        pad = np.empty((half + 1, n + 1))
-        pad[:half, 1:] = x.reshape(half, n)
-        pad[:, 0] = 0.0
-        pad[half] = 0.0
-        return (pad[:half, 1:].sum(axis=0),
-                pad.ravel()[:(half + 1) * n].reshape(half + 1, n).sum(axis=0))
+        rows = pad[:half * (n + 1)].reshape(half, n + 1)
+        rows[:, 1:] = x.reshape(half, n)
+        rows[:, 0] = 0.0
+        pad[half * (n + 1):] = 0.0
+        return (rows[:, 1:].sum(axis=0),
+                pad.reshape(half + 1, n).sum(axis=0))
 
-    def transpose(self, flux):
+    def transpose(self, flux, pad=None):
         """D^T flux at the nodes for the unscaled pair differences D:
-        plus-end sums minus minus-end sums."""
-        plus, minus = self._ends(flux)
+        plus-end sums minus minus-end sums, summed in ``pad`` (a
+        :meth:`pad`, else a new one)."""
+        plus, minus = self._ends(flux, self.pad() if pad is None else pad)
         return plus - minus
 
-    def band(self, c):
-        """Upper banded storage, N x N, of D^T diag(c) D for one coefficient
-        per pair, raveled, which vanishes on the zero-weight repeats of an
-        even N (as the band factors w/|x_i - x_j|^{2s} do).  Band row d - 1
+    def band(self, c, out=None):
+        """Upper banded storage, N x N in LAPACK's (Fortran) layout, of
+        D^T diag(c) D for one coefficient per pair, raveled, which vanishes
+        on the zero-weight repeats of an even N (as the band factors
+        w/|x_i - x_j|^{2s} do), written into ``out`` (a kept buffer) or a
+        new array.  Its memory first serves as the pad of :meth:`_ends` for
+        the diagonal; then column j of the band is written as node j's row
+        of ``nodes``, so each write runs along memory.  Band row d - 1
         holds the offset N - d, so the wrapped pairs of row d (columns
-        i >= N - d) land at column i of it: one slice assignment.  The
-        pairs (i, i + d) land at column i + d of band row N - 1 - d, which
-        steps by N - 1 in the flat band from one d to the next: one
-        reshaped view, filled from the rows in reverse.  Entries LAPACK
-        never reads (column below the offset) hold finite copies or
-        zeros."""
+        i >= N - d) land at column i of it: the last N // 2 nodes' rows,
+        transposed.  The pairs (i, i + d) land at column i + d of band row
+        N - 1 - d; read along d from node i + d they step by N - 1 through
+        the rows: a reshaped view, transposed.  Entries LAPACK never reads
+        hold what the pad left there or finite copies.  A warm nonlocal
+        solve at N = 256 takes 544 minor page faults, 1,506 with a new
+        band and its Fortran-order copy at each build."""
         n, half = self.interior_count, self.interior_count // 2
-        rows = c.reshape(half, n)
-        ab = np.empty((n, n))
-        np.negative(rows, out=ab[:half])
-        start = (n - 1 - half) * n + half
-        np.negative(rows[::-1, :-1], out=ab.ravel()[
-            start:start + half * (n - 1)].reshape(half, n - 1))
-        ab[n - 1 - half, :half] = 0.0
-        plus, minus = self._ends(c)
-        ab[-1] = plus + minus
-        return ab
+        nodes = np.empty((n, n)) if out is None else out.T
+        plus, minus = self._ends(c, nodes.ravel()[:(half + 1) * n])
+        diag = plus + minus
+        np.negative(c.reshape(half, n)[:, n - half:].T,
+                    out=nodes[n - half:, :half])
+        np.negative(c[:half * (n - 1)].reshape(half, n - 1)[::-1].T,
+                    out=nodes[1:, n - 1 - half:-1])
+        nodes[:, -1] = diag
+        return nodes.T
 
 
 class NonlocalMesh(Mesh):

@@ -9,13 +9,14 @@ legs.  The gradient is constant on every element, so element weights
 times A(|B_e u|) integrate A(|grad u|) exactly.  Zero-order terms use nodal
 quadrature whose weights sum exactly to the domain measure.
 Each mesh owns its difference operator: ``differences`` (B u),
-``transpose`` (the gradient's sums of row fluxes) and ``band`` (the
-banded stiffness), which the solver's core calls.  A local mesh's rows
-come in groups of one difference per cell along one axis, so each group
-is a pair of slices of its cell array: the cells whose plus corner, and
-those whose minus corner, is an interior node, in node order; a boundary
-corner reads zero.  B u writes the interior values into them, and D^T and
-the band sum the rows out of them.  The core sums over a mesh's
+``transpose`` (the gradient's sums of row fluxes, in a ``pad`` the caller
+may keep) and ``band`` (the banded stiffness in LAPACK's layout, into an
+array the caller may keep), which the solver's core calls.  A local mesh's
+rows come in groups of one difference per cell along one axis, so each
+group is a pair of slices of its cell array: the cells whose plus corner,
+and those whose minus corner, is an interior node, in node order; a
+boundary corner reads zero.  B u writes the interior values into them, and
+D^T and the band sum the rows out of them.  The core sums over a mesh's
 ``blocks``, each a set of such rows whose ``young(F)`` is the Young
 function of its energy; a local mesh is one block with F itself.
 :class:`orlicz_eigen.fractional.NonlocalMesh` is an interval whose blocks
@@ -129,30 +130,43 @@ class Mesh:
         out /= self.row_spacing
         return out
 
-    def transpose(self, flux):
+    def pad(self):
+        """A scratch for :meth:`transpose`, which a caller may keep."""
+        return np.empty((2,) + self._inner)
+
+    def transpose(self, flux, pad=None):
         """D^T flux at the interior nodes for the unscaled differences
         D = h B and one flux per row entry, raveled: the rows' plus ends
-        minus their minus ends, each side summed from zero in row order."""
-        rows, sums = flux.reshape(self._cells), np.zeros((2,) + self._inner)
+        minus their minus ends, each side summed from zero in row order, in
+        ``pad`` (a :meth:`pad`, else a new one)."""
+        rows = flux.reshape(self._cells)
+        sums = self.pad() if pad is None else pad
+        sums.fill(0.0)
         for side, end in self._ends:
             sums[side] += rows[end]
         return (sums[0] - sums[1]).ravel()
 
-    def band(self, c):
-        """Upper banded storage, (bandwidth + 1) x n, of D^T diag(c) D for
-        one coefficient per row entry, raveled: on the diagonal the rows'
-        plus ends, then their minus ends, summed from zero in row order,
-        and each edge's rows subtracted from zero."""
+    def band(self, c, out=None):
+        """Upper banded storage, (bandwidth + 1) x n in LAPACK's (Fortran)
+        layout, of D^T diag(c) D for one coefficient per row entry,
+        raveled, written into ``out`` when given, else into a new array:
+        on the diagonal the rows' plus ends, then their minus ends, summed
+        from zero in row order, and each edge's rows subtracted from zero.
+        It is written through ``nodes``, whose row j is column j of the
+        band."""
         rows = c.reshape(self._cells)
-        ab = np.zeros((self.bandwidth + 1,) + self._inner)
-        diag = ab[-1]
+        n, width = self.interior_count, self.bandwidth + 1
+        nodes = np.empty((n, width)) if out is None else out.T
+        nodes.fill(0.0)
+        ab = nodes.reshape(self._inner + (width,))
+        diag = ab[..., -1]
         for _, end in self._ends:
             diag += rows[end]
-        for row, nodes, ends in self._edges:
-            edge = ab[row][nodes]
+        for row, cut, ends in self._edges:
+            edge = ab[..., row][cut]
             for _, end in ends:
-                edge -= rows[end][nodes]
-        return ab.reshape(self.bandwidth + 1, -1)
+                edge -= rows[end][cut]
+        return nodes.T
 
     @property
     def blocks(self):

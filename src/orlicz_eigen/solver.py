@@ -149,9 +149,9 @@ def energy_gradient(F, u, m, *, cells=None):
     at the same field share; without it, u must be finite."""
     values = _conform(u, m, finite=cells is None)
     cells = (cells or Problem(F, m)).at(values)
-    return sum(b.transpose((c * slopes * b.flux_weights).ravel())
-               for b, c, slopes in zip(m.blocks, cells.coefficients(),
-                                       cells.slopes))
+    return sum(b.transpose((c * slopes * b.flux_weights).ravel(), pad)
+               for b, c, slopes, pad in zip(m.blocks, cells.coefficients(),
+                                            cells.slopes, cells.pads()))
 
 
 def mass_gradient(F, u, m):
@@ -263,8 +263,9 @@ class Problem:
     The stiffness is the sum over the row blocks of B^T diag(w a(g)/g) B
     (cells, triangles, nonlocal pairs and the nonlocal exterior alike),
     each assembled by its block's ``band`` straight into upper banded
-    storage.  A block of smaller bandwidth (the exterior holds only the
-    diagonal) adds into the last rows of the first block's band.
+    storage in LAPACK's (Fortran) layout.  A block of smaller bandwidth
+    (the exterior holds only the diagonal) adds into the last rows of the
+    first block's band.
 
     A one-entry row memo, keyed on the field's contents, keeps per block
     B u (``slopes``) and g = |B u| of the last field seen, and on top of
@@ -273,12 +274,26 @@ class Problem:
     it instead of touching the rows again.  Any other field (a rejected
     trial's successor, or an array changed in place) misses the key and
     resets the memo.
+
+    Arrays of a band's size are ``kept`` for the whole solve from their
+    first build (``kept`` may be another Problem's on m, as for the p = 2
+    start): two bands, the last factor's and the other, which takes the
+    next stiffness or Hessian band, so that a factor holds until the next
+    factorization (where ``_newton`` drops the one it keeps); and each
+    block's ``pad`` for ``transpose``.  ``preconditioner`` factors its band
+    in place and checks the factor alone for an inf or a NaN, which LAPACK
+    carries over from the band, from entries it never reads too.  Warm
+    nonlocal solves of SumOfPowers(2, 4) take 544 minor page faults at
+    N = 256 and 144 at N = 128, against 1,506 and 288 with new bands,
+    Fortran-order copies and pads at each build.
     """
 
-    def __init__(self, F, m):
+    def __init__(self, F, m, kept=None):
         self.F = F
         self.m = m
+        self.kept = {} if kept is None else kept
         self._values = self.slopes = self.g = self._coefs = None
+        self._built = None  # the band the last call of band assembled
 
     def at(self, values):
         """The memo at ``values``, a conforming float array: B u and |B u|
@@ -300,6 +315,12 @@ class Problem:
                            for b, x in zip(self.m.blocks, gr)]
         return self._coefs
 
+    def pads(self):
+        """Each block's kept ``pad``."""
+        if "pads" not in self.kept:
+            self.kept["pads"] = [b.pad() for b in self.m.blocks]
+        return self.kept["pads"]
+
     def energy(self, values):
         return energy(self.F, values, self.m, cells=self)
 
@@ -314,33 +335,55 @@ class Problem:
                           alpha, r0)
         return values * norm.r_alpha
 
-    def band(self, values, keep=0.0):
-        """Upper banded storage, (bandwidth + 1) x n, of the stiffness at
-        ``values``.  Zero (underflowed) or non-finite coefficients a(g)/g,
-        and those not above ``keep`` times the largest of their block, are
-        lifted by :func:`_lifted`; then so are zero or non-finite diagonal
-        entries."""
-        self.at(values)
-        ab, *rest = (b.band((_lifted(c, keep) * b.band_weights).ravel())
-                     for b, c in zip(self.m.blocks, self.coefficients()))
-        for part in rest:
+    def _assemble(self, parts):
+        """The sum of the bands of the (block, coefficients) ``parts`` in
+        the kept band: the first block's band, with each smaller one added
+        into its last rows."""
+        (first, c), *rest = parts
+        if self.kept.get("band") is None:
+            self.kept["band"] = np.empty(
+                (self.m.interior_count, first.bandwidth + 1)).T
+        ab = first.band(c, self.kept["band"])
+        for b, c in rest:
+            part = b.band(c)
             ab[-len(part):] += part
+        return ab
+
+    def band(self, values, keep=0.0):
+        """Upper banded storage, (bandwidth + 1) x n in LAPACK's layout, of
+        the stiffness at ``values``, in the kept band (so it holds until
+        the next build).  Zero (underflowed) or non-finite coefficients
+        a(g)/g, and those not above ``keep`` times the largest of their
+        block, are lifted by :func:`_lifted`; then so are zero or
+        non-finite diagonal entries."""
+        self.at(values)
+        ab = self._assemble([(b, (_lifted(c, keep) * b.band_weights).ravel())
+                             for b, c in zip(self.m.blocks,
+                                             self.coefficients())])
         ab[-1] = _lifted(ab[-1], least=1e-280)
+        self._built = ab
         return ab
 
     def preconditioner(self, values):
-        # a Fortran-order copy of the band is factored in place; coefficients
-        # spread past the working precision cancel a pivot of a weakly dominant
-        # band (1D cells, steep exp_minus_poly): retry within 1e10 of the max
+        # the band this call assembled is factored in place and the kept
+        # bands swap; a band from elsewhere is factored on a copy.
+        # Coefficients spread past the working precision cancel a pivot of a
+        # weakly dominant band (1D cells, steep exp_minus_poly): retry
+        # within 1e10 of the max
         for keep in (0.0, 1e-10):
-            ab = _finite(np.array(self.band(values, keep), order="F"))
-            cho, info = _PBTRF(ab, overwrite_ab=1)
-            if info <= 0:
+            self._built = None
+            ab = self.band(values, keep)
+            own = ab is self._built
+            cho, info = _PBTRF(ab, overwrite_ab=own)
+            _finite(cho, info)
+            if info == 0:
                 break
         else:
             raise np.linalg.LinAlgError(
                 f"minor {info} is not positive definite")
-        _finite(cho, info)
+        if own:
+            kept = self.kept
+            kept["band"], kept["factor"] = kept.get("factor"), cho
 
         def solve(rhs):
             if len(rhs) != cho.shape[1]:
@@ -360,39 +403,42 @@ class Problem:
         else :func:`_derivative`, as for the exterior's G; an overflow
         gives an inf or a NaN, which CG's curvature check catches.  The
         one-component rows (by their blocks' ``band``) and the mass term are
-        assembled once into one band for BLAS ``dsbmv``; 2D triangles, whose
-        cross term does not fit it, keep ``differences``/``transpose``."""
+        assembled once into one band for BLAS ``dsbmv``, in the kept band
+        that holds no factor (so the matvec holds until the next build); 2D
+        triangles, whose cross term does not fit it, keep
+        ``differences``/``transpose``."""
         def slope(G, t):
             da = G.closed_derivative(t) if G is self.F else None
             return _derivative(G.a, t) if da is None else da
         self.at(values)
         rows, bands = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for b, c, s, g in zip(self.m.blocks, self.coefficients(),
-                                  self.slopes, self.g):
+            for b, c, s, g, pad in zip(self.m.blocks, self.coefficients(),
+                                       self.slopes, self.g, self.pads()):
                 gr = np.maximum(g, EPS_GRAD)
                 da = slope(b.young(self.F), gr)
                 if len(s) == 1:
                     da *= b.band_weights.ravel()
-                    bands.append(b.band(da))
+                    bands.append((b, da))
                 else:
                     n = s / gr
                     rows.append((b, c * b.flux_weights, n,
-                                 (da - c) * n * b.flux_weights))
+                                 (da - c) * n * b.flux_weights, pad))
             mass = lam * self.m.node_weights * slope(
                 self.F, np.maximum(np.abs(values), EPS_GRAD))
-            ab, *rest = bands + [-mass.reshape(1, -1)]
-            for part in rest:
-                ab[-len(part):] += part
-        ab = np.asfortranarray(ab)
+            if bands:
+                ab = self._assemble(bands)
+                ab[-1] -= mass
+            else:
+                ab = -mass.reshape(1, -1)
 
         def apply(v):
             with np.errstate(over="ignore", invalid="ignore"):
                 out = _SBMV(len(ab) - 1, 1.0, ab, v)
-                for b, k, n, kn in rows:
+                for b, k, n, kn, pad in rows:
                     x = b.differences(v)
                     out += b.transpose(
-                        (k * x + kn * (n * x).sum(axis=0)).ravel())
+                        (k * x + kn * (n * x).sum(axis=0)).ravel(), pad)
             return out
         return apply
 
@@ -409,7 +455,8 @@ def _derivative(a, t):
 def _finite(x, info=0):
     """``x``; ValueError on an inf or NaN in it, or a negative LAPACK info."""
     if info < 0 or not np.isfinite(x).all():
-        raise ValueError(f"LAPACK info {info}" if info else "an inf or a NaN")
+        raise ValueError(f"LAPACK info {info}" if info < 0
+                         else "an inf or a NaN")
     return x
 
 
@@ -456,22 +503,24 @@ def _newton_step(problem, check, solve, pc, forcing=_FORCING):
         z = solve(x)
         return z - (float(np.dot(mg, z)) / denom) * pc
     apply = problem.tangent(check.values, check.lam)
-    p = z = precondition(r)
-    rz = float(np.dot(r, z))
-    stop = forcing ** 2 * rz
-    for _ in range(_CG_MAX):
-        if not rz > stop:  # also a zero or NaN first residual
-            break
-        jp = apply(p)
-        check.cg_iterations += 1
-        curv = float(np.dot(p, jp))
-        if not (math.isfinite(curv) and curv > 0.0):
-            break
-        v += (rz / curv) * p
-        r -= (rz / curv) * jp
-        z = precondition(r)
-        rz, last = float(np.dot(r, z)), rz
-        p = z + (rz / last) * p
+    # as in the matvec, an overflow is an inf or a NaN, which ends CG
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = z = precondition(r)
+        rz = float(np.dot(r, z))
+        stop = forcing ** 2 * rz
+        for _ in range(_CG_MAX):
+            if not rz > stop:  # also a zero or NaN first residual
+                break
+            jp = apply(p)
+            check.cg_iterations += 1
+            curv = float(np.dot(p, jp))
+            if not (math.isfinite(curv) and curv > 0.0):
+                break
+            v += (rz / curv) * p
+            r -= (rz / curv) * jp
+            z = precondition(r)
+            rz, last = float(np.dot(r, z)), rz
+            p = z + (rz / last) * p
     return v
 
 
@@ -524,7 +573,9 @@ def _descend(problem, alpha, start_values, opts):
     Newton steps start from its unmoved check.  A Newton step that fails
     on a fresh factor ends the run, except once while ``near`` is
     _HANDOVER and the residual _HANDBACK or more: ``near`` falls to
-    _HANDBACK, and descent steps take the iterate back.
+    _HANDBACK, and descent steps take the iterate back.  A stiffness that
+    is not positive definite even lifted ends the run unconverged at its
+    last check, so that the multistart goes on.
 
     Each line search tries the unit step first and, after an Armijo test
     that failed at step s, the quadratic model's minimizer clamped to
@@ -545,7 +596,10 @@ def _descend(problem, alpha, start_values, opts):
         if check.res >= near:
             u, g, mg = check.values, check.g, check.mg
             E = problem.energy(u) if E is None else E
-            solve = problem.preconditioner(u)
+            try:
+                solve = problem.preconditioner(u)
+            except np.linalg.LinAlgError:
+                break  # no definite stiffness here: unconverged at its check
             pg = solve(g)
             pc = solve(mg)
             denom = float(np.dot(mg, pc))
@@ -605,9 +659,10 @@ def _smooth(values, passes=10):
     return padded[1:-1]
 
 
-def _start_pool(m, opts, initial):
+def _start_pool(m, opts, initial, kept=None):
     """Multistart pool, without end: the warm start if given, else the
-    quadratic-case first eigenvector and a plateau profile where the
+    quadratic-case first eigenvector (built in the arrays ``kept`` of the
+    solve's :class:`Problem`) and a plateau profile where the
     geometry admits one, then smoothed positive random fields.  Each start
     is made when the iterator reaches it, so a solve that stops early
     builds no more; the random fields come from one generator seeded with
@@ -615,7 +670,7 @@ def _start_pool(m, opts, initial):
     if initial is not None:
         yield _conform(initial, m, finite=True)
     else:
-        yield np.abs(quadratic_eigenvector(m))
+        yield np.abs(quadratic_eigenvector(m, kept=kept))
         r_plateau = m.inner_radius - 1.0 - 3.0 * max(m.spacing)
         if r_plateau > max(m.spacing):
             try:
@@ -632,10 +687,11 @@ def _start_pool(m, opts, initial):
         yield raw + 1e-3
 
 
-def quadratic_eigenvector(m, iterations=100):
+def quadratic_eigenvector(m, iterations=100, kept=None):
     """First eigenvector of the p=2 discretization of m by inverse power
-    iteration with the stiffness solve of its own p=2 :class:`Problem`."""
-    solve = Problem(YoungFunction.power(2), m).preconditioner(
+    iteration with the stiffness solve of a p=2 :class:`Problem`, built in
+    the arrays ``kept`` of another Problem on m when given."""
+    solve = Problem(YoungFunction.power(2), m, kept).preconditioner(
         np.ones(m.interior_count))
     v = np.ones(m.interior_count)
     v /= math.sqrt(float(np.dot(m.node_weights, v * v)))
@@ -688,7 +744,8 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     problem = Problem(F, m)
     runs, energies = [], []
     n = MAX_STARTS if opts.restarts is None else opts.restarts
-    for start in itertools.islice(_start_pool(m, opts, initial), n):
+    for start in itertools.islice(
+            _start_pool(m, opts, initial, problem.kept), n):
         run = _descend(problem, alpha, start, opts)
         runs.append(run)
         if not run.converged:

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import orlicz_eigen
+from orlicz_eigen import cli
 from orlicz_eigen.cli import main
+from orlicz_eigen.errors import OrliczError
 from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.solver import SolveOptions, solve_E
 from orlicz_eigen.sweep import geometric_grid, run_sweep
@@ -392,6 +394,72 @@ def test_sweep_without_converged_alpha_exit_1(capsys, tmp_path):
     assert "none of the 7 alpha values converged" in err
     assert "Traceback" not in err
     assert len(csv.read_text().splitlines()) == 8
+
+
+@pytest.mark.parametrize("nodes, alpha", [("256", "1"), ("128", "100")])
+def test_nonlocal_solve_with_a_stiffness_not_definite_exits_0(capsys, nodes,
+                                                              alpha):
+    # exp_minus_poly(2) at s = 0.9, seed 1: a start whose descent stiffness
+    # is not positive definite ends unconverged, and the next start
+    # converges; the command raised LinAlgError with a traceback before
+    code, out, err = run(capsys, "nonlocal", "--young", EXP2,
+                         "--interval", "1.0", "--s", "0.9", "--alpha", alpha,
+                         "--nodes", nodes, "--seed", "1")
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["converged"] and payload["restarts_used"] == 3
+
+
+def test_young_spec_read_from_a_file(capsys, tmp_path):
+    spec = tmp_path / "young.json"
+    spec.write_text(SUM24)
+    inline = run(capsys, "inspect", "--young", SUM24)
+    assert run(capsys, "inspect", "--young", str(spec)) == inline
+    assert inline[0] == 0
+
+
+@pytest.mark.parametrize("young, message", [
+    ('{"family": "power", "params": {"p": 2}', "malformed JSON spec"),
+    ("no-such-spec.json", "cannot read spec file")], ids=["json", "file"])
+def test_unreadable_young_spec_exit_2(capsys, young, message):
+    code, out, err = run(capsys, "inspect", "--young", young)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_orlicz_error_exits_1(capsys, monkeypatch):
+    # an OrliczError that is not a configuration error, here a minimizer
+    # that misses its constraint, is exit 1 with its message
+    def missed(*args):
+        raise OrliczError("minimizer misses the constraint")
+    monkeypatch.setattr(cli, "solve_E", missed)
+    code, out, err = run(capsys, "solve", "--young", POWER2,
+                         "--mesh", "interval:1.0,20", "--alpha", "1.0")
+    assert code == 1 and out == ""
+    assert err == "error: minimizer misses the constraint\n"
+
+
+def test_solve_writes_its_json_to_out(capsys, tmp_path):
+    path = tmp_path / "solve.json"
+    argv = ("solve", "--young", POWER2, "--mesh", "interval:1.0,20",
+            "--alpha", "1.0", "--seed", "1")
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("alpha_max, code", [("1e4", 0), ("1e3", 1)])
+def test_sweep_decay_check(capsys, alpha_max, code):
+    # exp_minus_poly(2) on (0, 4): E(alpha)/alpha falls over the last
+    # decade, to 0.059 of 0.576 at alpha = 1e4 (below the 20% required)
+    # but only to 0.149 at 1e3, which fails the check with exit 1
+    got, out, _ = run(capsys, "sweep", "--young", EXP2,
+                      "--mesh", "interval:4.0,100", "--alpha-min", "1",
+                      "--alpha-max", alpha_max, "--per-decade", "3",
+                      "--check", "decay", "--seed", "1")
+    decay = json.loads(out)["checks"]["decay"]
+    assert got == code and decay["strictly_decreasing_last_decade"]
+    assert decay["overall_pass"] == (code == 0)
 
 
 def test_nonlocal_solve(capsys):

@@ -1,6 +1,8 @@
 """Fractional pair-sum energy: weights, gradients, quotients, solves."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,9 +295,11 @@ def test_band_finite_and_build_solves_dense_stiffness(n, monkeypatch):
     rng = np.random.default_rng(n)
     u, rhs = rng.standard_normal(n), rng.standard_normal(n)
     cells = Problem(F, nm)
-    K = _dense_stiffness(F, u, nm, cells)  # fills the memo
+    K = _dense_stiffness(F, u, nm)
+    cells.at(u).coefficients()  # fills the memo
     with monkeypatch.context() as mp:
-        # an entry the assembly leaves unwritten would keep its NaN
+        # an entry the assembly leaves unwritten would keep its NaN: the
+        # first build makes the kept band here
         mp.setattr(np, "empty", lambda shape: np.full(shape, np.nan))
         ab = cells.band(u)
     assert np.all(np.isfinite(ab))
@@ -638,3 +642,138 @@ def test_primitive_rule_matches_quad(F):
                     limit=400, points=[t0] if t0 and t > t0 else None)[0]
     np.testing.assert_allclose(_primitive(F, tau), [G(t) for t in tau],
                                rtol=1e-12, atol=0.0)
+
+
+def test_a_start_whose_stiffness_is_not_definite_ends_and_the_next_goes_on():
+    # exp_minus_poly(2) at s = 0.9, seed 1: a descent step of the second
+    # start meets a stiffness that is not positive definite even lifted
+    # (minor 128).  That run ends unconverged and the third start
+    # converges to the energy of seed 2's solve, where the build raised
+    # LinAlgError before
+    F = YoungFunction.exp_minus_poly(2)
+    nm = NonlocalMesh(1.0, 128, 0.9)
+    got = solve_E(F, nm, 100.0, SolveOptions(seed=1))
+    ref = solve_E(F, nm, 100.0, SolveOptions(seed=2))
+    assert got.converged and got.restarts_used == 3
+    assert got.energy == pytest.approx(ref.energy, rel=1e-14)
+
+
+# -- the kept bands --------------------------------------------------------
+
+SOP24 = YoungFunction.sum_of_powers(2, 4)
+
+
+def _largest_rise(f):
+    """Run f() and return the largest rise of traced memory within one line
+    of this package that it runs: the line's own allocations and those of
+    the code outside the package that it calls."""
+    rise, level = [0], [0]
+
+    def trace(frame, event, arg):
+        if not frame.f_globals.get("__name__", "").startswith("orlicz_eigen"):
+            return None
+        current, peak = tracemalloc.get_traced_memory()
+        rise[0] = max(rise[0], peak - level[0])
+        tracemalloc.reset_peak()
+        level[0] = current
+        return trace
+
+    tracemalloc.start()
+    before = sys.gettrace()
+    level[0] = tracemalloc.get_traced_memory()[0]
+    sys.settrace(trace)
+    try:
+        f()
+    finally:
+        sys.settrace(before)
+        tracemalloc.stop()
+    return rise[0]
+
+
+def test_warm_steps_allocate_no_block_of_n_squared_doubles():
+    # once both kept bands exist, a descent build and a Newton step (its
+    # Hessian and CG) assemble, factor and apply in them; each line's
+    # temporaries stay below the N x N doubles of a band (the pair rows
+    # have N^2/2 entries), where a new band or a Fortran-order copy of one
+    # would reach it
+    nm = NonlocalMesh(1.0, 256, 0.5)
+    problem = Problem(SOP24, nm)
+    u = problem.project(np.sin(np.pi * nm.x) + 0.1, 1.0)
+    check = solver._check(problem, u)
+    for _ in range(2):
+        solve = problem.preconditioner(u)
+    band = 8 * nm.interior_count ** 2
+    assert _largest_rise(lambda: problem.preconditioner(u)) < band
+    assert _largest_rise(lambda: solver._newton_step(
+        problem, check, solve, solve(check.mg))) < band
+
+
+def test_a_factor_kept_by_newton_holds_through_later_builds():
+    # the factor that _newton keeps after a full step lives in one kept
+    # band; the next stiffness band and the Hessian are written in the
+    # other, so its solves do not change
+    nm = NonlocalMesh(1.0, 48, 0.5)
+    problem = Problem(SOP24, nm)
+    u = solve_E(SOP24, nm, 1.0, SolveOptions(seed=1)).u.values
+    check = solver._check(problem, problem.project(u * (1.0 + 1e-3 * nm.x),
+                                                   1.0))
+    moved, factor = solver._newton(problem, 1.0, check, None, 1e-8)
+    assert moved is not None and factor is not None
+    rhs = np.random.default_rng(5).standard_normal(nm.interior_count)
+    x = factor(rhs)
+    problem.band(2.0 * u)
+    problem.tangent(3.0 * u, moved.lam)
+    assert np.array_equal(factor(rhs), x)
+
+
+@pytest.mark.parametrize("n", [37, 48], ids=["odd", "even"])
+def test_pair_band_in_lapack_layout_holds_the_pair_sums(n):
+    # the band written node by node into a Fortran-order array: each pair's
+    # -c at its offset and the plus- and minus-end sums on the diagonal, bit
+    # for bit, and every entry finite, the ones LAPACK never reads too
+    p = NonlocalMesh(1.0, n, 0.5).pairs
+    c = np.random.default_rng(n).random(p.plus.shape[1])
+    c[p.cell_weights == 0.0] = 0.0
+    i, j = np.minimum(p.plus[0], p.minus[0]), np.maximum(p.plus[0],
+                                                         p.minus[0])
+    once = p.cell_weights > 0.0
+    ref = np.zeros((n, n))
+    ref[n - 1 - (j - i)[once], j[once]] = -c[once]
+    ref[-1] = np.bincount(p.plus[0], c, n) + np.bincount(p.minus[0], c, n)
+    out = np.full((n, n), np.nan).T
+    ab = p.band(c, out)
+    assert np.shares_memory(ab, out) and ab.flags.f_contiguous
+    assert np.all(np.isfinite(ab))
+    for k in range(n):
+        assert np.array_equal(ab[n - 1 - k, k:], ref[n - 1 - k, k:])
+
+
+@pytest.mark.parametrize("m", [
+    Mesh.interval(1.0, 40), Mesh.rectangle(2.0, 1.0, 7, 5),
+    NonlocalMesh(1.0, 37, 0.5), NonlocalMesh(1.0, 48, 0.5)],
+    ids=["interval", "rectangle", "N37", "N48"])
+def test_kept_bands_solve_and_apply_as_new_copied_ones(m):
+    # against the copy-based path (a band built anew, copied to Fortran
+    # order and factored in the copy; a Hessian built anew, its band
+    # copied), builds in the kept bands of one Problem give the same solves
+    # and matvecs bit for bit, in the kept bands that held factors before
+    # too
+    rng = np.random.default_rng(m.interior_count)
+    rhs, v = rng.standard_normal((2, m.interior_count))
+    problem = Problem(SOP24, m)
+    for step in range(3):
+        u = problem.project(np.abs(rng.standard_normal(m.interior_count))
+                            + 0.1, 1.0)
+        lam = solver._check(problem, u).lam
+        fresh = Problem(SOP24, m)
+        cho, info = solver._PBTRF(np.array(fresh.band(u), order="F"))
+        assert info == 0
+        assert np.array_equal(problem.preconditioner(u)(rhs),
+                              solver._PBTRS(cho, rhs)[0])
+        apply = fresh.tangent(u, lam)
+        want = apply(v)
+        if m.dim == 1:
+            hessian = np.array(fresh.kept["band"], order="F")
+            assert np.array_equal(want, solver._SBMV(
+                len(hessian) - 1, 1.0, hessian, v))
+        assert np.array_equal(problem.tangent(u, lam)(v), want)

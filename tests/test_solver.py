@@ -474,8 +474,8 @@ def test_tangent_applies_one_component_rows_without_the_row_passes(
     for b in m.blocks:
         for name in ("differences", "transpose"):
             method = getattr(b, name)
-            monkeypatch.setattr(b, name, lambda x, method=method:
-                                calls.append(1) or method(x))
+            monkeypatch.setattr(b, name, lambda x, *pad, method=method:
+                                calls.append(1) or method(x, *pad))
     rng = np.random.default_rng(3)
     u = np.abs(rng.standard_normal(m.interior_count)) + 0.1
     apply = Problem(YoungFunction.sum_of_powers(2, 4), m).tangent(u, 1.0)
@@ -1002,6 +1002,38 @@ def test_newton_step_is_zero_where_the_projection_is_not_defined():
     check = solver._check(problem, np.array([1.0, 0.0]))
     step = solver._newton_step(problem, check, lambda rhs: -rhs, -check.mg)
     assert np.array_equal(step, np.zeros(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_step_takes_its_dots_under_errstate():
+    # a defect of 1e160 makes <r, z> overflow; with the dots under the
+    # matvec's errstate it reads as inf, and CG ends with a zero step
+    # instead of warning "overflow encountered in dot"
+    m = Mesh.interval(1.0, 8)
+    ones, w = np.ones(m.interior_count), m.node_weights
+    problem = Problem(YoungFunction.power(2), m)
+    solve = problem.preconditioner(ones)
+    problem.tangent = lambda values, lam: lambda v: 1e160 * v
+    check = solver._Check(ones, 1e160 * ones, w, 1.0, 1.0)
+    step = solver._newton_step(problem, check, solve, solve(w))
+    assert np.array_equal(step, np.zeros(m.interior_count))
+
+
+def test_a_stiffness_not_definite_even_lifted_ends_the_run_at_its_check():
+    # the descent step's build raises LinAlgError after its lifted retry:
+    # the run ends unconverged at the check of its projected start
+    m = Mesh.interval(1.0, 20)
+    problem = Problem(YoungFunction.sum_of_powers(2, 4), m)
+
+    def indefinite(values):
+        raise np.linalg.LinAlgError("minor 3 is not positive definite")
+    problem.preconditioner = indefinite
+    start = np.abs(solver.quadratic_eigenvector(m))
+    run = solver._descend(problem, 1.0, start, SolveOptions())
+    check = solver._check(Problem(problem.F, m), problem.project(start, 1.0))
+    assert np.array_equal(run.values, check.values)
+    assert (run.lam, run.residual) == (check.lam, check.res)
+    assert run.iterations == 0 and not run.converged
 
 
 def test_polish_keeps_a_newton_trial_that_halves_the_residual():
