@@ -19,7 +19,7 @@ from . import __version__
 from .errors import GeometryError, OrliczError, ConfigError
 from .fractional import NonlocalMesh
 from .mesh import Mesh
-from .solver import SolveOptions, solve_E
+from .solver import MAX_STARTS, SolveOptions, solve_E
 from .sweep import (check_bounds, check_decay, estimate_limits,
                     geometric_grid, require_alpha_one,
                     require_decay_geometry, run_sweep)
@@ -274,12 +274,13 @@ def _cmd_sweep(args):
 # -- argument parsing -------------------------------------------------------
 
 def _add_solver_flags(p):
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50_000)
-    p.add_argument("--restarts", type=int, default=None,
-                   help="force exactly N starts (default: up to 5, stopping "
-                        "once two converged starts agree)")
-    p.add_argument("--seed", type=int, default=0)
+    opts = SolveOptions()
+    p.add_argument("--tol", type=float, default=opts.tol)
+    p.add_argument("--max-iter", type=int, default=opts.max_iter)
+    p.add_argument("--restarts", type=int, default=opts.restarts,
+                   help=f"force exactly N starts (default: up to {MAX_STARTS}"
+                        ", stopping once two converged starts agree)")
+    p.add_argument("--seed", type=int, default=opts.seed)
     p.add_argument("--out", help="write the JSON summary here (default stdout)")
 
 

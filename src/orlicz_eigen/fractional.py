@@ -27,8 +27,8 @@ is nondecreasing for a convex A with A(0) = 0.  The core sums it with the
 pair rows in the energy, the gradient and the stiffness, where it adds
 only to the diagonal.  It costs 2N values of A per iterate (its a(g)/g),
 which the gradient and the stiffness share through the core's row memo,
-and 2N of G per energy; G is closed-form for Power and SumOfPowers,
-otherwise a fixed 113-node rule (113 values of A each).
+and 2N of G (``YoungFunction.G``) per energy.  This module holds only
+geometry; the calculus of A is the Young function's.
 """
 
 import math
@@ -38,67 +38,29 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .mesh import Mesh, row_factors
-from .young import SATURATION
+from .young import _derivative
 
 __all__ = ["NonlocalMesh"]
 
 
-def _tanh_sinh_rule():
-    """Tanh-sinh nodes and weights on (0, 1), step 1/16 for |t| <= 3.5.
-    They crowd both ends, which resolves the x^{p-1} endpoint at 0 and the
-    boundary layer of exponential families at 1: within 1e-13 of quad for
-    tau in [2e-3, 40], where a 64-node Gauss rule in x = y^m (m = 2..4)
-    missed exp_neg_inv_power(1) by 3e-7 to 2e-3."""
-    t = np.arange(-56, 57) / 16.0
-    v = 0.5 * math.pi * np.sinh(t)
-    x = 1.0 / (1.0 + np.exp(-2.0 * v))
-    w = math.pi / 64.0 * np.cosh(t) / np.cosh(v) ** 2
-    return x, w
-
-
-_RULE_X, _RULE_W = _tanh_sinh_rule()
-
-
-def _primitive_by_rule(F, tau):
-    """G(tau) = int_0^1 A(tau x)/x dx by the fixed rule, elementwise.
-    Past the knot of F, where A'' jumps (exp_neg_inv_power's t0), the
-    integral is taken apart, in log t."""
-    tau = np.asarray(tau, dtype=float)
-    knot = F.knot
-    G = F.A(np.minimum(tau, knot)[..., None] * _RULE_X) @ (_RULE_W / _RULE_X)
-    hi = tau > knot
-    if np.any(hi):
-        span = np.log(tau[hi] / knot)
-        G[hi] += span * (F.A(knot * np.exp(span[:, None] * _RULE_X))
-                         @ _RULE_W)
-    return G
-
-
-def _primitive(F, tau):
-    """G(tau) = int_0^tau A(sigma)/sigma dsigma, saturating like A: F's
-    closed form where it has one, else the fixed rule."""
-    with np.errstate(over="ignore"):
-        G = F.closed_primitive(tau)
-        if G is None:
-            G = _primitive_by_rule(F, tau)
-    return np.minimum(G, SATURATION)
-
-
 class _Primitive:
     """The Young function G of the exterior rows, G(tau) =
-    int_0^tau A(sigma)/sigma dsigma with density a(tau) = A(tau)/tau: the
-    two methods the core reads.  It is not a YoungFunction, so evaluations
-    of G are not counted (by perfbench) as evaluations of A; its density
-    is, since it evaluates A."""
+    int_0^tau A(sigma)/sigma dsigma (``F.G``) with density a(tau) =
+    A(tau)/tau and its derivative: the three methods the core reads.  It is
+    not a YoungFunction, so evaluations of G are not counted (by perfbench)
+    as evaluations of A; its density is, since it evaluates A."""
 
     def __init__(self, F):
         self.F = F
 
     def A(self, tau):
-        return _primitive(self.F, tau)
+        return self.F.G(tau)
 
     def a(self, tau):
         return self.F.A(tau) / tau
+
+    def da(self, tau):
+        return _derivative(self.a, tau)
 
 
 class _Exterior:
@@ -135,24 +97,25 @@ class _Exterior:
         return (c[:n] + c[n:]).reshape(1, n)
 
 
+def _partners(values):
+    """values[(i + d) mod N] at row d = 1..N // 2, column i: a window."""
+    n = len(values)
+    return sliding_window_view(np.concatenate((values, values)),
+                               n)[1:n // 2 + 1]
+
+
 class _Pairs:
     """The interior pairs of a :class:`NonlocalMesh` as a row block: row
     d = 1..M = N // 2, column i is the pair (i, (i + d) mod N), at distance
-    d h when i < N - d and (N - d) h otherwise.  ``plus`` = i and ``minus``
-    = (i + d) mod N, (1, M N) arrays row-major over (d, i), describe the
-    layout (the operators below do not read them); ``row_spacing`` =
-    |x_i - x_j|^s and ``cell_weights`` = 2h^2/|x_i - x_j|, with the row
-    factors and ``bandwidth`` (N - 1) of a ``Mesh``'s rows."""
+    d h when i < N - d and (N - d) h otherwise, raveled row-major over
+    (d, i); ``row_spacing`` = |x_i - x_j|^s and ``cell_weights`` =
+    2h^2/|x_i - x_j|, with the row factors and ``bandwidth`` (N - 1) of a
+    ``Mesh``'s rows."""
 
     def __init__(self, nm):
         h, x = nm.h, nm.x
         n = self.interior_count = nm.interior_count
-        i = np.arange(n)
-        self.plus = np.tile(i, n // 2).reshape(1, -1)
-        self.minus = ((i + np.arange(1, n // 2 + 1)[:, None]) % n
-                      ).reshape(1, -1)
-        d = (x[np.maximum(self.plus, self.minus)]
-             - x[np.minimum(self.plus, self.minus)])
+        d = np.abs(np.subtract(x, _partners(x))).reshape(1, -1)
         self.row_spacing = d ** nm.s
         self.cell_weights = 2.0 * h * h / d[0]
         if n % 2 == 0:
@@ -166,10 +129,7 @@ class _Pairs:
     def differences(self, values):
         """B u, shape (1, M N): row d of u - u[(i + d) mod N], read as a
         window of [u, u], over the pair spacings."""
-        n = self.interior_count
-        shifted = sliding_window_view(np.concatenate((values, values)),
-                                      n)[1:n // 2 + 1]
-        out = np.subtract(values, shifted).reshape(1, -1)
+        out = np.subtract(values, _partners(values)).reshape(1, -1)
         out /= self.row_spacing
         return out
 
@@ -214,9 +174,7 @@ class _Pairs:
         transposed.  The pairs (i, i + d) land at column i + d of band row
         N - 1 - d; read along d from node i + d they step by N - 1 through
         the rows: a reshaped view, transposed.  Entries LAPACK never reads
-        hold what the pad left there or finite copies.  A warm nonlocal
-        solve at N = 256 takes 544 minor page faults, 1,506 with a new
-        band and its Fortran-order copy at each build."""
+        hold what the pad left there or finite copies."""
         n, half = self.interior_count, self.interior_count // 2
         nodes = np.empty((n, n)) if out is None else out.T
         plus, minus = self._ends(c, nodes.ravel()[:(half + 1) * n])

@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 EPS_GRAD = 1e-12  # regularization of a(g)/g at vanishing gradient
-DIFF_STEP = 1e-5  # relative step of the central difference a'(t)
 MAX_STARTS = 5    # start pool when restarts is None (stop at first agreement)
 
 
@@ -269,9 +268,10 @@ class Problem:
 
     A one-entry row memo, keyed on the field's contents, keeps per block
     B u (``slopes``) and g = |B u| of the last field seen, and on top of
-    it each block's a(g)/g.  The line-search energy of a trial fills it;
-    once the trial is accepted, the gradient and the band built there read
-    it instead of touching the rows again.  Any other field (a rejected
+    it each block's g floored at EPS_GRAD (``floored``) and a(g)/g.  The
+    line-search energy of a trial fills it; once the trial is accepted,
+    the gradient, the band and the Hessian built there read it instead of
+    touching the rows again.  Any other field (a rejected
     trial's successor, or an array changed in place) misses the key and
     resets the memo.
 
@@ -282,18 +282,14 @@ class Problem:
     factorization (where ``_newton`` drops the one it keeps); and each
     block's ``pad`` for ``transpose``.  ``preconditioner`` factors its band
     in place and checks the factor alone for an inf or a NaN, which LAPACK
-    carries over from the band, from entries it never reads too.  Warm
-    nonlocal solves of SumOfPowers(2, 4) take 544 minor page faults at
-    N = 256 and 144 at N = 128, against 1,506 and 288 with new bands,
-    Fortran-order copies and pads at each build.
+    carries over from the band, from entries it never reads too.
     """
 
     def __init__(self, F, m, kept=None):
         self.F = F
         self.m = m
         self.kept = {} if kept is None else kept
-        self._values = self.slopes = self.g = self._coefs = None
-        self._built = None  # the band the last call of band assembled
+        self._values = self.slopes = self.g = self._coefs = self.floored = None
 
     def at(self, values):
         """The memo at ``values``, a conforming float array: B u and |B u|
@@ -303,16 +299,17 @@ class Problem:
             self._values = values.copy()
             self.slopes = [cell_gradients(values, b) for b in self.m.blocks]
             self.g = [gradient_magnitudes(x) for x in self.slopes]
-            self._coefs = None
+            self._coefs = self.floored = None
         return self
 
     def coefficients(self):
         """a(g)/g of each block at the memo's field, with the block's Young
-        function, regularized at vanishing g."""
+        function, regularized at vanishing g: taken at max(g, EPS_GRAD),
+        which the memo keeps as ``floored``."""
         if self._coefs is None:
-            gr = [np.maximum(g, EPS_GRAD) for g in self.g]
+            self.floored = [np.maximum(g, EPS_GRAD) for g in self.g]
             self._coefs = [b.young(self.F).a(x) / x
-                           for b, x in zip(self.m.blocks, gr)]
+                           for b, x in zip(self.m.blocks, self.floored)]
         return self._coefs
 
     def pads(self):
@@ -361,29 +358,23 @@ class Problem:
                              for b, c in zip(self.m.blocks,
                                              self.coefficients())])
         ab[-1] = _lifted(ab[-1], least=1e-280)
-        self._built = ab
         return ab
 
     def preconditioner(self, values):
-        # the band this call assembled is factored in place and the kept
-        # bands swap; a band from elsewhere is factored on a copy.
+        # the band is factored in place and the kept bands swap.
         # Coefficients spread past the working precision cancel a pivot of a
         # weakly dominant band (1D cells, steep exp_minus_poly): retry
         # within 1e10 of the max
         for keep in (0.0, 1e-10):
-            self._built = None
-            ab = self.band(values, keep)
-            own = ab is self._built
-            cho, info = _PBTRF(ab, overwrite_ab=own)
+            cho, info = _PBTRF(self.band(values, keep), overwrite_ab=True)
             _finite(cho, info)
             if info == 0:
                 break
         else:
             raise np.linalg.LinAlgError(
                 f"minor {info} is not positive definite")
-        if own:
-            kept = self.kept
-            kept["band"], kept["factor"] = kept.get("factor"), cho
+        kept = self.kept
+        kept["band"], kept["factor"] = kept.get("factor"), cho
 
         def solve(rhs):
             if len(rhs) != cho.shape[1]:
@@ -398,25 +389,20 @@ class Problem:
         node weights.  H_b, the Hessian of A(|s|) at each row's s = B u, is
         a'(g) on one-component rows (1D cells, nonlocal pairs, the
         exterior) and c I + (a'(g) - c) n n^T on 2D triangles, with
-        c = a(g)/g and n = s/g from the row memo.  Each a' is that of the
-        block's own density (F's for M): F's closed form for a power sum,
-        else :func:`_derivative`, as for the exterior's G; an overflow
-        gives an inf or a NaN, which CG's curvature check catches.  The
+        c = a(g)/g and n = s/g from the row memo.  Each a' is the ``da``
+        of the block's own Young function (F's for M); an overflow gives
+        an inf or a NaN, which CG's curvature check catches.  The
         one-component rows (by their blocks' ``band``) and the mass term are
         assembled once into one band for BLAS ``dsbmv``, in the kept band
         that holds no factor (so the matvec holds until the next build); 2D
         triangles, whose cross term does not fit it, keep
         ``differences``/``transpose``."""
-        def slope(G, t):
-            da = G.closed_derivative(t) if G is self.F else None
-            return _derivative(G.a, t) if da is None else da
-        self.at(values)
+        coefs = self.at(values).coefficients()
         rows, bands = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for b, c, s, g, pad in zip(self.m.blocks, self.coefficients(),
-                                       self.slopes, self.g, self.pads()):
-                gr = np.maximum(g, EPS_GRAD)
-                da = slope(b.young(self.F), gr)
+            for b, c, s, gr, pad in zip(self.m.blocks, coefs, self.slopes,
+                                        self.floored, self.pads()):
+                da = b.young(self.F).da(gr)
                 if len(s) == 1:
                     da *= b.band_weights.ravel()
                     bands.append((b, da))
@@ -424,8 +410,8 @@ class Problem:
                     n = s / gr
                     rows.append((b, c * b.flux_weights, n,
                                  (da - c) * n * b.flux_weights, pad))
-            mass = lam * self.m.node_weights * slope(
-                self.F, np.maximum(np.abs(values), EPS_GRAD))
+            mass = lam * self.m.node_weights * self.F.da(
+                np.maximum(np.abs(values), EPS_GRAD))
             if bands:
                 ab = self._assemble(bands)
                 ab[-1] -= mass
@@ -441,15 +427,6 @@ class Problem:
                         (k * x + kn * (n * x).sum(axis=0)).ravel(), pad)
             return out
         return apply
-
-
-def _derivative(a, t):
-    """a'(t) at t > 0 by the central difference of the density ``a`` over
-    t (1 +- DIFF_STEP); an overflow in it gives an inf or a NaN, which the
-    caller's checks catch, not a warning."""
-    hi, lo = t * (1.0 + DIFF_STEP), t * (1.0 - DIFF_STEP)
-    with np.errstate(all="ignore"):
-        return (a(hi) - a(lo)) / (hi - lo)
 
 
 def _finite(x, info=0):

@@ -217,3 +217,12 @@ def p_laplacian_shooting(p, tol=1e-10):
 def directional_derivative(f, x, v, h=1e-6):
     """Central finite-difference derivative of f at x along direction v."""
     return (f(x + h * v) - f(x - h * v)) / (2.0 * h)
+
+
+def pair_ends(n):
+    """The wrap-around layout of the nonlocal pair rows as index arrays:
+    (plus, minus) = (i, (i + d) mod n) for row d = 1..n // 2 and column i,
+    raveled row-major over (d, i)."""
+    i = np.arange(n)
+    return (np.tile(i, n // 2),
+            ((i + np.arange(1, n // 2 + 1)[:, None]) % n).ravel())

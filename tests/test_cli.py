@@ -177,6 +177,13 @@ def test_solve_json_and_csv(capsys, tmp_path):
     assert header == "x0,value"
 
 
+def test_solver_flags_default_to_solve_options():
+    args = cli.build_parser().parse_args(
+        ["solve", "--young", "{}", "--mesh", "interval:1.0,10",
+         "--alpha", "1"])
+    assert cli._solve_options(args) == SolveOptions()
+
+
 def test_solve_bad_config_exit_2(capsys):
     code, _, err = run(capsys, "solve", "--young",
                        '{"family": "power", "params": {"p": 2, "zzz": 1}}',

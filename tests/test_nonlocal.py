@@ -10,13 +10,12 @@ from scipy.integrate import quad, quad_vec
 
 from orlicz_eigen import solver
 from orlicz_eigen.errors import ConfigError, ConformanceError
-from orlicz_eigen.fractional import (NonlocalMesh, _primitive,
-                                     _primitive_by_rule)
+from orlicz_eigen.fractional import NonlocalMesh, _Primitive
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.solver import (EPS_GRAD, Problem, SolveOptions, energy,
                                  energy_gradient, lagrange_quotient, solve_E,
                                  weak_residual)
-from orlicz_eigen.young import YoungFunction, modular
+from orlicz_eigen.young import YoungFunction, _primitive_by_rule, modular
 
 import oracles
 
@@ -83,11 +82,10 @@ def test_pair_weights_symmetric_positive(nm):
     # one row per unordered pair i < j covers each off-diagonal entry once,
     # with the weight 2 h^2/|x_i - x_j| of both orders
     n = nm.interior_count
+    plus, minus = oracles.pair_ends(n)
     W = np.zeros((n, n))
-    np.add.at(W, (nm.pairs.plus[0], nm.pairs.minus[0]),
-              nm.pairs.cell_weights)
-    np.add.at(W, (nm.pairs.minus[0], nm.pairs.plus[0]),
-              nm.pairs.cell_weights)
+    np.add.at(W, (plus, minus), nm.pairs.cell_weights)
+    np.add.at(W, (minus, plus), nm.pairs.cell_weights)
     assert _close(W, W.T)
     off_diag = ~np.eye(n, dtype=bool)
     assert np.all(W[off_diag] > 0.0)
@@ -222,7 +220,8 @@ def _assert_matches_dense_reference(F, nm):
 def test_block_assembly_matches_dense_reference(F):
     # an odd N: one row per unordered pair, every pair within the band
     nm = NonlocalMesh(1.0, 37, 0.4)
-    assert nm.pairs.plus.shape == nm.pairs.minus.shape == (1, 37 * 36 // 2)
+    assert nm.pairs.row_spacing.shape == (1, 37 * 36 // 2)
+    assert nm.pairs.cell_weights.shape == (37 * 36 // 2,)
     assert nm.pairs.bandwidth == 36
     _assert_matches_dense_reference(F, nm)
 
@@ -236,7 +235,8 @@ def test_wrap_around_layout_matches_dense_reference(F, n):
     # odd N lists each pair once; even N repeats row N/2 with a zero-weight
     # second half, and N = 2 is that half row alone
     nm = NonlocalMesh(1.0, n, 0.4)
-    assert nm.pairs.plus.shape == nm.pairs.minus.shape == (1, n // 2 * n)
+    assert nm.pairs.row_spacing.shape == (1, n // 2 * n)
+    assert nm.pairs.cell_weights.shape == (n // 2 * n,)
     assert nm.pairs.bandwidth == n - 1
     u = np.random.default_rng(n).standard_normal(n)
     E, g, K = _dense_reference(F, u, nm)
@@ -252,8 +252,8 @@ def test_each_pair_once_with_its_weight(n):
     # with weight 0
     nm = NonlocalMesh(1.0, n, 0.5)
     w = nm.pairs.cell_weights
-    lo = np.minimum(nm.pairs.plus[0], nm.pairs.minus[0])
-    hi = np.maximum(nm.pairs.plus[0], nm.pairs.minus[0])
+    plus, minus = oracles.pair_ends(n)
+    lo, hi = np.minimum(plus, minus), np.maximum(plus, minus)
     live = w > 0.0
     pairs = lo[live] * n + hi[live]
     assert np.array_equal(np.sort(pairs), np.flatnonzero(
@@ -273,9 +273,10 @@ def test_pair_operators_match_dense_rows(n):
     nm = NonlocalMesh(1.0, n, 0.3)
     rng = np.random.default_rng(n)
     rows = n // 2 * n
+    plus, minus = oracles.pair_ends(n)
     D = np.zeros((rows, n))
-    D[np.arange(rows), nm.pairs.plus[0]] += 1.0
-    D[np.arange(rows), nm.pairs.minus[0]] -= 1.0
+    D[np.arange(rows), plus] += 1.0
+    D[np.arange(rows), minus] -= 1.0
     u, f, c = (rng.standard_normal(size) for size in (n, rows, rows))
     c[nm.pairs.cell_weights == 0.0] = 0.0  # as band_weights makes it
     assert _close(nm.pairs.differences(u)[0],
@@ -414,8 +415,8 @@ def test_tail_bound_covers_far_halo(F, s):
 
     def tail(k):
         d = np.concatenate([x, L - x]) + k * h
-        return 2.0 * h / s * float(np.sum(_primitive(
-            F, np.tile(np.abs(u), 2) * d ** -s)))
+        return 2.0 * h / s * float(np.sum(F.G(
+            np.tile(np.abs(u), 2) * d ** -s)))
     k4, k400 = math.ceil(4.0 / h), math.ceil(400.0 / h)
     assert 0.0 < tail(k4 + 1) - tail(k400 + 1) <= gain <= tail(k4)
 
@@ -624,7 +625,7 @@ def test_custom_young_matches_power_on_pair_arrays():
 def test_primitive_rule_matches_closed_form(F):
     tau = np.geomspace(1e-3, 40.0, 41)
     np.testing.assert_allclose(_primitive_by_rule(F, tau),
-                               _primitive(F, tau), rtol=1e-13, atol=0.0)
+                               F.G(tau), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("F", [YoungFunction.power_log(2, 1, 1),
@@ -640,8 +641,35 @@ def test_primitive_rule_matches_quad(F):
     def G(t):
         return quad(lambda x: F.A(x) / x, 0.0, t, epsabs=0.0, epsrel=1e-13,
                     limit=400, points=[t0] if t0 and t > t0 else None)[0]
-    np.testing.assert_allclose(_primitive(F, tau), [G(t) for t in tau],
+    np.testing.assert_allclose(F.G(tau), [G(t) for t in tau],
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("F, da", [
+    (YoungFunction.power(3), lambda t: 2.0 * t),
+    (YoungFunction.sum_of_powers(2, 4), lambda t: 0.5 + 0.75 * t * t)],
+    ids=["p3", "sop24"])
+def test_exterior_young_function_is_G_with_density_and_derivative(F, da):
+    # the exterior rows' Young function is F's G, with density A(t)/t
+    # (t^2 and t/2 + t^3/4) and its derivative by the central difference
+    G, tau = _Primitive(F), np.geomspace(1e-3, 10.0, 13)
+    assert np.array_equal(G.A(tau), F.G(tau))
+    assert np.array_equal(G.a(tau), F.A(tau) / tau)
+    np.testing.assert_allclose(G.da(tau), da(tau), rtol=1e-9, atol=0.0)
+
+
+def test_mesh_keeps_no_pair_index_arrays():
+    # the pair rows keep four arrays of N^2/2 doubles (spacings, weights
+    # and the two row factors, 16 MiB at N = 1024) and no index arrays of
+    # their layout (4 MiB each)
+    tracemalloc.start()
+    try:
+        nm = NonlocalMesh(1.0, 1024, 0.5)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert nm.pairs.row_spacing.size == 512 * 1024
+    assert kept <= 17 * 2 ** 20
 
 
 def test_a_start_whose_stiffness_is_not_definite_ends_and_the_next_goes_on():
@@ -732,14 +760,14 @@ def test_pair_band_in_lapack_layout_holds_the_pair_sums(n):
     # -c at its offset and the plus- and minus-end sums on the diagonal, bit
     # for bit, and every entry finite, the ones LAPACK never reads too
     p = NonlocalMesh(1.0, n, 0.5).pairs
-    c = np.random.default_rng(n).random(p.plus.shape[1])
+    plus, minus = oracles.pair_ends(n)
+    c = np.random.default_rng(n).random(len(plus))
     c[p.cell_weights == 0.0] = 0.0
-    i, j = np.minimum(p.plus[0], p.minus[0]), np.maximum(p.plus[0],
-                                                         p.minus[0])
+    i, j = np.minimum(plus, minus), np.maximum(plus, minus)
     once = p.cell_weights > 0.0
     ref = np.zeros((n, n))
     ref[n - 1 - (j - i)[once], j[once]] = -c[once]
-    ref[-1] = np.bincount(p.plus[0], c, n) + np.bincount(p.minus[0], c, n)
+    ref[-1] = np.bincount(plus, c, n) + np.bincount(minus, c, n)
     out = np.full((n, n), np.nan).T
     ab = p.band(c, out)
     assert np.shares_memory(ab, out) and ab.flags.f_contiguous

@@ -16,7 +16,7 @@ import scipy.linalg
 from orlicz_eigen.errors import (BracketRangeError, ConfigError,
                                  ConformanceError, OrliczError,
                                  ZeroDenominatorError)
-from orlicz_eigen import solver, young
+from orlicz_eigen import fractional, solver, young
 from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.mesh import Mesh, bump_field
 from orlicz_eigen.solver import (Problem, SolveOptions, energy,
@@ -365,8 +365,8 @@ def test_tangent_is_the_derivative_of_the_lagrangian_gradient(m, F):
                          ids=["p1.2", "p3", "sop1.5-3", "sop24"])
 def test_closed_form_density_derivative_matches_the_central_difference(F):
     t = np.geomspace(solver.EPS_GRAD, 1e3, 61)
-    closed = F.closed_derivative(t)
-    num = solver._derivative(F.a, t)
+    closed = F.da(t)
+    num = young._derivative(F.a, t)
     assert np.all(np.abs(closed - num) <= 1e-8 * closed)
 
 
@@ -376,10 +376,10 @@ def test_closed_form_density_derivative_overflows_to_inf():
     F, t = YoungFunction.sum_of_powers(2, 4), np.array([1e100, 1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        closed = F.closed_derivative(t)
+        closed = F.da(t)
     assert closed[0] == pytest.approx(3e200, rel=1e-14)
     assert closed[1] == math.inf and F.a(t[1]) == SATURATION
-    assert solver._derivative(F.a, t[1:])[0] == 0.0
+    assert young._derivative(F.a, t[1:])[0] == 0.0
 
 
 def test_an_overflowing_curvature_breaks_cg_without_a_warning():
@@ -409,16 +409,18 @@ def test_tangent_takes_a_prime_in_closed_form_for_power_sums(
         monkeypatch, F, m, differences):
     # a power sum's a' is its closed form, for its rows and its mass term;
     # the exterior's G and every other family take the central difference
-    derivative, calls = solver._derivative, []
+    derivative, calls = young._derivative, []
 
     def counted(a, t):
         calls.append(len(t))
         return derivative(a, t)
-    monkeypatch.setattr(solver, "_derivative", counted)
+    for module in (young, fractional):
+        monkeypatch.setattr(module, "_derivative", counted)
     u = np.linspace(0.5, 1.5, m.interior_count)
     Problem(F, m).tangent(u, 1.0)(np.ones(m.interior_count))
     assert len(calls) == differences
-    assert (F.closed_derivative(u) is None) == (differences > 1)
+    F.da(u)  # a central difference of F's own density, or none
+    assert (len(calls) > differences) == (differences > 1)
 
 
 def _rows_matrix(b, n):
@@ -447,9 +449,7 @@ def test_tangent_band_is_the_dense_hessian(m, F):
     lam = 1.7
 
     def slope(G, t):
-        t = np.maximum(t, solver.EPS_GRAD)
-        closed = G.closed_derivative(t) if G is F else None
-        return solver._derivative(G.a, t) if closed is None else closed
+        return G.da(np.maximum(t, solver.EPS_GRAD))
     H = -np.diag(lam * m.node_weights * slope(F, np.abs(u)))
     for b in m.blocks:
         B = _rows_matrix(b, n)
@@ -1506,7 +1506,7 @@ def test_build_factors_and_solves_as_scipy_wrappers(m, monkeypatch):
     cells = Problem(F, m)
     band = cells.band(u)
     kept = band.copy()
-    cells.band = lambda values, keep=0.0: band
+    cells.band = lambda values, keep=0.0: band.copy()
     factors, pbtrf = [], solver._PBTRF
     monkeypatch.setattr(solver, "_PBTRF", lambda ab, **kw: factors.append(
         pbtrf(ab, **kw)) or factors[-1])

@@ -536,6 +536,31 @@ def test_power_terms_reproduce_A(name):
                                rtol=4e-16, atol=0.0)
 
 
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS) + ["custom"])
+def test_density_derivative_and_exterior_primitive_are_total(name):
+    # every family has a' and G(tau) = int_0^tau A(s)/s ds, the power sums
+    # in closed form and the others by the central difference and the
+    # fixed rule: a' integrates to the increments of a, and G's increments
+    # are the integrals of A(s)/s, by Gauss-Legendre on pieces that avoid
+    # exp_neg_inv_power's knot at 1/2
+    F = (YoungFunction.custom(lambda t: 2.0 * t) if name == "custom"
+         else CLOSED_FORMS[name]())
+    x, w = np.polynomial.legendre.leggauss(40)
+    for lo, hi in [(0.1, 0.45), (0.6, 2.0)]:
+        s, ws = lo + (hi - lo) * (x + 1.0) / 2.0, (hi - lo) / 2.0 * w
+        assert float(np.dot(ws, F.da(s))) == pytest.approx(
+            F.a(hi) - F.a(lo), rel=1e-8)
+        G = F.G(np.array([lo, hi]))
+        assert G[1] - G[0] == pytest.approx(float(np.dot(ws, F.A(s) / s)),
+                                            rel=1e-12)
+    # and both stay defined far out: G saturates like A, and a' of a
+    # saturated density reads 0 or inf, never NaN
+    tau = np.geomspace(1e-6, 1e3, 10)
+    G, da = F.G(tau), F.da(tau)
+    assert np.all(np.diff(G) >= 0.0) and 0.0 <= G[0] and G[-1] <= SATURATION
+    assert da.shape == tau.shape and np.all(da >= 0.0)
+
+
 @pytest.mark.parametrize("F", [YoungFunction.power(1.5),
                                YoungFunction.power(4),
                                YoungFunction.sum_of_powers(2, 4),
