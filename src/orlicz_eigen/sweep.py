@@ -36,6 +36,7 @@ class SweepRecord:
     iterations: int = 0  # of the solve's returned run
     dE_dalpha: float = math.nan
     bounds_ok: dict = None
+    u: object = None  # the solve's minimizer, a field on the mesh
 
     def as_dict(self):
         out = {
@@ -95,7 +96,7 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
     dE/dalpha is the central difference over the neighboring samples when
     both converged, else NaN (endpoints included).  Unconverged alphas are
     flagged and the sweep continues.  Each record keeps the iteration count
-    of the solve's returned run.
+    and the minimizer ``u`` of the solve's returned run.
     """
     opts = opts or SolveOptions()
     grid = np.sort(np.asarray(alpha_grid, dtype=float))
@@ -118,7 +119,7 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
             alpha=float(alpha), energy=result.energy,
             quotient=result.energy / float(alpha), lam=result.lam,
             converged=result.converged, residual=result.residual,
-            iterations=result.iterations))
+            iterations=result.iterations, u=result.u))
     for k in range(1, len(records) - 1):
         lo, hi = records[k - 1], records[k + 1]
         if lo.converged and hi.converged:
@@ -170,19 +171,25 @@ def require_alpha_one(alphas, check):
 
 
 def _energy_at_one(records, check):
-    """E(1) from the grid: exact sample if present, else log-log
-    interpolation between the bracketing alphas."""
-    alphas = np.array([r.alpha for r in records])
-    energies = np.array([r.energy for r in records])
-    k = require_alpha_one(alphas, check)
-    if k is not None:
-        return float(energies[k])
-    return float(np.exp(np.interp(0.0, np.log(alphas), np.log(energies))))
+    """E(1) from the converged records: the sample at alpha = 1, else
+    log-log interpolation between those bracketing it, else None.  Raises
+    ConfigError unless the grid holds alpha = 1 or brackets it."""
+    require_alpha_one([r.alpha for r in records], check)
+    done = [r for r in records if r.converged]
+    logs = np.log([r.alpha for r in done])
+    at_one = np.abs(logs) < 1e-12
+    if at_one.any():
+        return float(done[int(np.argmax(at_one))].energy)
+    if not (done and logs.min() < 0.0 < logs.max()):
+        return None
+    energies = np.log([r.energy for r in done])
+    return float(np.exp(np.interp(0.0, logs, energies)))
 
 
 def check_bounds(records, p, slack=1e-9):
     """Per-record evaluation of the three two-sided doubling-condition
-    bounds; the overall verdict requires every converged record to pass.
+    bounds against a converged E(1); the overall verdict requires one and
+    every converged record to pass.
 
     The bounds, with E1 = E(1) and q = E(alpha)/alpha:
       energy:    min(a^p, a^(1/p)) E1 <= E(a) <= max(a^p, a^(1/p)) E1
@@ -192,7 +199,7 @@ def check_bounds(records, p, slack=1e-9):
     if p <= 1.0 or not math.isfinite(p):
         raise ConfigError(f"doubling index p must be finite and > 1, got {p}")
     E1 = _energy_at_one(records, "bounds")
-    for r in records:
+    for r in records if E1 is not None else ():
         a = r.alpha
         lo_E = min(a ** p, a ** (1.0 / p)) * E1
         hi_E = max(a ** p, a ** (1.0 / p)) * E1
@@ -203,15 +210,15 @@ def check_bounds(records, p, slack=1e-9):
         hi_q = max(a ** (p - 1.0), a ** (1.0 / p - 1.0)) * E1
         ok_q = lo_q * (1 - slack) <= r.quotient <= hi_q * (1 + slack)
         r.bounds_ok = {"energy": ok_E, "eigenvalue": ok_lam, "quotient": ok_q}
-    converged = [r for r in records if r.converged]
-    overall = all(all(r.bounds_ok.values()) for r in converged)
+    checked = [r for r in records if r.converged] if E1 is not None else []
+    overall = bool(checked) and all(all(r.bounds_ok.values()) for r in checked)
     return {
         "p": p,
         "energy_at_one": E1,
-        "records_checked": len(converged),
-        "records_skipped": len(records) - len(converged),
+        "records_checked": len(checked),
+        "records_skipped": len(records) - len(checked),
         "overall_pass": overall,
-        "failures": [r.alpha for r in converged
+        "failures": [r.alpha for r in checked
                      if not all(r.bounds_ok.values())],
     }
 
@@ -238,8 +245,9 @@ def estimate_limits(F, m, records, endpoint, opts=None, estimate=None):
 
     ``estimate`` is ``matuszewska_exponent(F, endpoint)`` when the caller
     has already fitted it.  With ``opts.restarts`` None (the default) the
-    reference is solved once, from the first default start, and kept when
-    that run converged to a minimizer of one sign: for t^p the first
+    reference is solved once, from the minimizer ``u`` of the extreme
+    converged record (the first default start when it has none), and kept
+    when that run converged to a minimizer of one sign: for t^p the first
     eigenfunction is simple and is the only eigenfunction of one sign
     (Lindqvist 1990; Franzina and Palatucci 2014 for the fractional case),
     so such a critical point is the global minimizer and further starts
@@ -264,19 +272,20 @@ def estimate_limits(F, m, records, endpoint, opts=None, estimate=None):
         raise ConfigError("need at least 3 converged records to extrapolate")
     extrapolated = _extrapolate([r.quotient for r in tail])
     # quotient at alpha = 1; constant by homogeneity
-    reference = _power_reference(est.exponent, m, opts).energy
+    reference = _power_reference(est.exponent, m, opts, tail[-1].u).energy
     gap = abs(extrapolated - reference) / reference
     return LimitEstimate(
         endpoint=endpoint.value, exponent=est.exponent,
         extrapolated=extrapolated, reference=reference, relative_gap=gap)
 
 
-def _power_reference(p, m, opts):
-    """Solve Power(p) at alpha = 1: one run when ``opts.restarts`` is None,
-    kept if it converged to a minimizer of one sign, else ``opts``."""
+def _power_reference(p, m, opts, initial=None):
+    """Solve Power(p) at alpha = 1: one run from ``initial`` when
+    ``opts.restarts`` is None, kept if it converged to a minimizer of one
+    sign, else ``opts``."""
     F = YoungFunction.power(p)
     if opts.restarts is None:
-        ref = solve_E(F, m, 1.0, replace(opts, restarts=1))
+        ref = solve_E(F, m, 1.0, replace(opts, restarts=1), initial)
         if ref.converged and _one_signed(ref.u):
             return ref
     return solve_E(F, m, 1.0, opts)
@@ -299,7 +308,8 @@ def require_decay_geometry(m):
 def check_decay(F, m, records, endpoint, fraction=0.2):
     """Assert the quotient E(alpha)/alpha decays toward the non-doubling
     endpoint: strictly decreasing over the grid's last decade and finally
-    below ``fraction`` of its value at alpha = 1.
+    below ``fraction`` of its value at alpha = 1 (a converged one, else
+    the verdict fails).
 
     Requires inner radius > 1 (the theorem's geometric hypothesis) and a
     divergent doubling ratio at the endpoint.
@@ -324,7 +334,7 @@ def check_decay(F, m, records, endpoint, fraction=0.2):
     decreasing = all(b < a for a, b in zip(quotients, quotients[1:]))
     q_one = _energy_at_one(records, "decay checks")
     final = ordered[-1].quotient
-    below = final <= fraction * q_one
+    below = q_one is not None and final <= fraction * q_one
     return {
         "endpoint": endpoint.value,
         "strictly_decreasing_last_decade": decreasing,

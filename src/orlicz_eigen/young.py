@@ -25,6 +25,7 @@ all endpoint ratios are formed in log space so that regime detection is not
 corrupted by overflow or underflow.
 """
 
+import bisect
 import enum
 import math
 from dataclasses import asdict, dataclass, field
@@ -251,7 +252,8 @@ class YoungFunction:
         if spec is None:  # the custom family
             if self.custom_density is None:
                 raise ConfigError("custom family needs a density callable")
-            self._anchors = {0.0: 0.0}  # primitive cache: sorted t -> A(t)
+            self._anchors = {0.0: 0.0}  # primitive cache: t -> A(t)
+            self._keys = [0.0]  # its keys, sorted
         else:  # the table's names and kinds, then the hypotheses
             given, fam = dict(self.params), self.family.value
             try:
@@ -523,9 +525,9 @@ class YoungFunction:
 
     def _custom_A_scalar(self, t):
         """Quadrature of the density from the nearest cached anchor."""
-        if t <= 0.0:
-            return 0.0
-        lower = max(x for x in self._anchors if x <= t)
+        if not t > 0.0:  # a NaN is never cached: the keys stay sorted
+            return 0.0 if t <= 0.0 else math.nan
+        lower = self._keys[bisect.bisect_right(self._keys, t) - 1]
         base = self._anchors[lower]
         if lower == t:
             return base
@@ -535,6 +537,7 @@ class YoungFunction:
         val = base + inc
         if len(self._anchors) < 4096:
             self._anchors[t] = val
+            bisect.insort(self._keys, t)
         return val
 
     # -- generalized inverse ----------------------------------------------

@@ -534,11 +534,13 @@ def test_nonlocal_sweep_matches_run_sweep(capsys, tmp_path):
         assert {k: float(row[k]) for k in expected} == pytest.approx(
             expected, rel=0.0, abs=0.0, nan_ok=True)
     # the reference is the one-start solve that sweep._power_reference
-    # makes, bit for bit; the multistart minimum differs from it at rounding
-    for endpoint in ("zero", "infinity"):
+    # makes from the endpoint's minimizer, bit for bit; the multistart
+    # minimum differs from it at rounding
+    for endpoint, extreme in (("zero", records[0]),
+                              ("infinity", records[-1])):
         limits = checks["limits"][endpoint]
         power = YoungFunction.power(limits["exponent"])
-        one = solve_E(power, nm, 1.0, replace(opts, restarts=1))
+        one = solve_E(power, nm, 1.0, replace(opts, restarts=1), extreme.u)
         assert limits["reference"] == one.energy
         assert limits["reference"] == pytest.approx(
             solve_E(power, nm, 1.0, opts).energy, rel=1e-13)

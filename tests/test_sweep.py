@@ -140,6 +140,50 @@ def test_energy_at_one_interpolates_log_log_off_the_grid():
     assert row["alpha"] == 0.5 and row["energy"] == 0.75
 
 
+def _exact_branch(energy, grid, unconverged_energy):
+    """Converged records of E(alpha) = energy(alpha) on ``grid``, except
+    alpha = 1, flagged unconverged with energy ``unconverged_energy``."""
+    records = [SweepRecord(alpha=float(a), energy=energy(a),
+                           quotient=energy(a) / a, lam=energy(a) / a,
+                           converged=True, residual=0.0) for a in grid]
+    one = next(r for r in records if abs(math.log(r.alpha)) < 1e-12)
+    one.converged, one.energy = False, unconverged_energy
+    one.quotient = one.lam = unconverged_energy
+    return records
+
+
+def test_bounds_anchor_on_a_converged_energy_at_one():
+    # E = 2 alpha: the converged neighbours of an unconverged E(1) = 20
+    # interpolate to 2; anchored on the unconverged 20, the check failed
+    records = _exact_branch(lambda a: 2.0 * a, geometric_grid(0.1, 10, 3),
+                            20.0)
+    report = check_bounds(records, 2.0)
+    assert report["energy_at_one"] == pytest.approx(2.0, rel=1e-14)
+    assert report["overall_pass"] and report["failures"] == []
+    assert (report["records_checked"], report["records_skipped"]) == (6, 1)
+    # no converged record above alpha = 1: no E(1), a failed verdict
+    for r in records[3:]:
+        r.converged = False
+    report = check_bounds(records, 2.0)
+    assert report["energy_at_one"] is None and not report["overall_pass"]
+    json.dumps(report)
+
+
+def test_decay_anchors_on_a_converged_quotient_at_one():
+    # E = 2 sqrt(alpha) decays to a tenth of its quotient at alpha = 1 over
+    # two decades; anchored on an unconverged E(1) = 0.5, it looked too slow
+    F, m = YoungFunction.exp_minus_poly(2), Mesh.interval(4.0, 100)
+    records = _exact_branch(lambda a: 2.0 * math.sqrt(a),
+                            geometric_grid(0.1, 100, 3), 0.5)
+    report = check_decay(F, m, records, Endpoint.INFINITY)
+    assert report["quotient_at_one"] == pytest.approx(2.0, rel=1e-14)
+    assert report["overall_pass"]
+    for r in records[:3]:
+        r.converged = False
+    report = check_decay(F, m, records, Endpoint.INFINITY)
+    assert report["quotient_at_one"] is None and not report["overall_pass"]
+
+
 def test_estimate_limits_power_gap_zero(m200):
     F = YoungFunction.power(2)
     recs = run_sweep(F, m200, geometric_grid(0.1, 10.0, 5))
@@ -288,10 +332,13 @@ def _flat_records(alphas, quotient=1.0):
                         residual=0.0) for a in alphas]
 
 
-def _counting(solve, calls):
-    """``solve`` that appends each call's options to ``calls``."""
+def _counting(solve, calls, starts=None):
+    """``solve`` that appends each call's options to ``calls``, and its
+    ``initial`` to ``starts`` when given."""
     def counted(F, m, alpha, opts, initial=None):
         calls.append(opts)
+        if starts is not None:
+            starts.append(initial)
         return solve(F, m, alpha, opts, initial)
     return counted
 
@@ -374,6 +421,63 @@ def test_limits_reference_keeps_a_one_signed_run(m200, monkeypatch):
         assert [o.restarts for o in calls] == [1]
 
 
+@pytest.mark.parametrize("case", ["interval", "nonlocal"])
+def test_limits_reference_starts_from_the_extreme_minimizer(case,
+                                                            monkeypatch):
+    # the one-start run starts at the minimizer of the extreme converged
+    # record and ends at the minimizer the cold one-start run finds
+    m = (Mesh.interval(1.0, 200) if case == "interval"
+         else NonlocalMesh(1.0, 64, 0.5))
+    F = YoungFunction.sum_of_powers(2, 4)
+    recs = run_sweep(F, m, geometric_grid(1e-2, 1e2, 3), SolveOptions(seed=1))
+    assert all(r.converged for r in recs)
+    for ep, extreme in ((Endpoint.ZERO, recs[0]),
+                        (Endpoint.INFINITY, recs[-1])):
+        calls, starts = [], []
+        monkeypatch.setattr(sweep, "solve_E",
+                            _counting(solve_E, calls, starts))
+        le = estimate_limits(F, m, recs, ep)
+        assert [o.restarts for o in calls] == [1]
+        assert starts[0] is extreme.u
+        cold = solve_E(YoungFunction.power(le.exponent), m, 1.0,
+                       SolveOptions(restarts=1))
+        assert cold.converged
+        assert le.reference == pytest.approx(cold.energy, rel=1e-12, abs=0)
+
+
+def test_limits_reference_from_a_sign_changing_minimizer_falls_back(
+        m200, monkeypatch):
+    # a warm start does not bypass the guard: a sign-changing run from a
+    # sign-changing record is followed by the cold multistart with opts
+    recs = _flat_records(geometric_grid(1.0, 10.0, 3))
+    wave = np.sin(2 * np.pi * m200.interior_coords[:, 0])
+    recs[-1].u = m200.field(wave)
+    opts = SolveOptions(tol=1e-9, seed=7)
+    calls, starts = [], []
+    monkeypatch.setattr(sweep, "solve_E", _counting(
+        _stub_reference(wave), calls, starts))
+    estimate_limits(YoungFunction.power(2), m200, recs, Endpoint.INFINITY,
+                    opts)
+    assert [o.restarts for o in calls] == [1, None] and calls[1] is opts
+    assert starts == [recs[-1].u, None]
+
+
+def test_sweep_records_keep_their_keys_and_columns(capsys, tmp_path):
+    # the kept minimizer is neither in as_dict nor in the sweep's CSV
+    keys = ["alpha", "energy", "quotient", "lambda", "dE_dalpha",
+            "converged", "residual", "iterations"]
+    m = Mesh.interval(1.0, 20)
+    recs = run_sweep(YoungFunction.power(2), m, geometric_grid(0.1, 1.0, 3))
+    assert all(r.u is not None for r in recs)
+    assert all(list(r.as_dict()) == keys for r in recs)
+    csv = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--young", SOP24, "--mesh", "interval:1.0,20",
+                     "--alpha-min", "0.1", "--alpha-max", "1",
+                     "--per-decade", "3", "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    assert csv.read_text().splitlines()[0] == ",".join(keys)
+
+
 def test_limits_reference_keeps_explicit_restarts(m200, monkeypatch):
     recs = _flat_records(geometric_grid(1.0, 10.0, 3))
     opts = SolveOptions(restarts=3)
@@ -430,14 +534,15 @@ def test_sweep_pins_the_cli_answer(cli_sweep24):
 def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
         monkeypatch, capsys):
     # handed over at residual 1e-1, the Newton steps, their CG forcing
-    # tied to the residual, make the tail quadratic: in 43 of the 44 runs
+    # tied to the residual, make the tail quadratic: in each of the 44 runs
     # of the benchmark's sweep (41 alphas and the two limits references)
-    # at seed 1 they end the run within 4 steps, 86 in all (108 with a
-    # fixed forcing of 1e-2; the one run of 4 is the cold Power(4)
-    # reference, 0.076 -> 0.017 -> 4.4e-4 -> 3.5e-7 -> 5e-12), and the 44
-    # runs make 9 descent steps in all (each warm alpha none; 98 when the
-    # descent went on to 1e-4).  A linear tail takes more steps, or stalls
-    # and hands the iterate back to the descent steps
+    # at seed 1 they end the run within 3 steps, 86 in all (108 with a
+    # fixed forcing of 1e-2; each limits reference, started at its
+    # endpoint's minimizer, takes 2, where the cold Power(4) reference took
+    # 4 after 6 descent steps), and the 44 runs make 3 descent steps in all
+    # (each warm alpha none; 98 when the descent went on to 1e-4).  A
+    # linear tail takes more steps, or stalls and hands the iterate back to
+    # the descent steps
     descend, runs = solver._descend, []
 
     def counted_run(*args):
@@ -451,9 +556,9 @@ def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
                      "bounds,derivative,limits", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] == 41
     steps = [run.newton_steps for run in runs]
-    assert len(runs) == 44 and sum(n > 0 for n in steps) == 43
-    assert max(steps) <= 4 and sum(steps) <= 86
-    assert sum(run.iterations for run in runs) - sum(steps) <= 9
+    assert len(runs) == 44 and sum(n > 0 for n in steps) == 44
+    assert max(steps) <= 3 and sum(steps) <= 86
+    assert sum(run.iterations for run in runs) - sum(steps) <= 3
 
 
 def test_every_minimizer_of_the_benchmark_sweep_meets_alpha_to_1e_14(
@@ -481,9 +586,9 @@ def test_every_polish_of_the_benchmark_sweep_factors_the_stiffness_once(
         monkeypatch, capsys):
     # the Newton steps keep their factor across full steps, and every
     # Newton step of the benchmark's sweep at seed 1 is one: each of the
-    # 43 runs that make Newton steps builds one factor for them (86 steps;
+    # 44 runs makes Newton steps and builds one factor for them (86 steps;
     # 120 factorizations in the whole sweep when each Newton step
-    # refactored, 55 now)
+    # refactored, 55 with cold limits references, 48 now)
     descend, newton = solver._descend, solver._newton
     preconditioner = solver.Problem.preconditioner
     runs, inside = [], [0]
@@ -513,8 +618,8 @@ def test_every_polish_of_the_benchmark_sweep_factors_the_stiffness_once(
                      "--per-decade", "5", "--check",
                      "bounds,derivative,limits", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] == 41
-    assert [builds for builds, steps in runs if steps] == [1] * 43
-    assert [builds for builds, steps in runs if not steps] == [0]
+    assert [builds for builds, steps in runs if steps] == [1] * 44
+    assert [builds for builds, steps in runs if not steps] == []
 
 
 def test_warm_alphas_of_the_cli_sweep_take_at_most_16_iterations(

@@ -248,6 +248,29 @@ def test_custom_family_matches_power():
     assert F.A(3.0) == pytest.approx(9.0, rel=1e-8)
 
 
+def test_custom_anchor_lookup_matches_a_linear_scan():
+    # the sorted keys find the anchor a scan over the whole cache finds, so
+    # a full cache (4096 anchors, no more inserted) gives the same bits; a
+    # NaN saturates as in the closed-form families and is never cached
+    from scipy import integrate
+
+    def density(t):
+        return 2.0 * t + t ** 3
+    F = YoungFunction.custom(density)
+    assert F.A(math.nan) == SATURATION and F._keys == [0.0]
+    rng = np.random.default_rng(0)
+    F.A(rng.uniform(0.0, 10.0, 5000))
+    assert len(F._anchors) == 4096 and F._keys == sorted(F._anchors)
+    keys = rng.choice(F._keys[1:], 50)
+    for t in np.concatenate([rng.uniform(0.0, 12.0, 200), keys]):
+        lower = max(x for x in F._anchors if x <= t)
+        want = F._anchors[lower]
+        if lower != t:
+            want += integrate.quad(density, lower, t, epsabs=1e-14,
+                                   epsrel=1e-10, limit=200)[0]
+        assert F.A(t) == want
+
+
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         YoungFunction.from_config({"family": "power", "params": {"p": 2},
