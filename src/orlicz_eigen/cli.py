@@ -284,21 +284,13 @@ def _add_solver_flags(p):
     p.add_argument("--out", help="write the JSON summary here (default stdout)")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="orlicz-eigen",
-        description="Constrained energy and first eigenvalue of the "
-                    "generalized a-Laplacian.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("inspect", help="Young-function diagnostics")
+def _inspect_parser(p):
     p.add_argument("--young", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_inspect)
 
-    p = sub.add_parser("solve", help="minimize at one alpha")
+
+def _solve_parser(p):
     p.add_argument("--young", required=True)
     p.add_argument("--mesh", required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -306,7 +298,8 @@ def build_parser():
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("sweep", help="alpha sweep with verification checks")
+
+def _sweep_parser(p):
     p.add_argument("--young", required=True)
     p.add_argument("--mesh", required=True)
     p.add_argument("--alpha-min", type=float, required=True)
@@ -327,7 +320,8 @@ def build_parser():
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("nonlocal", help="fractional solve at one alpha")
+
+def _nonlocal_parser(p):
     p.add_argument("--young", required=True)
     p.add_argument("--interval", type=float, required=True)
     p.add_argument("--nodes", type=int, required=True)
@@ -337,13 +331,52 @@ def build_parser():
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_solve, mesh=None)
 
+
+_SUBCOMMANDS = {  # name: (help, the function that fills its subparser)
+    "inspect": ("Young-function diagnostics", _inspect_parser),
+    "solve": ("minimize at one alpha", _solve_parser),
+    "sweep": ("alpha sweep with verification checks", _sweep_parser),
+    "nonlocal": ("fractional solve at one alpha", _nonlocal_parser),
+}
+
+
+class _Reparse(Exception):
+    """A _Narrowed parser had a message to print."""
+
+
+class _Narrowed(argparse.ArgumentParser):
+    """A parser that raises _Reparse where argparse would print (help,
+    usage, an error): its subparsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        raise _Reparse
+
+
+def build_parser(command=None):
+    """The CLI's parser; given the name of a subcommand, a _Narrowed one
+    with that subparser alone, which parses the same arguments to the same
+    namespace for about a third of the set-up, and prints nothing."""
+    narrow = command in _SUBCOMMANDS
+    parser = (_Narrowed if narrow else argparse.ArgumentParser)(
+        prog="orlicz-eigen",
+        description="Constrained energy and first eigenvalue of the "
+                    "generalized a-Laplacian.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, fill) in _SUBCOMMANDS.items():
+        if not narrow or name == command:
+            fill(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # every message, an error's or help, is the full parser's
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except _Reparse:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors and 0 for --help/--version
         return int(exc.code or 0)

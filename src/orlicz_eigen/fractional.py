@@ -2,39 +2,20 @@
 D^s u(x, y) = (u(x) - u(y)) / |x - y|^s against the measure |x - y|^{-1} dxdy.
 
 A :class:`NonlocalMesh` is the interval (0, L) as a
-:class:`orlicz_eigen.mesh.Mesh`, whose nodes and quadrature it keeps, with
-two row blocks of the core as its energy ``blocks``; so
-:func:`orlicz_eigen.solver.solve_E` and the sweeps take it like any mesh.
-The first block has one difference row per unordered interior pair, with
-spacing |x_i - x_j|^s and weight 2h^2/|x_i - x_j| (the midpoint rule, both
-orders), and bandwidth N - 1.  The pairs sit in a wrap-around layout of
-N // 2 rows of N: row d, column i is the pair (i, (i + d) mod N).  That
-lists the N(N - 1)/2 pairs once for odd N; for even N row N/2 lists each of
-its pairs twice, and the second half has weight 0 (N/2 extra entries).  The
-block's ``differences``, ``transpose`` and ``band`` are then slices,
-reshapes and windows of the rows, with no index arrays.  Pair sums are
-O(N^2), sized for verification, not production.
-
-The field vanishes outside (0, L), so each node's pairs with the exterior
-integrate in closed form: E_ext = (2h/s) sum_i [G(|u_i| d_L^{-s}) +
-G(|u_i| d_R^{-s})] (pairs in both orders), G(tau) = int_0^tau A(t)/t dt.
-The distances d_L = x_i - h/2, d_R = L - x_i - h/2 start where the midpoint
-rule of the interior pairs ends, so E_ext is the limit of a discrete zero
-halo of growing width up to O(h).  E_ext is sum_e w_e G(|B_e u|) over a
-second row block of the mesh: two rows per node, B_e u = u_i d^{-s},
-weight 2h/s and the Young function G, whose density G'(tau) = A(tau)/tau
-is nondecreasing for a convex A with A(0) = 0.  The core sums it with the
-pair rows in the energy, the gradient and the stiffness, where it adds
-only to the diagonal.  It costs 2N values of A per iterate (its a(g)/g),
-which the gradient and the stiffness share through the core's row memo,
-and 2N of G (``YoungFunction.G``) per energy.  This module holds only
-geometry; the calculus of A is the Young function's.
+:class:`orlicz_eigen.mesh.Mesh` with two row blocks of the core as its
+energy ``blocks``, so :func:`orlicz_eigen.solver.solve_E` and the sweeps
+take it like any mesh: the interior pairs in a wrap-around layout
+(:class:`_Pairs`) and each node's pairs with the exterior, where the field
+vanishes, integrated in closed form through G(tau) = int_0^tau A(t)/t dt
+(:class:`_Exterior`).  The README's component table gives the quadrature
+and the cost.  This module holds only geometry; the calculus of A is the
+Young function's.
 """
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .mesh import Mesh, row_factors
@@ -98,10 +79,12 @@ class _Exterior:
 
 
 def _partners(values):
-    """values[(i + d) mod N] at row d = 1..N // 2, column i: a window."""
-    n = len(values)
-    return sliding_window_view(np.concatenate((values, values)),
-                               n)[1:n // 2 + 1]
+    """values[(i + d) mod N] at row d = 1..N // 2, column i: a read-only
+    window of [values, values], as ``sliding_window_view`` gives it, without
+    its checks."""
+    n, both = len(values), np.concatenate((values, values))
+    return as_strided(both[1:], (n // 2, n), both.strides * 2,
+                      writeable=False)
 
 
 class _Pairs:

@@ -1,29 +1,15 @@
 """Constrained minimization of the gradient modular at fixed zero-order
 modular, with the eigenvalue extracted as the Lagrange quotient.
 
-The descent engine keeps every iterate exactly feasible: each trial step is
-rescaled back onto the constraint by the root of the monotone normalization
-map phi(r) = modular(r u), found by :func:`orlicz_eigen.young._normalize`,
-and search directions are preconditioned with a lagged-coefficient
-stiffness solve and projected onto the constraint tangent.  A run from one
-start is one loop of steps: descent steps down to residual 1e-1, then
-inexact Newton steps on the stationarity system, by CG on the constraint
-tangent preconditioned with the same stiffness to a forcing tied to the
-residual, each halved until the residual falls enough; their factor is
-kept while the steps made on it are full ones.  Where a Newton step stalls
-there, the descent steps take the iterate back once.
-Each solve is one :class:`Problem` of one Young function and one mesh,
-which keeps the row memo that its energy, gradient, stiffness and Hessian
-share.  They serve every mesh, the fractional
-:class:`orlicz_eigen.fractional.NonlocalMesh` included, as sums over its
-row blocks (``m.blocks``): difference rows with weights and a Young
-function of their own.
-
-The stiffness is factored and solved by LAPACK's banded Cholesky,
-``dpbtrf``/``dpbtrs``, and the Newton steps' banded Hessian applied by BLAS
-``dsbmv``, through scipy's own f2py wrappers, loaded from their extension
-files (:func:`_flapack`) rather than through ``scipy.linalg``, whose import
-costs each process about 0.23 s and 29 MB for these functions.
+Every iterate is projected onto the constraint by
+:func:`orlicz_eigen.young._normalize`; a run from one start is descent steps
+preconditioned by the lagged stiffness down to residual 1e-1, then damped
+inexact Newton steps (see the README's numerical notes).  Each solve is one
+:class:`Problem`, which serves every mesh, nonlocal ones included, as sums
+over its row blocks.  The stiffness is factored by LAPACK's banded
+Cholesky and the Hessian applied by BLAS ``dsbmv``, through scipy's f2py
+wrappers loaded from their extension files (:func:`_flapack`), since
+importing ``scipy.linalg`` costs each process about 0.23 s and 29 MB.
 """
 
 import importlib.machinery
@@ -32,7 +18,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import default_rng
@@ -227,13 +213,8 @@ def _stationarity(g, mg, values, weights, lam=None):
 # -- normalization ---------------------------------------------------------
 
 def phi_root(F, u, m, alpha, r0=1.0):
-    """Radius r with modular(F, r u, m) = alpha, by safeguarded Newton
-    iteration on the monotone normalization map (see
-    :func:`orlicz_eigen.young._normalize`).  ``phi_value`` is the modular
-    at that radius, evaluated over the field; ``iterations`` counts the
-    evaluations of the map: array evaluations of A, or for the power
-    families the scalar steps on the field's moments plus one array
-    check."""
+    """Radius r with modular(F, r u, m) = alpha, by
+    :func:`orlicz_eigen.young._normalize`."""
     values = _conform(u, m, finite=True)
     return _normalize(F, np.abs(values), m.node_weights, alpha, r0)
 
@@ -256,33 +237,18 @@ class Problem:
     """One solve as the descent engine reads it, of the Young function F
     on the mesh m: the energy over the row blocks of m and its gradient,
     looked up in this module at each call (so a wrapper on ``energy`` or
-    ``energy_gradient`` sees them), the mass gradient and the projection
-    over the nodes of m, and the lagged-coefficient stiffness solves.
-
-    The stiffness is the sum over the row blocks of B^T diag(w a(g)/g) B
-    (cells, triangles, nonlocal pairs and the nonlocal exterior alike),
-    each assembled by its block's ``band`` straight into upper banded
-    storage in LAPACK's (Fortran) layout.  A block of smaller bandwidth
-    (the exterior holds only the diagonal) adds into the last rows of the
-    first block's band.
+    ``energy_gradient`` sees them), the mass gradient, the projection and
+    the lagged-coefficient stiffness sum_b B^T diag(w a(g)/g) B, written
+    by each block's ``band`` in LAPACK's layout (a block of smaller
+    bandwidth adds into the last rows of the first block's band).
 
     A one-entry row memo, keyed on the field's contents, keeps per block
-    B u (``slopes``) and g = |B u| of the last field seen, and on top of
-    it each block's g floored at EPS_GRAD (``floored``) and a(g)/g.  The
-    line-search energy of a trial fills it; once the trial is accepted,
-    the gradient, the band and the Hessian built there read it instead of
-    touching the rows again.  Any other field (a rejected
-    trial's successor, or an array changed in place) misses the key and
-    resets the memo.
-
-    Arrays of a band's size are ``kept`` for the whole solve from their
-    first build (``kept`` may be another Problem's on m, as for the p = 2
-    start): two bands, the last factor's and the other, which takes the
-    next stiffness or Hessian band, so that a factor holds until the next
-    factorization (where ``_newton`` drops the one it keeps); and each
-    block's ``pad`` for ``transpose``.  ``preconditioner`` factors its band
-    in place and checks the factor alone for an inf or a NaN, which LAPACK
-    carries over from the band, from entries it never reads too.
+    B u (``slopes``), g = |B u|, g floored at EPS_GRAD (``floored``) and
+    a(g)/g, for the energy, gradient, band and Hessian at one field.
+    Arrays of a band's size are ``kept`` for the whole solve (``kept`` may
+    be another Problem's on m, as for the p = 2 start): two bands, the
+    last factor's and the one the next build writes, and each block's
+    ``pad`` for ``transpose``.
     """
 
     def __init__(self, F, m, kept=None):
@@ -308,8 +274,10 @@ class Problem:
         which the memo keeps as ``floored``."""
         if self._coefs is None:
             self.floored = [np.maximum(g, EPS_GRAD) for g in self.g]
-            self._coefs = [b.young(self.F).a(x) / x
-                           for b, x in zip(self.m.blocks, self.floored)]
+            ys = [b.young(self.F).a(x) for b, x in zip(self.m.blocks,
+                                                       self.floored)]
+            self._coefs = [np.divide(y, x, out=None if y is x else y)
+                           for y, x in zip(ys, self.floored)]
         return self._coefs
 
     def pads(self):
@@ -386,17 +354,11 @@ class Problem:
     def tangent(self, values, lam):
         """The Hessian of the Lagrangian E - lam M at ``values`` as a
         matvec, v -> sum_b B_b^T (w_b H_b B_b v) - lam w a'(|u|) v, w the
-        node weights.  H_b, the Hessian of A(|s|) at each row's s = B u, is
-        a'(g) on one-component rows (1D cells, nonlocal pairs, the
-        exterior) and c I + (a'(g) - c) n n^T on 2D triangles, with
-        c = a(g)/g and n = s/g from the row memo.  Each a' is the ``da``
-        of the block's own Young function (F's for M); an overflow gives
-        an inf or a NaN, which CG's curvature check catches.  The
-        one-component rows (by their blocks' ``band``) and the mass term are
-        assembled once into one band for BLAS ``dsbmv``, in the kept band
-        that holds no factor (so the matvec holds until the next build); 2D
-        triangles, whose cross term does not fit it, keep
-        ``differences``/``transpose``."""
+        node weights, each a' the ``da`` of the block's own Young function.
+        H_b is a'(g) on one-component rows, assembled with the mass term
+        into the free kept band for BLAS ``dsbmv``, and c I + (a'(g) - c)
+        n n^T (c = a(g)/g, n = s/g) on 2D triangles, applied through their
+        rows.  An overflow gives an inf or a NaN, which CG catches."""
         coefs = self.at(values).coefficients()
         rows, bands = [], []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -544,28 +506,20 @@ def _descend(problem, alpha, start_values, opts):
     last stationarity check, until its residual is below opts.tol or
     opts.max_iter steps are made (``iterations``).  At residual ``near`` or
     more the step is a projected preconditioned descent step, below it a
-    damped Newton step of :func:`_newton`, immune to the noise floor of the
-    Armijo test's energy differences near the minimizer.  ``near`` is
-    _HANDOVER at first; a failed line search sets it to infinity, so the
-    Newton steps start from its unmoved check.  A Newton step that fails
-    on a fresh factor ends the run, except once while ``near`` is
-    _HANDOVER and the residual _HANDBACK or more: ``near`` falls to
-    _HANDBACK, and descent steps take the iterate back.  A stiffness that
-    is not positive definite even lifted ends the run unconverged at its
-    last check, so that the multistart goes on.
+    damped Newton step of :func:`_newton`.  ``near`` is _HANDOVER at first;
+    a failed line search sets it to infinity.  A Newton step that fails on
+    a fresh factor ends the run, except once while ``near`` is _HANDOVER
+    and the residual _HANDBACK or more: ``near`` falls to _HANDBACK, and
+    descent steps take the iterate back.  A stiffness that is not positive
+    definite even lifted ends the run unconverged at its last check.
 
     Each line search tries the unit step first and, after an Armijo test
     that failed at step s, the quadratic model's minimizer clamped to
-    [_STEP_MIN s, _SHRINK s] (:func:`_model_step`; _SHRINK s when the
-    trial's energy is not finite or the model is not convex).  The lagged
-    stiffness a(g)/g is a secant below the tangent, so along a stiff mode
-    the unit step can overshoot about twofold and pass Armijo without
-    progress, the iterates cycling over the minimizer.  So a descent step
-    whose residual is not below _STALL times the last one's starts its
-    line search instead at the minimizer of the last line search's model
-    through its accepted trial, clamped to [_STEP_MIN, 1], or at 1 where
-    that model is not convex (and after the hand-back).  The energy is
-    evaluated where a descent step needs it, and at the end."""
+    [_STEP_MIN s, _SHRINK s] (:func:`_model_step`).  A descent step whose
+    residual is not below _STALL times the last one's starts its line
+    search at the last model's minimizer clamped to [_STEP_MIN, 1] instead
+    (the unit step can overshoot twofold along a stiff mode).  The energy
+    is evaluated where a descent step needs it, and at the end."""
     check = _check(problem, problem.project(start_values, alpha))
     E, near, last, model_step = None, _HANDOVER, math.inf, 1.0
     factor, it, newton, cg = None, 0, 0, 0
@@ -624,6 +578,30 @@ def _descend(problem, alpha, start_values, opts):
         energy=problem.energy(check.values) if E is None else E,
         iterations=it, converged=check.res < opts.tol, newton_steps=newton,
         cg_iterations=cg)
+
+
+def _one_signed(values):
+    """Whether the values are all >= 0 or all <= 0."""
+    return bool(np.all(values >= 0.0) or np.all(values <= 0.0))
+
+
+def _run(problem, alpha, start, opts):
+    """One run of :func:`_descend` from ``start``, converged only at a
+    field of one sign.  A converged field that changes sign is a critical
+    point that is no minimizer (a higher eigenfunction), so the run goes
+    on once from its |u|, within the same opts.max_iter steps, and its
+    counts are those of both parts.  |u| is no worse: E(|u|) <= E(u) at
+    the same modular on every mesh here, since ||a| - |b|| <= |a - b|."""
+    run = _descend(problem, alpha, start, opts)
+    if not run.converged or _one_signed(run.values):
+        return run
+    again = _descend(problem, alpha, np.abs(run.values),
+                     replace(opts, max_iter=opts.max_iter - run.iterations))
+    again.iterations += run.iterations
+    again.newton_steps += run.newton_steps
+    again.cg_iterations += run.cg_iterations
+    again.converged = again.converged and _one_signed(again.values)
+    return again
 
 
 def _smooth(values, passes=10):
@@ -693,20 +671,14 @@ def _pick_best(runs):
 def solve_E(F, m, alpha, opts=None, initial=None):
     """Minimize the gradient modular at zero-order modular alpha.
 
-    Descends from the starts of :func:`_start_pool`, one at a time.
+    Runs the starts of :func:`_start_pool` one at a time (:func:`_run`).
     With ``opts.restarts`` None the pool holds MAX_STARTS starts, and the
     solve stops after the first converged run whose energy agrees with an
-    earlier converged run's within opts.tol relative,
-    |E_i - E_j| <= tol max(|E_i|, |E_j|); unconverged runs never count as
-    agreement.  ``SolveOptions(restarts=N)`` runs exactly N starts.
-    ``initial``, one finite value per interior node of m (else
-    ConformanceError), warm-starts the first run.  Returns the lowest-energy
-    converged run (all runs, flagged unconverged, if none converges), with
-    the converged runs' energies in ``restart_energies``.  A non-finite or
-    non-positive alpha, a restarts or max_iter below 1, a negative seed and
-    a tol that is not finite and positive raise ConfigError; a minimizer
-    whose modular misses alpha by more than 1e-10 relative raises
-    OrliczError.
+    earlier converged run's within opts.tol relative; ``restarts=N`` runs
+    exactly N.  ``initial``, one finite value per interior node of m,
+    warm-starts the first run.  Returns the lowest-energy converged run
+    (else all runs flagged unconverged).  Bad options raise ConfigError; a
+    minimizer whose modular misses alpha by 1e-10 relative, OrliczError.
     """
     opts = opts or SolveOptions()
     _check_alpha(alpha)
@@ -723,7 +695,7 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     n = MAX_STARTS if opts.restarts is None else opts.restarts
     for start in itertools.islice(
             _start_pool(m, opts, initial, problem.kept), n):
-        run = _descend(problem, alpha, start, opts)
+        run = _run(problem, alpha, start, opts)
         runs.append(run)
         if not run.converged:
             continue

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .solver import SolveOptions, solve_E
+from .solver import SolveOptions, _one_signed, solve_E
 from .young import (Endpoint, Regime, YoungFunction, delta2_report,
                     matuszewska_exponent)
 
@@ -286,14 +286,9 @@ def _power_reference(p, m, opts, initial=None):
     F = YoungFunction.power(p)
     if opts.restarts is None:
         ref = solve_E(F, m, 1.0, replace(opts, restarts=1), initial)
-        if ref.converged and _one_signed(ref.u):
+        if ref.converged and _one_signed(ref.u.values):
             return ref
     return solve_E(F, m, 1.0, opts)
-
-
-def _one_signed(u):
-    """Whether the field's values are all >= 0 or all <= 0."""
-    return bool(np.all(u.values >= 0.0) or np.all(u.values <= 0.0))
 
 
 def require_decay_geometry(m):

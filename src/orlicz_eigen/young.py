@@ -1,28 +1,15 @@
 """Young functions and the scalar calculus built on them.
 
 A Young function A is the primitive of a nondecreasing density a with
-a(0) = 0 and a(t) -> infinity.  This module evaluates A, its density and
-the density's generalized inverse, the complementary (convex conjugate)
-function by Young's equality, modular integrals, the root of the modular
-along a ray (the normalization radius, which also gives the Luxemburg
-norm), doubling (Delta_2) diagnostics at both endpoints, and the endpoint
-power functions M_0 / M_infty with their exponents.
-
-Each closed-form family is one row of ``_SPECS``: its parameter names and
-kinds, the check they must pass with its ConfigError message, its default
-label and, for the two power sums, their terms.  Power and SumOfPowers are
-A(t) = sum_k t^p_k / d_k, with d = 1 for t^p and d_k = p_k for
-t^p/p + t^q/q; one power-sum path derives from these terms A, a, log A,
-log a and the moments of the normalization (``_moment_terms``).  Every
-family has a' (``da``, for the Newton Hessian) and G(t) = int_0^t A(s)/s
-ds (``G``, the nonlocal exterior's): closed forms for the power sums, else
-a central difference of a and a 113-node tanh-sinh rule.  The custom
-family keeps its own quadrature, ``scipy.integrate.quad``, imported only
-when a custom A is first evaluated.
-
-Exponential families saturate at ``SATURATION`` instead of overflowing, and
-all endpoint ratios are formed in log space so that regime detection is not
-corrupted by overflow or underflow.
+a(0) = 0 and a(t) -> infinity.  This module evaluates A, a, a' (``da``),
+G(t) = int_0^t A(s)/s ds (``G``), the density's generalized inverse, the
+complementary function, modulars, the normalization radius (and the
+Luxemburg norm), Delta_2 diagnostics and the Matuszewska-Orlicz exponents;
+the README's component table lists how.  Each closed-form family is one
+row of ``_SPECS``.  Power and SumOfPowers are one power sum
+A(t) = sum_k t^p_k / d_k, from whose terms everything above follows in
+closed form.  Exponential families saturate at ``SATURATION``, and
+endpoint ratios are formed in log space.
 """
 
 import bisect
@@ -97,8 +84,11 @@ def _ipow(t, e):
 def _saturate(out):
     """Map every non-finite value of ``out`` to SATURATION, then clip it to
     [0, SATURATION], in place: ``out`` is a float array the caller owns."""
-    if out.size and out.min() > 0.0 and out.max() <= SATURATION:
-        return out  # nothing to map (NaN fails both tests, and -0.0 maps)
+    if out.size:
+        lo, hi = out.min(), out.max()
+        if lo >= 0.0 and hi <= SATURATION:  # NaN fails both tests
+            # with a least value of 0, only a -0.0 maps (to +0.0)
+            return out if lo > 0.0 else np.maximum(out, 0.0, out=out)
     np.copyto(out, SATURATION, where=out == -np.inf)
     np.fmin(out, SATURATION, out=out)
     np.maximum(out, 0.0, out=out)
@@ -160,22 +150,46 @@ def _log_exp_tail(t, n):
     return out
 
 
+_SQUARED = (2.0, 3.0, 4.0)  # the exponents _ipow forms from t*t
+
+
 def _power_sum(t, terms):
-    """sum_k c_k t^e_k / d_k over the (e_k, c_k, d_k) of ``terms``, from the
-    first term on, with no product by a c_k of 1 or quotient by a d_k of 1.
-    Each later pass writes in place, as numpy's elision of temporaries does
-    for t^p/p + t^q/q, into an array that is not ``t`` (_ipow returns t for
-    an exponent of 1, which at most one term has)."""
+    """sum_k c_k t^e_k / d_k over the (e_k, c_k, d_k) of ``terms``, added
+    from the first term on, bit for bit as _ipow(t, e) times c over d: a
+    constant term (e = 0) adds c/d, since pow(x, 0) is 1 for every x; a d
+    that is a power of two is a product by 1/d, which is exact; and two
+    terms of exponents 2 to 4 share one t*t, which the second takes in
+    place unless the first is that square.  No c or d of 1 makes a pass,
+    and no pass writes into ``t``, or into the square while a term to come
+    reads it."""
+    sq = (t * t if len(terms) == 2 and terms[0][0] in _SQUARED
+          and terms[1][0] in _SQUARED else None)
     out = None
     for e, c, d in terms:
-        x = _ipow(t, e)
-        if c != 1.0:
-            x = np.multiply(c, x, out=None if x is t else x)
-        if d != 1.0:
-            x = np.divide(x, d, out=None if x is t else x)
-        out = x if out is None else np.add(out, x,
-                                           out=x if out is t else out)
-    return out
+        if e == 0.0:
+            x = c / d
+        else:
+            if sq is None or e not in _SQUARED:
+                x = _ipow(t, e)
+            elif e == 2.0:
+                x = sq
+            else:
+                x = np.multiply(sq, t if e == 3.0 else sq, out=None if (
+                    out is None or out is sq) else sq)
+            own = x is not t and (x is not sq or out is not None)
+            if c != 1.0:
+                x, own = np.multiply(c, x, out=x if own else None), True
+            if d != 1.0:
+                x = (np.multiply(x, 1.0 / d, out=x if own else None)
+                     if math.frexp(d)[0] == 0.5
+                     else np.divide(x, d, out=x if own else None))
+        if out is None:
+            out = x
+        else:
+            out = np.add(out, x, out=(
+                out if type(out) is np.ndarray and out is not t else
+                x if type(x) is np.ndarray and x is not t else None))
+    return out if type(out) is np.ndarray else np.full_like(t, out)
 
 
 def _log_power_sum(logt, terms):
@@ -525,8 +539,8 @@ class YoungFunction:
 
     def _custom_A_scalar(self, t):
         """Quadrature of the density from the nearest cached anchor."""
-        if not t > 0.0:  # a NaN is never cached: the keys stay sorted
-            return 0.0 if t <= 0.0 else math.nan
+        if not 0.0 < t < math.inf:  # nor cached: the keys stay sorted, finite
+            return 0.0 if t <= 0.0 else SATURATION if t > 0.0 else math.nan
         lower = self._keys[bisect.bisect_right(self._keys, t) - 1]
         base = self._anchors[lower]
         if lower == t:
@@ -854,26 +868,14 @@ def _newton(phi_at, alpha, r0):
 
 
 def _normalize(F, absu, w, alpha, r0=1.0):
-    """Radius r with phi(r) = sum w A(r absu) = alpha.
-
-    Newton's method on log phi as a function of log r, whose slope is
-    s = r phi'(r) / phi(r) with phi'(r) = sum w a(r absu) absu.  A bracket
-    [lo, hi] of the root is kept; a step that leaves it, or an iterate where
-    phi underflows to 0 or saturates, falls back to bisection in log r, or
-    to doubling/halving (the factor squared on each repeat) while one side
-    of the bracket is still open.
-
-    phi and s come from one of two evaluators.  For the power families
-    (``F._moment_terms`` is not None) phi is a sum of powers of r whose
-    coefficients are moments of absu, taken in one pass, so each Newton
-    step is scalar work; the root found is then checked by one array
-    evaluation sum w A(r absu), which is the ``phi_value`` returned (equal
-    to ``modular`` of the projected field).  If that check misses _FTOL
-    relative, or for any other family, the array evaluator (one F.A per
-    step, plus one F.a where a Newton step is taken) runs from there.
-    ``iterations`` counts the evaluations of phi: on the array path the
-    F.A calls; on the moment path the scalar steps plus the array check
-    (and the array steps after a missed check).
+    """Radius r with phi(r) = sum w A(r absu) = alpha, by Newton's method
+    on log phi against log r, in a kept bracket of the root, falling back
+    to bisection in log r, or to doubling/halving while one side is open.
+    For the power families phi is a polynomial in r whose coefficients are
+    moments of absu (:class:`_RadialMoments`), checked at the root by one
+    array evaluation, which is the ``phi_value`` returned; otherwise, or if
+    that check misses _FTOL, one F.A per step (:class:`_ArrayModular`).
+    ``iterations`` counts the evaluations of phi, scalar or array.
     """
     _check_alpha(alpha)
     tmax = float(absu.max(initial=0.0))  # NaN passes, as np.any lets it

@@ -600,3 +600,54 @@ def test_restarts_flag(capsys, flags, used):
         assert payload["restart_spread"] is None
     else:
         assert 0.0 <= payload["restart_spread"] <= 1e-8
+
+
+TINY = {  # one cheap run of each subcommand
+    "inspect": ("inspect", "--young", POWER2),
+    "solve": ("solve", "--young", SUM24, "--mesh", "interval:1.0,8",
+              "--alpha", "1.0", "--seed", "1"),
+    "sweep": ("sweep", "--young", SUM24, "--mesh", "interval:1.0,8",
+              "--alpha-min", "0.1", "--alpha-max", "10", "--per-decade", "3",
+              "--check", "derivative", "--seed", "1"),
+    "nonlocal": ("nonlocal", "--young", SUM24, "--interval", "1.0",
+                 "--nodes", "8", "--s", "0.5", "--alpha", "1.0", "--seed",
+                 "1"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *TINY.values(),
+    ("--help",), ("--version",), (), ("bogus",), ("--version", "solve"),
+    *((name, "--help") for name in TINY),
+    ("solve", "--young", POWER2),  # a missing required argument
+    ("nonlocal", "--young", POWER2, "--nodes", "8", "--s", "0.5",
+     "--alpha", "x", "--interval", "1"),  # a value of the wrong type
+    TINY["nonlocal"] + ("extra",),  # an unrecognized trailing argument
+    TINY["sweep"][:-1] + ("--seed",),  # a flag without its value
+], ids=[*TINY, "help", "version", "none", "unknown", "option-first",
+        *(f"{name}-help" for name in TINY), "missing", "type", "trailing",
+        "flag-value"])
+def test_narrowed_parser_prints_what_the_full_parser_prints(capsys,
+                                                            monkeypatch,
+                                                            argv):
+    # main builds only the subparser argv names; every run gives the
+    # stdout, stderr and exit code of a build of all four.  The trailing
+    # argument is reported by the top-level parser after the subcommand
+    # parsed, with a usage line that must list all four subcommands
+    narrowed = run(capsys, *argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: full_parser())
+    assert narrowed == run(capsys, *argv)
+    if argv[-1:] == ("extra",):
+        assert narrowed[0] == 2 and narrowed[2].startswith(
+            "usage: orlicz-eigen [-h] [--version] "
+            "{inspect,solve,sweep,nonlocal} ...")
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_narrowed_parser_parses_to_the_full_parsers_namespace(name):
+    narrowed = cli.build_parser(name)
+    assert list(narrowed._subparsers._group_actions[0].choices) == [name]
+    assert (vars(narrowed.parse_args(TINY[name]))
+            == vars(cli.build_parser().parse_args(TINY[name])))

@@ -93,6 +93,19 @@ def test_pair_weights_symmetric_positive(nm):
     assert _close(W[off_diag], 2.0 * nm.h * nm.h / D[off_diag])
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 63, 64])
+def test_partners_window_matches_sliding_window_view(n):
+    # the same read-only view of [u, u]: values, shape and strides
+    from numpy.lib.stride_tricks import sliding_window_view
+    from orlicz_eigen.fractional import _partners
+    u = np.random.default_rng(n).standard_normal(n)
+    got = _partners(u)
+    want = sliding_window_view(np.concatenate((u, u)), n)[1:n // 2 + 1]
+    assert got.shape == want.shape and got.strides == want.strides
+    assert not got.flags.writeable
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("fn", [energy, energy_gradient],
                          ids=["energy", "gradient"])
 def test_wrong_shape_field_raises_conformance_error(nm, fn):

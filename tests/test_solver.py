@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -686,6 +687,47 @@ def test_deterministic_given_seed(m200):
     b = solve_E(F, m200, 1.0, SolveOptions(seed=7))
     assert a.energy == b.energy and a.lam == b.lam
     assert np.array_equal(a.u.values, b.u.values)
+
+
+SADDLES = {  # mesh, alpha, the saddle's energy and the minimum's (seed 1)
+    "interval-1e-2": (lambda: Mesh.interval(1.0, 100), 1e-2, 0.5934590147,
+                      0.1107152097),
+    "interval-1": (lambda: Mesh.interval(1.0, 100), 1.0, 575.4943062,
+                   40.20709757),
+    "nonlocal-1e-2": (lambda: NonlocalMesh(1.0, 63, 0.5), 1e-2,
+                      0.3575060831, 0.1459696379),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SADDLES))
+def test_converged_means_a_field_of_one_sign(case, monkeypatch):
+    # from sin(2 pi x) the run converges to a critical point that changes
+    # sign once, a saddle of E on the constraint: it is not converged
+    # there, and goes on from |u| to the minimizer, its counts summing both
+    # parts.  Negative control: with every field taken as one-signed, the
+    # solve returns the saddle as converged
+    make, alpha, saddle, minimum = SADDLES[case]
+    m = make()
+    F = YoungFunction.sum_of_powers(2, 4)
+    wave = np.sin(2 * np.pi * m.interior_coords[:, 0])
+    opts = SolveOptions(seed=1, restarts=1)
+    res = solve_E(F, m, alpha, opts, initial=wave)
+    assert res.converged and np.all(res.u.values >= 0.0)
+    assert res.energy == pytest.approx(minimum, rel=1e-9)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_one_signed", lambda values: True)
+        first = solve_E(F, m, alpha, opts, initial=wave)
+        rest = solve_E(F, m, alpha, opts, initial=np.abs(first.u.values))
+    assert first.converged and first.energy == pytest.approx(saddle,
+                                                             rel=1e-9)
+    assert np.any(first.u.values < 0.0) and np.any(first.u.values > 0.0)
+    for count in ("iterations", "newton_steps", "cg_iterations"):
+        assert (getattr(res, count)
+                == getattr(first, count) + getattr(rest, count))
+    # the restart shares the budget: with none left it ends unconverged
+    out = solve_E(F, m, alpha, replace(opts, max_iter=first.iterations),
+                  initial=wave)
+    assert not out.converged and out.iterations == first.iterations
 
 
 # -- Newton steps ------------------------------------------------------------

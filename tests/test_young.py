@@ -178,10 +178,84 @@ def _saturate_reference(out):
 @pytest.mark.parametrize("values", [
     [0.5, 2.0, 1e300], [0.5, math.nan], [math.inf, 1.0], [-math.inf, 1.0],
     [-1.0, 2.0], [-0.0, 1.0], [0.0, 1.0], [2e300, 1.0], [],
+    # a least value of 0 takes the fast path, which maps -0.0 to +0.0
+    [0.0, 1.0, 0.0, 3.0], [-0.0, 2.0, 0.0, -0.0], [-0.0], [0.0, 1e300, -0.0],
 ], ids=lambda v: ",".join(map(str, v)) or "empty")
 def test_saturate_fast_path_matches_full_mapping(values):
     got = _saturate(np.array(values, dtype=float))
     _same(got, _saturate_reference(np.array(values, dtype=float)))
+
+
+def _power_sum_reference(t, terms):
+    # the term-by-term evaluation: _ipow(t, e) (t ** e, by multiplication
+    # for e = 1..4), times c, over d, added from the first term on
+    from orlicz_eigen.young import _ipow
+    out = None
+    for e, c, d in terms:
+        x = _ipow(t, e)
+        if c != 1.0:
+            x = c * x
+        if d != 1.0:
+            x = x / d
+        out = x if out is None else out + x
+    return out
+
+
+POWER_SUMS = {f"power{p}": YoungFunction.power(p) for p in (1.5, 2, 3, 4)}
+POWER_SUMS.update({f"sop{p},{q}": YoungFunction.sum_of_powers(p, q)
+                   for p, q in ((2, 4), (1.5, 4), (2, 3), (3, 4), (1.5, 2),
+                                (2.5, 6), (4, 6))})
+
+
+def _power_sum_inputs(F):
+    # 0, -0.0, subnormals, the saturation radius of the terms and its
+    # neighbours, overflow, inf and NaN, among random values
+    rho = F._rho_sat
+    special = [0.0, -0.0, 5e-324, 2.5e-310, 1e-160, rho, np.nextafter(rho, 0),
+               np.nextafter(rho, np.inf), 2.0 * rho, 1e200, np.inf, np.nan]
+    rng = np.random.default_rng(42)
+    return np.concatenate([special, rng.uniform(0.0, 10.0, 200),
+                           np.exp(rng.uniform(-300.0, 300.0, 200))])
+
+
+@pytest.mark.parametrize("key", ["A", "a", "da", "G"])
+@pytest.mark.parametrize("name", sorted(POWER_SUMS))
+def test_power_sum_matches_term_by_term_evaluation(name, key):
+    # bit for bit, with the constant term added as c/d, a power-of-two d as
+    # a product by 1/d and a shared t*t; the input is not written
+    from orlicz_eigen.young import _power_sum
+    F = POWER_SUMS[name]
+    t = _power_sum_inputs(F)
+    before = t.copy()
+    with np.errstate(all="ignore"):
+        got = _power_sum(t, F._sums[key])
+        want = _power_sum_reference(t, F._sums[key])
+        assert got.tobytes() == want.tobytes()
+        assert t.tobytes() == before.tobytes()
+        # negative control: a product by 1/d is not exact for d = 3, so
+        # these inputs would show a reciprocal taken where it is not
+        assert (t / 3.0).tobytes() != (t * (1.0 / 3.0)).tobytes()
+
+
+def test_power_sums_keep_no_more_arrays_alive():
+    # SumOfPowers(2,4) at the pairs of N = 256: A holds the square and one
+    # term at once, a and a' one array, so the shared t*t adds no live
+    # array of the input's size
+    import tracemalloc
+    F = YoungFunction.sum_of_powers(2, 4)
+    t = np.random.default_rng(3).uniform(1e-3, 3.0, 256 * 128)
+    for method, arrays in ((F.A, 2), (F.a, 1), (F.da, 1)):
+        method(t)  # warm
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = method(t)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == t.nbytes
+        assert peak <= (arrays + 0.5) * t.nbytes, (method.__name__, peak)
 
 
 def test_exp_neg_inv_power_density_vanishes_near_zero():
@@ -269,6 +343,22 @@ def test_custom_anchor_lookup_matches_a_linear_scan():
             want += integrate.quad(density, lower, t, epsabs=1e-14,
                                    epsrel=1e-10, limit=200)[0]
         assert F.A(t) == want
+
+
+def test_custom_family_saturates_at_infinity():
+    # inf reads SATURATION as in the closed forms, with no quad over a
+    # divergent density (IntegrationWarning, an error here), and neither
+    # inf nor NaN is cached: the anchors' keys stay sorted and finite
+    import warnings
+    F = YoungFunction.custom(lambda t: 2.0 * t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert F.A(math.inf) == SATURATION
+        got = F.A(np.array([1.0, math.inf, math.nan, 2.0, math.inf]))
+    np.testing.assert_array_equal(
+        got, [pytest.approx(1.0), SATURATION, SATURATION, pytest.approx(4.0),
+              SATURATION])
+    assert F._keys == sorted(F._anchors) == [0.0, 1.0, 2.0]
 
 
 def test_from_config_rejects_unknown_keys():
