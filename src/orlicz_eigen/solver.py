@@ -604,12 +604,12 @@ def _run(problem, alpha, start, opts):
     return again
 
 
-def _smooth(values, passes=10):
-    """``passes`` sweeps of the stencil (1/4, 1/2, 1/4) with zero ends, in
-    a buffer that keeps the two zeros."""
+def _smooth(values):
+    """Ten sweeps of the stencil (1/4, 1/2, 1/4) with zero ends, in a
+    buffer that keeps the two zeros."""
     padded = np.zeros(len(values) + 2)
     padded[1:-1] = values
-    for _ in range(passes):
+    for _ in range(10):
         padded[1:-1] = 0.5 * padded[1:-1] + 0.25 * (padded[:-2] + padded[2:])
     return padded[1:-1]
 
@@ -642,16 +642,16 @@ def _start_pool(m, opts, initial, kept=None):
         yield raw + 1e-3
 
 
-def quadratic_eigenvector(m, iterations=100, kept=None):
-    """First eigenvector of the p=2 discretization of m by inverse power
-    iteration with the stiffness solve of a p=2 :class:`Problem`, built in
-    the arrays ``kept`` of another Problem on m when given."""
+def quadratic_eigenvector(m, kept=None):
+    """First eigenvector of the p=2 discretization of m by at most 100
+    inverse power steps with the stiffness solve of a p=2 :class:`Problem`,
+    built in the arrays ``kept`` of another Problem on m when given."""
     solve = Problem(YoungFunction.power(2), m, kept).preconditioner(
         np.ones(m.interior_count))
     v = np.ones(m.interior_count)
     v /= math.sqrt(float(np.dot(m.node_weights, v * v)))
     lam_old = math.inf
-    for _ in range(iterations):
+    for _ in range(100):
         v = solve(m.node_weights * v)
         nrm = math.sqrt(float(np.dot(m.node_weights, v * v)))
         v /= nrm

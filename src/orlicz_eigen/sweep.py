@@ -67,7 +67,8 @@ class LimitEstimate:
 
 
 def geometric_grid(alpha_min, alpha_max, per_decade):
-    """Geometric alpha grid with per_decade points per decade, inclusive."""
+    """Geometric alpha grid with per_decade points per decade, inclusive,
+    and of at least 3 points, for the central differences."""
     if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)
             and 0 < alpha_min < alpha_max):
         raise ConfigError("need finite 0 < alpha_min < alpha_max")
@@ -75,7 +76,7 @@ def geometric_grid(alpha_min, alpha_max, per_decade):
         raise ConfigError(
             "need at least 3 points per decade for central differences")
     decades = math.log10(alpha_max / alpha_min)
-    n = int(round(decades * per_decade)) + 1
+    n = max(int(round(decades * per_decade)) + 1, 3)
     return np.geomspace(alpha_min, alpha_max, n)
 
 

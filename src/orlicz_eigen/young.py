@@ -744,31 +744,6 @@ def _check_alpha(alpha):
             bracket=None)
 
 
-class _ArrayModular:
-    """phi(r) = sum w A(r absu) by one array evaluation of A per call, and
-    its log slope r phi'(r) / phi(r) = sum w a(t) t / phi at t = r absu."""
-
-    on_array = True  # each call evaluates the array
-
-    def __init__(self, F, absu, w):
-        self.F, self.absu, self.w = F, absu, w
-
-    def __call__(self, r):
-        self.t = r * self.absu
-        A = self.F.A(self.t)
-        self.phi = float(np.dot(self.w, A))
-        self.saturated = A.max() >= SATURATION
-        return self.phi
-
-    def slope(self):
-        """The log slope at the last r, or 0 (no Newton step) where phi is
-        0 or A saturates."""
-        if not self.phi > 0.0 or self.saturated:
-            return 0.0
-        with np.errstate(over="ignore"):
-            return float(np.dot(self.w, self.F.a(self.t) * self.t)) / self.phi
-
-
 def _saturation_radius(terms):
     """rho_sat of a Young function A(t) = sum_k c_k t^p_k (``terms``): below
     it every rho^p_k stays under SATURATION and every c_k rho^p_k under
@@ -779,34 +754,34 @@ def _saturation_radius(terms):
                for p, c in terms)
 
 
-class _RadialMoments:
-    """phi(r) = sum_k c_k rho^p_k M_k with rho = r tmax, in closed form for
-    a Young function A(t) = sum_k c_k t^p_k (``terms``), from the moments
-    M_k = sum w (absu / tmax)^p_k of one pass over the field.  Scaling by
-    tmax = max absu keeps each moment between the weight at the maximum and
-    sum w.  ``array`` is the _ArrayModular of the same field, which takes
-    the calls from rho_sat on (see :func:`_saturation_radius`), where A(rho)
-    could saturate.  ``tmax`` and ``rho_sat`` are computed here unless the
-    caller has them: ``_normalize`` takes tmax with its zero test, and each
-    YoungFunction keeps the rho_sat of its terms."""
+class _Modular:
+    """phi(r) = sum w A(r absu) and its log slope r phi'(r) / phi(r).  For a
+    Young function A(t) = sum_k c_k t^p_k (F._moment_terms), ``moments``
+    holds c_k M_k with M_k = sum w (absu / tmax)^p_k, each between the
+    weight at tmax = max absu and sum w, and phi = sum_k c_k rho^p_k M_k at
+    rho = r tmax below F._rho_sat (see :func:`_saturation_radius`).  From
+    there on, where A(rho) could saturate, or once ``moments`` is None, each
+    call evaluates A on the array, and ``on_array`` says so."""
 
-    def __init__(self, terms, array, tmax=None, rho_sat=None):
-        self.tmax = float(array.absu.max()) if tmax is None else tmax
-        x = array.absu / self.tmax
-        self.terms = [(p, c * float(np.dot(array.w, _ipow(x, p))))  # c_k M_k
-                      for p, c in terms]
-        self.rho_sat = (_saturation_radius(terms) if rho_sat is None
-                        else rho_sat)
-        self.array = array
-        self.on_array = False  # the last call evaluated the array
+    def __init__(self, F, absu, w, tmax):
+        self.F, self.absu, self.w, self.tmax = F, absu, w, tmax
+        self.moments = None
+        if F._moment_terms is not None:
+            x = absu / tmax
+            self.moments = [(p, c * float(np.dot(w, _ipow(x, p))))
+                            for p, c in F._moment_terms]
 
     def __call__(self, r):
         rho = r * self.tmax
-        self.on_array = rho >= self.rho_sat
+        self.on_array = self.moments is None or rho >= self.F._rho_sat
         if self.on_array:
-            return self.array(r)
+            self.t = r * self.absu
+            A = self.F.A(self.t)
+            self.phi = float(np.dot(self.w, A))
+            self.saturated = A.max() >= SATURATION
+            return self.phi
         phi = dphi = 0.0
-        for p, cm in self.terms:
+        for p, cm in self.moments:
             v = cm * rho ** p
             phi += v
             dphi += p * v
@@ -814,9 +789,14 @@ class _RadialMoments:
         return phi
 
     def slope(self):
-        if self.on_array:
-            return self.array.slope()
-        return self.dphi / self.phi if self.phi > 0.0 else 0.0
+        """The log slope at the last r, or 0 (no Newton step) where phi is
+        0 or A saturates."""
+        if not self.on_array:
+            return self.dphi / self.phi if self.phi > 0.0 else 0.0
+        if not self.phi > 0.0 or self.saturated:
+            return 0.0
+        with np.errstate(over="ignore"):
+            return float(np.dot(self.w, self.F.a(self.t) * self.t)) / self.phi
 
 
 def _newton(phi_at, alpha, r0):
@@ -872,31 +852,25 @@ def _normalize(F, absu, w, alpha, r0=1.0):
     on log phi against log r, in a kept bracket of the root, falling back
     to bisection in log r, or to doubling/halving while one side is open.
     For the power families phi is a polynomial in r whose coefficients are
-    moments of absu (:class:`_RadialMoments`), checked at the root by one
-    array evaluation, which is the ``phi_value`` returned; otherwise, or if
-    that check misses _FTOL, one F.A per step (:class:`_ArrayModular`).
+    moments of absu (:class:`_Modular`), checked at the root by one array
+    evaluation, which is the ``phi_value`` returned; other families, and
+    Newton on from there if that check misses _FTOL, take one F.A a step.
     ``iterations`` counts the evaluations of phi, scalar or array.
     """
     _check_alpha(alpha)
     tmax = float(absu.max(initial=0.0))  # NaN passes, as np.any lets it
     if tmax == 0.0:
         raise ZeroDenominatorError("phi is identically zero for u = 0")
-    array = _ArrayModular(F, absu, w)
-    steps = 0
-    terms = F._moment_terms
-    if terms is not None:
-        moments = _RadialMoments(terms, array, tmax, F._rho_sat)
-        r, phi, steps = _newton(moments, alpha, r0)
-        if not moments.on_array:
-            phi = array(r)
-            steps += 1
-        if abs(phi - alpha) <= _FTOL * alpha:
-            return NormalizationResult(r_alpha=r, phi_value=phi,
-                                       iterations=steps)
-        r0 = r  # the check missed: the array Newton goes on from there
-    r, phi, more = _newton(array, alpha, r0)
-    return NormalizationResult(r_alpha=r, phi_value=phi,
-                               iterations=steps + more)
+    phi_at = _Modular(F, absu, w, tmax)
+    r, phi, steps = _newton(phi_at, alpha, r0)
+    if phi_at.moments is not None:
+        phi_at.moments = None  # the array from here on
+        if not phi_at.on_array:
+            phi, steps = phi_at(r), steps + 1
+        if abs(phi - alpha) > _FTOL * alpha:
+            r, phi, more = _newton(phi_at, alpha, r)
+            steps += more
+    return NormalizationResult(r_alpha=r, phi_value=phi, iterations=steps)
 
 
 def delta2_report(F, endpoint):

@@ -167,6 +167,117 @@ def test_moment_radius_matches_array_path(m200, family, field):
             assert abs(res.phi_value - alpha) <= 1e-12 * alpha
 
 
+# r_alpha, phi_value (float.hex) and iterations of phi_root on m200, pinned
+# bit for bit; keyed by family, field of _fields, alpha and r0
+PINNED_ROOTS = {
+    ("power1.5", "zeros", 1e-4, 1e-3):
+        ("0x1.d1b382c331938p-9", "0x1.a36e2eb1c4332p-14", 3),
+    ("power1.5", "zeros", 1e-4, 1.0):
+        ("0x1.d1b382c331938p-9", "0x1.a36e2eb1c4332p-14", 3),
+    ("power1.5", "zeros", 1e-4, 1e3):
+        ("0x1.d1b382c331937p-9", "0x1.a36e2eb1c4332p-14", 3),
+    ("power1.5", "zeros", 1.0, 1e-3):
+        ("0x1.a62fad8075a8dp+0", "0x1.0000000000001p+0", 3),
+    ("power1.5", "zeros", 1.0, 1.0):
+        ("0x1.a62fad8075a8dp+0", "0x1.0000000000001p+0", 3),
+    ("power1.5", "zeros", 1.0, 1e3):
+        ("0x1.a62fad8075a8dp+0", "0x1.0000000000001p+0", 3),
+    ("power1.5", "zeros", 1e4, 1e-3):
+        ("0x1.7ebcbf446a26ap+9", "0x1.3880000000006p+13", 3),
+    ("power1.5", "zeros", 1e4, 1.0):
+        ("0x1.7ebcbf446a26bp+9", "0x1.3880000000006p+13", 3),
+    ("power1.5", "zeros", 1e4, 1e3):
+        ("0x1.7ebcbf446a26dp+9", "0x1.3880000000009p+13", 3),
+    ("power1.5", "spread", 1e-4, 1e-3):
+        ("0x1.279eb09b8b638p-4", "0x1.a36e2eb1c4334p-14", 3),
+    ("power1.5", "spread", 1e-4, 1.0):
+        ("0x1.279eb09b8b637p-4", "0x1.a36e2eb1c4331p-14", 3),
+    ("power1.5", "spread", 1e-4, 1e3):
+        ("0x1.279eb09b8b637p-4", "0x1.a36e2eb1c4331p-14", 3),
+    ("power1.5", "spread", 1.0, 1e-3):
+        ("0x1.0bff4c17cb493p+5", "0x1.0000000000001p+0", 3),
+    ("power1.5", "spread", 1.0, 1.0):
+        ("0x1.0bff4c17cb492p+5", "0x1.ffffffffffffep-1", 3),
+    ("power1.5", "spread", 1.0, 1e3):
+        ("0x1.0bff4c17cb493p+5", "0x1.0000000000001p+0", 3),
+    ("power1.5", "spread", 1e4, 1e-3):
+        ("0x1.e5e94e79f91c9p+13", "0x1.3880000000008p+13", 3),
+    ("power1.5", "spread", 1e4, 1.0):
+        ("0x1.e5e94e79f91c5p+13", "0x1.3880000000004p+13", 3),
+    ("power1.5", "spread", 1e4, 1e3):
+        ("0x1.e5e94e79f91c2p+13", "0x1.3880000000001p+13", 3),
+    ("sop24", "zeros", 1e-4, 1e-3):
+        ("0x1.63aedc4bb7b32p-6", "0x1.a36e2eb1c432dp-14", 5),
+    ("sop24", "zeros", 1e-4, 1.0):
+        ("0x1.63aedc4bb7b36p-6", "0x1.a36e2eb1c4336p-14", 6),
+    ("sop24", "zeros", 1e-4, 1e3):
+        ("0x1.63aedc4bb7b35p-6", "0x1.a36e2eb1c4334p-14", 6),
+    ("sop24", "zeros", 1.0, 1e-3):
+        ("0x1.9112909d3e524p+0", "0x1.ffffffffffffcp-1", 7),
+    ("sop24", "zeros", 1.0, 1.0):
+        ("0x1.9112909d3e524p+0", "0x1.ffffffffffffcp-1", 6),
+    ("sop24", "zeros", 1.0, 1e3):
+        ("0x1.9112909d3e524p+0", "0x1.ffffffffffffcp-1", 7),
+    ("sop24", "zeros", 1e4, 1e-3):
+        ("0x1.2cb41a96dedf2p+4", "0x1.3880000000007p+13", 6),
+    ("sop24", "zeros", 1e4, 1.0):
+        ("0x1.2cb41a96dedf1p+4", "0x1.3880000000003p+13", 6),
+    ("sop24", "zeros", 1e4, 1e3):
+        ("0x1.2cb41a96dedf1p+4", "0x1.3880000000003p+13", 5),
+    ("sop24", "spread", 1e-4, 1e-3):
+        ("0x1.93c5ba7833f61p-3", "0x1.a36e2eb1c4336p-14", 5),
+    ("sop24", "spread", 1e-4, 1.0):
+        ("0x1.93c5ba7833f5dp-3", "0x1.a36e2eb1c432dp-14", 6),
+    ("sop24", "spread", 1e-4, 1e3):
+        ("0x1.93c5ba7833f60p-3", "0x1.a36e2eb1c4333p-14", 7),
+    ("sop24", "spread", 1.0, 1e-3):
+        ("0x1.4e580321d18ccp+2", "0x1.0000000000000p+0", 7),
+    ("sop24", "spread", 1.0, 1.0):
+        ("0x1.4e580321d18ccp+2", "0x1.0000000000000p+0", 6),
+    ("sop24", "spread", 1.0, 1e3):
+        ("0x1.4e580321d18ccp+2", "0x1.0000000000000p+0", 6),
+    ("sop24", "spread", 1e4, 1e-3):
+        ("0x1.a960c8332ca90p+5", "0x1.3880000000005p+13", 6),
+    ("sop24", "spread", 1e4, 1.0):
+        ("0x1.a960c8332ca90p+5", "0x1.3880000000005p+13", 6),
+    ("sop24", "spread", 1e4, 1e3):
+        ("0x1.a960c8332ca8fp+5", "0x1.3880000000001p+13", 5),
+}
+
+
+def _pinned_root_misses(m200):
+    families = {"power1.5": YoungFunction.power(1.5),
+                "sop24": YoungFunction.sum_of_powers(2, 4)}
+    fields = _fields(m200.interior_count)
+    misses = []
+    for (family, field, alpha, r0), want in PINNED_ROOTS.items():
+        res = phi_root(families[family], m200.field(fields[field]), m200,
+                       alpha, r0)
+        got = (res.r_alpha.hex(), res.phi_value.hex(), res.iterations)
+        if got != want:
+            misses.append(((family, field, alpha, r0), got, want))
+    return misses
+
+
+def test_normalization_is_pinned_bit_for_bit(m200):
+    assert _pinned_root_misses(m200) == []
+
+
+def test_pinned_roots_see_the_order_of_the_moment_sum(m200, monkeypatch):
+    # the negative control of the pin: each moment sum w x^p taken over the
+    # field in reverse order, the same sums in another order, moves some
+    # bits (reversing the two terms of sum_k c_k rho^p_k M_k would not:
+    # a + b == b + a in floating point)
+    built = young._Modular.__init__
+
+    def reversed_moments(self, F, absu, w, tmax):
+        built(self, F, absu[::-1], w[::-1], tmax)
+        self.absu, self.w = absu, w
+    monkeypatch.setattr(young._Modular, "__init__", reversed_moments)
+    misses = _pinned_root_misses(m200)
+    assert {key[0] for key, _, _ in misses} == {"power1.5", "sop24"}
+
+
 @pytest.mark.parametrize("family", sorted(MOMENT_FAMILIES))
 def test_moment_path_evaluates_arrays_where_A_saturates(m200, family):
     # A(1e80) = 1e320 saturates for q = 4: those iterates read the
@@ -208,7 +319,8 @@ def test_moment_terms_and_saturation_radius_are_cached(m200, monkeypatch,
                                                       family):
     # built once with the Young function, equal bit for bit to the terms
     # and rho_sat by their formulas, and read by every projection: two
-    # phi_root calls hand _RadialMoments the very tuple built with F
+    # phi_root calls build their _Modular of F, whose very tuple and rho_sat
+    # they read, and neither recomputes rho_sat
     F = MOMENT_FAMILIES[family]()
     built = F._moment_terms
     terms = [(q, 1.0 / d) for q, _, d in F._sums["A"]]
@@ -219,20 +331,24 @@ def test_moment_terms_and_saturation_radius_are_cached(m200, monkeypatch,
     assert isinstance(built, tuple)
     assert list(built) == terms
     assert F._rho_sat == rho_sat
-    radial, handed = young._RadialMoments, []
+    modular_class, handed = young._Modular, []
 
-    def recorded(terms, array, tmax=None, rho_sat=None):
-        handed.append((terms, rho_sat))
-        return radial(terms, array, tmax, rho_sat)
-    monkeypatch.setattr(young, "_RadialMoments", recorded)
+    def recorded(G, absu, w, tmax):
+        handed.append((G._moment_terms, G._rho_sat))
+        return modular_class(G, absu, w, tmax)
+    monkeypatch.setattr(young, "_Modular", recorded)
+    monkeypatch.setattr(young, "_saturation_radius", None)
     u = m200.field(np.ones(m200.interior_count))
     for alpha in (1.0, 3.0):
         phi_root(F, u, m200, alpha)
     assert len(handed) == 2
     assert all(t is built and r == rho_sat for t, r in handed)
     absu = np.array([0.0, 0.5, 2.0])
-    moments = radial(built, young._ArrayModular(F, absu, np.ones(3)))
-    assert moments.rho_sat == rho_sat and moments.tmax == 2.0
+    phi_at = modular_class(F, absu, np.ones(3), 2.0)
+    phi_at(rho_sat * (1.0 - 1e-15) / 2.0)
+    assert not phi_at.on_array
+    phi_at(rho_sat / 2.0)
+    assert phi_at.on_array
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])

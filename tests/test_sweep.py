@@ -56,6 +56,15 @@ def test_grid_validation():
     assert g[0] == pytest.approx(1e-2) and g[-1] == pytest.approx(1e2)
 
 
+@pytest.mark.parametrize("hi", [1.2, 1.01])
+def test_short_grid_keeps_both_ends_and_three_points(hi):
+    # a range short of half a step still gives the derivative check its
+    # central difference: both ends and one point between
+    g = geometric_grid(1.0, hi, 5)
+    assert len(g) == 3 and g[0] == 1.0 and g[-1] == hi
+    assert g[0] < g[1] < g[2]
+
+
 def test_power_sweep_exactly_linear(m200):
     F = YoungFunction.power(2)
     recs = run_sweep(F, m200, geometric_grid(0.1, 10.0, 5))

@@ -2,6 +2,7 @@
 diagnostics, and Matuszewska-Orlicz limits."""
 
 import decimal
+import itertools
 import json
 import math
 
@@ -13,10 +14,10 @@ from orlicz_eigen.cli import main
 from orlicz_eigen.errors import BracketRangeError, ConfigError
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.young import (SATURATION, Endpoint, Regime, YoungFunction,
-                                _ArrayModular, _exp_tail, _normalize,
-                                _RadialMoments, _saturate,
-                                complementary_eval, complementary_function,
-                                delta2_report, luxemburg_norm, matuszewska,
+                                _exp_tail, _Modular, _newton, _normalize,
+                                _saturate, complementary_eval,
+                                complementary_function, delta2_report,
+                                luxemburg_norm, matuszewska,
                                 matuszewska_exponent, modular)
 
 
@@ -684,15 +685,16 @@ def test_moments_stay_below_saturation(F):
     # saturated range, where the moment path evaluates the array instead
     absu = np.array([0.0, 1e-300, 0.5, 1e-20, 3.0])
     w = np.full(absu.size, 0.25)
-    moments = _RadialMoments(F._moment_terms, _ArrayModular(F, absu, w))
-    rho = moments.rho_sat * (1.0 - 1e-15)
+    phi_at = _Modular(F, absu, w, 3.0)
+    rho = F._rho_sat * (1.0 - 1e-15)
     assert F.A(rho) < SATURATION
-    phi = moments(rho / moments.tmax)
-    assert not moments.on_array and math.isfinite(phi)
+    phi = phi_at(rho / phi_at.tmax)
+    assert not phi_at.on_array and math.isfinite(phi)
     assert phi == pytest.approx(float(np.dot(w, F.A(rho / 3.0 * absu))),
                                 rel=1e-12)
-    moments(moments.rho_sat / moments.tmax)
-    assert moments.on_array
+    r = F._rho_sat / phi_at.tmax
+    assert phi_at(r) == float(np.dot(w, F.A(r * absu)))
+    assert phi_at.on_array
 
 
 def test_missed_moment_check_continues_on_the_array():
@@ -710,6 +712,35 @@ def test_missed_moment_check_continues_on_the_array():
     plain = _normalize(YoungFunction.sum_of_powers(2, 4), absu, w, 1.0)
     assert res.r_alpha < plain.r_alpha
     assert res.iterations > plain.iterations
+
+
+def test_miss_at_the_saturation_radius_continues_on_the_array():
+    # moments that read half of the evaluated A below a lowered rho_sat,
+    # and alphas between the two sides of it: the first Newton closes its
+    # bracket at rho_sat, its last call off the array or on it (both occur
+    # over these alphas and starts), and either miss goes on to the
+    # array's root below
+    F = YoungFunction.sum_of_powers(2, 4)
+    closed_A, closed_a = F.A, F.a
+    F.A = lambda t: 2.0 * closed_A(t)
+    F.a = lambda t: 2.0 * closed_a(t)
+    F._rho_sat = 1.0
+    absu = np.abs(np.sin(np.linspace(0.0, 3.0, 50)))
+    w = np.full(absu.size, 0.02)
+    tmax = float(absu.max())
+    below = _Modular(F, absu, w, tmax)((1.0 - 1e-15) / tmax)
+    last_on_array = set()
+    for alpha, r0 in itertools.product(
+            (1.2 * below, 1.5 * below, 1.9 * below), (1e-3, 1.0, 1e3)):
+        first = _Modular(F, absu, w, tmax)
+        r, phi, _ = _newton(first, alpha, r0)
+        assert abs(r * tmax - 1.0) <= 1e-15 and abs(phi - alpha) > 1e-2 * alpha
+        last_on_array.add(first.on_array)
+        res = _normalize(F, absu, w, alpha, r0)
+        assert res.phi_value == float(np.dot(w, F.A(res.r_alpha * absu)))
+        assert abs(res.phi_value - alpha) <= 1e-12 * alpha
+        assert res.r_alpha * tmax < 0.99
+    assert last_on_array == {False, True}
 
 
 # -- doubling diagnostics ---------------------------------------------------
