@@ -125,12 +125,12 @@ print("wrote", {out_path!r})
 
 def _cmd_inspect(args):
     F = _young_from_arg(args.young)
+    delta2 = {ep.value: delta2_report(F, ep) for ep in Endpoint}
     payload = {"label": F.label, "family": F.family.value,
-               "delta2": {ep.value: delta2_report(F, ep).as_dict()
-                          for ep in Endpoint},
+               "delta2": {k: r.as_dict() for k, r in delta2.items()},
                "matuszewska": {ep.value: matuszewska_exponent(F, ep).as_dict()
                                for ep in Endpoint},
-               "p_index": _global_p_index(F)}
+               "p_index": max(r.p_index for r in delta2.values())}
     _emit_json(payload, args.out)
     return 0
 
@@ -340,30 +340,22 @@ _SUBCOMMANDS = {  # name: (help, the function that fills its subparser)
 }
 
 
-class _Reparse(Exception):
-    """A _Narrowed parser had a message to print."""
-
-
-class _Narrowed(argparse.ArgumentParser):
-    """A parser that raises _Reparse where argparse would print (help,
-    usage, an error): its subparsers are of this class too."""
-
-    def _print_message(self, message, file=None):
-        raise _Reparse
-
-
 def build_parser(command=None):
-    """The CLI's parser; given the name of a subcommand, a _Narrowed one
-    with that subparser alone, which parses the same arguments to the same
-    namespace for about a third of the set-up, and prints nothing."""
+    """The CLI's parser; given the name of a subcommand, one with that
+    subparser alone, which parses the same arguments to the same namespace
+    for about a third of the set-up.  That one's metavar lists every name,
+    so its messages are the full parser's; the full parser keeps the
+    default, so its errors name the argument ``command``."""
     narrow = command in _SUBCOMMANDS
-    parser = (_Narrowed if narrow else argparse.ArgumentParser)(
+    parser = argparse.ArgumentParser(
         prog="orlicz-eigen",
         description="Constrained energy and first eigenvalue of the "
                     "generalized a-Laplacian.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if narrow else None)
     for name, (text, fill) in _SUBCOMMANDS.items():
         if not narrow or name == command:
             fill(sub.add_parser(name, help=text))
@@ -372,11 +364,8 @@ def build_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    try:  # every message, an error's or help, is the full parser's
-        try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
-        except _Reparse:
-            args = build_parser().parse_args(argv)
+    try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors and 0 for --help/--version
         return int(exc.code or 0)

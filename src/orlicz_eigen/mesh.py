@@ -301,9 +301,10 @@ def cell_gradient_magnitudes(u, m):
     return gradient_magnitudes(cell_gradients(u, m))
 
 
-def bump_field(m, r, center=None):
-    """Plateau-1 field on the ball of radius r with a ramp of width > 1 whose
-    discrete gradient magnitudes stay strictly below 1.
+def bump_field(m, r):
+    """Plateau-1 field on the ball of radius r about the domain's center with
+    a ramp of width > 1 whose discrete gradient magnitudes stay strictly
+    below 1.
 
     Raises GeometryError when the geometry cannot host such a transition
     (theorem hypothesis on the inner radius unmet).
@@ -314,9 +315,7 @@ def bump_field(m, r, center=None):
         raise GeometryError(
             f"plateau radius {r} must be below the inner radius "
             f"{m.inner_radius}")
-    if center is None:
-        center = tuple(0.5 * e for e in m.extents)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = np.array([0.5 * e for e in m.extents])
     boundary_dist = min(min(c, e - c) for c, e in zip(center, m.extents))
     h = max(m.spacing)
     width = boundary_dist - r - h

@@ -587,13 +587,15 @@ def _one_signed(values):
 
 def _run(problem, alpha, start, opts):
     """One run of :func:`_descend` from ``start``, converged only at a
-    field of one sign.  A converged field that changes sign is a critical
-    point that is no minimizer (a higher eigenfunction), so the run goes
-    on once from its |u|, within the same opts.max_iter steps, and its
-    counts are those of both parts.  |u| is no worse: E(|u|) <= E(u) at
-    the same modular on every mesh here, since ||a| - |b|| <= |a - b|."""
+    field of one sign.  A field that changes sign is no minimizer (a
+    converged one is a higher eigenfunction, a stalled one may be near
+    one), so a run that ends there converged, or with steps left, goes on
+    once from its |u|, within the same opts.max_iter steps, and its counts
+    are those of both parts.  |u| is no worse: E(|u|) <= E(u) at the same
+    modular on every mesh here, since ||a| - |b|| <= |a - b|."""
     run = _descend(problem, alpha, start, opts)
-    if not run.converged or _one_signed(run.values):
+    if _one_signed(run.values) or not (
+            run.converged or run.iterations < opts.max_iter):
         return run
     again = _descend(problem, alpha, np.abs(run.values),
                      replace(opts, max_iter=opts.max_iter - run.iterations))

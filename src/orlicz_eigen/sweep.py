@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .solver import SolveOptions, _one_signed, solve_E
+from .solver import SolveOptions, solve_E
 from .young import (Endpoint, Regime, YoungFunction, delta2_report,
                     matuszewska_exponent)
 
@@ -187,10 +187,13 @@ def _energy_at_one(records, check):
     return float(np.exp(np.interp(0.0, logs, energies)))
 
 
-def check_bounds(records, p, slack=1e-9):
+_SLACK = 1e-9  # relative slack of each bound of check_bounds
+
+
+def check_bounds(records, p):
     """Per-record evaluation of the three two-sided doubling-condition
-    bounds against a converged E(1); the overall verdict requires one and
-    every converged record to pass.
+    bounds, each to _SLACK relative, against a converged E(1); the overall
+    verdict requires one and every converged record to pass.
 
     The bounds, with E1 = E(1) and q = E(alpha)/alpha:
       energy:    min(a^p, a^(1/p)) E1 <= E(a) <= max(a^p, a^(1/p)) E1
@@ -204,12 +207,12 @@ def check_bounds(records, p, slack=1e-9):
         a = r.alpha
         lo_E = min(a ** p, a ** (1.0 / p)) * E1
         hi_E = max(a ** p, a ** (1.0 / p)) * E1
-        ok_E = lo_E * (1 - slack) <= r.energy <= hi_E * (1 + slack)
-        ok_lam = (r.quotient / p * (1 - slack) <= r.lam
-                  <= p * r.quotient * (1 + slack))
+        ok_E = lo_E * (1 - _SLACK) <= r.energy <= hi_E * (1 + _SLACK)
+        ok_lam = (r.quotient / p * (1 - _SLACK) <= r.lam
+                  <= p * r.quotient * (1 + _SLACK))
         lo_q = min(a ** (p - 1.0), a ** (1.0 / p - 1.0)) * E1
         hi_q = max(a ** (p - 1.0), a ** (1.0 / p - 1.0)) * E1
-        ok_q = lo_q * (1 - slack) <= r.quotient <= hi_q * (1 + slack)
+        ok_q = lo_q * (1 - _SLACK) <= r.quotient <= hi_q * (1 + _SLACK)
         r.bounds_ok = {"energy": ok_E, "eigenvalue": ok_lam, "quotient": ok_q}
     checked = [r for r in records if r.converged] if E1 is not None else []
     overall = bool(checked) and all(all(r.bounds_ok.values()) for r in checked)
@@ -282,12 +285,12 @@ def estimate_limits(F, m, records, endpoint, opts=None, estimate=None):
 
 def _power_reference(p, m, opts, initial=None):
     """Solve Power(p) at alpha = 1: one run from ``initial`` when
-    ``opts.restarts`` is None, kept if it converged to a minimizer of one
-    sign, else ``opts``."""
+    ``opts.restarts`` is None, kept if it converged (the solver converges
+    only at a field of one sign), else ``opts``."""
     F = YoungFunction.power(p)
     if opts.restarts is None:
         ref = solve_E(F, m, 1.0, replace(opts, restarts=1), initial)
-        if ref.converged and _one_signed(ref.u.values):
+        if ref.converged:
             return ref
     return solve_E(F, m, 1.0, opts)
 

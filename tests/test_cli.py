@@ -645,6 +645,19 @@ def test_narrowed_parser_prints_what_the_full_parser_prints(capsys,
             "{inspect,solve,sweep,nonlocal} ...")
 
 
+@pytest.mark.parametrize("argv,line", [
+    ((), "the following arguments are required: command"),
+    (("bogus",), "argument command: invalid choice: 'bogus' (choose from "
+                 "'inspect', 'solve', 'sweep', 'nonlocal')"),
+], ids=["none", "unknown"])
+def test_parser_errors_name_the_command_argument(capsys, argv, line):
+    # the metavar that lists every subcommand is the narrowed parser's
+    # alone: set on the full parser too, it would name the argument
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "orlicz-eigen: error: " + line
+
+
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_narrowed_parser_parses_to_the_full_parsers_namespace(name):
     narrowed = cli.build_parser(name)

@@ -846,6 +846,41 @@ def test_converged_means_a_field_of_one_sign(case, monkeypatch):
     assert not out.converged and out.iterations == first.iterations
 
 
+@pytest.mark.parametrize("ends_one_signed", [True, False])
+def test_a_stalled_sign_changing_run_goes_on_from_its_abs(m200, monkeypatch,
+                                                          ends_one_signed):
+    # a run that ends unconverged at a field of both signs with steps left
+    # (a stalled saddle) goes on once from its |u| with the steps left, its
+    # counts summing both parts; the second part is converged only at a
+    # field of one sign, and with no step left the first end is returned
+    wave = np.sin(2 * np.pi * m200.interior_coords[:, 0])
+    starts = []
+
+    def descend(problem, alpha, start, opts):
+        starts.append((start, opts.max_iter))
+        if len(starts) == 1:
+            return solver._RunResult(
+                values=wave, energy=2.0, lam=1.0, residual=1e-8,
+                iterations=7, converged=False, newton_steps=3,
+                cg_iterations=11)
+        return solver._RunResult(
+            values=np.abs(start) if ends_one_signed else wave, energy=1.0,
+            lam=1.0, residual=0.0, iterations=4, converged=True,
+            newton_steps=2, cg_iterations=5)
+    monkeypatch.setattr(solver, "_descend", descend)
+    problem = Problem(YoungFunction.power(2), m200)
+    run = solver._run(problem, 1.0, wave, SolveOptions(max_iter=20))
+    [(first, budget), (again, left)] = starts
+    assert first is wave and budget == 20
+    assert np.array_equal(again, np.abs(wave)) and left == 13
+    assert run.converged is ends_one_signed
+    assert (run.iterations, run.newton_steps, run.cg_iterations) == (11, 5,
+                                                                     16)
+    starts.clear()
+    run = solver._run(problem, 1.0, wave, SolveOptions(max_iter=7))
+    assert len(starts) == 1 and run.values is wave and not run.converged
+
+
 # -- Newton steps ------------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [1.0, 1e2, 1e4])

@@ -399,10 +399,8 @@ def test_limits_reference_matches_multistart(case, p, monkeypatch):
     assert le.reference == pytest.approx(multi.energy, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("values,converged", [
-    (np.ones(199), False),
-    (np.sin(2 * np.pi * np.linspace(0, 1, 201)[1:-1]), True),
-], ids=["unconverged", "sign-changing"])
+@pytest.mark.parametrize("values,converged", [(np.ones(199), False)],
+                         ids=["unconverged"])
 def test_limits_reference_falls_back_to_callers_options(m200, values,
                                                         converged,
                                                         monkeypatch):
@@ -454,21 +452,29 @@ def test_limits_reference_starts_from_the_extreme_minimizer(case,
         assert le.reference == pytest.approx(cold.energy, rel=1e-12, abs=0)
 
 
-def test_limits_reference_from_a_sign_changing_minimizer_falls_back(
+def test_limits_reference_from_a_sign_changing_minimizer_is_one_run(
         m200, monkeypatch):
-    # a warm start does not bypass the guard: a sign-changing run from a
-    # sign-changing record is followed by the cold multistart with opts
+    # a warm start at a sign-changing record gives one run, which the
+    # solver takes on from |u| to the minimizer of one sign: the cold
+    # one-start reference
     recs = _flat_records(geometric_grid(1.0, 10.0, 3))
-    wave = np.sin(2 * np.pi * m200.interior_coords[:, 0])
-    recs[-1].u = m200.field(wave)
-    opts = SolveOptions(tol=1e-9, seed=7)
-    calls, starts = [], []
-    monkeypatch.setattr(sweep, "solve_E", _counting(
-        _stub_reference(wave), calls, starts))
-    estimate_limits(YoungFunction.power(2), m200, recs, Endpoint.INFINITY,
-                    opts)
-    assert [o.restarts for o in calls] == [1, None] and calls[1] is opts
-    assert starts == [recs[-1].u, None]
+    recs[-1].u = m200.field(np.sin(2 * np.pi * m200.interior_coords[:, 0]))
+    calls, refs = [], []
+
+    def solve(F, m, alpha, opts, initial=None):
+        refs.append(solve_E(F, m, alpha, opts, initial))
+        return refs[-1]
+    monkeypatch.setattr(sweep, "solve_E", _counting(solve, calls))
+    le = estimate_limits(YoungFunction.power(2), m200, recs,
+                         Endpoint.INFINITY)
+    assert [o.restarts for o in calls] == [1]
+    [ref] = refs
+    assert ref.converged and np.all(ref.u.values >= 0.0)
+    cold = solve_E(YoungFunction.power(2), m200, 1.0,
+                   SolveOptions(restarts=1))
+    assert cold.converged
+    assert le.reference == ref.energy
+    assert le.reference == pytest.approx(cold.energy, rel=1e-12, abs=0)
 
 
 def test_sweep_records_keep_their_keys_and_columns(capsys, tmp_path):
