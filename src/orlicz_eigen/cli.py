@@ -278,8 +278,10 @@ def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=opts.tol)
     p.add_argument("--max-iter", type=int, default=opts.max_iter)
     p.add_argument("--restarts", type=int, default=opts.restarts,
-                   help=f"force exactly N starts (default: up to {MAX_STARTS}"
-                        ", stopping once two converged starts agree)")
+                   help="force exactly N starts, checking none (default: "
+                        "stop at the first start its second-order check "
+                        "certifies, else once two converged starts agree, "
+                        f"up to {MAX_STARTS})")
     p.add_argument("--seed", type=int, default=opts.seed)
     p.add_argument("--out", help="write the JSON summary here (default stdout)")
 

@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import (ConfigError, GeometryError, OrliczError,
                      ZeroDenominatorError)
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 EPS_GRAD = 1e-12  # regularization of a(g)/g at vanishing gradient
-MAX_STARTS = 5    # start pool when restarts is None (stop at first agreement)
+MAX_STARTS = 5    # start pool when restarts is None (see solve_E)
 
 
 def _flapack(name="_flapack"):
@@ -89,6 +88,7 @@ class MinimizerResult:
     restart_energies: list = field(default_factory=list)  # converged runs
     newton_steps: int = 0  # of the iterations, the Newton steps
     cg_iterations: int = 0  # Hessian matvecs of the run's Newton steps
+    hessian_min: float = None  # of the run's certificate; None if unchecked
 
     @property
     def restart_spread(self):
@@ -111,6 +111,7 @@ class MinimizerResult:
             "converged": self.converged,
             "restarts_used": self.restarts_used,
             "restart_spread": self.restart_spread,
+            "hessian_min": self.hessian_min,
         }
 
 
@@ -411,6 +412,7 @@ class _RunResult:
     converged: bool
     newton_steps: int  # of the iterations, the Newton steps
     cg_iterations: int = 0  # of all its Newton steps, failed ones too
+    hessian_min: float = None  # by _hessian_min, when the solve checks it
 
 
 _HANDOVER = 1e-1        # residual below which the steps are Newton steps
@@ -606,6 +608,112 @@ def _run(problem, alpha, start, opts):
     return again
 
 
+_RITZ_ITERS = 40    # LOBPCG iterations of the second-order check, at most
+_RITZ_TOL = 1e-3    # Ritz residual, relative to the Ritz value, it accepts
+
+
+def _ritz_starts(m):
+    """The second-order check's two starts: the coordinates of the interior
+    nodes, and in 1D their squares.  No mirror symmetry of the mesh maps
+    them to themselves (from symmetric starts LOBPCG stays among the
+    symmetric modes, and the lowest tangent mode at a symmetric minimizer
+    is antisymmetric), and on a square they hold both of its nearly equal
+    lowest tangent modes."""
+    c = m.interior_coords.T
+    return c if m.dim == 2 else np.concatenate([c, c * c])
+
+
+def _eigh(a):
+    """Ascending eigenvalues and eigenvectors of the small symmetric matrix
+    a, by LAPACK dsbev on its full band, through the wrappers loaded above:
+    numpy's eigh maps about 0.4 MB more LAPACK code into the process on
+    its first call.  A failure to converge raises LinAlgError."""
+    k = len(a)
+    band = np.zeros((k, k))
+    for d in range(k):
+        band[k - 1 - d, d:] = np.diagonal(a, d)
+    vals, vecs, info = _LAPACK.dsbev(band)
+    if info:
+        raise np.linalg.LinAlgError(f"dsbev info {info}")
+    return vals, vecs
+
+
+def _hessian_min(problem, run):
+    """The lowest eigenvalue mu of J v = mu W v on the constraint tangent
+    T = {v : <mg, v> = 0} at the end of ``run``: J the Hessian of
+    :meth:`Problem.tangent` at its field and multiplier, W the diagonal of
+    node weights.  LOBPCG (Knyazev 2001) with a block of two (one crawls
+    where the lowest two modes nearly coincide, as on a square), from the
+    projected preconditioned :func:`_ritz_starts`, for at most _RITZ_ITERS
+    iterations.  The preconditioner is the run's kept stiffness factor K
+    (built only if none is kept), projected onto T along K^-1 mg as in
+    :func:`_newton_step`.  A Ritz value only bounds mu from above, so the
+    lowest is returned only once the W^-1 norm of its residual, less its
+    part along mg, is below _RITZ_TOL times its size; otherwise, and where
+    anything is not finite, NaN."""
+    values, w = run.values, problem.m.node_weights
+    mg = problem.mass_gradient(values)
+    if problem.kept.get("factor") is None:
+        try:
+            problem.preconditioner(values)
+        except np.linalg.LinAlgError:
+            return math.nan
+    cho = problem.kept["factor"]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pc = _PBTRS(cho, mg)[0]
+        pc /= float(np.dot(mg, pc))
+        mg_w = mg / (w * float(np.dot(mg, mg / w)))
+        apply = problem.tangent(values, run.lam)
+
+        def unit(rows, before, images=None):
+            """The rows of finite W norm above 1e-10 ``before`` (their norms
+            before a projection or combination that cancelled them to
+            rounding, which leaves T), scaled to norm 1, and their images
+            under J (applied here if not given)."""
+            norms = np.sqrt((rows * w * rows).sum(axis=1))
+            keep = (norms > 1e-10 * before) & (norms < math.inf)
+            rows = rows[keep] / norms[keep, None]
+            if images is None:
+                return rows, np.array([apply(v) for v in rows])
+            return rows, images[keep] / norms[keep, None]
+
+        def search(rows):  # preconditioned and projected onto T
+            z = _PBTRS(cho, rows.T)[0].T
+            return unit(z - np.outer(z @ mg, pc),
+                        np.sqrt((z * w * z).sum(axis=1)))
+        s, js = search(w * _ritz_starts(problem.m))
+        lead = len(s)  # the leading rows of s: the last Ritz block
+        for k in range(_RITZ_ITERS + 1):
+            a, b = s @ js.T, (s * w) @ s.T
+            if not (len(s) and np.isfinite(a).all() and np.isfinite(b).all()):
+                return math.nan
+            # Rayleigh-Ritz on a span that may be nearly dependent: keep
+            # the well-conditioned directions of b
+            try:
+                b_vals, b_vecs = _eigh(b)
+                ok = b_vals > 1e-12 * b_vals[-1]
+                t = b_vecs[:, ok] / np.sqrt(b_vals[ok])
+                mus, vecs = _eigh(t.T @ (0.5 * (a + a.T)) @ t)
+            except np.linalg.LinAlgError:
+                return math.nan
+            c = (t @ vecs[:, :2]).T
+            x, jx = c @ s, c @ js
+            r = jx - mus[:len(x), None] * w * x
+            r0 = r[0] - float(np.dot(r[0], mg_w)) * mg
+            if math.sqrt(float(np.dot(r0, r0 / w))) <= _RITZ_TOL * abs(mus[0]):
+                return float(mus[0])
+            if k == _RITZ_ITERS:
+                return math.nan
+            # the next span: the Ritz block, its preconditioned residuals
+            # and the Ritz block's part off the last one (s has unit rows)
+            z, jz = search(r)
+            tail = c[:, lead:]
+            p, jp = unit(tail @ s[lead:], np.abs(tail).sum(axis=1),
+                         tail @ js[lead:])
+            s, js = np.concatenate([x, z, p]), np.concatenate([jx, jz, jp])
+            lead = len(x)
+
+
 def _smooth(values):
     """Ten sweeps of the stencil (1/4, 1/2, 1/4) with zero ends, in a
     buffer that keeps the two zeros."""
@@ -636,6 +744,7 @@ def _start_pool(m, opts, initial, kept=None):
                 pass
             else:
                 yield bump
+    from numpy.random import default_rng  # about 10 ms, so only when drawn
     rng = default_rng(opts.seed)
     while True:
         raw = np.abs(rng.standard_normal(m.interior_count))
@@ -675,10 +784,13 @@ def solve_E(F, m, alpha, opts=None, initial=None):
 
     Runs the starts of :func:`_start_pool` one at a time (:func:`_run`).
     With ``opts.restarts`` None the pool holds MAX_STARTS starts, and the
-    solve stops after the first converged run whose energy agrees with an
-    earlier converged run's within opts.tol relative; ``restarts=N`` runs
-    exactly N.  ``initial``, one finite value per interior node of m,
-    warm-starts the first run.  Returns the lowest-energy converged run
+    solve stops after the first certified run: converged, and with a
+    :func:`_hessian_min` at or above -opts.tol times its multiplier (each
+    converged run is checked and keeps it); failing that, after the first
+    converged run whose energy agrees with an earlier converged run's within
+    opts.tol relative.  ``restarts=N`` runs exactly N and checks none.
+    ``initial``, one finite value per interior node of m, warm-starts the
+    first run.  Returns the lowest-energy converged run
     (else all runs flagged unconverged).  Bad options raise ConfigError; a
     minimizer whose modular misses alpha by 1e-10 relative, OrliczError.
     """
@@ -705,8 +817,11 @@ def solve_E(F, m, alpha, opts=None, initial=None):
         agreed = any(abs(E - Ej) <= opts.tol * max(abs(E), abs(Ej))
                      for Ej in energies)
         energies.append(E)
-        if agreed and opts.restarts is None:
-            break
+        if opts.restarts is None:
+            # certified: converged, so of one sign (_run), and second-order
+            run.hessian_min = _hessian_min(problem, run)
+            if run.hessian_min >= -opts.tol * abs(run.lam) or agreed:
+                break
     best = _pick_best(runs)
     achieved = modular(F, best.values, m)
     if not abs(achieved - alpha) <= 1e-10 * alpha:
@@ -718,4 +833,4 @@ def solve_E(F, m, alpha, opts=None, initial=None):
         lam=best.lam, residual=best.residual, iterations=best.iterations,
         converged=best.converged, restarts_used=len(runs),
         restart_energies=energies, newton_steps=best.newton_steps,
-        cg_iterations=best.cg_iterations)
+        cg_iterations=best.cg_iterations, hessian_min=best.hessian_min)

@@ -83,17 +83,17 @@ def geometric_grid(alpha_min, alpha_max, per_decade):
 def run_sweep(F, m, alpha_grid, opts=None, warm=True):
     """One constrained solve per alpha, warm-started along the grid.
 
-    The first alpha runs the full multistart; each later alpha restarts
-    once.  Once two consecutive alphas have converged, the start is a
-    prediction along the branch: the shapes of the last two to four
-    consecutive converged minimizers, normalized in the ``node_weights`` L2
-    norm, extrapolated by their Lagrange polynomial in log alpha (the
-    minimizers form a smooth branch, since dE/dalpha = lambda; see
-    :func:`_secant_start`).  Otherwise (fewer than two consecutive converged
-    alphas, or a non-finite or all-zero prediction) it is the last converged
-    minimizer.  The solver's own normalization projection rescales either
-    onto the new constraint.  With ``warm=False`` every alpha runs the full
-    multistart instead.
+    The first alpha runs the default cold solve of ``opts``; each later
+    alpha restarts once.  Once two consecutive alphas have converged, the
+    start is a prediction along the branch: the shapes of the last two to
+    four consecutive converged minimizers, normalized in the
+    ``node_weights`` L2 norm, extrapolated by their Lagrange polynomial in
+    log alpha (the minimizers form a smooth branch, since dE/dalpha =
+    lambda; see :func:`_secant_start`).  Otherwise (fewer than two
+    consecutive converged alphas, or a non-finite or all-zero prediction) it
+    is the last converged minimizer.  The solver's own normalization
+    projection rescales either onto the new constraint.  With ``warm=False``
+    every alpha runs the cold solve of ``opts`` instead.
     dE/dalpha is the central difference over the neighboring samples when
     both converged, else NaN (endpoints included).  Unconverged alphas are
     flagged and the sweep continues.  Each record keeps the iteration count
@@ -256,8 +256,7 @@ def estimate_limits(F, m, records, endpoint, opts=None, estimate=None):
     (Lindqvist 1990; Franzina and Palatucci 2014 for the fractional case),
     so such a critical point is the global minimizer and further starts
     could only confirm it.  Otherwise the reference is solved again with
-    ``opts``, the full multistart; an explicit ``opts.restarts`` is used
-    as given.
+    ``opts``, cold; an explicit ``opts.restarts`` is used as given.
     """
     opts = opts or SolveOptions()
     endpoint = Endpoint(endpoint)

@@ -109,6 +109,27 @@ def test_first_command_loads_no_numpy_or_scipy_module():
     assert out[:2] == ["1", "0"] and out[2:] == []
 
 
+def test_numpy_random_loads_only_for_a_random_start():
+    # numpy.random (about 10 ms per process) loads when the start pool draws
+    # its first random field: not on import, not for a default solve whose
+    # first start is certified, and for an explicit second start
+    probe = f"""if True:
+        import contextlib, io, sys
+        from orlicz_eigen import cli
+        loaded = ["numpy.random" in sys.modules]
+        for extra in ([], ["--restarts", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["nonlocal", "--young", {SUM24!r},
+                                 "--interval", "1.0", "--s", "0.5",
+                                 "--nodes", "128", "--alpha", "1.0",
+                                 "--seed", "1"] + extra)
+            loaded.append((code, "numpy.random" in sys.modules))
+        print(*loaded)
+    """
+    assert fresh_interpreter(probe).split() == [
+        "False", "(0,", "False)", "(0,", "True)"]
+
+
 def test_import_compiles_young_before_numpy_loads():
     # the package imports young first, so numpy's import reuses the memory
     # that compiling young freed (see orlicz_eigen/__init__.py)
@@ -406,12 +427,13 @@ def test_sweep_without_converged_alpha_exit_1(capsys, tmp_path):
 @pytest.mark.parametrize("nodes, alpha", [("256", "1"), ("128", "100")])
 def test_nonlocal_solve_with_a_stiffness_not_definite_exits_0(capsys, nodes,
                                                               alpha):
-    # exp_minus_poly(2) at s = 0.9, seed 1: a start whose descent stiffness
-    # is not positive definite ends unconverged, and the next start
-    # converges; the command raised LinAlgError with a traceback before
+    # exp_minus_poly(2) at s = 0.9, seed 1, three starts: the second, whose
+    # descent stiffness is not positive definite, ends unconverged, and the
+    # third converges; the command raised LinAlgError with a traceback
+    # before.  (The default stops after the first, certified, start.)
     code, out, err = run(capsys, "nonlocal", "--young", EXP2,
                          "--interval", "1.0", "--s", "0.9", "--alpha", alpha,
-                         "--nodes", nodes, "--seed", "1")
+                         "--nodes", nodes, "--seed", "1", "--restarts", "3")
     payload = json.loads(out)
     assert code == 0 and err == ""
     assert payload["converged"] and payload["restarts_used"] == 3
@@ -478,7 +500,9 @@ def test_nonlocal_solve(capsys):
     assert payload["converged"]
     assert set(payload) == {"alpha", "energy", "lambda", "residual",
                             "iterations", "newton_steps", "cg_iterations",
-                            "converged", "restarts_used", "restart_spread"}
+                            "converged", "restarts_used", "restart_spread",
+                            "hessian_min"}
+    assert payload["hessian_min"] is None  # an explicit --restarts checks none
 
 
 @pytest.mark.parametrize("nodes", ["128", "256"])
@@ -586,10 +610,12 @@ def test_no_warm_sweep_matches_warm(capsys, tmp_path):
         assert c == pytest.approx(w, rel=1e-8)
 
 
-@pytest.mark.parametrize("flags,used", [((), 2), (("--restarts", "5"), 5),
+@pytest.mark.parametrize("flags,used", [((), 1), (("--restarts", "5"), 5),
                                         (("--restarts", "1"), 1)],
                          ids=["default", "five", "one"])
 def test_restarts_flag(capsys, flags, used):
+    # the default stops at its first start, which its second-order check
+    # certifies; an explicit --restarts runs no check
     code, out, _ = run(capsys, "solve", "--young", SUM24,
                        "--mesh", "interval:1.0,100", "--alpha", "1.0",
                        *flags)
@@ -600,6 +626,10 @@ def test_restarts_flag(capsys, flags, used):
         assert payload["restart_spread"] is None
     else:
         assert 0.0 <= payload["restart_spread"] <= 1e-8
+    if flags:
+        assert payload["hessian_min"] is None
+    else:
+        assert payload["hessian_min"] > 0.0
 
 
 TINY = {  # one cheap run of each subcommand

@@ -530,7 +530,8 @@ def test_solve_pins_the_cli_answer():
 
 
 def test_each_run_polishes_in_at_most_3_newton_steps(monkeypatch):
-    # the `nonlocal --nodes 128 --seed 1` solve: handed over at residual
+    # the `nonlocal --nodes 128 --seed 1` solve with two starts (the
+    # default stops after the first): handed over at residual
     # 1e-1, both runs end within 3 Newton steps (4 with a fixed CG forcing
     # of 1e-2) after at most 3 descent steps (2 and 3).  A linear tail
     # takes more steps, or stalls and hands the iterate back to the
@@ -544,7 +545,8 @@ def test_each_run_polishes_in_at_most_3_newton_steps(monkeypatch):
         return run
     monkeypatch.setattr(solver, "_descend", counted_run)
     res = solve_E(YoungFunction.sum_of_powers(2, 4),
-                  NonlocalMesh(1.0, 128, 0.5), 1.0, SolveOptions(seed=1))
+                  NonlocalMesh(1.0, 128, 0.5), 1.0,
+                  SolveOptions(seed=1, restarts=2))
     assert res.converged and len(runs) == 2
     assert max(run.newton_steps for run in runs) <= 3
     assert max(run.iterations - run.newton_steps for run in runs) <= 3
@@ -555,10 +557,11 @@ def test_index_below_two_converges_by_the_half_newton_step(alpha):
     # Power(1.3): where a row's slope s vanishes at the minimizer, the
     # Newton step maps s to -2.3 s and its half step to -0.67 s.  Without
     # the half step every start stops near residual 1e-7, unconverged;
-    # with it the first two starts converge and agree
+    # with it the first start converges, and its check certifies it
     res = solve_E(YoungFunction.power(1.3), NonlocalMesh(1.0, 32, 0.7),
                   alpha, SolveOptions(seed=1))
-    assert res.converged and res.restarts_used == 2
+    assert res.converged and res.restarts_used == 1
+    assert res.hessian_min > 0.0
     assert res.residual < 1e-8
 
 
@@ -577,7 +580,7 @@ def test_index_five_quarters_converges_by_the_quarter_newton_step(
     monkeypatch.setattr(Problem, "project", counted)
     res = solve_E(YoungFunction.power(1.25), NonlocalMesh(1.0, 64, 0.5),
                   100.0, SolveOptions(seed=1, max_iter=2000))
-    assert res.converged and res.restarts_used == 2
+    assert res.converged and res.restarts_used == 1
     assert len(projections) <= 200
 
 
@@ -605,7 +608,22 @@ def test_solves_on_shared_mesh_match_fresh_mesh():
     assert shared[1].energy == fresh.energy and shared[1].lam == fresh.lam
 
 
-def test_default_restarts_stop_at_first_agreeing_pair():
+def test_default_restarts_stop_at_first_certified_run():
+    nm = NonlocalMesh(1.0, 37, 0.5)
+    F = YoungFunction.sum_of_powers(2, 4)
+    early = solve_E(F, nm, 1.0)
+    full = solve_E(F, nm, 1.0, SolveOptions(restarts=5))
+    assert early.converged and early.restarts_used == 1
+    assert early.hessian_min > 0.0 and full.hessian_min is None
+    assert full.restarts_used == 5
+    assert abs(early.energy - full.energy) <= 1e-8 * full.energy
+    assert early.as_dict()["restart_spread"] is None
+
+
+def test_default_restarts_stop_at_first_agreeing_pair(monkeypatch):
+    # a stand-in check that certifies no run: the solve goes on until two
+    # converged runs agree
+    monkeypatch.setattr(solver, "_hessian_min", lambda problem, run: math.nan)
     nm = NonlocalMesh(1.0, 37, 0.5)
     F = YoungFunction.sum_of_powers(2, 4)
     early = solve_E(F, nm, 1.0)
@@ -686,15 +704,16 @@ def test_mesh_keeps_no_pair_index_arrays():
 
 
 def test_a_start_whose_stiffness_is_not_definite_ends_and_the_next_goes_on():
-    # exp_minus_poly(2) at s = 0.9, seed 1: a descent step of the second
+    # exp_minus_poly(2) at s = 0.9, seed 1, three starts (the default stops
+    # after the first, certified, start): a descent step of the second
     # start meets a stiffness that is not positive definite even lifted
     # (minor 128).  That run ends unconverged and the third start
-    # converges to the energy of seed 2's solve, where the build raised
-    # LinAlgError before
+    # converges to the energy of seed 2's second start, where the build
+    # raised LinAlgError before
     F = YoungFunction.exp_minus_poly(2)
     nm = NonlocalMesh(1.0, 128, 0.9)
-    got = solve_E(F, nm, 100.0, SolveOptions(seed=1))
-    ref = solve_E(F, nm, 100.0, SolveOptions(seed=2))
+    got = solve_E(F, nm, 100.0, SolveOptions(seed=1, restarts=3))
+    ref = solve_E(F, nm, 100.0, SolveOptions(seed=2, restarts=2))
     assert got.converged and got.restarts_used == 3
     assert got.energy == pytest.approx(ref.energy, rel=1e-14)
 

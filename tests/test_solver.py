@@ -733,15 +733,17 @@ def test_solve_2d_quadratic_matches_five_point_oracle(lx, ly, nx, ny):
 
 
 @pytest.mark.parametrize("lx,ly,nx,ny,E,lam,iterations", [
-    (1.0, 1.0, 32, 32, 105.78761050590053, 131.0289836183901, 11),
+    (1.0, 1.0, 32, 32, 105.78761050590053, 131.0289836183901, 6),
     (2.0, 1.0, 24, 12, 42.46842746057703, 54.89764467293589, 6),
-    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 3),
+    (1.0, 1.0, 3, 2, 22.473171161671292, 29.98926846466852, 0),
 ], ids=["32x32", "24x12", "3x2"])
 def test_solve_2d_pins_the_answer(lx, ly, nx, ny, E, lam, iterations):
     """A determinism pin for refactors of the 2D operators, not an accuracy
     check: E, lambda and the iteration count of SumOfPowers(2,4) at
     alpha = 1, seed 1 (one BLAS thread), on a square, a non-square and the
-    smallest uneven rectangle, where a swapped axis or stride shows."""
+    smallest uneven rectangle, where a swapped axis or stride shows.  The
+    count is the first start's, which its check certifies: the solve no
+    longer returns whichever of two runs tied to rounding is lower."""
     res = solve_E(YoungFunction.sum_of_powers(2, 4),
                   Mesh.rectangle(lx, ly, nx, ny), 1.0, SolveOptions(seed=1))
     assert res.converged is True
@@ -788,7 +790,8 @@ def test_plateau_start_error_is_not_swallowed(monkeypatch):
         raise RuntimeError("bump_field broke")
     monkeypatch.setattr(solver, "bump_field", broken)
     with pytest.raises(RuntimeError, match="bump_field broke"):
-        solve_E(YoungFunction.power(2), Mesh.interval(4.0, 100), 1.0)
+        solve_E(YoungFunction.power(2), Mesh.interval(4.0, 100), 1.0,
+                SolveOptions(restarts=2))  # the plateau start is the second
 
 
 def test_unconverged_run_is_flagged(m200):
@@ -1845,7 +1848,22 @@ def test_stationarity_of_a_zero_gradient_is_inf():
 
 # -- multistart early stop --------------------------------------------------
 
-def test_default_restarts_stop_at_first_agreeing_pair(m200):
+def test_default_restarts_stop_at_first_certified_run(m200):
+    F = YoungFunction.sum_of_powers(2, 4)
+    early = solve_E(F, m200, 1.0)
+    full = solve_E(F, m200, 1.0, SolveOptions(restarts=5))
+    assert early.converged and early.restarts_used == 1
+    assert early.hessian_min > 0.0 and full.hessian_min is None
+    assert full.restarts_used == 5
+    assert abs(early.energy - full.energy) <= 1e-8 * full.energy
+    assert early.restart_energies == [early.energy]
+    assert early.restart_spread is None
+
+
+def test_default_restarts_stop_at_first_agreeing_pair(m200, monkeypatch):
+    # a stand-in check that certifies no run: the solve goes on until two
+    # converged runs agree
+    monkeypatch.setattr(solver, "_hessian_min", lambda problem, run: math.nan)
     F = YoungFunction.sum_of_powers(2, 4)
     early = solve_E(F, m200, 1.0)
     full = solve_E(F, m200, 1.0, SolveOptions(restarts=5))
@@ -1874,18 +1892,32 @@ def test_smooth_matches_the_padded_stencil(n):
     assert np.array_equal(raw, before)
 
 
-def test_cold_solve_draws_only_the_starts_it_runs(m200, monkeypatch):
-    # two agreeing runs: the eigenvector start and one random field, so
-    # one smoothing, not one for each of the pool's four random fields
+def _smoothings_of_a_cold_solve(m, monkeypatch):
+    """(restarts_used, calls of solver._smooth) of the default SumOfPowers(2,4)
+    solve at alpha = 1, seed 1."""
     smooth, calls = solver._smooth, []
 
     def counted(values, *args):
         calls.append(1)
         return smooth(values, *args)
     monkeypatch.setattr(solver, "_smooth", counted)
-    res = solve_E(YoungFunction.sum_of_powers(2, 4), m200, 1.0,
+    res = solve_E(YoungFunction.sum_of_powers(2, 4), m, 1.0,
                   SolveOptions(seed=1))
-    assert res.restarts_used == 2 and len(calls) == 1
+    return res.restarts_used, len(calls)
+
+
+def test_cold_solve_draws_only_the_starts_it_runs(m200, monkeypatch):
+    # one certified run, the eigenvector start: no random field
+    assert _smoothings_of_a_cold_solve(m200, monkeypatch) == (1, 0)
+
+
+def test_uncertified_cold_solve_draws_only_the_starts_it_runs(m200,
+                                                              monkeypatch):
+    # with a stand-in check that certifies no run, two agreeing runs: the
+    # eigenvector start and one random field, so one smoothing, not one
+    # for each of the pool's four random fields
+    monkeypatch.setattr(solver, "_hessian_min", lambda problem, run: math.nan)
+    assert _smoothings_of_a_cold_solve(m200, monkeypatch) == (2, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -1904,6 +1936,42 @@ def test_start_pool_is_the_seeded_draw_in_order(m200, seed):
     warm = list(itertools.islice(solver._start_pool(
         m200, SolveOptions(), want[2]), 1))
     assert len(warm) == 1 and np.array_equal(warm[0], want[2])
+
+
+def test_explicit_restarts_draw_the_seeded_fields_in_order(m200,
+                                                           monkeypatch):
+    # --restarts 3 still runs the eigenvector start, then the first two
+    # smoothed |N(0, 1)| + 1e-3 fields of one generator of the seed
+    descend, starts = solver._descend, []
+
+    def recorded(problem, alpha, start, opts):
+        starts.append(start)
+        return descend(problem, alpha, start, opts)
+    monkeypatch.setattr(solver, "_descend", recorded)
+    solve_E(YoungFunction.sum_of_powers(2, 4), m200, 1.0,
+            SolveOptions(seed=3, restarts=3))
+    rng = np.random.default_rng(3)
+    want = [np.abs(solver.quadratic_eigenvector(m200))] + [
+        _smooth_by_pad(np.abs(rng.standard_normal(m200.interior_count)))
+        + 1e-3 for _ in range(2)]
+    assert len(starts) == 3
+    for got, ref in zip(starts, want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_small_eigh_matches_numpy(k):
+    # the second-order check's dense eigensolve (LAPACK dsbev on the full
+    # band) against numpy's eigh, on a random symmetric matrix with a
+    # nearly double lowest pair
+    rng = np.random.default_rng(k)
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    want = np.sort(np.concatenate([[1.0, 1.0 + 1e-9], rng.random(k)])[:k])
+    a = (q * want) @ q.T
+    vals, vecs = solver._eigh(0.5 * (a + a.T))
+    assert vals == pytest.approx(np.linalg.eigh(a)[0], abs=1e-14)
+    assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-14)
+    assert np.allclose(a @ vecs, vecs * vals, atol=1e-14)
 
 
 def _counting_matvecs(monkeypatch):
@@ -1992,8 +2060,10 @@ def _canned_descend(energies, converged):
 ], ids=["third-agrees", "none-agree", "unconverged-only", "skip-unconverged"])
 def test_early_stop_needs_two_converged_agreeing_runs(
         m200, monkeypatch, energies, converged, used):
+    # with a stand-in check that certifies no run
     descend, calls = _canned_descend(energies, converged)
     monkeypatch.setattr(solver, "_descend", descend)
+    monkeypatch.setattr(solver, "_hessian_min", lambda problem, run: math.nan)
     F = YoungFunction.power(2)
     res = solve_E(F, m200, 1.0)
     assert res.restarts_used == len(calls) == used

@@ -549,12 +549,13 @@ def test_sweep_pins_the_cli_answer(cli_sweep24):
 def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
         monkeypatch, capsys):
     # handed over at residual 1e-1, the Newton steps, their CG forcing
-    # tied to the residual, make the tail quadratic: in each of the 44 runs
-    # of the benchmark's sweep (41 alphas and the two limits references)
+    # tied to the residual, make the tail quadratic: in each of the 43 runs
+    # of the benchmark's sweep (41 alphas, the first's certified by its
+    # check, and the two limits references)
     # at seed 1 they end the run within 3 steps, 86 in all (108 with a
     # fixed forcing of 1e-2; each limits reference, started at its
     # endpoint's minimizer, takes 2, where the cold Power(4) reference took
-    # 4 after 6 descent steps), and the 44 runs make 3 descent steps in all
+    # 4 after 6 descent steps), and the 43 runs make 3 descent steps in all
     # (each warm alpha none; 98 when the descent went on to 1e-4).  A
     # linear tail takes more steps, or stalls and hands the iterate back to
     # the descent steps
@@ -571,7 +572,7 @@ def test_every_polish_of_the_benchmark_sweep_takes_at_most_4_newton_steps(
                      "bounds,derivative,limits", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] == 41
     steps = [run.newton_steps for run in runs]
-    assert len(runs) == 44 and sum(n > 0 for n in steps) == 44
+    assert len(runs) == 43 and sum(n > 0 for n in steps) == 43
     assert max(steps) <= 3 and sum(steps) <= 86
     assert sum(run.iterations for run in runs) - sum(steps) <= 3
 
@@ -601,7 +602,7 @@ def test_every_polish_of_the_benchmark_sweep_factors_the_stiffness_once(
         monkeypatch, capsys):
     # the Newton steps keep their factor across full steps, and every
     # Newton step of the benchmark's sweep at seed 1 is one: each of the
-    # 44 runs makes Newton steps and builds one factor for them (86 steps;
+    # 43 runs makes Newton steps and builds one factor for them (86 steps;
     # 120 factorizations in the whole sweep when each Newton step
     # refactored, 55 with cold limits references, 48 now)
     descend, newton = solver._descend, solver._newton
@@ -633,7 +634,7 @@ def test_every_polish_of_the_benchmark_sweep_factors_the_stiffness_once(
                      "--per-decade", "5", "--check",
                      "bounds,derivative,limits", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] == 41
-    assert [builds for builds, steps in runs if steps] == [1] * 44
+    assert [builds for builds, steps in runs if steps] == [1] * 43
     assert [builds for builds, steps in runs if not steps] == []
 
 
