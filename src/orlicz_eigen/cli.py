@@ -2,8 +2,7 @@
 
 Specs for Young functions and meshes are JSON (inline or a file path), plus
 compact shorthands ``interval:L,N`` / ``rectangle:LX,LY,NX,NY`` for meshes.
-Outputs are JSON summaries and deterministic CSV; plots are emitted as
-standalone scripts rather than rendered in-process.
+Outputs are JSON summaries and deterministic CSV.
 
 Exit codes: 0 success (all requested checks pass), 1 a verification check
 failed, 2 usage or configuration error.
@@ -12,13 +11,12 @@ failed, 2 usage or configuration error.
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
 from .errors import GeometryError, OrliczError, ConfigError
 from .fractional import NonlocalMesh
-from .mesh import Mesh
+from .mesh import Mesh, _write_csv
 from .solver import MAX_STARTS, SolveOptions, solve_E
 from .sweep import (check_bounds, check_decay, estimate_limits,
                     geometric_grid, require_alpha_one,
@@ -79,46 +77,8 @@ def _solve_options(args):
                         restarts=args.restarts, seed=args.seed)
 
 
-def _emit_json(payload, path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _write_csv(path, header, rows):
-    """Deterministic CSV: repr-exact float formatting, fixed column order."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v)
-                for v in row) + "\n")
-
-
-_PLOT_TEMPLATE = """\
-#!/usr/bin/env python3
-# Generated plot script: quotient E(alpha)/alpha and lambda(alpha) vs alpha.
-import csv
-import matplotlib.pyplot as plt
-
-alphas, quotients, lams = [], [], []
-with open({csv_path!r}) as fh:
-    for row in csv.DictReader(fh):
-        alphas.append(float(row["alpha"]))
-        quotients.append(float(row["quotient"]))
-        lams.append(float(row["lambda"]))
-
-fig, ax = plt.subplots()
-ax.loglog(alphas, quotients, "o-", label="E(alpha)/alpha")
-ax.loglog(alphas, lams, "s--", label="lambda(alpha)")
-ax.set_xlabel("alpha")
-ax.legend()
-fig.savefig({out_path!r}, dpi=150, bbox_inches="tight")
-print("wrote", {out_path!r})
-"""
+def _emit_json(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -131,7 +91,7 @@ def _cmd_inspect(args):
                "matuszewska": {ep.value: matuszewska_exponent(F, ep).as_dict()
                                for ep in Endpoint},
                "p_index": max(r.p_index for r in delta2.values())}
-    _emit_json(payload, args.out)
+    _emit_json(payload)
     return 0
 
 
@@ -140,7 +100,7 @@ def _cmd_solve(args):  # and ``nonlocal``, which has no --mesh
     m = (NonlocalMesh(args.interval, args.nodes, args.s) if args.mesh is None
          else _mesh_from_arg(args.mesh))
     result = solve_E(F, m, args.alpha, _solve_options(args))
-    _emit_json(result.as_dict(), args.out)
+    _emit_json(result.as_dict())
     if args.csv:
         result.u.to_csv(args.csv)
     return 0 if result.converged else 1
@@ -191,18 +151,16 @@ def _decay_endpoint(F):
 def _sweep_checks(args, F, grid, m):
     """The requested check names, after rejecting (ConfigError or
     GeometryError) what would otherwise fail only once every alpha is
-    solved: an unknown name, --plot-script without --csv, bounds without a
-    finite doubling index, bounds or decay on a grid without alpha = 1 on
-    it or inside it, decay without a non-doubling endpoint and decay on a
-    mesh m of inner radius <= 1.  Returns the names with the doubling
-    index and decay endpoint they need."""
+    solved: an unknown name, bounds without a finite doubling index,
+    bounds or decay on a grid without alpha = 1 on it or inside it, decay
+    without a non-doubling endpoint and decay on a mesh m of inner radius
+    <= 1.  Returns the names with the doubling index and decay endpoint
+    they need."""
     checks = [c for c in (args.check or "").split(",") if c]
     for name in checks:
         if name not in _CHECKS:
             raise ConfigError(f"unknown check {name!r}; "
                               f"choose from {', '.join(_CHECKS)}")
-    if args.plot_script and not args.csv:
-        raise ConfigError("--plot-script requires --csv")
     p = endpoint = None
     if "bounds" in checks:
         p = _global_p_index(F)
@@ -229,7 +187,7 @@ def _cmd_sweep(args):
         m = NonlocalMesh(m.extents[0], m.interior_count, args.s)
     checks, p_index, decay_endpoint = _sweep_checks(args, F, grid, m)
 
-    records = run_sweep(F, m, grid, opts, warm=args.warm)
+    records = run_sweep(F, m, grid, opts)
     converged = [r for r in records if r.converged]
 
     report = {
@@ -256,12 +214,7 @@ def _cmd_sweep(args):
         rows = [[r.alpha, r.energy, r.quotient, r.lam, r.dE_dalpha,
                  r.converged, r.residual, r.iterations] for r in records]
         _write_csv(args.csv, header, rows)
-    if args.plot_script:
-        with open(args.plot_script, "w") as fh:
-            fh.write(_PLOT_TEMPLATE.format(
-                csv_path=args.csv,
-                out_path=os.path.splitext(args.csv)[0] + ".png"))
-    _emit_json(report, args.out)
+    _emit_json(report)
     if not converged:
         print(f"error: none of the {len(records)} alpha values converged; "
               "no checks were run", file=sys.stderr)
@@ -283,12 +236,10 @@ def _add_solver_flags(p):
                         "certifies, else once two converged starts agree, "
                         f"up to {MAX_STARTS})")
     p.add_argument("--seed", type=int, default=opts.seed)
-    p.add_argument("--out", help="write the JSON summary here (default stdout)")
 
 
 def _inspect_parser(p):
     p.add_argument("--young", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_inspect)
 
 
@@ -313,12 +264,6 @@ def _sweep_parser(p):
     p.add_argument("--check", default="",
                    help="comma list from: " + ", ".join(_CHECKS))
     p.add_argument("--csv", help="write SweepRecord rows here")
-    p.add_argument("--plot-script",
-                   help="write a matplotlib script reading the CSV")
-    p.add_argument("--warm", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="warm-start along the grid; --no-warm solves every "
-                        "alpha cold")
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_sweep)
 

@@ -258,13 +258,19 @@ class ScalarField:
 
     def to_csv(self, path):
         """Node coordinates + value, one row per interior node."""
-        coords = self.mesh.interior_coords
-        header = ",".join([f"x{i}" for i in range(self.mesh.dim)] + ["value"])
-        rows = np.hstack([coords, self.values.reshape(-1, 1)])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_csv(path, [f"x{i}" for i in range(self.mesh.dim)] + ["value"],
+                   np.hstack([self.mesh.interior_coords,
+                              self.values.reshape(-1, 1)]))
+
+
+def _write_csv(path, header, rows):
+    """Deterministic CSV: repr-exact float formatting, fixed column order."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                f"{v:.17g}" if isinstance(v, float) else str(v)
+                for v in row) + "\n")
 
 
 def _conform(u, m, finite=False):

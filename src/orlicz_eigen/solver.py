@@ -650,8 +650,10 @@ def _hessian_min(problem, run):
     :func:`_newton_step`.  A Ritz value only bounds mu from above, so the
     lowest is returned only once the W^-1 norm of its residual, less its
     part along mg, is below _RITZ_TOL times its size; otherwise, and where
-    anything is not finite, NaN."""
+    anything is not finite, NaN; +inf where T = {0} (one interior node)."""
     values, w = run.values, problem.m.node_weights
+    if len(values) == 1:
+        return math.inf
     mg = problem.mass_gradient(values)
     if problem.kept.get("factor") is None:
         try:

@@ -80,7 +80,7 @@ def geometric_grid(alpha_min, alpha_max, per_decade):
     return np.geomspace(alpha_min, alpha_max, n)
 
 
-def run_sweep(F, m, alpha_grid, opts=None, warm=True):
+def run_sweep(F, m, alpha_grid, opts=None):
     """One constrained solve per alpha, warm-started along the grid.
 
     The first alpha runs the default cold solve of ``opts``; each later
@@ -92,8 +92,7 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
     lambda; see :func:`_secant_start`).  Otherwise (fewer than two
     consecutive converged alphas, or a non-finite or all-zero prediction) it
     is the last converged minimizer.  The solver's own normalization
-    projection rescales either onto the new constraint.  With ``warm=False``
-    every alpha runs the cold solve of ``opts`` instead.
+    projection rescales either onto the new constraint.
     dE/dalpha is the central difference over the neighboring samples when
     both converged, else NaN (endpoints included).  Unconverged alphas are
     flagged and the sweep continues.  Each record keeps the iteration count
@@ -111,7 +110,7 @@ def run_sweep(F, m, alpha_grid, opts=None, warm=True):
         result = solve_E(F, m, float(alpha),
                          opts if prev is None else warm_opts,
                          initial=prev if start is None else start)
-        if result.converged and warm:
+        if result.converged:
             prev = result.u
             branch = branch[-3:] + [(x, prev.values)]  # up to four minimizers
         else:

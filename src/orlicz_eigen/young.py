@@ -311,6 +311,9 @@ class YoungFunction:
         if self.family is Family.EXP_NEG_INV_POWER:
             al = p["alpha"]
             self.knot = t0 = (al / (al + 1.0)) ** (1.0 / al)
+            if t0 < 1e-300:  # the floor _enip_A and _log clamp t to
+                raise ConfigError(f"exp_neg_inv_power with alpha = {al!r} "
+                                  f"has its knot {t0!r} below 1e-300")
             self._A0 = math.exp(-t0 ** (-al))  # A and a at the knot
             self._a0 = al * t0 ** (-al - 1.0) * self._A0
 
@@ -483,7 +486,8 @@ class YoungFunction:
                 return _log_exp_tail(t, p["n"] - 1 if density else p["n"])
             if fam is Family.EXP_NEG_INV_POWER:
                 # the closed form up to the knot, the log of the quadratic
-                # continuation past it (NaN reads 0)
+                # continuation past it (NaN reads 0), in log space where
+                # that overflows: a0 (1 + d) and a0 (A0/a0 + d + d^2/2)
                 al = p["alpha"]
                 out = -np.power(np.maximum(t, 1e-300), -al)
                 if density:
@@ -491,8 +495,14 @@ class YoungFunction:
                 out = np.where(t <= self.knot, out, 0.0)
                 hi = t > self.knot
                 if np.any(hi):
-                    out[hi] = np.log((self._enip_a if density
-                                      else self._enip_A)(t[hi]))
+                    tail = np.log((self._enip_a if density
+                                   else self._enip_A)(t[hi]))
+                    big = np.isinf(tail)
+                    d = t[hi][big] - self.knot
+                    tail[big] = math.log(self._a0) + np.log(
+                        1.0 + d if density
+                        else self._A0 / self._a0 + d + 0.5 * d * d)
+                    out[hi] = tail
                 return out
             if fam is Family.DOUBLE_EXP:
                 # log A ~ e^t and log a ~ t + e^t past t = 6
@@ -879,7 +889,10 @@ def delta2_report(F, endpoint):
     p_index is the sup of t a(t)/A(t) over a grid of 8 points per decade,
     [1e-9, 1] toward zero and [1, 1e8] toward infinity; the condition holds
     when the doubling ratio A(2t)/A(t) stays below DIVERGENCE_THRESHOLD and
-    shows no monotone growth across the last two decades toward the endpoint.
+    shows no unbounded growth across the last two decades toward the
+    endpoint: a rise at every step, the last at least half the first (a
+    ratio rising to a finite limit, as exp_neg_inv_power's at infinity,
+    rises by shrinking steps).
     """
     endpoint = Endpoint(endpoint)
     grid = (np.geomspace(1e-9, 1.0, 73) if endpoint is Endpoint.ZERO
@@ -913,7 +926,8 @@ def delta2_report(F, endpoint):
         tail = toward[ts <= extreme * 100.0]
     diffs = np.diff(tail)
     monotone_growth = bool(tail.size >= 3
-                           and np.all(diffs > 1e-12 * tail[:-1]))
+                           and np.all(diffs > 1e-12 * tail[:-1])
+                           and diffs[-1] >= 0.5 * diffs[0])
 
     holds = doubling_sup < DIVERGENCE_THRESHOLD and not monotone_growth
     threshold = float(eff_grid[0] if endpoint is Endpoint.INFINITY

@@ -320,17 +320,14 @@ def test_sweep_nan_alpha_exit_2(capsys):
 
 def test_sweep_derivative_check_passes(capsys, tmp_path):
     csv = tmp_path / "sweep.csv"
-    plot = tmp_path / "plot.py"
     code, out, _ = run(capsys, "sweep", "--young", POWER2,
                        "--mesh", "interval:1.0,100",
                        "--alpha-min", "0.1", "--alpha-max", "10",
-                       "--check", "derivative",
-                       "--csv", str(csv), "--plot-script", str(plot))
+                       "--check", "derivative", "--csv", str(csv))
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"]["derivative"]["overall_pass"]
     assert csv.read_text().startswith("alpha,energy,quotient,lambda")
-    assert "matplotlib" in plot.read_text()
 
 
 def test_sweep_limits_check_skips_a_non_power_like_endpoint(capsys):
@@ -367,11 +364,13 @@ def test_sweep_unknown_check_exit_2(capsys):
 
 @pytest.mark.parametrize("young,flags,message", [
     (POWER2, ("--check", "derivative,nonsense"), "unknown check 'nonsense'"),
-    (POWER2, ("--plot-script", "plot.py"), "--plot-script requires --csv"),
     (EXP2, ("--check", "bounds"), "bounds check needs the doubling"),
     (POWER2, ("--check", "decay"), "decay check needs a non-doubling"),
-], ids=["unknown-check", "plot-without-csv", "bounds-non-doubling",
-        "decay-doubling"])
+    # doubling at both endpoints: its ratio rises to 8 at zero
+    ('{"family": "power_log", "params": {"p": 2, "alpha": 1, "r": 1}}',
+     ("--check", "decay"), "decay check needs a non-doubling"),
+], ids=["unknown-check", "bounds-non-doubling", "decay-doubling",
+        "decay-doubling-power-log"])
 def test_sweep_rejects_bad_arguments_before_solving(capsys, monkeypatch,
                                                     young, flags, message):
     def no_sweep(*args, **kwargs):
@@ -468,15 +467,6 @@ def test_orlicz_error_exits_1(capsys, monkeypatch):
     assert err == "error: minimizer misses the constraint\n"
 
 
-def test_solve_writes_its_json_to_out(capsys, tmp_path):
-    path = tmp_path / "solve.json"
-    argv = ("solve", "--young", POWER2, "--mesh", "interval:1.0,20",
-            "--alpha", "1.0", "--seed", "1")
-    code, out, _ = run(capsys, *argv, "--out", str(path))
-    assert code == 0 and out == ""
-    assert path.read_text() == run(capsys, *argv)[1]
-
-
 @pytest.mark.parametrize("alpha_max, code", [("1e4", 0), ("1e3", 1)])
 def test_sweep_decay_check(capsys, alpha_max, code):
     # exp_minus_poly(2) on (0, 4): E(alpha)/alpha falls over the last
@@ -489,6 +479,56 @@ def test_sweep_decay_check(capsys, alpha_max, code):
     decay = json.loads(out)["checks"]["decay"]
     assert got == code and decay["strictly_decreasing_last_decade"]
     assert decay["overall_pass"] == (code == 0)
+
+
+ENIP1 = '{"family": "exp_neg_inv_power", "params": {"alpha": 1}}'
+
+
+def test_sweep_decay_check_of_exp_neg_inv_power_is_at_zero(capsys):
+    # exp_neg_inv_power(1) is doubling at infinity (its ratio rises to 4)
+    # and not at zero, so the decay check runs at zero: 0.0151 against
+    # 0.625 at alpha = 1
+    code, out, err = run(capsys, "sweep", "--young", ENIP1,
+                         "--mesh", "interval:4.0,100", "--alpha-min", "1e-3",
+                         "--alpha-max", "1e3", "--per-decade", "3",
+                         "--check", "decay", "--seed", "1")
+    decay = json.loads(out)["checks"]["decay"]
+    assert code == 0 and err == ""
+    assert decay["endpoint"] == "zero" and decay["overall_pass"]
+    assert decay["final_quotient"] < 0.2 * decay["quotient_at_one"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--mesh", "interval:1.0,2", "--alpha", "1"),
+    ("solve", "--mesh", "rectangle:1,1,2,2", "--alpha", "1"),
+    ("sweep", "--mesh", "interval:1.0,2", "--alpha-min", "0.1",
+     "--alpha-max", "10")], ids=["interval", "rectangle", "sweep"])
+def test_one_interior_node_is_certified(capsys, argv):
+    # with one interior node the constraint's tangent is {0}, over which
+    # the second-order check's lowest eigenvalue is +inf
+    code, out, err = run(capsys, *argv[:1], "--young", SUM24, *argv[1:])
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    if argv[0] == "solve":
+        assert payload["converged"] and payload["restarts_used"] == 1
+        assert payload["hessian_min"] == math.inf
+    else:
+        assert payload["converged"] == payload["records"] == 11
+
+
+@pytest.mark.parametrize("mesh, want", [
+    ("interval:1.0,3", (24.33436854000505, 32.53374741600202,
+                        65.06749483200409)),
+    ("rectangle:1,1,3,2", (22.4731711616713, 29.989268464668513,
+                           84.31083505599871))])
+def test_two_interior_nodes_keep_their_answers(capsys, mesh, want):
+    # the smallest meshes whose tangent is not {0}, bit for bit
+    code, out, _ = run(capsys, "solve", "--young", SUM24, "--mesh", mesh,
+                       "--alpha", "1", "--seed", "1")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["energy"], payload["lambda"],
+            payload["hessian_min"]) == want
 
 
 def test_nonlocal_solve(capsys):
@@ -584,30 +624,57 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
 
 
 def test_no_warm_sweep_matches_warm(capsys, tmp_path):
-    tables = []
-    for flag in ("--warm", "--no-warm"):
-        csv = tmp_path / f"s{flag}.csv"
-        code, _, _ = run(capsys, "sweep", "--young", POWER2,
-                         "--mesh", "interval:1.0,50",
-                         "--alpha-min", "0.1", "--alpha-max", "10",
-                         "--csv", str(csv), flag)
-        assert code == 0
-        lines = csv.read_text().splitlines()
-        tables.append([dict(zip(lines[0].split(","), row.split(",")))
-                       for row in lines[1:]])
-    warm, cold = tables
-    assert len(warm) == len(cold) == 11
+    # the CLI sweep warm-starts every alpha after the first; a cold solve
+    # per alpha gives the same answers
+    csv = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--young", POWER2,
+                     "--mesh", "interval:1.0,50",
+                     "--alpha-min", "0.1", "--alpha-max", "10",
+                     "--csv", str(csv))
+    assert code == 0
+    lines = csv.read_text().splitlines()
+    warm = [dict(zip(lines[0].split(","), row.split(",")))
+            for row in lines[1:]]
+    F, m = YoungFunction.power(2), cli._mesh_from_arg("interval:1.0,50")
+    cold = [solve_E(F, m, float(w["alpha"])) for w in warm]
+    assert len(warm) == 11
     for w, c in zip(warm, cold):
-        assert w["alpha"] == c["alpha"]
-        assert w["converged"] == c["converged"] == "True"
-        assert float(w["residual"]) < 1e-8 and float(c["residual"]) < 1e-8
-        for key in ("energy", "quotient", "lambda"):
-            assert float(c[key]) == pytest.approx(float(w[key]), rel=1e-10)
-    dE = [(float(w["dE_dalpha"]), float(c["dE_dalpha"]))
-          for w, c in zip(warm, cold)]
-    assert np.isnan(dE[0]).all() and np.isnan(dE[-1]).all()
-    for w, c in dE[1:-1]:
-        assert c == pytest.approx(w, rel=1e-8)
+        assert w["converged"] == "True" and c.converged
+        assert float(w["residual"]) < 1e-8 and c.residual < 1e-8
+        for key, value in (("energy", c.energy),
+                           ("quotient", c.energy / float(w["alpha"])),
+                           ("lambda", c.lam)):
+            assert value == pytest.approx(float(w[key]), rel=1e-10)
+    dE = [float(w["dE_dalpha"]) for w in warm]
+    assert np.isnan(dE[0]) and np.isnan(dE[-1])
+    for k in range(1, len(warm) - 1):
+        lo, hi = cold[k - 1], cold[k + 1]
+        slope = (hi.energy - lo.energy) / (float(warm[k + 1]["alpha"])
+                                           - float(warm[k - 1]["alpha"]))
+        assert slope == pytest.approx(dE[k], rel=1e-8)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("inspect", "--out"), ("solve", "--out"), ("sweep", "--out"),
+    ("nonlocal", "--out"), ("sweep", "--warm"), ("sweep", "--no-warm"),
+    ("sweep", "--plot-script")])
+def test_removed_options_are_unrecognized(capsys, command, flag):
+    # --out (the shell's > does its job), --warm/--no-warm (every sweep
+    # warm-starts) and --plot-script are gone: no help lists them, and
+    # each is an unrecognized argument
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and flag not in out
+    args = {"inspect": ("--young", POWER2),
+            "solve": ("--young", POWER2, "--mesh", "interval:1.0,20",
+                      "--alpha", "1"),
+            "sweep": ("--young", POWER2, "--mesh", "interval:1.0,20",
+                      "--alpha-min", "0.1", "--alpha-max", "10"),
+            "nonlocal": ("--young", POWER2, "--interval", "1", "--nodes",
+                         "8", "--s", "0.5", "--alpha", "1")}[command]
+    value = () if flag in ("--warm", "--no-warm") else ("x.out",)
+    code, out, err = run(capsys, command, *args, flag, *value)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("flags,used", [((), 1), (("--restarts", "5"), 5),

@@ -1959,6 +1959,34 @@ def test_explicit_restarts_draw_the_seeded_fields_in_order(m200,
         assert np.array_equal(got, ref)
 
 
+def test_second_start_is_the_plateau_where_it_fits(monkeypatch):
+    # on (0, 4) the plateau fits, so the pool's second start is
+    # bump_field(m, 0.8 r_plateau); exp_minus_poly(2) at alpha = 1e4, where
+    # the solve makes 22 projections from it against 88 from a random
+    # second start, converges to the first run's energy
+    bump, descend, calls, starts = solver.bump_field, solver._descend, [], []
+
+    def recorded_bump(m, r):
+        out = bump(m, r)
+        calls.append((r, out.values))
+        return out
+
+    def recorded_descend(problem, alpha, start, opts):
+        starts.append(start)
+        return descend(problem, alpha, start, opts)
+    monkeypatch.setattr(solver, "bump_field", recorded_bump)
+    monkeypatch.setattr(solver, "_descend", recorded_descend)
+    m = Mesh.interval(4.0, 200)
+    res = solve_E(YoungFunction.exp_minus_poly(2), m, 1e4,
+                  SolveOptions(seed=1, max_iter=2000, restarts=2))
+    r_plateau = m.inner_radius - 1.0 - 3.0 * max(m.spacing)
+    assert [r for r, _ in calls] == [0.8 * r_plateau]
+    assert len(starts) == 2 and np.array_equal(starts[1], calls[0][1])
+    assert res.converged and res.restarts_used == 2
+    first, second = res.restart_energies
+    assert abs(first - second) <= 1e-12 * first
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 def test_small_eigh_matches_numpy(k):
     # the second-order check's dense eigensolve (LAPACK dsbev on the full

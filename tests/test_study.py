@@ -129,6 +129,26 @@ def test_hessian_min_matches_a_dense_eigensolve(make, alpha, monkeypatch):
     assert symmetric.hessian_min != pytest.approx(dense, rel=1e-6)
 
 
+def test_hessian_min_builds_its_factor_after_a_run_without_steps(
+        monkeypatch):
+    # a warm start at a converged minimizer makes no step, so its run keeps
+    # no stiffness factor, and the check builds the one it preconditions
+    # with; its estimate is still the dense eigensolve's
+    F, m = YoungFunction.sum_of_powers(2, 4), Mesh.interval(1.0, 200)
+    minimizer = solve_E(F, m, 1.0, SolveOptions(seed=1)).u
+    hessian_min, kept = solver._hessian_min, []
+
+    def recorded(problem, run):
+        kept.append((run.iterations, problem.kept.get("factor")))
+        return hessian_min(problem, run)
+    monkeypatch.setattr(solver, "_hessian_min", recorded)
+    res = solve_E(F, m, 1.0, SolveOptions(seed=1), initial=minimizer)
+    assert kept == [(0, None)] and res.iterations == 0
+    assert res.converged and res.restarts_used == 1
+    dense = _dense_hessian_min(F, m, res.u.values, res.lam)
+    assert res.hessian_min == pytest.approx(dense, rel=1e-6)
+
+
 # double_exp, max_iter 2000: (mesh, alpha, seed) -> the energy of the
 # default solve before this check existed, corrected to the requested
 # alpha by dE/dalpha = lambda (the achieved modulars differ by up to

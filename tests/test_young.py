@@ -5,6 +5,7 @@ import decimal
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -767,6 +768,91 @@ def test_delta2_exp_fails_at_infinity():
 def test_delta2_exp_neg_inv_power_fails_at_zero():
     rep = delta2_report(YoungFunction.exp_neg_inv_power(1), Endpoint.ZERO)
     assert not rep.holds
+
+
+# (zero, infinity) verdicts.  exp_neg_inv_power(1)'s doubling ratio at
+# infinity and power_log(2,1,1)'s at zero rise at every grid point of the
+# last two decades, to 4 (the quadratic continuation) and to 8
+# (A ~ t^3/2), by increments that shrink: bounded ratios
+DELTA2_HOLDS = {
+    "power(2)": (YoungFunction.power(2), (True, True)),
+    "power(1.5)": (YoungFunction.power(1.5), (True, True)),
+    "sum_of_powers(2,4)": (YoungFunction.sum_of_powers(2, 4), (True, True)),
+    "exp_minus_poly(2)": (YoungFunction.exp_minus_poly(2), (True, False)),
+    "exp_neg_inv_power(1)": (YoungFunction.exp_neg_inv_power(1),
+                             (False, True)),
+    "power_log(2,1,1)": (YoungFunction.power_log(2, 1, 1), (True, True)),
+    "double_exp()": (YoungFunction.double_exp(), (True, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELTA2_HOLDS))
+def test_delta2_verdicts_per_family(name):
+    F, holds = DELTA2_HOLDS[name]
+    assert tuple(delta2_report(F, ep).holds
+                 for ep in (Endpoint.ZERO, Endpoint.INFINITY)) == holds
+
+
+class _SlowlyUnbounded:
+    """A stand-in Young function with log A(t) = 2 log t + (log t)^2 / 20:
+    its doubling ratio 4 exp((2 log 2 log t + log^2 2) / 20) grows without
+    bound, yet stays below 15 on the grid toward infinity."""
+
+    @staticmethod
+    def log_A(t):
+        x = np.log(t)
+        return 2.0 * x + 0.05 * x * x
+
+    def log_a(self, t):
+        x = np.log(t)
+        return self.log_A(t) + np.log(2.0 + 0.1 * x) - x
+
+
+def test_delta2_fails_for_an_unbounded_ratio_below_the_threshold():
+    # negative control: rising increments read as growth
+    rep = delta2_report(_SlowlyUnbounded(), Endpoint.INFINITY)
+    assert rep.doubling_sup < 15.0 and not rep.holds
+    assert rep.C_constant == math.inf
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.007])
+def test_exp_neg_inv_power_with_its_knot_below_the_floor_is_a_config_error(
+        capsys, alpha):
+    # t0 = (alpha/(alpha+1))^(1/alpha) falls below the 1e-300 floor of A's
+    # closed form for alpha below about 0.00716 (to 0 at 1e-3): once a
+    # ZeroDivisionError or an OverflowError
+    with pytest.raises(ConfigError, match="exp_neg_inv_power with alpha"):
+        YoungFunction.exp_neg_inv_power(alpha)
+    assert main(["inspect", "--young", json.dumps(
+        {"family": "exp_neg_inv_power", "params": {"alpha": alpha}})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp_neg_inv_power with alpha")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", [0.0075, 0.01])
+def test_exp_neg_inv_power_continuation_logs_without_overflow(alpha):
+    # a(t0) is about 1e156 at alpha = 0.01, so the continuation overflows
+    # past the knot; its log, taken in log space, reads t^2 at infinity
+    F = YoungFunction.exp_neg_inv_power(alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = matuszewska_exponent(F, Endpoint.INFINITY)
+    assert est.regime is Regime.POWER_LIKE
+    assert est.exponent == pytest.approx(2.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.3, 1.0])
+def test_exp_neg_inv_power_log_is_the_log_of_each_finite_value(alpha):
+    # past the knot, the log-space continuation only replaces values that
+    # overflow
+    F = YoungFunction.exp_neg_inv_power(alpha)
+    t = np.geomspace(F.knot, 1e100, 401)[1:]
+    for log, f in ((F.log_A, F.A), (F.log_a, F.a)):
+        values = f(t)
+        finite = values < SATURATION
+        assert finite.sum() > 100
+        assert np.array_equal(log(t)[finite], np.log(values[finite]))
 
 
 def test_index_inequality_a_t_vs_A():
