@@ -10,7 +10,6 @@ failed, 2 usage or configuration error.
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -18,15 +17,11 @@ from .errors import GeometryError, OrliczError, ConfigError
 from .fractional import NonlocalMesh
 from .mesh import Mesh, _write_csv
 from .solver import MAX_STARTS, SolveOptions, solve_E
-from .sweep import (check_bounds, check_decay, estimate_limits,
-                    geometric_grid, require_alpha_one,
-                    require_decay_geometry, run_sweep)
-from .young import (Endpoint, Regime, YoungFunction, delta2_report,
+from .sweep import CHECKS, geometric_grid, prepare_checks, run_sweep
+from .young import (Endpoint, YoungFunction, delta2_report,
                     matuszewska_exponent)
 
 __all__ = ["main"]
-
-_CHECKS = ("bounds", "derivative", "limits", "decay")
 
 
 def _load_spec(text):
@@ -106,76 +101,6 @@ def _cmd_solve(args):  # and ``nonlocal``, which has no --mesh
     return 0 if result.converged else 1
 
 
-def _global_p_index(F):
-    """The doubling index of F over (0, inf): the larger of its endpoints'
-    Delta_2 indices, inf when either diverges."""
-    return max(delta2_report(F, ep).p_index for ep in Endpoint)
-
-
-def _check_derivative(records):
-    mid = [r for r in records if r.converged and math.isfinite(r.dE_dalpha)]
-    gaps = sorted(abs(r.dE_dalpha - r.lam) / r.lam for r in mid)
-    median = gaps[len(gaps) // 2] if gaps else math.inf
-    sandwich = all(-1e-12 <= r.dE_dalpha <= 1.05 * r.lam for r in mid)
-    return {
-        "median_relative_gap": median,
-        "sandwich_ok": sandwich,
-        "records_used": len(mid),
-        "overall_pass": bool(gaps) and median <= 2e-2 and sandwich,
-    }
-
-
-def _check_limits(F, m, records, opts):
-    out = {"overall_pass": True}
-    for ep in (Endpoint.ZERO, Endpoint.INFINITY):
-        est = matuszewska_exponent(F, ep)
-        if est.regime is not Regime.POWER_LIKE:
-            out[ep.value] = {"regime": est.regime.value, "skipped": True}
-            continue
-        le = estimate_limits(F, m, records, ep, opts, estimate=est)
-        ok = le.relative_gap <= 5e-2
-        out[ep.value] = dict(le.as_dict(), overall_pass=ok)
-        out["overall_pass"] = out["overall_pass"] and ok
-    return out
-
-
-def _decay_endpoint(F):
-    for ep in (Endpoint.INFINITY, Endpoint.ZERO):
-        if not delta2_report(F, ep).holds:
-            return ep
-    raise ConfigError(
-        "decay check needs a non-doubling endpoint, but the doubling "
-        "condition holds at both")
-
-
-def _sweep_checks(args, F, grid, m):
-    """The requested check names, after rejecting (ConfigError or
-    GeometryError) what would otherwise fail only once every alpha is
-    solved: an unknown name, bounds without a finite doubling index,
-    bounds or decay on a grid without alpha = 1 on it or inside it, decay
-    without a non-doubling endpoint and decay on a mesh m of inner radius
-    <= 1.  Returns the names with the doubling index and decay endpoint
-    they need."""
-    checks = [c for c in (args.check or "").split(",") if c]
-    for name in checks:
-        if name not in _CHECKS:
-            raise ConfigError(f"unknown check {name!r}; "
-                              f"choose from {', '.join(_CHECKS)}")
-    p = endpoint = None
-    if "bounds" in checks:
-        p = _global_p_index(F)
-        if not math.isfinite(p):
-            raise ConfigError(
-                "bounds check needs the doubling condition; the doubling "
-                "index diverges for this Young function")
-        require_alpha_one(grid, "bounds")
-    if "decay" in checks:
-        endpoint = _decay_endpoint(F)
-        require_decay_geometry(m)
-        require_alpha_one(grid, "decay checks")
-    return checks, p, endpoint
-
-
 def _cmd_sweep(args):
     F = _young_from_arg(args.young)
     m = _mesh_from_arg(args.mesh)
@@ -185,7 +110,8 @@ def _cmd_sweep(args):
         if m.dim != 1:
             raise ConfigError("nonlocal sweeps are one-dimensional")
         m = NonlocalMesh(m.extents[0], m.interior_count, args.s)
-    checks, p_index, decay_endpoint = _sweep_checks(args, F, grid, m)
+    checks = prepare_checks([c for c in args.check.split(",") if c],
+                            F, m, grid, opts)
 
     records = run_sweep(F, m, grid, opts)
     converged = [r for r in records if r.converged]
@@ -195,18 +121,9 @@ def _cmd_sweep(args):
         "records": len(records),
         "converged": len(converged),
         "sup_quotient": max((r.quotient for r in converged), default=None),
-        "checks": {},
+        "checks": {name: run(records) for name, run in checks.items()}
+        if converged else {},
     }
-    for name in checks if converged else ():
-        if name == "bounds":
-            report["checks"]["bounds"] = check_bounds(records, p_index)
-        elif name == "derivative":
-            report["checks"]["derivative"] = _check_derivative(records)
-        elif name == "limits":
-            report["checks"]["limits"] = _check_limits(F, m, records, opts)
-        elif name == "decay":
-            report["checks"]["decay"] = check_decay(F, m, records,
-                                                    decay_endpoint)
 
     if args.csv:
         header = ["alpha", "energy", "quotient", "lambda", "dE_dalpha",
@@ -262,7 +179,7 @@ def _sweep_parser(p):
     p.add_argument("--s", type=float, default=0.5,
                    help="fractional order for --nonlocal")
     p.add_argument("--check", default="",
-                   help="comma list from: " + ", ".join(_CHECKS))
+                   help="comma list from: " + ", ".join(CHECKS))
     p.add_argument("--csv", help="write SweepRecord rows here")
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_sweep)

@@ -359,7 +359,8 @@ class Problem:
         H_b is a'(g) on one-component rows, assembled with the mass term
         into the free kept band for BLAS ``dsbmv``, and c I + (a'(g) - c)
         n n^T (c = a(g)/g, n = s/g) on 2D triangles, applied through their
-        rows.  An overflow gives an inf or a NaN, which CG catches."""
+        rows.  An overflow gives an inf or a NaN, which CG catches; its
+        callers apply the matvec with over and invalid ignored."""
         coefs = self.at(values).coefficients()
         rows, bands = [], []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -382,12 +383,11 @@ class Problem:
                 ab = -mass.reshape(1, -1)
 
         def apply(v):
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = _SBMV(len(ab) - 1, 1.0, ab, v)
-                for b, k, n, kn, pad in rows:
-                    x = b.differences(v)
-                    out += b.transpose(
-                        (k * x + kn * (n * x).sum(axis=0)).ravel(), pad)
+            out = _SBMV(len(ab) - 1, 1.0, ab, v)
+            for b, k, n, kn, pad in rows:
+                x = b.differences(v)
+                out += b.transpose(
+                    (k * x + kn * (n * x).sum(axis=0)).ravel(), pad)
             return out
         return apply
 

@@ -20,9 +20,12 @@ from .young import (Endpoint, Regime, YoungFunction, delta2_report,
 
 __all__ = [
     "SweepRecord", "LimitEstimate", "geometric_grid", "run_sweep",
-    "check_bounds", "estimate_limits", "check_decay",
+    "CHECKS", "prepare_checks", "check_bounds", "check_derivative",
+    "estimate_limits", "check_limits", "check_decay",
     "require_alpha_one", "require_decay_geometry",
 ]
+
+CHECKS = ("bounds", "derivative", "limits", "decay")
 
 
 @dataclass
@@ -226,6 +229,19 @@ def check_bounds(records, p):
     }
 
 
+def check_derivative(records):
+    """The identity dE/dalpha = lambda on the converged records with a
+    central difference: passes when the median relative gap is at most
+    2e-2 and every difference lies in [0, 1.05 lambda] (to -1e-12)."""
+    mid = [r for r in records if r.converged and math.isfinite(r.dE_dalpha)]
+    gaps = sorted(abs(r.dE_dalpha - r.lam) / r.lam for r in mid)
+    median = gaps[len(gaps) // 2] if gaps else math.inf
+    sandwich = all(-1e-12 <= r.dE_dalpha <= 1.05 * r.lam for r in mid)
+    return {"median_relative_gap": median, "sandwich_ok": sandwich,
+            "records_used": len(mid),
+            "overall_pass": bool(gaps) and median <= 2e-2 and sandwich}
+
+
 def _extrapolate(ys):
     """Richardson-style extrapolation of y(x) as x runs to its endpoint:
     Aitken's delta-squared on the last three samples, falling back to the
@@ -279,6 +295,23 @@ def estimate_limits(F, m, records, endpoint, opts=None, estimate=None):
     return LimitEstimate(
         endpoint=endpoint.value, exponent=est.exponent,
         extrapolated=extrapolated, reference=reference, relative_gap=gap)
+
+
+def check_limits(F, m, records, opts=None):
+    """:func:`estimate_limits` at each endpoint where F is power-like, each
+    passing at a relative gap of at most 5e-2; an endpoint of another
+    regime is reported as skipped."""
+    out = {"overall_pass": True}
+    for ep in (Endpoint.ZERO, Endpoint.INFINITY):
+        est = matuszewska_exponent(F, ep)
+        if est.regime is not Regime.POWER_LIKE:
+            out[ep.value] = {"regime": est.regime.value, "skipped": True}
+            continue
+        le = estimate_limits(F, m, records, ep, opts, estimate=est)
+        ok = le.relative_gap <= 5e-2
+        out[ep.value] = dict(le.as_dict(), overall_pass=ok)
+        out["overall_pass"] &= ok
+    return out
 
 
 def _power_reference(p, m, opts, initial=None):
@@ -340,3 +373,39 @@ def check_decay(F, m, records, endpoint, fraction=0.2):
         "fraction_required": fraction,
         "overall_pass": decreasing and below,
     }
+
+
+def prepare_checks(names, F, m, alphas, opts=None):
+    """{name: run} for the checks ``names`` (from CHECKS) of F on the mesh
+    m over the grid ``alphas``: run(records) returns that check's report,
+    with its ``overall_pass``.  Raises first (ConfigError, GeometryError)
+    on what would fail only once every alpha is solved, in this order: an
+    unknown name; for bounds, a doubling index (the larger endpoint's) that
+    diverges, or no alpha = 1 on or inside the grid; for decay, no
+    non-doubling endpoint (infinity first), an inner radius <= 1, or no
+    alpha = 1."""
+    for name in names:
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}; "
+                              f"choose from {', '.join(CHECKS)}")
+    runs = {"derivative": check_derivative,
+            "limits": lambda records: check_limits(F, m, records, opts)}
+    if "bounds" in names:
+        p = max(delta2_report(F, ep).p_index for ep in Endpoint)
+        if not math.isfinite(p):
+            raise ConfigError(
+                "bounds check needs the doubling condition; the doubling "
+                "index diverges for this Young function")
+        require_alpha_one(alphas, "bounds")
+        runs["bounds"] = lambda records: check_bounds(records, p)
+    if "decay" in names:
+        endpoint = next((ep for ep in (Endpoint.INFINITY, Endpoint.ZERO)
+                         if not delta2_report(F, ep).holds), None)
+        if endpoint is None:
+            raise ConfigError(
+                "decay check needs a non-doubling endpoint, but the "
+                "doubling condition holds at both")
+        require_decay_geometry(m)
+        require_alpha_one(alphas, "decay checks")
+        runs["decay"] = lambda records: check_decay(F, m, records, endpoint)
+    return {name: runs[name] for name in names}

@@ -887,7 +887,8 @@ def delta2_report(F, endpoint):
     """Doubling diagnostics of A toward one endpoint.
 
     p_index is the sup of t a(t)/A(t) over a grid of 8 points per decade,
-    [1e-9, 1] toward zero and [1, 1e8] toward infinity; the condition holds
+    [1e-9, 1] toward zero ([1e-300, 1], past the knot, for
+    exp_neg_inv_power) and [1, 1e8] toward infinity; the condition holds
     when the doubling ratio A(2t)/A(t) stays below DIVERGENCE_THRESHOLD and
     shows no unbounded growth across the last two decades toward the
     endpoint: a rise at every step, the last at least half the first (a
@@ -895,8 +896,10 @@ def delta2_report(F, endpoint):
     rises by shrinking steps).
     """
     endpoint = Endpoint(endpoint)
-    grid = (np.geomspace(1e-9, 1.0, 73) if endpoint is Endpoint.ZERO
-            else np.geomspace(1.0, 1e8, 65))
+    decades = (300 if endpoint is Endpoint.ZERO
+               and F.family is Family.EXP_NEG_INV_POWER else 9)
+    grid = (np.geomspace(10.0 ** -decades, 1.0, 8 * decades + 1)
+            if endpoint is Endpoint.ZERO else np.geomspace(1.0, 1e8, 65))
     logA = F.log_A(grid)
     usable = np.isfinite(logA) & (logA > -700.0)
     eff_grid = grid[usable]
@@ -953,7 +956,8 @@ def _default_tau_grid(endpoint, F):
         # log A ~ e^tau must stay below the double range
         return np.geomspace(1.0, 250.0, 41)
     elif F.family is Family.EXP_NEG_INV_POWER and endpoint is Endpoint.ZERO:
-        decades = min(100, int(280.0 / F.params["alpha"]))
+        # past the knot to the floor (tau t >= 1e-300 for t >= 1/8)
+        decades = min(299, int(280.0 / F.params["alpha"]))
     if endpoint is Endpoint.ZERO:
         return np.geomspace(1.0, 10.0 ** -decades, decades * 4 + 1)
     return np.geomspace(1.0, 10.0 ** decades, decades * 4 + 1)
@@ -975,12 +979,26 @@ def matuszewska(F, endpoint, t, tau_grid=None):
     if t == 1.0:
         return MatuszewskaValue(t, 1.0, Regime.POWER_LIKE,
                                 np.ones_like(tau_grid))
+    return _ratio_regime(F, endpoint, t, tau_grid, [])
 
-    log_ratio = F.log_A(tau_grid * t) - F.log_A(tau_grid)
+
+def _ratio_regime(F, endpoint, t, tau_grid, base):
+    """:func:`matuszewska` at t != 1.  ``base`` holds F.log_A(tau_grid) or
+    is empty and filled after A(tau t), the order a custom family's cache
+    of primitives fills in when each t is a call of its own."""
+    log_at = F.log_A(tau_grid * t)
+    if not base:
+        base.append(F.log_A(tau_grid))
+    log_ratio = log_at - base[0]
     vals = np.where(log_ratio > LOG_SATURATION, math.inf,
                     np.exp(np.minimum(log_ratio, LOG_SATURATION)))
 
-    last = _last_decade(vals, tau_grid, endpoint)
+    lo, hi = tau_grid.min(), tau_grid.max()
+    if endpoint is Endpoint.ZERO and 10 * max(t, 1) * lo > F.knot:
+        # no verdict past the knot, where A's closed form toward zero ends
+        return MatuszewskaValue(t, math.nan, Regime.OSCILLATING, vals)
+    last = vals[tau_grid >= hi / 10.0 if endpoint is Endpoint.INFINITY
+                else tau_grid <= lo * 10.0]  # the last decade
     if t > 1.0 and np.max(last) > DIVERGENCE_THRESHOLD:
         return MatuszewskaValue(t, math.inf, Regime.TRIVIAL_DEGENERATE, vals)
     if t < 1.0 and np.min(last) < VANISHING_THRESHOLD:
@@ -1002,14 +1020,6 @@ def _median(x):
     return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
 
 
-def _last_decade(vals, tau_grid, endpoint):
-    if endpoint is Endpoint.INFINITY:
-        sel = tau_grid >= tau_grid.max() / 10.0
-    else:
-        sel = tau_grid <= tau_grid.min() * 10.0
-    return vals[sel]
-
-
 def matuszewska_exponent(F, endpoint):
     """Fit the endpoint power exponent from sampled ratio values.
 
@@ -1021,7 +1031,8 @@ def matuszewska_exponent(F, endpoint):
     tau_grid = _default_tau_grid(endpoint, F)
     ts = 2.0 ** np.array([-3.0, -2.5, -2.0, -1.5, -1.0, -0.5,
                           0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    results = [matuszewska(F, endpoint, t, tau_grid) for t in ts]
+    base = []  # F.log_A(tau_grid), evaluated once for all 12 ratios
+    results = [_ratio_regime(F, endpoint, t, tau_grid, base) for t in ts]
     regimes = {r.regime for r in results}
     samples = [(r.t, r.value) for r in results]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 from orlicz_eigen import cli, solver, sweep
-from orlicz_eigen.cli import _check_derivative, _check_limits
 from orlicz_eigen.errors import ConfigError, GeometryError
 from orlicz_eigen.fractional import NonlocalMesh
 from orlicz_eigen.mesh import Mesh
 from orlicz_eigen.solver import SolveOptions, solve_E
 from orlicz_eigen.sweep import (SweepRecord, check_bounds, check_decay,
-                                estimate_limits, geometric_grid, run_sweep)
+                                check_derivative, check_limits,
+                                estimate_limits, geometric_grid,
+                                prepare_checks, run_sweep)
 from orlicz_eigen.young import (Endpoint, YoungFunction, delta2_report,
                                 matuszewska_exponent)
 
@@ -292,7 +294,7 @@ def test_derivative_needs_both_neighbours_converged(m200, monkeypatch):
             assert r.dE_dalpha == pytest.approx(2.0, rel=1e-12)
     # the derivative check uses the converged records with both neighbours
     # converged: 1, 2, 6, 7, 8 and 9
-    report = _check_derivative(recs)
+    report = check_derivative(recs)
     assert report["records_used"] == 6
     assert report["overall_pass"]
     # starts: cold, the last minimizer, then predictions; the unconverged
@@ -511,14 +513,92 @@ def test_limits_fit_each_endpoint_exponent_once(m200, monkeypatch):
     def counted(F, endpoint, *args, **kwargs):
         fitted.append(Endpoint(endpoint))
         return matuszewska_exponent(F, endpoint, *args, **kwargs)
-    monkeypatch.setattr(cli, "matuszewska_exponent", counted)
     monkeypatch.setattr(sweep, "matuszewska_exponent", counted)
     F = YoungFunction.sum_of_powers(2, 4)
     recs = _flat_records(geometric_grid(1e-2, 1e2, 5))
     monkeypatch.setattr(sweep, "solve_E", _stub_reference(np.ones(199)))
-    report = _check_limits(F, m200, recs, SolveOptions())
+    report = check_limits(F, m200, recs, SolveOptions())
     assert set(report) == {"overall_pass", "zero", "infinity"}
     assert sorted(e.value for e in fitted) == ["infinity", "zero"]
+
+
+# -- the checks' gates and their validation, in sweep ------------------------
+
+def test_derivative_gate_fails_a_lambda_scaled_by_1_05(sweep24):
+    report = check_derivative(sweep24)
+    assert report["overall_pass"] and report["median_relative_gap"] < 2e-2
+    # negative control: every lambda 5% high, so every gap is about 4.8%
+    scaled = check_derivative([replace(r, lam=1.05 * r.lam)
+                               for r in sweep24])
+    assert scaled["records_used"] == report["records_used"]
+    assert scaled["sandwich_ok"] and scaled["median_relative_gap"] > 2e-2
+    assert not scaled["overall_pass"]
+
+
+def test_limits_gate_fails_a_reference_perturbed_by_6_percent(m200,
+                                                              monkeypatch):
+    F = YoungFunction.power(2)
+    recs = run_sweep(F, m200, geometric_grid(0.1, 10.0, 5))
+    assert check_limits(F, m200, recs)["overall_pass"]
+    for ep, other, extreme in ((Endpoint.ZERO, "infinity", recs[0].u),
+                               (Endpoint.INFINITY, "zero", recs[-1].u)):
+        # negative control: the reference of one endpoint (the one started
+        # at that endpoint's minimizer) 6% high, a gap of 0.06/1.06
+        def perturbed(F, m, alpha, opts, initial=None, extreme=extreme):
+            ref = solve_E(F, m, alpha, opts, initial)
+            return (replace(ref, energy=1.06 * ref.energy)
+                    if initial is extreme else ref)
+        monkeypatch.setattr(sweep, "solve_E", perturbed)
+        report = check_limits(F, m200, recs)
+        assert report[ep.value]["relative_gap"] == pytest.approx(
+            0.06 / 1.06, rel=1e-6)
+        assert not report[ep.value]["overall_pass"]
+        assert report[other]["overall_pass"] and not report["overall_pass"]
+
+
+@pytest.mark.parametrize("check,young,cells,error,message", [
+    ("bogus", '{"family": "power", "params": {"p": 2}}', 100, ConfigError,
+     "unknown check 'bogus'; choose from bounds, derivative, limits, decay"),
+    ("bounds", '{"family": "double_exp"}', 100, ConfigError,
+     "bounds check needs the doubling condition"),
+    ("decay", '{"family": "exp_minus_poly", "params": {"n": 2}}', 50,
+     GeometryError, "decay requires inner radius > 1 (got 0.5)"),
+], ids=["bogus", "bounds-double-exp", "decay-small-domain"])
+def test_checks_are_rejected_before_any_solve(capsys, monkeypatch, check,
+                                              young, cells, error, message):
+    solves = []
+    monkeypatch.setattr(sweep, "solve_E",
+                        lambda *args, **kwargs: solves.append(args))
+    F = YoungFunction.from_config(json.loads(young))
+    with pytest.raises(error, match=re.escape(message)):
+        prepare_checks([check], F, Mesh.interval(1.0, cells),
+                       geometric_grid(0.1, 10.0, 5))
+    # the CLI raises the same error from the same call, before any solve
+    assert cli.main(["sweep", "--young", young,
+                     "--mesh", f"interval:1.0,{cells}", "--alpha-min", "0.1",
+                     "--alpha-max", "10", "--check", check]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert solves == []
+
+
+def test_prepared_checks_run_in_the_order_named(sweep24, m200, monkeypatch):
+    F = YoungFunction.sum_of_powers(2, 4)
+    monkeypatch.setattr(sweep, "solve_E", _stub_reference(np.ones(199)))
+    checks = prepare_checks(["limits", "derivative", "bounds"], F, m200,
+                            geometric_grid(1e-2, 1e2, 5))
+    assert list(checks) == ["limits", "derivative", "bounds"]
+    reports = {name: run(sweep24) for name, run in checks.items()}
+    assert all("overall_pass" in r for r in reports.values())
+    assert reports["derivative"] == check_derivative(sweep24)
+    p = max(delta2_report(F, ep).p_index for ep in Endpoint)
+    assert reports["bounds"] == check_bounds(sweep24, p)
+    # decay, at the non-doubling endpoint of exp_minus_poly(2)
+    F, m = YoungFunction.exp_minus_poly(2), Mesh.interval(4.0, 100)
+    records = _exact_branch(lambda a: 2.0 * math.sqrt(a),
+                            geometric_grid(0.1, 100, 3), 0.5)
+    run = prepare_checks(["decay"], F, m, geometric_grid(0.1, 100, 3))
+    assert run["decay"](records) == check_decay(F, m, records,
+                                                Endpoint.INFINITY)
 
 
 def test_limits_estimate_for_another_endpoint_rejected(m200):

@@ -855,6 +855,39 @@ def test_exp_neg_inv_power_log_is_the_log_of_each_finite_value(alpha):
         assert np.array_equal(log(t)[finite], np.log(values[finite]))
 
 
+@pytest.mark.parametrize("alpha,regime", [
+    (0.01, "oscillating"), (0.02, "trivial_degenerate"),
+    (0.03, "trivial_degenerate"), (0.05, "trivial_degenerate")])
+def test_inspect_of_exp_neg_inv_power_of_small_alpha_at_zero(capsys, alpha,
+                                                             regime):
+    # exp(-t^-alpha) is not doubling at zero and its ratios there vanish or
+    # blow up; both grids reach past the knot (3.7e-201 at alpha = 0.01),
+    # where t^-alpha has grown past 1/alpha.  Their grids once stopped at
+    # 1e-100 and 1e-9, in the quadratic continuation: power_like 1.0 (to
+    # alpha = 0.017) or oscillating (to 0.03), and Delta_2 held (to 0.05)
+    assert main(["inspect", "--young", json.dumps(
+        {"family": "exp_neg_inv_power", "params": {"alpha": alpha}})]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["matuszewska"]["zero"]["regime"] == regime
+    assert payload["delta2"]["zero"]["holds"] is False
+    assert payload["delta2"]["infinity"]["holds"] is True
+
+
+@pytest.mark.parametrize("alpha", [0.0071606, 0.00717, 0.0072])
+def test_exp_neg_inv_power_with_its_knot_near_the_floor_has_no_verdict(
+        alpha):
+    # the 1e-300 floor comes first: t^-alpha reaches only 10^(300 alpha),
+    # about 140, at the deepest tau.  At 0.0071606 (knot 1.01e-300) the
+    # grid's last decade lies past the knot, where the continuation once
+    # read power_like 1.0: now each such sample has no value
+    F = YoungFunction.exp_neg_inv_power(alpha)
+    est = matuszewska_exponent(F, Endpoint.ZERO)
+    assert est.regime is Regime.OSCILLATING and math.isnan(est.exponent)
+    if 80.0 * est.tau_grid[-1] > F.knot:
+        assert all(math.isnan(v) for _, v in est.samples)
+    assert not delta2_report(F, Endpoint.ZERO).holds
+
+
 def test_index_inequality_a_t_vs_A():
     # A(t) <= a(t) t <= p A(t) over a broad grid
     F = YoungFunction.sum_of_powers(2, 4)
@@ -902,6 +935,35 @@ def test_matuszewska_degenerate_families():
     assert matuszewska_exponent(YoungFunction.exp_neg_inv_power(1),
                                 Endpoint.ZERO).regime \
         is Regime.TRIVIAL_DEGENERATE
+
+
+@pytest.mark.parametrize("make", [
+    lambda: YoungFunction.sum_of_powers(2, 4),
+    lambda: YoungFunction.power_log(2, 1, 1),
+    lambda: YoungFunction.exp_minus_poly(2),
+    lambda: YoungFunction.exp_neg_inv_power(0.3),
+    lambda: YoungFunction.double_exp(),
+    lambda: YoungFunction.custom(lambda x: x * (1.0 + np.log1p(x)))],
+    ids=["sum_of_powers", "power_log", "exp_minus_poly", "exp_neg_inv_power",
+         "double_exp", "custom"])
+@pytest.mark.parametrize("endpoint", list(Endpoint))
+def test_matuszewska_exponent_evaluates_the_base_once(monkeypatch, make,
+                                                      endpoint):
+    # its 12 samples are those of 12 matuszewska calls, bit for bit (a
+    # custom family's primitive cache fills in the same order), from one
+    # log A(tau) and 12 log A(tau t): 13 evaluations, not 24
+    F, G = make(), make()
+    est = matuszewska_exponent(F, endpoint)
+    want = [matuszewska(G, endpoint, t, est.tau_grid) for t, _ in est.samples]
+    assert np.array_equal([v for _, v in est.samples],
+                          [w.value for w in want], equal_nan=True)
+    calls = []
+    log_A = YoungFunction.log_A
+    monkeypatch.setattr(YoungFunction, "log_A",
+                        lambda self, t: calls.append(t) or log_A(self, t))
+    again = matuszewska_exponent(make(), endpoint)
+    assert len(calls) == 13
+    assert np.array_equal(again.tau_grid, est.tau_grid)
 
 
 def test_exp_minus_poly_zero_exponent():
