@@ -150,8 +150,7 @@ def _add_solver_flags(p):
     p.add_argument("--restarts", type=int, default=opts.restarts,
                    help="force exactly N starts, checking none (default: "
                         "stop at the first start its second-order check "
-                        "certifies, else once two converged starts agree, "
-                        f"up to {MAX_STARTS})")
+                        f"certifies, up to {MAX_STARTS})")
     p.add_argument("--seed", type=int, default=opts.seed)
 
 

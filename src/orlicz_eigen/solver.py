@@ -608,7 +608,7 @@ def _run(problem, alpha, start, opts):
     return again
 
 
-_RITZ_ITERS = 40    # LOBPCG iterations of the second-order check, at most
+_RITZ_ITERS = 100   # LOBPCG iterations of the second-order check, at most
 _RITZ_TOL = 1e-3    # Ritz residual, relative to the Ritz value, it accepts
 
 
@@ -788,11 +788,9 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     With ``opts.restarts`` None the pool holds MAX_STARTS starts, and the
     solve stops after the first certified run: converged, and with a
     :func:`_hessian_min` at or above -opts.tol times its multiplier (each
-    converged run is checked and keeps it); failing that, after the first
-    converged run whose energy agrees with an earlier converged run's within
-    opts.tol relative.  ``restarts=N`` runs exactly N and checks none.
-    ``initial``, one finite value per interior node of m, warm-starts the
-    first run.  Returns the lowest-energy converged run
+    converged run is checked and keeps it).  ``restarts=N`` runs exactly N
+    and checks none.  ``initial``, one finite value per interior node of
+    m, warm-starts the first run.  Returns the lowest-energy converged run
     (else all runs flagged unconverged).  Bad options raise ConfigError; a
     minimizer whose modular misses alpha by 1e-10 relative, OrliczError.
     """
@@ -807,22 +805,16 @@ def solve_E(F, m, alpha, opts=None, initial=None):
     if not opts.seed >= 0:
         raise ConfigError(f"seed must be at least 0, got {opts.seed}")
     problem = Problem(F, m)
-    runs, energies = [], []
+    runs = []
     n = MAX_STARTS if opts.restarts is None else opts.restarts
     for start in itertools.islice(
             _start_pool(m, opts, initial, problem.kept), n):
         run = _run(problem, alpha, start, opts)
         runs.append(run)
-        if not run.converged:
-            continue
-        E = run.energy
-        agreed = any(abs(E - Ej) <= opts.tol * max(abs(E), abs(Ej))
-                     for Ej in energies)
-        energies.append(E)
-        if opts.restarts is None:
+        if run.converged and opts.restarts is None:
             # certified: converged, so of one sign (_run), and second-order
             run.hessian_min = _hessian_min(problem, run)
-            if run.hessian_min >= -opts.tol * abs(run.lam) or agreed:
+            if run.hessian_min >= -opts.tol * abs(run.lam):
                 break
     best = _pick_best(runs)
     achieved = modular(F, best.values, m)
@@ -834,5 +826,6 @@ def solve_E(F, m, alpha, opts=None, initial=None):
         u=ScalarField(best.values, m), alpha=achieved, energy=best.energy,
         lam=best.lam, residual=best.residual, iterations=best.iterations,
         converged=best.converged, restarts_used=len(runs),
-        restart_energies=energies, newton_steps=best.newton_steps,
+        restart_energies=[r.energy for r in runs if r.converged],
+        newton_steps=best.newton_steps,
         cg_iterations=best.cg_iterations, hessian_min=best.hessian_min)

@@ -380,8 +380,8 @@ def prepare_checks(names, F, m, alphas, opts=None):
     m over the grid ``alphas``: run(records) returns that check's report,
     with its ``overall_pass``.  Raises first (ConfigError, GeometryError)
     on what would fail only once every alpha is solved, in this order: an
-    unknown name; for bounds, a doubling index (the larger endpoint's) that
-    diverges, or no alpha = 1 on or inside the grid; for decay, no
+    unknown name; for bounds, the doubling condition failing at an
+    endpoint, or no alpha = 1 on or inside the grid; for decay, no
     non-doubling endpoint (infinity first), an inner radius <= 1, or no
     alpha = 1."""
     for name in names:
@@ -391,11 +391,13 @@ def prepare_checks(names, F, m, alphas, opts=None):
     runs = {"derivative": check_derivative,
             "limits": lambda records: check_limits(F, m, records, opts)}
     if "bounds" in names:
-        p = max(delta2_report(F, ep).p_index for ep in Endpoint)
-        if not math.isfinite(p):
+        reports = [delta2_report(F, ep) for ep in Endpoint]
+        failing = [r.endpoint.value for r in reports if not r.holds]
+        if failing:
             raise ConfigError(
-                "bounds check needs the doubling condition; the doubling "
-                "index diverges for this Young function")
+                "bounds check needs the doubling condition; it fails at "
+                f"{' and '.join(failing)} for this Young function")
+        p = max(r.p_index for r in reports)
         require_alpha_one(alphas, "bounds")
         runs["bounds"] = lambda records: check_bounds(records, p)
     if "decay" in names:

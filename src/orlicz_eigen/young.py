@@ -888,24 +888,29 @@ def delta2_report(F, endpoint):
 
     p_index is the sup of t a(t)/A(t) over a grid of 8 points per decade,
     [1e-9, 1] toward zero ([1e-300, 1], past the knot, for
-    exp_neg_inv_power) and [1, 1e8] toward infinity; the condition holds
-    when the doubling ratio A(2t)/A(t) stays below DIVERGENCE_THRESHOLD and
-    shows no unbounded growth across the last two decades toward the
-    endpoint: a rise at every step, the last at least half the first (a
-    ratio rising to a finite limit, as exp_neg_inv_power's at infinity,
-    rises by shrinking steps).
+    exp_neg_inv_power) and [1, 1e8] toward infinity, less the points where
+    log A or log a has no value (ConfigError if fewer than 8 are left); the
+    condition holds when the doubling ratio A(2t)/A(t) stays below
+    DIVERGENCE_THRESHOLD and shows no unbounded growth across the last two
+    decades toward the endpoint: a rise at every step, the last at least
+    half the first (a ratio rising to a finite limit, as
+    exp_neg_inv_power's at infinity, rises by shrinking steps).
     """
     endpoint = Endpoint(endpoint)
     decades = (300 if endpoint is Endpoint.ZERO
                and F.family is Family.EXP_NEG_INV_POWER else 9)
     grid = (np.geomspace(10.0 ** -decades, 1.0, 8 * decades + 1)
             if endpoint is Endpoint.ZERO else np.geomspace(1.0, 1e8, 65))
-    logA = F.log_A(grid)
-    usable = np.isfinite(logA) & (logA > -700.0)
+    logs = np.array([F.log_A(grid), F.log_a(grid)])
+    # a log at log(1e-300), the floor _log clamps an evaluated A or a to,
+    # stands for no value
+    usable = np.isfinite(logs[0]) & ~np.isclose(
+        logs, math.log(1e-300), rtol=1e-12, atol=0.0).any(axis=0)
     eff_grid = grid[usable]
     if eff_grid.size < 8:
-        raise ValueError("grid leaves too few representable points for A")
-    logA = logA[usable]
+        raise ConfigError(f"{F.label}: too few representable points of A "
+                          f"toward {endpoint.value} for a Delta_2 verdict")
+    logA, loga = logs[:, usable]
     log2A = F.log_A(2.0 * eff_grid)
     log_ratio = log2A - logA
     doubling = np.exp(np.minimum(log_ratio, 700.0))
@@ -913,8 +918,7 @@ def delta2_report(F, endpoint):
     if doubling_sup > SATURATION / 10:
         doubling_sup = math.inf
 
-    ratio = np.exp(np.minimum(np.log(eff_grid) + F.log_a(eff_grid) - logA,
-                              700.0))
+    ratio = np.exp(np.minimum(np.log(eff_grid) + loga - logA, 700.0))
     p_index = float(np.max(ratio))
     if p_index > DIVERGENCE_THRESHOLD:
         p_index = math.inf

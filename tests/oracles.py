@@ -214,6 +214,25 @@ def p_laplacian_shooting(p, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def discrete_legendre(x, fx, slopes):
+    """max over i of (s x_i - fx_i) at each s of ``slopes``, for ascending
+    x, by Lucet's linear-time transform (Numer. Algorithms 1997): only the
+    vertices of the lower convex hull of the points (x_i, fx_i) attain a
+    maximum, and at slope s the vertex where the hull's ascending edge
+    slopes pass s does (found here by np.searchsorted)."""
+    xs, fs, hull = x.tolist(), fx.tolist(), []
+    for i, (xi, fi) in enumerate(zip(xs, fs)):  # monotone chain, lower hull
+        while len(hull) >= 2:
+            j, k = hull[-2], hull[-1]
+            if (fs[k] - fs[j]) * (xi - xs[j]) < (fi - fs[j]) * (xs[k] - xs[j]):
+                break
+            hull.pop()
+        hull.append(i)
+    hx, hf = x[hull], fx[hull]
+    vertex = np.searchsorted(np.diff(hf) / np.diff(hx), slopes)
+    return slopes * hx[vertex] - hf[vertex]
+
+
 def directional_derivative(f, x, v, h=1e-6):
     """Central finite-difference derivative of f at x along direction v."""
     return (f(x + h * v) - f(x - h * v)) / (2.0 * h)

@@ -7,6 +7,12 @@ power_log(2,1,1) and exp_neg_inv_power(1), on ``interval:1.0,200``, the
 s) for s in {0.3, 0.7}, at alpha in {1e-2, 1, 1e2}: 90 cold solves per seed,
 ``max_iter`` 2000.
 
+``uncertified``: the five solves of a 60-solve survey (Power(1.2),
+double_exp and exp_neg_inv_power at 0.3, 1 and 3 on the broad grid's
+interval, square, rectangle and NonlocalMesh(1, 128, 0.5), at the same
+alphas) whose first start converged but whose second-order check did not
+settle within 40 LOBPCG iterations.
+
 ``saddles``: SumOfPowers(2,4) started from sin(2 pi x), one start, at the
 three (mesh, alpha) where that run converges to a critical point that
 changes sign once, a saddle of E on the constraint: ``interval:1.0,100``
@@ -71,6 +77,21 @@ GRIDS = {
     "broad": [Case(f"{f}-{mesh}-{alpha:g}", young, make, alpha)
               for (f, young), (mesh, make), alpha in itertools.product(
                   BROAD_YOUNG.items(), BROAD_MESH.items(), ALPHAS)],
+    "uncertified": [
+        Case("doubleexp-nonlocal128-100", YoungFunction.double_exp,
+             lambda: NonlocalMesh(1.0, 128, 0.5), 1e2),
+        Case("expinv0.3-interval200-0.01",
+             lambda: YoungFunction.exp_neg_inv_power(0.3),
+             BROAD_MESH["interval200"], 1e-2),
+        Case("expinv0.3-rect32x16-0.01",
+             lambda: YoungFunction.exp_neg_inv_power(0.3),
+             BROAD_MESH["rect32x16"], 1e-2),
+        Case("expinv3-rect32x16-0.01",
+             lambda: YoungFunction.exp_neg_inv_power(3),
+             BROAD_MESH["rect32x16"], 1e-2),
+        Case("doubleexp-square24-100", YoungFunction.double_exp,
+             BROAD_MESH["square24"], 1e2),
+    ],
     "saddles": [
         Case("interval100-0.01", BROAD_YOUNG["sop24"],
              lambda: Mesh.interval(1.0, 100), 1e-2, initial=_wave),

@@ -141,15 +141,19 @@ def test_criterion_08_young_calculus_properties(mesh200):
     cases = [(YoungFunction.power(2), 2.0), (YoungFunction.power(3.5), 3.5),
              (YoungFunction.sum_of_powers(2, 4), 4.0),
              (YoungFunction.power_log(2, 1, 1), 4.0)]
-    # independent grid-based Legendre transform for the conjugate checks;
-    # log spacing resolves the maximizer down to the origin
+    # independent grid-based Legendre transform for the conjugate checks
+    # (oracles.discrete_legendre, the grid maximum in linear time); log
+    # spacing resolves the maximizer down to the origin
     tau = np.concatenate([[0.0], np.geomspace(1e-9, 12.0, 24_001)])
     violations = 0
     for F, p in cases:
         A_tau = F.A(tau)
         s = rng.uniform(0.0, 4.0, 1000)
         t = rng.uniform(0.0, 4.0, 1000)
-        conj_t = np.max(tau[None, :] * t[:, None] - A_tau[None, :], axis=1)
+        conj_t = oracles.discrete_legendre(tau, A_tau, t)
+        # the same grid maxima as the brute-force transform
+        assert np.array_equal(conj_t[:5], np.max(
+            tau[None, :] * t[:5, None] - A_tau[None, :], axis=1))
         # Young inequality s t <= A(s) + conj(t)
         violations += int(np.sum(s * t > F.A(s) + conj_t + 1e-8))
         # spot-check the package conjugate against the grid transform
@@ -158,14 +162,9 @@ def test_criterion_08_young_calculus_properties(mesh200):
                 violations += 1
         # involution: transforming the tabulated conjugate recovers A
         tgrid = np.concatenate([[0.0], np.geomspace(1e-9, 60.0, 24_001)])
-        conj_grid = np.empty(tgrid.size)
-        for lo in range(0, tgrid.size, 512):  # chunked to bound memory
-            block = tgrid[lo:lo + 512]
-            conj_grid[lo:lo + 512] = np.max(
-                tau[None, :] * block[:, None] - A_tau[None, :], axis=1)
+        conj_grid = oracles.discrete_legendre(tau, A_tau, tgrid)
         x = rng.uniform(0.1, 3.0, 1000)
-        back = np.max(tgrid[None, :] * x[:, None] - conj_grid[None, :],
-                      axis=1)
+        back = oracles.discrete_legendre(tgrid, conj_grid, x)
         violations += int(np.sum(np.abs(back - F.A(x))
                                  > 1e-4 * np.maximum(F.A(x), 1e-3)))
         # convexity scalings A(tau t) <= tau A(t), A(sigma t) >= sigma A(t)

@@ -1860,19 +1860,21 @@ def test_default_restarts_stop_at_first_certified_run(m200):
     assert early.restart_spread is None
 
 
-def test_default_restarts_stop_at_first_agreeing_pair(m200, monkeypatch):
-    # a stand-in check that certifies no run: the solve goes on until two
-    # converged runs agree
+def test_uncertified_default_runs_the_whole_pool(m200, monkeypatch):
+    # a stand-in check that certifies no run: the solve runs all
+    # MAX_STARTS starts, though its first two converged runs agree in
+    # energy, and returns what restarts=5 returns
     monkeypatch.setattr(solver, "_hessian_min", lambda problem, run: math.nan)
     F = YoungFunction.sum_of_powers(2, 4)
     early = solve_E(F, m200, 1.0)
     full = solve_E(F, m200, 1.0, SolveOptions(restarts=5))
-    assert early.converged and early.restarts_used == 2
-    assert full.restarts_used == 5
-    assert abs(early.energy - full.energy) <= 1e-8 * full.energy
-    assert len(early.restart_energies) == 2
-    assert 0.0 <= early.restart_spread <= 1e-8
-    assert 0.0 <= full.as_dict()["restart_spread"] <= 1e-8
+    assert early.converged and early.restarts_used == full.restarts_used == 5
+    first, second = early.restart_energies[:2]
+    assert abs(first - second) <= SolveOptions().tol * first
+    assert early.energy == full.energy == min(early.restart_energies)
+    assert early.restart_energies == full.restart_energies
+    assert early.restart_spread == full.restart_spread
+    assert 0.0 <= early.as_dict()["restart_spread"] <= 1e-8
 
 
 def _smooth_by_pad(values, passes=10):
@@ -1913,11 +1915,10 @@ def test_cold_solve_draws_only_the_starts_it_runs(m200, monkeypatch):
 
 def test_uncertified_cold_solve_draws_only_the_starts_it_runs(m200,
                                                               monkeypatch):
-    # with a stand-in check that certifies no run, two agreeing runs: the
-    # eigenvector start and one random field, so one smoothing, not one
-    # for each of the pool's four random fields
+    # with a stand-in check that certifies no run, the whole pool: the
+    # eigenvector start and four random fields, each smoothed once
     monkeypatch.setattr(solver, "_hessian_min", lambda problem, run: math.nan)
-    assert _smoothings_of_a_cold_solve(m200, monkeypatch) == (2, 1)
+    assert _smoothings_of_a_cold_solve(m200, monkeypatch) == (5, 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -2078,26 +2079,50 @@ def _canned_descend(energies, converged):
     return descend, calls
 
 
-@pytest.mark.parametrize("energies,converged,used", [
-    # the first two converged energies differ by 1e-6 relative
-    ([1.0, 1.0 + 1e-6, 1.0 + 1e-12, 2.0, 2.0], [True] * 5, 3),
-    ([1.0 + k * 1e-6 for k in range(5)], [True] * 5, 5),
-    # equal energies of unconverged runs are no agreement
-    ([1.0, 1.0, 1.0, 1.0, 1.0], [False, False, True, False, True], 5),
-    ([1.0, 1.0, 1.0, 1.0, 1.0], [False, True, True, True, True], 3),
+@pytest.mark.parametrize("energies,converged", [
+    # the first converged energy and the third agree to 1e-12 relative
+    ([1.0, 1.0 + 1e-6, 1.0 + 1e-12, 2.0, 2.0], [True] * 5),
+    ([1.0 + k * 1e-6 for k in range(5)], [True] * 5),
+    ([1.0, 1.0, 1.0, 1.0, 1.0], [False, False, True, False, True]),
+    ([1.0, 1.0, 1.0, 1.0, 1.0], [False, True, True, True, True]),
 ], ids=["third-agrees", "none-agree", "unconverged-only", "skip-unconverged"])
 def test_early_stop_needs_two_converged_agreeing_runs(
-        m200, monkeypatch, energies, converged, used):
-    # with a stand-in check that certifies no run
+        m200, monkeypatch, energies, converged):
+    # with a stand-in check that certifies no run, no energies, agreeing or
+    # not, stop the solve: it runs all five starts and returns the lowest
+    # converged energy
     descend, calls = _canned_descend(energies, converged)
     monkeypatch.setattr(solver, "_descend", descend)
     monkeypatch.setattr(solver, "_hessian_min", lambda problem, run: math.nan)
     F = YoungFunction.power(2)
     res = solve_E(F, m200, 1.0)
-    assert res.restarts_used == len(calls) == used
-    kept = [E for E, c in zip(energies[:used], converged) if c]
+    assert res.restarts_used == len(calls) == solver.MAX_STARTS
+    kept = [E for E, c in zip(energies, converged) if c]
     assert res.restart_energies == kept
     assert res.energy == min(kept)
     lo = min(kept)
     assert res.restart_spread == pytest.approx((max(kept) - lo) / lo)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_default_stops_at_the_first_certified_run(m200, monkeypatch, k):
+    # a stand-in check that certifies only the k-th converged run it sees:
+    # the solve stops there, though the first and third converged runs
+    # agree in energy, and returns the lowest converged energy so far,
+    # that of the run it stopped at
+    energies = [1.0, 0.5, 1.0 - 1e-12, 1.0 - 2e-12, 0.1]
+    converged = [True, False, True, True, True]
+    descend, calls = _canned_descend(energies, converged)
+    monkeypatch.setattr(solver, "_descend", descend)
+    checked = []
+
+    def check(problem, run):
+        checked.append(run.energy)
+        return 1.0 if len(checked) == k else math.nan
+    monkeypatch.setattr(solver, "_hessian_min", check)
+    res = solve_E(YoungFunction.power(2), m200, 1.0)
+    kept = [E for E, c in zip(energies, converged) if c][:k]
+    assert checked == res.restart_energies == kept
+    assert res.restarts_used == len(calls) == energies.index(kept[-1]) + 1
+    assert res.energy == kept[-1] and res.hessian_min == 1.0
 

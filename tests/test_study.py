@@ -2,6 +2,8 @@
 second-order check certifies it, with the multistart's answer; the check
 against a dense eigensolve; and its rejection of the planted saddles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,57 @@ def test_broad_uncertified_solve_has_a_negative_tangent_mode(broad):
                                    res.lam)
         assert dense == pytest.approx(mu, rel=1e-6)
         assert res.hessian_min == pytest.approx(dense, rel=1e-6)
+
+
+# seed 1: the energy of each uncertified solve's default before its check
+# could settle, when it stopped on two converged starts that agreed; for
+# the square, of its first start (restarts=1), which burned minutes more
+UNCERTIFIED = {
+    "doubleexp-nonlocal128-100": 56790.84917587711,
+    "expinv0.3-interval200-0.01": 0.029077817720466782,
+    "expinv0.3-rect32x16-0.01": 0.04487425863976606,
+    "expinv3-rect32x16-0.01": 1.0336124494747074,
+    "doubleexp-square24-100": 3.0288290002871914e+41,
+}
+
+
+@pytest.mark.parametrize("case", GRIDS["uncertified"], ids=lambda c: c.name)
+def test_uncertified_solves_stop_at_one_certified_start(case):
+    # the check settles within _RITZ_ITERS = 100 (in 43-64 iterations), so
+    # the first start is certified, with the energy that two agreeing
+    # starts gave to 2e-13 relative (1.9e-13 measured).  The square's is
+    # the first start's to 1e-12 after correcting to the requested alpha
+    # by dE/dalpha = lambda, as the achieved modular may move (see
+    # DOUBLE_EXP below); its mu is 2.49e44
+    res = case.solve(seed=1)
+    assert res.converged and res.restarts_used == 1
+    assert res.hessian_min > 0.0
+    if case.name == "doubleexp-square24-100":
+        at_alpha = res.energy - res.lam * (res.alpha - case.alpha)
+        assert at_alpha == pytest.approx(UNCERTIFIED[case.name], rel=1e-12)
+    else:
+        assert res.energy == pytest.approx(UNCERTIFIED[case.name],
+                                           rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("case", GRIDS["uncertified"][:4],
+                         ids=lambda c: c.name)
+def test_uncertified_solves_go_on_when_the_check_stops_at_40(case,
+                                                             monkeypatch):
+    # negative control: at the old cap of 40 iterations the first start's
+    # check returns NaN, which certifies nothing, so the solve runs a second
+    # start (the pool cut to two here, to keep this short).  The square is
+    # left out: its random starts saturate A and take minutes
+    checks, hessian_min = [], solver._hessian_min
+
+    def recorded(problem, run):
+        checks.append(hessian_min(problem, run))
+        return checks[-1]
+    monkeypatch.setattr(solver, "_RITZ_ITERS", 40)
+    monkeypatch.setattr(solver, "MAX_STARTS", 2)
+    monkeypatch.setattr(solver, "_hessian_min", recorded)
+    res = case.solve(seed=1)
+    assert math.isnan(checks[0]) and res.restarts_used == 2
 
 
 @pytest.mark.parametrize("case", GRIDS["saddles"], ids=lambda c: c.name)

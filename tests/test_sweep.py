@@ -581,6 +581,27 @@ def test_checks_are_rejected_before_any_solve(capsys, monkeypatch, check,
     assert solves == []
 
 
+@pytest.mark.parametrize("alpha", [0.01, 1.0])
+def test_bounds_check_needs_delta2_at_both_endpoints(alpha):
+    # exp_neg_inv_power fails Delta_2 at zero, though its index there is
+    # finite at alpha = 0.01 (10.0): no band of [1/p, p] holds there
+    F = YoungFunction.exp_neg_inv_power(alpha)
+    assert not delta2_report(F, Endpoint.ZERO).holds
+    with pytest.raises(ConfigError, match=re.escape(
+            "bounds check needs the doubling condition; it fails at zero")):
+        prepare_checks(["bounds"], F, Mesh.interval(1.0, 100),
+                       geometric_grid(0.1, 10.0, 5))
+
+
+@pytest.mark.parametrize("F", [YoungFunction.sum_of_powers(2, 4),
+                               YoungFunction.power_log(2, 1, 1)],
+                         ids=lambda F: F.label)
+def test_bounds_check_runs_where_delta2_holds(F):
+    checks = prepare_checks(["bounds"], F, Mesh.interval(1.0, 100),
+                            geometric_grid(0.1, 10.0, 5))
+    assert list(checks) == ["bounds"]
+
+
 def test_prepared_checks_run_in_the_order_named(sweep24, m200, monkeypatch):
     F = YoungFunction.sum_of_powers(2, 4)
     monkeypatch.setattr(sweep, "solve_E", _stub_reference(np.ones(199)))

@@ -888,6 +888,42 @@ def test_exp_neg_inv_power_with_its_knot_near_the_floor_has_no_verdict(
     assert not delta2_report(F, Endpoint.ZERO).holds
 
 
+@pytest.mark.parametrize("alpha", [3.3, 5.0, 10.0, 100.0])
+def test_inspect_of_exp_neg_inv_power_of_large_alpha_gives_a_verdict(
+        capsys, alpha):
+    # A(1e-9) = exp(-1e9 alpha) is far below the double range, but its log
+    # is exact, so the Delta_2 grid keeps every point past the knot: the
+    # ratios diverge and Delta_2 fails at zero.  Keeping only log A > -700
+    # leaves fewer than 8 points from alpha = 3.3 on
+    assert main(["inspect", "--young", json.dumps(
+        {"family": "exp_neg_inv_power", "params": {"alpha": alpha}})]) == 0
+    zero = json.loads(capsys.readouterr().out)["delta2"]["zero"]
+    assert zero["holds"] is False and zero["p_index"] == math.inf
+
+
+@pytest.mark.parametrize("alpha", [400.0, 1000.0])
+def test_inspect_without_enough_points_for_a_verdict_exits_2(capsys, alpha):
+    # log A = -t^-alpha overflows below t = exp(-709.8/alpha), 0.17 at
+    # alpha = 400, so under 8 points of the grid are left
+    assert main(["inspect", "--young", json.dumps(
+        {"family": "exp_neg_inv_power", "params": {"alpha": alpha}})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp(-t^-") and "Delta_2 verdict" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("F,p", [(YoungFunction.power_log(40, 1, 1), 41.0),
+                                 (YoungFunction.power_log(2, 40, 1), 42.0)],
+                         ids=lambda x: getattr(x, "label", x))
+def test_delta2_index_skips_a_density_at_the_log_floor(F, p):
+    # a(t) of power_log is evaluated, not taken in log space, and its log
+    # is clamped at log(1e-300) where it underflows, while log A goes on
+    # below; t a/A read there is about e^700, so the index at zero would be
+    # infinite instead of near p + alpha r
+    rep = delta2_report(F, Endpoint.ZERO)
+    assert not rep.holds and rep.p_index == pytest.approx(p, rel=1e-6)
+
+
 def test_index_inequality_a_t_vs_A():
     # A(t) <= a(t) t <= p A(t) over a broad grid
     F = YoungFunction.sum_of_powers(2, 4)
