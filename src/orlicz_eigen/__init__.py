@@ -12,7 +12,7 @@ from .errors import (BracketRangeError, ConfigError, ConformanceError,
 from .young import (Delta2Report, Endpoint, Family, MatuszewskaEstimate,
                     Regime, YoungFunction, complementary_eval,
                     complementary_function, delta2_report, luxemburg_norm,
-                    matuszewska, matuszewska_exponent, modular)
+                    matuszewska_exponent, modular)
 from .fractional import NonlocalMesh
 from .mesh import Mesh, ScalarField, bump_field, cell_gradient_magnitudes
 from .solver import (MinimizerResult, SolveOptions, energy,
@@ -26,8 +26,7 @@ __all__ = [
     "ZeroDenominatorError", "ConfigError",
     "YoungFunction", "Family", "Endpoint", "Regime", "Delta2Report",
     "MatuszewskaEstimate", "complementary_eval", "complementary_function",
-    "modular", "luxemburg_norm", "delta2_report", "matuszewska",
-    "matuszewska_exponent",
+    "modular", "luxemburg_norm", "delta2_report", "matuszewska_exponent",
     "Mesh", "ScalarField", "cell_gradient_magnitudes", "bump_field",
     "SolveOptions", "MinimizerResult", "phi_root", "energy",
     "lagrange_quotient", "weak_residual", "solve_E",

@@ -26,17 +26,17 @@ from .mesh import _conform
 __all__ = [
     "SATURATION", "DIVERGENCE_THRESHOLD", "VANISHING_THRESHOLD",
     "Family", "Endpoint", "Regime", "YoungFunction",
-    "Delta2Report", "MatuszewskaValue", "MatuszewskaEstimate",
+    "Delta2Report", "MatuszewskaEstimate",
     "complementary_eval", "complementary_function",
     "modular", "luxemburg_norm", "delta2_report",
-    "matuszewska", "matuszewska_exponent",
+    "matuszewska_exponent",
 ]
 
 SATURATION = 1e300
 LOG_SATURATION = math.log(SATURATION)
 
-# Regime classification thresholds: power-type growth stays far below the
-# divergence threshold on the default grids, exponential blowup crosses it.
+# Regime thresholds of a ratio that has not settled (a settled one is
+# power-like however large): it blows up past the first, vanishes below.
 DIVERGENCE_THRESHOLD = 1e6
 VANISHING_THRESHOLD = 1e-6
 _FIT_TOL = 1e-2  # spread of a power-like ratio over its last decade
@@ -95,19 +95,10 @@ def _saturate(out):
     return out
 
 
-def _exp_tail(t, n):
-    """e^t minus its Taylor polynomial of degree n-1, to a few ulp.
-
-    Below t = n, where that difference cancels, it is the series
-    sum_{k>=n} t^k/k! in Horner form, run on that subset only; from t = n
-    on, expm1(t) minus the terms of degree 1..n-1, capped at SATURATION.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = t < n
-    ts = t[small]
-    # t^n/n! (1 + t/(n+1) (1 + t/(n+2) (...))), truncated after the first
-    # term below 2^-60 at the largest |t| of the subset
+def _exp_tail_factor(ts, n):
+    """The factor 1 + t/(n+1) (1 + t/(n+2) (...)) of the series
+    sum_{k>=n} t^k/k! = t^n/n! times it, in Horner form, truncated after
+    the first term below 2^-60 at the largest |t| of ``ts``."""
     tmax = float(np.max(np.abs(ts), initial=0.0))
     last, term = n, 1.0
     while term > 2.0 ** -60 and last < 3 * n + 40:
@@ -118,6 +109,22 @@ def _exp_tail(t, n):
         acc *= ts
         acc /= k
         acc += 1.0
+    return acc
+
+
+def _exp_tail(t, n):
+    """e^t minus its Taylor polynomial of degree n-1, to a few ulp.
+
+    Below t = n, where that difference cancels, it is the series
+    sum_{k>=n} t^k/k! (:func:`_exp_tail_factor`), run on that subset only;
+    from t = n on, expm1(t) minus the terms of degree 1..n-1, capped at
+    SATURATION.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    small = t < n
+    ts = t[small]
+    acc = _exp_tail_factor(ts, n)
     acc *= ts ** n / math.factorial(n)
     out[small] = acc
     big = ~small
@@ -133,20 +140,20 @@ def _exp_tail(t, n):
 
 
 def _log_exp_tail(t, n):
-    """log of _exp_tail, stable for large t where e^t dominates."""
+    """log of _exp_tail: below t = n, n log t - log n! plus the log of
+    :func:`_exp_tail_factor`, so no t^n/n! underflows; from t = n on,
+    t + log(1 - poly e^-t), where the correction is at most about 1/2."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
-    big = t >= 30.0
-    tb = t[big]
-    # e^t (1 - poly * e^-t); the correction is tiny for t >= 30
+    small = t < n
+    ts, tb = t[small], t[~small]
     corr = np.zeros_like(tb)
     for k in range(n):
-        corr += np.exp(k * np.log(np.maximum(tb, 1e-300))
-                       - math.lgamma(k + 1) - tb)
-    out[big] = tb + np.log1p(-np.minimum(corr, 0.999999))
-    ts = t[~big]
+        corr += np.exp(k * np.log(tb) - math.lgamma(k + 1) - tb)
+    out[~small] = tb + np.log1p(-corr)
     with np.errstate(divide="ignore"):
-        out[~big] = np.log(_exp_tail(ts, n))
+        out[small] = (n * np.log(ts) - math.lgamma(n + 1)
+                      + np.log(_exp_tail_factor(ts, n)))
     return out
 
 
@@ -426,8 +433,7 @@ class YoungFunction:
             if self._sums is not None:
                 out = _power_sum(t, self._sums["A"])
             elif fam is Family.POWER_LOG:
-                out = (_ipow(t, p["p"]) / p["p"]
-                       * self._power_log_parts(t)[1] ** p["alpha"])
+                out = _ipow(t, p["p"]) / p["p"] * self._power_log_parts(t)[2]
             elif fam is Family.EXP_MINUS_POLY:
                 out = _exp_tail(t, p["n"])
             elif fam is Family.EXP_NEG_INV_POWER:
@@ -475,13 +481,19 @@ class YoungFunction:
             if self._sums is not None:
                 return _log_power_sum(logt, self._sums["a" if density
                                                        else "A"])
-            if fam is Family.POWER_LOG and not density:
-                x = p["r"] * logt
-                biglog = np.where(x > 30.0, np.log(np.maximum(x, 1e-300)),
-                                  np.log(np.log1p(
-                                      np.exp(np.minimum(x, 30.0)))))
-                return (p["p"] * logt - math.log(p["p"])
-                        + p["alpha"] * biglog)
+            if fam is Family.POWER_LOG:
+                # log L for L = ln(1 + e^x), x = r log t: log x above
+                # x = 30, x below -30, where e^x underflows first
+                pp, al, x = p["p"], p["alpha"], p["r"] * logt
+                logL = np.where(x > 30.0, np.log(np.maximum(x, 1e-300)),
+                                np.where(x < -30.0, x, np.log(np.log1p(
+                                    np.exp(np.clip(x, -30.0, 30.0))))))
+                if not density:
+                    return pp * logt - math.log(pp) + al * logL
+                # a = t^(p-1) L^alpha (1 + (alpha r/p) e^x / ((1 + e^x) L))
+                return ((pp - 1.0) * logt + al * logL + np.log1p(
+                    al * p["r"] / pp
+                    * np.exp(x - np.logaddexp(0.0, x) - logL)))
             if fam is Family.EXP_MINUS_POLY:
                 return _log_exp_tail(t, p["n"] - 1 if density else p["n"])
             if fam is Family.EXP_NEG_INV_POWER:
@@ -515,23 +527,25 @@ class YoungFunction:
             return np.log(np.maximum(exact(t), 1e-300))
 
     def _power_log_parts(self, t):
-        """t^r and ln(1 + t^r), the latter as r ln t where t^r overflows."""
+        """t^r, L = ln(1 + t^r) (r ln t where t^r overflows) and L^alpha
+        (e^(alpha r ln t) where t^r, and so L, is subnormal)."""
         r = self.params["r"]
-        tr = np.where(r * np.log(np.maximum(t, 1e-300)) > 700.0, np.inf,
-                      _ipow(t, r))
-        return tr, np.where(np.isinf(tr), r * np.log(t), np.log1p(tr))
+        rlogt = r * np.log(np.maximum(t, 1e-300))
+        tr = np.where(rlogt > 700.0, np.inf, _ipow(t, r))
+        L = np.where(np.isinf(tr), r * np.log(t), np.log1p(tr))
+        return tr, L, np.where(np.abs(tr) < np.finfo(float).tiny,
+                               np.exp(self.params["alpha"] * rlogt),
+                               L ** self.params["alpha"])
 
     def _power_log_a(self, t):
+        """A' = t^(p-1) L^alpha (1 + (alpha r/p) q), q = t^r / ((1 + t^r) L)
+        (1 where L = 0, 1/L where t^r overflows), L = ln(1 + t^r)."""
         p, al, r = self.params["p"], self.params["alpha"], self.params["r"]
-        tr, big = self._power_log_parts(t)
-        frac = np.where(np.isinf(tr), r / np.maximum(t, 1e-300),
-                        r * _ipow(t, r - 1.0) / (1.0 + tr))
-        first = _ipow(t, p - 1.0) * big ** al
-        second = np.where(al > 0,
-                          _ipow(t, p) / p * al
-                          * big ** max(al - 1.0, 0.0) * frac,
-                          0.0)
-        return np.where(t > 0, first + second, 0.0)
+        tr, L, La = self._power_log_parts(t)
+        q = np.where(L > 0.0, np.where(np.isinf(tr), 1.0 / L,
+                                       tr / ((1.0 + tr) * L)), 1.0)
+        return np.where(t > 0, _ipow(t, p - 1.0) * La
+                        * (1.0 + al * r / p * q), 0.0)
 
     def _enip_A(self, t):
         al, t0, a0 = self.params["alpha"], self.knot, self._a0
@@ -667,14 +681,6 @@ class Delta2Report:
 
     def as_dict(self):
         return asdict(self)
-
-
-@dataclass
-class MatuszewskaValue:
-    t: float
-    value: float
-    regime: Regime
-    samples: np.ndarray         # running A(tau t)/A(tau) along the grid
 
 
 @dataclass
@@ -883,137 +889,96 @@ def _normalize(F, absu, w, alpha, r0=1.0):
     return NormalizationResult(r_alpha=r, phi_value=phi, iterations=steps)
 
 
-def delta2_report(F, endpoint):
-    """Doubling diagnostics of A toward one endpoint.
+# -- endpoint diagnostics --------------------------------------------------
 
-    p_index is the sup of t a(t)/A(t) over a grid of 8 points per decade,
-    [1e-9, 1] toward zero ([1e-300, 1], past the knot, for
-    exp_neg_inv_power) and [1, 1e8] toward infinity, less the points where
-    log A or log a has no value (ConfigError if fewer than 8 are left); the
-    condition holds when the doubling ratio A(2t)/A(t) stays below
-    DIVERGENCE_THRESHOLD and shows no unbounded growth across the last two
-    decades toward the endpoint: a rise at every step, the last at least
-    half the first (a ratio rising to a finite limit, as
-    exp_neg_inv_power's at infinity, rises by shrinking steps).
-    """
+# the 12 points t = 2^(k/2), 0 < |k| <= 6, of the Matuszewska-Orlicz limit
+# function; the row of t = 2 is the doubling ratio's
+_RATIOS = 2.0 ** (np.r_[-6:0, 1:7] / 2.0)
+_DOUBLING_ROW = 7
+_LOG_CLAMP = math.log(1e-300)  # _log's floor for an evaluated A or a
+
+
+def _endpoint_table(F, endpoint):
+    """The tau grid from 1 toward ``endpoint``, 8 points per decade, and
+    the rows log A(tau t) at the 12 t of _RATIOS, log A(tau) and log a(tau),
+    NaN where a log is non-finite or at _log's clamp.  The grid spans 100
+    decades; 8 for the custom family's quadrature; [1, 250] for double_exp
+    at infinity, where log A ~ e^tau stays finite; 299 toward zero for
+    exp_neg_inv_power, past its knot to its floor of 1e-300."""
+    decades = 100
+    if F.family is Family.CUSTOM:
+        decades = 8
+    elif F.family is Family.EXP_NEG_INV_POWER and endpoint is Endpoint.ZERO:
+        decades = 299
+    if F.family is Family.DOUBLE_EXP and endpoint is Endpoint.INFINITY:
+        tau = np.geomspace(1.0, 250.0, 81)
+    else:
+        far = decades if endpoint is Endpoint.INFINITY else -decades
+        tau = np.geomspace(1.0, 10.0 ** far, 8 * decades + 1)
+    rows = np.array([F.log_A(tau * t) for t in _RATIOS]
+                    + [F.log_A(tau), F.log_a(tau)])
+    rows[~np.isfinite(rows)
+         | np.isclose(rows, _LOG_CLAMP, rtol=1e-12, atol=0.0)] = np.nan
+    return tau, rows
+
+
+def delta2_report(F, endpoint):
+    """Doubling diagnostics of A toward one endpoint, from the rows t = 2,
+    log A and log a of :func:`_endpoint_table` where all three have values
+    (ConfigError if fewer than 8 points are left).
+
+    p_index is the sup of tau a(tau)/A(tau) (Infinity past
+    DIVERGENCE_THRESHOLD).  The condition holds when the doubling ratio
+    A(2 tau)/A(tau) is below SATURATION/10, however large (2^p for t^p),
+    and shows no unbounded growth across the last two decades: a rise at
+    every step, the last at least half the first (a ratio rising to a
+    finite limit, as exp_neg_inv_power's at infinity, rises by shrinking
+    steps)."""
     endpoint = Endpoint(endpoint)
-    decades = (300 if endpoint is Endpoint.ZERO
-               and F.family is Family.EXP_NEG_INV_POWER else 9)
-    grid = (np.geomspace(10.0 ** -decades, 1.0, 8 * decades + 1)
-            if endpoint is Endpoint.ZERO else np.geomspace(1.0, 1e8, 65))
-    logs = np.array([F.log_A(grid), F.log_a(grid)])
-    # a log at log(1e-300), the floor _log clamps an evaluated A or a to,
-    # stands for no value
-    usable = np.isfinite(logs[0]) & ~np.isclose(
-        logs, math.log(1e-300), rtol=1e-12, atol=0.0).any(axis=0)
-    eff_grid = grid[usable]
-    if eff_grid.size < 8:
+    tau, rows = _endpoint_table(F, endpoint)
+    rows = rows[[_DOUBLING_ROW, -2, -1]]
+    keep = ~np.isnan(rows).any(axis=0)
+    if keep.sum() < 8:
         raise ConfigError(f"{F.label}: too few representable points of A "
                           f"toward {endpoint.value} for a Delta_2 verdict")
-    logA, loga = logs[:, usable]
-    log2A = F.log_A(2.0 * eff_grid)
-    log_ratio = log2A - logA
-    doubling = np.exp(np.minimum(log_ratio, 700.0))
+    ts, (log2A, logA, loga) = tau[keep], rows[:, keep]
+    doubling = np.exp(np.minimum(log2A - logA, 700.0))
     doubling_sup = float(np.max(doubling))
     if doubling_sup > SATURATION / 10:
         doubling_sup = math.inf
-
-    ratio = np.exp(np.minimum(np.log(eff_grid) + loga - logA, 700.0))
+    ratio = np.exp(np.minimum(np.log(ts) + loga - logA, 700.0))
     p_index = float(np.max(ratio))
     if p_index > DIVERGENCE_THRESHOLD:
         p_index = math.inf
 
-    # order doubling values toward the endpoint and inspect the last 2 decades
-    toward = doubling if endpoint is Endpoint.INFINITY else doubling[::-1]
-    ts = eff_grid if endpoint is Endpoint.INFINITY else eff_grid[::-1]
-    extreme = ts[-1]
-    if endpoint is Endpoint.INFINITY:
-        tail = toward[ts >= extreme / 100.0]
-    else:
-        tail = toward[ts <= extreme * 100.0]
+    tail = doubling[np.abs(np.log10(ts)) >= abs(np.log10(ts[-1])) - 2]
     diffs = np.diff(tail)
     monotone_growth = bool(tail.size >= 3
                            and np.all(diffs > 1e-12 * tail[:-1])
                            and diffs[-1] >= 0.5 * diffs[0])
-
-    holds = doubling_sup < DIVERGENCE_THRESHOLD and not monotone_growth
-    threshold = float(eff_grid[0] if endpoint is Endpoint.INFINITY
-                      else eff_grid[-1])
+    holds = doubling_sup < math.inf and not monotone_growth
     C = max(2.0, doubling_sup) if holds else math.inf
     return Delta2Report(endpoint=endpoint, holds=holds, p_index=p_index,
-                        threshold=threshold, doubling_sup=doubling_sup,
+                        threshold=float(ts[0]), doubling_sup=doubling_sup,
                         C_constant=C)
 
 
-def _default_tau_grid(endpoint, F):
-    """Geometric tau grid from 1 toward the endpoint, 4 points per decade.
-
-    Closed-form families evaluate ratios in exact log space, so the grid can
-    go very deep (slowly-converging logarithmic corrections need it); custom
-    and doubly-exponential families are capped where their log values stay
-    representable.
-    """
-    decades = 100
-    if F.family is Family.CUSTOM:
-        decades = 8
-    elif F.family is Family.DOUBLE_EXP and endpoint is Endpoint.INFINITY:
-        # log A ~ e^tau must stay below the double range
-        return np.geomspace(1.0, 250.0, 41)
-    elif F.family is Family.EXP_NEG_INV_POWER and endpoint is Endpoint.ZERO:
-        # past the knot to the floor (tau t >= 1e-300 for t >= 1/8)
-        decades = min(299, int(280.0 / F.params["alpha"]))
-    if endpoint is Endpoint.ZERO:
-        return np.geomspace(1.0, 10.0 ** -decades, decades * 4 + 1)
-    return np.geomspace(1.0, 10.0 ** decades, decades * 4 + 1)
-
-
-def matuszewska(F, endpoint, t, tau_grid=None):
-    """Running estimate of the endpoint ratio A(tau t)/A(tau) with a regime
-    tag.
-
-    Ratios are formed in log space, so exponential blowup registers as a
-    divergence (consistent with the degenerate regime) rather than overflow.
-    """
-    endpoint = Endpoint(endpoint)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if tau_grid is None:
-        tau_grid = _default_tau_grid(endpoint, F)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if t == 1.0:
-        return MatuszewskaValue(t, 1.0, Regime.POWER_LIKE,
-                                np.ones_like(tau_grid))
-    return _ratio_regime(F, endpoint, t, tau_grid, [])
-
-
-def _ratio_regime(F, endpoint, t, tau_grid, base):
-    """:func:`matuszewska` at t != 1.  ``base`` holds F.log_A(tau_grid) or
-    is empty and filled after A(tau t), the order a custom family's cache
-    of primitives fills in when each t is a call of its own."""
-    log_at = F.log_A(tau_grid * t)
-    if not base:
-        base.append(F.log_A(tau_grid))
-    log_ratio = log_at - base[0]
+def _ratio_regime(t, log_ratio):
+    """(value, regime) of the ratio A(tau t)/A(tau) from its logs over the
+    last decade: power-like where positive, finite and within _FIT_TOL
+    there, however large; else degenerate past DIVERGENCE_THRESHOLD (t > 1)
+    or below VANISHING_THRESHOLD (t < 1); else oscillating."""
     vals = np.where(log_ratio > LOG_SATURATION, math.inf,
                     np.exp(np.minimum(log_ratio, LOG_SATURATION)))
-
-    lo, hi = tau_grid.min(), tau_grid.max()
-    if endpoint is Endpoint.ZERO and 10 * max(t, 1) * lo > F.knot:
-        # no verdict past the knot, where A's closed form toward zero ends
-        return MatuszewskaValue(t, math.nan, Regime.OSCILLATING, vals)
-    last = vals[tau_grid >= hi / 10.0 if endpoint is Endpoint.INFINITY
-                else tau_grid <= lo * 10.0]  # the last decade
-    if t > 1.0 and np.max(last) > DIVERGENCE_THRESHOLD:
-        return MatuszewskaValue(t, math.inf, Regime.TRIVIAL_DEGENERATE, vals)
-    if t < 1.0 and np.min(last) < VANISHING_THRESHOLD:
-        return MatuszewskaValue(t, 0.0, Regime.TRIVIAL_DEGENERATE, vals)
-    finite = last[np.isfinite(last)]
-    if finite.size == last.size and finite.size >= 3:
-        mid = _median(finite)
-        spread = (np.max(finite) - np.min(finite)) / max(abs(mid), 1e-300)
-        if spread <= _FIT_TOL:
-            return MatuszewskaValue(t, float(mid), Regime.POWER_LIKE, vals)
-    return MatuszewskaValue(t, math.nan, Regime.OSCILLATING, vals)
+    if vals.size >= 3 and np.all(np.isfinite(vals)) and vals.min() > 0.0:
+        mid = _median(vals)
+        if (vals.max() - vals.min()) / mid <= _FIT_TOL:
+            return float(mid), Regime.POWER_LIKE
+    if t > 1.0 and vals.max() > DIVERGENCE_THRESHOLD:
+        return math.inf, Regime.TRIVIAL_DEGENERATE
+    if t < 1.0 and vals.min() < VANISHING_THRESHOLD:
+        return 0.0, Regime.TRIVIAL_DEGENERATE
+    return math.nan, Regime.OSCILLATING
 
 
 def _median(x):
@@ -1025,37 +990,41 @@ def _median(x):
 
 
 def matuszewska_exponent(F, endpoint):
-    """Fit the endpoint power exponent from sampled ratio values.
-
-    Returns a power-like estimate with the fitted exponent, a degenerate
-    classification when the ratios blow up / vanish, or an oscillating flag
-    (no exponent) when the ratios neither stabilize nor degenerate.
-    """
+    """Fit the endpoint power exponent from the Matuszewska-Orlicz limit
+    function, the ratios A(tau t)/A(tau) at the 12 t of _RATIOS, over the
+    tau of :func:`_endpoint_table` where all 12 rows and log A(tau) have
+    values: power-like with the fitted exponent, degenerate when the ratios
+    blow up / vanish, or oscillating (no exponent, no verdict) when they
+    neither stabilize nor degenerate, when fewer than 8 points are left,
+    or when t times the grid's last decade toward zero passes the knot."""
     endpoint = Endpoint(endpoint)
-    tau_grid = _default_tau_grid(endpoint, F)
-    ts = 2.0 ** np.array([-3.0, -2.5, -2.0, -1.5, -1.0, -0.5,
-                          0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    base = []  # F.log_A(tau_grid), evaluated once for all 12 ratios
-    results = [_ratio_regime(F, endpoint, t, tau_grid, base) for t in ts]
-    regimes = {r.regime for r in results}
-    samples = [(r.t, r.value) for r in results]
-
+    tau, rows = _endpoint_table(F, endpoint)
+    keep = ~np.isnan(rows[:-1]).any(axis=0)
+    ts = tau[keep]
+    results = [(t, math.nan, Regime.OSCILLATING) for t in _RATIOS]
+    if ts.size >= 8:
+        last = np.abs(np.log10(ts)) >= abs(np.log10(ts[-1])) - 1
+        log_ratios = rows[:-2, keep][:, last] - rows[-2, keep][last]
+        results = [(t, *((math.nan, Regime.OSCILLATING)
+                         if endpoint is Endpoint.ZERO
+                         and 10 * max(t, 1) * tau[-1] > F.knot
+                         else _ratio_regime(t, lr)))
+                   for t, lr in zip(_RATIOS, log_ratios)]
+    regimes = {r for _, _, r in results}
     regime, exponent = Regime.OSCILLATING, math.nan
     if Regime.TRIVIAL_DEGENERATE in regimes:
-        if all((r.regime is Regime.TRIVIAL_DEGENERATE
-                and ((r.t > 1 and r.value == math.inf)
-                     or (r.t < 1 and r.value == 0.0)))
-               or r.regime is Regime.POWER_LIKE  # small-|log t| stragglers
-               for r in results):
+        # all blow up or vanish, but for small-|log t| power-like stragglers
+        if Regime.OSCILLATING not in regimes:
             regime = Regime.TRIVIAL_DEGENERATE
     elif regimes == {Regime.POWER_LIKE}:
-        logt = np.log(ts)
-        values = np.array([r.value for r in results])
+        logt = np.log(_RATIOS)
+        values = np.array([v for _, v, _ in results])
         fit = float(np.dot(logt, np.log(values)) / np.dot(logt, logt))
-        deviation = np.max(np.abs(values / ts ** fit - 1.0))
+        deviation = np.max(np.abs(values / _RATIOS ** fit - 1.0))
         # validity: samples track a power and respect M(t) <= t below 1
         if (deviation <= 10 * _FIT_TOL and fit >= 1.0 - 10 * _FIT_TOL
-                and all(r.value <= r.t * (1.0 + 10 * _FIT_TOL)
-                        for r in results if r.t < 1.0)):
+                and all(v <= t * (1.0 + 10 * _FIT_TOL)
+                        for t, v, _ in results if t < 1.0)):
             regime, exponent = Regime.POWER_LIKE, max(fit, 1.0)
-    return MatuszewskaEstimate(endpoint, samples, regime, exponent, tau_grid)
+    samples = [(float(t), v) for t, v, _ in results]
+    return MatuszewskaEstimate(endpoint, samples, regime, exponent, tau)

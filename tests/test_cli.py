@@ -330,6 +330,33 @@ def test_sweep_derivative_check_passes(capsys, tmp_path):
     assert csv.read_text().startswith("alpha,energy,quotient,lambda")
 
 
+def test_sweep_derivative_check_of_power_log_below_alpha_one(capsys):
+    # power_log's density raised ln(1 + t^r) to max(alpha - 1, 0): for
+    # alpha = 1/2 the solver's gradient read another problem than its
+    # energy, and dE/dalpha = lambda failed at a median gap of 3.7e-2
+    code, out, _ = run(capsys, "sweep", "--young", json.dumps(
+        {"family": "power_log", "params": {"p": 2, "alpha": 0.5, "r": 1}}),
+        "--mesh", "interval:1.0,100", "--alpha-min", "1e-1",
+        "--alpha-max", "1e1", "--check", "derivative", "--seed", "1")
+    derivative = json.loads(out)["checks"]["derivative"]
+    assert derivative["overall_pass"] and code == 0
+    assert derivative["median_relative_gap"] < 1e-2
+
+
+def test_sweep_limits_check_of_a_steep_power_checks_infinity(capsys):
+    # 8^7 passes DIVERGENCE_THRESHOLD, yet SumOfPowers(2,7) is power-like
+    # of exponent 7 at infinity: checked, not skipped as degenerate
+    code, out, _ = run(capsys, "sweep", "--young", json.dumps(
+        {"family": "sum_of_powers", "params": {"p": 2, "q": 7}}),
+        "--mesh", "interval:1.0,50", "--alpha-min", "1e-2",
+        "--alpha-max", "1e2", "--per-decade", "3", "--check", "limits",
+        "--seed", "1")
+    limits = json.loads(out)["checks"]["limits"]
+    assert limits["infinity"]["exponent"] == pytest.approx(7.0, rel=1e-6)
+    assert limits["infinity"]["relative_gap"] <= 5e-2
+    assert limits["overall_pass"] and code == 0
+
+
 def test_sweep_limits_check_skips_a_non_power_like_endpoint(capsys):
     # exp_minus_poly(2) is power-like (index 2) at zero but grows faster
     # than any power at infinity: that endpoint is reported, not checked

@@ -14,12 +14,12 @@ from scipy import optimize
 from orlicz_eigen.cli import main
 from orlicz_eigen.errors import BracketRangeError, ConfigError
 from orlicz_eigen.mesh import Mesh
-from orlicz_eigen.young import (SATURATION, Endpoint, Regime, YoungFunction,
-                                _exp_tail, _Modular, _newton, _normalize,
-                                _saturate, complementary_eval,
+from orlicz_eigen.young import (SATURATION, Endpoint, Family, Regime,
+                                YoungFunction, _exp_tail, _Modular, _newton,
+                                _normalize, _saturate, complementary_eval,
                                 complementary_function, delta2_report,
-                                luxemburg_norm, matuszewska,
-                                matuszewska_exponent, modular)
+                                luxemburg_norm, matuszewska_exponent,
+                                modular)
 
 
 # -- family values ----------------------------------------------------------
@@ -95,10 +95,11 @@ PINNED = {
     "sum_of_powers(1.5,4)": (YoungFunction.sum_of_powers(1.5, 4),
                              [0.0, 11.0 / 12.0, SAT, SAT, SAT, SAT, SAT],
                              [0.0, 2.0, SAT, SAT, SAT, SAT, SAT]),
+    # a(1e200) = t (ln(1+t) + t/(2(1+t))) is finite, while A saturates
     "power_log(2,1,1)": (YoungFunction.power_log(2, 1, 1),
                          [0.0, 0.5 * math.log(2.0), SAT, SAT, SAT, SAT, SAT],
-                         [0.0, math.log(2.0) + 0.25, SAT, 0.0, 0.0, SAT,
-                          0.0]),
+                         [0.0, math.log(2.0) + 0.25, SAT, 0.0, 0.0,
+                          1e200 * (200.0 * math.log(10.0) + 0.5), 0.0]),
     "exp_minus_poly(2)": (YoungFunction.exp_minus_poly(2),
                           [0.0, math.e - 2.0, SAT, SAT, SAT, SAT,
                            math.exp(-1.0)],
@@ -796,7 +797,10 @@ def test_delta2_verdicts_per_family(name):
 class _SlowlyUnbounded:
     """A stand-in Young function with log A(t) = 2 log t + (log t)^2 / 20:
     its doubling ratio 4 exp((2 log 2 log t + log^2 2) / 20) grows without
-    bound, yet stays below 15 on the grid toward infinity."""
+    bound, yet stays below 15 on the grid toward infinity, which spans 8
+    decades for a custom family."""
+
+    family, label, knot = Family.CUSTOM, "slowly unbounded", math.inf
 
     @staticmethod
     def log_A(t):
@@ -916,12 +920,13 @@ def test_inspect_without_enough_points_for_a_verdict_exits_2(capsys, alpha):
                                  (YoungFunction.power_log(2, 40, 1), 42.0)],
                          ids=lambda x: getattr(x, "label", x))
 def test_delta2_index_skips_a_density_at_the_log_floor(F, p):
-    # a(t) of power_log is evaluated, not taken in log space, and its log
-    # is clamped at log(1e-300) where it underflows, while log A goes on
-    # below; t a/A read there is about e^700, so the index at zero would be
-    # infinite instead of near p + alpha r
+    # log a of power_log was the log of the evaluated a, clamped at
+    # log(1e-300) where a underflows, while log A went on below; t a/A read
+    # there is about e^700, so the index at zero would be infinite instead
+    # of near p + alpha r.  Both are taken in log space now.  The doubling
+    # ratio tends to 2^p: bounded however large, so Delta_2 holds
     rep = delta2_report(F, Endpoint.ZERO)
-    assert not rep.holds and rep.p_index == pytest.approx(p, rel=1e-6)
+    assert rep.holds and rep.p_index == pytest.approx(p, rel=1e-6)
 
 
 def test_index_inequality_a_t_vs_A():
@@ -937,9 +942,8 @@ def test_index_inequality_a_t_vs_A():
 # -- Matuszewska-Orlicz -----------------------------------------------------
 
 def test_matuszewska_power():
-    F = YoungFunction.power(3)
-    v = matuszewska(F, Endpoint.INFINITY, 2.0)
-    assert v.value == pytest.approx(8.0, rel=1e-6)
+    est = matuszewska_exponent(YoungFunction.power(3), Endpoint.INFINITY)
+    assert dict(est.samples)[2.0] == pytest.approx(8.0, rel=1e-6)
 
 
 def test_matuszewska_exponents_sum_of_powers():
@@ -985,20 +989,20 @@ def test_matuszewska_degenerate_families():
 @pytest.mark.parametrize("endpoint", list(Endpoint))
 def test_matuszewska_exponent_evaluates_the_base_once(monkeypatch, make,
                                                       endpoint):
-    # its 12 samples are those of 12 matuszewska calls, bit for bit (a
-    # custom family's primitive cache fills in the same order), from one
-    # log A(tau) and 12 log A(tau t): 13 evaluations, not 24
-    F, G = make(), make()
-    est = matuszewska_exponent(F, endpoint)
-    want = [matuszewska(G, endpoint, t, est.tau_grid) for t, _ in est.samples]
-    assert np.array_equal([v for _, v in est.samples],
-                          [w.value for w in want], equal_nan=True)
-    calls = []
-    log_A = YoungFunction.log_A
-    monkeypatch.setattr(YoungFunction, "log_A",
-                        lambda self, t: calls.append(t) or log_A(self, t))
+    # one table of 12 log A(tau t), one log A(tau) and one log a(tau): 13
+    # evaluations of log A, not 24, and the same samples, bit for bit, from
+    # a fresh instance (a custom family's primitive cache fills in the
+    # same order)
+    est = matuszewska_exponent(make(), endpoint)
+    calls = {"log_A": 0, "log_a": 0}
+    for name in calls:
+        def counted(self, t, name=name, f=getattr(YoungFunction, name)):
+            calls[name] += 1
+            return f(self, t)
+        monkeypatch.setattr(YoungFunction, name, counted)
     again = matuszewska_exponent(make(), endpoint)
-    assert len(calls) == 13
+    assert calls == {"log_A": 13, "log_a": 1}
+    assert np.array_equal(again.samples, est.samples, equal_nan=True)
     assert np.array_equal(again.tau_grid, est.tau_grid)
 
 
@@ -1006,3 +1010,124 @@ def test_exp_minus_poly_zero_exponent():
     # near zero the tail series starts at t^n
     est = matuszewska_exponent(YoungFunction.exp_minus_poly(2), Endpoint.ZERO)
     assert est.exponent == pytest.approx(2.0, abs=1e-2)
+
+
+# -- one endpoint table ------------------------------------------------------
+
+STEEP = ([(YoungFunction.power(p), ep, p) for p in (7.0, 10.0, 19.0, 21.0, 100.0)
+          for ep in Endpoint]
+         + [(YoungFunction.sum_of_powers(1.2, 7), Endpoint.INFINITY, 7.0),
+            (YoungFunction.power_log(40, 1, 1), Endpoint.ZERO, 41.0)])
+
+
+@pytest.mark.parametrize("F,endpoint,p", STEEP,
+                         ids=[f"{F.label}-{ep.value}" for F, ep, _ in STEEP])
+def test_a_steep_endpoint_is_power_like_and_doubling(F, endpoint, p):
+    # 8^p passes DIVERGENCE_THRESHOLD from p = 6.65 on, and 2^p from
+    # p = 19.93: a ratio is judged by its growth, not its size
+    est = matuszewska_exponent(F, endpoint)
+    assert est.regime is Regime.POWER_LIKE
+    assert est.exponent == pytest.approx(p, rel=1e-6)
+    assert delta2_report(F, endpoint).holds
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exp_minus_poly_is_power_like_at_zero(n):
+    # log A = n log t - log n! + log of the series' factor where t^n/n!
+    # underflows; the log of the value itself read -inf there (n >= 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = matuszewska_exponent(YoungFunction.exp_minus_poly(n),
+                                   Endpoint.ZERO)
+    assert est.regime is Regime.POWER_LIKE
+    assert abs(est.exponent - n) <= 1e-12
+
+
+def _geometric(lo, hi, per_decade):
+    """lo, lo 10^(1/per_decade), ... up to hi, by the stdlib."""
+    count = int(per_decade * math.log10(hi / lo) + 1e-9) + 1
+    return [lo * 10.0 ** (k / per_decade) for k in range(count)]
+
+
+def _spaced(lo, hi, count):
+    return [lo * (hi / lo) ** (k / (count - 1)) for k in range(count)]
+
+
+# every built-in family across its accepted parameters.  power_log with
+# r = 0.1 is left out: its ratios converge like t^0.1, and the two-decade
+# growth rule of Delta_2 reads that as growth at alpha = 40
+WALK = ([("power", {"p": p}) for p in _geometric(1.05, 200.0, 4)]
+        + [("sum_of_powers", {"p": p, "q": q})
+           for p in _spaced(1.05, 20.0, 6) for q in _spaced(1.2, 60.0, 6)
+           if p < q]
+        + [("power_log", {"p": p, "alpha": al, "r": r})
+           for p in (1.1, 2.0, 10.0, 40.0) for al in (0.0, 0.25, 0.5, 1.0, 5.0)
+           for r in (0.5, 1.0, 2.0, 10.0)]
+        + [("exp_minus_poly", {"n": n}) for n in range(2, 13)]
+        + [("exp_neg_inv_power", {"alpha": al})
+           for al in _geometric(0.0072, 1000.0, 4)]
+        + [("double_exp", {})])
+
+
+def _ids(cases):
+    return [f"{f}({','.join(f'{v:.4g}' for v in p.values())})"
+            for f, p in cases]
+
+
+@pytest.mark.parametrize("family,params", WALK, ids=_ids(WALK))
+def test_inspect_walk_gives_verdicts_that_agree(capsys, family, params):
+    # exit 0 without a warning, with power_like only where Delta_2 holds
+    # and trivial_degenerate only where it fails; or exit 2 with a message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["inspect", "--young", json.dumps(
+            {"family": family, "params": params})])
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if code == 2:
+        assert err.startswith("error: ") and "Traceback" not in err
+        return
+    assert code == 0
+    payload = json.loads(out)
+    for ep in ("zero", "infinity"):
+        regime = payload["matuszewska"][ep]["regime"]
+        holds = payload["delta2"][ep]["holds"]
+        assert regime != "power_like" or holds, ep
+        assert regime != "trivial_degenerate" or not holds, ep
+
+
+@pytest.mark.parametrize("family,params", WALK, ids=_ids(WALK))
+def test_density_is_the_derivative_of_A(family, params):
+    # a against a central difference of A of relative step 1e-5 / k, k the
+    # local index t a/A, wherever A is a normal float below SATURATION/1e6
+    # (power_log raised ln(1 + t^r) to max(alpha - 1, 0), not alpha - 1)
+    F = YoungFunction(family, params)
+    t = np.geomspace(1e-299, 1e300, 20001)  # above the floor of 1e-300
+    if math.isfinite(F.knot):  # A'' jumps there
+        t = t[np.abs(np.log(t) - math.log(F.knot)) > 1e-3]
+    A, a = F.A(t), F.a(t)
+    ok = (A > np.finfo(float).tiny) & (A < SATURATION / 1e6)
+    t, A, a = t[ok], A[ok], a[ok]
+    h = 1e-5 * A / (t * a)
+    hi, lo = t * (1.0 + h), t * (1.0 - h)
+    slope = (F.A(hi) - F.A(lo)) / (hi - lo)
+    assert t.size >= 50
+    np.testing.assert_allclose(a, slope, rtol=1e-7, atol=0.0)
+
+
+LOGGED = [(f, p) for f, p in WALK if f in ("exp_minus_poly", "power_log")]
+
+
+@pytest.mark.parametrize("family,params", LOGGED, ids=_ids(LOGGED))
+def test_logs_are_the_logs_of_the_values(family, params):
+    # log A and log a are taken in log space where A or a underflows, and
+    # equal the log of each value above 1e-290 to 1e-13
+    F = YoungFunction(family, params)
+    t = np.geomspace(1e-300, 1e300, 6001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for log, f in ((F.log_A, F.A), (F.log_a, F.a)):
+            values, logs = f(t), log(t)
+            ok = (values > 1e-290) & (values < SATURATION)
+            np.testing.assert_allclose(logs[ok], np.log(values[ok]),
+                                       rtol=1e-13, atol=1e-13)
