@@ -233,6 +233,11 @@ def main(argv=None):
         # argparse uses 2 for usage errors and 0 for --help/--version
         return int(exc.code or 0)
     try:
+        if getattr(args, "csv", None):  # before any solve runs
+            try:
+                open(args.csv, "a").close()
+            except OSError as exc:
+                raise ConfigError(f"cannot write the CSV file: {exc}")
         return args.fn(args)
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,14 +14,7 @@ class GeometryError(OrliczError):
 
 
 class BracketRangeError(OrliczError):
-    """A monotone bracketing search ran out of representable range.
-
-    Carries the last attempted bracket as ``(lo, hi)``.
-    """
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A monotone bracketing search ran out of representable range."""
 
 
 class ZeroDenominatorError(OrliczError):

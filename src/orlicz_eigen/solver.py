@@ -296,9 +296,8 @@ class Problem:
     def mass_gradient(self, values):
         return mass_gradient(self.F, values, self.m)
 
-    def project(self, values, alpha, r0=1.0):
-        norm = _normalize(self.F, np.abs(values), self.m.node_weights,
-                          alpha, r0)
+    def project(self, values, alpha):
+        norm = _normalize(self.F, np.abs(values), self.m.node_weights, alpha)
         return values * norm.r_alpha
 
     def _assemble(self, parts):
@@ -625,16 +624,12 @@ def _ritz_starts(m):
 
 def _eigh(a):
     """Ascending eigenvalues and eigenvectors of the small symmetric matrix
-    a, by LAPACK dsbev on its full band, through the wrappers loaded above:
-    numpy's eigh maps about 0.4 MB more LAPACK code into the process on
-    its first call.  A failure to converge raises LinAlgError."""
-    k = len(a)
-    band = np.zeros((k, k))
-    for d in range(k):
-        band[k - 1 - d, d:] = np.diagonal(a, d)
-    vals, vecs, info = _LAPACK.dsbev(band)
+    a, by LAPACK dsyev on its upper triangle, through the wrappers loaded
+    above: numpy's eigh maps about 0.4 MB more LAPACK code into the process
+    on its first call.  A failure to converge raises LinAlgError."""
+    vals, vecs, info = _LAPACK.dsyev(a)
     if info:
-        raise np.linalg.LinAlgError(f"dsbev info {info}")
+        raise np.linalg.LinAlgError(f"dsyev info {info}")
     return vals, vecs
 
 

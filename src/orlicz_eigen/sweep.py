@@ -161,16 +161,11 @@ def _secant_start(branch, x, m):
 def require_alpha_one(alphas, check):
     """Raise ConfigError unless alpha = 1 is on the grid ``alphas`` (to
     1e-12 in log alpha) or strictly inside it: the ``check`` compares
-    against E(1).  Returns the index of the sample at alpha = 1, or None
-    when E(1) must be interpolated."""
+    against E(1)."""
     logs = np.log(np.asarray(alphas, dtype=float))
-    k = int(np.argmin(np.abs(logs)))
-    if abs(logs[k]) < 1e-12:
-        return k
-    if not logs.min() < 0.0 < logs.max():
+    if not (np.abs(logs).min() < 1e-12 or logs.min() < 0.0 < logs.max()):
         raise ConfigError(
             f"{check} need alpha = 1 inside the sweep grid (or on it)")
-    return None
 
 
 def _energy_at_one(records, check):

@@ -238,9 +238,11 @@ _SPECS = {
         lambda p: p["p"] <= 1 or p["alpha"] < 0 or p["r"] <= 0,
         "power_log needs p > 1, alpha >= 0, r > 0",
         lambda p: f"(t^{p['p']}/{p['p']}) ln^{p['alpha']}(1+t^{p['r']})"),
-    # n = 1 would give a(0) = 1, breaking the Young normalization
+    # n = 1 would give a(0) = 1, breaking the Young normalization; past
+    # n = 170, n! passes the double range
     Family.EXP_MINUS_POLY: _Spec(
-        (("n", int),), lambda p: p["n"] < 2, "exp_minus_poly needs n >= 2",
+        (("n", int),), lambda p: not 2 <= p["n"] <= 170,
+        "exp_minus_poly needs n >= 2 and n <= 170",
         lambda p: f"e^t - T_{p['n'] - 1}(t)"),
     Family.EXP_NEG_INV_POWER: _Spec(
         (("alpha", float),), lambda p: p["alpha"] <= 0,
@@ -384,7 +386,10 @@ class YoungFunction:
             raise ConfigError(f"bad young-function family: {exc}") from exc
         if fam not in _SPECS:
             raise ConfigError("custom families cannot be built from config")
-        return cls(fam, cfg.get("params", {}))
+        params = cfg.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("young-function params must be a mapping")
+        return cls(fam, params)
 
     # -- evaluation --------------------------------------------------------
 
@@ -522,9 +527,9 @@ class YoungFunction:
                 big = t > 6.0
                 tail = np.exp(np.minimum(t[big], 700.0))
                 out[big] = t[big] + tail if density else tail
-                out[~big] = np.log(np.maximum(exact(t[~big]), 1e-300))
+                out[~big] = np.log(exact(t[~big]))
                 return out
-            return np.log(np.maximum(exact(t), 1e-300))
+            return np.log(exact(t))
 
     def _power_log_parts(self, t):
         """t^r, L = ln(1 + t^r) (r ln t where t^r overflows) and L^alpha
@@ -754,10 +759,9 @@ class NormalizationResult:
 def _check_alpha(alpha):
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ConfigError(f"alpha must be finite and positive, got {alpha}")
-    if alpha > SATURATION / 1e6:
+    if not 2.0 ** -1022 <= alpha <= SATURATION / 1e6:  # from the least normal
         raise BracketRangeError(
-            f"alpha = {alpha} beyond representable modular range",
-            bracket=None)
+            f"alpha = {alpha} outside the representable modular range")
 
 
 def _saturation_radius(terms):
@@ -851,14 +855,12 @@ def _newton(phi_at, alpha, r0):
         elif hi < math.inf:
             if hi <= _MIN_RADIUS:
                 raise BracketRangeError(
-                    "normalization radius fell below the representable range",
-                    bracket=(lo, hi))
+                    "normalization radius fell below the representable range")
             r_next, down = max(hi / down, _MIN_RADIUS), down * down
         else:
             if lo >= _MAX_RADIUS:
                 raise BracketRangeError(
-                    "normalization radius exceeded the representable range",
-                    bracket=(lo, hi))
+                    "normalization radius exceeded the representable range")
             r_next, up = min(lo * up, _MAX_RADIUS), up * up
     return r, phi, it
 
@@ -895,13 +897,15 @@ def _normalize(F, absu, w, alpha, r0=1.0):
 # function; the row of t = 2 is the doubling ratio's
 _RATIOS = 2.0 ** (np.r_[-6:0, 1:7] / 2.0)
 _DOUBLING_ROW = 7
-_LOG_CLAMP = math.log(1e-300)  # _log's floor for an evaluated A or a
 
 
 def _endpoint_table(F, endpoint):
-    """The tau grid from 1 toward ``endpoint``, 8 points per decade, and
-    the rows log A(tau t) at the 12 t of _RATIOS, log A(tau) and log a(tau),
-    NaN where a log is non-finite or at _log's clamp.  The grid spans 100
+    """The tau grid from 1 toward ``endpoint``, 8 points per decade; the
+    rows log A(tau t) at the 12 t of _RATIOS, log A(tau) and log a(tau),
+    NaN where a log is not finite; and the 12 Matuszewska rows: the first
+    12 less log A over the last decade of the tau where all 13 have values,
+    NaN in a row without a verdict (fewer than 8 such tau, or t times the
+    grid's last decade toward zero past the knot).  The grid spans 100
     decades; 8 for the custom family's quadrature; [1, 250] for double_exp
     at infinity, where log A ~ e^tau stays finite; 299 toward zero for
     exp_neg_inv_power, past its knot to its floor of 1e-300."""
@@ -917,9 +921,16 @@ def _endpoint_table(F, endpoint):
         tau = np.geomspace(1.0, 10.0 ** far, 8 * decades + 1)
     rows = np.array([F.log_A(tau * t) for t in _RATIOS]
                     + [F.log_A(tau), F.log_a(tau)])
-    rows[~np.isfinite(rows)
-         | np.isclose(rows, _LOG_CLAMP, rtol=1e-12, atol=0.0)] = np.nan
-    return tau, rows
+    rows[~np.isfinite(rows)] = np.nan
+    keep = ~np.isnan(rows[:-1]).any(axis=0)
+    ts = tau[keep]
+    if ts.size < 8:
+        return tau, rows, np.full((len(_RATIOS), 1), math.nan)
+    last = np.abs(np.log10(ts)) >= abs(np.log10(ts[-1])) - 1
+    ratios = rows[:-2, keep][:, last] - rows[-2, keep][last]
+    if endpoint is Endpoint.ZERO:
+        ratios[10 * np.maximum(_RATIOS, 1.0) * tau[-1] > F.knot] = math.nan
+    return tau, rows, ratios
 
 
 def delta2_report(F, endpoint):
@@ -930,12 +941,13 @@ def delta2_report(F, endpoint):
     p_index is the sup of tau a(tau)/A(tau) (Infinity past
     DIVERGENCE_THRESHOLD).  The condition holds when the doubling ratio
     A(2 tau)/A(tau) is below SATURATION/10, however large (2^p for t^p),
-    and shows no unbounded growth across the last two decades: a rise at
-    every step, the last at least half the first (a ratio rising to a
-    finite limit, as exp_neg_inv_power's at infinity, rises by shrinking
-    steps)."""
+    and either shows no unbounded growth across the last two decades (a
+    rise at every step, the last at least half the first: a ratio rising
+    to a finite limit, as exp_neg_inv_power's at infinity, rises by
+    shrinking steps) or its Matuszewska row :func:`_settles`, as one that
+    converges like tau^0.1 does, by steps too slow for the growth rule."""
     endpoint = Endpoint(endpoint)
-    tau, rows = _endpoint_table(F, endpoint)
+    tau, rows, ratios = _endpoint_table(F, endpoint)
     rows = rows[[_DOUBLING_ROW, -2, -1]]
     keep = ~np.isnan(rows).any(axis=0)
     if keep.sum() < 8:
@@ -956,24 +968,34 @@ def delta2_report(F, endpoint):
     monotone_growth = bool(tail.size >= 3
                            and np.all(diffs > 1e-12 * tail[:-1])
                            and diffs[-1] >= 0.5 * diffs[0])
-    holds = doubling_sup < math.inf and not monotone_growth
+    holds = doubling_sup < math.inf and (
+        not monotone_growth or _settles(ratios[_DOUBLING_ROW]))
     C = max(2.0, doubling_sup) if holds else math.inf
     return Delta2Report(endpoint=endpoint, holds=holds, p_index=p_index,
                         threshold=float(ts[0]), doubling_sup=doubling_sup,
                         C_constant=C)
 
 
+def _settles(log_ratio):
+    """Whether a Matuszewska row (finite, or all NaN) has settled: 3 or more
+    logs whose ratios, taken relative to the largest, spread by at most
+    _FIT_TOL times their median, past the double range too."""
+    x = np.exp(log_ratio - log_ratio.max())
+    return bool(log_ratio.size >= 3 and 1.0 - x.min() <= _FIT_TOL * _median(x))
+
+
 def _ratio_regime(t, log_ratio):
-    """(value, regime) of the ratio A(tau t)/A(tau) from its logs over the
-    last decade: power-like where positive, finite and within _FIT_TOL
-    there, however large; else degenerate past DIVERGENCE_THRESHOLD (t > 1)
-    or below VANISHING_THRESHOLD (t < 1); else oscillating."""
+    """(value, regime) of the ratio A(tau t)/A(tau) from its Matuszewska
+    row: power-like where it settles within the double range, however
+    large, and no verdict (oscillating) where it settles past it; else
+    degenerate past DIVERGENCE_THRESHOLD (t > 1) or below
+    VANISHING_THRESHOLD (t < 1); else oscillating."""
     vals = np.where(log_ratio > LOG_SATURATION, math.inf,
                     np.exp(np.minimum(log_ratio, LOG_SATURATION)))
-    if vals.size >= 3 and np.all(np.isfinite(vals)) and vals.min() > 0.0:
-        mid = _median(vals)
-        if (vals.max() - vals.min()) / mid <= _FIT_TOL:
-            return float(mid), Regime.POWER_LIKE
+    if _settles(log_ratio):
+        if np.all(np.isfinite(vals)) and vals.min() > 0.0:
+            return float(_median(vals)), Regime.POWER_LIKE
+        return math.nan, Regime.OSCILLATING
     if t > 1.0 and vals.max() > DIVERGENCE_THRESHOLD:
         return math.inf, Regime.TRIVIAL_DEGENERATE
     if t < 1.0 and vals.min() < VANISHING_THRESHOLD:
@@ -991,25 +1013,14 @@ def _median(x):
 
 def matuszewska_exponent(F, endpoint):
     """Fit the endpoint power exponent from the Matuszewska-Orlicz limit
-    function, the ratios A(tau t)/A(tau) at the 12 t of _RATIOS, over the
-    tau of :func:`_endpoint_table` where all 12 rows and log A(tau) have
-    values: power-like with the fitted exponent, degenerate when the ratios
-    blow up / vanish, or oscillating (no exponent, no verdict) when they
-    neither stabilize nor degenerate, when fewer than 8 points are left,
-    or when t times the grid's last decade toward zero passes the knot."""
+    function, the ratios A(tau t)/A(tau) at the 12 t of _RATIOS, from the
+    Matuszewska rows of :func:`_endpoint_table`: power-like with the fitted
+    exponent, degenerate when the ratios blow up / vanish, or oscillating
+    (no exponent, no verdict) when they neither stabilize nor degenerate
+    or a row has no verdict."""
     endpoint = Endpoint(endpoint)
-    tau, rows = _endpoint_table(F, endpoint)
-    keep = ~np.isnan(rows[:-1]).any(axis=0)
-    ts = tau[keep]
-    results = [(t, math.nan, Regime.OSCILLATING) for t in _RATIOS]
-    if ts.size >= 8:
-        last = np.abs(np.log10(ts)) >= abs(np.log10(ts[-1])) - 1
-        log_ratios = rows[:-2, keep][:, last] - rows[-2, keep][last]
-        results = [(t, *((math.nan, Regime.OSCILLATING)
-                         if endpoint is Endpoint.ZERO
-                         and 10 * max(t, 1) * tau[-1] > F.knot
-                         else _ratio_regime(t, lr)))
-                   for t, lr in zip(_RATIOS, log_ratios)]
+    tau, _, ratios = _endpoint_table(F, endpoint)
+    results = [(t, *_ratio_regime(t, lr)) for t, lr in zip(_RATIOS, ratios)]
     regimes = {r for _, _, r in results}
     regime, exponent = Regime.OSCILLATING, math.nan
     if Regime.TRIVIAL_DEGENERATE in regimes:

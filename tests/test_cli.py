@@ -226,6 +226,64 @@ def test_bad_alpha_exit_2(capsys, alpha):
     assert "alpha" in err
 
 
+def _no_start(monkeypatch):
+    """Fail the test if a solve's first start runs."""
+    def descend(*args, **kwargs):
+        raise AssertionError("a start ran")
+    monkeypatch.setattr("orlicz_eigen.solver._descend", descend)
+
+
+@pytest.mark.parametrize("alpha", ["1e-320", "1e-318"])
+def test_subnormal_alpha_exit_1_before_any_start(capsys, monkeypatch, alpha):
+    # once a solve that ran on for over a minute (1e-320), or five
+    # unconverged starts (1e-318)
+    _no_start(monkeypatch)
+    code, out, err = run(capsys, "solve", "--young", POWER2,
+                         "--mesh", "interval:1,20", "--alpha", alpha)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "representable" in err
+
+
+@pytest.mark.parametrize("command, young", [
+    ("inspect", '{"family": "exp_minus_poly", "params": {"n": 1e20}}'),
+    ("inspect", '{"family": "exp_minus_poly", "params": {"n": 400}}'),
+    ("solve", '{"family": "exp_minus_poly", "params": {"n": 171}}'),
+    ("inspect", '{"family": "power", "params": null}'),
+    ("solve", '{"family": "power", "params": [2]}'),
+])
+def test_bad_young_params_exit_2_before_any_start(
+        capsys, monkeypatch, command, young):
+    # once an inspect that looped n times (n = 1e20), an OverflowError
+    # traceback from n! (n = 171), or a TypeError traceback (params
+    # that are not a mapping)
+    _no_start(monkeypatch)
+    mesh = ("--mesh", "interval:1,20", "--alpha", "1") * (command == "solve")
+    code, out, err = run(capsys, command, "--young", young, *mesh)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ("--mesh", "interval:1,20", "--alpha", "1")),
+    ("sweep", ("--mesh", "interval:1,20", "--alpha-min", "0.1",
+               "--alpha-max", "10", "--check", "derivative")),
+    ("nonlocal", ("--interval", "1", "--nodes", "16", "--s", "0.5",
+                  "--alpha", "1")),
+])
+def test_unwritable_csv_exit_2_before_any_solve(capsys, monkeypatch,
+                                                tmp_path, command, flags):
+    # once every solve and check ran, then a FileNotFoundError traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr("orlicz_eigen.cli.solve_E", no_solve)
+    monkeypatch.setattr("orlicz_eigen.sweep.solve_E", no_solve)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, command, "--young", POWER2, *flags,
+                         "--csv", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--interval", "nan", "finite and positive"),
     ("--interval", "inf", "finite and positive"),

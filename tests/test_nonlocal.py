@@ -574,9 +574,9 @@ def test_index_five_quarters_converges_by_the_quarter_newton_step(
     # through its budget on the half step's tiny decreases
     project, projections = Problem.project, []
 
-    def counted(self, values, alpha, r0=1.0):
+    def counted(self, values, alpha):
         projections.append(1)
-        return project(self, values, alpha, r0)
+        return project(self, values, alpha)
     monkeypatch.setattr(Problem, "project", counted)
     res = solve_E(YoungFunction.power(1.25), NonlocalMesh(1.0, 64, 0.5),
                   100.0, SolveOptions(seed=1, max_iter=2000))

@@ -97,9 +97,11 @@ def test_normalization_newton(m200, family, alpha, r0):
     achieved = modular(F, u * res.r_alpha, m200)
     assert abs(achieved - alpha) <= 1e-12 * alpha
     assert res.phi_value == achieved
-    problem = Problem(F, m200)
-    projected = problem.project(u.values, alpha, r0)
-    assert np.array_equal(projected, u.values * res.r_alpha)
+    # the projection starts from r0 = 1; a root from another r0 may
+    # differ in the last bit
+    projected = Problem(F, m200).project(u.values, alpha)
+    assert np.array_equal(projected,
+                          u.values * phi_root(F, u, m200, alpha).r_alpha)
 
 
 def _fields(n):
@@ -376,6 +378,27 @@ def test_normalization_range_errors(m200):
         phi_root(F, m200.field(1e-290 * ones), m200, 1.0)
     with pytest.raises(BracketRangeError):
         phi_root(F, m200.field(1e290 * ones), m200, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 1e-318, 2e-308])
+def test_subnormal_alpha_raises_before_any_start(m200, monkeypatch, alpha):
+    # a subnormal alpha once ran on for over a minute (1e-320), or ended
+    # unconverged after five starts (1e-318)
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a start ran")
+    monkeypatch.setattr(solver, "_descend", no_descent)
+    F = YoungFunction.power(2)
+    with pytest.raises(BracketRangeError, match="representable"):
+        solve_E(F, m200, alpha)
+    with pytest.raises(BracketRangeError, match="representable"):
+        phi_root(F, m200.field(np.ones(m200.interior_count)), m200, alpha)
+
+
+def test_a_normal_alpha_near_the_least_solves():
+    F, m = YoungFunction.power(2), Mesh.interval(1.0, 20)
+    res = solve_E(F, m, 2.3e-308)
+    assert res.converged
+    assert abs(modular(F, res.u, m) - 2.3e-308) <= 1e-10 * 2.3e-308
 
 
 # -- fields entering from outside --------------------------------------------
@@ -775,8 +798,8 @@ def test_solve_2d_nonquadratic_converges_at_default_tol(F):
 def test_constraint_postcondition_raises(m200, monkeypatch):
     project = Problem.project
 
-    def off_constraint(self, values, alpha, r0=1.0):
-        return project(self, values, alpha, r0) * (1.0 + 1e-6)
+    def off_constraint(self, values, alpha):
+        return project(self, values, alpha) * (1.0 + 1e-6)
     monkeypatch.setattr(Problem, "project", off_constraint)
     F = YoungFunction.power(2)
     with pytest.raises(OrliczError, match="misses the constraint"):
@@ -896,9 +919,9 @@ def test_polish_projects_at_most_twice_per_iteration(m200, monkeypatch,
     project, newton, descend = Problem.project, solver._newton, \
         solver._descend
 
-    def counting_project(self, values, alpha, r0=1.0):
+    def counting_project(self, values, alpha):
         counts["projections"] += counts["inside"] > 0
-        return project(self, values, alpha, r0)
+        return project(self, values, alpha)
 
     def counting_newton(*args):
         counts["inside"] += 1
@@ -976,7 +999,7 @@ class _TurnedGradient:
     def mass_gradient(self, values):
         return values.copy()
 
-    def project(self, values, alpha, r0=1.0):
+    def project(self, values, alpha):
         self.trials.append(values[1] / values[0])
         return values / values[0]
 
@@ -1053,7 +1076,7 @@ class _PowerRow:
     def mass_gradient(self, values):
         return np.array([1.0, 0.0])
 
-    def project(self, values, alpha, r0=1.0):
+    def project(self, values, alpha):
         self.trials.append(values[1] / values[0])
         return values / values[0]
 
@@ -1475,7 +1498,7 @@ class _ScaledQuartic:
     def mass_gradient(self, values):
         return np.array([1.0, 0.0])
 
-    def project(self, values, alpha, r0=1.0):
+    def project(self, values, alpha):
         self.steps.append((1.0 - values[1]) / self.scale)
         return values
 
@@ -1990,9 +2013,9 @@ def test_second_start_is_the_plateau_where_it_fits(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 def test_small_eigh_matches_numpy(k):
-    # the second-order check's dense eigensolve (LAPACK dsbev on the full
-    # band) against numpy's eigh, on a random symmetric matrix with a
-    # nearly double lowest pair
+    # the second-order check's dense eigensolve (LAPACK dsyev) against
+    # numpy's eigh, on a random symmetric matrix with a nearly double
+    # lowest pair
     rng = np.random.default_rng(k)
     q = np.linalg.qr(rng.standard_normal((k, k)))[0]
     want = np.sort(np.concatenate([[1.0, 1.0 + 1e-9], rng.random(k)])[:k])

@@ -415,7 +415,17 @@ def test_from_config_matches_constructor(family):
      "unknown parameter 'q' for family 'power'"),
     ({"family": "power", "params": {"p": 0.5}}, "power family needs p > 1"),
     ({"family": "exp_minus_poly", "params": {"n": 1}},
-     "exp_minus_poly needs n >= 2"),
+     "exp_minus_poly needs n >= 2 and n <= 170"),
+    # n! passes the double range: an OverflowError traceback once (n = 171),
+    # or an n-step loop (n = 1e20)
+    ({"family": "exp_minus_poly", "params": {"n": 171}},
+     "exp_minus_poly needs n >= 2 and n <= 170"),
+    ({"family": "exp_minus_poly", "params": {"n": 1e20}},
+     "exp_minus_poly needs n >= 2 and n <= 170"),
+    # a TypeError or ValueError traceback once
+    *[({"family": "power", "params": params},
+       "young-function params must be a mapping")
+      for params in (None, 5, "p", [2])],
 ])
 def test_from_config_messages(cfg, message):
     with pytest.raises(ConfigError) as info:
@@ -819,6 +829,15 @@ def test_delta2_fails_for_an_unbounded_ratio_below_the_threshold():
     assert rep.C_constant == math.inf
 
 
+def test_the_log_of_a_zero_value_is_minus_infinity():
+    # the endpoint table reads a log that is not finite as no value; an
+    # evaluated A or a of 0 once had the log of a floor of 1e-300, which
+    # the table had to find again and throw away
+    for F in (YoungFunction.double_exp(),
+              YoungFunction.custom(lambda t: 2.0 * t)):
+        assert F.log_A(0.0) == F.log_a(0.0) == -math.inf
+
+
 @pytest.mark.parametrize("alpha", [1e-3, 0.007])
 def test_exp_neg_inv_power_with_its_knot_below_the_floor_is_a_config_error(
         capsys, alpha):
@@ -1053,9 +1072,7 @@ def _spaced(lo, hi, count):
     return [lo * (hi / lo) ** (k / (count - 1)) for k in range(count)]
 
 
-# every built-in family across its accepted parameters.  power_log with
-# r = 0.1 is left out: its ratios converge like t^0.1, and the two-decade
-# growth rule of Delta_2 reads that as growth at alpha = 40
+# every built-in family across its accepted parameters
 WALK = ([("power", {"p": p}) for p in _geometric(1.05, 200.0, 4)]
         + [("sum_of_powers", {"p": p, "q": q})
            for p in _spaced(1.05, 20.0, 6) for q in _spaced(1.2, 60.0, 6)
@@ -1069,12 +1086,27 @@ WALK = ([("power", {"p": p}) for p in _geometric(1.05, 200.0, 4)]
         + [("double_exp", {})])
 
 
+# and further: Power up to p = 590 (from p = 333 its ratio 8^p settles past
+# the double range); sum_of_powers up to q = 600; and power_log at
+# alpha = 40, and at r = 0.1, whose doubling ratio converges like t^0.1,
+# which the two-decade growth rule of Delta_2 alone reads as growth
+WIDE_WALK = (WALK + [("power", {"p": p})
+                     for p in _geometric(1.05, 1000.0, 4) if p > 200.0]
+             + [("sum_of_powers", {"p": p, "q": q})
+                for p in _spaced(1.05, 20.0, 6)
+                for q in _spaced(1.2, 600.0, 8)[1:] if p < q]
+             + [("power_log", {"p": p, "alpha": al, "r": r})
+                for p in (1.1, 2.0, 10.0, 40.0)
+                for al in (0.0, 0.25, 0.5, 1.0, 5.0, 40.0)
+                for r in (0.1, 0.5, 1.0, 2.0, 10.0) if al == 40.0 or r == 0.1])
+
+
 def _ids(cases):
     return [f"{f}({','.join(f'{v:.4g}' for v in p.values())})"
             for f, p in cases]
 
 
-@pytest.mark.parametrize("family,params", WALK, ids=_ids(WALK))
+@pytest.mark.parametrize("family,params", WIDE_WALK, ids=_ids(WIDE_WALK))
 def test_inspect_walk_gives_verdicts_that_agree(capsys, family, params):
     # exit 0 without a warning, with power_like only where Delta_2 holds
     # and trivial_degenerate only where it fails; or exit 2 with a message
